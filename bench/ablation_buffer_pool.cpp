@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/flight/bench_support.hpp"
 #include "itb/health/watchdog.hpp"
 #include "itb/telemetry/export.hpp"
@@ -135,7 +135,7 @@ Outcome run(int recv_buffers, bool drop_when_full, bool sample,
 
 int main(int argc, char** argv) {
   const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
+  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
   const bool watchdog = health::watchdog_flag(argc, argv);
   const auto fcli = flight::flight_flags(argc, argv);
   telemetry::BenchReport report("ablation_buffer_pool");
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
     for (int buffers : {2, 4, 8, 16}) configs.push_back({drop, buffers});
 
   // Eight independent clusters; fan out, then print/report in config order.
-  auto outcomes = core::run_sweep_parallel(
+  auto outcomes = sim::run_sweep_parallel(
       configs.size(),
       [&](std::size_t i) {
         return run(configs[i].buffers, configs[i].drop, rp != nullptr,

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "itb/core/experiments.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/flight/bench_support.hpp"
 #include "itb/health/watchdog.hpp"
 #include "itb/telemetry/export.hpp"
@@ -88,7 +88,7 @@ OverheadOutput itb_overhead(const nic::McpOptions& options, std::size_t size,
 
 int main(int argc, char** argv) {
   const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
+  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
   const bool watchdog = health::watchdog_flag(argc, argv);
   const auto fcli = flight::flight_flags(argc, argv);
   const std::size_t sizes[] = {16, 256, 1024, 4000};
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
                               {"neither", neither}};
 
   // 4 sizes x 4 variants = 16 independent measurement pairs.
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       std::size(sizes) * std::size(variants),
       [&](std::size_t i) {
         const std::size_t size = sizes[i / std::size(variants)];

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/flight/bench_support.hpp"
 #include "itb/health/watchdog.hpp"
 #include "itb/telemetry/export.hpp"
@@ -82,7 +82,7 @@ const char* name(topo::PortKind k) { return topo::to_string(k); }
 int main(int argc, char** argv) {
   using topo::PortKind;
   const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
+  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
   const bool watchdog = health::watchdog_flag(argc, argv);
   const auto fcli = flight::flight_flags(argc, argv);
   const std::size_t size = 256;
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
         combos.push_back({src, trunk, dst});
 
   // Eight independent clusters; fan out, then print/report in combo order.
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       combos.size(),
       [&](std::size_t i) {
         const Combo& c = combos[i];

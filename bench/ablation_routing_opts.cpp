@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/flight/bench_support.hpp"
 #include "itb/health/watchdog.hpp"
 #include "itb/routing/table.hpp"
@@ -81,7 +81,7 @@ health::LivenessVerdict validation_run(std::uint64_t seed,
                                        flight::BenchFlight* bf) {
   core::ClusterConfig cfg;
   cfg.topology = make_topology(seed);
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   if (bf) cfg.flight = bf->cli().recorder();
   cfg.itb_selection = routing::ItbHostSelection::kSpread;
   cfg.mcp_options.recv_buffers = 64;
@@ -116,7 +116,7 @@ health::LivenessVerdict validation_run(std::uint64_t seed,
 
 int main(int argc, char** argv) {
   const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
+  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
   const bool watchdog = health::watchdog_flag(argc, argv);
   const auto fcli = flight::flight_flags(argc, argv);
   telemetry::BenchReport report("ablation_routing_opts");
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
     std::uint16_t best = 0;
     std::array<Metrics, std::size(kCases)> metrics;
   };
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       seeds.size(),
       [&](std::size_t i) {
         auto topo = make_topology(seeds[i]);

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/flight/bench_support.hpp"
 #include "itb/health/watchdog.hpp"
 #include "itb/telemetry/export.hpp"
@@ -32,7 +32,7 @@ using namespace itb;
 bool g_watchdog = false;
 flight::RecorderConfig g_flight;
 
-std::unique_ptr<core::Cluster> make_cluster(routing::Policy policy,
+std::unique_ptr<core::Cluster> make_cluster(engine::EngineKind kind,
                                             std::uint64_t seed) {
   sim::Rng rng(seed);
   topo::IrregularSpec spec;
@@ -40,7 +40,7 @@ std::unique_ptr<core::Cluster> make_cluster(routing::Policy policy,
   spec.hosts_per_switch = 4;
   core::ClusterConfig cfg;
   cfg.topology = topo::make_random_irregular(spec, rng);
-  cfg.policy = policy;
+  cfg.engine = {kind, 1};
   // Loaded-network MCP (§4 buffer pool) — collectives burst hard.
   cfg.mcp_options.recv_buffers = 512;  // 8 MB SRAM at 2 KB packets (paper: overflow "very unusual")
   cfg.itb_selection = routing::ItbHostSelection::kSpread;
@@ -67,9 +67,9 @@ struct KernelOutput {
 };
 
 KernelOutput run_kernel(
-    std::uint64_t seed, routing::Policy policy,
+    std::uint64_t seed, engine::EngineKind kind,
     const std::function<workload::AppResult(core::Cluster&)>& body) {
-  auto cluster = make_cluster(policy, seed);
+  auto cluster = make_cluster(kind, seed);
   if (g_report) cluster->telemetry().start_sampling();
   KernelOutput out;
   out.result = body(*cluster);
@@ -109,7 +109,7 @@ void report(const char* kernel, workload::AppResult ud,
 
 int main(int argc, char** argv) {
   const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
+  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
   g_watchdog = health::watchdog_flag(argc, argv);
   const auto fcli = flight::flight_flags(argc, argv);
   g_flight = fcli.recorder();
@@ -147,13 +147,13 @@ int main(int argc, char** argv) {
   // Six independent simulations (kernel x policy), fanned across threads;
   // stdout and the report are assembled serially afterwards, in the same
   // order the serial program produced them.
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       kernels.size() * 2,
       [&](std::size_t i) {
         const Kernel& k = kernels[i / 2];
-        const auto policy =
-            i % 2 == 0 ? routing::Policy::kUpDown : routing::Policy::kItb;
-        return run_kernel(seed, policy, k.body);
+        const auto kind =
+            i % 2 == 0 ? engine::EngineKind::kUpDown : engine::EngineKind::kItb;
+        return run_kernel(seed, kind, k.body);
       },
       jobs);
 

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/flight/bench_support.hpp"
 #include "itb/health/watchdog.hpp"
 #include "itb/telemetry/export.hpp"
@@ -38,7 +38,7 @@ constexpr sim::Time kChaosHorizon = 20 * sim::kMs;
 struct Scenario {
   const char* name;
   topo::Topology (*make)();
-  routing::Policy policy;
+  engine::EngineKind engine;
   std::uint16_t src, dst;
 };
 
@@ -47,10 +47,10 @@ topo::Topology make_testbed() { return topo::make_paper_testbed(); }
 const Scenario kScenarios[] = {
     // Fig. 6 testbed: h0 -> h2 crosses one of the two trunks; a trunk
     // window forces the remap onto the other.
-    {"fig6_testbed", make_testbed, routing::Policy::kUpDown, 0, 2},
+    {"fig6_testbed", make_testbed, engine::EngineKind::kUpDown, 0, 2},
     // Fig. 1 network under ITB routing: the 4 -> 1 route relies on the
     // in-transit host on switch 6, which chaos may take down mid-path.
-    {"fig1_network", topo::make_fig1_network, routing::Policy::kItb, 4, 1},
+    {"fig1_network", topo::make_fig1_network, engine::EngineKind::kItb, 4, 1},
 };
 
 struct ChaosLevel {
@@ -99,8 +99,7 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
                       const flight::RecorderConfig& frc) {
   core::ClusterConfig cfg;
   cfg.topology = sc.make();
-  cfg.policy = sc.policy;
-  cfg.fault_plan.drop_probability = drop;
+  cfg.engine = {sc.engine, 1};
   cfg.gm_config.retransmit_timeout = 300 * sim::kUs;
   cfg.gm_config.max_retries = 12;
   cfg.remap_delay = 300 * sim::kUs;
@@ -119,6 +118,7 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
     spec.hotspot_gap = 200 * sim::kUs;
     cfg.fault_schedule = fault::FaultSchedule::chaos(cfg.topology, spec);
   }
+  cfg.fault_schedule.drop_probability = drop;
   cfg.watchdog.enabled = watchdog;
   cfg.flight = frc;
   core::Cluster c(std::move(cfg));
@@ -192,7 +192,7 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
 
 int main(int argc, char** argv) {
   const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
+  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
   const bool watchdog = health::watchdog_flag(argc, argv);
   const auto fcli = flight::flight_flags(argc, argv);
   telemetry::BenchReport report("ext_reliability");
@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
     for (const auto& lvl : kChaosLevels)
       for (double drop : kDropRates) points.push_back({&sc, &lvl, drop});
 
-  auto results = core::run_sweep_parallel(
+  auto results = sim::run_sweep_parallel(
       points.size(),
       [&](std::size_t i) {
         const Point& p = points[i];

@@ -24,7 +24,7 @@
 #include <cstdio>
 
 #include "itb/core/experiments.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/flight/bench_support.hpp"
 #include "itb/telemetry/export.hpp"
 #include "itb/workload/pingpong.hpp"
@@ -62,7 +62,7 @@ struct PathOutput {
 int main(int argc, char** argv) {
   using namespace itb;
   const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
+  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
   auto fcli = flight::flight_flags(argc, argv);
   // Acceptance artifact: plain --flight still emits the Perfetto trace.
   if (fcli.enabled && !fcli.trace) fcli.trace = "fig8_flight_trace.json";
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   cfg.sizes = {4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4000};
 
   // Point 0 = the UD forward route, point 1 = the UD+ITB route.
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       2,
       [&](std::size_t i) {
         auto cluster = core::make_fig8_cluster(/*itb_path=*/i == 1, {}, {}, {},

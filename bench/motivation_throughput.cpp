@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/flight/bench_support.hpp"
 #include "itb/health/watchdog.hpp"
 #include "itb/routing/deadlock.hpp"
@@ -67,12 +67,12 @@ struct PointOutput {
   flight::Recording recording;                        // --flight only
 };
 
-PointOutput run_point(routing::Policy policy, std::uint64_t seed, double rate,
+PointOutput run_point(engine::EngineKind kind, std::uint64_t seed, double rate,
                       bool sample, bool watchdog,
                       const flight::RecorderConfig& frc) {
   core::ClusterConfig cfg;
   cfg.topology = make_network(seed);
-  cfg.policy = policy;
+  cfg.engine = {kind, 1};
   cfg.flight = frc;
   // Loaded-network configuration (paper §4): the two-buffer shipped MCP
   // can deadlock through buffer-wait cycles once in-transit packets hold
@@ -111,7 +111,7 @@ PointOutput run_point(routing::Policy policy, std::uint64_t seed, double rate,
   return out;
 }
 
-std::vector<SweepPoint> sweep(routing::Policy policy, std::uint64_t seed,
+std::vector<SweepPoint> sweep(engine::EngineKind kind, std::uint64_t seed,
                               const std::vector<double>& rates,
                               telemetry::BenchReport* report,
                               const std::string& run, unsigned jobs,
@@ -120,13 +120,13 @@ std::vector<SweepPoint> sweep(routing::Policy policy, std::uint64_t seed,
   // Every rate is an independent simulation: fan them out, then merge into
   // the report serially in rate order so the document (and stdout) is
   // byte-identical for any job count.
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       rates.size(),
       [&](std::size_t i) {
         // Time series only at the saturating rate: 128 channels x 8 rates
         // would swamp the report without adding information.
         const bool sample = report && i + 1 == rates.size();
-        return run_point(policy, seed, rates[i], sample, liveness != nullptr,
+        return run_point(kind, seed, rates[i], sample, liveness != nullptr,
                          bf ? bf->cli().recorder() : flight::RecorderConfig{});
       },
       jobs);
@@ -174,7 +174,7 @@ double saturation_throughput(const std::vector<SweepPoint>& pts) {
 
 int main(int argc, char** argv) {
   const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
+  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
   const bool watchdog = health::watchdog_flag(argc, argv);
   const auto fcli = flight::flight_flags(argc, argv);
   const std::uint64_t seed = 2001;
@@ -226,8 +226,9 @@ int main(int argc, char** argv) {
   flight::BenchFlight bflight(fcli);
   flight::BenchFlight* bf = fcli.enabled ? &bflight : nullptr;
   auto ud =
-      sweep(routing::Policy::kUpDown, seed, rates, rp, "ud", jobs, lp, bf);
-  auto itb = sweep(routing::Policy::kItb, seed, rates, rp, "itb", jobs, lp, bf);
+      sweep(engine::EngineKind::kUpDown, seed, rates, rp, "ud", jobs, lp, bf);
+  auto itb =
+      sweep(engine::EngineKind::kItb, seed, rates, rp, "itb", jobs, lp, bf);
 
   std::printf("\nuniform traffic, 512 B messages, accepted msgs/s/host and "
               "mean latency:\n\n");

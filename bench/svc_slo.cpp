@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/flight/bench_support.hpp"
 #include "itb/health/watchdog.hpp"
 #include "itb/svc/openloop.hpp"
@@ -61,7 +61,7 @@ topo::Topology make_network(std::uint64_t seed) {
 }
 
 struct PointSpec {
-  routing::Policy policy = routing::Policy::kUpDown;
+  engine::EngineKind engine = engine::EngineKind::kUpDown;
   double rate = 1e4;
   svc::SvcPattern pattern = svc::SvcPattern::kUniform;
   bool chaos = false;
@@ -83,7 +83,7 @@ PointOutput run_point(const PointSpec& ps, bool watchdog,
                       const flight::RecorderConfig& frc) {
   core::ClusterConfig cfg;
   cfg.topology = make_network(kSeed);
-  cfg.policy = ps.policy;
+  cfg.engine = {ps.engine, 1};
   cfg.flight = frc;
   cfg.watchdog.enabled = watchdog;
   // Loaded-network MCP (paper §4): circular pool, drop when full; GM
@@ -159,8 +159,8 @@ PointOutput run_point(const PointSpec& ps, bool watchdog,
   return out;
 }
 
-const char* policy_name(routing::Policy p) {
-  return p == routing::Policy::kItb ? "itb" : "ud";
+const char* policy_name(engine::EngineKind k) {
+  return k == engine::EngineKind::kItb ? "itb" : "ud";
 }
 
 double window_s() { return static_cast<double>(kMeasure) / 1e9; }
@@ -169,7 +169,7 @@ void add_slo_rows(telemetry::BenchReport& report, const std::string& table,
                   const PointSpec& ps, const PointOutput& out) {
   auto row_of = [&](const char* cls_name, const svc::SloClassStats& c) {
     telemetry::BenchReport::Row row;
-    row.text["policy"] = policy_name(ps.policy);
+    row.text["policy"] = policy_name(ps.engine);
     row.text["pattern"] = svc::to_string(ps.pattern);
     row.text["class"] = cls_name;
     row.num["rate_rps"] = ps.rate;
@@ -196,7 +196,7 @@ void add_slo_rows(telemetry::BenchReport& report, const std::string& table,
     row_of(kClassNames[c], out.slo.cls[c]);
   svc::SloClassStats all = out.slo.combined();
   telemetry::BenchReport::Row row;  // combined row carries admission stats
-  row.text["policy"] = policy_name(ps.policy);
+  row.text["policy"] = policy_name(ps.engine);
   row.text["pattern"] = svc::to_string(ps.pattern);
   row.text["class"] = "all";
   row.num["rate_rps"] = ps.rate;
@@ -243,7 +243,7 @@ void print_row(const char* label, double rate, const PointOutput& out) {
 
 int main(int argc, char** argv) {
   const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
+  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
   const bool watchdog = health::watchdog_flag(argc, argv);
   const auto fcli = flight::flight_flags(argc, argv);
 
@@ -256,21 +256,21 @@ int main(int argc, char** argv) {
 
   // Point list: load sweep (both policies), then patterns, then chaos.
   std::vector<PointSpec> points;
-  for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb})
+  for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb})
     for (std::size_t i = 0; i < kRates.size(); ++i)
-      points.push_back({policy, kRates[i], svc::SvcPattern::kUniform, false,
+      points.push_back({kind, kRates[i], svc::SvcPattern::kUniform, false,
                         json_path.has_value() && i + 1 == kRates.size()});
   const std::size_t pattern_begin = points.size();
-  for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb}) {
-    points.push_back({policy, kIncastRate, svc::SvcPattern::kIncast});
-    points.push_back({policy, kHotspotRate, svc::SvcPattern::kHotspot});
-    points.push_back({policy, kAllToAllRate, svc::SvcPattern::kAllToAll});
+  for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb}) {
+    points.push_back({kind, kIncastRate, svc::SvcPattern::kIncast});
+    points.push_back({kind, kHotspotRate, svc::SvcPattern::kHotspot});
+    points.push_back({kind, kAllToAllRate, svc::SvcPattern::kAllToAll});
   }
   const std::size_t chaos_begin = points.size();
-  for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb})
-    points.push_back({policy, 1.5e4, svc::SvcPattern::kUniform, true, false});
+  for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb})
+    points.push_back({kind, 1.5e4, svc::SvcPattern::kUniform, true, false});
 
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       points.size(),
       [&](std::size_t i) { return run_point(points[i], watchdog,
                                             fcli.recorder()); },
@@ -284,11 +284,11 @@ int main(int argc, char** argv) {
               "rate", "good MB/s", "p50(us)", "p99(us)", "p999(us)", "miss",
               "block", "retry");
   for (std::size_t i = 0; i < pattern_begin; ++i)
-    print_row(policy_name(points[i].policy), points[i].rate, outputs[i]);
+    print_row(policy_name(points[i].engine), points[i].rate, outputs[i]);
 
   std::printf("\npatterns (per-client rate scaled per pattern):\n");
   for (std::size_t i = pattern_begin; i < chaos_begin; ++i) {
-    const std::string label = std::string(policy_name(points[i].policy)) +
+    const std::string label = std::string(policy_name(points[i].engine)) +
                               "/" + svc::to_string(points[i].pattern);
     print_row(label.c_str(), points[i].rate, outputs[i]);
   }
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
               "stall windows):\n");
   for (std::size_t i = chaos_begin; i < points.size(); ++i) {
     const std::string label =
-        std::string(policy_name(points[i].policy)) + "/chaos";
+        std::string(policy_name(points[i].engine)) + "/chaos";
     print_row(label.c_str(), points[i].rate, outputs[i]);
   }
 
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (watchdog) liveness.merge(outputs[i].liveness);
     if (fcli.enabled) bflight.add(std::move(outputs[i].recording));
-    if (points[i].policy == routing::Policy::kItb && !points[i].chaos &&
+    if (points[i].engine == engine::EngineKind::kItb && !points[i].chaos &&
         points[i].pattern == svc::SvcPattern::kUniform) {
       const auto g = static_cast<double>(
           outputs[i].slo.combined().goodput_bytes);
@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < points.size(); ++i)
     if (!points[i].chaos && points[i].pattern == svc::SvcPattern::kUniform &&
         points[i].rate == headline_rate) {
-      (points[i].policy == routing::Policy::kItb ? headline : headline_ud) =
+      (points[i].engine == engine::EngineKind::kItb ? headline : headline_ud) =
           &outputs[i];
     }
   if (headline) {
@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
                                             : "chaos";
       add_slo_rows(report, table, points[i], outputs[i]);
       if (points[i].sample) {
-        report.add_counters(std::string(policy_name(points[i].policy)) +
+        report.add_counters(std::string(policy_name(points[i].engine)) +
                                 "_rate_" +
                                 std::to_string(static_cast<int>(
                                     points[i].rate)),
@@ -372,13 +372,13 @@ int main(int argc, char** argv) {
       if (i + 1 == kRates.size() || i + 1 == 2 * kRates.size()) {
         const auto all = outputs[i].slo.combined();
         report.add_histogram("svc_total_latency",
-                             policy_name(points[i].policy), all.total);
+                             policy_name(points[i].engine), all.total);
         report.add_histogram("svc_admit_wait",
-                             policy_name(points[i].policy), all.admit);
+                             policy_name(points[i].engine), all.admit);
       }
       if (points[i].chaos && watchdog) {
         telemetry::BenchReport::Row row;
-        row.text["policy"] = policy_name(points[i].policy);
+        row.text["policy"] = policy_name(points[i].engine);
         row.num["health_stalls"] =
             static_cast<double>(outputs[i].liveness.stalls);
         row.num["health_recoveries"] =

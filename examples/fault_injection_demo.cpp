@@ -16,10 +16,10 @@ int main(int argc, char** argv) {
 
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kItb;  // src 4 -> dst 1 crosses one ITB
-  cfg.fault_plan.drop_probability = drop;
-  cfg.fault_plan.corrupt_probability = corrupt;
-  cfg.fault_plan.seed = 42;
+  cfg.engine = {engine::EngineKind::kItb, 1};  // src 4 -> dst 1 crosses one ITB
+  cfg.fault_schedule.drop_probability = drop;
+  cfg.fault_schedule.corrupt_probability = corrupt;
+  cfg.fault_schedule.seed = 42;
   cfg.gm_config.retransmit_timeout = 200 * sim::kUs;
   core::Cluster c(std::move(cfg));
 

@@ -34,10 +34,10 @@ int main(int argc, char** argv) {
   for (double rate : {2e3, 8e3, 1.6e4, 2.4e4}) {
     double acc[2], lat[2];
     int i = 0;
-    for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb}) {
+    for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb}) {
       core::ClusterConfig cfg;
       cfg.topology = make_fabric(seed);
-      cfg.policy = policy;
+      cfg.engine = {kind, 1};
       cfg.mcp_options.recv_buffers = 64;
       cfg.mcp_options.drop_when_full = true;  // loaded-network MCP (§4)
       core::Cluster cluster(std::move(cfg));

@@ -26,7 +26,7 @@ int main() {
   //    into every NIC. Timing models default to the paper's testbed.
   core::ClusterConfig cfg;
   cfg.topology = std::move(fabric);
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   core::Cluster cluster(std::move(cfg));
 
   std::printf("mapper: %zu switches, %zu hosts discovered with %llu probes\n",

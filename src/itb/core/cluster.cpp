@@ -8,26 +8,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   config_.topology.validate();
   const auto hosts = config_.topology.host_count();
 
-  // Resolve the deadlock engine: an explicit spec wins (and dictates the
-  // routing policy); otherwise derive the single-lane engine matching the
-  // configured policy.
-  if (config_.engine) {
-    engine_spec_ = *config_.engine;
-  } else {
-    switch (config_.policy) {
-      case routing::Policy::kUpDown:
-        engine_spec_ = engine::EngineSpec{engine::EngineKind::kUpDown, 1};
-        break;
-      case routing::Policy::kItb:
-        engine_spec_ = engine::EngineSpec{engine::EngineKind::kItb, 1};
-        break;
-      case routing::Policy::kVcEscape:
-        engine_spec_ = engine::EngineSpec{engine::EngineKind::kVcEscape, 2};
-        break;
-    }
-  }
-  engine_ = engine::make_engine(engine_spec_);
-  config_.policy = engine_->policy();
+  engine_ = engine::make_engine(config_.engine);
 
   network_ = std::make_unique<net::Network>(config_.topology,
                                             config_.net_timing, queue_, tracer_);
@@ -60,10 +41,10 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     engine_->bind(routing::UpDown(config_.topology, 0), config_.topology, {});
   } else {
     // Run the mapper: discovery walk + route computation + table download.
-    auto result = mapper::run(config_.topology, config_.policy,
+    auto result = mapper::run(config_.topology, engine_->policy(),
                               config_.mapper_root_host, config_.itb_selection,
                               /*allow_partial=*/false, config_.route_solve_jobs,
-                              engine_spec_.lanes);
+                              engine_->lane_count());
     report_ = std::move(result.report);
     table_ = std::move(result.table);
     // Bind the engine to the orientation the solve used (discovered
@@ -73,46 +54,31 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     for (auto& nic : nics_) nic->load_routes(*table_);
   }
 
-  // Host software stacks behind a per-type demux: GM claims GM and mapping
-  // packets, the IP driver claims kIp — the host-side mirror of the MCP's
-  // own type dispatch (§4).
-  for (std::uint16_t h = 0; h < hosts; ++h) {
+  // GM is each NIC's one host-side client (its constructor registers it).
+  for (std::uint16_t h = 0; h < hosts; ++h)
     gm_ports_.push_back(std::make_unique<gm::GmPort>(queue_, tracer_, *nics_[h],
                                                      config_.gm_config));
-    muxes_.push_back(std::make_unique<nic::NicMux>(*nics_[h]));
-    muxes_.back()->route(packet::PacketType::kGm, gm_ports_.back().get());
-    muxes_.back()->route(packet::PacketType::kMapping, gm_ports_.back().get());
-    ip_stacks_.push_back(std::make_unique<ip::IpStack>(
-        queue_, *nics_[h], *muxes_.back(), ip::IpConfig{}));
-  }
 
   // Fault injection + remap-and-recover. The injector is only built when
   // the config actually schedules faults, keeping the faithful-wire hot
   // path free of hook checks.
-  if (config_.fault_plan.active() || !config_.fault_schedule.empty()) {
+  if (!config_.fault_schedule.empty()) {
     fault_injector_ = std::make_unique<fault::FaultInjector>(
-        queue_, tracer_, *network_, config_.fault_plan, config_.fault_schedule);
+        queue_, tracer_, *network_, config_.fault_schedule);
     if (config_.auto_remap && !config_.manual_routes &&
         config_.fault_schedule.has_topology_faults()) {
       std::vector<nic::Nic*> nic_ptrs;
       nic_ptrs.reserve(nics_.size());
       for (auto& nic : nics_) nic_ptrs.push_back(nic.get());
       fault::RecoveryManager::Config rc;
-      rc.policy = config_.policy;
       rc.selection = config_.itb_selection;
       rc.preferred_root_host = config_.mapper_root_host;
       rc.remap_delay = config_.remap_delay;
       rc.route_jobs = config_.route_solve_jobs;
-      rc.vc_lanes = engine_spec_.lanes;
-      // Recovery solves over the TRUE fabric (usability-masked), so the
-      // re-bind needs no switch translation.
-      rc.on_orientation = [this](const routing::UpDown& ud) {
-        engine_->bind(ud, config_.topology, {});
-      };
       rc.tuning = config_.recovery;
       recovery_ = std::make_unique<fault::RecoveryManager>(
           queue_, tracer_, config_.topology, *fault_injector_,
-          std::move(nic_ptrs), rc);
+          std::move(nic_ptrs), *engine_, rc);
     }
   }
 
@@ -134,7 +100,6 @@ void Cluster::wire_telemetry() {
   network_->register_metrics(reg);
   for (auto& nic : nics_) nic->register_metrics(reg);
   for (auto& port : gm_ports_) port->register_metrics(reg);
-  for (auto& ip : ip_stacks_) ip->register_metrics(reg);
   if (fault_injector_) fault_injector_->register_metrics(reg);
   if (recovery_) recovery_->register_metrics(reg);
   if (watchdog_) watchdog_->register_metrics(reg);
@@ -189,7 +154,7 @@ bool Cluster::routes_deadlock_free() const {
   // is bound in true coordinates — so check with a throwaway engine bound
   // over the discovered topology itself. Single-lane engines reduce to the
   // classical CDG either way.
-  auto check = engine::make_engine(engine_spec_);
+  auto check = engine::make_engine({engine_->kind(), engine_->lane_count()});
   check->bind(routing::UpDown(report_->discovered, 0), report_->discovered, {});
   return engine::verify_deadlock_free(*check, *table_, report_->discovered);
 }

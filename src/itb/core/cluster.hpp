@@ -8,7 +8,7 @@
 // Typical use:
 //   core::ClusterConfig cfg;
 //   cfg.topology = topo::make_fig1_network();
-//   cfg.policy = routing::Policy::kItb;
+//   cfg.engine = {engine::EngineKind::kItb, 1};
 //   core::Cluster cluster(cfg);
 //   cluster.port(0).send(5, message);
 //   cluster.run();
@@ -26,9 +26,7 @@
 #include "itb/gm/port.hpp"
 #include "itb/health/watchdog.hpp"
 #include "itb/host/pci.hpp"
-#include "itb/ip/stack.hpp"
 #include "itb/mapper/mapper.hpp"
-#include "itb/nic/mux.hpp"
 #include "itb/net/network.hpp"
 #include "itb/nic/nic.hpp"
 #include "itb/routing/deadlock.hpp"
@@ -41,23 +39,19 @@ namespace itb::core {
 
 struct ClusterConfig {
   topo::Topology topology;
-  routing::Policy policy = routing::Policy::kUpDown;
-  /// Deadlock-freedom engine. Unset = derived from `policy` (kUpDown and
-  /// kItb map to their single-lane engines, kVcEscape to a 2-lane escape
-  /// engine). When set it WINS: `policy` is overridden with the engine's
-  /// required routing policy so the table solve, the lane arbitration and
-  /// the recovery re-solves can never disagree.
-  std::optional<engine::EngineSpec> engine;
+  /// Deadlock-freedom engine (plain up*/down* by default). The cluster
+  /// builds it once and takes the routing restriction and the lane budget
+  /// from it, so the table solve, the lane arbitration and the recovery
+  /// re-solves can never disagree.
+  engine::EngineSpec engine;
   net::NetTiming net_timing;
   nic::LanaiTiming lanai_timing;
   nic::McpOptions mcp_options;  // defaults to the ITB-capable MCP
   host::PciTiming pci_timing;
   gm::GmConfig gm_config;
-  /// Probabilistic last-hop faults for reliability tests (defaults to a
-  /// faithful wire).
-  fault::FaultPlan fault_plan;
-  /// Timed fault windows (link/switch/host down, NIC stalls); empty by
-  /// default. Injected deterministically off the event queue.
+  /// Faults: timed windows (link/switch/host down, NIC stalls) plus
+  /// per-packet last-hop drop/corrupt probabilities. Empty by default (a
+  /// faithful wire); injected deterministically off the event queue.
   fault::FaultSchedule fault_schedule;
   /// Re-run the mapper and hot-swap route tables when a topology-affecting
   /// fault window opens or closes (no effect with manual_routes).
@@ -134,7 +128,6 @@ class Cluster {
   /// Flight recorder; nullptr unless config.flight.enabled.
   flight::FlightRecorder* flight() { return flight_.get(); }
   const flight::FlightRecorder* flight() const { return flight_.get(); }
-  ip::IpStack& ip(std::uint16_t host) { return *ip_stacks_.at(host); }
   nic::Nic& nic(std::uint16_t host) { return *nics_.at(host); }
   const topo::Topology& topology() const { return config_.topology; }
   /// The active deadlock-freedom engine (always present; single-lane for
@@ -170,7 +163,6 @@ class Cluster {
   std::unique_ptr<flight::FlightRecorder> flight_;
   // Before network_ too: the network arbitrates through the engine's
   // LanePolicy pointer.
-  engine::EngineSpec engine_spec_;
   std::unique_ptr<engine::DeadlockEngine> engine_;
   std::unique_ptr<net::Network> network_;
   std::optional<mapper::DiscoveryReport> report_;
@@ -178,8 +170,6 @@ class Cluster {
   std::vector<std::unique_ptr<host::PciBus>> pci_;
   std::vector<std::unique_ptr<nic::Nic>> nics_;
   std::vector<std::unique_ptr<gm::GmPort>> gm_ports_;
-  std::vector<std::unique_ptr<nic::NicMux>> muxes_;
-  std::vector<std::unique_ptr<ip::IpStack>> ip_stacks_;
   std::unique_ptr<fault::FaultInjector> fault_injector_;
   std::unique_ptr<fault::RecoveryManager> recovery_;
   // Declared after network_/nics_ (it reads both) and destroyed before

@@ -42,11 +42,14 @@ namespace itb::engine {
 
 enum class EngineKind : std::uint8_t { kUpDown, kItb, kVcEscape };
 
-/// Serializable engine selection (ClusterConfig carries one).
+/// Serializable engine selection (ClusterConfig carries one). The default
+/// is plain up*/down*.
 struct EngineSpec {
-  EngineKind kind = EngineKind::kItb;
-  /// Virtual lanes per physical channel; only kVcEscape reads it (>= 2).
-  unsigned lanes = 2;
+  EngineKind kind = EngineKind::kUpDown;
+  /// Virtual lanes per physical channel; only kVcEscape reads it (and
+  /// raises it to at least 2). The built engine's lane_count() is the
+  /// budget actually in force.
+  unsigned lanes = 1;
 };
 
 /// One deadlock-freedom mechanism: routing restriction + lane policy +
@@ -75,7 +78,7 @@ class DeadlockEngine : public net::LanePolicy {
   /// indices so lane decisions on live (true-coordinate) channels agree
   /// with the solve. Pass an empty `switch_of` when `updown` was built over
   /// `fabric` itself. Must be re-bound whenever recovery re-orients (the
-  /// RecoveryManager's on_orientation hook does this).
+  /// RecoveryManager does this at every install).
   virtual void bind(const routing::UpDown& updown,
                     const topo::Topology& fabric,
                     const std::vector<std::uint16_t>& switch_of) = 0;

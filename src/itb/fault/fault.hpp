@@ -5,7 +5,7 @@
 // having the mapper recompute the up*/down* tree over whatever survives;
 // this module supplies the faults: a deterministic, seeded schedule of
 // timed windows during which a link, a switch, a host (e.g. an in-transit
-// host mid-path) or a NIC is out, plus the legacy per-packet drop/corrupt
+// host mid-path) or a NIC is out, plus per-packet last-hop drop/corrupt
 // coin-flips. Everything is driven off the one event queue, so a chaos run
 // is reproducible from its seeds alone.
 #pragma once
@@ -40,18 +40,6 @@ struct FaultWindow {
   sim::Time end = 0;
 };
 
-/// Probabilistic last-hop faults (the original fault model, kept): per
-/// delivered packet, drop it or flip one payload byte.
-struct FaultPlan {
-  double drop_probability = 0.0;     // packet vanishes at the last hop
-  double corrupt_probability = 0.0;  // one payload byte is flipped
-  std::uint64_t seed = 0x5EED;
-
-  bool active() const {
-    return drop_probability > 0.0 || corrupt_probability > 0.0;
-  }
-};
-
 /// Loss/corruption accounting by cause. Reconciles with the network:
 /// net.stats().lost == total_lost(), and none of these ever count as
 /// net.delivered.
@@ -69,11 +57,21 @@ struct FaultStats {
   }
 };
 
-/// An ordered list of fault windows. Built by hand (tests) or generated
-/// randomly from a seed (chaos soaks). Windows may overlap freely; a
-/// component is up again only when every window covering it has closed.
+/// Everything a cluster's fault injector does: an ordered list of fault
+/// windows plus per-packet last-hop coin flips. Windows are built by hand
+/// (tests) or generated randomly from a seed (chaos soaks); they may
+/// overlap freely, and a component is up again only when every window
+/// covering it has closed.
 class FaultSchedule {
  public:
+  /// Per delivered packet: it vanishes at the last hop with this
+  /// probability...
+  double drop_probability = 0.0;
+  /// ...or, if it survives, one payload byte is flipped with this one.
+  double corrupt_probability = 0.0;
+  /// Seed of the coin-flip stream (independent of any chaos seed).
+  std::uint64_t seed = 0x5EED;
+
   FaultSchedule& add(FaultWindow w) {
     if (w.end <= w.start)
       throw std::invalid_argument("fault window must have end > start");
@@ -94,7 +92,11 @@ class FaultSchedule {
   }
 
   const std::vector<FaultWindow>& windows() const { return windows_; }
-  bool empty() const { return windows_.empty(); }
+  /// Neither windows nor coin flips: a faithful wire.
+  bool empty() const {
+    return windows_.empty() && drop_probability <= 0.0 &&
+           corrupt_probability <= 0.0;
+  }
 
   /// Any window that changes the usable topology (everything but NIC
   /// stalls, which are pure backpressure)?
@@ -129,7 +131,8 @@ class FaultSchedule {
     std::optional<std::uint16_t> hotspot_host;       // pin the target host
   };
 
-  /// Deterministic random schedule over `topo` (same spec -> same windows).
+  /// Deterministic random schedule over `topo` (same spec -> same windows;
+  /// no coin flips).
   static FaultSchedule chaos(const topo::Topology& topo, const ChaosSpec& spec);
 
  private:

@@ -5,14 +5,15 @@
 namespace itb::fault {
 
 FaultInjector::FaultInjector(sim::EventQueue& queue, sim::Tracer& tracer,
-                             net::Network& network, FaultPlan plan,
+                             net::Network& network,
                              const FaultSchedule& schedule)
     : queue_(queue),
       tracer_(tracer),
       network_(network),
       topo_(network.topology()),
-      plan_(plan),
-      rng_(plan.seed),
+      drop_probability_(schedule.drop_probability),
+      corrupt_probability_(schedule.corrupt_probability),
+      rng_(schedule.seed),
       effective_down_(topo_.link_count(), 0),
       link_down_(topo_.link_count(), 0),
       switch_down_(topo_.switch_count(), 0),
@@ -44,13 +45,13 @@ FaultInjector::~FaultInjector() { network_.set_fault_hook(nullptr); }
 
 net::FaultHook::Fate FaultInjector::delivery_fate(std::uint16_t /*host*/,
                                                   packet::Bytes& bytes) {
-  // Exactly the draw order of the old in-network FaultPlan code, so seeded
-  // loss sweeps keep their historical results.
-  if (plan_.drop_probability > 0 && rng_.next_bool(plan_.drop_probability)) {
+  // Exactly the draw order of the old in-network last-hop fault code, so
+  // seeded loss sweeps keep their historical results.
+  if (drop_probability_ > 0 && rng_.next_bool(drop_probability_)) {
     ++stats_.lost_drop;
     return Fate::kDrop;
   }
-  if (plan_.corrupt_probability > 0 && rng_.next_bool(plan_.corrupt_probability) &&
+  if (corrupt_probability_ > 0 && rng_.next_bool(corrupt_probability_) &&
       bytes.size() > 3) {
     const auto victim = 3 + rng_.next_below(bytes.size() - 3);
     bytes[victim] ^= 0x40;

@@ -4,9 +4,9 @@
 // event queue, tracks which links/switches/hosts are currently down (windows
 // may overlap — a link is usable again only when the count of windows
 // covering it returns to zero), answers the network's per-hop usability
-// checks, and applies the probabilistic last-hop FaultPlan with the same
-// seeded draw order the old in-network implementation used, so existing
-// loss-sweep results are bit-identical.
+// checks, and applies the schedule's probabilistic last-hop drop/corrupt
+// coin flips with the same seeded draw order the old in-network
+// implementation used, so existing loss-sweep results are bit-identical.
 //
 // Topology-affecting windows (everything but NIC stalls) are announced to
 // listeners on open and close; the RecoveryManager subscribes and re-runs
@@ -30,8 +30,7 @@ class FaultInjector final : public net::FaultHook {
  public:
   /// Installs itself as `network`'s fault hook and schedules every window.
   FaultInjector(sim::EventQueue& queue, sim::Tracer& tracer,
-                net::Network& network, FaultPlan plan,
-                const FaultSchedule& schedule);
+                net::Network& network, const FaultSchedule& schedule);
   ~FaultInjector() override;
 
   FaultInjector(const FaultInjector&) = delete;
@@ -87,7 +86,8 @@ class FaultInjector final : public net::FaultHook {
   sim::Tracer& tracer_;
   net::Network& network_;
   const topo::Topology& topo_;
-  FaultPlan plan_;
+  double drop_probability_;
+  double corrupt_probability_;
   sim::Rng rng_;
   FaultStats stats_;
   int active_windows_ = 0;

@@ -27,12 +27,14 @@ topo::Topology degraded_topology(const topo::Topology& full,
 RecoveryManager::RecoveryManager(sim::EventQueue& queue, sim::Tracer& tracer,
                                  const topo::Topology& fabric,
                                  FaultInjector& injector,
-                                 std::vector<nic::Nic*> nics, Config config)
+                                 std::vector<nic::Nic*> nics,
+                                 engine::DeadlockEngine& engine, Config config)
     : queue_(queue),
       tracer_(tracer),
       fabric_(fabric),
       injector_(injector),
       nics_(std::move(nics)),
+      engine_(engine),
       config_(config),
       pending_flag_(fabric.link_count(), 0),
       flap_(fabric.link_count()) {
@@ -208,8 +210,8 @@ void RecoveryManager::fire() {
                     root_sw != last_root_switch_ || !table_->patching_enabled();
   std::uint64_t sources_resolved = 0;
   if (full) {
-    table_.emplace(*new_router, config_.policy, config_.route_jobs,
-                   config_.vc_lanes);
+    table_.emplace(*new_router, engine_.policy(), config_.route_jobs,
+                   engine_.lane_count());
     if (config_.tuning.incremental) table_->enable_patching(*new_router);
     sources_resolved = hosts;
     ++stats_.full_resolves;
@@ -236,8 +238,8 @@ void RecoveryManager::fire() {
     sources_resolved = ps.sources_resolved;
     ++stats_.patch_rounds;
     if (config_.tuning.verify_patches) {
-      routing::RouteTable fresh(*new_router, config_.policy,
-                                config_.route_jobs, config_.vc_lanes);
+      routing::RouteTable fresh(*new_router, engine_.policy(),
+                                config_.route_jobs, engine_.lane_count());
       std::ostringstream patched, solved;
       table_->dump(patched);
       fresh.dump(solved);
@@ -278,7 +280,8 @@ void RecoveryManager::fire() {
 }
 
 void RecoveryManager::install() {
-  if (config_.on_orientation) config_.on_orientation(*updown_);
+  // Solved over the TRUE fabric (usability-masked): no switch translation.
+  engine_.bind(*updown_, fabric_, {});
   table_->set_epoch(++epoch_);
   for (nic::Nic* nic : nics_) nic->load_routes(*table_);
 

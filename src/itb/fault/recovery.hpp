@@ -33,11 +33,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "itb/engine/engine.hpp"
 #include "itb/fault/injector.hpp"
 #include "itb/mapper/mapper.hpp"
 #include "itb/nic/nic.hpp"
@@ -94,7 +94,6 @@ struct RecoveryTuning {
 class RecoveryManager {
  public:
   struct Config {
-    routing::Policy policy = routing::Policy::kItb;
     routing::ItbHostSelection selection = routing::ItbHostSelection::kLowestIndex;
     std::uint16_t preferred_root_host = 0;
     /// Detection time between the FIRST unabsorbed topology event and the
@@ -105,13 +104,6 @@ class RecoveryManager {
     /// Threads for the per-source route solves of a round (0 = hardware
     /// concurrency). Tables are jobs-invariant.
     unsigned route_jobs = 1;
-    /// Lane budget handed to kVcEscape solves (ignored by other policies).
-    unsigned vc_lanes = 2;
-    /// Invoked at each install with the orientation the new tables were
-    /// solved under (TRUE fabric coordinates), BEFORE the NICs receive the
-    /// tables. The cluster uses this to re-bind its deadlock engine so lane
-    /// decisions keep agreeing with the installed routes.
-    std::function<void(const routing::UpDown&)> on_orientation;
     RecoveryTuning tuning;
   };
 
@@ -144,9 +136,14 @@ class RecoveryManager {
     std::uint64_t sources_total = 0;
   };
 
+  /// Re-solves under `engine`'s routing policy and lane budget, and at each
+  /// install re-binds `engine` to the new orientation (TRUE fabric
+  /// coordinates) BEFORE the NICs receive the tables, so lane decisions
+  /// keep agreeing with the installed routes.
   RecoveryManager(sim::EventQueue& queue, sim::Tracer& tracer,
                   const topo::Topology& fabric, FaultInjector& injector,
-                  std::vector<nic::Nic*> nics, Config config);
+                  std::vector<nic::Nic*> nics, engine::DeadlockEngine& engine,
+                  Config config);
 
   RecoveryManager(const RecoveryManager&) = delete;
   RecoveryManager& operator=(const RecoveryManager&) = delete;
@@ -199,6 +196,7 @@ class RecoveryManager {
   const topo::Topology& fabric_;
   FaultInjector& injector_;
   std::vector<nic::Nic*> nics_;
+  engine::DeadlockEngine& engine_;
   Config config_;
   Stats stats_;
   telemetry::LatencyHistogram latency_;

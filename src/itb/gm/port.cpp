@@ -191,7 +191,12 @@ void GmPort::fail_connection(std::uint16_t dst) {
   if (failure_handler_) failure_handler_(queue_.now(), dst, n);
 }
 
-void GmPort::on_message(sim::Time t, packet::PacketType, packet::Bytes payload) {
+void GmPort::on_message(sim::Time t, packet::PacketType type,
+                        packet::Bytes payload) {
+  // GM owns the GM and mapping types of the MCP's classification (§4);
+  // anything else (e.g. IP) has no host stack here and is dropped.
+  if (type != packet::PacketType::kGm && type != packet::PacketType::kMapping)
+    return;
   auto decoded = decode(payload);
   if (!decoded) return;  // corrupted: dropped, the sender will retransmit
   if (decoded->header.dst_host != nic_.host()) return;  // misrouted

@@ -2,13 +2,11 @@
 //
 // ParallelRunner fans N independent, deterministic work items across a
 // small thread pool. Two layers use it:
-//   * core::run_sweep_parallel — one Cluster per sweep point in the bench
-//     binaries (the original home of this class);
+//   * sim::run_sweep_parallel — one Cluster per sweep point in the bench
+//     binaries;
 //   * routing::RouteTable — per-source route solves, so an all-pairs table
 //     over a thousand-host fabric is computed one source row per task.
-// It lives in sim/ (the dependency root) so both layers can reach it; the
-// core/parallel.hpp header re-exports everything under itb::core for the
-// benches and tests written against the old location.
+// It lives in sim/ (the dependency root) so both layers can reach it.
 //
 // Determinism contract: a work item must build everything it touches from
 // its own index/seed and write only state owned by that index (its sweep

@@ -1,5 +1,6 @@
 #include "itb/sim/stats.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace itb::sim {
@@ -42,56 +43,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void SampledStats::merge(const SampledStats& other) {
-  running_.merge(other.running_);
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-}
-
-double SampledStats::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(std::isnan(p) ? 0.0 : p, 0.0, 100.0);
-  if (clamped == 0.0) return sorted.front();
-  if (clamped == 100.0) return sorted.back();
-  // Nearest rank: smallest rank covering fraction p. ceil() can round to
-  // n + 1 for p just under 100 (floating error), so clamp into [1, n].
-  auto rank = static_cast<std::size_t>(
-      std::ceil(clamped / 100.0 * static_cast<double>(sorted.size())));
-  rank = std::clamp<std::size_t>(rank, 1, sorted.size());
-  return sorted[rank - 1];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::int64_t>((x - lo_) / span *
-                                       static_cast<double>(counts_.size()));
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(counts_[i] * width / peak);
-    out += std::to_string(bucket_lo(i)) + " | " + std::string(bar, '#') + " " +
-           std::to_string(counts_[i]) + "\n";
-  }
-  return out;
-}
 
 }  // namespace itb::sim

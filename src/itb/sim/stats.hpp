@@ -1,11 +1,8 @@
-// Online statistics accumulators used by every measurement harness.
+// Online mean/variance accumulator for the measurement harnesses.
+// Distributions (percentiles) live in telemetry::LatencyHistogram.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 namespace itb::sim {
 
@@ -31,62 +28,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Stats that also keep samples so percentiles can be reported.
-class SampledStats {
- public:
-  void add(double x) {
-    running_.add(x);
-    samples_.push_back(x);
-  }
-  void clear() {
-    running_.clear();
-    samples_.clear();
-  }
-
-  /// Pool another accumulator's samples into this one (so per-host stats
-  /// can be aggregated into per-run stats).
-  void merge(const SampledStats& other);
-
-  const RunningStats& running() const { return running_; }
-  std::size_t count() const { return running_.count(); }
-  double mean() const { return running_.mean(); }
-  double min() const { return running_.min(); }
-  double max() const { return running_.max(); }
-  double stddev() const { return running_.stddev(); }
-  const std::vector<double>& samples() const { return samples_; }
-
-  /// Percentile by nearest-rank on a sorted copy. `p` is clamped to
-  /// [0, 100]; p = 0 reports the minimum and p = 100 the maximum (the
-  /// nearest-rank convention is otherwise undefined at the endpoints),
-  /// and a single sample is every percentile. Empty stats report 0.
-  double percentile(double p) const;
-
- private:
-  RunningStats running_;
-  std::vector<double> samples_;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets. Used for latency distributions in load benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  double bucket_lo(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-
-  /// One-line textual rendering, useful in example programs.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace itb::sim

@@ -1,14 +1,14 @@
 // Log-bucketed latency histogram (HDR-histogram style).
 //
-// sim::SampledStats keeps every sample so its percentiles are exact, but a
-// long loaded run records millions of latencies and the vector grows without
-// bound. LatencyHistogram trades a bounded relative error for O(buckets)
-// memory: values below 2^(sub_bits+1) land in exact unit-width buckets; above
-// that, every power-of-two range is split into 2^sub_bits linear sub-buckets,
-// so the bucket width is always <= value / 2^sub_bits. With the default
-// sub_bits = 7 (128 sub-buckets per octave) the worst-case relative error of
-// a reported percentile is 1/256 < 0.4%, comfortably inside the 1% target
-// the test suite enforces.
+// The simulator's one distribution type. Keeping every sample would make
+// percentiles exact, but a long loaded run records millions of latencies and
+// the sample vector would grow without bound. LatencyHistogram trades a
+// bounded relative error for O(buckets) memory: values below 2^(sub_bits+1)
+// land in exact unit-width buckets; above that, every power-of-two range is
+// split into 2^sub_bits linear sub-buckets, so the bucket width is always
+// <= value / 2^sub_bits. With the default sub_bits = 7 (128 sub-buckets per
+// octave) the worst-case relative error of a reported percentile is
+// 1/256 < 0.4%, comfortably inside the 1% target the test suite enforces.
 //
 // Values are non-negative integers — nanoseconds everywhere in this repo.
 // Histograms with equal sub_bits can be merge()d, so per-host distributions

@@ -1,7 +1,7 @@
 // Unified metrics registry.
 //
 // Every layer of the simulator keeps ad-hoc counter structs (net::NetworkStats,
-// nic::NicStats, gm::GmStats, ip::IpStats) that benches read through accessors.
+// nic::NicStats, gm::GmStats, ...) that benches read through accessors.
 // The MetricRegistry gives them one namespace: a metric is identified by
 // {component, name} plus optional {host, channel} labels, and is either
 //   * an owned Counter/Gauge handle (cheap pointer-sized handles backed by
@@ -10,9 +10,9 @@
 //     time — the integration style used across the stack, which keeps the
 //     legacy accessors as the single source of truth (no double counting).
 //
-// Naming scheme: components are the module names ("net", "nic", "gm", "ip",
-// "core"); metric names are lower_snake_case and match the legacy struct
-// field where one exists (e.g. nic.itb_forwarded).
+// Naming scheme: components are the module names ("sim", "net", "nic", "gm",
+// "fault", "svc", ...); metric names are lower_snake_case and match the
+// legacy struct field where one exists (e.g. nic.itb_forwarded).
 #pragma once
 
 #include <cstdint>

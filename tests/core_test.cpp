@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "itb/core/experiments.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/load.hpp"
 #include "itb/workload/pingpong.hpp"
 
@@ -16,7 +16,7 @@ using packet::Bytes;
 TEST(Cluster, BuildsWithMapperAndDeliversTraffic) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   core::Cluster c(std::move(cfg));
   EXPECT_EQ(c.host_count(), 8u);
   EXPECT_NE(c.route_table(), nullptr);
@@ -44,6 +44,34 @@ TEST(Cluster, InvalidTopologyThrows) {
   cfg.topology.add_switch(4);
   cfg.topology.add_host();  // unattached
   EXPECT_THROW(core::Cluster c(std::move(cfg)), std::logic_error);
+}
+
+TEST(Cluster, ForeignPacketTypesReachTheHostButNotGm) {
+  // GM is each NIC's only host client and claims just the GM and mapping
+  // types. A well-formed GM data packet posted under the IP type lands in
+  // host memory yet leaves GM's state and receive handler untouched.
+  core::ClusterConfig cfg;
+  cfg.topology = topo::make_fig1_network();
+  core::Cluster c(std::move(cfg));
+  int handled = 0;
+  c.port(0).set_receive_handler(
+      [&](sim::Time, std::uint16_t, Bytes) { ++handled; });
+  gm::GmHeader h;
+  h.src_host = 1;
+  h.dst_host = 0;
+  h.seq = gm::GmConfig{}.initial_seq;
+  h.msg_len = 64;
+  h.frag_len = 64;
+  c.nic(1).post_send(0, gm::encode(h, Bytes(64, 0x5A)),
+                     packet::PacketType::kIp);
+  c.run();
+  EXPECT_EQ(c.nic(0).stats().delivered_to_host, 1u);
+  EXPECT_EQ(handled, 0);
+  const auto& gs = c.port(0).stats();
+  EXPECT_EQ(gs.messages_delivered, 0u);
+  EXPECT_EQ(gs.packets_ack, 0u);
+  EXPECT_EQ(gs.duplicates, 0u);
+  EXPECT_EQ(gs.out_of_order, 0u);
 }
 
 TEST(PingPong, ProducesPositiveLatency) {
@@ -131,7 +159,7 @@ TEST(Fig8, ItbOverheadAboutOneMicrosecondAndFlat) {
 TEST(Load, UniformTrafficDeliversUnderLightLoad) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   core::Cluster c(std::move(cfg));
   workload::LoadConfig lc;
   lc.message_bytes = 256;
@@ -166,7 +194,7 @@ TEST(Load, DeterministicForSeed) {
   auto run_once = [] {
     core::ClusterConfig cfg;
     cfg.topology = topo::make_fig1_network();
-    cfg.policy = routing::Policy::kUpDown;
+    cfg.engine = {engine::EngineKind::kUpDown, 1};
     core::Cluster c(std::move(cfg));
     workload::LoadConfig lc;
     lc.rate_msgs_per_s = 3000;
@@ -207,7 +235,7 @@ TEST(Load, SweepResultsAreJobsInvariant) {
   // bit-identical no matter how many workers run the sweep.
   const std::vector<double> rates = {1e3, 3e3, 6e3};
   auto run_sweep = [&](unsigned jobs) {
-    return core::run_sweep_parallel(
+    return sim::run_sweep_parallel(
         rates.size(),
         [&](std::size_t i) {
           core::ClusterConfig cfg;
@@ -240,7 +268,7 @@ TEST(Load, PatternsAreSupported) {
                        workload::Pattern::kBitReversal}) {
     core::ClusterConfig cfg;
     cfg.topology = topo::make_fig1_network();
-    cfg.policy = routing::Policy::kItb;
+    cfg.engine = {engine::EngineKind::kItb, 1};
     core::Cluster c(std::move(cfg));
     workload::LoadConfig lc;
     lc.pattern = pattern;

@@ -196,10 +196,30 @@ TEST(EngineCluster, VcEscapeDeliversEndToEndWithoutHostBuffers) {
     EXPECT_EQ(c.nic(h).stats().itb_forwarded, 0u);
 }
 
+TEST(EngineCluster, VcEscapeSolvesForTheLanesTheNetworkRuns) {
+  // The engine raises a 1-lane request to its 2-lane minimum; the boot
+  // table must be solved for the lanes the network actually runs.
+  auto build = [](unsigned lanes) {
+    core::ClusterConfig cfg;
+    cfg.topology = topo::make_fig1_network();
+    cfg.engine = EngineSpec{EngineKind::kVcEscape, lanes};
+    return std::make_unique<core::Cluster>(std::move(cfg));
+  };
+  const auto one = build(1);
+  const auto two = build(2);
+  ASSERT_NE(one->route_table(), nullptr);
+  EXPECT_EQ(one->network().lane_count(), 2u);
+  EXPECT_EQ(one->route_table()->vc_lanes(), one->network().lane_count());
+  std::ostringstream got, want;
+  one->route_table()->dump(got);
+  two->route_table()->dump(want);
+  EXPECT_EQ(got.str(), want.str());
+}
+
 TEST(EngineCluster, PolicyAloneDerivesTheMatchingEngine) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   core::Cluster c(std::move(cfg));
   EXPECT_EQ(c.deadlock_engine().kind(), EngineKind::kItb);
   EXPECT_EQ(c.network().lane_count(), 1u);
@@ -216,7 +236,6 @@ TEST(EngineCluster, VcEscapeChaosSoakHasNoUnrecoveredWedges) {
   cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
   cfg.gm_config.max_retries = 8;
   cfg.remap_delay = 300 * sim::kUs;
-  cfg.fault_plan.drop_probability = 0.02;
   cfg.watchdog.enabled = true;
   fault::FaultSchedule::ChaosSpec spec;
   spec.horizon = 8 * sim::kMs;
@@ -227,6 +246,7 @@ TEST(EngineCluster, VcEscapeChaosSoakHasNoUnrecoveredWedges) {
   spec.seed = 9;
   spec.protected_hosts = {0, 5};
   cfg.fault_schedule = fault::FaultSchedule::chaos(cfg.topology, spec);
+  cfg.fault_schedule.drop_probability = 0.02;
   core::Cluster c(std::move(cfg));
 
   int got = 0;

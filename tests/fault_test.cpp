@@ -117,7 +117,7 @@ TEST(FaultRecovery, TestbedLinkDownRemapsAndDeliversExactlyOnce) {
   topo::TestbedIds ids;
   core::ClusterConfig cfg;
   cfg.topology = topo::make_paper_testbed(&ids);
-  cfg.policy = routing::Policy::kUpDown;
+  cfg.engine = {engine::EngineKind::kUpDown, 1};
   cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
   cfg.remap_delay = 200 * sim::kUs;
 
@@ -126,7 +126,7 @@ TEST(FaultRecovery, TestbedLinkDownRemapsAndDeliversExactlyOnce) {
   // structures index links in the mapper's discovered graph, so recover the
   // fabric link from the port-faithful route bytes: the first byte is the
   // exit port on switch 0.
-  const auto probe = mapper::run(cfg.topology, cfg.policy, 0);
+  const auto probe = mapper::run(cfg.topology, routing::Policy::kUpDown, 0);
   const auto& before = probe.table.route(ids.host1, ids.host2);
   ASSERT_FALSE(before.segments.empty());
   const std::uint8_t exit_port = before.segments.front().front();
@@ -227,7 +227,7 @@ TEST(FaultRecovery, ItbHostFailureMidPathReroutesWithoutItb) {
   // flowing during the window.
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
   cfg.remap_delay = 200 * sim::kUs;
   cfg.fault_schedule.host_down(6, 200 * sim::kUs, 40 * sim::kMs);
@@ -362,11 +362,10 @@ TEST(FaultRecovery, ChaosSoakIsDeterministicAndExactlyOnce) {
   auto run_once = [](std::uint64_t seed) {
     core::ClusterConfig cfg;
     cfg.topology = topo::make_fig1_network();
-    cfg.policy = routing::Policy::kItb;
+    cfg.engine = {engine::EngineKind::kItb, 1};
     cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
     cfg.gm_config.max_retries = 8;
     cfg.remap_delay = 300 * sim::kUs;
-    cfg.fault_plan.drop_probability = 0.02;
     fault::FaultSchedule::ChaosSpec spec;
     spec.horizon = 8 * sim::kMs;
     spec.link_windows = 3;
@@ -376,6 +375,7 @@ TEST(FaultRecovery, ChaosSoakIsDeterministicAndExactlyOnce) {
     spec.seed = seed;
     spec.protected_hosts = {0, 5};
     cfg.fault_schedule = fault::FaultSchedule::chaos(cfg.topology, spec);
+    cfg.fault_schedule.drop_probability = 0.02;
 
     core::Cluster c(std::move(cfg));
     Observed obs;

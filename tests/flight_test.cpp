@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "itb/core/experiments.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/flight/chrome_trace.hpp"
 #include "itb/flight/recorder.hpp"
 #include "itb/flight/replay.hpp"
@@ -210,7 +210,7 @@ TEST(ReplayChecker, SweepFingerprintIsJobsInvariant) {
   // The CI contract: merging per-point recordings in point order yields
   // the same fingerprint whatever --jobs says.
   auto sweep = [](unsigned jobs) {
-    auto recs = core::run_sweep_parallel(
+    auto recs = sim::run_sweep_parallel(
         2, [](std::size_t i) { return record_fig8(i == 1, 4096); }, jobs);
     flight::Recording merged;
     merged.fingerprint = flight::kFingerprintSeed;

@@ -67,11 +67,11 @@ TEST(GmHeader, RejectsMalformed) {
 // ----------------------------------------------------------------- ports --
 
 std::unique_ptr<core::Cluster> make_cluster(
-    routing::Policy policy = routing::Policy::kUpDown,
+    engine::EngineKind kind = engine::EngineKind::kUpDown,
     nic::McpOptions mcp = {}, gm::GmConfig gmc = {}) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_linear(2, 1);  // h0 on s0, h1 on s1
-  cfg.policy = policy;
+  cfg.engine = {kind, 1};
   cfg.mcp_options = mcp;
   cfg.gm_config = gmc;
   return std::make_unique<core::Cluster>(std::move(cfg));
@@ -127,7 +127,7 @@ TEST(GmPort, LargeMessageFragmentsAndReassembles) {
 TEST(GmPort, TokensExhaustAndReturn) {
   gm::GmConfig gmc;
   gmc.send_tokens = 2;
-  auto c = make_cluster(routing::Policy::kUpDown, {}, gmc);
+  auto c = make_cluster(engine::EngineKind::kUpDown, {}, gmc);
   EXPECT_TRUE(c->port(0).send(1, Bytes(10, 0)));
   EXPECT_TRUE(c->port(0).send(1, Bytes(10, 0)));
   EXPECT_FALSE(c->port(0).send(1, Bytes(10, 0)));  // no token left
@@ -186,7 +186,7 @@ TEST(GmPort, RecoversFromBufferPoolDrops) {
   mcp.recv_buffers = 1;
   gm::GmConfig gmc;
   gmc.retransmit_timeout = 300 * sim::kUs;
-  auto c = make_cluster(routing::Policy::kUpDown, mcp, gmc);
+  auto c = make_cluster(engine::EngineKind::kUpDown, mcp, gmc);
   std::vector<int> order;
   c->port(1).set_receive_handler(
       [&](sim::Time, std::uint16_t, Bytes m) { order.push_back(m[0]); });
@@ -204,7 +204,7 @@ TEST(GmPort, DuplicatesAreSuppressed) {
   // Force a duplicate by shrinking the timeout below the round-trip time.
   gm::GmConfig gmc;
   gmc.retransmit_timeout = 20 * sim::kUs;  // RTT is ~30 us here
-  auto c = make_cluster(routing::Policy::kUpDown, {}, gmc);
+  auto c = make_cluster(engine::EngineKind::kUpDown, {}, gmc);
   int got = 0;
   c->port(1).set_receive_handler(
       [&](sim::Time, std::uint16_t, Bytes) { ++got; });
@@ -229,7 +229,7 @@ TEST(GmPort, WorksOverItbRoutes) {
   // pair whose minimal path needs one ITB).
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   core::Cluster c(std::move(cfg));
   ASSERT_TRUE(c.route_table());
   ASSERT_EQ(c.route_table()->route(4, 1).itb_count(), 1u);

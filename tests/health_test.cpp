@@ -404,7 +404,7 @@ TEST(LivenessVerdict, MergeAggregatesAcrossRuns) {
 TEST(Cluster, BufferWedgePredictionOnMapperRoutes) {
   core::ClusterConfig up;
   up.topology = topo::make_paper_testbed();
-  up.policy = routing::Policy::kUpDown;
+  up.engine = {engine::EngineKind::kUpDown, 1};
   core::Cluster updown(std::move(up));
   EXPECT_TRUE(updown.routes_deadlock_free());
   // Up*/down* uses no in-transit hosts at all: no buffer edges, no wedge.
@@ -414,7 +414,7 @@ TEST(Cluster, BufferWedgePredictionOnMapperRoutes) {
   // cycle...
   core::ClusterConfig tb;
   tb.topology = topo::make_paper_testbed();
-  tb.policy = routing::Policy::kItb;
+  tb.engine = {engine::EngineKind::kItb, 1};
   core::Cluster testbed(std::move(tb));
   EXPECT_TRUE(testbed.routes_deadlock_free());
   EXPECT_TRUE(testbed.routes_buffer_wedge_free());
@@ -426,7 +426,7 @@ TEST(Cluster, BufferWedgePredictionOnMapperRoutes) {
   // moves.
   core::ClusterConfig itb_cfg;
   itb_cfg.topology = topo::make_fig1_network();
-  itb_cfg.policy = routing::Policy::kItb;
+  itb_cfg.engine = {engine::EngineKind::kItb, 1};
   core::Cluster fig1(std::move(itb_cfg));
   EXPECT_TRUE(fig1.routes_deadlock_free());
   EXPECT_FALSE(fig1.routes_buffer_wedge_free());

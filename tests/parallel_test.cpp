@@ -11,14 +11,14 @@
 #include <vector>
 
 #include "itb/core/experiments.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
 
-using itb::core::ParallelRunner;
-using itb::core::jobs_flag;
-using itb::core::run_sweep_parallel;
+using itb::sim::ParallelRunner;
+using itb::sim::jobs_flag;
+using itb::sim::run_sweep_parallel;
 
 TEST(ParallelRunner, RunsEveryIndexExactlyOnce) {
   const std::size_t count = 100;

@@ -117,7 +117,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RoutingInvariants,
 
 struct DeliveryCase {
   std::uint64_t seed;
-  routing::Policy policy;
+  engine::EngineKind kind;
 };
 
 class DeliveryInvariants : public ::testing::TestWithParam<DeliveryCase> {};
@@ -126,7 +126,7 @@ TEST_P(DeliveryInvariants, EveryHostPairExchangesIntactPayloads) {
   const auto& param = GetParam();
   core::ClusterConfig cfg;
   cfg.topology = random_topo(param.seed, 6, 2);
-  cfg.policy = param.policy;
+  cfg.engine = {param.kind, 1};
   core::Cluster c(std::move(cfg));
   const auto n = static_cast<std::uint16_t>(c.host_count());
 
@@ -164,12 +164,12 @@ TEST_P(DeliveryInvariants, EveryHostPairExchangesIntactPayloads) {
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndPolicies, DeliveryInvariants,
-    ::testing::Values(DeliveryCase{1, routing::Policy::kUpDown},
-                      DeliveryCase{1, routing::Policy::kItb},
-                      DeliveryCase{2, routing::Policy::kUpDown},
-                      DeliveryCase{2, routing::Policy::kItb},
-                      DeliveryCase{3, routing::Policy::kItb},
-                      DeliveryCase{4, routing::Policy::kItb}));
+    ::testing::Values(DeliveryCase{1, engine::EngineKind::kUpDown},
+                      DeliveryCase{1, engine::EngineKind::kItb},
+                      DeliveryCase{2, engine::EngineKind::kUpDown},
+                      DeliveryCase{2, engine::EngineKind::kItb},
+                      DeliveryCase{3, engine::EngineKind::kItb},
+                      DeliveryCase{4, engine::EngineKind::kItb}));
 
 // --------------------------------------------------- latency properties --
 
@@ -179,7 +179,7 @@ TEST_P(SizeSweep, PayloadIntegrityAcrossItbChain) {
   // Messages of every size cross a route with an ITB and arrive intact.
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   core::Cluster c(std::move(cfg));
   Bytes msg(GetParam());
   for (std::size_t i = 0; i < msg.size(); ++i)
@@ -201,7 +201,7 @@ class TimingMonotonic : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(TimingMonotonic, HalfRttIncreasesWithSizeOnRandomFabrics) {
   core::ClusterConfig cfg;
   cfg.topology = random_topo(GetParam(), 5, 2);
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   core::Cluster c(std::move(cfg));
   const auto far = static_cast<std::uint16_t>(c.host_count() - 1);
   double prev = 0;

@@ -263,7 +263,7 @@ TEST(ScopedProbe, RediscoverChargesOnlyTheFaultBoundary) {
 TEST(Recovery, RootHostFailsOverToLowestLiveHost) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   cfg.remap_delay = 200 * sim::kUs;
   cfg.recovery.verify_patches = true;
   cfg.fault_schedule.host_down(0, 1 * sim::kMs, 3 * sim::kMs);
@@ -301,7 +301,7 @@ TEST(Recovery, RestoredLinkReusedInSamePassWhileOtherStillDown) {
   topo::TestbedIds ids;
   core::ClusterConfig cfg;
   cfg.topology = topo::make_paper_testbed(&ids);
-  cfg.policy = routing::Policy::kUpDown;
+  cfg.engine = {engine::EngineKind::kUpDown, 1};
   cfg.gm_config.retransmit_timeout = 300 * sim::kUs;
   cfg.remap_delay = 200 * sim::kUs;
   cfg.recovery.verify_patches = true;
@@ -335,7 +335,7 @@ TEST(Recovery, NicResourcesQueuedSendsAcrossEpochSwap) {
   topo::TestbedIds ids;
   core::ClusterConfig cfg;
   cfg.topology = topo::make_paper_testbed(&ids);
-  cfg.policy = routing::Policy::kUpDown;
+  cfg.engine = {engine::EngineKind::kUpDown, 1};
   cfg.remap_delay = 100 * sim::kUs;
   const auto trunks = trunk_links(cfg.topology);
   ASSERT_EQ(trunks.size(), 2u);
@@ -372,7 +372,7 @@ TEST(Recovery, Clos256OverlappingWindowsReconcileUnderWatchdog) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_clos(8, 16, 16);  // 256 hosts, 24 switches
   ASSERT_EQ(cfg.topology.host_count(), 256u);
-  cfg.policy = routing::Policy::kUpDown;
+  cfg.engine = {engine::EngineKind::kUpDown, 1};
   cfg.route_solve_jobs = 4;
   cfg.remap_delay = 200 * sim::kUs;
   cfg.gm_config.retransmit_timeout = 400 * sim::kUs;
@@ -380,7 +380,7 @@ TEST(Recovery, Clos256OverlappingWindowsReconcileUnderWatchdog) {
   cfg.watchdog.enabled = true;
 
   const std::uint16_t src = 0, dst = 16;  // leaf 0 -> leaf 1
-  const auto probe = mapper::run(cfg.topology, cfg.policy, 0);
+  const auto probe = mapper::run(cfg.topology, routing::Policy::kUpDown, 0);
   const auto victim1 = first_hop_link(cfg.topology, probe.table, src, dst);
   // A second uplink of the same leaf, so the windows genuinely overlap on
   // distinct links.
@@ -421,7 +421,7 @@ TEST(Recovery, Clos256OverlappingWindowsReconcileUnderWatchdog) {
 TEST(Recovery, ScopedRoundProbesAndSolvesFractionOfFabric) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fat_tree(8);  // 128 hosts, 80 switches
-  cfg.policy = routing::Policy::kUpDown;
+  cfg.engine = {engine::EngineKind::kUpDown, 1};
   cfg.route_solve_jobs = 4;
   cfg.remap_delay = 200 * sim::kUs;
   cfg.recovery.verify_patches = true;
@@ -433,7 +433,7 @@ TEST(Recovery, ScopedRoundProbesAndSolvesFractionOfFabric) {
   std::vector<char> all_up(cfg.topology.link_count(), 1);
   routing::UpDown ud(cfg.topology, root_sw, all_up);
   routing::Router router(ud, routing::ItbHostSelection::kLowestIndex);
-  routing::RouteTable table(router, cfg.policy, 4);
+  routing::RouteTable table(router, routing::Policy::kUpDown, 4);
   const auto usage = table.channel_usage(cfg.topology);
   std::vector<std::pair<std::uint64_t, topo::LinkId>> by_usage;
   for (const auto l : trunk_links(cfg.topology))
@@ -482,7 +482,7 @@ TEST(Recovery, ScopedRoundProbesAndSolvesFractionOfFabric) {
 TEST(Recovery, FlapQuarantineParksOscillatingLink) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kUpDown;
+  cfg.engine = {engine::EngineKind::kUpDown, 1};
   // Wider than the open->close gap, so a window's close coalesces into the
   // round armed by its open.
   cfg.remap_delay = 300 * sim::kUs;
@@ -513,7 +513,7 @@ TEST(Recovery, FlapQuarantineParksOscillatingLink) {
 TEST(Recovery, StormControlDegradesOverflowToFullResolve) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kUpDown;
+  cfg.engine = {engine::EngineKind::kUpDown, 1};
   cfg.remap_delay = 100 * sim::kUs;
   cfg.recovery.max_pending_links = 2;
   // A switch takes all its links with it: more dirty links than the
@@ -537,7 +537,7 @@ TEST(Recovery, FlightFingerprintInvariantAcrossRouteJobs) {
   auto run_once = [](unsigned jobs) {
     core::ClusterConfig cfg;
     cfg.topology = topo::make_fig1_network();
-    cfg.policy = routing::Policy::kItb;
+    cfg.engine = {engine::EngineKind::kItb, 1};
     cfg.route_solve_jobs = jobs;
     cfg.remap_delay = 200 * sim::kUs;
     cfg.recovery.verify_patches = (jobs == 1);  // exercised either way

@@ -14,14 +14,14 @@ using namespace itb;
 using packet::Bytes;
 
 std::unique_ptr<core::Cluster> lossy_cluster(double drop, double corrupt,
-                                             routing::Policy policy,
+                                             engine::EngineKind kind,
                                              std::uint64_t seed = 9) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = policy;
-  cfg.fault_plan.drop_probability = drop;
-  cfg.fault_plan.corrupt_probability = corrupt;
-  cfg.fault_plan.seed = seed;
+  cfg.engine = {kind, 1};
+  cfg.fault_schedule.drop_probability = drop;
+  cfg.fault_schedule.corrupt_probability = corrupt;
+  cfg.fault_schedule.seed = seed;
   cfg.gm_config.retransmit_timeout = 200 * sim::kUs;
   return std::make_unique<core::Cluster>(std::move(cfg));
 }
@@ -54,7 +54,7 @@ Collected exchange(core::Cluster& c, std::uint16_t src, std::uint16_t dst,
 class LossSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(LossSweep, AllMessagesDeliveredInOrderDespiteDrops) {
-  auto c = lossy_cluster(GetParam(), 0.0, routing::Policy::kUpDown);
+  auto c = lossy_cluster(GetParam(), 0.0, engine::EngineKind::kUpDown);
   auto got = exchange(*c, 0, 7, 25, 900);
   ASSERT_EQ(got.order.size(), 25u);
   for (int i = 0; i < 25; ++i) EXPECT_EQ(got.order[static_cast<size_t>(i)], i);
@@ -70,7 +70,7 @@ INSTANTIATE_TEST_SUITE_P(DropRates, LossSweep,
 class CorruptionSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(CorruptionSweep, CrcCatchesCorruptionAndGmRecovers) {
-  auto c = lossy_cluster(0.0, GetParam(), routing::Policy::kUpDown);
+  auto c = lossy_cluster(0.0, GetParam(), engine::EngineKind::kUpDown);
   auto got = exchange(*c, 2, 5, 20, 700);
   ASSERT_EQ(got.order.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(got.order[static_cast<size_t>(i)], i);
@@ -88,7 +88,7 @@ INSTANTIATE_TEST_SUITE_P(CorruptionRates, CorruptionSweep,
 TEST(Reliability, ItbRoutesSurviveLossyWire) {
   // Host pair whose minimal route crosses an in-transit buffer: losses can
   // hit either wormhole segment; GM end-to-end recovery must still hold.
-  auto c = lossy_cluster(0.15, 0.05, routing::Policy::kItb);
+  auto c = lossy_cluster(0.15, 0.05, engine::EngineKind::kItb);
   ASSERT_EQ(c->route_table()->route(4, 1).itb_count(), 1u);
   auto got = exchange(*c, 4, 1, 30, 1200);
   ASSERT_EQ(got.order.size(), 30u);
@@ -102,9 +102,9 @@ TEST(Reliability, LostInTransitPacketFreesItsBuffer) {
   // traffic (a leak would wedge the 2-buffer NIC permanently).
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kItb;
-  cfg.fault_plan.drop_probability = 0.5;
-  cfg.fault_plan.seed = 1234;
+  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.fault_schedule.drop_probability = 0.5;
+  cfg.fault_schedule.seed = 1234;
   cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
   core::Cluster c(std::move(cfg));
   auto got = exchange(c, 4, 1, 10, 400);
@@ -116,7 +116,7 @@ TEST(Reliability, LostInTransitPacketFreesItsBuffer) {
 }
 
 TEST(Reliability, MultiFragmentMessagesSurviveLoss) {
-  auto c = lossy_cluster(0.12, 0.0, routing::Policy::kUpDown, 77);
+  auto c = lossy_cluster(0.12, 0.0, engine::EngineKind::kUpDown, 77);
   const std::size_t size = 3 * 4000;  // 3 fragments
   Bytes expected(size);
   std::iota(expected.begin(), expected.end(), std::uint8_t{0});
@@ -153,7 +153,7 @@ TEST(Reliability, BackoffSlowsRetransmissionStorms) {
 
 TEST(Reliability, DeterministicUnderFaults) {
   auto run_once = [] {
-    auto c = lossy_cluster(0.2, 0.1, routing::Policy::kItb, 31337);
+    auto c = lossy_cluster(0.2, 0.1, engine::EngineKind::kItb, 31337);
     exchange(*c, 0, 6, 15, 800);
     return c->queue().now();
   };
@@ -167,8 +167,8 @@ TEST(Reliability, SequenceNumbersSurviveWraparound) {
   // connection straight across the boundary.
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.fault_plan.drop_probability = 0.1;
-  cfg.fault_plan.seed = 9;
+  cfg.fault_schedule.drop_probability = 0.1;
+  cfg.fault_schedule.seed = 9;
   cfg.gm_config.retransmit_timeout = 200 * sim::kUs;
   cfg.gm_config.initial_seq = 0xFFFFFFF0u;  // wraps within the first packets
   core::Cluster c(std::move(cfg));
@@ -183,7 +183,7 @@ TEST(Reliability, LostPacketsAreNotCountedDelivered) {
   // the fault injector swallowed; injected must now reconcile exactly with
   // delivered + dropped + lost, and the loss ledger must match the
   // injector's by-cause accounting.
-  auto c = lossy_cluster(0.3, 0.0, routing::Policy::kUpDown, 4242);
+  auto c = lossy_cluster(0.3, 0.0, engine::EngineKind::kUpDown, 4242);
   auto got = exchange(*c, 0, 7, 25, 900);
   ASSERT_EQ(got.order.size(), 25u);
   const auto& ns = c->network().stats();
@@ -201,7 +201,7 @@ TEST(Reliability, SenderGivesUpAfterMaxRetries) {
   // fail the pending messages and hand the tokens back.
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.fault_plan.drop_probability = 1.0;  // nothing ever arrives
+  cfg.fault_schedule.drop_probability = 1.0;  // nothing ever arrives
   cfg.gm_config.retransmit_timeout = 50 * sim::kUs;
   cfg.gm_config.max_retries = 4;
   core::Cluster c(std::move(cfg));

@@ -13,10 +13,8 @@
 namespace {
 
 using itb::sim::EventQueue;
-using itb::sim::Histogram;
 using itb::sim::Rng;
 using itb::sim::RunningStats;
-using itb::sim::SampledStats;
 using itb::sim::Time;
 
 TEST(EventQueue, FiresInTimeOrder) {
@@ -204,70 +202,6 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(SampledStats, Percentiles) {
-  SampledStats s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(s.percentile(99), 99.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-}
-
-TEST(SampledStats, PercentileEdgeCases) {
-  SampledStats empty;
-  EXPECT_DOUBLE_EQ(empty.percentile(50), 0.0);
-
-  SampledStats one;
-  one.add(42.0);
-  // A single sample is every percentile, including the boundaries.
-  EXPECT_DOUBLE_EQ(one.percentile(0), 42.0);
-  EXPECT_DOUBLE_EQ(one.percentile(50), 42.0);
-  EXPECT_DOUBLE_EQ(one.percentile(100), 42.0);
-
-  SampledStats two;
-  two.add(10.0);
-  two.add(20.0);
-  EXPECT_DOUBLE_EQ(two.percentile(0), 10.0);
-  EXPECT_DOUBLE_EQ(two.percentile(50), 10.0);    // nearest rank: ceil(1) = 1
-  EXPECT_DOUBLE_EQ(two.percentile(50.1), 20.0);  // ceil(1.002) = 2
-  EXPECT_DOUBLE_EQ(two.percentile(100), 20.0);
-  // Out-of-range and NaN inputs clamp instead of indexing out of bounds.
-  EXPECT_DOUBLE_EQ(two.percentile(-5), 10.0);
-  EXPECT_DOUBLE_EQ(two.percentile(250), 20.0);
-  EXPECT_DOUBLE_EQ(two.percentile(std::nan("")), 10.0);
-}
-
-TEST(SampledStats, Merge) {
-  SampledStats a, b;
-  for (int i = 1; i <= 50; ++i) a.add(i);
-  for (int i = 51; i <= 100; ++i) b.add(i);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 100u);
-  EXPECT_DOUBLE_EQ(a.mean(), 50.5);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 100.0);
-  EXPECT_DOUBLE_EQ(a.percentile(50), 50.0);
-  EXPECT_DOUBLE_EQ(a.percentile(100), 100.0);
-  EXPECT_EQ(a.samples().size(), 100u);
-
-  SampledStats into_empty;
-  into_empty.merge(a);
-  EXPECT_EQ(into_empty.count(), 100u);
-  EXPECT_DOUBLE_EQ(into_empty.percentile(0), 1.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps to bucket 0
-  h.add(0.5);
-  h.add(9.9);
-  h.add(100.0);  // clamps to last bucket
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
 }
 
 TEST(Tracer, EmitOnlyWhenAttached) {

@@ -36,7 +36,7 @@ TEST(Ring, ItbRestoresMinimalityAndStaysDeadlockFree) {
 TEST(Ring, TrafficFlowsUnderItbRouting) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_ring(6, 1);
-  cfg.policy = routing::Policy::kItb;
+  cfg.engine = {engine::EngineKind::kItb, 1};
   core::Cluster c(std::move(cfg));
   int got = 0;
   for (std::uint16_t h = 0; h < 6; ++h)
