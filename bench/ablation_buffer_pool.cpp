@@ -14,9 +14,9 @@
 // `--jobs N` fans the eight independent {mode, pool size} runs across N
 // threads (default: hardware concurrency); output is bit-identical to
 // `--jobs 1` because every run owns its cluster.
+#include <array>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,8 +86,11 @@ Outcome run(int recv_buffers, bool drop_when_full, bool sample,
   Outcome out;
   if (sample) cluster.telemetry().start_sampling();
 
-  // Each source sends 30 x 2 KB messages as fast as tokens allow.
+  // Each source sends 30 x 2 KB messages as fast as tokens allow. The
+  // feeders live in this frame: cluster.run() drains every scheduled retry.
   int remaining = 4 * 30;
+  std::array<int, 4> sent{};
+  std::array<std::function<void()>, 4> feed;
   for (std::uint16_t s = 0; s < 4; ++s) {
     const std::uint16_t d = static_cast<std::uint16_t>(s + 4);
     // Makespan = last delivery (not drain time: the sampler's final tick
@@ -96,21 +99,20 @@ Outcome run(int recv_buffers, bool drop_when_full, bool sample,
         [&remaining, &out](sim::Time t, std::uint16_t, packet::Bytes) {
           if (--remaining == 0) out.makespan = t;
         });
-    auto sent = std::make_shared<int>(0);
-    auto feed = std::make_shared<std::function<void()>>();
-    *feed = [&cluster, &out, s, d, sent, feed] {
+    feed[s] = [&cluster, &out, &sent, &feed, s, d] {
       auto& port = cluster.port(s);
-      while (*sent < 30) {
+      while (sent[s] < 30) {
         const sim::Time t0 = cluster.queue().now();
         if (!port.send(d, packet::Bytes(2048, 1), [&out, t0](sim::Time t) {
               out.send_to_ack.add(static_cast<double>(t - t0));
             }))
           break;
-        ++*sent;
+        ++sent[s];
       }
-      if (*sent < 30) cluster.queue().schedule_in(100 * sim::kUs, *feed);
+      if (sent[s] < 30)
+        cluster.queue().schedule_in(100 * sim::kUs, [&feed, s] { feed[s](); });
     };
-    (*feed)();
+    feed[s]();
   }
   cluster.run();
 

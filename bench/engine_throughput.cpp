@@ -33,7 +33,6 @@
 #include "itb/packet/format.hpp"
 #include "itb/sim/alloc_hook.hpp"
 #include "itb/sim/event_queue.hpp"
-#include "itb/sim/trace.hpp"
 #include "itb/topo/topology.hpp"
 
 namespace {
@@ -121,8 +120,7 @@ BenchResult run_once(const Options& opt) {
                      static_cast<std::uint8_t>(2 + h % per_switch));
 
   sim::EventQueue queue;
-  sim::Tracer tracer;  // no sinks: zero-cost emits
-  net::Network network(topo, net::NetTiming{}, queue, tracer);
+  net::Network network(topo, net::NetTiming{}, queue);
 
   std::vector<SyntheticHost::Flow> flows(n_hosts);
   std::uint64_t deliveries = 0;

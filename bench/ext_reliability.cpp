@@ -16,7 +16,7 @@
 // hardware concurrency); results are bit-identical to `--jobs 1` because
 // every run owns its cluster.
 #include <cstdio>
-#include <memory>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -132,23 +132,23 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
   // Pace one message every horizon/kMessages so the stream spans every
   // chaos window instead of draining before the first one opens; when a
   // send is refused (no token / mid-outage), retry until it is accepted.
+  // The feeder lives in this frame: c.run() drains every scheduled retry.
   constexpr sim::Duration kGap = kChaosHorizon / kMessages;
-  auto accepted = std::make_shared<int>(0);
-  auto feed = std::make_shared<std::function<void()>>();
-  *feed = [&c, &sc, accepted, feed] {
+  int accepted = 0;
+  std::function<void()> feed = [&] {
     if (c.port(sc.src).peer_failed(sc.dst)) return;
     Bytes m(kMessageBytes, 0);
-    m[0] = static_cast<std::uint8_t>(*accepted & 0xFF);
-    m[1] = static_cast<std::uint8_t>(*accepted >> 8);
+    m[0] = static_cast<std::uint8_t>(accepted & 0xFF);
+    m[1] = static_cast<std::uint8_t>(accepted >> 8);
     const bool sent = c.port(sc.src).send(sc.dst, std::move(m));
-    if (sent && ++*accepted >= kMessages) return;
-    c.queue().schedule_in(sent ? kGap : 50 * sim::kUs, [feed] { (*feed)(); });
+    if (sent && ++accepted >= kMessages) return;
+    c.queue().schedule_in(sent ? kGap : 50 * sim::kUs, [&feed] { feed(); });
   };
-  (*feed)();
+  feed();
   c.run();
 
   PointResult r;
-  r.accepted = *accepted;
+  r.accepted = accepted;
   for (int n : delivered) {
     if (n > 0) ++r.delivered_unique;
     if (n > 1) r.duplicates += n - 1;

@@ -4,8 +4,12 @@
 //   cow_tool check    <file>                   validate + deadlock analysis
 //   cow_tool pingpong <file> <src> <dst> [sz]  measure half-RTT
 //   cow_tool serialize <file>                  parse + re-emit (round trip)
+//   cow_tool trace    <file.flt>               print a flight recording,
+//                                              one event per line
 //
-// The file format is documented in itb/topo/parse.hpp. Example:
+// The topology file format is documented in itb/topo/parse.hpp; .flt files
+// are the itb.flight.v1 recordings benches write with --flight-out.
+// Example topology:
 //
 //   switch sw0 8
 //   switch sw1 8
@@ -20,6 +24,7 @@
 #include <sstream>
 
 #include "itb/core/cluster.hpp"
+#include "itb/flight/replay.hpp"
 #include "itb/routing/deadlock.hpp"
 #include "itb/topo/parse.hpp"
 #include "itb/workload/pingpong.hpp"
@@ -87,16 +92,30 @@ int cmd_pingpong(topo::Topology topo, std::uint16_t src, std::uint16_t dst,
   return 0;
 }
 
+int cmd_trace(const char* path) {
+  const auto recording = flight::ReplayChecker::load(path);
+  if (!recording) {
+    std::fprintf(stderr, "cannot load itb.flight.v1 recording %s\n", path);
+    return 1;
+  }
+  for (const auto& e : recording->events)
+    std::printf("%s\n", flight::describe(e).c_str());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: %s routes|check|pingpong|serialize <file> [args]\n",
-                 argv[0]);
+    std::fprintf(
+        stderr,
+        "usage: %s routes|check|pingpong|serialize|trace <file> [args]\n",
+        argv[0]);
     return 2;
   }
   const std::string cmd = argv[1];
+  // A recording is not a topology: dispatch before the topology parse.
+  if (cmd == "trace") return cmd_trace(argv[2]);
   topo::Topology topo;
   try {
     topo = topo::parse_topology(read_file(argv[2]));

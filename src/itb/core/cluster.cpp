@@ -11,20 +11,16 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   engine_ = engine::make_engine(config_.engine);
 
   network_ = std::make_unique<net::Network>(config_.topology,
-                                            config_.net_timing, queue_, tracer_);
+                                            config_.net_timing, queue_);
   if (engine_->lane_count() > 1) network_->set_lane_policy(engine_.get());
   if (config_.flight.enabled) {
     flight_ = std::make_unique<flight::FlightRecorder>(config_.flight);
     network_->set_flight_recorder(flight_.get());
-    tracer_.emit(0, sim::TraceCategory::kFlight, [&] {
-      return "flight recorder armed, ring capacity " +
-             std::to_string(flight_->capacity());
-    });
   }
   for (std::uint16_t h = 0; h < hosts; ++h) {
     pci_.push_back(std::make_unique<host::PciBus>(queue_, config_.pci_timing));
     nics_.push_back(std::make_unique<nic::Nic>(
-        queue_, tracer_, *network_, *pci_.back(), h, config_.lanai_timing,
+        queue_, *network_, *pci_.back(), h, config_.lanai_timing,
         config_.mcp_options));
   }
 
@@ -56,15 +52,15 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
 
   // GM is each NIC's one host-side client (its constructor registers it).
   for (std::uint16_t h = 0; h < hosts; ++h)
-    gm_ports_.push_back(std::make_unique<gm::GmPort>(queue_, tracer_, *nics_[h],
-                                                     config_.gm_config));
+    gm_ports_.push_back(
+        std::make_unique<gm::GmPort>(queue_, *nics_[h], config_.gm_config));
 
   // Fault injection + remap-and-recover. The injector is only built when
   // the config actually schedules faults, keeping the faithful-wire hot
   // path free of hook checks.
   if (!config_.fault_schedule.empty()) {
     fault_injector_ = std::make_unique<fault::FaultInjector>(
-        queue_, tracer_, *network_, config_.fault_schedule);
+        queue_, *network_, config_.fault_schedule);
     if (config_.auto_remap && !config_.manual_routes &&
         config_.fault_schedule.has_topology_faults()) {
       std::vector<nic::Nic*> nic_ptrs;
@@ -77,8 +73,8 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       rc.route_jobs = config_.route_solve_jobs;
       rc.tuning = config_.recovery;
       recovery_ = std::make_unique<fault::RecoveryManager>(
-          queue_, tracer_, config_.topology, *fault_injector_,
-          std::move(nic_ptrs), *engine_, rc);
+          queue_, config_.topology, *fault_injector_, std::move(nic_ptrs),
+          *engine_, rc);
     }
   }
 
@@ -87,7 +83,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     nic_ptrs.reserve(nics_.size());
     for (auto& nic : nics_) nic_ptrs.push_back(nic.get());
     watchdog_ = std::make_unique<health::LivenessWatchdog>(
-        queue_, tracer_, *network_, std::move(nic_ptrs), config_.watchdog);
+        queue_, *network_, std::move(nic_ptrs), config_.watchdog);
   }
 
   wire_telemetry();
@@ -95,7 +91,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
 
 void Cluster::wire_telemetry() {
   telemetry_ = std::make_unique<telemetry::Telemetry>(
-      queue_, tracer_, config_.telemetry_sample_period);
+      queue_, config_.telemetry_sample_period);
   auto& reg = telemetry_->registry();
   network_->register_metrics(reg);
   for (auto& nic : nics_) nic->register_metrics(reg);

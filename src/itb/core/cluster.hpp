@@ -31,7 +31,6 @@
 #include "itb/nic/nic.hpp"
 #include "itb/routing/deadlock.hpp"
 #include "itb/sim/event_queue.hpp"
-#include "itb/sim/trace.hpp"
 #include "itb/telemetry/export.hpp"
 #include "itb/topo/builders.hpp"
 
@@ -101,7 +100,6 @@ class Cluster {
   std::size_t host_count() const { return gm_ports_.size(); }
 
   sim::EventQueue& queue() { return queue_; }
-  sim::Tracer& tracer() { return tracer_; }
   net::Network& network() { return *network_; }
 
   /// Observability bundle: every layer's counters in one registry plus the
@@ -157,7 +155,6 @@ class Cluster {
  private:
   ClusterConfig config_;
   sim::EventQueue queue_;
-  sim::Tracer tracer_;
   // Before network_: every layer records through the network's pointer, so
   // the recorder must outlive the components that feed it.
   std::unique_ptr<flight::FlightRecorder> flight_;

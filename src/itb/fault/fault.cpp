@@ -7,16 +7,6 @@
 
 namespace itb::fault {
 
-const char* to_string(FaultKind k) {
-  switch (k) {
-    case FaultKind::kLinkDown: return "link-down";
-    case FaultKind::kSwitchDown: return "switch-down";
-    case FaultKind::kHostDown: return "host-down";
-    case FaultKind::kNicStall: return "nic-stall";
-  }
-  return "?";
-}
-
 bool FaultSchedule::has_topology_faults() const {
   return std::any_of(windows_.begin(), windows_.end(), [](const FaultWindow& w) {
     return w.kind != FaultKind::kNicStall;

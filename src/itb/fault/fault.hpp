@@ -28,8 +28,6 @@ enum class FaultKind : std::uint8_t {
   kNicStall,    // a NIC stops accepting receptions; lossless backpressure
 };
 
-const char* to_string(FaultKind k);
-
 /// One timed outage: `target` is a LinkId for kLinkDown, a switch index for
 /// kSwitchDown, and a host index otherwise. Half-open interval
 /// [start, end): the component recovers at `end`.

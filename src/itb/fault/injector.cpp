@@ -1,14 +1,12 @@
 #include "itb/fault/injector.hpp"
 
-#include <string>
+#include <stdexcept>
 
 namespace itb::fault {
 
-FaultInjector::FaultInjector(sim::EventQueue& queue, sim::Tracer& tracer,
-                             net::Network& network,
+FaultInjector::FaultInjector(sim::EventQueue& queue, net::Network& network,
                              const FaultSchedule& schedule)
     : queue_(queue),
-      tracer_(tracer),
       network_(network),
       topo_(network.topology()),
       drop_probability_(schedule.drop_probability),
@@ -98,10 +96,6 @@ std::vector<topo::LinkId> FaultInjector::links_of_target(
 void FaultInjector::open_window(const FaultWindow& w) {
   ++stats_.windows_opened;
   ++active_windows_;
-  tracer_.emit(queue_.now(), sim::TraceCategory::kFault, [&] {
-    return std::string("window open: ") + to_string(w.kind) + " target " +
-           std::to_string(w.target);
-  });
   switch (w.kind) {
     case FaultKind::kLinkDown:
       ++link_down_[w.target];
@@ -119,16 +113,12 @@ void FaultInjector::open_window(const FaultWindow& w) {
   // Impair covered links only after the down counters are set so kills
   // occurring during the transition attribute to the right cause.
   for (auto link : links_of_target(w)) down_link(link);
-  announce(w, /*opened=*/true);
+  announce(w);
 }
 
 void FaultInjector::close_window(const FaultWindow& w) {
   ++stats_.windows_closed;
   --active_windows_;
-  tracer_.emit(queue_.now(), sim::TraceCategory::kFault, [&] {
-    return std::string("window close: ") + to_string(w.kind) + " target " +
-           std::to_string(w.target);
-  });
   switch (w.kind) {
     case FaultKind::kLinkDown:
       --link_down_[w.target];
@@ -146,7 +136,7 @@ void FaultInjector::close_window(const FaultWindow& w) {
       break;
   }
   for (auto link : links_of_target(w)) up_link(link);
-  announce(w, /*opened=*/false);
+  announce(w);
 }
 
 void FaultInjector::down_link(topo::LinkId link) {
@@ -157,9 +147,9 @@ void FaultInjector::up_link(topo::LinkId link) {
   if (--effective_down_[link] == 0) network_.on_link_state(link, true);
 }
 
-void FaultInjector::announce(const FaultWindow& w, bool opened) {
+void FaultInjector::announce(const FaultWindow& w) {
   if (w.kind == FaultKind::kNicStall) return;
-  for (const auto& fn : listeners_) fn(queue_.now(), w, opened);
+  for (const auto& fn : listeners_) fn(queue_.now(), w);
 }
 
 void FaultInjector::register_metrics(telemetry::MetricRegistry& registry) const {

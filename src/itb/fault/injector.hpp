@@ -21,7 +21,6 @@
 #include "itb/net/network.hpp"
 #include "itb/sim/event_queue.hpp"
 #include "itb/sim/rng.hpp"
-#include "itb/sim/trace.hpp"
 #include "itb/telemetry/metrics.hpp"
 
 namespace itb::fault {
@@ -29,8 +28,8 @@ namespace itb::fault {
 class FaultInjector final : public net::FaultHook {
  public:
   /// Installs itself as `network`'s fault hook and schedules every window.
-  FaultInjector(sim::EventQueue& queue, sim::Tracer& tracer,
-                net::Network& network, const FaultSchedule& schedule);
+  FaultInjector(sim::EventQueue& queue, net::Network& network,
+                const FaultSchedule& schedule);
   ~FaultInjector() override;
 
   FaultInjector(const FaultInjector&) = delete;
@@ -46,10 +45,10 @@ class FaultInjector final : public net::FaultHook {
   Fate delivery_fate(std::uint16_t host, packet::Bytes& bytes) override;
   void note_kill(topo::Channel at) override;
 
-  /// Called with (now, window, opened) for every window that changes the
-  /// usable topology. NIC stalls are not announced (routing is unaffected).
-  using TopologyListener =
-      std::function<void(sim::Time, const FaultWindow&, bool opened)>;
+  /// Called with (now, window) when a window that changes the usable
+  /// topology opens or closes. NIC stalls are not announced (routing is
+  /// unaffected).
+  using TopologyListener = std::function<void(sim::Time, const FaultWindow&)>;
   void add_topology_listener(TopologyListener fn) {
     listeners_.push_back(std::move(fn));
   }
@@ -80,10 +79,9 @@ class FaultInjector final : public net::FaultHook {
   void down_link(topo::LinkId link);
   void up_link(topo::LinkId link);
   std::vector<topo::LinkId> links_of_target(const FaultWindow& w) const;
-  void announce(const FaultWindow& w, bool opened);
+  void announce(const FaultWindow& w);
 
   sim::EventQueue& queue_;
-  sim::Tracer& tracer_;
   net::Network& network_;
   const topo::Topology& topo_;
   double drop_probability_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <string>
 
 namespace itb::fault {
 
@@ -24,13 +23,12 @@ topo::Topology degraded_topology(const topo::Topology& full,
   return out;
 }
 
-RecoveryManager::RecoveryManager(sim::EventQueue& queue, sim::Tracer& tracer,
+RecoveryManager::RecoveryManager(sim::EventQueue& queue,
                                  const topo::Topology& fabric,
                                  FaultInjector& injector,
                                  std::vector<nic::Nic*> nics,
                                  engine::DeadlockEngine& engine, Config config)
     : queue_(queue),
-      tracer_(tracer),
       fabric_(fabric),
       injector_(injector),
       nics_(std::move(nics)),
@@ -40,9 +38,7 @@ RecoveryManager::RecoveryManager(sim::EventQueue& queue, sim::Tracer& tracer,
       flap_(fabric.link_count()) {
   pending_links_.reserve(config_.tuning.max_pending_links);
   injector_.add_topology_listener(
-      [this](sim::Time t, const FaultWindow& w, bool opened) {
-        on_topology_event(t, w, opened);
-      });
+      [this](sim::Time t, const FaultWindow& w) { on_topology_event(t, w); });
 }
 
 std::vector<topo::LinkId> RecoveryManager::affected_links(
@@ -64,12 +60,7 @@ std::vector<topo::LinkId> RecoveryManager::affected_links(
   }
 }
 
-void RecoveryManager::on_topology_event(sim::Time t, const FaultWindow& w,
-                                        bool opened) {
-  tracer_.emit(t, sim::TraceCategory::kFault, [&] {
-    return std::string("mapper notified: ") + to_string(w.kind) +
-           (opened ? " opened" : " closed");
-  });
+void RecoveryManager::on_topology_event(sim::Time t, const FaultWindow& w) {
   bool any = false;
   for (auto l : affected_links(w)) {
     note_flap(l, t);
@@ -99,11 +90,6 @@ void RecoveryManager::note_flap(topo::LinkId link, sim::Time t) {
   const auto dur = static_cast<sim::Duration>(std::min(
       static_cast<double>(config_.tuning.quarantine_max),
       static_cast<double>(config_.tuning.quarantine_base) * scale));
-  tracer_.emit(t, sim::TraceCategory::kFault, [&] {
-    return "flap quarantine: link " + std::to_string(link) + " parked for " +
-           std::to_string(dur) + " ns (level " +
-           std::to_string(f.backoff_level) + ")";
-  });
   queue_.schedule_in(dur, [this, link] { requalify(link); });
 }
 
@@ -113,9 +99,6 @@ void RecoveryManager::requalify(topo::LinkId link) {
   // Quiet through the whole quarantine -> first offence pricing again.
   if (queue_.now() - f.last_transition >= config_.tuning.flap_window)
     f.backoff_level = 0;
-  tracer_.emit(queue_.now(), sim::TraceCategory::kFault, [&] {
-    return "flap quarantine: link " + std::to_string(link) + " requalified";
-  });
   note_dirty(link);
   arm(queue_.now());
 }
@@ -180,8 +163,6 @@ void RecoveryManager::fire() {
   const auto root = elect_root(mask);
   if (!root) {
     ++stats_.failed_remaps;
-    tracer_.emit(queue_.now(), sim::TraceCategory::kFault,
-                 [] { return std::string("remap failed: no live host"); });
     // Keep the changes pending: the next window edge re-arms a round that
     // will still see them (the delta diffs against the last computed mask).
     phase_ = Phase::kIdle;
@@ -245,10 +226,6 @@ void RecoveryManager::fire() {
       fresh.dump(solved);
       if (patched.str() != solved.str()) {
         ++stats_.verify_fallbacks;
-        tracer_.emit(queue_.now(), sim::TraceCategory::kFault, [] {
-          return std::string(
-              "patch verify MISMATCH: falling back to full table");
-        });
         table_.emplace(std::move(fresh));
         table_->enable_patching(*new_router);
         sources_resolved = hosts;
@@ -294,17 +271,7 @@ void RecoveryManager::install() {
 
   round_info_.installed = queue_.now();
   rounds_.push_back(round_info_);
-  const auto latency = queue_.now() - round_oldest_;
-  latency_.add(static_cast<double>(latency));
-  tracer_.emit(queue_.now(), sim::TraceCategory::kFault, [&] {
-    return "remap #" + std::to_string(stats_.remaps) + " epoch " +
-           std::to_string(epoch_) + (round_info_.full ? " (full)" : " (patch)") +
-           ": " + std::to_string(round_info_.sources_resolved) + "/" +
-           std::to_string(round_info_.sources_total) + " sources, " +
-           std::to_string(round_info_.probes) + "/" +
-           std::to_string(round_info_.full_walk_probes) + " probes, " +
-           std::to_string(latency) + " ns after the fault";
-  });
+  latency_.add(static_cast<double>(queue_.now() - round_oldest_));
 
   phase_ = Phase::kIdle;
   if (pending_fresh_) {

@@ -140,10 +140,9 @@ class RecoveryManager {
   /// install re-binds `engine` to the new orientation (TRUE fabric
   /// coordinates) BEFORE the NICs receive the tables, so lane decisions
   /// keep agreeing with the installed routes.
-  RecoveryManager(sim::EventQueue& queue, sim::Tracer& tracer,
-                  const topo::Topology& fabric, FaultInjector& injector,
-                  std::vector<nic::Nic*> nics, engine::DeadlockEngine& engine,
-                  Config config);
+  RecoveryManager(sim::EventQueue& queue, const topo::Topology& fabric,
+                  FaultInjector& injector, std::vector<nic::Nic*> nics,
+                  engine::DeadlockEngine& engine, Config config);
 
   RecoveryManager(const RecoveryManager&) = delete;
   RecoveryManager& operator=(const RecoveryManager&) = delete;
@@ -180,7 +179,7 @@ class RecoveryManager {
     bool quarantined = false;
   };
 
-  void on_topology_event(sim::Time t, const FaultWindow& w, bool opened);
+  void on_topology_event(sim::Time t, const FaultWindow& w);
   std::vector<topo::LinkId> affected_links(const FaultWindow& w) const;
   void note_flap(topo::LinkId link, sim::Time t);
   void requalify(topo::LinkId link);
@@ -192,7 +191,6 @@ class RecoveryManager {
   std::optional<std::uint16_t> elect_root(const std::vector<char>& mask) const;
 
   sim::EventQueue& queue_;
-  sim::Tracer& tracer_;
   const topo::Topology& fabric_;
   FaultInjector& injector_;
   std::vector<nic::Nic*> nics_;

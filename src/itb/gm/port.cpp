@@ -19,9 +19,8 @@ constexpr bool seq_leq(std::uint32_t a, std::uint32_t b) {
 
 }  // namespace
 
-GmPort::GmPort(sim::EventQueue& queue, sim::Tracer& tracer, nic::Nic& nic,
-               const GmConfig& config)
-    : queue_(queue), tracer_(tracer), nic_(nic), config_(config) {
+GmPort::GmPort(sim::EventQueue& queue, nic::Nic& nic, const GmConfig& config)
+    : queue_(queue), nic_(nic), config_(config) {
   nic_.set_client(this);
 }
 
@@ -155,11 +154,6 @@ void GmPort::on_timeout(std::uint16_t dst) {
     return;
   }
   // Go-back-N: re-post everything outstanding.
-  tracer_.emit(queue_.now(), sim::TraceCategory::kGm, [&] {
-    return "h" + std::to_string(nic_.host()) + " retransmit " +
-           std::to_string(conn.unacked.size()) + " pkts to h" +
-           std::to_string(dst);
-  });
   for (const Fragment& f : conn.unacked) {
     ++stats_.retransmissions;
     post_fragment(f);
@@ -183,11 +177,6 @@ void GmPort::fail_connection(std::uint16_t dst) {
   tokens_in_use_ -= static_cast<int>(n);  // tokens return to the caller
   ++stats_.send_failures;
   stats_.messages_failed += n;
-  tracer_.emit(queue_.now(), sim::TraceCategory::kGm, [&] {
-    return "h" + std::to_string(nic_.host()) + " gives up on h" +
-           std::to_string(dst) + " after " + std::to_string(conn.backoff) +
-           " retries, failing " + std::to_string(n) + " messages";
-  });
   if (failure_handler_) failure_handler_(queue_.now(), dst, n);
 }
 

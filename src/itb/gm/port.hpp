@@ -74,8 +74,7 @@ class GmPort final : public nic::NicClient {
   using SendFailureHandler =
       std::function<void(sim::Time, std::uint16_t dst, std::uint32_t failed)>;
 
-  GmPort(sim::EventQueue& queue, sim::Tracer& tracer, nic::Nic& nic,
-         const GmConfig& config = {});
+  GmPort(sim::EventQueue& queue, nic::Nic& nic, const GmConfig& config = {});
 
   void set_receive_handler(RecvHandler handler) { handler_ = std::move(handler); }
   void set_send_failure_handler(SendFailureHandler handler) {
@@ -159,7 +158,6 @@ class GmPort final : public nic::NicClient {
   void handle_ack(const GmHeader& h);
 
   sim::EventQueue& queue_;
-  sim::Tracer& tracer_;
   nic::Nic& nic_;
   GmConfig config_;
   GmStats stats_;

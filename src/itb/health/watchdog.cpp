@@ -19,12 +19,11 @@ void LivenessVerdict::merge(const LivenessVerdict& o) {
   if (first_cycle.empty()) first_cycle = o.first_cycle;
 }
 
-LivenessWatchdog::LivenessWatchdog(sim::EventQueue& queue, sim::Tracer& tracer,
+LivenessWatchdog::LivenessWatchdog(sim::EventQueue& queue,
                                    net::Network& network,
                                    std::vector<nic::Nic*> nics,
                                    const WatchdogConfig& config)
     : queue_(queue),
-      tracer_(tracer),
       network_(network),
       nics_(std::move(nics)),
       config_(config),
@@ -132,10 +131,6 @@ void LivenessWatchdog::handle_stall(sim::Time now) {
     }
     current_kind_ = d.kind;
     wedged_hosts_ = d.wedged_hosts;
-    tracer_.emit(now, sim::TraceCategory::kHealth, [&] {
-      return "stall detected: " + std::string(to_string(d.kind)) + " — " +
-             d.description;
-    });
     diagnoses_.push_back(std::move(d));
     acted = try_escalate(now);
   } else if (now - last_action_ >= config_.escalation_grace) {
@@ -166,10 +161,6 @@ bool LivenessWatchdog::try_escalate(sim::Time now) {
         if (nics_[h]->enable_drop_when_full()) {
           any = true;
           ++stats_.pool_mode_switches;
-          tracer_.emit(now, sim::TraceCategory::kHealth, [&] {
-            return "escalation: h" + std::to_string(h) +
-                   " switched to drop-on-full pool mode";
-          });
         }
       }
       if (any) return true;
@@ -183,9 +174,6 @@ bool LivenessWatchdog::try_escalate(sim::Time now) {
       ++stats_.forced_ejections;
       stage_ = 2;
       last_action_ = now;
-      tracer_.emit(now, sim::TraceCategory::kHealth, [&] {
-        return "escalation: force-ejected tx" + std::to_string(*victim);
-      });
       return true;
     }
   }
@@ -198,10 +186,6 @@ void LivenessWatchdog::finish_episode(sim::Time now) {
   ++stats_.recoveries;
   recovery_latency_.record(
       static_cast<std::uint64_t>(now - stall_detected_));
-  tracer_.emit(now, sim::TraceCategory::kHealth, [&] {
-    return "stall recovered after " +
-           std::to_string(now - stall_detected_) + " ns";
-  });
 }
 
 LivenessVerdict LivenessWatchdog::verdict() const {

@@ -36,7 +36,6 @@
 #include "itb/net/network.hpp"
 #include "itb/nic/nic.hpp"
 #include "itb/sim/event_queue.hpp"
-#include "itb/sim/trace.hpp"
 #include "itb/telemetry/export.hpp"
 #include "itb/telemetry/histogram.hpp"
 #include "itb/telemetry/metrics.hpp"
@@ -91,9 +90,8 @@ class LivenessWatchdog {
  public:
   /// `nics[h]` serves host h (null entries allowed). Installs itself as the
   /// network's activity hook; starts parked until the first injection.
-  LivenessWatchdog(sim::EventQueue& queue, sim::Tracer& tracer,
-                   net::Network& network, std::vector<nic::Nic*> nics,
-                   const WatchdogConfig& config);
+  LivenessWatchdog(sim::EventQueue& queue, net::Network& network,
+                   std::vector<nic::Nic*> nics, const WatchdogConfig& config);
   ~LivenessWatchdog();
 
   LivenessWatchdog(const LivenessWatchdog&) = delete;
@@ -138,7 +136,6 @@ class LivenessWatchdog {
   std::uint64_t nic_fingerprint(std::size_t h) const;
 
   sim::EventQueue& queue_;
-  sim::Tracer& tracer_;
   net::Network& network_;
   std::vector<nic::Nic*> nics_;
   WatchdogConfig config_;

@@ -55,7 +55,7 @@ bool Network::force_eject(TxHandle h) {
     if (w->handle != h) continue;
     const topo::Channel at = w->waiting_on.value_or(
         w->held.empty() ? topo::Channel{} : channel_of(w->held.back()));
-    kill_worm(w, at, "forced ejection", /*fault=*/false);
+    kill_worm(w, at, /*fault=*/false);
     return true;
   }
   return false;
@@ -70,11 +70,10 @@ std::optional<Network::RxPeek> Network::peek_rx(TxHandle h) const {
 }
 
 Network::Network(const topo::Topology& topo, const NetTiming& timing,
-                 sim::EventQueue& queue, sim::Tracer& tracer)
+                 sim::EventQueue& queue)
     : topo_(topo),
       timing_(timing),
       queue_(queue),
-      tracer_(tracer),
       hooks_(topo.host_count(), nullptr),
       rx_ready_(topo.host_count(), 1),
       channels_(topo.link_count() * 2),
@@ -238,10 +237,6 @@ TxHandle Network::inject(std::uint16_t host, packet::Bytes bytes,
     // lane-less captures (the golden fig8 fingerprint) are byte-identical.
     flight_->record(flight::EventType::kInject, queue_.now(), w->handle, host,
                     w->orig_len, w->lane_state.lane);
-  tracer_.emit(queue_.now(), sim::TraceCategory::kLink, [&] {
-    return "inject h" + std::to_string(host) + " tx" +
-           std::to_string(w->handle) + " " + packet::describe(w->bytes);
-  });
   const TxHandle handle = w->handle;
   request_channel(w, static_cast<std::uint32_t>(entry_idx) * lanes_ +
                          w->lane_state.lane);
@@ -273,9 +268,6 @@ bool Network::host_gate_closed(topo::Endpoint target) const {
 }
 
 void Network::on_link_state(topo::LinkId link, bool up) {
-  tracer_.emit(queue_.now(), sim::TraceCategory::kFault, [&] {
-    return "link " + std::to_string(link) + (up ? " up" : " down");
-  });
   for (const bool fwd : {true, false}) {
     const topo::Channel c{link, fwd};
     for (unsigned lane = 0; lane < lanes_; ++lane) {
@@ -287,9 +279,9 @@ void Network::on_link_state(topo::LinkId link, bool up) {
       }
       while (Worm* v = waiter_pop(st)) {
         v->waiting_on.reset();
-        kill_worm(v, c, "link down");
+        kill_worm(v, c);
       }
-      if (st.busy && st.owner) kill_worm(st.owner, c, "link down");
+      if (st.busy && st.owner) kill_worm(st.owner, c);
     }
   }
 }
@@ -298,7 +290,7 @@ void Network::request_channel(Worm* w, std::uint32_t slot) {
   const topo::Channel c = channel_of(slot);
   if (fault_hook_ && !fault_hook_->channel_usable(c)) {
     // The head ran into a dead link: the bytes are gone.
-    kill_worm(w, c, "channel unusable");
+    kill_worm(w, c);
     return;
   }
   auto& st = channels_[slot];
@@ -359,7 +351,7 @@ void Network::arbitrate(std::uint32_t slot) {
   if (fault_hook_ && !fault_hook_->channel_usable(c)) {
     while (Worm* v = waiter_pop(st)) {
       v->waiting_on.reset();
-      kill_worm(v, c, "channel unusable");
+      kill_worm(v, c);
     }
     return;
   }
@@ -381,15 +373,15 @@ void Network::head_at_node(Worm* w, topo::Endpoint arrival) {
   // step when the head reaches the destination NIC, not per hop.
   if (w->route_off >= w->bytes.size() ||
       !packet::is_route_byte(w->bytes[w->route_off])) {
-    drop(w, "no route byte at switch");
+    drop(w);
     return;
   }
   const std::uint8_t out_port =
       packet::decode_route_byte(w->bytes[w->route_off]);
   ++w->route_off;
   const std::int32_t out_idx = out_channel_idx(arrival.node, out_port);
-  if (out_idx < 0) {
-    drop(w, "route byte names a dangling port");
+  if (out_idx < 0) {  // the route byte names a dangling port
+    drop(w);
     return;
   }
 
@@ -404,11 +396,6 @@ void Network::head_at_node(Worm* w, topo::Endpoint arrival) {
   if (flight_)
     flight_->record(flight::EventType::kHeadSwitch, t, w->handle,
                     arrival.node.index, 0, out_port);
-  tracer_.emit(t, sim::TraceCategory::kSwitch, [&] {
-    return "tx" + std::to_string(w->handle) + " head at s" +
-           std::to_string(arrival.node.index) + " -> port " +
-           std::to_string(out_port);
-  });
   // The lane is decided HERE, once per traversal, and captured in the
   // closure: lane_for mutates the worm's ladder state, so re-evaluating it
   // on a grant-after-wait would double-advance the ladder.
@@ -425,8 +412,8 @@ void Network::head_at_node(Worm* w, topo::Endpoint arrival) {
 void Network::complete_at_host(Worm* w, std::uint16_t host,
                                sim::Time head_arrival) {
   HostHooks* hooks = hooks_[host];
-  if (!hooks) {
-    drop(w, "destination host not attached");
+  if (!hooks) {  // no NIC attached at the destination
+    drop(w);
     return;
   }
   // Shed the route bytes the switches consumed — one erase for the whole
@@ -490,10 +477,6 @@ void Network::complete_at_host(Worm* w, std::uint16_t host,
     }
     // A lost packet is never delivered: it counts under lost only.
     if (!lost) ++stats_.delivered;
-    tracer_.emit(queue_.now(), sim::TraceCategory::kLink, [&] {
-      return "tx" + std::to_string(w->handle) + (lost ? " LOST before h" : " delivered to h") +
-             std::to_string(host);
-    });
     WirePacket pkt{w->handle, std::move(w->bytes), w->src_host, w->injected_at};
     release_channels(w);
     finish_worm(w);  // recycles w — only locals below
@@ -522,22 +505,18 @@ void Network::release_channels(Worm* w) {
   w->held.clear();
 }
 
-void Network::drop(Worm* w, const char* why) {
+void Network::drop(Worm* w) {
   ++stats_.dropped;
   if (flight_)
     flight_->record(flight::EventType::kDrop, queue_.now(), w->handle,
                     w->src_host);
-  tracer_.emit(queue_.now(), sim::TraceCategory::kLink, [&] {
-    return "tx" + std::to_string(w->handle) + " dropped: " + why;
-  });
   w->tx_signaled = true;
   if (hooks_[w->src_host]) hooks_[w->src_host]->on_tx_dropped(queue_.now(), w->handle);
   release_channels(w);
   finish_worm(w);
 }
 
-void Network::kill_worm(Worm* w, topo::Channel at, const char* why,
-                        bool fault) {
+void Network::kill_worm(Worm* w, topo::Channel at, bool fault) {
   if (w->done) return;
   queue_.cancel(w->pending);
   queue_.cancel(w->early_event);
@@ -555,10 +534,6 @@ void Network::kill_worm(Worm* w, topo::Channel at, const char* why,
     ++stats_.faults_injected;
     if (fault_hook_) fault_hook_->note_kill(at);
   }
-  tracer_.emit(queue_.now(), sim::TraceCategory::kFault, [&] {
-    return "tx" + std::to_string(w->handle) + " killed at link " +
-           std::to_string(at.link) + ": " + why;
-  });
   const TxHandle handle = w->handle;
   const std::uint16_t src = w->src_host;
   const std::uint16_t dst = w->dst_host;

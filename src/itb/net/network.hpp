@@ -40,7 +40,6 @@
 #include "itb/net/wire_packet.hpp"
 #include "itb/sim/event_queue.hpp"
 #include "itb/sim/slab_pool.hpp"
-#include "itb/sim/trace.hpp"
 #include "itb/telemetry/metrics.hpp"
 #include "itb/topo/topology.hpp"
 
@@ -121,7 +120,7 @@ class FaultHook {
 class Network {
  public:
   Network(const topo::Topology& topo, const NetTiming& timing,
-          sim::EventQueue& queue, sim::Tracer& tracer);
+          sim::EventQueue& queue);
   ~Network();
 
   Network(const Network&) = delete;
@@ -309,7 +308,6 @@ class Network {
   const topo::Topology& topo_;
   NetTiming timing_;
   sim::EventQueue& queue_;
-  sim::Tracer& tracer_;
   NetworkStats stats_;
   FaultHook* fault_hook_ = nullptr;
   flight::FlightRecorder* flight_ = nullptr;
@@ -399,13 +397,12 @@ class Network {
   void arbitrate(std::uint32_t slot);
   void head_at_node(Worm* w, topo::Endpoint arrival);
   void complete_at_host(Worm* w, std::uint16_t host, sim::Time head_arrival);
-  void drop(Worm* w, const char* why);
+  void drop(Worm* w);
   /// Destroy an in-flight worm at `at`: cancels its scheduled events,
   /// releases its channels and fires the abort-side hooks. `fault` charges
   /// the kill to the fault ledger (faults_injected + note_kill); a forced
   /// ejection passes false and only counts as lost.
-  void kill_worm(Worm* w, topo::Channel at, const char* why,
-                 bool fault = true);
+  void kill_worm(Worm* w, topo::Channel at, bool fault = true);
   void finish_worm(Worm* w);
 };
 

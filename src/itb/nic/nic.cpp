@@ -4,11 +4,10 @@
 
 namespace itb::nic {
 
-Nic::Nic(sim::EventQueue& queue, sim::Tracer& tracer, net::Network& network,
-         host::PciBus& pci, std::uint16_t host, const LanaiTiming& timing,
+Nic::Nic(sim::EventQueue& queue, net::Network& network, host::PciBus& pci,
+         std::uint16_t host, const LanaiTiming& timing,
          const McpOptions& options)
     : queue_(queue),
-      tracer_(tracer),
       network_(network),
       pci_(pci),
       host_(host),
@@ -280,10 +279,6 @@ void Nic::start_reinjection(net::TxHandle h) {
     // The packet was lost (fault injection) between detection and DMA
     // programming; on_rx_aborted already released its receive buffer (and
     // erased the record). Release the send DMA and resume normal service.
-    tracer_.emit(queue_.now(), sim::TraceCategory::kMcp, [&] {
-      return "h" + std::to_string(host_) + " ITB rx" + std::to_string(h) +
-             " lost before re-injection";
-    });
     set_send_dma(false);
     if (!itb_pending_.empty()) {
       const auto next = itb_pending_.take_front();
@@ -298,10 +293,6 @@ void Nic::start_reinjection(net::TxHandle h) {
   // The reception is live (stash or peek succeeded), so its record is too.
   rec->injected = true;
   ++stats_.itb_forwarded;
-  tracer_.emit(queue_.now(), sim::TraceCategory::kMcp, [&] {
-    return "h" + std::to_string(host_) + " re-injecting ITB rx" +
-           std::to_string(h);
-  });
   queue_.schedule_in(
       timing_.cycles(timing_.send_dma_start),
       [this, h, data_ready, stripped = std::move(stripped)]() mutable {
@@ -321,10 +312,6 @@ void Nic::on_rx_complete(sim::Time, net::WirePacket packet) {
     if (r->doomed) {
       erase_rx(r);
       ++stats_.dropped_no_buffer;
-      tracer_.emit(queue_.now(), sim::TraceCategory::kNic, [&] {
-        return "h" + std::to_string(host_) + " dropped rx" + std::to_string(h) +
-               " (no buffer)";
-      });
       return;
     }
     // Claimed (or queued) by the Early Recv path. Keep the bytes around if

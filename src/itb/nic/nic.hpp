@@ -95,9 +95,8 @@ class Nic final : public net::HostHooks {
  public:
   static constexpr std::size_t kMtu = 4096;  // GM packet payload limit
 
-  Nic(sim::EventQueue& queue, sim::Tracer& tracer, net::Network& network,
-      host::PciBus& pci, std::uint16_t host, const LanaiTiming& timing,
-      const McpOptions& options);
+  Nic(sim::EventQueue& queue, net::Network& network, host::PciBus& pci,
+      std::uint16_t host, const LanaiTiming& timing, const McpOptions& options);
 
   Nic(const Nic&) = delete;
   Nic& operator=(const Nic&) = delete;
@@ -234,7 +233,6 @@ class Nic final : public net::HostHooks {
   void erase_rx(RxRec* rec);
 
   sim::EventQueue& queue_;
-  sim::Tracer& tracer_;
   net::Network& network_;
   host::PciBus& pci_;
   std::uint16_t host_;

@@ -6,16 +6,6 @@
 
 namespace itb::packet {
 
-const char* to_string(PacketType t) {
-  switch (t) {
-    case PacketType::kGm: return "GM";
-    case PacketType::kMapping: return "MAP";
-    case PacketType::kIp: return "IP";
-    case PacketType::kItb: return "ITB";
-  }
-  return "?";
-}
-
 std::uint8_t encode_route_byte(std::uint8_t port) {
   if (port >= kRouteByteFlag)
     throw std::invalid_argument("port too large for a route byte");
@@ -150,33 +140,6 @@ std::size_t leading_route_bytes(std::span<const std::uint8_t> buffer) {
   std::size_t n = 0;
   while (n < buffer.size() && is_route_byte(buffer[n])) ++n;
   return n;
-}
-
-std::string describe(std::span<const std::uint8_t> buffer) {
-  std::string out = "[";
-  std::size_t i = 0;
-  while (i < buffer.size()) {
-    if (is_route_byte(buffer[i])) {
-      out += "p" + std::to_string(decode_route_byte(buffer[i])) + " ";
-      ++i;
-      continue;
-    }
-    auto head = parse_head(buffer.subspan(i));
-    if (!head) {
-      out += "<malformed>";
-      break;
-    }
-    if (head->type == PacketType::kItb) {
-      out += "ITB(len=" + std::to_string(head->itb_remaining_header) + ") ";
-      i += 3;
-      continue;
-    }
-    out += std::string(to_string(head->type)) + " payload=" +
-           std::to_string(head->payload_length) + "B";
-    break;
-  }
-  out += "]";
-  return out;
 }
 
 }  // namespace itb::packet

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace itb::packet {
@@ -39,8 +38,6 @@ enum class PacketType : std::uint16_t {
   kIp = 0x0003,
   kItb = 0x0004,
 };
-
-const char* to_string(PacketType t);
 
 /// A source route: output ports, in traversal order.
 using Route = std::vector<std::uint8_t>;
@@ -100,8 +97,5 @@ bool verify_crc(std::span<const std::uint8_t> buffer);
 
 /// Number of route bytes at the head of the buffer.
 std::size_t leading_route_bytes(std::span<const std::uint8_t> buffer);
-
-/// Human-readable dump for traces and tests.
-std::string describe(std::span<const std::uint8_t> buffer);
 
 }  // namespace itb::packet

@@ -181,9 +181,8 @@ void write_series_json(JsonWriter& w, std::string_view run,
 
 // ------------------------------------------------------------ Telemetry --
 
-Telemetry::Telemetry(sim::EventQueue& queue, sim::Tracer& tracer,
-                     sim::Duration sample_period)
-    : queue_(queue), sampler_(queue, tracer, sample_period) {
+Telemetry::Telemetry(sim::EventQueue& queue, sim::Duration sample_period)
+    : queue_(queue), sampler_(queue, sample_period) {
   // Scheduler self-metrics: how the event engine behaved during the run.
   registry_.register_source("sim", "events_fired", MetricKind::kCounter,
                             [&queue] { return double(queue.stats().fired); });

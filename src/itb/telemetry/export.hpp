@@ -83,8 +83,8 @@ std::string json_quote(std::string_view s);
 /// The observability bundle a Cluster owns.
 class Telemetry {
  public:
-  Telemetry(sim::EventQueue& queue, sim::Tracer& tracer,
-            sim::Duration sample_period = 100 * sim::kUs);
+  explicit Telemetry(sim::EventQueue& queue,
+                     sim::Duration sample_period = 100 * sim::kUs);
 
   MetricRegistry& registry() { return registry_; }
   const MetricRegistry& registry() const { return registry_; }

@@ -4,9 +4,8 @@
 
 namespace itb::telemetry {
 
-Sampler::Sampler(sim::EventQueue& queue, sim::Tracer& tracer,
-                 sim::Duration period)
-    : queue_(queue), tracer_(tracer), period_(period) {
+Sampler::Sampler(sim::EventQueue& queue, sim::Duration period)
+    : queue_(queue), period_(period) {
   if (period_ <= 0) throw std::invalid_argument("sampler period must be > 0");
 }
 
@@ -80,23 +79,6 @@ void Sampler::sample_all(sim::Time t) {
   }
   prev_at_ = t;
   ++ticks_;
-  tracer_.emit(t, sim::TraceCategory::kTelemetry, [&] {
-    std::string msg = "tick " + std::to_string(ticks_) + " dt=" +
-                      std::to_string(elapsed) + " probes=" +
-                      std::to_string(probes_.size());
-    // Dump every sampled value: the sink only exists in debug sessions and
-    // this is exactly the cross-check data (satellite: trace <-> export).
-    for (const auto& s : series_) {
-      msg += " " + s.name;
-      if (s.labels.host >= 0) msg += "[h" + std::to_string(s.labels.host) + "]";
-      if (s.labels.channel >= 0)
-        msg += "[c" + std::to_string(s.labels.channel) + "]";
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "=%g", s.values.back());
-      msg += buf;
-    }
-    return msg;
-  });
 }
 
 void Sampler::stop() {
@@ -123,13 +105,6 @@ void Sampler::clear_samples() {
     s.values.clear();
   }
   ticks_ = 0;
-}
-
-sim::Tracer::Sink tick_log_sink(std::string& out) {
-  return [&out](sim::Time t, sim::TraceCategory c, const std::string& msg) {
-    if (c != sim::TraceCategory::kTelemetry) return;
-    out += std::to_string(t) + " [" + sim::to_string(c) + "] " + msg + "\n";
-  };
 }
 
 }  // namespace itb::telemetry

@@ -22,8 +22,7 @@
 // pending event *parks* instead of re-arming — simulated time cannot
 // advance while the queue is empty, so nothing is missed. resume() re-arms
 // a parked sampler; stop() records one final flush sample (so open windows
-// are not lost) and disarms. Every tick is traced under
-// sim::TraceCategory::kTelemetry for cross-checking against the export.
+// are not lost) and disarms.
 #pragma once
 
 #include <functional>
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "itb/sim/event_queue.hpp"
-#include "itb/sim/trace.hpp"
 #include "itb/telemetry/metrics.hpp"
 
 namespace itb::telemetry {
@@ -52,8 +50,8 @@ class Sampler {
     std::vector<double> values;   // one per tick
   };
 
-  Sampler(sim::EventQueue& queue, sim::Tracer& tracer,
-          sim::Duration period = 100 * sim::kUs);
+  explicit Sampler(sim::EventQueue& queue,
+                   sim::Duration period = 100 * sim::kUs);
 
   /// Register a probe. Must not collide with an existing {name, labels}.
   void add_probe(std::string name, Labels labels, Mode mode, Probe probe,
@@ -97,7 +95,6 @@ class Sampler {
   void sample_all(sim::Time t);
 
   sim::EventQueue& queue_;
-  sim::Tracer& tracer_;
   sim::Duration period_;
   std::vector<Series> series_;
   std::vector<Probe> probes_;       // parallel to series_
@@ -108,10 +105,5 @@ class Sampler {
   sim::EventId pending_tick_{};
   std::uint64_t ticks_ = 0;
 };
-
-/// A Tracer sink that writes only kTelemetry records to `out` as
-/// "time [telemetry] message" lines — the debug view of the sampler's
-/// ticks, cross-checkable against the exported time series.
-sim::Tracer::Sink tick_log_sink(std::string& out);
 
 }  // namespace itb::telemetry

@@ -252,17 +252,17 @@ TEST(EngineCluster, VcEscapeChaosSoakHasNoUnrecoveredWedges) {
   int got = 0;
   c.port(5).set_receive_handler(
       [&got](sim::Time, std::uint16_t, Bytes) { ++got; });
-  auto accepted = std::make_shared<int>(0);
-  auto feed = std::make_shared<std::function<void()>>();
-  *feed = [&c, accepted, feed] {
+  int accepted = 0;
+  // The closure lives in this frame: c.run() drains every scheduled retry.
+  std::function<void()> feed = [&] {
     if (c.port(0).peer_failed(5)) return;
-    while (*accepted < 30 &&
-           c.port(0).send(5, Bytes(1000, static_cast<std::uint8_t>(*accepted))))
-      ++*accepted;
-    if (*accepted < 30)
-      c.queue().schedule_in(100 * sim::kUs, [feed] { (*feed)(); });
+    while (accepted < 30 &&
+           c.port(0).send(5, Bytes(1000, static_cast<std::uint8_t>(accepted))))
+      ++accepted;
+    if (accepted < 30)
+      c.queue().schedule_in(100 * sim::kUs, [&feed] { feed(); });
   };
-  (*feed)();
+  feed();
   c.run();
 
   EXPECT_GT(got, 0);
@@ -321,8 +321,7 @@ TEST(ZeroAlloc, MultiLaneSteadyStateMakesNoHeapAllocations) {
   for (std::uint16_t h = 0; h < 4; ++h) topo.attach_host(h, h, 2);
 
   sim::EventQueue queue;
-  sim::Tracer tracer;
-  net::Network network(topo, net::NetTiming{}, queue, tracer);
+  net::Network network(topo, net::NetTiming{}, queue);
   auto eng = engine::make_engine({EngineKind::kVcEscape, 2});
   eng->bind(routing::UpDown(topo, 0), topo, {});
   network.set_lane_policy(eng.get());

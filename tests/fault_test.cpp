@@ -32,19 +32,20 @@ int feed_messages(core::Cluster& c, std::uint16_t src, std::uint16_t dst,
       obs->ids.insert(m[0]);
     });
   }
-  auto accepted = std::make_shared<int>(0);
-  auto feed = std::make_shared<std::function<void()>>();
-  *feed = [&c, src, dst, count, size, accepted, feed] {
+  int accepted = 0;
+  // The closure lives in this frame: c.run() drains every scheduled retry.
+  std::function<void()> feed = [&] {
     if (c.port(src).peer_failed(dst)) return;
-    while (*accepted < count &&
-           c.port(src).send(
-               dst, Bytes(size, static_cast<std::uint8_t>(*accepted))))
-      ++*accepted;
-    if (*accepted < count) c.queue().schedule_in(100 * sim::kUs, [feed] { (*feed)(); });
+    while (accepted < count &&
+           c.port(src).send(dst,
+                            Bytes(size, static_cast<std::uint8_t>(accepted))))
+      ++accepted;
+    if (accepted < count)
+      c.queue().schedule_in(100 * sim::kUs, [&feed] { feed(); });
   };
-  (*feed)();
+  feed();
   c.run();
-  return *accepted;
+  return accepted;
 }
 
 void expect_reconciled(core::Cluster& c) {

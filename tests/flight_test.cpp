@@ -13,7 +13,6 @@
 #include "itb/flight/recorder.hpp"
 #include "itb/flight/replay.hpp"
 #include "itb/flight/timeline.hpp"
-#include "itb/sim/trace.hpp"
 #include "itb/telemetry/metrics.hpp"
 #include "itb/workload/pingpong.hpp"
 
@@ -239,28 +238,6 @@ TEST(ChromeTrace, EscapesNamesAndEmitsStageSlices) {
   EXPECT_NE(json.find("\"journey\""), std::string::npos);
   EXPECT_NE(json.find("\"host_tx\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
-}
-
-TEST(Tracer, MultiSinkAttachDetach) {
-  sim::Tracer tracer;
-  EXPECT_EQ(tracer.sink_count(), 0u);
-  std::string a, b;
-  const auto ida = tracer.attach(sim::Tracer::string_sink(a));
-  const auto idb = tracer.attach(sim::Tracer::string_sink(b));
-  EXPECT_EQ(tracer.sink_count(), 2u);
-  tracer.emit(1, sim::TraceCategory::kFlight, [] { return "both"; });
-  EXPECT_NE(a.find("both"), std::string::npos);
-  EXPECT_NE(b.find("both"), std::string::npos);
-
-  tracer.detach(ida);
-  EXPECT_EQ(tracer.sink_count(), 1u);
-  tracer.emit(2, sim::TraceCategory::kFlight, [] { return "second only"; });
-  EXPECT_EQ(a.find("second only"), std::string::npos);
-  EXPECT_NE(b.find("second only"), std::string::npos);
-
-  tracer.detach(ida);  // double-detach is a no-op
-  tracer.detach(idb);
-  EXPECT_EQ(tracer.sink_count(), 0u);
 }
 
 }  // namespace

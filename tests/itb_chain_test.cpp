@@ -1,7 +1,9 @@
 // End-to-end tests of multi-stage ITB chains ("more than a single ITB can
 // be needed in a path", §1) running through the full stack — real NICs,
-// GM reliability, channel accounting — plus trace coverage.
+// GM reliability, channel accounting — plus flight-recorder coverage.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "itb/core/cluster.hpp"
 #include "itb/topo/builders.hpp"
@@ -16,10 +18,12 @@ using packet::Bytes;
 /// h0 -> s0 -> h... Actually: eject at h1 (on s1), re-inject, eject again
 /// at h1? A chain with 4 switches and hosts on each gives two distinct
 /// in-transit hosts (h1 on s1, h2 on s2) for a route h0 -> h3.
-std::unique_ptr<core::Cluster> chain_cluster(const nic::McpOptions& mcp = {}) {
+std::unique_ptr<core::Cluster> chain_cluster(
+    const nic::McpOptions& mcp = {}, const flight::RecorderConfig& flight = {}) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_linear(4, 1);  // h_i on s_i, trunks s_i - s_{i+1}
   cfg.mcp_options = mcp;
+  cfg.flight = flight;
   // make_linear port map: s0 {0: trunk->s1, 1: host}, s1 {0: trunk->s0,
   // 1: trunk->s2, 2: host}, s2 {0: trunk->s1, 1: trunk->s3, 2: host},
   // s3 {0: trunk->s2, 1: host}.
@@ -139,16 +143,20 @@ TEST(ItbChain, RelayHostsOwnTrafficInterleaves) {
 }
 
 TEST(ItbChain, TraceRecordsForwardingEvents) {
-  auto c = chain_cluster();
-  std::string log;
-  c->tracer().attach(sim::Tracer::string_sink(log));
+  auto c = chain_cluster({}, {.enabled = true});
   c->port(3).set_receive_handler([](sim::Time, std::uint16_t, Bytes) {});
   c->port(0).send(3, Bytes(100, 1));
   c->run();
-  // Both relays logged a re-injection.
-  EXPECT_NE(log.find("h1 re-injecting ITB"), std::string::npos) << log;
-  EXPECT_NE(log.find("h2 re-injecting ITB"), std::string::npos);
-  EXPECT_NE(log.find("delivered to h3"), std::string::npos);
+  const auto events = c->flight()->snapshot().events;
+  const auto recorded = [&](flight::EventType type, std::uint16_t node) {
+    return std::any_of(events.begin(), events.end(), [&](const auto& e) {
+      return e.type == type && e.node == node;
+    });
+  };
+  // Both relays re-injected the worm, and the payload reached h3.
+  EXPECT_TRUE(recorded(flight::EventType::kReinject, 1));
+  EXPECT_TRUE(recorded(flight::EventType::kReinject, 2));
+  EXPECT_TRUE(recorded(flight::EventType::kDeliver, 3));
 }
 
 TEST(ItbChain, ChannelBusyAccountingCoversAllSegments) {

@@ -63,7 +63,6 @@ class Recorder : public net::HostHooks {
 struct OneSwitchRig {
   topo::Topology topo;
   sim::EventQueue queue;
-  sim::Tracer tracer;
   net::NetTiming timing;
   std::unique_ptr<Network> net;
   Recorder h0, h1;
@@ -74,7 +73,7 @@ struct OneSwitchRig {
     topo.add_host();
     topo.attach_host(0, 0, 1, topo::PortKind::kSan);
     topo.attach_host(1, 0, 2, topo::PortKind::kSan);
-    net = std::make_unique<Network>(topo, timing, queue, tracer);
+    net = std::make_unique<Network>(topo, timing, queue);
     net->attach_host(0, &h0);
     net->attach_host(1, &h1);
   }
@@ -164,8 +163,7 @@ TEST(Network, ContentionOnSharedDestinationSerialises) {
   topo.attach_host(1, 0, 2);
   topo.attach_host(2, 0, 3);
   sim::EventQueue queue;
-  sim::Tracer tracer;
-  Network net(topo, {}, queue, tracer);
+  Network net(topo, {}, queue);
   Recorder r0, r1, r2;
   net.attach_host(0, &r0);
   net.attach_host(1, &r1);
@@ -222,9 +220,8 @@ TEST(Network, LanPortsAddFallThroughPenalty) {
   topo.attach_host(0, 0, 1, topo::PortKind::kSan);
   topo.attach_host(1, 0, 2, topo::PortKind::kLan);
   sim::EventQueue queue;
-  sim::Tracer tracer;
   net::NetTiming tm;
-  Network net(topo, tm, queue, tracer);
+  Network net(topo, tm, queue);
   Recorder r0, r1;
   net.attach_host(0, &r0);
   net.attach_host(1, &r1);
@@ -302,8 +299,7 @@ TEST(Network, SelfLoopCableRoutesBackIntoSwitch) {
   topo.attach_host(1, 0, 1);
   topo.connect({topo::switch_id(0), 4}, {topo::switch_id(0), 5});
   sim::EventQueue queue;
-  sim::Tracer tracer;
-  Network net(topo, {}, queue, tracer);
+  Network net(topo, {}, queue);
   Recorder r0, r1;
   net.attach_host(0, &r0);
   net.attach_host(1, &r1);
@@ -325,8 +321,7 @@ TEST(Network, InjectFromUnattachedHostThrows) {
   topo.add_host();
   topo.attach_host(0, 0, 0);
   sim::EventQueue queue;
-  sim::Tracer tracer;
-  Network net(topo, {}, queue, tracer);
+  Network net(topo, {}, queue);
   EXPECT_THROW(net.inject(0, Bytes{0x81}), std::logic_error);
 }
 

@@ -39,7 +39,6 @@ class ClientRecorder : public nic::NicClient {
 struct Rig {
   topo::Topology topo;
   sim::EventQueue queue;
-  sim::Tracer tracer;
   net::NetTiming net_timing;
   std::unique_ptr<net::Network> net;
   std::vector<std::unique_ptr<host::PciBus>> pci;
@@ -55,10 +54,10 @@ struct Rig {
     topo.attach_host(0, 0, 1);
     topo.attach_host(1, 0, 2);
     topo.attach_host(2, 1, 1);
-    net = std::make_unique<net::Network>(topo, net_timing, queue, tracer);
+    net = std::make_unique<net::Network>(topo, net_timing, queue);
     for (std::uint16_t h = 0; h < 3; ++h) {
       pci.push_back(std::make_unique<host::PciBus>(queue, host::PciTiming{}));
-      nics.push_back(std::make_unique<nic::Nic>(queue, tracer, *net, *pci[h],
+      nics.push_back(std::make_unique<nic::Nic>(queue, *net, *pci[h],
                                                 h, lanai, options));
       clients.push_back(std::make_unique<ClientRecorder>());
       nics[h]->set_client(clients[h].get());

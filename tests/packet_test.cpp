@@ -199,14 +199,6 @@ TEST(Format, MappingAndIpTypesParse) {
   EXPECT_EQ(parse_head(i)->type, PacketType::kIp);
 }
 
-TEST(Format, DescribeIsHumanReadable) {
-  auto p = build_itb_packet({{1}, {2}}, PacketType::kGm, make_payload(3));
-  auto text = describe(p);
-  EXPECT_NE(text.find("p1"), std::string::npos);
-  EXPECT_NE(text.find("ITB"), std::string::npos);
-  EXPECT_NE(text.find("payload=3"), std::string::npos);
-}
-
 TEST(Format, EmptyPayloadPacket) {
   auto p = build_packet({7}, PacketType::kGm, {});
   consume_route_byte(p);

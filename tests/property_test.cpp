@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include "itb/core/cluster.hpp"
@@ -119,6 +120,13 @@ struct DeliveryCase {
   std::uint64_t seed;
   engine::EngineKind kind;
 };
+
+// Names the cases (ctest lists .../seed1_itb): CMake's test discovery takes
+// the printed parameter, and without a printer gtest dumps the struct's raw
+// bytes, uninitialised padding included, which differ from build to build.
+void PrintTo(const DeliveryCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_" << engine::to_string(c.kind);
+}
 
 class DeliveryInvariants : public ::testing::TestWithParam<DeliveryCase> {};
 

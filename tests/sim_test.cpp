@@ -8,7 +8,6 @@
 #include "itb/sim/event_queue.hpp"
 #include "itb/sim/rng.hpp"
 #include "itb/sim/stats.hpp"
-#include "itb/sim/trace.hpp"
 
 namespace {
 
@@ -202,22 +201,6 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Tracer, EmitOnlyWhenAttached) {
-  itb::sim::Tracer tracer;
-  int calls = 0;
-  auto msg = [&] {
-    ++calls;
-    return std::string("x");
-  };
-  tracer.emit(0, itb::sim::TraceCategory::kNic, msg);
-  EXPECT_EQ(calls, 0);
-  std::string log;
-  tracer.attach(itb::sim::Tracer::string_sink(log));
-  tracer.emit(5, itb::sim::TraceCategory::kNic, msg);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(log, "5 [nic] x\n");
 }
 
 TEST(Time, ScaledBytesTimeRoundsUp) {

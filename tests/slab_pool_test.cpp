@@ -16,7 +16,6 @@
 #include "itb/sim/event_queue.hpp"
 #include "itb/sim/flat_fifo.hpp"
 #include "itb/sim/slab_pool.hpp"
-#include "itb/sim/trace.hpp"
 #include "itb/topo/topology.hpp"
 
 namespace {
@@ -263,8 +262,7 @@ TEST(ZeroAlloc, NetworkSteadyStateMakesNoHeapAllocations) {
                      static_cast<std::uint8_t>(2 + h % kPerSwitch));
 
   sim::EventQueue queue;
-  sim::Tracer tracer;
-  net::Network network(topo, net::NetTiming{}, queue, tracer);
+  net::Network network(topo, net::NetTiming{}, queue);
 
   std::vector<RecyclingHost::Flow> flows(kHosts);
   std::vector<std::unique_ptr<RecyclingHost>> hosts;

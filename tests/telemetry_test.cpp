@@ -170,8 +170,7 @@ TEST(MetricRegistry, HandlesAndSources) {
 
 TEST(Telemetry, ExportsEventEngineStats) {
   sim::EventQueue q;
-  sim::Tracer tracer;
-  telemetry::Telemetry tel(q, tracer);
+  telemetry::Telemetry tel(q);
   auto a = q.schedule_at(10, [] {});
   q.schedule_at(20, [] {});
   q.schedule_at(5'000'000, [] {});  // far timer -> spill heap
@@ -317,9 +316,6 @@ TEST(Sampler, UtilizationSeriesIntegratesToChannelBusy) {
 
 TEST(Sampler, ParksOnDrainResumesAndTracesEveryTick) {
   auto cluster = core::make_fig8_cluster(/*itb_path=*/true);
-  std::string log;
-  cluster->tracer().attach(telemetry::tick_log_sink(log));
-
   auto& telemetry = cluster->telemetry();
   telemetry.start_sampling();
   workload::AllsizeConfig cfg;
@@ -335,19 +331,19 @@ TEST(Sampler, ParksOnDrainResumesAndTracesEveryTick) {
 
   const auto ticks = telemetry.sampler().ticks();
   EXPECT_GT(ticks, 0u);
-  // Every tick (including the stop() flush) leaves one trace line.
-  std::size_t lines = 0;
-  for (char ch : log)
-    if (ch == '\n') ++lines;
-  EXPECT_EQ(lines, ticks);
-  EXPECT_NE(log.find("[telemetry]"), std::string::npos);
-  EXPECT_NE(log.find("channel_utilization"), std::string::npos);
+  // Every tick (including the stop() flush) samples every probe once.
+  bool has_utilization = false;
+  for (const auto& s : telemetry.sampler().series()) {
+    EXPECT_EQ(s.at.size(), ticks) << s.name;
+    EXPECT_EQ(s.values.size(), ticks) << s.name;
+    has_utilization |= s.name == "channel_utilization";
+  }
+  EXPECT_TRUE(has_utilization);
 }
 
 TEST(Sampler, RateSeriesScaleAndLevelMode) {
   sim::EventQueue queue;
-  sim::Tracer tracer;
-  telemetry::Sampler sampler(queue, tracer, 100);
+  telemetry::Sampler sampler(queue, 100);
   double counter = 0, level = 3;
   sampler.add_probe("rate", {}, telemetry::Sampler::Mode::kRate,
                     [&counter] { return counter; }, /*scale=*/1e9);

@@ -34,7 +34,6 @@ class Counter : public net::HostHooks {
 struct RingRig {
   topo::Topology topo;
   sim::EventQueue queue;
-  sim::Tracer tracer;
   std::unique_ptr<net::Network> net;
   std::vector<std::unique_ptr<Counter>> hosts;
 
@@ -45,7 +44,7 @@ struct RingRig {
     for (std::uint16_t s = 0; s < 4; ++s)
       topo.connect_switches(s, 1, static_cast<std::uint16_t>((s + 1) % 4), 0);
     for (std::uint16_t h = 0; h < 4; ++h) topo.attach_host(h, h, 2);
-    net = std::make_unique<net::Network>(topo, net::NetTiming{}, queue, tracer);
+    net = std::make_unique<net::Network>(topo, net::NetTiming{}, queue);
     for (std::uint16_t h = 0; h < 4; ++h) {
       hosts.push_back(std::make_unique<Counter>());
       net->attach_host(h, hosts.back().get());
@@ -118,8 +117,7 @@ TEST(WormholeDeadlock, ItbEjectionBreaksTheCycle) {
     topo.connect_switches(s, 1, static_cast<std::uint16_t>((s + 1) % 4), 0);
   for (std::uint16_t h = 0; h < 4; ++h) topo.attach_host(h, h, 2);
   sim::EventQueue queue;
-  sim::Tracer tracer;
-  net::Network net(topo, {}, queue, tracer);
+  net::Network net(topo, {}, queue);
   std::vector<std::unique_ptr<Forwarder>> fwd;
   for (std::uint16_t h = 0; h < 4; ++h) {
     fwd.push_back(std::make_unique<Forwarder>());
