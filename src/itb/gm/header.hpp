@@ -6,8 +6,10 @@
 // data from acknowledgements.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "itb/packet/format.hpp"
 
@@ -30,15 +32,24 @@ struct GmHeader {
   static constexpr std::size_t kSize = 1 + 2 + 2 + 4 + 4 + 4 + 4 + 2;
 };
 
-/// Serialize the header followed by `data` (frag_len bytes) into a packet
-/// payload buffer.
+/// The wire form of a header alone. GM posts it with the fragment data as
+/// the NIC's two-piece payload, so sending builds no per-packet buffer.
+using HeaderBytes = std::array<std::uint8_t, GmHeader::kSize>;
+
+HeaderBytes encode_header(const GmHeader& h);
+
+/// Serialize the header followed by `data` into one packet payload buffer,
+/// with frag_len set to data.size() — a hand-built GM packet for
+/// Nic::post_send.
 packet::Bytes encode(const GmHeader& h, std::span<const std::uint8_t> data);
 
 /// Parse a payload produced by encode(). Returns nullopt on malformed
-/// input (short buffer, inconsistent frag_len, unknown subtype).
+/// input (short buffer, inconsistent frag_len, unknown subtype, a data
+/// fragment reaching past its message's end). Nothing is copied: `data`
+/// views the fragment's user data inside `payload`.
 struct Decoded {
   GmHeader header;
-  packet::Bytes data;
+  std::span<const std::uint8_t> data;
 };
 std::optional<Decoded> decode(std::span<const std::uint8_t> payload);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace itb::gm {
 namespace {
@@ -24,58 +25,109 @@ GmPort::GmPort(sim::EventQueue& queue, nic::Nic& nic, const GmConfig& config)
   nic_.set_client(this);
 }
 
+void GmPort::FragmentQueue::push_back(Fragment* f) {
+  f->next = nullptr;
+  if (tail)
+    tail->next = f;
+  else
+    head = f;
+  tail = f;
+  ++size;
+}
+
+GmPort::Fragment* GmPort::FragmentQueue::pop_front() {
+  Fragment* f = head;
+  head = f->next;
+  if (!head) tail = nullptr;
+  f->next = nullptr;
+  --size;
+  return f;
+}
+
+GmPort::TxConn GmPort::fresh_tx() const {
+  TxConn conn;
+  conn.next_seq = config_.initial_seq;
+  conn.highest_acked = config_.initial_seq - 1;
+  return conn;
+}
+
+GmPort::RxConn GmPort::fresh_rx() const {
+  RxConn conn;
+  conn.expected_seq = config_.initial_seq;
+  return conn;
+}
+
 GmPort::TxConn& GmPort::tx_conn(std::uint16_t dst) {
-  auto [it, fresh] = tx_.try_emplace(dst);
-  if (fresh) {
-    it->second.next_seq = config_.initial_seq;
-    it->second.highest_acked = config_.initial_seq - 1;
-  }
-  return it->second;
+  if (tx_.empty()) tx_.assign(nic_.host_count(), fresh_tx());
+  return tx_[dst];
 }
 
 GmPort::RxConn& GmPort::rx_conn(std::uint16_t src) {
-  auto [it, fresh] = rx_.try_emplace(src);
-  if (fresh) it->second.expected_seq = config_.initial_seq;
-  return it->second;
+  if (rx_.empty()) rx_.assign(nic_.host_count(), fresh_rx());
+  return rx_[src];
+}
+
+GmPort::Fragment* GmPort::new_fragment() {
+  auto [h, f] = frags_.acquire();
+  f->self = h;
+  f->ends_message = false;
+  return f;
+}
+
+void GmPort::release_fragment(Fragment* f) {
+  // The pool recycles slots warm; a payload or callback left in a free
+  // slot would stay allocated until the slot's next use.
+  f->data = packet::Bytes();
+  f->on_sent = nullptr;
+  frags_.release(f->self);
+}
+
+void GmPort::release_all(FragmentQueue& q) {
+  while (!q.empty()) release_fragment(q.pop_front());
 }
 
 bool GmPort::send(std::uint16_t dst, packet::Bytes message,
                   SendCallback on_sent) {
+  if (dst == nic_.host() || dst >= nic_.host_count())
+    throw std::invalid_argument("GM send to its own host or to no host");
   if (tokens_in_use_ >= config_.send_tokens) return false;
   if (message.empty()) throw std::invalid_argument("empty message");
   TxConn& conn = tx_conn(dst);
   if (conn.dead) return false;  // reset_connection() revives
   ++tokens_in_use_;
   ++stats_.messages_sent;
+  ++conn.messages;
 
   const std::uint32_t msg_id = next_msg_id_++;
   const auto msg_len = static_cast<std::uint32_t>(message.size());
   if (auto* fr = nic_.flight_recorder())
     fr->record(flight::EventType::kGmSend, queue_.now(), msg_id, dst, msg_len);
 
-  PendingMessage pm;
-  pm.on_sent = std::move(on_sent);
-  pm.first_seq = conn.next_seq;
-
-  // Fragment into MTU-sized packets, consecutive sequence numbers.
-  std::size_t offset = 0;
-  while (offset < message.size()) {
-    const std::size_t n = std::min(config_.mtu_payload, message.size() - offset);
-    Fragment f;
-    f.header.subtype = Subtype::kData;
-    f.header.src_host = nic_.host();
-    f.header.dst_host = dst;
-    f.header.seq = conn.next_seq++;
-    f.header.msg_id = msg_id;
-    f.header.frag_offset = static_cast<std::uint32_t>(offset);
-    f.header.msg_len = msg_len;
-    f.data.assign(message.begin() + static_cast<std::ptrdiff_t>(offset),
-                  message.begin() + static_cast<std::ptrdiff_t>(offset + n));
-    conn.unsent.push_back(std::move(f));
+  // Fragment into MTU-sized packets, consecutive sequence numbers. A
+  // message that fits one packet moves into its fragment whole.
+  Fragment* f = nullptr;
+  for (std::size_t offset = 0; offset < msg_len;) {
+    const std::size_t n = std::min<std::size_t>(config_.mtu_payload,
+                                                msg_len - offset);
+    f = new_fragment();
+    f->header.subtype = Subtype::kData;
+    f->header.src_host = nic_.host();
+    f->header.dst_host = dst;
+    f->header.seq = conn.next_seq++;
+    f->header.msg_id = msg_id;
+    f->header.frag_offset = static_cast<std::uint32_t>(offset);
+    f->header.msg_len = msg_len;
+    f->header.frag_len = static_cast<std::uint16_t>(n);
+    if (n == msg_len)
+      f->data = std::move(message);
+    else
+      f->data.assign(message.begin() + static_cast<std::ptrdiff_t>(offset),
+                     message.begin() + static_cast<std::ptrdiff_t>(offset + n));
+    conn.unsent.push_back(f);
     offset += n;
   }
-  pm.last_seq = conn.next_seq - 1;
-  conn.messages.push_back(std::move(pm));
+  f->ends_message = true;
+  f->on_sent = std::move(on_sent);
 
   // gm_send() host-side cost, then the NIC sees the descriptors.
   queue_.schedule_in(config_.host_send_overhead_ns, [this, dst] { pump(dst); });
@@ -83,30 +135,29 @@ bool GmPort::send(std::uint16_t dst, packet::Bytes message,
 }
 
 bool GmPort::peer_failed(std::uint16_t dst) const {
-  auto it = tx_.find(dst);
-  return it != tx_.end() && it->second.dead;
+  return dst < tx_.size() && tx_[dst].dead;
 }
 
 void GmPort::reset_connection(std::uint16_t dst) {
-  auto it = tx_.find(dst);
-  if (it != tx_.end()) {
-    TxConn& conn = it->second;
+  if (dst < tx_.size()) {
+    TxConn& conn = tx_[dst];
     if (conn.timer_armed) queue_.cancel(conn.timer);
-    tokens_in_use_ -= static_cast<int>(conn.messages.size());
-    tx_.erase(it);
+    tokens_in_use_ -= static_cast<int>(conn.messages);
+    release_all(conn.unsent);
+    release_all(conn.unacked);
+    conn = fresh_tx();
   }
-  rx_.erase(dst);
+  if (dst < rx_.size()) rx_[dst] = fresh_rx();
 }
 
 void GmPort::pump(std::uint16_t dst) {
   TxConn& conn = tx_conn(dst);
   if (conn.dead) return;
   while (!conn.unsent.empty() &&
-         conn.unacked.size() < static_cast<std::size_t>(config_.window)) {
-    Fragment f = std::move(conn.unsent.front());
-    conn.unsent.pop_front();
-    post_fragment(f);
-    conn.unacked.push_back(std::move(f));
+         conn.unacked.size < static_cast<std::size_t>(config_.window)) {
+    Fragment* f = conn.unsent.pop_front();
+    post_fragment(*f);
+    conn.unacked.push_back(f);
   }
   if (!conn.unacked.empty()) arm_timer(dst);
 }
@@ -119,7 +170,7 @@ void GmPort::post_fragment(const Fragment& f) {
     return;
   }
   ++stats_.packets_data;
-  nic_.post_send(f.header.dst_host, encode(f.header, f.data));
+  nic_.post_send(f.header.dst_host, encode_header(f.header), f.data);
 }
 
 void GmPort::send_ack(std::uint16_t dst, std::uint32_t cum_seq) {
@@ -133,7 +184,7 @@ void GmPort::send_ack(std::uint16_t dst, std::uint32_t cum_seq) {
   h.dst_host = dst;
   h.seq = cum_seq;
   ++stats_.packets_ack;
-  nic_.post_send(dst, encode(h, {}));
+  nic_.post_send(dst, encode_header(h));
 }
 
 void GmPort::arm_timer(std::uint16_t dst) {
@@ -154,9 +205,9 @@ void GmPort::on_timeout(std::uint16_t dst) {
     return;
   }
   // Go-back-N: re-post everything outstanding.
-  for (const Fragment& f : conn.unacked) {
+  for (const Fragment* f = conn.unacked.head; f; f = f->next) {
     ++stats_.retransmissions;
-    post_fragment(f);
+    post_fragment(*f);
   }
   ++conn.backoff;
   arm_timer(dst);
@@ -169,11 +220,9 @@ void GmPort::fail_connection(std::uint16_t dst) {
     queue_.cancel(conn.timer);
     conn.timer_armed = false;
   }
-  conn.unsent.clear();
-  conn.unacked.clear();
-  std::deque<PendingMessage> failed;
-  failed.swap(conn.messages);
-  const auto n = static_cast<std::uint32_t>(failed.size());
+  release_all(conn.unsent);
+  release_all(conn.unacked);
+  const std::uint32_t n = std::exchange(conn.messages, 0);
   tokens_in_use_ -= static_cast<int>(n);  // tokens return to the caller
   ++stats_.send_failures;
   stats_.messages_failed += n;
@@ -188,31 +237,41 @@ void GmPort::on_message(sim::Time t, packet::PacketType type,
     return;
   auto decoded = decode(payload);
   if (!decoded) return;  // corrupted: dropped, the sender will retransmit
-  if (decoded->header.dst_host != nic_.host()) return;  // misrouted
-  if (decoded->header.subtype == Subtype::kAck) {
-    handle_ack(decoded->header);
+  const GmHeader& h = decoded->header;
+  if (h.dst_host != nic_.host()) return;  // misrouted
+  // A source no host of the network has: no connection to index, no one
+  // to acknowledge.
+  if (h.src_host >= nic_.host_count()) return;
+  if (h.subtype == Subtype::kAck) {
+    handle_ack(h);
   } else {
-    handle_data(t, decoded->header, std::move(decoded->data));
+    handle_data(t, h, std::move(payload));
   }
 }
 
 void GmPort::handle_ack(const GmHeader& h) {
-  auto it = tx_.find(h.src_host);
-  if (it == tx_.end()) return;
-  TxConn& conn = it->second;
+  if (h.src_host >= tx_.size()) return;  // never sent to anyone
+  TxConn& conn = tx_[h.src_host];
   if (conn.dead) return;  // late ack from a peer already written off
   if (seq_leq(h.seq, conn.highest_acked)) return;  // stale
   conn.highest_acked = h.seq;
   conn.backoff = 0;  // progress: restore the base timeout
-  while (!conn.unacked.empty() && seq_leq(conn.unacked.front().header.seq, h.seq))
-    conn.unacked.pop_front();
+  FragmentQueue acked;
+  while (!conn.unacked.empty() && seq_leq(conn.unacked.head->header.seq, h.seq))
+    acked.push_back(conn.unacked.pop_front());
 
   // Complete messages whose last fragment is now acknowledged.
-  while (!conn.messages.empty() && seq_leq(conn.messages.front().last_seq, h.seq)) {
-    PendingMessage pm = std::move(conn.messages.front());
-    conn.messages.pop_front();
+  while (!acked.empty()) {
+    Fragment* f = acked.pop_front();
+    if (!f->ends_message) {
+      release_fragment(f);
+      continue;
+    }
+    SendCallback on_sent = std::move(f->on_sent);
+    release_fragment(f);
+    --conn.messages;
     --tokens_in_use_;
-    if (pm.on_sent) pm.on_sent(queue_.now());
+    if (on_sent) on_sent(queue_.now());
   }
 
   if (conn.unacked.empty() && conn.timer_armed) {
@@ -222,7 +281,7 @@ void GmPort::handle_ack(const GmHeader& h) {
   pump(h.src_host);
 }
 
-void GmPort::handle_data(sim::Time, const GmHeader& h, packet::Bytes data) {
+void GmPort::handle_data(sim::Time, const GmHeader& h, packet::Bytes payload) {
   RxConn& conn = rx_conn(h.src_host);
   if (seq_lt(h.seq, conn.expected_seq)) {
     // Duplicate of something already delivered: re-ack so the sender
@@ -241,21 +300,32 @@ void GmPort::handle_data(sim::Time, const GmHeader& h, packet::Bytes data) {
   conn.expected_seq = h.seq + 1;
   send_ack(h.src_host, h.seq);
 
-  // Reassembly. Ordered delivery means fragments of a message arrive
-  // consecutively; a fresh msg_id starts a new buffer.
-  if (conn.buffer.empty() || conn.msg_id != h.msg_id) {
-    conn.msg_id = h.msg_id;
-    conn.buffer.assign(h.msg_len, 0);
+  packet::Bytes message;
+  if (h.frag_offset == 0 && h.frag_len == h.msg_len) {
+    // The whole message in one packet: the received buffer becomes the
+    // message once the GM header is stripped off its front.
+    payload.erase(payload.begin(),
+                  payload.begin() + static_cast<std::ptrdiff_t>(GmHeader::kSize));
+    message = std::move(payload);
+  } else {
+    // Reassembly. Ordered delivery means fragments of a message arrive
+    // consecutively; a fresh msg_id starts a new buffer. decode() bounded
+    // the fragment by its msg_len, so sizing the buffer by that msg_len
+    // bounds the copy.
+    if (conn.buffer.empty() || conn.msg_id != h.msg_id ||
+        conn.buffer.size() != h.msg_len) {
+      conn.msg_id = h.msg_id;
+      conn.buffer.assign(h.msg_len, 0);
+      conn.received_bytes = 0;
+    }
+    std::copy(payload.begin() + static_cast<std::ptrdiff_t>(GmHeader::kSize),
+              payload.end(), conn.buffer.begin() + h.frag_offset);
+    conn.received_bytes += h.frag_len;
+    if (conn.received_bytes < h.msg_len) return;
+    message = std::move(conn.buffer);
+    conn.buffer.clear();
     conn.received_bytes = 0;
   }
-  std::copy(data.begin(), data.end(),
-            conn.buffer.begin() + h.frag_offset);
-  conn.received_bytes += data.size();
-  if (conn.received_bytes < h.msg_len) return;
-
-  packet::Bytes message = std::move(conn.buffer);
-  conn.buffer.clear();
-  conn.received_bytes = 0;
   ++stats_.messages_delivered;
   if (auto* fr = nic_.flight_recorder())
     fr->record(flight::EventType::kGmDeliver, queue_.now(), h.msg_id,

@@ -19,13 +19,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <optional>
+#include <vector>
 
 #include "itb/gm/header.hpp"
 #include "itb/nic/nic.hpp"
+#include "itb/sim/slab_pool.hpp"
 #include "itb/telemetry/metrics.hpp"
 
 namespace itb::gm {
@@ -84,7 +83,9 @@ class GmPort final : public nic::NicClient {
   /// Send `message` to `dst`. Returns false when no send token is
   /// available or the connection to `dst` has been declared dead.
   /// `on_sent` fires when every fragment has been acknowledged (the token
-  /// returns to the caller); it never fires for a failed message.
+  /// returns to the caller); it never fires for a failed message. Throws
+  /// std::invalid_argument for an empty message and for a `dst` that is
+  /// this port's own host or no host of the network.
   bool send(std::uint16_t dst, packet::Bytes message, SendCallback on_sent = {});
 
   /// Did the connection to `dst` fail (max_retries exceeded)?
@@ -111,22 +112,37 @@ class GmPort final : public nic::NicClient {
   void on_send_complete(sim::Time t, std::uint64_t token) override;
 
  private:
+  /// One data packet of a message, waiting for window space or for its
+  /// acknowledgement. Fragments live in the per-port pool `frags_` and are
+  /// threaded through `next` into their connection's queues, so a first
+  /// message to a new peer takes pooled slots instead of queue storage.
   struct Fragment {
     GmHeader header;
-    packet::Bytes data;
-  };
-  struct PendingMessage {
-    std::uint32_t first_seq = 0;  // seq of its first fragment
-    std::uint32_t last_seq = 0;
+    packet::Bytes data;  // released as soon as the fragment is acknowledged
+    /// A message's last fragment carries its completion: acknowledging it
+    /// returns the message's token and fires `on_sent`.
+    bool ends_message = false;
     SendCallback on_sent;
+    Fragment* next = nullptr;
+    sim::PoolHandle self;  // this fragment's own pool slot
+  };
+  /// FIFO of pooled fragments, linked through Fragment::next.
+  struct FragmentQueue {
+    Fragment* head = nullptr;
+    Fragment* tail = nullptr;
+    std::size_t size = 0;
+
+    bool empty() const { return head == nullptr; }
+    void push_back(Fragment* f);
+    Fragment* pop_front();
   };
   /// Per-destination sender state (one GM "connection" each way).
   struct TxConn {
     std::uint32_t next_seq = 1;     // next sequence number to assign
     std::uint32_t highest_acked = 0;
-    std::deque<Fragment> unsent;    // waiting for window space
-    std::deque<Fragment> unacked;   // posted, not yet acknowledged
-    std::deque<PendingMessage> messages;
+    FragmentQueue unsent;           // waiting for window space
+    FragmentQueue unacked;          // posted, not yet acknowledged
+    std::uint32_t messages = 0;     // sent, not yet fully acknowledged
     sim::EventId timer{};
     bool timer_armed = false;
     /// Exponential backoff exponent: doubles the timeout after every
@@ -139,22 +155,34 @@ class GmPort final : public nic::NicClient {
   /// Per-source receiver state.
   struct RxConn {
     std::uint32_t expected_seq = 1;
-    /// Reassembly of the in-progress message (ordered delivery means at
-    /// most one message is ever partially received per connection).
+    /// Reassembly of the in-progress multi-fragment message (ordered
+    /// delivery means at most one message is ever partially received per
+    /// connection). Single-fragment messages never touch it.
     std::uint32_t msg_id = 0;
     packet::Bytes buffer;
     std::size_t received_bytes = 0;
   };
 
+  /// Connection tables, indexed by peer host and sized (one entry per
+  /// host) on first use: a cluster that never sends GM traffic keeps none.
+  /// Callers have bounded the peer id already.
   TxConn& tx_conn(std::uint16_t dst);
   RxConn& rx_conn(std::uint16_t src);
+  TxConn fresh_tx() const;
+  RxConn fresh_rx() const;
+  Fragment* new_fragment();
+  /// Destroy the fragment's payload and callback and return its slot.
+  void release_fragment(Fragment* f);
+  void release_all(FragmentQueue& q);
   void pump(std::uint16_t dst);
   void post_fragment(const Fragment& f);
   void send_ack(std::uint16_t dst, std::uint32_t cum_seq);
   void arm_timer(std::uint16_t dst);
   void on_timeout(std::uint16_t dst);
   void fail_connection(std::uint16_t dst);
-  void handle_data(sim::Time t, const GmHeader& h, packet::Bytes data);
+  /// `payload` is the whole GM packet payload, header included; a
+  /// single-fragment message is delivered in it, header stripped in place.
+  void handle_data(sim::Time t, const GmHeader& h, packet::Bytes payload);
   void handle_ack(const GmHeader& h);
 
   sim::EventQueue& queue_;
@@ -165,8 +193,9 @@ class GmPort final : public nic::NicClient {
   SendFailureHandler failure_handler_;
   int tokens_in_use_ = 0;
   std::uint32_t next_msg_id_ = 1;
-  std::map<std::uint16_t, TxConn> tx_;
-  std::map<std::uint16_t, RxConn> rx_;
+  std::vector<TxConn> tx_;  // by destination host
+  std::vector<RxConn> rx_;  // by source host
+  sim::SlabPool<Fragment, 64> frags_;
 };
 
 }  // namespace itb::gm

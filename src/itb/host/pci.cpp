@@ -2,7 +2,7 @@
 
 namespace itb::host {
 
-void PciBus::dma(std::int64_t bytes, std::function<void()> done) {
+void PciBus::dma(std::int64_t bytes, Done done) {
   pending_.push_back(Pending{bytes, std::move(done)});
   if (!busy_) start_next();
 }
@@ -13,14 +13,16 @@ void PciBus::start_next() {
     return;
   }
   busy_ = true;
-  Pending job = std::move(pending_.front());
+  Pending& job = pending_.front();
+  const sim::Duration cost = timing_.transfer_time(job.bytes);
+  running_ = std::move(job.done);
   pending_.pop_front();
-  queue_.schedule_in(timing_.transfer_time(job.bytes),
-                     [this, done = std::move(job.done)] {
-                       ++completed_;
-                       done();
-                       start_next();
-                     });
+  queue_.schedule_in(cost, [this] {
+    ++completed_;
+    running_();
+    running_.reset();  // release what the callback captured
+    start_next();
+  });
 }
 
 }  // namespace itb::host

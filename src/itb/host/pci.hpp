@@ -7,10 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
 #include "itb/sim/event_queue.hpp"
+#include "itb/sim/flat_fifo.hpp"
+#include "itb/sim/inline_function.hpp"
 #include "itb/sim/time.hpp"
 
 namespace itb::host {
@@ -34,11 +34,16 @@ struct PciTiming {
 /// FIFO order, each costing setup + bytes at the bus rate.
 class PciBus {
  public:
+  /// Completion callback of one DMA, stored inline. The largest, the
+  /// NIC's receive DMA, carries its payload buffer and three scalars
+  /// (48 B); a capture past 64 B would silently go to the heap.
+  using Done = sim::InlineFunction<void(), 64>;
+
   PciBus(sim::EventQueue& queue, PciTiming timing)
       : queue_(queue), timing_(timing) {}
 
   /// Enqueue a DMA of `bytes`; `done` fires at its completion time.
-  void dma(std::int64_t bytes, std::function<void()> done);
+  void dma(std::int64_t bytes, Done done);
 
   bool busy() const { return busy_; }
   const PciTiming& timing() const { return timing_; }
@@ -46,15 +51,19 @@ class PciBus {
 
  private:
   struct Pending {
-    std::int64_t bytes;
-    std::function<void()> done;
+    std::int64_t bytes = 0;
+    Done done;
   };
 
   void start_next();
 
   sim::EventQueue& queue_;
   PciTiming timing_;
-  std::deque<Pending> pending_;
+  sim::FlatFifo<Pending> pending_;
+  /// The transfer on the bus. Its callback waits here rather than inside
+  /// the completion event: an event closure capturing a 64-byte callback
+  /// would not fit the event slot inline and would go to the heap.
+  Done running_;
   bool busy_ = false;
   std::uint64_t completed_ = 0;
 };

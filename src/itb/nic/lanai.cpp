@@ -2,10 +2,10 @@
 
 namespace itb::nic {
 
-void McpCpu::post(McpPriority priority, int cycles, std::function<void()> fn,
+void McpCpu::post(McpPriority priority, int cycles, Job fn,
                   bool skip_dispatch) {
-  jobs_.push(Job{static_cast<int>(priority), next_seq_++, cycles,
-                 skip_dispatch, std::move(fn)});
+  jobs_.push(Queued{static_cast<int>(priority), next_seq_++, cycles,
+                    skip_dispatch, std::move(fn)});
   if (!busy_) pump();
 }
 
@@ -15,14 +15,16 @@ void McpCpu::pump() {
     return;
   }
   busy_ = true;
-  Job job = std::move(const_cast<Job&>(jobs_.top()));
+  Queued& next = const_cast<Queued&>(jobs_.top());
+  const int total = next.cycles + (next.skip_dispatch ? 0 : timing_.dispatch);
+  running_ = std::move(next.fn);
   jobs_.pop();
-  const int total = job.cycles + (job.skip_dispatch ? 0 : timing_.dispatch);
   const sim::Duration cost = timing_.cycles(total);
   busy_ns_ += cost;
   ++jobs_executed_;
-  queue_.schedule_in(cost, [this, fn = std::move(job.fn)] {
-    fn();
+  queue_.schedule_in(cost, [this] {
+    running_();
+    running_.reset();  // release what the job captured
     pump();
   });
 }

@@ -14,11 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <vector>
 
 #include "itb/sim/event_queue.hpp"
+#include "itb/sim/inline_function.hpp"
 #include "itb/sim/time.hpp"
 
 namespace itb::nic {
@@ -64,6 +64,11 @@ enum class McpPriority : int {
 /// Sequential prioritised executor for MCP jobs.
 class McpCpu {
  public:
+  /// One MCP state-machine step. Stored inline, never on the heap: the
+  /// largest job, the receive handler, carries a whole net::WirePacket
+  /// (56 B with `this`).
+  using Job = sim::InlineFunction<void(), 64>;
+
   McpCpu(sim::EventQueue& queue, const LanaiTiming& timing)
       : queue_(queue), timing_(timing) {}
 
@@ -72,7 +77,7 @@ class McpCpu {
   /// `skip_dispatch` models a state machine continuing straight into more
   /// work without returning to the event handler (the Recv-side
   /// re-injection shortcut of Fig. 4).
-  void post(McpPriority priority, int cycles, std::function<void()> fn,
+  void post(McpPriority priority, int cycles, Job fn,
             bool skip_dispatch = false);
 
   bool busy() const { return busy_; }
@@ -84,15 +89,15 @@ class McpCpu {
   std::uint64_t jobs_executed() const { return jobs_executed_; }
 
  private:
-  struct Job {
+  struct Queued {
     int priority;
     std::uint64_t seq;
     int cycles;
     bool skip_dispatch;
-    std::function<void()> fn;
+    Job fn;
   };
   struct Later {
-    bool operator()(const Job& a, const Job& b) const {
+    bool operator()(const Queued& a, const Queued& b) const {
       return a.priority > b.priority ||
              (a.priority == b.priority && a.seq > b.seq);
     }
@@ -102,7 +107,11 @@ class McpCpu {
 
   sim::EventQueue& queue_;
   LanaiTiming timing_;
-  std::priority_queue<Job, std::vector<Job>, Later> jobs_;
+  std::priority_queue<Queued, std::vector<Queued>, Later> jobs_;
+  /// The job in its busy window. It waits here rather than inside the
+  /// completion event: an event closure capturing a 64-byte Job would not
+  /// fit the event slot inline and would go to the heap.
+  Job running_;
   bool busy_ = false;
   std::uint64_t next_seq_ = 0;
   std::int64_t busy_ns_ = 0;

@@ -30,10 +30,13 @@ void Nic::load_routes(const routing::RouteTable& table) {
   route_epoch_ = table.epoch();
 }
 
-std::uint64_t Nic::post_send(std::uint16_t dst, packet::Bytes payload,
+std::uint64_t Nic::post_send(std::uint16_t dst,
+                             std::span<const std::uint8_t> header,
+                             std::span<const std::uint8_t> data,
                              packet::PacketType type) {
   if (dst == host_) throw std::invalid_argument("loopback send not supported");
-  if (payload.size() > kMtu) throw std::invalid_argument("payload exceeds MTU");
+  if (header.size() + data.size() > kMtu)
+    throw std::invalid_argument("payload exceeds MTU");
   if (routes_.at(dst).empty())
     throw std::logic_error("no route to host " + std::to_string(dst));
   const std::uint64_t token = next_token_++;
@@ -45,7 +48,8 @@ std::uint64_t Nic::post_send(std::uint16_t dst, packet::Bytes payload,
   ps->dst = dst;
   ps->type = type;
   ps->epoch = route_epoch_;
-  ps->payload = std::move(payload);
+  ps->payload.assign(header.begin(), header.end());
+  ps->payload.insert(ps->payload.end(), data.begin(), data.end());
   host_queue_.push_back(h);
   sdma_pump();
   return token;
@@ -268,11 +272,13 @@ void Nic::start_reinjection(net::TxHandle h) {
   sim::Time data_ready;
   RxRec* rec = find_rx(h);
   if (rec && rec->stashed) {
-    stripped = packet::strip_itb_stage(rec->stash.bytes);
+    // Fully received: the stashed wire buffer itself is re-injected.
+    stripped = packet::strip_itb_stage(std::move(rec->stash.bytes));
     data_ready = queue_.now();
     rec->stashed = false;
-    rec->stash = net::WirePacket{};  // bytes no longer needed
   } else if (auto peek = network_.peek_rx(h)) {
+    // Still arriving (cut-through): the network owns the bytes until the
+    // tail lands, so the re-injection streams from a copy.
     stripped = packet::strip_itb_stage(*peek->bytes);
     data_ready = peek->tail_time;
   } else {
@@ -371,11 +377,14 @@ void Nic::on_rx_complete(sim::Time, net::WirePacket packet) {
                 free_recv_buffer();
                 return;
               }
-              // Normal packet: RDMA the payload into host memory.
-              packet::Bytes payload(
-                  packet.bytes.begin() +
-                      static_cast<std::ptrdiff_t>(head->payload_offset),
-                  packet.bytes.end() - 1);
+              // Normal packet: RDMA the payload into host memory. The wire
+              // buffer becomes the payload in place: drop the CRC and the
+              // type bytes.
+              packet::Bytes payload = std::move(packet.bytes);
+              payload.pop_back();
+              payload.erase(payload.begin(),
+                            payload.begin() + static_cast<std::ptrdiff_t>(
+                                                  head->payload_offset));
               const auto type = head->type;
               const auto h = packet.handle;
               pci_.dma(static_cast<std::int64_t>(payload.size()),

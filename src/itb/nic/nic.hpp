@@ -26,8 +26,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "itb/host/pci.hpp"
@@ -83,7 +82,8 @@ class NicClient {
  public:
   virtual ~NicClient() = default;
 
-  /// A packet's payload landed in host memory (RDMA complete).
+  /// A packet's payload landed in host memory (RDMA complete). `payload`
+  /// is the received wire buffer itself, route, type and CRC stripped.
   virtual void on_message(sim::Time t, packet::PacketType type,
                           packet::Bytes payload) = 0;
 
@@ -117,15 +117,32 @@ class Nic final : public net::HostHooks {
     return dst < routes_.size() && !routes_[dst].empty();
   }
 
-  /// Queue a payload for transmission; returns the send token. Fragmenting
+  /// Queue a payload for transmission; returns the send token. The bytes
+  /// are copied into the send's SRAM buffer (what the SDMA stage models),
+  /// so the caller keeps its own — GM retransmits from it. Fragmenting
   /// messages into MTU-sized packets is the GM layer's job.
-  std::uint64_t post_send(std::uint16_t dst, packet::Bytes payload,
+  std::uint64_t post_send(std::uint16_t dst,
+                          std::span<const std::uint8_t> payload,
+                          packet::PacketType type = packet::PacketType::kGm) {
+    return post_send(dst, {}, payload, type);
+  }
+
+  /// The same for a payload in two pieces, `header` then `data` (GM's
+  /// header and its fragment), copied into the buffer back to back.
+  std::uint64_t post_send(std::uint16_t dst,
+                          std::span<const std::uint8_t> header,
+                          std::span<const std::uint8_t> data,
                           packet::PacketType type = packet::PacketType::kGm);
 
   const NicStats& stats() const { return stats_; }
   const McpOptions& options() const { return options_; }
   const LanaiTiming& timing() const { return timing_; }
   std::uint16_t host() const { return host_; }
+  /// Hosts of the network this NIC is attached to (valid destinations are
+  /// below this, except the NIC's own host).
+  std::uint16_t host_count() const {
+    return static_cast<std::uint16_t>(routes_.size());
+  }
   const McpCpu& cpu() const { return cpu_; }
   /// Virtual lane this NIC's injections start on (0 unless a multi-lane
   /// deadlock engine is installed on the network).
@@ -177,7 +194,8 @@ class Nic final : public net::HostHooks {
  private:
   /// One host send in the SDMA/SRAM pipeline. Lives in `send_pool_` so the
   /// MCP closures capture a 16-byte {this, handle} instead of the payload
-  /// vector, and the payload buffer is recycled warm across sends.
+  /// vector, and the payload buffer is recycled warm across sends: it is
+  /// only ever copied into, never moved from or replaced.
   struct PostedSend {
     std::uint64_t token = 0;
     std::uint16_t dst = 0;

@@ -62,33 +62,31 @@ Bytes build_itb_packet(const std::vector<Route>& segments, PacketType type,
   if (segments.empty()) throw std::invalid_argument("no route segments");
   if (segments.size() == 1) return build_packet(segments[0], type, payload);
 
-  // Remaining-header length seen by the ITB tag before segment i: all later
-  // segments' route bytes, the tags between them, and the final 2-byte type.
-  // Computed back-to-front.
-  std::vector<std::size_t> remaining(segments.size(), 0);
-  std::size_t acc = 2;  // final Type field
-  for (std::size_t i = segments.size(); i-- > 1;) {
-    acc += segments[i].size();
-    remaining[i] = acc;
-    acc += 3;  // the ITB tag (2) + Length (1) that precedes segment i
-  }
-  for (std::size_t i = 1; i < segments.size(); ++i) {
-    if (remaining[i] > kMaxHeaderBytes)
-      throw std::invalid_argument("ITB Length field overflow");
-  }
+  // Header bytes behind segment 0's route: every later segment's route
+  // bytes, the ITB tag (2) + Length (1) in front of each, and the final
+  // 2-byte type. The Length before segment i counts what follows it, so
+  // the first Length is the largest and is the only one to check.
+  std::size_t header = 2;
+  for (std::size_t i = 1; i < segments.size(); ++i)
+    header += 3 + segments[i].size();
+  if (header - 3 > kMaxHeaderBytes)
+    throw std::invalid_argument("ITB Length field overflow");
 
   Bytes out;
+  out.reserve(segments[0].size() + header + payload.size() + 1);
   append_route(out, segments[0]);
   for (std::size_t i = 1; i < segments.size(); ++i) {
+    header -= 3;
     append_type(out, PacketType::kItb);
-    out.push_back(static_cast<std::uint8_t>(remaining[i]));
+    out.push_back(static_cast<std::uint8_t>(header));
     append_route(out, segments[i]);
+    header -= segments[i].size();
   }
+  const std::size_t body_start = out.size();
   append_type(out, type);
   out.insert(out.end(), payload.begin(), payload.end());
   // CRC over the terminal portion (Type + payload) so that consuming route
   // bytes and stripping ITB stages never invalidates it.
-  const std::size_t body_start = out.size() - payload.size() - 2;
   out.push_back(crc8(std::span(out).subspan(body_start)));
   return out;
 }
@@ -115,11 +113,12 @@ std::optional<ParsedHead> parse_head(std::span<const std::uint8_t> buffer) {
   return head;
 }
 
-Bytes strip_itb_stage(std::span<const std::uint8_t> buffer) {
+Bytes strip_itb_stage(Bytes buffer) {
   auto head = parse_head(buffer);
   if (!head || head->type != PacketType::kItb)
     throw std::invalid_argument("buffer does not start with an ITB tag");
-  return Bytes(buffer.begin() + 3, buffer.end());
+  buffer.erase(buffer.begin(), buffer.begin() + 3);
+  return buffer;
 }
 
 std::uint8_t consume_route_byte(Bytes& buffer) {

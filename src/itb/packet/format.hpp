@@ -83,9 +83,11 @@ std::optional<ParsedHead> parse_head(std::span<const std::uint8_t> buffer);
 std::optional<PacketType> peek_type(std::span<const std::uint8_t> buffer);
 
 /// Strip the leading ITB tag (2-byte type + Length byte) from a received
-/// in-transit packet, yielding the bytes to re-inject. Throws
-/// std::invalid_argument if the buffer does not start with an ITB tag.
-Bytes strip_itb_stage(std::span<const std::uint8_t> buffer);
+/// in-transit packet, yielding the bytes to re-inject. The buffer is taken
+/// by value and stripped in place: move a fully received packet in, copy
+/// one that is still arriving. Throws std::invalid_argument if the buffer
+/// does not start with an ITB tag.
+Bytes strip_itb_stage(Bytes buffer);
 
 /// Consume the leading route byte (what a switch does). Returns the output
 /// port and erases the byte from `buffer`. Throws if no route byte leads.

@@ -37,7 +37,7 @@ TEST(GmHeader, RoundTrip) {
   EXPECT_EQ(d->header.frag_offset, 8192u);
   EXPECT_EQ(d->header.msg_len, 100000u);
   EXPECT_EQ(d->header.frag_len, 17u);
-  EXPECT_EQ(d->data, data);
+  EXPECT_EQ(Bytes(d->data.begin(), d->data.end()), data);
 }
 
 TEST(GmHeader, AckRoundTrip) {
@@ -62,6 +62,10 @@ TEST(GmHeader, RejectsMalformed) {
   auto p = gm::encode(h, Bytes(4, 0));
   p.pop_back();                                              // frag_len lies
   EXPECT_FALSE(gm::decode(p).has_value());
+  gm::GmHeader past_end;
+  past_end.frag_offset = 60;
+  past_end.msg_len = 64;
+  EXPECT_FALSE(gm::decode(gm::encode(past_end, Bytes(8, 0))).has_value());
 }
 
 // ----------------------------------------------------------------- ports --
@@ -158,6 +162,91 @@ TEST(GmPort, ManyMessagesArriveInOrder) {
 TEST(GmPort, EmptyMessageThrows) {
   auto c = make_cluster();
   EXPECT_THROW(c->port(0).send(1, Bytes{}), std::invalid_argument);
+}
+
+TEST(GmPort, SendToOwnOrUnknownHostThrows) {
+  // GM's connection tables are indexed by peer host: a peer id that names
+  // this host or no host at all is a caller error, not a connection that
+  // holds a token and retransmits into "no route" until max_retries.
+  auto c = make_cluster();  // hosts 0 and 1
+  auto& port = c->port(0);
+  EXPECT_THROW(port.send(0, Bytes(8, 1)), std::invalid_argument);
+  EXPECT_THROW(port.send(2, Bytes(8, 1)), std::invalid_argument);
+  EXPECT_THROW(port.send(0xFFFF, Bytes(8, 1)), std::invalid_argument);
+  EXPECT_EQ(port.tokens_in_use(), 0);
+  EXPECT_FALSE(port.peer_failed(2));
+  c->run();
+  EXPECT_EQ(port.stats().messages_sent, 0u);
+  EXPECT_EQ(port.stats().packets_data, 0u);
+  EXPECT_EQ(port.stats().packets_unroutable, 0u);
+  EXPECT_EQ(c->nic(0).stats().sent, 0u);
+}
+
+TEST(GmPort, DropsPacketsFromUnknownSourceHosts) {
+  // Received headers are bounded too: data or an ack claiming a source no
+  // host of the network has is dropped — no ack, no delivery, and no index
+  // into the (already sized) connection tables.
+  auto c = make_cluster();
+  int handled = 0;
+  c->port(0).set_receive_handler(
+      [&](sim::Time, std::uint16_t, Bytes) { ++handled; });
+  c->port(1).set_receive_handler([](sim::Time, std::uint16_t, Bytes) {});
+  ASSERT_TRUE(c->port(0).send(1, Bytes(32, 1)));  // sizes port 0's tables
+  c->run();
+  const auto before = c->port(0).stats();
+
+  gm::GmHeader h;
+  h.src_host = 2;  // a 2-host network
+  h.dst_host = 0;
+  h.seq = gm::GmConfig{}.initial_seq;
+  h.msg_len = 64;
+  c->nic(1).post_send(0, gm::encode(h, Bytes(64, 0x5A)));
+  gm::GmHeader ack;
+  ack.subtype = gm::Subtype::kAck;
+  ack.src_host = 0xFFFF;
+  ack.dst_host = 0;
+  ack.seq = 1000;
+  c->nic(1).post_send(0, gm::encode(ack, {}));
+  c->run();
+
+  EXPECT_EQ(c->nic(0).stats().delivered_to_host, 3u);  // 1 ack + 2 forged
+  EXPECT_EQ(handled, 0);
+  const auto& after = c->port(0).stats();
+  EXPECT_EQ(after.messages_delivered, before.messages_delivered);
+  EXPECT_EQ(after.packets_ack, before.packets_ack);
+  EXPECT_EQ(after.packets_unroutable, before.packets_unroutable);
+  EXPECT_EQ(after.duplicates, 0u);
+  EXPECT_EQ(after.out_of_order, 0u);
+  EXPECT_EQ(c->port(0).tokens_in_use(), 0);
+
+  // The port is unharmed: a genuine exchange still works both ways.
+  ASSERT_TRUE(c->port(1).send(0, Bytes(16, 2)));
+  c->run();
+  EXPECT_EQ(handled, 1);
+}
+
+TEST(GmPort, ReassemblyStaysInsideItsBuffer) {
+  // A forged follow-up fragment claiming a longer message than the one
+  // being reassembled must not write past the buffer sized for it.
+  auto c = make_cluster();
+  int handled = 0;
+  c->port(0).set_receive_handler(
+      [&](sim::Time, std::uint16_t, Bytes) { ++handled; });
+  gm::GmHeader h;
+  h.src_host = 1;
+  h.dst_host = 0;
+  h.msg_id = 5;
+  h.seq = gm::GmConfig{}.initial_seq;
+  h.msg_len = 200;
+  c->nic(1).post_send(0, gm::encode(h, Bytes(100, 1)));  // [0, 100) of 200
+  h.seq += 1;
+  h.frag_offset = 150;
+  h.msg_len = 300;
+  c->nic(1).post_send(0, gm::encode(h, Bytes(100, 2)));  // [150, 250) of 300
+  c->run();
+  EXPECT_EQ(handled, 0);
+  EXPECT_EQ(c->port(0).stats().messages_delivered, 0u);
+  EXPECT_EQ(c->port(0).stats().packets_ack, 2u);
 }
 
 TEST(GmPort, BidirectionalConversation) {

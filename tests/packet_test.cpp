@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
 
 #include "itb/packet/crc.hpp"
 #include "itb/packet/format.hpp"
+#include "itb/sim/alloc_hook.hpp"
 
 namespace {
 
@@ -21,6 +23,39 @@ TEST(Crc8, KnownVector) {
   const char* s = "123456789";
   std::vector<std::uint8_t> data(s, s + 9);
   EXPECT_EQ(crc8(data), 0xF4);
+}
+
+// CRC-8 straight from its definition, one bit at a time (poly 0x07, init
+// 0, no reflection). Shares no table or code with packet::crc8.
+std::uint8_t crc8_reference(std::span<const std::uint8_t> data) {
+  std::uint8_t c = 0;
+  for (auto b : data) {
+    c ^= b;
+    for (int bit = 0; bit < 8; ++bit)
+      c = static_cast<std::uint8_t>((c & 0x80u) ? (c << 1) ^ 0x07u : c << 1);
+  }
+  return c;
+}
+
+TEST(Crc8, MatchesBitwiseReferenceAtEveryLength) {
+  const char* s = "123456789";
+  const Bytes check(s, s + 9);
+  EXPECT_EQ(crc8_reference(check), 0xF4);
+  EXPECT_EQ(crc8(check), 0xF4);
+
+  std::mt19937 gen(20011);
+  Bytes data(4200);
+  for (auto& b : data) b = static_cast<std::uint8_t>(gen());
+  const std::span<const std::uint8_t> all(data);
+  for (std::size_t n = 0; n <= data.size(); ++n)
+    ASSERT_EQ(crc8(all.first(n)), crc8_reference(all.first(n)))
+        << "length " << n;
+  // Every start offset within a word, so the 8-byte blocks straddle
+  // different alignments.
+  for (std::size_t off = 1; off < 8; ++off)
+    ASSERT_EQ(crc8(all.subspan(off, 1001)),
+              crc8_reference(all.subspan(off, 1001)))
+        << "offset " << off;
 }
 
 TEST(Crc32, KnownVector) {
@@ -161,6 +196,19 @@ TEST(Format, ThreeSegmentChain) {
   auto last = strip_itb_stage(rest);
   consume_route_byte(last);
   EXPECT_TRUE(verify_crc(last));
+}
+
+TEST(Format, ItbBuildAllocatesOnlyItsBuffer) {
+  if (!itb::sim::alloc_counting_available())
+    GTEST_SKIP() << "allocation counting unavailable (sanitizer build)";
+  const std::vector<Route> segments{{1, 2, 3}, {4, 5}, {6}};
+  const auto payload = make_payload(512);
+  const auto before = itb::sim::total_allocations();
+  const Bytes p = build_itb_packet(segments, PacketType::kGm, payload);
+  EXPECT_EQ(itb::sim::total_allocations() - before, 1u);
+  // 6 route + 2 x (tag 2 + Length 1) + type 2 + payload + CRC 1.
+  EXPECT_EQ(p.size(), 6u + 6u + 2u + payload.size() + 1u);
+  EXPECT_EQ(p.capacity(), p.size());  // the size pass was exact
 }
 
 TEST(Format, StripNonItbThrows) {

@@ -1,5 +1,6 @@
-// SlabPool / FlatFifo unit + property tests, and the zero-allocation
-// steady-state oracle for the pooled network hot path (DESIGN.md §6i).
+// SlabPool / FlatFifo unit + property tests, and the steady-state
+// allocation oracles: zero for the pooled network hot path, at most one wire
+// buffer per packet for a whole cluster (DESIGN.md §6i).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,12 +11,14 @@
 #include <unordered_set>
 #include <vector>
 
+#include "itb/core/cluster.hpp"
 #include "itb/net/network.hpp"
 #include "itb/packet/format.hpp"
 #include "itb/sim/alloc_hook.hpp"
 #include "itb/sim/event_queue.hpp"
 #include "itb/sim/flat_fifo.hpp"
 #include "itb/sim/slab_pool.hpp"
+#include "itb/topo/builders.hpp"
 #include "itb/topo/topology.hpp"
 
 namespace {
@@ -299,6 +302,71 @@ TEST(ZeroAlloc, NetworkSteadyStateMakesNoHeapAllocations) {
   const std::uint64_t after = sim::total_allocations();
   EXPECT_EQ(after - before, 0u)
       << "steady-state hot path allocated " << (after - before) << " times";
+}
+
+TEST(ZeroAlloc, ClusterSteadyStateAllocatesOneWireBufferPerPacket) {
+  // The full stack — GM, NIC MCP and PCI, the wormhole fabric and ITB
+  // re-injections — on an 8 x 4 ITB COW with the full-stack benchmark's
+  // data-plane settings. Once every ordered pair has exchanged a message,
+  // a GM message may cost heap allocations only for the wire buffers the
+  // NICs build (one per packet they inject, ITB copies included): no MCP
+  // job, DMA callback, connection table, queue or per-layer copy.
+  if (!sim::alloc_counting_available())
+    GTEST_SKIP() << "allocation counting unavailable (sanitizer build)";
+
+  core::ClusterConfig cfg;
+  sim::Rng rng(6001);
+  topo::IrregularSpec spec;
+  spec.switches = 8;
+  spec.hosts_per_switch = 4;
+  cfg.topology = topo::make_random_irregular(spec, rng);
+  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.mcp_options.recv_buffers = 64;
+  cfg.mcp_options.drop_when_full = true;
+  cfg.gm_config.send_tokens = 64;
+  cfg.gm_config.window = 32;
+  cfg.gm_config.retransmit_timeout = 5 * sim::kMs;
+  cfg.route_solve_jobs = 1;
+  core::Cluster c(std::move(cfg));
+  const auto hosts = static_cast<std::uint16_t>(c.host_count());
+
+  std::uint64_t delivered = 0;
+  for (std::uint16_t h = 0; h < hosts; ++h)
+    c.port(h).set_receive_handler(
+        [&delivered](sim::Time, std::uint16_t, packet::Bytes) { ++delivered; });
+  // Every host sends one 512 B message to every other. The caller builds
+  // the messages, so the test's own buffers stay out of the measured window.
+  const std::size_t pairs = std::size_t{hosts} * (hosts - 1u);
+  auto all_pairs = [&](std::vector<packet::Bytes> msgs) {
+    std::size_t i = 0;
+    for (std::uint16_t src = 0; src < hosts; ++src)
+      for (std::uint16_t dst = 0; dst < hosts; ++dst)
+        if (dst != src) {
+          ASSERT_TRUE(c.port(src).send(dst, std::move(msgs[i++])));
+        }
+  };
+
+  // Warm-up: the first round sizes every connection table and grows the
+  // pools and queues to their working set; the second lets the NICs'
+  // warm-recycled send buffers, some first sized by a 23-byte ack, reach
+  // data-packet capacity.
+  for (int warm = 0; warm < 2; ++warm) {
+    all_pairs(std::vector<packet::Bytes>(pairs, packet::Bytes(512, 0xC3)));
+    c.run();
+  }
+  ASSERT_EQ(delivered, 2 * pairs);
+
+  std::vector<packet::Bytes> msgs(pairs, packet::Bytes(512, 0xC3));
+  const auto injected0 = c.network().stats().injected;
+  sim::mark_steady_state();
+  all_pairs(std::move(msgs));
+  c.run();
+  const std::uint64_t allocs = sim::allocations_since_mark();
+  const std::uint64_t worms = c.network().stats().injected - injected0;
+  ASSERT_EQ(delivered, 3 * pairs);
+  ASSERT_GE(worms, 2 * pairs);  // a data packet and an ack per message
+  EXPECT_LE(allocs, worms) << allocs << " allocations for " << worms
+                           << " packets";
 }
 
 }  // namespace
