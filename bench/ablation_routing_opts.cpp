@@ -56,7 +56,7 @@ Metrics evaluate(const topo::Topology& topo, std::uint16_t root,
   for (std::uint16_t s = 0; s < table.host_count(); ++s)
     for (std::uint16_t d = 0; d < table.host_count(); ++d) {
       if (s == d) continue;
-      for (auto h : table.route(s, d).in_transit_hosts) ++duty[h];
+      for (auto h : table.route(s, d).in_transit_hosts()) ++duty[h];
     }
   m.max_itb_duty = 0;
   for (auto& [h, n] : duty) m.max_itb_duty = std::max(m.max_itb_duty, n);

@@ -118,7 +118,7 @@ void run_traffic(const topo::Topology& fabric,
       hosts, std::vector<std::vector<packet::Route>>(hosts));
   for (std::uint16_t s = 0; s < hosts; ++s)
     for (std::uint16_t d = 0; d < hosts; ++d)
-      if (s != d) manual[s][d] = table.route(s, d).segments;
+      if (s != d) manual[s][d] = table.route(s, d).segments();
 
   core::ClusterConfig cfg;
   cfg.topology = fabric;

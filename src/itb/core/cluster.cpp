@@ -1,6 +1,7 @@
 #include "itb/core/cluster.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace itb::core {
 
@@ -25,13 +26,26 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   }
 
   if (config_.manual_routes) {
+    // Encode every hand-built route into its source's row once, here: a
+    // short row or a port the route-byte format cannot carry fails the
+    // construction instead of the first send.
     const auto& routes = *config_.manual_routes;
     if (routes.size() != hosts)
       throw std::invalid_argument("manual_routes must cover every source");
-    for (std::uint16_t s = 0; s < hosts; ++s)
-      for (std::uint16_t d = 0; d < hosts; ++d)
-        if (s != d && !routes[s][d].empty())
-          nics_[s]->set_route(d, routes[s][d]);
+    for (std::uint16_t s = 0; s < hosts; ++s) {
+      if (routes[s].size() != hosts)
+        throw std::invalid_argument("manual_routes[" + std::to_string(s) +
+                                    "] must cover every destination");
+      auto row = std::make_shared<routing::RouteRow>();
+      row->reset(s);
+      for (std::uint16_t d = 0; d < hosts; ++d) {
+        if (s == d)
+          row->add(routing::RouteView{});
+        else
+          row->add(routes[s][d]);
+      }
+      nics_[s]->load_routes(std::move(row));
+    }
     // Hand-built routes were (by contract) planned against the root-0
     // orientation of the true topology.
     engine_->bind(routing::UpDown(config_.topology, 0), config_.topology, {});

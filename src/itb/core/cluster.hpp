@@ -75,7 +75,9 @@ struct ClusterConfig {
       routing::ItbHostSelection::kLowestIndex;
   /// When set, skip the mapper and install these exact route segments on
   /// every NIC instead (used by the Fig. 7/8 benches, which hand-build
-  /// their measurement paths). Indexed [src][dst].
+  /// their measurement paths). Indexed [src][dst]. The constructor encodes
+  /// them into route rows and throws std::invalid_argument when a row does
+  /// not cover every destination or a port does not fit a route byte.
   std::optional<std::vector<std::vector<std::vector<packet::Route>>>>
       manual_routes;
   /// Tick period of the telemetry sampler (armed on demand; idle clusters

@@ -123,20 +123,20 @@ class VcEscapeEngine final : public DeadlockEngine {
 
 void add_laned_route(routing::DependencyGraph& graph,
                      const DeadlockEngine& engine,
-                     const routing::HostPath& path,
+                     const routing::RouteView& path,
                      const topo::Topology& topo) {
-  if (path.segments.size() != 1)
+  if (path.segment_count() != 1)
     throw std::logic_error("multi-lane engines route in one segment");
   using Node = routing::DependencyGraph::Node;
-  net::LaneState state{engine.injection_lane(path.src_host), 0};
+  net::LaneState state{engine.injection_lane(path.src_host()), 0};
   Node prev =
-      Node::of_channel(host_channel(topo, path.src_host, true), state.lane);
-  for (const auto& c : path.trunk_channels) {
+      Node::of_channel(host_channel(topo, path.src_host(), true), state.lane);
+  for (const auto& c : path.trunk_channels()) {
     const Node cur = Node::of_channel(c, engine.lane_for(state, c));
     graph.add_edge(prev, cur);
     prev = cur;
   }
-  const topo::Channel down = host_channel(topo, path.dst_host, false);
+  const topo::Channel down = host_channel(topo, path.dst_host(), false);
   graph.add_edge(prev, Node::of_channel(down, engine.lane_for(state, down)));
 }
 
@@ -167,11 +167,11 @@ std::unique_ptr<DeadlockEngine> make_engine(const EngineSpec& spec) {
 }
 
 std::vector<std::uint8_t> trunk_lanes(const DeadlockEngine& engine,
-                                      const routing::HostPath& path) {
-  net::LaneState state{engine.injection_lane(path.src_host), 0};
+                                      const routing::RouteView& path) {
+  net::LaneState state{engine.injection_lane(path.src_host()), 0};
   std::vector<std::uint8_t> lanes;
-  lanes.reserve(path.trunk_channels.size());
-  for (const auto& c : path.trunk_channels)
+  lanes.reserve(path.trunk_hops());
+  for (const auto& c : path.trunk_channels())
     lanes.push_back(engine.lane_for(state, c));
   return lanes;
 }
@@ -188,8 +188,8 @@ routing::DependencyGraph build_dependency_graph(const DeadlockEngine& engine,
   for (std::uint16_t s = 0; s < table.host_count(); ++s)
     for (std::uint16_t d = 0; d < table.host_count(); ++d) {
       if (s == d) continue;
-      const auto& r = table.route(s, d);
-      if (r.segments.empty()) continue;  // degraded pair
+      const routing::RouteView r = table.route(s, d);
+      if (r.empty()) continue;  // degraded pair
       add_laned_route(graph, engine, r, topo);
     }
   return graph;

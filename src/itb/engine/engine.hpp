@@ -92,7 +92,7 @@ std::unique_ptr<DeadlockEngine> make_engine(const EngineSpec& spec);
 /// static ladder decomposition; it is by construction what the live network
 /// executes, since both walk LanePolicy::lane_for in route order.
 std::vector<std::uint8_t> trunk_lanes(const DeadlockEngine& engine,
-                                      const routing::HostPath& path);
+                                      const routing::RouteView& path);
 
 /// Build the engine's per-lane channel dependency graph over a route table:
 /// every chain node is a (channel, lane) pair under the engine's own lane

@@ -13,21 +13,31 @@ Nic::Nic(sim::EventQueue& queue, net::Network& network, host::PciBus& pci,
       host_(host),
       timing_(timing),
       options_(options),
-      cpu_(queue, timing),
-      routes_(network.topology().host_count()) {
+      cpu_(queue, timing) {
   network_.attach_host(host, this);
 }
 
-void Nic::set_route(std::uint16_t dst, std::vector<packet::Route> segments) {
-  routes_.at(dst) = std::move(segments);
+void Nic::set_route(std::uint16_t dst,
+                    const std::vector<packet::Route>& segments) {
+  if (dst >= host_count()) throw std::out_of_range("destination host");
+  auto row = std::make_shared<routing::RouteRow>();
+  row->reset(host_);
+  for (std::uint16_t d = 0; d < host_count(); ++d) {
+    if (d == dst)
+      row->add(segments);
+    else
+      row->add(routes_ ? routes_->route(d) : routing::RouteView{});
+  }
+  routes_ = std::move(row);
 }
 
 void Nic::load_routes(const routing::RouteTable& table) {
-  for (std::uint16_t d = 0; d < table.host_count(); ++d) {
-    if (d == host_) continue;
-    routes_.at(d) = table.route(host_, d).segments;
-  }
+  routes_ = table.row(host_);
   route_epoch_ = table.epoch();
+}
+
+void Nic::load_routes(std::shared_ptr<const routing::RouteRow> row) {
+  routes_ = std::move(row);
 }
 
 std::uint64_t Nic::post_send(std::uint16_t dst,
@@ -37,7 +47,8 @@ std::uint64_t Nic::post_send(std::uint16_t dst,
   if (dst == host_) throw std::invalid_argument("loopback send not supported");
   if (header.size() + data.size() > kMtu)
     throw std::invalid_argument("payload exceeds MTU");
-  if (routes_.at(dst).empty())
+  if (dst >= host_count()) throw std::out_of_range("destination host");
+  if (!has_route(dst))
     throw std::logic_error("no route to host " + std::to_string(dst));
   const std::uint64_t token = next_token_++;
   if (auto* fr = network_.flight_recorder())
@@ -139,7 +150,7 @@ void Nic::send_pump() {
   const sim::PoolHandle sh = ready_buffers_.take_front();
   cpu_.post(McpPriority::kHostRequest, timing_.send_process, [this, sh] {
     PostedSend& ps = *send_pool_.get(sh);
-    if (routes_[ps.dst].empty()) {
+    if (!has_route(ps.dst)) {
       // post_send checked the route, but tables hot-swap on remap: a window
       // that disconnects ps.dst empties its route while the send sits in
       // the SRAM pipeline. If the table epoch moved since the send was
@@ -169,7 +180,9 @@ void Nic::send_pump() {
       }
       return;
     }
-    auto bytes = packet::build_itb_packet(routes_[ps.dst], ps.type, ps.payload);
+    // The row holds the ready Fig. 3b header: stamp it, then Type,
+    // payload and CRC, into one wire buffer.
+    auto bytes = packet::frame(route(ps.dst).header(), ps.type, ps.payload);
     const std::uint64_t token = ps.token;
     send_pool_.release(sh);  // payload consumed; buffer recycles warm
     queue_.schedule_in(timing_.cycles(timing_.send_dma_start),

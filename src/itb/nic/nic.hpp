@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -104,18 +105,29 @@ class Nic final : public net::HostHooks {
   void set_client(NicClient* client) { client_ = client; }
 
   /// Install the source-route segments toward `dst` (what the mapper
-  /// downloads into NIC SRAM).
-  void set_route(std::uint16_t dst, std::vector<packet::Route> segments);
+  /// downloads into NIC SRAM). Copy on write: the NIC's row may be shared
+  /// with a route table, so this builds a new row.
+  void set_route(std::uint16_t dst, const std::vector<packet::Route>& segments);
 
-  /// Install routes for every destination from a computed table.
+  /// Install this host's row of `table` and the table's epoch. The row is
+  /// shared with the table, not copied: installing swaps a pointer.
   void load_routes(const routing::RouteTable& table);
+
+  /// Install a ready row from this host to every destination (hand-built
+  /// routes, encoded once by the cluster). The epoch stays.
+  void load_routes(std::shared_ptr<const routing::RouteRow> row);
+
+  /// The installed route toward `dst`: its header is what the MCP stamps
+  /// on the next send. Empty when none is installed.
+  routing::RouteView route(std::uint16_t dst) const {
+    return routes_ && dst < routes_->size() ? routes_->route(dst)
+                                            : routing::RouteView{};
+  }
 
   /// True when a (non-empty) route toward `dst` is installed. Degraded
   /// tables leave unreachable destinations route-less; callers check this
   /// instead of eating post_send's no-route throw.
-  bool has_route(std::uint16_t dst) const {
-    return dst < routes_.size() && !routes_[dst].empty();
-  }
+  bool has_route(std::uint16_t dst) const { return !route(dst).empty(); }
 
   /// Queue a payload for transmission; returns the send token. The bytes
   /// are copied into the send's SRAM buffer (what the SDMA stage models),
@@ -141,7 +153,7 @@ class Nic final : public net::HostHooks {
   /// Hosts of the network this NIC is attached to (valid destinations are
   /// below this, except the NIC's own host).
   std::uint16_t host_count() const {
-    return static_cast<std::uint16_t>(routes_.size());
+    return static_cast<std::uint16_t>(network_.topology().host_count());
   }
   const McpCpu& cpu() const { return cpu_; }
   /// Virtual lane this NIC's injections start on (0 unless a multi-lane
@@ -260,7 +272,9 @@ class Nic final : public net::HostHooks {
   NicClient* client_ = nullptr;
   NicStats stats_;
 
-  std::vector<std::vector<packet::Route>> routes_;  // by destination host
+  /// This host's route row (the header to stamp per destination), shared
+  /// with the table it came from; null until routes are installed.
+  std::shared_ptr<const routing::RouteRow> routes_;
 
   // Send path.
   sim::SlabPool<PostedSend, 64> send_pool_;

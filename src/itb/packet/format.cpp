@@ -26,8 +26,15 @@ void append_type(Bytes& out, PacketType type) {
   out.push_back(static_cast<std::uint8_t>(v & 0xFF));
 }
 
-void append_route(Bytes& out, const Route& route) {
-  for (auto port : route) out.push_back(encode_route_byte(port));
+/// Append Type, payload and the CRC-8 over both behind a header.
+void append_body(Bytes& out, PacketType type,
+                 std::span<const std::uint8_t> payload) {
+  const std::size_t body_start = out.size();
+  append_type(out, type);
+  out.insert(out.end(), payload.begin(), payload.end());
+  // CRC over the terminal portion (Type + payload) so that consuming route
+  // bytes and stripping ITB stages never invalidates it.
+  out.push_back(crc8(std::span(out).subspan(body_start)));
 }
 
 std::optional<PacketType> read_type(std::span<const std::uint8_t> b) {
@@ -45,49 +52,67 @@ std::optional<PacketType> read_type(std::span<const std::uint8_t> b) {
 
 }  // namespace
 
+void HeaderEncoder::itb() {
+  append_type(out_, PacketType::kItb);
+  out_.push_back(0);  // Length, filled in by finish()
+}
+
+void HeaderEncoder::finish() {
+  // The Length behind a tag counts every header byte after it up to and
+  // including the final 2-byte Type, so the first one is the largest.
+  const std::size_t type_end = out_.size() + 2;
+  for (std::size_t pos = start_; pos < out_.size();) {
+    if (is_route_byte(out_[pos])) {
+      ++pos;
+      continue;
+    }
+    const std::size_t remaining = type_end - (pos + 3);
+    if (remaining > kMaxHeaderBytes)
+      throw std::invalid_argument("ITB Length field overflow");
+    out_[pos + 2] = static_cast<std::uint8_t>(remaining);
+    pos += 3;
+  }
+}
+
+void append_header(Bytes& out, const std::vector<Route>& segments) {
+  if (segments.empty()) throw std::invalid_argument("no route segments");
+  HeaderEncoder enc(out);
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    if (i > 0) enc.itb();
+    for (auto port : segments[i]) enc.port(port);
+  }
+  enc.finish();
+}
+
+Bytes frame(std::span<const std::uint8_t> header, PacketType type,
+            std::span<const std::uint8_t> payload) {
+  Bytes out;
+  out.reserve(header.size() + 2 + payload.size() + 1);
+  out.assign(header.begin(), header.end());
+  append_body(out, type, payload);
+  return out;
+}
+
 Bytes build_packet(const Route& route, PacketType type,
                    std::span<const std::uint8_t> payload) {
   Bytes out;
   out.reserve(route.size() + 2 + payload.size() + 1);
-  append_route(out, route);
-  const std::size_t body_start = out.size();
-  append_type(out, type);
-  out.insert(out.end(), payload.begin(), payload.end());
-  out.push_back(crc8(std::span(out).subspan(body_start)));
+  HeaderEncoder enc(out);
+  for (auto port : route) enc.port(port);
+  append_body(out, type, payload);
   return out;
 }
 
 Bytes build_itb_packet(const std::vector<Route>& segments, PacketType type,
                        std::span<const std::uint8_t> payload) {
   if (segments.empty()) throw std::invalid_argument("no route segments");
-  if (segments.size() == 1) return build_packet(segments[0], type, payload);
-
-  // Header bytes behind segment 0's route: every later segment's route
-  // bytes, the ITB tag (2) + Length (1) in front of each, and the final
-  // 2-byte type. The Length before segment i counts what follows it, so
-  // the first Length is the largest and is the only one to check.
-  std::size_t header = 2;
-  for (std::size_t i = 1; i < segments.size(); ++i)
-    header += 3 + segments[i].size();
-  if (header - 3 > kMaxHeaderBytes)
-    throw std::invalid_argument("ITB Length field overflow");
-
+  // Route bytes, an ITB tag + Length per later segment, and the Type.
+  std::size_t header = 3 * (segments.size() - 1) + 2;
+  for (const auto& seg : segments) header += seg.size();
   Bytes out;
-  out.reserve(segments[0].size() + header + payload.size() + 1);
-  append_route(out, segments[0]);
-  for (std::size_t i = 1; i < segments.size(); ++i) {
-    header -= 3;
-    append_type(out, PacketType::kItb);
-    out.push_back(static_cast<std::uint8_t>(header));
-    append_route(out, segments[i]);
-    header -= segments[i].size();
-  }
-  const std::size_t body_start = out.size();
-  append_type(out, type);
-  out.insert(out.end(), payload.begin(), payload.end());
-  // CRC over the terminal portion (Type + payload) so that consuming route
-  // bytes and stripping ITB stages never invalidates it.
-  out.push_back(crc8(std::span(out).subspan(body_start)));
+  out.reserve(header + payload.size() + 1);
+  append_header(out, segments);
+  append_body(out, type, payload);
   return out;
 }
 

@@ -51,6 +51,41 @@ std::uint8_t decode_route_byte(std::uint8_t b);
 /// Hard ceiling on bytes a single ITB `Length` field can describe.
 inline constexpr std::size_t kMaxHeaderBytes = 255;
 
+/// The one encoder of a route header: everything a sender puts in front
+/// of the final Type. Route bytes of segment 0, then per ITB the kItb tag,
+/// the Length byte and the next segment's route bytes (Fig. 3b; one
+/// segment is Fig. 3a). It appends to the caller's buffer one route byte
+/// or ITB stage at a time, so the route solver writes straight into a
+/// table row; finish() then fills in the Length fields.
+class HeaderEncoder {
+ public:
+  /// Start a header at the current end of `out`.
+  explicit HeaderEncoder(Bytes& out) : out_(out), start_(out.size()) {}
+
+  /// Append a route byte. Throws std::invalid_argument for port >= 128.
+  void port(std::uint8_t p) { out_.push_back(encode_route_byte(p)); }
+
+  /// End the current segment at an in-transit host: append the ITB tag
+  /// and a Length placeholder.
+  void itb();
+
+  /// Fill every Length field (the header bytes that follow it, the final
+  /// Type included). Throws std::invalid_argument if one overflows.
+  void finish();
+
+ private:
+  Bytes& out_;
+  std::size_t start_;
+};
+
+/// Append the header for `segments` (>= 1) to `out` through HeaderEncoder.
+void append_header(Bytes& out, const std::vector<Route>& segments);
+
+/// Frame a ready header: `header`, Type, payload and the CRC-8, in one
+/// allocation. What the MCP does with the route it downloaded.
+Bytes frame(std::span<const std::uint8_t> header, PacketType type,
+            std::span<const std::uint8_t> payload);
+
 /// Build an original-format packet (Fig. 3a).
 Bytes build_packet(const Route& route, PacketType type,
                    std::span<const std::uint8_t> payload);

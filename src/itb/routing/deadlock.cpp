@@ -39,24 +39,32 @@ topo::Channel host_channel(const topo::Topology& topo, std::uint16_t host,
 
 }  // namespace
 
-void DependencyGraph::add_route_impl(const HostPath& path,
+void DependencyGraph::add_route_impl(const RouteView& path,
                                      const topo::Topology& topo,
                                      bool buffered) {
   // Split the flat trunk-channel list at segment boundaries: segment i has
-  // segments[i].size() - 1 trunk hops (its final route byte exits to a
+  // one trunk hop fewer than route bytes (its final route byte exits to a
   // host: the next in-transit host or the destination).
+  const auto trunks = path.trunk_channels();
+  const auto itb_hosts = path.in_transit_hosts();
+  const std::size_t segments = path.segment_count();
+  if (segments > 0 && itb_hosts.size() != segments - 1)
+    throw std::logic_error("in-transit hosts inconsistent with segments");
   std::size_t trunk_cursor = 0;
-  for (std::size_t seg = 0; seg < path.segments.size(); ++seg) {
-    std::vector<topo::Channel> chain;
+  std::vector<topo::Channel> chain;
+  for (std::size_t seg = 0; seg < segments; ++seg) {
+    chain.clear();
     const std::uint16_t entry_host =
-        seg == 0 ? path.src_host : path.in_transit_hosts[seg - 1];
+        seg == 0 ? path.src_host() : itb_hosts[seg - 1];
     chain.push_back(host_channel(topo, entry_host, /*host_to_switch=*/true));
-    const std::size_t trunks_here = path.segments[seg].size() - 1;
-    for (std::size_t i = 0; i < trunks_here; ++i)
-      chain.push_back(path.trunk_channels.at(trunk_cursor++));
-    const std::uint16_t exit_host = seg + 1 < path.segments.size()
-                                        ? path.in_transit_hosts[seg]
-                                        : path.dst_host;
+    const std::size_t trunks_here = path.segment(seg).size() - 1;
+    for (std::size_t i = 0; i < trunks_here; ++i) {
+      if (trunk_cursor >= trunks.size())
+        throw std::logic_error("trunk channel count inconsistent with segments");
+      chain.push_back(trunks[trunk_cursor++]);
+    }
+    const std::uint16_t exit_host =
+        seg + 1 < segments ? itb_hosts[seg] : path.dst_host();
     chain.push_back(host_channel(topo, exit_host, /*host_to_switch=*/false));
 
     for (std::size_t i = 0; i + 1 < chain.size(); ++i)
@@ -67,7 +75,7 @@ void DependencyGraph::add_route_impl(const HostPath& path,
       // chain through the buffer node instead of restarting it.
       add_edge(Node::of_buffer(entry_host), Node::of_channel(chain.front()));
     }
-    if (buffered && seg + 1 < path.segments.size()) {
+    if (buffered && seg + 1 < segments) {
       // Delivery into the in-transit host consumes a finite pool buffer.
       add_edge(Node::of_channel(chain.back()), Node::of_buffer(exit_host));
     }
@@ -76,16 +84,16 @@ void DependencyGraph::add_route_impl(const HostPath& path,
     // of this chain before the next chain's channels are requested. The
     // buffered variant keeps the chain alive through the buffer node.
   }
-  if (trunk_cursor != path.trunk_channels.size())
+  if (trunk_cursor != trunks.size())
     throw std::logic_error("trunk channel count inconsistent with segments");
 }
 
-void DependencyGraph::add_route(const HostPath& path,
+void DependencyGraph::add_route(const RouteView& path,
                                 const topo::Topology& topo) {
   add_route_impl(path, topo, /*buffered=*/false);
 }
 
-void DependencyGraph::add_route_buffered(const HostPath& path,
+void DependencyGraph::add_route_buffered(const RouteView& path,
                                          const topo::Topology& topo) {
   add_route_impl(path, topo, /*buffered=*/true);
 }

@@ -64,7 +64,7 @@ class DependencyGraph {
   /// Add the dependencies contributed by one route. Channel chains restart
   /// after every ITB ejection (and include the host access channels, which
   /// terminate/originate chains but never cycle).
-  void add_route(const HostPath& path, const topo::Topology& topo);
+  void add_route(const RouteView& path, const topo::Topology& topo);
 
   /// Add every route of a table.
   void add_table(const RouteTable& table, const topo::Topology& topo);
@@ -74,7 +74,7 @@ class DependencyGraph {
   /// the §8 buffer-wait wedge of the finite stop-when-full pool; routes
   /// accepted by add_table but rejected here need §4 drop-on-full (or a
   /// runtime watchdog) to be live under load.
-  void add_route_buffered(const HostPath& path, const topo::Topology& topo);
+  void add_route_buffered(const RouteView& path, const topo::Topology& topo);
   void add_table_buffered(const RouteTable& table, const topo::Topology& topo);
 
   /// Explicit edges for tests and for the runtime wait-for graph.
@@ -124,7 +124,7 @@ class DependencyGraph {
                             static_cast<std::uint8_t>(idx % lanes_));
   }
 
-  void add_route_impl(const HostPath& path, const topo::Topology& topo,
+  void add_route_impl(const RouteView& path, const topo::Topology& topo,
                       bool buffered);
 };
 

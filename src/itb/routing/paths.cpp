@@ -1,23 +1,136 @@
 #include "itb/routing/paths.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace itb::routing {
 
-std::size_t HostPath::switch_traversals() const {
+// ------------------------------------------------------------- RouteView --
+
+namespace {
+
+/// End of the route bytes of the segment starting at `pos`.
+std::size_t segment_end(std::span<const std::uint8_t> header, std::size_t pos) {
+  while (pos < header.size() && packet::is_route_byte(header[pos])) ++pos;
+  return pos;
+}
+
+}  // namespace
+
+std::size_t RouteView::segment_count() const {
   std::size_t n = 0;
-  for (const auto& s : segments) n += s.size();
+  // Each segment after the first sits behind a 3-byte ITB tag + Length.
+  for (std::size_t pos = 0; pos < header_.size();
+       pos = segment_end(header_, pos) + 3)
+    ++n;
   return n;
 }
+
+SegmentPorts RouteView::segment(std::size_t i) const {
+  std::size_t pos = 0;
+  for (; i > 0 && pos < header_.size(); --i) pos = segment_end(header_, pos) + 3;
+  if (pos >= header_.size()) throw std::out_of_range("no such route segment");
+  return SegmentPorts(header_.subspan(pos, segment_end(header_, pos) - pos),
+                      PortOf{});
+}
+
+std::vector<packet::Route> RouteView::segments() const {
+  std::vector<packet::Route> out(segment_count());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const auto ports = segment(i);
+    out[i].assign(ports.begin(), ports.end());
+  }
+  return out;
+}
+
+std::size_t RouteView::switch_traversals() const {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < segment_count(); ++i) n += segment(i).size();
+  return n;
+}
+
+// -------------------------------------------------------------- RouteRow --
+
+void RouteRow::reset(std::uint16_t src, std::uint16_t first_dst) {
+  src_ = src;
+  first_ = first_dst;
+  marks_.assign(1, Mark{});
+  header_.clear();
+  hosts_.clear();
+  channels_.clear();
+}
+
+RouteView RouteRow::route(std::uint16_t dst) const {
+  const std::size_t i = static_cast<std::size_t>(dst) - first_;
+  if (dst < first_ || i >= size())
+    throw std::out_of_range("destination outside the route row");
+  const Mark& a = marks_[i];
+  const Mark& b = marks_[i + 1];
+  RouteView v;
+  v.src_ = src_;
+  v.dst_ = dst;
+  v.header_ = std::span(header_).subspan(a.header, b.header - a.header);
+  v.hosts_ = std::span(hosts_).subspan(a.hosts, b.hosts - a.hosts);
+  v.channels_ =
+      std::span(channels_).subspan(a.channels, b.channels - a.channels);
+  return v;
+}
+
+void RouteRow::add(const std::vector<packet::Route>& segments,
+                   std::span<const std::uint16_t> in_transit_hosts,
+                   std::span<const topo::Channel> trunk_channels) {
+  if (!segments.empty()) {
+    const std::size_t start = header_.size();
+    try {
+      packet::append_header(header_, segments);
+    } catch (...) {
+      header_.resize(start);  // leave the row as it was
+      throw;
+    }
+  }
+  hosts_.insert(hosts_.end(), in_transit_hosts.begin(), in_transit_hosts.end());
+  channels_.insert(channels_.end(), trunk_channels.begin(),
+                   trunk_channels.end());
+  close_entry();
+}
+
+void RouteRow::add(const RouteView& route) {
+  header_.insert(header_.end(), route.header().begin(), route.header().end());
+  hosts_.insert(hosts_.end(), route.in_transit_hosts().begin(),
+                route.in_transit_hosts().end());
+  channels_.insert(channels_.end(), route.trunk_channels().begin(),
+                   route.trunk_channels().end());
+  close_entry();
+}
+
+void RouteRow::close_entry() {
+  if (marks_.empty()) marks_.push_back(Mark{});
+  marks_.push_back(Mark{static_cast<std::uint32_t>(header_.size()),
+                        static_cast<std::uint32_t>(hosts_.size()),
+                        static_cast<std::uint32_t>(channels_.size())});
+}
+
+void RouteRow::truncate_open() {
+  const Mark& m = marks_.back();
+  header_.resize(m.header);
+  hosts_.resize(m.hosts);
+  channels_.resize(m.channels);
+}
+
+std::span<const topo::Channel> RouteRow::open_channels() const {
+  return std::span(channels_).subspan(marks_.back().channels);
+}
+
+// ---------------------------------------------------------------- Router --
 
 Router::Router(const UpDown& updown, ItbHostSelection selection)
     : updown_(&updown), selection_(selection) {
   const auto& topo = updown.topology();
   adj_.resize(topo.switch_count());
   itb_hosts_.resize(topo.switch_count());
+  uplinks_.resize(topo.host_count());
 
   for (topo::LinkId lid = 0; lid < topo.link_count(); ++lid) {
     // Masked-down, self-cable, and cut-off links never enter the search
@@ -30,8 +143,10 @@ Router::Router(const UpDown& updown, ItbHostSelection selection)
     if (a_sw && b_sw) {
       const auto sa = l.a.node.index;
       const auto sb = l.b.node.index;
-      adj_[sa].push_back(Hop{lid, sb, l.a.port, updown.is_up_traversal(lid, sa)});
-      adj_[sb].push_back(Hop{lid, sa, l.b.port, updown.is_up_traversal(lid, sb)});
+      adj_[sa].push_back(
+          Hop{lid, sb, l.a.port, updown.is_up_traversal(lid, sa), true});
+      adj_[sb].push_back(
+          Hop{lid, sa, l.b.port, updown.is_up_traversal(lid, sb), false});
       continue;
     }
     // Usable host link: every reachable attached host is an ITB candidate.
@@ -39,6 +154,8 @@ Router::Router(const UpDown& updown, ItbHostSelection selection)
     const auto host_end = a_sw ? l.b : l.a;
     itb_hosts_[sw_end.node.index].push_back(
         ItbCandidate{host_end.node.index, sw_end.port});
+    uplinks_[host_end.node.index] =
+        Uplink{lid, sw_end.node.index, sw_end.port, true};
   }
   for (auto& hosts : itb_hosts_)
     std::sort(hosts.begin(), hosts.end(),
@@ -61,58 +178,65 @@ const Router::ItbCandidate& Router::pick_itb(std::uint16_t sw,
 
 namespace {
 
-/// Dijkstra state: a switch plus the up*/down* phase. Phase 0: no down
+/// A Dijkstra state is a switch plus the up*/down* phase. Phase 0: no down
 /// traversal yet (up and down both legal). Phase 1: a down traversal
-/// happened (only down legal until an ITB resets the phase).
-struct State {
-  std::uint16_t sw;
-  std::uint8_t phase;
-};
+/// happened (only down legal until an ITB resets the phase). A queue entry
+/// packs (hops, itbs, switch, phase) into one word whose integer order is
+/// the canonical pop order, each field wider than any value it can take
+/// (hops and itbs stay below the 2 * 65535 states).
+constexpr std::uint64_t pack(std::uint32_t hops, std::uint32_t itbs,
+                             std::uint16_t sw, std::uint8_t phase) {
+  return (std::uint64_t{hops} << 41) | (std::uint64_t{itbs} << 17) |
+         (std::uint64_t{sw} << 1) | phase;
+}
 
 }  // namespace
 
-Router::Search Router::relax(std::uint16_t src_switch, bool restrict_updown,
-                             bool allow_itb) const {
-  const auto n = updown_->topology().switch_count();
-
-  Search out;
+void Router::relax(std::uint16_t src_switch, bool restrict_updown,
+                   bool allow_itb, Search& out, Scratch& sc) const {
+  const auto n = adj_.size();
   out.src_switch = src_switch;
   // dist[sw][phase]; with restrictions off everything stays in phase 0.
-  out.dist.resize(n);
-  out.pred.resize(n);
+  out.dist.assign(n, {});
+  out.pred.assign(n, {});
   auto& dist = out.dist;
   auto& pred = out.pred;
 
-  using QEntry = std::pair<SearchCost, State>;
   // Canonical pop order: (cost, switch, phase). With cost-only ordering the
   // winner among equal-cost states depends on heap internals (push order);
   // breaking ties on state id makes every pred assignment a pure function
   // of the search graph, which the incremental patcher relies on — a source
   // whose stored routes avoid all changed links provably re-solves to the
   // byte-identical row, so it can be skipped.
-  auto cmp = [](const QEntry& a, const QEntry& b) {
-    if (a.first != b.first) return a.first > b.first;
-    if (a.second.sw != b.second.sw) return a.second.sw > b.second.sw;
-    return a.second.phase > b.second.phase;
+  auto& heap = sc.heap;
+  heap.clear();
+  const auto push = [&heap](SearchCost cost, std::uint16_t sw,
+                            std::uint8_t phase) {
+    heap.push_back(pack(cost.hops, cost.itbs, sw, phase));
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
   };
-  std::priority_queue<QEntry, std::vector<QEntry>, decltype(cmp)> queue(cmp);
 
   dist[src_switch][0] = SearchCost{0, 0};
   pred[src_switch][0] = SearchPred{0xFFFF, 0, -2};
-  queue.push({SearchCost{0, 0}, State{src_switch, 0}});
+  push(SearchCost{0, 0}, src_switch, 0);
 
-  while (!queue.empty()) {
-    auto [cost, st] = queue.top();
-    queue.pop();
-    if (cost != dist[st.sw][st.phase]) continue;  // stale entry
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const std::uint64_t key = heap.back();
+    heap.pop_back();
+    const SearchCost cost{static_cast<std::uint32_t>(key >> 41),
+                          static_cast<std::uint32_t>(key >> 17) & 0xFFFFFFu};
+    const auto sw = static_cast<std::uint16_t>(key >> 1);
+    const auto phase = static_cast<std::uint8_t>(key & 1);
+    if (cost != dist[sw][phase]) continue;  // stale entry
 
-    for (std::size_t hi = 0; hi < adj_[st.sw].size(); ++hi) {
-      const Hop& h = adj_[st.sw][hi];
+    for (std::size_t hi = 0; hi < adj_[sw].size(); ++hi) {
+      const Hop& h = adj_[sw][hi];
       std::uint8_t next_phase;
       if (!restrict_updown) {
         next_phase = 0;
       } else if (h.up) {
-        if (st.phase == 1) continue;  // down -> up forbidden
+        if (phase == 1) continue;  // down -> up forbidden
         next_phase = 0;
       } else {
         next_phase = 1;
@@ -121,31 +245,30 @@ Router::Search Router::relax(std::uint16_t src_switch, bool restrict_updown,
       if (next < dist[h.to_switch][next_phase]) {
         dist[h.to_switch][next_phase] = next;
         pred[h.to_switch][next_phase] =
-            SearchPred{st.sw, st.phase, static_cast<int>(hi)};
-        queue.push({next, State{h.to_switch, next_phase}});
+            SearchPred{sw, phase, static_cast<int>(hi)};
+        push(next, h.to_switch, next_phase);
       }
     }
 
     // ITB reset: eject at a host on this switch, re-inject in phase 0.
-    if (allow_itb && restrict_updown && st.phase == 1 &&
-        !itb_hosts_[st.sw].empty()) {
+    if (allow_itb && restrict_updown && phase == 1 &&
+        !itb_hosts_[sw].empty()) {
       const SearchCost next{cost.hops, cost.itbs + 1};
-      if (next < dist[st.sw][0]) {
-        dist[st.sw][0] = next;
-        pred[st.sw][0] = SearchPred{st.sw, 1, -1};
-        queue.push({next, State{st.sw, 0}});
+      if (next < dist[sw][0]) {
+        dist[sw][0] = next;
+        pred[sw][0] = SearchPred{sw, 1, -1};
+        push(next, sw, 0);
       }
     }
   }
-  return out;
 }
 
-HostPath Router::extract(const Search& s, std::uint16_t src_host,
-                         std::uint16_t dst_host) const {
-  const auto& topo = updown_->topology();
-  const auto dst_up = topo.host_uplink(dst_host);
+void Router::extract(const Search& s, std::uint16_t src_host,
+                     std::uint16_t dst_host, RouteRow& row,
+                     Scratch& sc) const {
+  const Uplink& dst_up = uplinks_[dst_host];
   const auto ss = s.src_switch;
-  const auto sd = dst_up.node.index;
+  const auto sd = dst_up.sw;
   const auto& dist = s.dist;
   const auto& pred = s.pred;
 
@@ -154,57 +277,50 @@ HostPath Router::extract(const Search& s, std::uint16_t src_host,
     throw std::logic_error("no route between hosts (disconnected?)");
 
   // Reconstruct the (switch, action) chain back to front.
-  struct Step {
-    std::uint16_t sw;
-    int hop;  // adj index, or -1 for ITB reset at sw
-  };
-  std::vector<Step> steps;
-  State cur{sd, best_phase};
-  while (!(cur.sw == ss && cur.phase == 0 && pred[cur.sw][cur.phase].hop == -2)) {
-    const SearchPred& p = pred[cur.sw][cur.phase];
+  auto& steps = sc.steps;
+  steps.clear();
+  std::uint16_t sw = sd;
+  std::uint8_t phase = best_phase;
+  while (!(sw == ss && phase == 0 && pred[sw][phase].hop == -2)) {
+    const SearchPred& p = pred[sw][phase];
     if (p.hop == -2) throw std::logic_error("route reconstruction failed");
     steps.push_back(Step{p.sw, p.hop});
-    cur = State{p.sw, p.phase};
+    sw = p.sw;
+    phase = p.phase;
   }
-  std::reverse(steps.begin(), steps.end());
 
-  // Emit route-byte segments and channel list.
-  HostPath path;
-  path.src_host = src_host;
-  path.dst_host = dst_host;
-  path.segments.emplace_back();
-  for (const Step& st : steps) {
-    if (st.hop == -1) {
-      // Ejection: current segment ends with the port to the in-transit
-      // host; the next segment resumes at the same switch.
-      const ItbCandidate& itb = pick_itb(st.sw, src_host, dst_host);
-      path.segments.back().push_back(itb.port);
-      path.in_transit_hosts.push_back(itb.host);
-      path.segments.emplace_back();
+  // Emit the header, in-transit hosts and channels front to back.
+  packet::HeaderEncoder header(row.header_);
+  for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
+    if (it->hop == -1) {
+      // Ejection: the segment ends with the port to the in-transit host;
+      // the next segment resumes at the same switch behind an ITB tag.
+      const ItbCandidate& itb = pick_itb(it->sw, src_host, dst_host);
+      header.port(itb.port);
+      row.hosts_.push_back(itb.host);
+      header.itb();
       continue;
     }
-    const Hop& h = adj_[st.sw][static_cast<std::size_t>(st.hop)];
-    path.segments.back().push_back(h.out_port);
-    const auto& l = topo.link(h.link);
-    const bool fwd = l.a.node == topo::switch_id(st.sw) && l.a.port == h.out_port;
-    path.trunk_channels.push_back(topo::Channel{h.link, fwd});
+    const Hop& h = adj_[it->sw][static_cast<std::size_t>(it->hop)];
+    header.port(h.out_port);
+    row.channels_.push_back(topo::Channel{h.link, h.forward});
   }
-  path.segments.back().push_back(dst_up.port);
-  return path;
+  header.port(dst_up.port);
+  header.finish();
 }
 
-HostPath Router::search(std::uint16_t src_host, std::uint16_t dst_host,
+RouteRow Router::search(std::uint16_t src_host, std::uint16_t dst_host,
                         bool restrict_updown, bool allow_itb) const {
-  const auto& topo = updown_->topology();
-  const auto ss = topo.host_uplink(src_host).node.index;
-  return extract(relax(ss, restrict_updown, allow_itb), src_host, dst_host);
-}
-
-bool Router::host_usable(std::uint16_t host) const {
-  const auto& topo = updown_->topology();
-  if (!topo.host_attached(host)) return false;
-  const auto lid = topo.link_at(topo::host_id(host), 0);
-  return lid && updown_->link_usable(*lid);
+  if (!host_usable(dst_host))
+    throw std::logic_error("no route between hosts (destination cut off)");
+  Scratch sc;
+  relax(updown_->topology().host_uplink(src_host).node.index, restrict_updown,
+        allow_itb, sc.primary, sc);
+  RouteRow row;
+  row.reset(src_host, dst_host);
+  extract(sc.primary, src_host, dst_host, row, sc);
+  row.close_entry();
+  return row;
 }
 
 std::vector<std::uint32_t> Router::min_hops_from_switch(std::uint16_t sw) const {
@@ -240,35 +356,47 @@ Router::SolveFlags Router::solve_flags(Policy policy) {
   return {/*restrict_updown=*/true, /*allow_itb=*/false};  // unreachable
 }
 
-std::vector<HostPath> Router::routes_from(std::uint16_t src_host, Policy policy,
-                                          unsigned vc_lanes) const {
+void Router::routes_from(std::uint16_t src_host, Policy policy,
+                         unsigned vc_lanes, RouteRow& row,
+                         Scratch& sc) const {
   const auto& topo = updown_->topology();
   constexpr auto kInfHops = std::numeric_limits<std::uint32_t>::max();
-  std::vector<HostPath> row(topo.host_count());
-  if (!host_usable(src_host)) return row;  // degraded fabric
-  const auto ss = topo.host_uplink(src_host).node.index;
+  const auto hosts = static_cast<std::uint16_t>(topo.host_count());
+  row.reset(src_host);
+  if (!host_usable(src_host)) {  // degraded fabric
+    for (std::uint16_t d = 0; d < hosts; ++d) row.close_entry();
+    return;
+  }
+  const auto ss = uplinks_[src_host].sw;
   const SolveFlags flags = solve_flags(policy);
-  const auto s = relax(ss, flags.restrict_updown, flags.allow_itb);
+  relax(ss, flags.restrict_updown, flags.allow_itb, sc.primary, sc);
   // Restricted fallback for VC-escape routes whose minimal path needs more
   // lanes than the ladder has; solved at most once per source.
-  std::optional<Search> escape;
-  for (std::uint16_t d = 0; d < row.size(); ++d) {
-    if (d == src_host || !host_usable(d)) continue;
+  bool escape_solved = false;
+  for (std::uint16_t d = 0; d < hosts; ++d) {
     // Destinations cut off by the mask keep an empty entry rather than
     // throwing in extract(); the NIC backstop (and the recovery engine's
     // unreachable accounting) handles them.
-    const auto sd = topo.host_uplink(d).node.index;
-    if (s.dist[sd][0].hops == kInfHops && s.dist[sd][1].hops == kInfHops)
-      continue;
-    row[d] = extract(s, src_host, d);
-    if (policy == Policy::kVcEscape &&
-        updown_segments(row[d].trunk_channels) > vc_lanes) {
-      if (!escape) escape = relax(ss, /*restrict_updown=*/true,
-                                  /*allow_itb=*/false);
-      row[d] = extract(*escape, src_host, d);
+    if (d != src_host && host_usable(d)) {
+      const auto sd = uplinks_[d].sw;
+      if (sc.primary.dist[sd][0].hops != kInfHops ||
+          sc.primary.dist[sd][1].hops != kInfHops) {
+        extract(sc.primary, src_host, d, row, sc);
+        if (policy == Policy::kVcEscape &&
+            updown_segments(row.open_channels()) > vc_lanes) {
+          if (!escape_solved) {
+            relax(ss, /*restrict_updown=*/true, /*allow_itb=*/false,
+                  sc.escape, sc);
+            escape_solved = true;
+          }
+          // Overwrite this destination's entry, never append a second.
+          row.truncate_open();
+          extract(sc.escape, src_host, d, row, sc);
+        }
+      }
     }
+    row.close_entry();
   }
-  return row;
 }
 
 std::vector<std::size_t> Router::minimal_distances_from(
@@ -276,40 +404,35 @@ std::vector<std::size_t> Router::minimal_distances_from(
   const auto& topo = updown_->topology();
   std::vector<std::size_t> row(topo.host_count(), 0);
   if (!host_usable(src_host)) return row;
-  const auto s = relax(topo.host_uplink(src_host).node.index,
-                       /*restrict_updown=*/false, /*allow_itb=*/false);
+  Scratch sc;
+  relax(uplinks_[src_host].sw, /*restrict_updown=*/false,
+        /*allow_itb=*/false, sc.primary, sc);
   for (std::uint16_t d = 0; d < row.size(); ++d) {
     if (d == src_host || !host_usable(d)) continue;
-    const auto hops = s.dist[topo.host_uplink(d).node.index][0].hops;
+    const auto hops = sc.primary.dist[uplinks_[d].sw][0].hops;
     if (hops == std::numeric_limits<std::uint32_t>::max()) continue;
     row[d] = hops;
   }
   return row;
 }
 
-HostPath Router::updown_route(std::uint16_t src, std::uint16_t dst) const {
+RouteRow Router::updown_route(std::uint16_t src, std::uint16_t dst) const {
   return search(src, dst, /*restrict=*/true, /*allow_itb=*/false);
 }
 
-HostPath Router::minimal_route(std::uint16_t src, std::uint16_t dst) const {
+RouteRow Router::minimal_route(std::uint16_t src, std::uint16_t dst) const {
   return search(src, dst, /*restrict=*/false, /*allow_itb=*/false);
 }
 
-HostPath Router::itb_route(std::uint16_t src, std::uint16_t dst) const {
-  auto itb = search(src, dst, /*restrict=*/true, /*allow_itb=*/true);
-  // The phase-reset search only legalises paths at switches that have
-  // hosts, so it can come out longer than the unrestricted minimum when
-  // some bare switch sits on every minimal path; in that case prefer
-  // whichever legal route is shorter (ITB path can never be longer than
-  // the plain up*/down* one because the latter is in its search space).
-  return itb;
+RouteRow Router::itb_route(std::uint16_t src, std::uint16_t dst) const {
+  return search(src, dst, /*restrict=*/true, /*allow_itb=*/true);
 }
 
 std::size_t Router::minimal_distance(std::uint16_t src, std::uint16_t dst) const {
-  return minimal_route(src, dst).trunk_hops();
+  return minimal_route(src, dst).route(dst).trunk_hops();
 }
 
-bool Router::is_valid_updown(const std::vector<topo::Channel>& trunks) const {
+bool Router::is_valid_updown(std::span<const topo::Channel> trunks) const {
   bool went_down = false;
   for (const auto& c : trunks) {
     const auto from = updown_->topology().channel_source(c).node.index;
@@ -321,7 +444,7 @@ bool Router::is_valid_updown(const std::vector<topo::Channel>& trunks) const {
 }
 
 std::size_t Router::updown_segments(
-    const std::vector<topo::Channel>& trunks) const {
+    std::span<const topo::Channel> trunks) const {
   std::size_t segments = 1;
   bool went_down = false;
   for (const auto& c : trunks) {
@@ -336,18 +459,18 @@ std::size_t Router::updown_segments(
   return segments;
 }
 
-std::string describe(const HostPath& path, const topo::Topology& topo) {
-  std::string out = "h" + std::to_string(path.src_host);
-  std::size_t seg = 0;
-  // Re-derive the switch sequence from the segments by walking the route
-  // bytes from the source uplink switch.
-  auto cur = topo.host_uplink(path.src_host);
-  for (seg = 0; seg < path.segments.size(); ++seg) {
+std::string describe(const RouteView& path, const topo::Topology& topo) {
+  std::string out = "h" + std::to_string(path.src_host());
+  // Re-derive the switch sequence by walking the route bytes from the
+  // source uplink switch.
+  auto cur = topo.host_uplink(path.src_host());
+  const auto hosts = path.in_transit_hosts();
+  for (std::size_t seg = 0; seg < path.segment_count(); ++seg) {
     if (seg > 0) {
-      out += " =ITB(h" + std::to_string(path.in_transit_hosts[seg - 1]) + ")=>";
-      cur = topo.host_uplink(path.in_transit_hosts[seg - 1]);
+      out += " =ITB(h" + std::to_string(hosts[seg - 1]) + ")=>";
+      cur = topo.host_uplink(hosts[seg - 1]);
     }
-    for (auto port : path.segments[seg]) {
+    for (auto port : path.segment(seg)) {
       out += " -> s" + std::to_string(cur.node.index);
       auto peer = topo.peer(cur.node, port);
       if (!peer) {

@@ -7,13 +7,17 @@
 //   * ITB      — minimal path split into valid up*/down* sub-paths by
 //     ejecting/re-injecting at in-transit hosts (the paper's mechanism).
 //
-// A HostPath carries both the structural description (switch sequence,
-// in-transit hosts) and the wire encoding (route-byte segments, Fig. 3).
+// Routes are stored one flat RouteRow per source: for each destination the
+// exact Fig. 3b header the MCP stamps, plus the in-transit hosts and the
+// trunk channels in two side arrays. A RouteView reads one destination's
+// entry; the route table, the recovery engine and every NIC share the
+// same immutable rows.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,30 +37,119 @@ enum class Policy : std::uint8_t {
 
 const char* to_string(Policy p);
 
-/// A computed route between two hosts.
-struct HostPath {
-  std::uint16_t src_host = 0;
-  std::uint16_t dst_host = 0;
+/// Route byte -> output port, applied as a segment is read.
+struct PortOf {
+  constexpr std::uint8_t operator()(std::uint8_t b) const {
+    return static_cast<std::uint8_t>(b & ~packet::kRouteByteFlag);
+  }
+};
+/// The output ports of one route segment, in traversal order.
+using SegmentPorts =
+    std::ranges::transform_view<std::span<const std::uint8_t>, PortOf>;
 
-  /// Route-byte segments: one per injection. segments[0] is stamped by the
-  /// source NIC; segments[i>0] follow the i-th ITB tag (Fig. 3b).
-  std::vector<packet::Route> segments;
+/// One computed route, read in place from the RouteRow that holds it.
+/// Cheap to copy; it must not outlive that row.
+class RouteView {
+ public:
+  RouteView() = default;
+
+  std::uint16_t src_host() const { return src_; }
+  std::uint16_t dst_host() const { return dst_; }
+
+  /// True for an unreachable pair (and the diagonal): no header at all.
+  bool empty() const { return header_.empty(); }
+
+  /// Every byte the MCP stamps ahead of the final Type (Fig. 3b): route
+  /// bytes 0x80|port, then per ITB the 2-byte kItb tag, the Length byte
+  /// and the next sub-path's route bytes.
+  std::span<const std::uint8_t> header() const { return header_; }
+
+  /// Route-byte segments, one per injection (0 for an empty route).
+  std::size_t segment_count() const;
+  /// Ports of segment `i`: segment 0 is stamped by the source NIC,
+  /// segment i > 0 follows the i-th ITB tag. Throws std::out_of_range.
+  SegmentPorts segment(std::size_t i) const;
+  /// Decoded copy of every segment (the manual-route input format).
+  std::vector<packet::Route> segments() const;
 
   /// In-transit hosts, one per segment boundary (empty for plain routes).
-  std::vector<std::uint16_t> in_transit_hosts;
+  std::span<const std::uint16_t> in_transit_hosts() const { return hosts_; }
 
   /// Switch-switch links traversed, in order (ejections do not interrupt
   /// the sequence; used for hop counting and deadlock analysis).
-  std::vector<topo::Channel> trunk_channels;
+  std::span<const topo::Channel> trunk_channels() const { return channels_; }
 
   /// Total switch traversals (each ITB revisit counts; equals the sum of
   /// segment lengths).
   std::size_t switch_traversals() const;
 
   /// Number of switch-switch links used (the paper's path-length metric).
-  std::size_t trunk_hops() const { return trunk_channels.size(); }
+  std::size_t trunk_hops() const { return channels_.size(); }
 
-  std::size_t itb_count() const { return in_transit_hosts.size(); }
+  std::size_t itb_count() const { return hosts_.size(); }
+
+ private:
+  friend class RouteRow;
+  std::uint16_t src_ = 0;
+  std::uint16_t dst_ = 0;
+  std::span<const std::uint8_t> header_;
+  std::span<const std::uint16_t> hosts_;
+  std::span<const topo::Channel> channels_;
+};
+
+/// One source's routes to a run of destinations, in three flat arrays:
+/// the header bytes, the in-transit hosts and the trunk channels, each
+/// addressed by per-destination offsets. A table row covers every
+/// destination; the per-pair Router helpers return one-destination rows.
+/// Entries are appended in destination order; an empty entry means
+/// unreachable.
+class RouteRow {
+ public:
+  RouteRow() = default;
+
+  /// Start over as the row from `src` whose first entry is `first_dst`.
+  /// Keeps the arrays' capacity, so a warm row refills without allocating.
+  void reset(std::uint16_t src, std::uint16_t first_dst = 0);
+
+  std::uint16_t src_host() const { return src_; }
+  /// Destinations entered so far.
+  std::size_t size() const { return marks_.empty() ? 0 : marks_.size() - 1; }
+
+  /// The route to `dst`. Throws std::out_of_range outside the row.
+  RouteView route(std::uint16_t dst) const;
+
+  /// Append the next destination's entry, its header encoded from
+  /// `segments` by packet::HeaderEncoder (no segments = unreachable). The
+  /// side arrays are optional: a NIC reads only the header. Throws
+  /// std::invalid_argument on a port >= 128 or a Length overflow.
+  void add(const std::vector<packet::Route>& segments,
+           std::span<const std::uint16_t> in_transit_hosts = {},
+           std::span<const topo::Channel> trunk_channels = {});
+  /// Append a copy of another row's entry.
+  void add(const RouteView& route);
+
+ private:
+  friend class Router;
+  /// Where an entry starts in each array; entry i spans marks_[i] to
+  /// marks_[i + 1].
+  struct Mark {
+    std::uint32_t header = 0;
+    std::uint32_t hosts = 0;
+    std::uint32_t channels = 0;
+  };
+  /// Close the entry written since the last mark.
+  void close_entry();
+  /// Drop whatever was written since the last mark.
+  void truncate_open();
+  /// Trunk channels written since the last mark.
+  std::span<const topo::Channel> open_channels() const;
+
+  std::uint16_t src_ = 0;
+  std::uint16_t first_ = 0;
+  std::vector<Mark> marks_;
+  packet::Bytes header_;
+  std::vector<std::uint16_t> hosts_;
+  std::vector<topo::Channel> channels_;
 };
 
 /// Which host on a switch serves as the in-transit host when several are
@@ -68,35 +161,45 @@ enum class ItbHostSelection : std::uint8_t { kLowestIndex, kSpread };
 /// Route computation over one topology + one up*/down* orientation.
 class Router {
  public:
+  /// Reusable search buffers for routes_from(): the Dijkstra arrays, its
+  /// heap and the path step stack. The caller owns one per thread (never
+  /// the const Router, so one Router serves concurrent solves); once warm,
+  /// a re-solve allocates nothing. Defined below the class.
+  class Scratch;
+
   explicit Router(const UpDown& updown,
                   ItbHostSelection selection = ItbHostSelection::kLowestIndex);
 
-  /// Shortest valid up*/down* route. Always exists in a connected network.
-  HostPath updown_route(std::uint16_t src_host, std::uint16_t dst_host) const;
+  /// Shortest valid up*/down* route, as a one-destination row. Always
+  /// exists in a connected network.
+  RouteRow updown_route(std::uint16_t src_host, std::uint16_t dst_host) const;
 
   /// Unrestricted shortest route (may be invalid under up*/down*); useful
   /// for analysis and as the skeleton for ITB routes.
-  HostPath minimal_route(std::uint16_t src_host, std::uint16_t dst_host) const;
+  RouteRow minimal_route(std::uint16_t src_host, std::uint16_t dst_host) const;
 
-  /// Minimal route split into valid up*/down* segments with ITBs. Falls
-  /// back to updown_route when no minimal path can be legalised (e.g. an
-  /// ITB would be needed at a switch with no attached host anywhere on any
-  /// minimal path).
-  HostPath itb_route(std::uint16_t src_host, std::uint16_t dst_host) const;
+  /// Minimal route split into valid up*/down* segments with ITBs. The
+  /// phase-reset search only legalises paths at switches with hosts, so it
+  /// can come out longer than the unrestricted minimum when a bare switch
+  /// sits on every minimal path; it is never longer than updown_route,
+  /// which is in its search space.
+  RouteRow itb_route(std::uint16_t src_host, std::uint16_t dst_host) const;
 
-  /// All routes out of one source under `policy`: ONE multi-destination
-  /// search (the Dijkstra never looks at the destination until extraction)
-  /// followed by a per-destination path reconstruction. Entry [dst] for
-  /// dst == src or an unattached endpoint is an empty HostPath. Identical
-  /// paths to calling updown_route()/itb_route() per pair, at 1/H the
-  /// search cost — the primitive RouteTable parallelises over sources.
+  /// All routes out of one source under `policy`, written into `row` (reset
+  /// first): ONE multi-destination search (the Dijkstra never looks at the
+  /// destination until extraction) followed by a per-destination path
+  /// reconstruction straight into the row. Entry dst == src and unattached
+  /// or unreachable endpoints are empty. Identical paths to calling
+  /// updown_route()/itb_route() per pair, at 1/H the search cost — the
+  /// primitive RouteTable parallelises over sources. With a warm `row` and
+  /// `scratch` a re-solve allocates nothing.
   ///
   /// `vc_lanes` only matters under Policy::kVcEscape: a minimal route is
   /// kept when its up*/down* segment count fits the lane ladder
   /// (updown_segments() <= vc_lanes); otherwise the pair falls back to the
   /// plain up*/down* route, which rides lane 0 end to end.
-  std::vector<HostPath> routes_from(std::uint16_t src_host, Policy policy,
-                                    unsigned vc_lanes = 2) const;
+  void routes_from(std::uint16_t src_host, Policy policy, unsigned vc_lanes,
+                   RouteRow& row, Scratch& scratch) const;
 
   /// Trunk-hop distance of the unrestricted shortest path.
   std::size_t minimal_distance(std::uint16_t src_host,
@@ -107,17 +210,27 @@ class Router {
   std::vector<std::size_t> minimal_distances_from(std::uint16_t src_host) const;
 
   /// True if the switch-link traversal sequence obeys up* down*.
-  bool is_valid_updown(const std::vector<topo::Channel>& trunks) const;
+  bool is_valid_updown(std::span<const topo::Channel> trunks) const;
 
   /// Number of maximal up*/down*-valid segments in the traversal sequence:
   /// 1 + the number of down->up transitions (1 for an empty or fully valid
   /// sequence). The VC-escape engine assigns segment j to lane j, so a
   /// minimal route is ladder-feasible iff updown_segments() <= lane count.
-  std::size_t updown_segments(const std::vector<topo::Channel>& trunks) const;
+  std::size_t updown_segments(std::span<const topo::Channel> trunks) const;
 
   /// True when `host` can source/sink traffic under the orientation's link
   /// mask: attached, and its uplink usable.
-  bool host_usable(std::uint16_t host) const;
+  bool host_usable(std::uint16_t host) const {
+    return host < uplinks_.size() && uplinks_[host].usable;
+  }
+
+  /// Switch and link a usable host hangs off (host_usable(host) holds).
+  std::uint16_t host_switch(std::uint16_t host) const {
+    return uplinks_[host].sw;
+  }
+  topo::LinkId host_link(std::uint16_t host) const {
+    return uplinks_[host].link;
+  }
 
   /// True when the switch has at least one usable attached host (an ITB
   /// candidate / phase-reset point).
@@ -140,6 +253,7 @@ class Router {
     std::uint16_t to_switch;
     std::uint8_t out_port;  // port on the *from* switch
     bool up;
+    bool forward;  // the trunk channel runs link a -> b
   };
   /// Adjacency: for each switch, its usable outgoing trunk hops.
   std::vector<std::vector<Hop>> adj_;
@@ -151,6 +265,15 @@ class Router {
   /// For each switch, its attached hosts usable as in-transit hosts,
   /// sorted by host index.
   std::vector<std::vector<ItbCandidate>> itb_hosts_;
+  /// Per host: its uplink link, switch and the switch port leading to it,
+  /// valid when the uplink is usable.
+  struct Uplink {
+    topo::LinkId link = 0;
+    std::uint16_t sw = 0;
+    std::uint8_t port = 0;
+    bool usable = false;
+  };
+  std::vector<Uplink> uplinks_;
 
   /// Pick the in-transit host on `sw` for the (src, dst) pair.
   const ItbCandidate& pick_itb(std::uint16_t sw, std::uint16_t src,
@@ -160,7 +283,7 @@ class Router {
   // The Dijkstra over (switch, up*/down* phase) states is destination-blind:
   // it relaxes the whole fabric and only the extraction step looks at dst.
   // Splitting the two lets routes_from() pay one search for a full table
-  // row where the old per-pair search() paid H of them.
+  // row where a per-pair search pays H of them.
 
   struct SearchCost {
     std::uint32_t hops = 0xFFFFFFFFu;
@@ -180,11 +303,18 @@ class Router {
     std::vector<std::array<SearchCost, 2>> dist;  // [switch][phase]
     std::vector<std::array<SearchPred, 2>> pred;
   };
+  /// One step of a reconstructed path: the hop taken out of `sw` (an adj_
+  /// index), or -1 for an ITB reset at `sw`.
+  struct Step {
+    std::uint16_t sw;
+    int hop;
+  };
 
-  Search relax(std::uint16_t src_switch, bool restrict_updown,
-               bool allow_itb) const;
-  HostPath extract(const Search& s, std::uint16_t src_host,
-                   std::uint16_t dst_host) const;
+  void relax(std::uint16_t src_switch, bool restrict_updown, bool allow_itb,
+             Search& out, Scratch& sc) const;
+  /// Append the route to `dst_host` to the open entry of `row`.
+  void extract(const Search& s, std::uint16_t src_host,
+               std::uint16_t dst_host, RouteRow& row, Scratch& sc) const;
 
   /// The ONE mapping from a policy to its primary search restriction. Every
   /// route-solve entry point derives its flags here, so a policy with no
@@ -197,11 +327,21 @@ class Router {
   };
   static SolveFlags solve_flags(Policy policy);
 
-  HostPath search(std::uint16_t src_host, std::uint16_t dst_host,
+  RouteRow search(std::uint16_t src_host, std::uint16_t dst_host,
                   bool restrict_updown, bool allow_itb) const;
 };
 
+class Router::Scratch {
+ private:
+  friend class Router;
+  Search primary;
+  Search escape;  // kVcEscape's restricted fallback search
+  /// Min-heap of packed (hops, itbs, switch, phase) keys.
+  std::vector<std::uint64_t> heap;
+  std::vector<Step> steps;
+};
+
 /// Render a path like "h0 -> s0 -> s1 =ITB(h3)=> s1 -> s2 -> h5".
-std::string describe(const HostPath& path, const topo::Topology& topo);
+std::string describe(const RouteView& path, const topo::Topology& topo);
 
 }  // namespace itb::routing

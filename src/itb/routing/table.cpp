@@ -26,26 +26,44 @@ RouteTable::RouteTable(const Router& router, Policy policy, unsigned jobs,
                        unsigned vc_lanes)
     : policy_(policy),
       hosts_(router.topology().host_count()),
-      vc_lanes_(vc_lanes) {
+      vc_lanes_(vc_lanes),
+      rows_(hosts_) {
   // Unattached hosts appear in degraded topologies (fault windows that cut
   // a host off); routes_from leaves their pairs — and the diagonal — as
-  // empty HostPaths, exactly like the old per-pair loop.
-  routes_.resize(hosts_ * hosts_);
-  sim::ParallelRunner(jobs).run_indexed(hosts_, [&](std::size_t s) {
-    auto row =
-        router.routes_from(static_cast<std::uint16_t>(s), policy_, vc_lanes_);
-    std::move(row.begin(), row.end(), routes_.begin() + s * hosts_);
+  // empty entries.
+  std::vector<std::uint16_t> sources(hosts_);
+  for (std::size_t s = 0; s < hosts_; ++s)
+    sources[s] = static_cast<std::uint16_t>(s);
+  solve_rows(router, sources, jobs, std::nullopt);
+}
+
+void RouteTable::solve_rows(const Router& router,
+                            const std::vector<std::uint16_t>& sources,
+                            unsigned jobs,
+                            std::optional<std::uint64_t> index_gen) {
+  const sim::ParallelRunner runner(jobs);
+  struct Buffers {
+    RouteRow row;
+    Router::Scratch search;
+  };
+  std::vector<Buffers> workers(
+      std::min<std::size_t>(runner.jobs(), sources.size()));
+  runner.run_indexed(sources.size(), [&](std::size_t i, unsigned w) {
+    const auto s = sources[i];
+    Buffers& b = workers[w];
+    router.routes_from(s, policy_, vc_lanes_, b.row, b.search);
+    rows_[s] = std::make_shared<const RouteRow>(b.row);
+    if (index_gen) {
+      index_source(router, s);  // each worker touches only source s
+      solved_gen_[s] = *index_gen;
+    }
   });
 }
 
-std::size_t RouteTable::index(std::uint16_t src, std::uint16_t dst) const {
+RouteView RouteTable::route(std::uint16_t src, std::uint16_t dst) const {
   if (src >= hosts_ || dst >= hosts_ || src == dst)
     throw std::out_of_range("bad host pair");
-  return static_cast<std::size_t>(src) * hosts_ + dst;
-}
-
-const HostPath& RouteTable::route(std::uint16_t src, std::uint16_t dst) const {
-  return routes_[index(src, dst)];
+  return rows_[src]->route(dst);
 }
 
 double RouteTable::average_trunk_hops() const {
@@ -53,8 +71,8 @@ double RouteTable::average_trunk_hops() const {
   for (std::uint16_t s = 0; s < hosts_; ++s)
     for (std::uint16_t d = 0; d < hosts_; ++d) {
       if (s == d) continue;
-      const HostPath& r = route(s, d);
-      if (r.segments.empty()) continue;  // unreachable in a degraded table
+      const RouteView r = route(s, d);
+      if (r.empty()) continue;  // unreachable in a degraded table
       total += r.trunk_hops();
       ++pairs;
     }
@@ -68,8 +86,8 @@ double RouteTable::minimal_fraction(const Router& router, unsigned jobs) const {
     const auto dist = router.minimal_distances_from(static_cast<std::uint16_t>(s));
     for (std::uint16_t d = 0; d < hosts_; ++d) {
       if (s == d) continue;
-      const HostPath& r = routes_[s * hosts_ + d];
-      if (r.segments.empty()) continue;  // unreachable in a degraded table
+      const RouteView r = rows_[s]->route(d);
+      if (r.empty()) continue;  // unreachable in a degraded table
       if (r.trunk_hops() == dist[d]) ++minimal_per_src[s];
       ++pairs_per_src[s];
     }
@@ -87,8 +105,8 @@ double RouteTable::average_itbs() const {
   for (std::uint16_t s = 0; s < hosts_; ++s)
     for (std::uint16_t d = 0; d < hosts_; ++d) {
       if (s == d) continue;
-      const HostPath& r = route(s, d);
-      if (r.segments.empty()) continue;  // unreachable in a degraded table
+      const RouteView r = route(s, d);
+      if (r.empty()) continue;  // unreachable in a degraded table
       total += r.itb_count();
       ++pairs;
     }
@@ -101,37 +119,35 @@ std::vector<std::uint32_t> RouteTable::channel_usage(
   for (std::uint16_t s = 0; s < hosts_; ++s)
     for (std::uint16_t d = 0; d < hosts_; ++d) {
       if (s == d) continue;
-      for (const auto& c : route(s, d).trunk_channels)
+      for (const auto& c : route(s, d).trunk_channels())
         ++usage[2 * c.link + (c.forward ? 0 : 1)];
     }
   return usage;
 }
 
 void RouteTable::index_source(const Router& router, std::uint16_t src) {
-  const auto& topo = router.topology();
   auto& lu = links_used_[src];
   auto& iu = itb_switch_used_[src];
   std::fill(lu.begin(), lu.end(), 0);
   std::fill(iu.begin(), iu.end(), 0);
-  const auto uplink = [&](std::uint16_t h) {
-    return topo.link_at(topo::host_id(h), 0);
-  };
+  // Every host a stored route touches was usable under `router`, which
+  // solved the row: its uplink is known there.
+  const RouteRow& row = *rows_[src];
   bool any = false;
   for (std::uint16_t d = 0; d < hosts_; ++d) {
     if (d == src) continue;
-    const HostPath& r = routes_[static_cast<std::size_t>(src) * hosts_ + d];
-    if (r.segments.empty()) continue;
+    const RouteView r = row.route(d);
+    if (r.empty()) continue;
     any = true;
-    if (auto l = uplink(d)) lu[*l] = 1;
-    for (const auto& c : r.trunk_channels) lu[c.link] = 1;
-    for (auto h : r.in_transit_hosts) {
-      if (auto l = uplink(h)) lu[*l] = 1;
-      iu[topo.host_uplink(h).node.index] = 1;
+    lu[router.host_link(d)] = 1;
+    for (const auto& c : r.trunk_channels()) lu[c.link] = 1;
+    for (auto h : r.in_transit_hosts()) {
+      lu[router.host_link(h)] = 1;
+      iu[router.host_switch(h)] = 1;
     }
   }
   // The source's own uplink carries every nonempty row.
-  if (any)
-    if (auto l = uplink(src)) lu[*l] = 1;
+  if (any) lu[router.host_link(src)] = 1;
   // A VC row longer than its minimal distance is an escape fallback; the
   // source carries the conservative "re-solve on any delta" mark (see the
   // vc_fallback_ comment in the header).
@@ -140,8 +156,8 @@ void RouteTable::index_source(const Router& router, std::uint16_t src) {
     const auto dist = router.minimal_distances_from(src);
     for (std::uint16_t d = 0; d < hosts_; ++d) {
       if (d == src) continue;
-      const HostPath& r = routes_[static_cast<std::size_t>(src) * hosts_ + d];
-      if (r.segments.empty()) continue;
+      const RouteView r = row.route(d);
+      if (r.empty()) continue;
       if (r.trunk_hops() > dist[d]) {
         vc_fallback_[src] = 1;
         break;
@@ -279,16 +295,15 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
         if (invalid[s] || solved_gen_[s] == target_gen ||
             !router.host_usable(s))
           continue;
-        const auto ss = topo.host_uplink(s).node.index;
+        const auto ss = router.host_switch(s);
         for (std::uint16_t d = 0; d < hosts_ && !invalid[s]; ++d) {
           if (d == s || !router.host_usable(d)) continue;
-          const HostPath& r =
-              routes_[static_cast<std::size_t>(s) * hosts_ + d];
-          if (r.segments.empty()) {
+          const RouteView r = rows_[s]->route(d);
+          if (r.empty()) {
             invalid[s] = 1;
             break;
           }
-          const auto sd = topo.host_uplink(d).node.index;
+          const auto sd = router.host_switch(d);
           const std::uint64_t stored = r.trunk_hops();
           for (const auto& a : attracts) {
             const auto& db = a.db.empty() ? a.da : a.db;
@@ -313,16 +328,11 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
     if (invalid[s]) work.push_back(s);
   st.sources_resolved = work.size();
 
-  sim::ParallelRunner(jobs).run_indexed(work.size(), [&](std::size_t i) {
-    const auto s = work[i];
-    auto row = router.routes_from(s, policy_, vc_lanes_);
-    std::move(row.begin(), row.end(),
-              routes_.begin() + static_cast<std::size_t>(s) * hosts_);
-    if (indexed) {
-      index_source(router, s);  // each worker touches only row s
-      solved_gen_[s] = target_gen;
-    }
-  });
+  // Copy on write: each re-solved source gets a fresh row. The row it
+  // replaces may be installed in a NIC, which keeps it until the next
+  // install — so it is never written in place.
+  solve_rows(router, work, jobs,
+             indexed ? std::optional(target_gen) : std::nullopt);
   return st;
 }
 
@@ -335,16 +345,16 @@ void RouteTable::dump(std::ostream& os) const {
   for (std::uint16_t s = 0; s < hosts_; ++s)
     for (std::uint16_t d = 0; d < hosts_; ++d) {
       if (s == d) continue;
-      const HostPath& r = routes_[static_cast<std::size_t>(s) * hosts_ + d];
+      const RouteView r = rows_[s]->route(d);
       os << s << ">" << d << " seg";
-      for (const auto& seg : r.segments) {
+      for (std::size_t i = 0; i < r.segment_count(); ++i) {
         os << ":";
-        for (auto byte : seg) os << " " << static_cast<unsigned>(byte);
+        for (auto port : r.segment(i)) os << " " << static_cast<unsigned>(port);
       }
       os << " itb";
-      for (auto h : r.in_transit_hosts) os << " " << h;
+      for (auto h : r.in_transit_hosts()) os << " " << h;
       os << " ch";
-      for (const auto& c : r.trunk_channels)
+      for (const auto& c : r.trunk_channels())
         os << " " << c.link << (c.forward ? "+" : "-");
       os << "\n";
     }

@@ -5,10 +5,19 @@
 // into the header of every outgoing packet (§4). A RouteTable is that
 // product for one routing policy, plus aggregate statistics the motivation
 // benches report (path length, link utilisation balance).
+//
+// The table holds one immutable RouteRow per source behind a shared
+// pointer. A NIC installs its source's row by taking that pointer, so the
+// mapper, the recovery engine and the NICs share one copy. Rows are never
+// written once published: patch() builds a fresh row for each source it
+// re-solves and swaps the pointer, so a NIC keeps stamping the routes it
+// was given until the next install hands it the new row.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "itb/routing/paths.hpp"
@@ -51,7 +60,15 @@ class RouteTable {
   std::size_t host_count() const { return hosts_; }
   unsigned vc_lanes() const { return vc_lanes_; }
 
-  const HostPath& route(std::uint16_t src, std::uint16_t dst) const;
+  /// The route from `src` to `dst`, valid while this table (or another
+  /// holder of the row) keeps the row alive. Throws std::out_of_range for
+  /// the diagonal or a host outside the table.
+  RouteView route(std::uint16_t src, std::uint16_t dst) const;
+
+  /// Source `src`'s whole row, shared: what a NIC installs.
+  const std::shared_ptr<const RouteRow>& row(std::uint16_t src) const {
+    return rows_.at(src);
+  }
 
   /// Mean switch-switch hops over all pairs (src != dst).
   double average_trunk_hops() const;
@@ -106,7 +123,7 @@ class RouteTable {
   std::size_t hosts_;
   unsigned vc_lanes_;
   std::uint64_t epoch_ = 0;
-  std::vector<HostPath> routes_;  // row-major [src * hosts_ + dst]
+  std::vector<std::shared_ptr<const RouteRow>> rows_;  // by source
 
   /// Per source: which links its stored rows traverse (trunk channels,
   /// src/dst uplinks, in-transit host uplinks). Empty until
@@ -143,7 +160,13 @@ class RouteTable {
   std::uint64_t intern_state(const Router& router);
   void index_source(const Router& router, std::uint16_t src);
 
-  std::size_t index(std::uint16_t src, std::uint16_t dst) const;
+  /// Re-solve `sources` across `jobs` workers, each filling its own warm
+  /// row and search scratch, and publish an exactly sized copy of each as
+  /// that source's new row. With `index_gen`, also re-index each source
+  /// and stamp it with that solve generation.
+  void solve_rows(const Router& router,
+                  const std::vector<std::uint16_t>& sources, unsigned jobs,
+                  std::optional<std::uint64_t> index_gen);
 };
 
 }  // namespace itb::routing

@@ -41,6 +41,14 @@ class ParallelRunner {
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& body) const;
 
+  /// The same, also passing each body the worker running it, in
+  /// [0, min(jobs(), count)): a caller keeps one scratch buffer per worker
+  /// and no two concurrent bodies share one.
+  void run_indexed(
+      std::size_t count,
+      const std::function<void(std::size_t index, unsigned worker)>& body)
+      const;
+
  private:
   unsigned jobs_;
 };

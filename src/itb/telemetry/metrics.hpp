@@ -21,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace itb::telemetry {
@@ -76,6 +77,14 @@ class Gauge {
   double* v_ = nullptr;
 };
 
+/// Hash of a metric or probe key: {component, name, labels}. Registries
+/// index their entries by it (key hash -> position) so a duplicate check
+/// or a lookup costs O(1) instead of a scan, without a second copy of the
+/// key strings: a candidate is confirmed against the stored entry.
+std::uint64_t key_hash(std::string_view component, std::string_view name,
+                       Labels labels);
+using KeyIndex = std::unordered_multimap<std::uint64_t, std::size_t>;
+
 /// One row of a registry snapshot.
 struct MetricSample {
   std::string component;
@@ -129,9 +138,12 @@ class MetricRegistry {
 
   Slot& add_slot(std::string component, std::string name, MetricKind kind,
                  Labels labels);
+  const Slot* find(std::uint64_t hash, std::string_view component,
+                   std::string_view name, Labels labels) const;
 
   // deque: handles keep pointers into slots, so addresses must be stable.
   std::deque<Slot> slots_;
+  KeyIndex index_;  // {component, name, labels} -> position in slots_
 };
 
 }  // namespace itb::telemetry

@@ -12,9 +12,13 @@ Sampler::Sampler(sim::EventQueue& queue, sim::Duration period)
 void Sampler::add_probe(std::string name, Labels labels, Mode mode,
                         Probe probe, double scale) {
   if (!probe) throw std::invalid_argument("sampler probe must be callable");
-  for (const auto& s : series_)
-    if (s.name == name && s.labels == labels)
+  const std::uint64_t hash = key_hash({}, name, labels);
+  const auto [first, last] = index_.equal_range(hash);
+  for (auto it = first; it != last; ++it)
+    if (series_[it->second].name == name &&
+        series_[it->second].labels == labels)
       throw std::invalid_argument("sampler probe already registered: " + name);
+  index_.emplace(hash, series_.size());
   Series s;
   s.name = std::move(name);
   s.labels = labels;

@@ -98,6 +98,7 @@ class Sampler {
   sim::Duration period_;
   std::vector<Series> series_;
   std::vector<Probe> probes_;       // parallel to series_
+  KeyIndex index_;                  // {name, labels} -> position in series_
   std::vector<double> prev_;        // last polled raw value, per probe
   sim::Time prev_at_ = 0;           // time of the last poll
   bool running_ = false;

@@ -134,7 +134,7 @@ TEST(RoutingOpts, SpreadSelectionDistributesItbDuty) {
     for (std::uint16_t s = 0; s < table.host_count(); ++s)
       for (std::uint16_t d = 0; d < table.host_count(); ++d) {
         if (s == d) continue;
-        for (auto h : table.route(s, d).in_transit_hosts) ++duty[h];
+        for (auto h : table.route(s, d).in_transit_hosts()) ++duty[h];
       }
     std::size_t max_duty = 0;
     for (auto& [h, n] : duty) max_duty = std::max(max_duty, n);

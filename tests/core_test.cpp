@@ -39,6 +39,33 @@ TEST(Cluster, ManualRoutesSkipMapper) {
   EXPECT_EQ(c->mapper_report(), nullptr);
 }
 
+TEST(Cluster, ManualRoutesWithShortRowsThrow) {
+  // Every source row must name a route (or none) for every destination;
+  // a 1-entry row on a 4-host fabric is rejected before any NIC reads it.
+  core::ClusterConfig cfg;
+  cfg.topology = topo::make_linear(4);
+  cfg.manual_routes = std::vector<std::vector<std::vector<packet::Route>>>(
+      4, std::vector<std::vector<packet::Route>>(1));
+  EXPECT_THROW(core::Cluster c(std::move(cfg)), std::invalid_argument);
+}
+
+TEST(Cluster, ManualRoutesWithUnencodablePortsThrow) {
+  // Route bytes carry the port in 7 bits: port 128 fails at construction,
+  // not at the first send inside the event loop.
+  const auto config = [](std::uint8_t last_port) {
+    core::ClusterConfig cfg;
+    cfg.topology = topo::make_linear(2);
+    std::vector<std::vector<std::vector<packet::Route>>> routes(
+        2, std::vector<std::vector<packet::Route>>(2));
+    routes[0][1] = {{0, 1}};
+    routes[1][0] = {{0, last_port}};
+    cfg.manual_routes = std::move(routes);
+    return cfg;
+  };
+  EXPECT_THROW(core::Cluster c(config(128)), std::invalid_argument);
+  EXPECT_NO_THROW(core::Cluster c(config(1)));
+}
+
 TEST(Cluster, InvalidTopologyThrows) {
   core::ClusterConfig cfg;
   cfg.topology.add_switch(4);

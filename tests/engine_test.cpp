@@ -7,6 +7,7 @@
 // kVcEscape tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -93,11 +94,11 @@ TEST(LaneLadder, ValleyRouteDecomposesIntoThreeSegments) {
   routing::Router router(ud);
   routing::RouteTable vc3(router, routing::Policy::kVcEscape, 1, 3);
 
-  const auto& r = vc3.route(0, 1);
+  const auto r = vc3.route(0, 1);
   ASSERT_EQ(r.trunk_hops(), 4u);  // the minimal valley path
-  EXPECT_EQ(router.updown_segments(r.trunk_channels), 3u);
-  EXPECT_TRUE(r.in_transit_hosts.empty());
-  ASSERT_EQ(r.segments.size(), 1u);
+  EXPECT_EQ(router.updown_segments(r.trunk_channels()), 3u);
+  EXPECT_TRUE(r.in_transit_hosts().empty());
+  ASSERT_EQ(r.segment_count(), 1u);
 
   auto eng = engine::make_engine({EngineKind::kVcEscape, 3});
   eng->bind(ud, t, {});
@@ -114,7 +115,8 @@ TEST(LaneLadder, RouteFallsBackToUpDownWhenOutOfLanes) {
 
   // 3 segments > 2 lanes: the row degrades to the exact up*/down* route.
   EXPECT_EQ(vc2.route(0, 1).trunk_hops(), 6u);
-  EXPECT_EQ(vc2.route(0, 1).trunk_channels, plain.route(0, 1).trunk_channels);
+  EXPECT_TRUE(std::ranges::equal(vc2.route(0, 1).trunk_channels(),
+                                 plain.route(0, 1).trunk_channels()));
   EXPECT_LT(vc2.minimal_fraction(router), 1.0);
 
   // One more lane restores minimality — and the per-lane CDG stays acyclic
@@ -143,14 +145,14 @@ TEST(LaneLadder, LaneSequenceIsMonotoneAndMatchesSegmentCount) {
     for (std::uint16_t s = 0; s < hosts; ++s)
       for (std::uint16_t d = 0; d < hosts; ++d) {
         if (s == d) continue;
-        const auto& r = table.route(s, d);
-        if (r.segments.empty()) continue;
+        const auto r = table.route(s, d);
+        if (r.empty()) continue;
         const auto lanes = engine::trunk_lanes(*eng, r);
         for (std::size_t i = 1; i < lanes.size(); ++i)
           EXPECT_LE(lanes[i - 1], lanes[i]);
         if (!lanes.empty())
           EXPECT_EQ(lanes.back() + 1u,
-                    router.updown_segments(r.trunk_channels));
+                    router.updown_segments(r.trunk_channels()));
       }
   }
 }

@@ -128,9 +128,9 @@ TEST(FaultRecovery, TestbedLinkDownRemapsAndDeliversExactlyOnce) {
   // fabric link from the port-faithful route bytes: the first byte is the
   // exit port on switch 0.
   const auto probe = mapper::run(cfg.topology, routing::Policy::kUpDown, 0);
-  const auto& before = probe.table.route(ids.host1, ids.host2);
-  ASSERT_FALSE(before.segments.empty());
-  const std::uint8_t exit_port = before.segments.front().front();
+  const auto before = probe.table.route(ids.host1, ids.host2);
+  ASSERT_FALSE(before.empty());
+  const std::uint8_t exit_port = before.segment(0).front();
   std::optional<topo::LinkId> victim_link;
   for (topo::LinkId l = 0; l < cfg.topology.link_count(); ++l) {
     const auto& link = cfg.topology.link(l);
@@ -151,9 +151,8 @@ TEST(FaultRecovery, TestbedLinkDownRemapsAndDeliversExactlyOnce) {
   std::optional<std::uint8_t> mid_window_exit_port;
   c.queue().schedule_at(5 * sim::kMs, [&] {
     if (const auto* t = c.recovery()->current_table()) {
-      const auto& r = t->route(ids.host1, ids.host2);
-      if (!r.segments.empty())
-        mid_window_exit_port = r.segments.front().front();
+      const auto r = t->route(ids.host1, ids.host2);
+      if (!r.empty()) mid_window_exit_port = r.segment(0).front();
     }
   });
 
@@ -198,7 +197,7 @@ TEST(FaultRecovery, LinkDownWithoutRemapRecoversWhenWindowCloses) {
   cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
   const auto probe = mapper::run(cfg.topology, routing::Policy::kUpDown, 0);
   const std::uint8_t exit_port =
-      probe.table.route(ids.host1, ids.host2).segments.front().front();
+      probe.table.route(ids.host1, ids.host2).segment(0).front();
   std::optional<topo::LinkId> victim;
   for (topo::LinkId l = 0; l < cfg.topology.link_count(); ++l) {
     const auto& link = cfg.topology.link(l);
@@ -235,16 +234,16 @@ TEST(FaultRecovery, ItbHostFailureMidPathReroutesWithoutItb) {
 
   core::Cluster c(std::move(cfg));
   ASSERT_EQ(c.route_table()->route(4, 1).itb_count(), 1u);
-  ASSERT_EQ(c.route_table()->route(4, 1).in_transit_hosts.front(), 6);
+  ASSERT_EQ(c.route_table()->route(4, 1).in_transit_hosts().front(), 6);
 
   std::size_t mid_window_itbs = 99;
   bool mid_window_reachable = false;
   sim::Time last_delivery = 0;
   c.queue().schedule_at(10 * sim::kMs, [&] {
     if (const auto* t = c.recovery()->current_table()) {
-      const auto& r = t->route(4, 1);
+      const auto r = t->route(4, 1);
       mid_window_itbs = r.itb_count();
-      mid_window_reachable = !r.segments.empty();
+      mid_window_reachable = !r.empty();
     }
   });
 

@@ -92,24 +92,26 @@ int total_delivered(const std::map<int, std::map<int, int>>& delivered) {
 
 TEST(BufferAugmentedCdg, RingItbRoutesAcyclicClassicallyButWedgeCapable) {
   const auto topo = make_ring();
-  // Hand-built HostPaths matching ring_config()'s manual routes.
+  // Hand-built one-route rows matching ring_config()'s manual routes.
   auto ring_path = [](std::uint16_t h) {
-    routing::HostPath p;
-    p.src_host = h;
-    p.dst_host = static_cast<std::uint16_t>((h + 2) % 4);
-    p.segments = {{1, 2}, {1, 2}};
-    p.in_transit_hosts = {static_cast<std::uint16_t>((h + 1) % 4)};
-    p.trunk_channels = {topo::Channel{h, true},
-                        topo::Channel{static_cast<std::uint16_t>((h + 1) % 4),
-                                      true}};
-    return p;
+    const auto dst = static_cast<std::uint16_t>((h + 2) % 4);
+    const std::uint16_t itb_host[] = {static_cast<std::uint16_t>((h + 1) % 4)};
+    const topo::Channel trunks[] = {
+        topo::Channel{h, true},
+        topo::Channel{static_cast<std::uint16_t>((h + 1) % 4), true}};
+    routing::RouteRow row;
+    row.reset(h, dst);
+    row.add({{1, 2}, {1, 2}}, itb_host, trunks);
+    return row;
   };
 
   routing::DependencyGraph plain(topo);
   routing::DependencyGraph buffered(topo);
   for (std::uint16_t h = 0; h < 4; ++h) {
-    plain.add_route(ring_path(h), topo);
-    buffered.add_route_buffered(ring_path(h), topo);
+    const auto row = ring_path(h);
+    const auto dst = static_cast<std::uint16_t>((h + 2) % 4);
+    plain.add_route(row.route(dst), topo);
+    buffered.add_route_buffered(row.route(dst), topo);
   }
   // The classical CDG is acyclic — ITB ejection breaks every channel
   // chain, so the static checker passes this route set.

@@ -113,8 +113,8 @@ TEST(Mapper, ComputedRoutesExecuteOnRealFabric) {
     for (std::uint16_t s = 0; s < fabric.host_count(); ++s)
       for (std::uint16_t d = 0; d < fabric.host_count(); ++d) {
         if (s == d) continue;
-        const auto& path = result.table.route(s, d);
-        EXPECT_EQ(execute_route(fabric, s, path.segments), topo::host_id(d))
+        const auto path = result.table.route(s, d);
+        EXPECT_EQ(execute_route(fabric, s, path.segments()), topo::host_id(d))
             << to_string(policy) << " " << s << "->" << d;
       }
   }

@@ -37,7 +37,8 @@ TEST_P(RoutingInvariants, UpDownRoutesNeverTurnUpAfterDown) {
   for (std::uint16_t s = 0; s < t.host_count(); s += 2)
     for (std::uint16_t d = 1; d < t.host_count(); d += 2) {
       if (s == d) continue;
-      EXPECT_TRUE(r.is_valid_updown(r.updown_route(s, d).trunk_channels));
+      EXPECT_TRUE(
+          r.is_valid_updown(r.updown_route(s, d).route(d).trunk_channels()));
     }
 }
 
@@ -50,7 +51,8 @@ TEST_P(RoutingInvariants, ItbRoutesAreMinimal) {
   for (std::uint16_t s = 0; s < t.host_count(); s += 2)
     for (std::uint16_t d = 1; d < t.host_count(); d += 2) {
       if (s == d) continue;
-      EXPECT_EQ(r.itb_route(s, d).trunk_hops(), r.minimal_distance(s, d));
+      EXPECT_EQ(r.itb_route(s, d).route(d).trunk_hops(),
+                r.minimal_distance(s, d));
     }
 }
 
@@ -61,19 +63,18 @@ TEST_P(RoutingInvariants, ItbSegmentsEachValidAndChainConsistent) {
   for (std::uint16_t s = 0; s < t.host_count(); s += 3)
     for (std::uint16_t d = 2; d < t.host_count(); d += 3) {
       if (s == d) continue;
-      auto p = r.itb_route(s, d);
-      ASSERT_EQ(p.segments.size(), p.in_transit_hosts.size() + 1);
+      const auto row = r.itb_route(s, d);
+      const auto p = row.route(d);
+      ASSERT_EQ(p.segment_count(), p.in_transit_hosts().size() + 1);
       std::size_t cursor = 0;
-      for (const auto& seg : p.segments) {
+      for (std::size_t i = 0; i < p.segment_count(); ++i) {
+        const auto seg = p.segment(i);
         ASSERT_GE(seg.size(), 1u);
-        std::vector<topo::Channel> chain(
-            p.trunk_channels.begin() + static_cast<std::ptrdiff_t>(cursor),
-            p.trunk_channels.begin() +
-                static_cast<std::ptrdiff_t>(cursor + seg.size() - 1));
-        EXPECT_TRUE(r.is_valid_updown(chain));
+        EXPECT_TRUE(r.is_valid_updown(
+            p.trunk_channels().subspan(cursor, seg.size() - 1)));
         cursor += seg.size() - 1;
       }
-      EXPECT_EQ(cursor, p.trunk_channels.size());
+      EXPECT_EQ(cursor, p.trunk_hops());
     }
 }
 
@@ -96,11 +97,11 @@ TEST_P(RoutingInvariants, RoutesExecuteToDestination) {
   for (std::uint16_t s = 0; s < t.host_count(); s += 2)
     for (std::uint16_t d = 1; d < t.host_count(); d += 2) {
       if (s == d) continue;
-      const auto& path = result.table.route(s, d);
+      const auto path = result.table.route(s, d);
       auto cur = disc.host_uplink(s);
-      for (std::size_t seg = 0; seg < path.segments.size(); ++seg) {
-        if (seg > 0) cur = disc.host_uplink(path.in_transit_hosts[seg - 1]);
-        for (auto port : path.segments[seg]) {
+      for (std::size_t seg = 0; seg < path.segment_count(); ++seg) {
+        if (seg > 0) cur = disc.host_uplink(path.in_transit_hosts()[seg - 1]);
+        for (auto port : path.segment(seg)) {
           auto peer = disc.peer(cur.node, port);
           ASSERT_TRUE(peer.has_value());
           cur = *peer;

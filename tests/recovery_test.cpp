@@ -15,6 +15,7 @@
 #include "itb/routing/paths.hpp"
 #include "itb/routing/table.hpp"
 #include "itb/routing/updown.hpp"
+#include "itb/sim/alloc_hook.hpp"
 #include "itb/topo/builders.hpp"
 
 namespace {
@@ -108,9 +109,9 @@ std::string dump_of(const routing::RouteTable& t) {
 topo::LinkId first_hop_link(const topo::Topology& topo,
                             const routing::RouteTable& table,
                             std::uint16_t src, std::uint16_t dst) {
-  const auto& path = table.route(src, dst);
-  EXPECT_FALSE(path.segments.empty());
-  const std::uint8_t exit_port = path.segments.front().front();
+  const auto path = table.route(src, dst);
+  EXPECT_FALSE(path.empty());
+  const std::uint8_t exit_port = path.segment(0).front();
   const auto sw = topo.host_uplink(src).node;
   const auto link = topo.link_at(sw, exit_port);
   EXPECT_TRUE(link.has_value());
@@ -554,6 +555,134 @@ TEST(Recovery, FlightFingerprintInvariantAcrossRouteJobs) {
   const auto fp4 = run_once(4);
   EXPECT_NE(fp1, 0u);
   EXPECT_EQ(fp1, fp4);
+}
+
+// ---- shared route rows --------------------------------------------------
+
+TEST(ZeroAlloc, ControlPlaneResolvesAndInstallsWithoutCopies) {
+  // A 64 x 4 COW on the ITB engine. Once a row and its search scratch are
+  // warm, re-solving every source allocates nothing; installing a table in
+  // a NIC swaps a pointer; a patch round pays a fixed handful of
+  // allocations per re-solved source (its fresh row) and no more.
+  if (!sim::alloc_counting_available())
+    GTEST_SKIP() << "allocation counting unavailable (sanitizer build)";
+  core::ClusterConfig cfg;
+  sim::Rng rng(2001);
+  topo::IrregularSpec spec;
+  spec.switches = 64;
+  spec.hosts_per_switch = 4;
+  cfg.topology = topo::make_random_irregular(spec, rng);
+  cfg.engine = {engine::EngineKind::kItb, 1};
+  core::Cluster c(std::move(cfg));
+  const auto& topo = c.topology();
+  const auto hosts = static_cast<std::uint16_t>(topo.host_count());
+
+  const auto root = topo.host_uplink(0).node.index;
+  const std::vector<char> all_up(topo.link_count(), 1);
+  const routing::UpDown ud(topo, root, all_up);
+  const routing::Router router(ud);
+  routing::RouteRow row;
+  routing::Router::Scratch scratch;
+  for (std::uint16_t s = 0; s < hosts; ++s)
+    router.routes_from(s, routing::Policy::kItb, 2, row, scratch);
+  auto before = sim::total_allocations();
+  for (std::uint16_t s = 0; s < hosts; ++s)
+    router.routes_from(s, routing::Policy::kItb, 2, row, scratch);
+  EXPECT_EQ(sim::total_allocations() - before, 0u) << "warm re-solves";
+
+  const auto* boot = c.route_table();
+  ASSERT_NE(boot, nullptr);
+  before = sim::total_allocations();
+  for (std::uint16_t h = 0; h < hosts; ++h) c.nic(h).load_routes(*boot);
+  EXPECT_EQ(sim::total_allocations() - before, 0u) << "NIC installs";
+  for (std::uint16_t d = 1; d < hosts; ++d)
+    EXPECT_EQ(c.nic(0).route(d).header().data(),
+              boot->route(0, d).header().data())
+        << "the NIC holds the table's row, not a copy";
+
+  // Fail the trunk most routes cross and patch, as a recovery round does.
+  routing::RouteTable table(router, routing::Policy::kItb);
+  table.enable_patching(router);
+  const auto usage = table.channel_usage(topo);
+  topo::LinkId busiest = trunk_links(topo).front();
+  for (const auto l : trunk_links(topo))
+    if (usage[2 * l] + usage[2 * l + 1] >
+        usage[2 * busiest] + usage[2 * busiest + 1])
+      busiest = l;
+  std::vector<char> mask = all_up;
+  mask[busiest] = 0;
+  const routing::UpDown down_ud(topo, root, mask);
+  const routing::Router down_router(down_ud);
+  const auto delta = diff_orientation(topo, ud, down_ud);
+  before = sim::total_allocations();
+  const auto st = table.patch(down_router, delta);
+  const auto patch_allocs = sim::total_allocations() - before;
+  ASSERT_GT(st.sources_resolved, 0u);
+  EXPECT_LE(patch_allocs, 8 * st.sources_resolved)
+      << patch_allocs << " allocations for " << st.sources_resolved
+      << " re-solved sources";
+}
+
+TEST(RecoveryInstall, NicsStampTheOldHeaderUntilTheRoundInstalls) {
+  // A remap round solves or patches the recovery table at fire() and hands
+  // it to the NICs only at install(), after the modelled recompute delay.
+  // NICs share the table's rows, so a patch must publish new rows and
+  // leave the installed ones alone: in between, a NIC still stamps its old
+  // header toward a re-routed destination, and the new one once the round
+  // installs. Round 1 (trunk down) is a full solve into a new table; round
+  // 2 (trunk back up) patches the rows round 1 installed.
+  core::ClusterConfig cfg;
+  sim::Rng rng(2001);
+  topo::IrregularSpec spec;
+  spec.switches = 8;
+  spec.hosts_per_switch = 2;
+  cfg.topology = topo::make_random_irregular(spec, rng);
+  cfg.engine = {engine::EngineKind::kItb, 1};
+  // A pair whose route leaves the source switch over a trunk: failing that
+  // trunk re-routes it, restoring the trunk routes it back.
+  const std::uint16_t src = 0;
+  std::uint16_t dst = 1;
+  while (cfg.topology.host_uplink(dst).node ==
+         cfg.topology.host_uplink(src).node)
+    ++dst;
+  const auto probe = mapper::run(cfg.topology, routing::Policy::kItb, 0);
+  const auto victim = first_hop_link(cfg.topology, probe.table, src, dst);
+  cfg.fault_schedule.link_down(victim, 100 * sim::kUs, 20 * sim::kMs);
+  core::Cluster c(std::move(cfg));
+  ASSERT_NE(c.recovery(), nullptr);
+  const auto& recovery = *c.recovery();
+
+  const auto header = [](routing::RouteView r) {
+    return std::vector<std::uint8_t>(r.header().begin(), r.header().end());
+  };
+  const auto step_until = [&c](auto done) {
+    while (!done() && c.queue().run_events(1) > 0) {
+    }
+    return done();
+  };
+  auto installed = header(c.nic(src).route(dst));
+  ASSERT_FALSE(installed.empty());
+  for (std::uint64_t round = 1; round <= 2; ++round) {
+    SCOPED_TRACE(round);
+    // Between the round's fire (its table is solved or patched) and its
+    // install (the epoch moves).
+    ASSERT_TRUE(step_until([&] {
+      return recovery.current_table() != nullptr &&
+             recovery.stats().full_resolves + recovery.stats().patch_rounds ==
+                 round;
+    }));
+    ASSERT_EQ(recovery.epoch(), round - 1);
+    const auto solved = header(recovery.current_table()->route(src, dst));
+    ASSERT_FALSE(solved.empty());
+    ASSERT_NE(solved, installed) << "the round re-routes the pair";
+    EXPECT_EQ(header(c.nic(src).route(dst)), installed)
+        << "a NIC stamps its installed header until the round installs";
+
+    ASSERT_TRUE(step_until([&] { return recovery.epoch() == round; }));
+    EXPECT_EQ(header(c.nic(src).route(dst)), solved);
+    installed = solved;
+  }
+  EXPECT_EQ(recovery.stats().patch_rounds, 1u);
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 // Fig. 1 scenario.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <string>
+
 #include "itb/routing/deadlock.hpp"
 #include "itb/routing/paths.hpp"
 #include "itb/routing/table.hpp"
@@ -81,9 +85,10 @@ TEST(Router, SameSwitchRoute) {
   auto t = make_linear(2, 2);  // hosts 0,1 on s0; hosts 2,3 on s1
   UpDown ud(t);
   Router r(ud);
-  auto path = r.updown_route(0, 1);
-  EXPECT_EQ(path.segments.size(), 1u);
-  EXPECT_EQ(path.segments[0].size(), 1u);  // one traversal of s0
+  const auto row = r.updown_route(0, 1);
+  const auto path = row.route(1);
+  EXPECT_EQ(path.segment_count(), 1u);
+  EXPECT_EQ(path.segment(0).size(), 1u);  // one traversal of s0
   EXPECT_EQ(path.trunk_hops(), 0u);
   EXPECT_EQ(path.itb_count(), 0u);
 }
@@ -92,10 +97,11 @@ TEST(Router, LinearChainRouteLength) {
   auto t = make_linear(4, 1);
   UpDown ud(t);
   Router r(ud);
-  auto path = r.updown_route(0, 3);
+  const auto row = r.updown_route(0, 3);
+  const auto path = row.route(3);
   EXPECT_EQ(path.trunk_hops(), 3u);
   EXPECT_EQ(path.switch_traversals(), 4u);
-  EXPECT_TRUE(r.is_valid_updown(path.trunk_channels));
+  EXPECT_TRUE(r.is_valid_updown(path.trunk_channels()));
 }
 
 TEST(Router, RouteBytesExecuteToDestination) {
@@ -107,11 +113,12 @@ TEST(Router, RouteBytesExecuteToDestination) {
   for (std::uint16_t s = 0; s < t.host_count(); ++s) {
     for (std::uint16_t d = 0; d < t.host_count(); ++d) {
       if (s == d) continue;
-      auto path = r.updown_route(s, d);
+      const auto row = r.updown_route(s, d);
+      const auto path = row.route(d);
       auto cur = t.host_uplink(s);
-      for (std::size_t seg = 0; seg < path.segments.size(); ++seg) {
-        if (seg > 0) cur = t.host_uplink(path.in_transit_hosts[seg - 1]);
-        for (auto port : path.segments[seg]) {
+      for (std::size_t seg = 0; seg < path.segment_count(); ++seg) {
+        if (seg > 0) cur = t.host_uplink(path.in_transit_hosts()[seg - 1]);
+        for (auto port : path.segment(seg)) {
           auto peer = t.peer(cur.node, port);
           ASSERT_TRUE(peer.has_value()) << describe(path, t);
           cur = *peer;
@@ -127,18 +134,20 @@ TEST(Router, Fig1MinimalPathIsForbidden) {
   auto t = make_fig1_network();
   UpDown ud(t);
   Router r(ud);
-  auto minimal = r.minimal_route(4, 1);  // host i sits on switch i
+  const auto row = r.minimal_route(4, 1);  // host i sits on switch i
+  const auto minimal = row.route(1);
   EXPECT_EQ(minimal.trunk_hops(), 2u);
-  EXPECT_FALSE(r.is_valid_updown(minimal.trunk_channels));
+  EXPECT_FALSE(r.is_valid_updown(minimal.trunk_channels()));
 }
 
 TEST(Router, Fig1UpDownDetour) {
   auto t = make_fig1_network();
   UpDown ud(t);
   Router r(ud);
-  auto updown = r.updown_route(4, 1);
+  const auto row = r.updown_route(4, 1);
+  const auto updown = row.route(1);
   EXPECT_EQ(updown.trunk_hops(), 3u);  // 4 -> 2 -> 0 -> 1
-  EXPECT_TRUE(r.is_valid_updown(updown.trunk_channels));
+  EXPECT_TRUE(r.is_valid_updown(updown.trunk_channels()));
   EXPECT_EQ(updown.itb_count(), 0u);
 }
 
@@ -148,20 +157,19 @@ TEST(Router, Fig1ItbRouteIsMinimalWithOneItb) {
   auto t = make_fig1_network();
   UpDown ud(t);
   Router r(ud);
-  auto itb = r.itb_route(4, 1);
+  const auto row = r.itb_route(4, 1);
+  const auto itb = row.route(1);
   EXPECT_EQ(itb.trunk_hops(), 2u);
   EXPECT_EQ(itb.itb_count(), 1u);
-  ASSERT_EQ(itb.in_transit_hosts.size(), 1u);
-  EXPECT_EQ(itb.in_transit_hosts[0], 6);  // host 6 hangs off switch 6
-  EXPECT_EQ(itb.segments.size(), 2u);
+  ASSERT_EQ(itb.in_transit_hosts().size(), 1u);
+  EXPECT_EQ(itb.in_transit_hosts()[0], 6);  // host 6 hangs off switch 6
+  EXPECT_EQ(itb.segment_count(), 2u);
   // Each sub-path must itself be a valid up*/down* path.
   std::size_t cursor = 0;
-  for (const auto& seg : itb.segments) {
-    std::vector<Channel> chain(itb.trunk_channels.begin() + cursor,
-                               itb.trunk_channels.begin() + cursor +
-                                   (seg.size() - 1));
-    EXPECT_TRUE(r.is_valid_updown(chain));
-    cursor += seg.size() - 1;
+  for (std::size_t i = 0; i < itb.segment_count(); ++i) {
+    const std::size_t hops = itb.segment(i).size() - 1;
+    EXPECT_TRUE(r.is_valid_updown(itb.trunk_channels().subspan(cursor, hops)));
+    cursor += hops;
   }
 }
 
@@ -172,8 +180,8 @@ TEST(Router, ItbNeverWorseThanUpDown) {
   for (std::uint16_t s = 0; s < t.host_count(); ++s)
     for (std::uint16_t d = 0; d < t.host_count(); ++d) {
       if (s == d) continue;
-      EXPECT_LE(r.itb_route(s, d).trunk_hops(),
-                r.updown_route(s, d).trunk_hops());
+      EXPECT_LE(r.itb_route(s, d).route(d).trunk_hops(),
+                r.updown_route(s, d).route(d).trunk_hops());
     }
 }
 
@@ -186,7 +194,8 @@ TEST(Router, ItbRoutesAreMinimalOnFig1) {
   for (std::uint16_t s = 0; s < t.host_count(); ++s)
     for (std::uint16_t d = 0; d < t.host_count(); ++d) {
       if (s == d) continue;
-      EXPECT_EQ(r.itb_route(s, d).trunk_hops(), r.minimal_distance(s, d));
+      EXPECT_EQ(r.itb_route(s, d).route(d).trunk_hops(),
+                r.minimal_distance(s, d));
     }
 }
 
@@ -202,13 +211,13 @@ TEST(Router, ItbSubPathsAlwaysValidOnRandomNets) {
     for (std::uint16_t s = 0; s < t.host_count(); s += 3)
       for (std::uint16_t d = 0; d < t.host_count(); d += 3) {
         if (s == d) continue;
-        auto path = r.itb_route(s, d);
+        const auto row = r.itb_route(s, d);
+        const auto path = row.route(d);
         std::size_t cursor = 0;
-        for (const auto& seg : path.segments) {
+        for (std::size_t i = 0; i < path.segment_count(); ++i) {
+          const auto seg = path.segment(i);
           ASSERT_GE(seg.size(), 1u);
-          std::vector<Channel> chain(
-              path.trunk_channels.begin() + cursor,
-              path.trunk_channels.begin() + cursor + (seg.size() - 1));
+          const auto chain = path.trunk_channels().subspan(cursor, seg.size() - 1);
           EXPECT_TRUE(r.is_valid_updown(chain)) << describe(path, t);
           cursor += seg.size() - 1;
         }
@@ -222,7 +231,7 @@ TEST(Router, DescribeMentionsItb) {
   auto t = make_fig1_network();
   UpDown ud(t);
   Router r(ud);
-  auto text = describe(r.itb_route(4, 1), t);
+  auto text = describe(r.itb_route(4, 1).route(1), t);
   EXPECT_NE(text.find("ITB(h6)"), std::string::npos) << text;
   EXPECT_NE(text.find("h4"), std::string::npos);
 }
@@ -355,7 +364,7 @@ TEST(Deadlock, MinimalRoutesWithoutItbsCanCycle) {
     for (std::uint16_t s = 0; s < t.host_count(); ++s)
       for (std::uint16_t d = 0; d < t.host_count(); ++d) {
         if (s == d) continue;
-        g.add_route(r.minimal_route(s, d), t);
+        g.add_route(r.minimal_route(s, d).route(d), t);
       }
     found_cycle = g.has_cycle();
   }
@@ -368,7 +377,8 @@ TEST(Deadlock, ItbRouteChainsSplitAtEjection) {
   auto t = make_fig1_network();
   UpDown ud(t);
   Router r(ud);
-  auto path = r.itb_route(4, 1);
+  const auto row = r.itb_route(4, 1);
+  const auto path = row.route(1);
   ASSERT_EQ(path.itb_count(), 1u);
   DependencyGraph g(t);
   g.add_route(path, t);
@@ -376,6 +386,141 @@ TEST(Deadlock, ItbRouteChainsSplitAtEjection) {
   // With only one route, edges = (channels per chain - 1) summed: chain 1
   // has host + 1 trunk + host = 3 channels (2 edges), chain 2 the same.
   EXPECT_EQ(g.edge_count(), 4u);
+}
+
+// ------------------------------------------------------------ dump pins --
+
+/// FNV-1a 64 over a table dump.
+std::uint64_t dump_digest(const RouteTable& table) {
+  std::ostringstream os;
+  table.dump(os);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : os.str()) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(RouteTable, DumpDigestsPinnedOnEveryGenerator) {
+  // One small instance of every generator in topo/builders.hpp, solved
+  // under every policy the engines use: up*/down*, ITB with both in-transit
+  // host selections, and VC escape with 1, 2 and 4 lanes (one lane forces
+  // up*/down* escape fallbacks on the irregular, regular, ring and Fig. 1
+  // fabrics). The digests were taken before routes were stored as flat
+  // rows, so any change to a route byte, in-transit host, trunk channel or
+  // the dump text shows here.
+  itb::sim::Rng irregular_rng(7);
+  itb::sim::Rng regular_rng(11);
+  IrregularSpec irregular;
+  irregular.switches = 8;
+  irregular.hosts_per_switch = 3;
+  RegularSpec regular;
+  regular.switches = 8;
+  regular.degree = 3;
+  regular.hosts_per_switch = 2;
+  const std::vector<std::pair<const char*, Topology>> fabrics = {
+      {"paper_testbed", make_paper_testbed()},
+      {"fig1", make_fig1_network()},
+      {"irregular", make_random_irregular(irregular, irregular_rng)},
+      {"regular", make_random_regular(regular, regular_rng)},
+      {"fat_tree", make_fat_tree(4)},
+      {"clos", make_clos(2, 4, 2)},
+      {"linear", make_linear(4, 2)},
+      {"ring", make_ring(6, 2)},
+      {"mesh", make_mesh(3, 3, 2)},
+      {"star", make_star(4, 2)},
+  };
+  struct Solve {
+    const char* name;
+    Policy policy;
+    ItbHostSelection selection;
+    unsigned lanes;
+  };
+  const Solve solves[] = {
+      {"ud", Policy::kUpDown, ItbHostSelection::kLowestIndex, 2},
+      {"itb", Policy::kItb, ItbHostSelection::kLowestIndex, 2},
+      {"itb_spread", Policy::kItb, ItbHostSelection::kSpread, 2},
+      {"vc1", Policy::kVcEscape, ItbHostSelection::kLowestIndex, 1},
+      {"vc2", Policy::kVcEscape, ItbHostSelection::kLowestIndex, 2},
+      {"vc4", Policy::kVcEscape, ItbHostSelection::kLowestIndex, 4},
+  };
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"paper_testbed/ud", 0x1b1f9fd81c8f460dull},
+      {"paper_testbed/itb", 0x096de7fe66578ffcull},
+      {"paper_testbed/itb_spread", 0x096de7fe66578ffcull},
+      {"paper_testbed/vc1", 0x5e46a06fee194445ull},
+      {"paper_testbed/vc2", 0xae1a3b579887d976ull},
+      {"paper_testbed/vc4", 0x0ecc5a3ffecc3670ull},
+      {"fig1/ud", 0x627c4521059c1486ull},
+      {"fig1/itb", 0x201f0dff3576f006ull},
+      {"fig1/itb_spread", 0x201f0dff3576f006ull},
+      {"fig1/vc1", 0x190b323d4151358eull},
+      {"fig1/vc2", 0xfffd0692554ac80cull},
+      {"fig1/vc4", 0x3a3f56ca4423522eull},
+      {"irregular/ud", 0x243670757ed0766eull},
+      {"irregular/itb", 0x744f987543f28e3cull},
+      {"irregular/itb_spread", 0x9747605a99ed1504ull},
+      {"irregular/vc1", 0xf940f761260f1878ull},
+      {"irregular/vc2", 0xcc5c0e1f14bc16daull},
+      {"irregular/vc4", 0xb835bcaedb7fdd10ull},
+      {"regular/ud", 0xa356dde215225185ull},
+      {"regular/itb", 0x67d47b7b66fd927aull},
+      {"regular/itb_spread", 0xee7501858bf1fee6ull},
+      {"regular/vc1", 0xca5dd4b09dd1e82dull},
+      {"regular/vc2", 0x427d77d10c960f30ull},
+      {"regular/vc4", 0x517f9ad41c3dbe36ull},
+      {"fat_tree/ud", 0xefcf71bad7ec4ae1ull},
+      {"fat_tree/itb", 0xb9e64cfedd6ba0baull},
+      {"fat_tree/itb_spread", 0xb9e64cfedd6ba0baull},
+      {"fat_tree/vc1", 0xd03d9a4fcf5e1649ull},
+      {"fat_tree/vc2", 0xf2875672ffac0d08ull},
+      {"fat_tree/vc4", 0xb997e0255d8b403eull},
+      {"clos/ud", 0xfa7e8d19feda1a66ull},
+      {"clos/itb", 0x22c4ec4e382fd4efull},
+      {"clos/itb_spread", 0x22c4ec4e382fd4efull},
+      {"clos/vc1", 0x234e93f73169ffaeull},
+      {"clos/vc2", 0x1e90f7c022d0032dull},
+      {"clos/vc4", 0x89a1017dd4eb1033ull},
+      {"linear/ud", 0x88b977642abdc302ull},
+      {"linear/itb", 0xb06d7efb12c44e33ull},
+      {"linear/itb_spread", 0xb06d7efb12c44e33ull},
+      {"linear/vc1", 0xaf933db8fea8d48aull},
+      {"linear/vc2", 0x6312ca8c3248e6b9ull},
+      {"linear/vc4", 0xda9f7e02bd5ff8e7ull},
+      {"ring/ud", 0x1bea281e048c4981ull},
+      {"ring/itb", 0x504178a653c74892ull},
+      {"ring/itb_spread", 0x4a340f04d9272aeeull},
+      {"ring/vc1", 0xabba454a528d7f29ull},
+      {"ring/vc2", 0x4ff8267f81255fa4ull},
+      {"ring/vc4", 0xafd196c014cf0acaull},
+      {"mesh/ud", 0x5238fb4b68e6cc96ull},
+      {"mesh/itb", 0xf0afb3eea0e8d2c5ull},
+      {"mesh/itb_spread", 0xf0afb3eea0e8d2c5ull},
+      {"mesh/vc1", 0x0e786e1b5b6e752eull},
+      {"mesh/vc2", 0x0d277e6c1442fd3full},
+      {"mesh/vc4", 0xca61a2bb5ff28fb1ull},
+      {"star/ud", 0x0746bae5809523deull},
+      {"star/itb", 0x384704e3c9392af7ull},
+      {"star/itb_spread", 0x384704e3c9392af7ull},
+      {"star/vc1", 0xe8fb0b7dbdfaf9e6ull},
+      {"star/vc2", 0xbe6b4df34bdd4bc5ull},
+      {"star/vc4", 0x9abfb7dcd0ceabfbull},
+  };
+  std::size_t checked = 0;
+  for (const auto& [fabric_name, topo] : fabrics) {
+    const UpDown ud(topo);
+    for (const Solve& s : solves) {
+      const Router router(ud, s.selection);
+      const RouteTable table(router, s.policy, /*jobs=*/1, s.lanes);
+      const std::string key = std::string(fabric_name) + "/" + s.name;
+      const auto it = pinned.find(key);
+      ASSERT_NE(it, pinned.end()) << key;
+      EXPECT_EQ(dump_digest(table), it->second) << key;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(fabrics) * std::size(solves));
 }
 
 }  // namespace

@@ -194,6 +194,25 @@ TEST(MetricRegistry, DuplicateRegistrationThrows) {
                                    [] { return 0.0; },
                                    {.host = 1, .channel = -1}),
                std::invalid_argument);
+
+  // Thousands of label-distinct entries (a thousand-host cluster registers
+  // tens of thousands): every lookup and duplicate check finds exactly its
+  // own entry, and snapshot() keeps registration order.
+  for (int h = 0; h < 4000; ++h)
+    reg.counter("nic", "sent", {.host = h, .channel = h % 7})
+        .inc(static_cast<std::uint64_t>(h));
+  EXPECT_EQ(reg.value("nic", "sent", {.host = 2718, .channel = 2718 % 7}),
+            2718.0);
+  EXPECT_EQ(reg.value("nic", "sent", {.host = 2718, .channel = 0}),
+            std::nullopt);
+  EXPECT_EQ(reg.value("nic", "received", {.host = 1, .channel = 1}),
+            std::nullopt);
+  EXPECT_THROW(reg.counter("nic", "sent", {.host = 3999, .channel = 3999 % 7}),
+               std::invalid_argument);
+  const auto rows = reg.snapshot();
+  ASSERT_EQ(rows.size(), 2u + 4000u);
+  for (int h = 0; h < 4000; ++h)
+    EXPECT_EQ(rows[2 + static_cast<std::size_t>(h)].labels.host, h);
 }
 
 // ---------------------------------------------------------------------------
