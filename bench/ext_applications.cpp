@@ -179,8 +179,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nExpected: the bursty all-to-all gains most (root "
-              "decongestion); the ring is\nlatency-bound and nearly "
-              "unaffected; master/worker sits in between.\n");
+              "decongestion); the latency-bound\nring gains less; the "
+              "endpoint-bound master/worker is unaffected.\n");
   if (g_watchdog) health::print_liveness_summary(liveness);
   if (!bflight.finish("ext_applications", g_report)) return 1;
 

@@ -1,9 +1,9 @@
 #include "itb/routing/paths.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace itb::routing {
 
@@ -56,6 +56,7 @@ std::size_t RouteView::switch_traversals() const {
 void RouteRow::reset(std::uint16_t src, std::uint16_t first_dst) {
   src_ = src;
   first_ = first_dst;
+  open_channels_ = 0;
   marks_.assign(1, Mark{});
   header_.clear();
   hosts_.clear();
@@ -73,8 +74,8 @@ RouteView RouteRow::route(std::uint16_t dst) const {
   v.dst_ = dst;
   v.header_ = std::span(header_).subspan(a.header, b.header - a.header);
   v.hosts_ = std::span(hosts_).subspan(a.hosts, b.hosts - a.hosts);
-  v.channels_ =
-      std::span(channels_).subspan(a.channels, b.channels - a.channels);
+  v.channels_ = std::span(channels_).subspan(
+      b.channels_begin, b.channels_end - b.channels_begin);
   return v;
 }
 
@@ -107,20 +108,44 @@ void RouteRow::add(const RouteView& route) {
 
 void RouteRow::close_entry() {
   if (marks_.empty()) marks_.push_back(Mark{});
+  const auto end = static_cast<std::uint32_t>(channels_.size());
   marks_.push_back(Mark{static_cast<std::uint32_t>(header_.size()),
                         static_cast<std::uint32_t>(hosts_.size()),
-                        static_cast<std::uint32_t>(channels_.size())});
+                        open_channels_, end});
+  open_channels_ = end;
+}
+
+void RouteRow::add_sibling(std::size_t entry, std::uint8_t last_port) {
+  const Mark a = marks_[entry];  // by value: the push below may reallocate
+  const Mark b = marks_[entry + 1];
+  // Copy by index: the source bytes live in the arrays being grown.
+  const std::size_t bytes = b.header - a.header;
+  header_.resize(header_.size() + bytes);
+  std::copy_n(header_.begin() + a.header, bytes, header_.end() - bytes);
+  header_.back() = packet::encode_route_byte(last_port);
+  const std::size_t hosts = b.hosts - a.hosts;
+  hosts_.resize(hosts_.size() + hosts);
+  std::copy_n(hosts_.begin() + a.hosts, hosts, hosts_.end() - hosts);
+  marks_.push_back(Mark{static_cast<std::uint32_t>(header_.size()),
+                        static_cast<std::uint32_t>(hosts_.size()),
+                        b.channels_begin, b.channels_end});
 }
 
 void RouteRow::truncate_open() {
   const Mark& m = marks_.back();
   header_.resize(m.header);
   hosts_.resize(m.hosts);
-  channels_.resize(m.channels);
+  // Only the open entry's own channels: the last mark's range may be one
+  // an earlier entry owns.
+  channels_.resize(open_channels_);
+}
+
+std::span<const std::uint16_t> RouteRow::open_hosts() const {
+  return std::span(hosts_).subspan(marks_.back().hosts);
 }
 
 std::span<const topo::Channel> RouteRow::open_channels() const {
-  return std::span(channels_).subspan(marks_.back().channels);
+  return std::span(channels_).subspan(open_channels_);
 }
 
 // ---------------------------------------------------------------- Router --
@@ -180,10 +205,10 @@ namespace {
 
 /// A Dijkstra state is a switch plus the up*/down* phase. Phase 0: no down
 /// traversal yet (up and down both legal). Phase 1: a down traversal
-/// happened (only down legal until an ITB resets the phase). A queue entry
+/// happened (only down legal until an ITB resets the phase). A state's key
 /// packs (hops, itbs, switch, phase) into one word whose integer order is
-/// the canonical pop order, each field wider than any value it can take
-/// (hops and itbs stay below the 2 * 65535 states).
+/// the canonical order, each field wider than any value it can take (hops
+/// and itbs stay below the 2 * 65535 states).
 constexpr std::uint64_t pack(std::uint32_t hops, std::uint32_t itbs,
                              std::uint16_t sw, std::uint8_t phase) {
   return (std::uint64_t{hops} << 41) | (std::uint64_t{itbs} << 17) |
@@ -202,64 +227,77 @@ void Router::relax(std::uint16_t src_switch, bool restrict_updown,
   auto& dist = out.dist;
   auto& pred = out.pred;
 
-  // Canonical pop order: (cost, switch, phase). With cost-only ordering the
-  // winner among equal-cost states depends on heap internals (push order);
-  // breaking ties on state id makes every pred assignment a pure function
-  // of the search graph, which the incremental patcher relies on — a source
-  // whose stored routes avoid all changed links provably re-solves to the
+  // Canonical predecessors: among the states that reach a state at its
+  // final cost, the one with the smallest packed key wins (and of its
+  // parallel hops, the first). Every pred assignment is then a pure
+  // function of the search graph, whatever order a bucket holds its
+  // states in, which the incremental patcher relies on — a source whose
+  // stored routes avoid all changed links provably re-solves to the
   // byte-identical row, so it can be skipped.
-  auto& heap = sc.heap;
-  heap.clear();
-  const auto push = [&heap](SearchCost cost, std::uint16_t sw,
-                            std::uint8_t phase) {
-    heap.push_back(pack(cost.hops, cost.itbs, sw, phase));
-    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  const auto key_of = [&dist](const SearchPred& p) {
+    const SearchCost& c = dist[p.sw][p.phase];
+    return pack(c.hops, c.itbs, p.sw, p.phase);
+  };
+  // Returns true when `to` improved and must be queued.
+  const auto reach = [&](SearchCost cost, std::uint16_t to, std::uint8_t phase,
+                         SearchPred by, std::uint64_t by_key) {
+    SearchCost& d = dist[to][phase];
+    if (cost < d) {
+      d = cost;
+      pred[to][phase] = by;
+      return true;
+    }
+    if (cost == d && by_key < key_of(pred[to][phase])) pred[to][phase] = by;
+    return false;
   };
 
+  // Two-level bucket queue over (hops, itbs), drained in lexicographic
+  // order. A hop queues at (hops + 1, itbs), the next level; an ITB reset
+  // at (hops, itbs + 1), a later bucket of the level being drained. Both
+  // costs exceed the state's own, so a state's cost is final when its
+  // bucket comes up and it expands exactly once; entries whose state has
+  // since improved are stale and skipped.
+  Scratch::Level* level = &sc.levels[0];
+  Scratch::Level* next = &sc.levels[1];
   dist[src_switch][0] = SearchCost{0, 0};
   pred[src_switch][0] = SearchPred{0xFFFF, 0, -2};
-  push(SearchCost{0, 0}, src_switch, 0);
+  level->push(0, std::uint32_t{src_switch} << 1);
 
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    const std::uint64_t key = heap.back();
-    heap.pop_back();
-    const SearchCost cost{static_cast<std::uint32_t>(key >> 41),
-                          static_cast<std::uint32_t>(key >> 17) & 0xFFFFFFu};
-    const auto sw = static_cast<std::uint16_t>(key >> 1);
-    const auto phase = static_cast<std::uint8_t>(key & 1);
-    if (cost != dist[sw][phase]) continue;  // stale entry
+  for (std::uint32_t hops = 0; level->used > 0; ++hops) {
+    // By index throughout: an ITB reset grows this level's bucket list.
+    for (std::uint32_t itbs = 0; itbs < level->used; ++itbs) {
+      for (std::size_t k = 0; k < level->by_itbs[itbs].size(); ++k) {
+        const std::uint32_t state = level->by_itbs[itbs][k];
+        const auto sw = static_cast<std::uint16_t>(state >> 1);
+        const auto phase = static_cast<std::uint8_t>(state & 1);
+        const SearchCost cost{hops, itbs};
+        if (cost != dist[sw][phase]) continue;  // stale entry
+        const std::uint64_t key = pack(hops, itbs, sw, phase);
 
-    for (std::size_t hi = 0; hi < adj_[sw].size(); ++hi) {
-      const Hop& h = adj_[sw][hi];
-      std::uint8_t next_phase;
-      if (!restrict_updown) {
-        next_phase = 0;
-      } else if (h.up) {
-        if (phase == 1) continue;  // down -> up forbidden
-        next_phase = 0;
-      } else {
-        next_phase = 1;
+        const SearchCost hop_cost{hops + 1, itbs};
+        for (std::size_t hi = 0; hi < adj_[sw].size(); ++hi) {
+          const Hop& h = adj_[sw][hi];
+          std::uint8_t next_phase = 0;
+          if (restrict_updown) {
+            if (h.up && phase == 1) continue;  // down -> up forbidden
+            if (!h.up) next_phase = 1;
+          }
+          if (reach(hop_cost, h.to_switch, next_phase,
+                    SearchPred{sw, phase, static_cast<int>(hi)}, key))
+            next->push(itbs, (std::uint32_t{h.to_switch} << 1) | next_phase);
+        }
+
+        // ITB reset: eject at a host on this switch, re-inject in phase 0.
+        if (allow_itb && restrict_updown && phase == 1 &&
+            !itb_hosts_[sw].empty() &&
+            reach(SearchCost{hops, itbs + 1}, sw, 0, SearchPred{sw, 1, -1},
+                  key))
+          level->push(itbs + 1, std::uint32_t{sw} << 1);
       }
-      const SearchCost next{cost.hops + 1, cost.itbs};
-      if (next < dist[h.to_switch][next_phase]) {
-        dist[h.to_switch][next_phase] = next;
-        pred[h.to_switch][next_phase] =
-            SearchPred{sw, phase, static_cast<int>(hi)};
-        push(next, h.to_switch, next_phase);
-      }
+      level->by_itbs[itbs].clear();
     }
-
-    // ITB reset: eject at a host on this switch, re-inject in phase 0.
-    if (allow_itb && restrict_updown && phase == 1 &&
-        !itb_hosts_[sw].empty()) {
-      const SearchCost next{cost.hops, cost.itbs + 1};
-      if (next < dist[sw][0]) {
-        dist[sw][0] = next;
-        pred[sw][0] = SearchPred{sw, 1, -1};
-        push(next, sw, 0);
-      }
-    }
+    level->used = 0;
+    std::swap(level, next);
   }
 }
 
@@ -311,11 +349,12 @@ void Router::extract(const Search& s, std::uint16_t src_host,
 
 RouteRow Router::search(std::uint16_t src_host, std::uint16_t dst_host,
                         bool restrict_updown, bool allow_itb) const {
+  if (!host_usable(src_host))
+    throw std::logic_error("no route between hosts (source cut off)");
   if (!host_usable(dst_host))
     throw std::logic_error("no route between hosts (destination cut off)");
   Scratch sc;
-  relax(updown_->topology().host_uplink(src_host).node.index, restrict_updown,
-        allow_itb, sc.primary, sc);
+  relax(uplinks_[src_host].sw, restrict_updown, allow_itb, sc.primary, sc);
   RouteRow row;
   row.reset(src_host, dst_host);
   extract(sc.primary, src_host, dst_host, row, sc);
@@ -370,6 +409,13 @@ void Router::routes_from(std::uint16_t src_host, Policy policy,
   const auto ss = uplinks_[src_host].sw;
   const SolveFlags flags = solve_flags(policy);
   relax(ss, flags.restrict_updown, flags.allow_itb, sc.primary, sc);
+  // One walk per destination switch: the path, and so the header up to its
+  // last port, depends only on that switch — unless the in-transit host
+  // pick hashes the pair (kSpread), which only an entry without ITBs
+  // escapes. The VC-escape fallback test reads only the trunk channels, so
+  // a fallback entry is shared whole.
+  auto& walked = sc.walked;
+  walked.assign(adj_.size(), Scratch::kNoEntry);
   // Restricted fallback for VC-escape routes whose minimal path needs more
   // lanes than the ladder has; solved at most once per source.
   bool escape_solved = false;
@@ -379,6 +425,10 @@ void Router::routes_from(std::uint16_t src_host, Policy policy,
     // unreachable accounting) handles them.
     if (d != src_host && host_usable(d)) {
       const auto sd = uplinks_[d].sw;
+      if (walked[sd] != Scratch::kNoEntry) {
+        row.add_sibling(walked[sd], uplinks_[d].port);  // closes the entry
+        continue;
+      }
       if (sc.primary.dist[sd][0].hops != kInfHops ||
           sc.primary.dist[sd][1].hops != kInfHops) {
         extract(sc.primary, src_host, d, row, sc);
@@ -393,6 +443,9 @@ void Router::routes_from(std::uint16_t src_host, Policy policy,
           row.truncate_open();
           extract(sc.escape, src_host, d, row, sc);
         }
+        if (selection_ == ItbHostSelection::kLowestIndex ||
+            row.open_hosts().empty())
+          walked[sd] = d;
       }
     }
     row.close_entry();

@@ -102,7 +102,9 @@ class RouteView {
 /// addressed by per-destination offsets. A table row covers every
 /// destination; the per-pair Router helpers return one-destination rows.
 /// Entries are appended in destination order; an empty entry means
-/// unreachable.
+/// unreachable. Hosts on one switch share the trunk channels of the path
+/// to it, so an entry names its channel range explicitly and several
+/// entries may name the same one.
 class RouteRow {
  public:
   RouteRow() = default;
@@ -128,24 +130,37 @@ class RouteRow {
   /// Append a copy of another row's entry.
   void add(const RouteView& route);
 
+  /// Every trunk channel the row stores, each shared range once. Each one
+  /// belongs to at least one entry.
+  std::span<const topo::Channel> stored_channels() const { return channels_; }
+
  private:
   friend class Router;
-  /// Where an entry starts in each array; entry i spans marks_[i] to
-  /// marks_[i + 1].
+  /// Entry i's header and in-transit hosts span marks_[i] to marks_[i + 1]
+  /// (both arrays are cumulative); its trunk channels are the range its
+  /// close mark marks_[i + 1] names, which later entries may share.
   struct Mark {
     std::uint32_t header = 0;
     std::uint32_t hosts = 0;
-    std::uint32_t channels = 0;
+    std::uint32_t channels_begin = 0;
+    std::uint32_t channels_end = 0;
   };
   /// Close the entry written since the last mark.
   void close_entry();
-  /// Drop whatever was written since the last mark.
+  /// Append and close a copy of entry `entry` whose final route byte leads
+  /// to `last_port` instead: its header (the Length fields count bytes, so
+  /// they still hold) and in-transit hosts copied, its channel range shared.
+  void add_sibling(std::size_t entry, std::uint8_t last_port);
+  /// Drop whatever the open entry has written.
   void truncate_open();
-  /// Trunk channels written since the last mark.
+  /// In-transit hosts and trunk channels the open entry has written.
+  std::span<const std::uint16_t> open_hosts() const;
   std::span<const topo::Channel> open_channels() const;
 
   std::uint16_t src_ = 0;
   std::uint16_t first_ = 0;
+  /// Where the open entry's own trunk channels start.
+  std::uint32_t open_channels_ = 0;
   std::vector<Mark> marks_;
   packet::Bytes header_;
   std::vector<std::uint16_t> hosts_;
@@ -162,16 +177,19 @@ enum class ItbHostSelection : std::uint8_t { kLowestIndex, kSpread };
 class Router {
  public:
   /// Reusable search buffers for routes_from(): the Dijkstra arrays, its
-  /// heap and the path step stack. The caller owns one per thread (never
-  /// the const Router, so one Router serves concurrent solves); once warm,
-  /// a re-solve allocates nothing. Defined below the class.
+  /// bucket queue, the path step stack and the per-switch entry map. The
+  /// caller owns one per thread (never the const Router, so one Router
+  /// serves concurrent solves); once warm, a re-solve allocates nothing.
+  /// Defined below the class.
   class Scratch;
 
   explicit Router(const UpDown& updown,
                   ItbHostSelection selection = ItbHostSelection::kLowestIndex);
 
   /// Shortest valid up*/down* route, as a one-destination row. Always
-  /// exists in a connected network.
+  /// exists in a connected network. Like every per-pair helper below it
+  /// throws std::logic_error when either host is cut off (not usable) or
+  /// the pair is disconnected.
   RouteRow updown_route(std::uint16_t src_host, std::uint16_t dst_host) const;
 
   /// Unrestricted shortest route (may be invalid under up*/down*); useful
@@ -187,12 +205,13 @@ class Router {
 
   /// All routes out of one source under `policy`, written into `row` (reset
   /// first): ONE multi-destination search (the Dijkstra never looks at the
-  /// destination until extraction) followed by a per-destination path
-  /// reconstruction straight into the row. Entry dst == src and unattached
-  /// or unreachable endpoints are empty. Identical paths to calling
-  /// updown_route()/itb_route() per pair, at 1/H the search cost — the
-  /// primitive RouteTable parallelises over sources. With a warm `row` and
-  /// `scratch` a re-solve allocates nothing.
+  /// destination until extraction) followed by one path reconstruction per
+  /// destination switch straight into the row; the other hosts on that
+  /// switch copy its header with their own last port and share its trunk
+  /// channels. Entry dst == src and unattached or unreachable endpoints are
+  /// empty. Identical paths to calling updown_route()/itb_route() per pair,
+  /// at 1/H the search cost — the primitive RouteTable parallelises over
+  /// sources. With a warm `row` and `scratch` a re-solve allocates nothing.
   ///
   /// `vc_lanes` only matters under Policy::kVcEscape: a minimal route is
   /// kept when its up*/down* segment count fits the lane ladder
@@ -283,7 +302,9 @@ class Router {
   // The Dijkstra over (switch, up*/down* phase) states is destination-blind:
   // it relaxes the whole fabric and only the extraction step looks at dst.
   // Splitting the two lets routes_from() pay one search for a full table
-  // row where a per-pair search pays H of them.
+  // row where a per-pair search pays H of them. The search cost (hops,
+  // itbs) is ordered lexicographically; a hop adds (1, 0) and an ITB reset
+  // (0, 1).
 
   struct SearchCost {
     std::uint32_t hops = 0xFFFFFFFFu;
@@ -336,9 +357,25 @@ class Router::Scratch {
   friend class Router;
   Search primary;
   Search escape;  // kVcEscape's restricted fallback search
-  /// Min-heap of packed (hops, itbs, switch, phase) keys.
-  std::vector<std::uint64_t> heap;
+  /// One hop level of the bucket queue: the states (switch << 1 | phase)
+  /// queued at each itbs count. Only levels h and h + 1 are ever non-empty,
+  /// so relax() keeps two, swaps them and leaves both drained; drained
+  /// buckets keep their capacity.
+  struct Level {
+    std::vector<std::vector<std::uint32_t>> by_itbs;
+    std::uint32_t used = 0;  // by_itbs[0, used) may be non-empty
+    void push(std::uint32_t itbs, std::uint32_t state) {
+      if (itbs >= by_itbs.size()) by_itbs.resize(itbs + 1);
+      by_itbs[itbs].push_back(state);
+      if (itbs >= used) used = itbs + 1;
+    }
+  };
+  std::array<Level, 2> levels;
   std::vector<Step> steps;
+  /// Per destination switch: the row entry the other hosts on it copy, or
+  /// kNoEntry.
+  static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> walked;
 };
 
 /// Render a path like "h0 -> s0 -> s1 =ITB(h3)=> s1 -> s2 -> h5".

@@ -1,10 +1,12 @@
 #include "itb/routing/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "itb/sim/parallel.hpp"
 
@@ -133,6 +135,8 @@ void RouteTable::index_source(const Router& router, std::uint16_t src) {
   // Every host a stored route touches was usable under `router`, which
   // solved the row: its uplink is known there.
   const RouteRow& row = *rows_[src];
+  // Each shared trunk-channel range once, rather than once per entry.
+  for (const auto& c : row.stored_channels()) lu[c.link] = 1;
   bool any = false;
   for (std::uint16_t d = 0; d < hosts_; ++d) {
     if (d == src) continue;
@@ -140,7 +144,6 @@ void RouteTable::index_source(const Router& router, std::uint16_t src) {
     if (r.empty()) continue;
     any = true;
     lu[router.host_link(d)] = 1;
-    for (const auto& c : r.trunk_channels()) lu[c.link] = 1;
     for (auto h : r.in_transit_hosts()) {
       lu[router.host_link(h)] = 1;
       iu[router.host_switch(h)] = 1;
@@ -342,22 +345,46 @@ void RouteTable::dump(std::ostream& os) const {
   // fall back); keep UD/ITB headers byte-identical to the pre-engine dumps.
   if (policy_ == Policy::kVcEscape) os << " lanes=" << vc_lanes_;
   os << " hosts=" << hosts_ << "\n";
+  // A 1024-host table has a million lines: format them into a buffer and
+  // hand the stream whole blocks.
+  std::string buf;
+  const auto put = [&buf](std::uint32_t v) {
+    char digits[10];
+    buf.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+  };
   for (std::uint16_t s = 0; s < hosts_; ++s)
     for (std::uint16_t d = 0; d < hosts_; ++d) {
       if (s == d) continue;
       const RouteView r = rows_[s]->route(d);
-      os << s << ">" << d << " seg";
+      put(s);
+      buf += '>';
+      put(d);
+      buf += " seg";
       for (std::size_t i = 0; i < r.segment_count(); ++i) {
-        os << ":";
-        for (auto port : r.segment(i)) os << " " << static_cast<unsigned>(port);
+        buf += ':';
+        for (auto port : r.segment(i)) {
+          buf += ' ';
+          put(port);
+        }
       }
-      os << " itb";
-      for (auto h : r.in_transit_hosts()) os << " " << h;
-      os << " ch";
-      for (const auto& c : r.trunk_channels())
-        os << " " << c.link << (c.forward ? "+" : "-");
-      os << "\n";
+      buf += " itb";
+      for (auto h : r.in_transit_hosts()) {
+        buf += ' ';
+        put(h);
+      }
+      buf += " ch";
+      for (const auto& c : r.trunk_channels()) {
+        buf += ' ';
+        put(c.link);
+        buf += c.forward ? '+' : '-';
+      }
+      buf += '\n';
+      if (buf.size() >= 64 * 1024) {
+        os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+        buf.clear();
+      }
     }
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 }  // namespace itb::routing

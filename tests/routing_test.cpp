@@ -227,6 +227,34 @@ TEST(Router, ItbSubPathsAlwaysValidOnRandomNets) {
   }
 }
 
+TEST(Router, PerPairHelpersRejectACutOffSource) {
+  // Host 5's uplink is masked down: routes_from leaves its row empty, and
+  // every per-pair helper must refuse the pair as it does for a cut-off
+  // destination, instead of routing from the switch the host hangs off.
+  itb::sim::Rng rng(7);
+  IrregularSpec spec;
+  spec.switches = 8;
+  spec.hosts_per_switch = 3;
+  const auto t = make_random_irregular(spec, rng);
+  std::vector<char> mask(t.link_count(), 1);
+  const auto uplink = t.host_uplink(5);
+  mask[*t.link_at(uplink.node, uplink.port)] = 0;
+  const UpDown ud(t, t.host_uplink(0).node.index, mask);
+  const Router r(ud);
+  ASSERT_FALSE(r.host_usable(5));
+  RouteRow row;
+  Router::Scratch scratch;
+  r.routes_from(5, Policy::kItb, 2, row, scratch);
+  EXPECT_TRUE(row.route(9).empty());
+  EXPECT_THROW(r.updown_route(5, 9), std::logic_error);
+  EXPECT_THROW(r.itb_route(5, 9), std::logic_error);
+  EXPECT_THROW(r.minimal_route(5, 9), std::logic_error);
+  EXPECT_THROW(r.minimal_distance(5, 9), std::logic_error);
+  // Either end cut off is refused the same way.
+  EXPECT_THROW(r.itb_route(9, 5), std::logic_error);
+  EXPECT_FALSE(r.itb_route(9, 10).route(10).empty());
+}
+
 TEST(Router, DescribeMentionsItb) {
   auto t = make_fig1_network();
   UpDown ud(t);
@@ -390,11 +418,12 @@ TEST(Deadlock, ItbRouteChainsSplitAtEjection) {
 
 // ------------------------------------------------------------ dump pins --
 
-/// FNV-1a 64 over a table dump.
-std::uint64_t dump_digest(const RouteTable& table) {
+/// FNV-1a 64 over a table dump, continuing from `h` (default: the offset
+/// basis) so several dumps can fold into one digest.
+std::uint64_t dump_digest(const RouteTable& table,
+                          std::uint64_t h = 0xcbf29ce484222325ull) {
   std::ostringstream os;
   table.dump(os);
-  std::uint64_t h = 0xcbf29ce484222325ull;
   for (const char c : os.str()) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;
@@ -521,6 +550,128 @@ TEST(RouteTable, DumpDigestsPinnedOnEveryGenerator) {
     }
   }
   EXPECT_EQ(checked, std::size(fabrics) * std::size(solves));
+}
+
+TEST(RouteTable, DumpDigestsPinnedOnDegradedFabrics) {
+  // Recovery solves masked fabrics, so the pins cover them too: a seeded
+  // family of irregular COWs (four seeds each of 32 x 4 and 64 x 4), rooted
+  // where the recovery engine roots them (host 0's switch), under three
+  // link masks and four policies. The masks are
+  //   none      every link up;
+  //   busiest   the trunk carrying the most ITB routes down;
+  //   cut       every trunk of one seeded switch (its hosts keep only each
+  //             other), three more seeded trunks and one seeded host's
+  //             uplink down.
+  // Each pin folds the four seeds' dumps into one FNV-1a 64 digest. The
+  // digests were taken before the bucket-queue search and the per-switch
+  // shared entries, so any change to a route byte, in-transit host, trunk
+  // channel or empty entry shows here.
+  struct Solve {
+    const char* name;
+    Policy policy;
+    ItbHostSelection selection;
+  };
+  const Solve solves[] = {
+      {"ud", Policy::kUpDown, ItbHostSelection::kLowestIndex},
+      {"itb", Policy::kItb, ItbHostSelection::kLowestIndex},
+      {"itb_spread", Policy::kItb, ItbHostSelection::kSpread},
+      {"vc2", Policy::kVcEscape, ItbHostSelection::kLowestIndex},
+  };
+  const char* const mask_names[] = {"none", "busiest", "cut"};
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"32x4/busiest/itb", 0x86e76ad13bf1b9a5ull},
+      {"32x4/busiest/itb_spread", 0xdd7945ee8a143159ull},
+      {"32x4/busiest/ud", 0xa46392305351e165ull},
+      {"32x4/busiest/vc2", 0xd60f9d86b2f5d359ull},
+      {"32x4/cut/itb", 0xc4225ff567d47fcbull},
+      {"32x4/cut/itb_spread", 0x230de26cd57063b8ull},
+      {"32x4/cut/ud", 0x8bb34474019aea71ull},
+      {"32x4/cut/vc2", 0x8473444b586fab23ull},
+      {"32x4/none/itb", 0xf07278753062f1d1ull},
+      {"32x4/none/itb_spread", 0x11544eeb6d67b4edull},
+      {"32x4/none/ud", 0x8b10201b8bc4dbc9ull},
+      {"32x4/none/vc2", 0xec5c120e2852691dull},
+      {"64x4/busiest/itb", 0x48075f84afcd3455ull},
+      {"64x4/busiest/itb_spread", 0xc4382429c1437f25ull},
+      {"64x4/busiest/ud", 0xd631a47c4772cc85ull},
+      {"64x4/busiest/vc2", 0x892e14827fe21aa9ull},
+      {"64x4/cut/itb", 0x678197de468fcd4full},
+      {"64x4/cut/itb_spread", 0x17437f520d53dc65ull},
+      {"64x4/cut/ud", 0xbb3d690ce2674aa5ull},
+      {"64x4/cut/vc2", 0x8ba15bf842593f69ull},
+      {"64x4/none/itb", 0x3e4cc834121df725ull},
+      {"64x4/none/itb_spread", 0x5611e8659200eb29ull},
+      {"64x4/none/ud", 0x01bf9b3f90479949ull},
+      {"64x4/none/vc2", 0x23f4bcfc84869f75ull},
+  };
+  std::map<std::string, std::uint64_t> got;
+  for (const std::uint16_t switches : {32, 64}) {
+    for (const std::uint64_t seed : {1, 2, 3, 4}) {
+      itb::sim::Rng rng(seed);
+      IrregularSpec spec;
+      spec.switches = switches;
+      spec.hosts_per_switch = 4;
+      const auto t = make_random_irregular(spec, rng);
+      const auto root = t.host_uplink(0).node.index;
+      std::vector<LinkId> trunks;
+      for (LinkId l = 0; l < t.link_count(); ++l) {
+        const auto& link = t.link(l);
+        if (link.a.node.kind == NodeKind::kSwitch &&
+            link.b.node.kind == NodeKind::kSwitch && link.a.node != link.b.node)
+          trunks.push_back(l);
+      }
+      const std::vector<char> all_up(t.link_count(), 1);
+      std::vector<char> busiest = all_up;
+      {
+        const UpDown ud(t, root, all_up);
+        const auto usage =
+            RouteTable(Router(ud), Policy::kItb).channel_usage(t);
+        LinkId top = trunks.front();
+        for (const auto l : trunks)
+          if (usage[2 * l] + usage[2 * l + 1] >
+              usage[2 * top] + usage[2 * top + 1])
+            top = l;
+        busiest[top] = 0;
+      }
+      std::vector<char> cut = all_up;
+      {
+        itb::sim::Rng pick(seed * 1000 + switches);
+        auto lone = static_cast<std::uint16_t>(pick.next_below(switches));
+        if (lone == root)
+          lone = static_cast<std::uint16_t>((lone + 1) % switches);
+        for (const auto l : trunks) {
+          const auto& link = t.link(l);
+          if (link.a.node.index == lone || link.b.node.index == lone)
+            cut[l] = 0;
+        }
+        for (int k = 0; k < 3; ++k)
+          cut[trunks[pick.next_below(trunks.size())]] = 0;
+        const auto host = static_cast<std::uint16_t>(
+            1 + pick.next_below(t.host_count() - 1));
+        const auto up = t.host_uplink(host);
+        cut[*t.link_at(up.node, up.port)] = 0;
+      }
+      const std::vector<char>* masks[] = {&all_up, &busiest, &cut};
+      for (std::size_t m = 0; m < std::size(masks); ++m) {
+        const UpDown ud(t, root, *masks[m]);
+        for (const Solve& s : solves) {
+          const Router router(ud, s.selection);
+          const RouteTable table(router, s.policy, /*jobs=*/1, /*vc_lanes=*/2);
+          const std::string key = std::to_string(switches) + "x4/" +
+                                  mask_names[m] + "/" + s.name;
+          const auto it = got.find(key);
+          got[key] = it == got.end() ? dump_digest(table)
+                                     : dump_digest(table, it->second);
+        }
+      }
+    }
+  }
+  for (const auto& [key, digest] : got) {
+    const auto it = pinned.find(key);
+    ASSERT_NE(it, pinned.end()) << key;
+    EXPECT_EQ(digest, it->second) << key;
+  }
+  EXPECT_EQ(got.size(), 2 * std::size(mask_names) * std::size(solves));
 }
 
 }  // namespace

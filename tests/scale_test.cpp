@@ -268,6 +268,33 @@ TEST(ParallelSolve, MapperRunIsJobsInvariant) {
   EXPECT_EQ(dump_of(serial.table), dump_of(wide.table));
 }
 
+TEST(ZeroAlloc, RouteSearchStorageStaysBoundedByTheFrontier) {
+  // A 1024-switch chain has routes of up to 1023 hops. The search queue
+  // holds only the frontier, so a cold solve out of the middle of the chain
+  // allocates a bounded handful of times (the row and scratch arrays
+  // growing), not once per hop level, and a repeat solve of the same
+  // source allocates nothing.
+  if (!sim::alloc_counting_available())
+    GTEST_SKIP() << "allocation counting unavailable in this build";
+  const auto t = topo::make_linear(1024, 1);
+  const routing::UpDown ud(t);
+  const routing::Router router(ud);
+  for (const auto policy : {routing::Policy::kUpDown, routing::Policy::kItb,
+                            routing::Policy::kVcEscape}) {
+    routing::RouteRow row;
+    routing::Router::Scratch scratch;
+    auto before = sim::total_allocations();
+    router.routes_from(512, policy, 2, row, scratch);
+    const auto cold = sim::total_allocations() - before;
+    EXPECT_LE(cold, 128u) << to_string(policy);
+    EXPECT_EQ(row.route(0).trunk_hops(), 512u);
+    EXPECT_EQ(row.route(1023).trunk_hops(), 511u);
+    before = sim::total_allocations();
+    router.routes_from(512, policy, 2, row, scratch);
+    EXPECT_EQ(sim::total_allocations() - before, 0u) << to_string(policy);
+  }
+}
+
 // ---- Route-set safety on the generated families -------------------------
 
 TEST(GeneratedTables, ItbTablesAreDeadlockFree) {
