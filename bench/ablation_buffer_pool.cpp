@@ -20,11 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -136,14 +134,12 @@ Outcome run(int recv_buffers, bool drop_when_full, bool sample,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
-  telemetry::BenchReport report("ablation_buffer_pool");
+  bench::Harness h("ablation_buffer_pool", bench::kSweep);
+  h.parse(argc, argv);
+  telemetry::BenchReport& report = h.report;
   report.set_param("messages", 4 * 30);
   report.set_param("message_bytes", 2048);
-  telemetry::BenchReport* rp = json_path ? &report : nullptr;
+  telemetry::BenchReport* rp = h.json_report();
 
   std::printf("Ablation: receive buffering at the in-transit host\n");
   std::printf("(4 sources -> 4 sinks, every packet forwarded by one ITB "
@@ -164,17 +160,15 @@ int main(int argc, char** argv) {
       configs.size(),
       [&](std::size_t i) {
         return run(configs[i].buffers, configs[i].drop, rp != nullptr,
-                   watchdog, fcli.recorder());
+                   h.watchdog, h.recorder());
       },
-      jobs);
+      h.jobs);
 
-  flight::BenchFlight bflight(fcli);
-  health::LivenessVerdict liveness;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const auto& [drop, buffers] = configs[i];
     Outcome& o = outcomes[i];
-    liveness.merge(o.liveness);
-    if (fcli.enabled) bflight.add(std::move(o.recording));
+    h.liveness.merge(o.liveness);
+    h.add_recording(std::move(o.recording));
     const std::string mode = drop ? "drop" : "backpressure";
     const std::string tag = mode + "_b" + std::to_string(buffers);
     std::printf("%8d %12s | %12.1f %8llu %10llu %10llu\n", buffers,
@@ -203,16 +197,5 @@ int main(int argc, char** argv) {
               "GM retransmission recovers them at a\nmakespan cost; larger "
               "pools eliminate drops (the paper notes 8 MB of NIC\nSRAM "
               "makes overflow 'very unusual').\n");
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("ablation_buffer_pool", rp)) return 1;
-
-  if (json_path) {
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return h.finish();
 }

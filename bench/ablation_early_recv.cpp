@@ -17,11 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/experiments.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
@@ -87,15 +85,13 @@ OverheadOutput itb_overhead(const nic::McpOptions& options, std::size_t size,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
+  bench::Harness h("ablation_early_recv", bench::kSweep);
+  h.parse(argc, argv);
   const std::size_t sizes[] = {16, 256, 1024, 4000};
 
-  telemetry::BenchReport report("ablation_early_recv");
+  telemetry::BenchReport& report = h.report;
   report.set_param("iterations", 20);
-  telemetry::BenchReport* rp = json_path ? &report : nullptr;
+  telemetry::BenchReport* rp = h.json_report();
 
   std::printf("Ablation: Early Recv event and Recv-side re-injection\n");
   std::printf("(per-ITB overhead in us, Fig. 8 methodology)\n\n");
@@ -126,26 +122,22 @@ int main(int argc, char** argv) {
         const std::size_t size = sizes[i / std::size(variants)];
         const Variant& v = variants[i % std::size(variants)];
         return itb_overhead(v.options, size, rp != nullptr,
-                            std::string_view(v.run) == "paper", watchdog,
-                            fcli.recorder());
+                            std::string_view(v.run) == "paper", h.watchdog,
+                            h.recorder());
       },
-      jobs);
+      h.jobs);
 
-  flight::BenchFlight bflight(fcli);
-  if (fcli.enabled) {
-    for (auto& o : outputs) {
-      bflight.add(std::move(o.ud_recording));
-      bflight.add(std::move(o.itb_recording));
-    }
+  for (auto& o : outputs) {
+    h.add_recording(std::move(o.ud_recording));
+    h.add_recording(std::move(o.itb_recording));
   }
 
-  health::LivenessVerdict liveness;
   for (std::size_t si = 0; si < std::size(sizes); ++si) {
     const std::size_t size = sizes[si];
     double overhead[std::size(variants)];
     for (std::size_t vi = 0; vi < std::size(variants); ++vi) {
       OverheadOutput& o = outputs[si * std::size(variants) + vi];
-      liveness.merge(o.liveness);
+      h.liveness.merge(o.liveness);
       overhead[vi] = o.overhead_ns;
       if (rp) {
         const std::string tag =
@@ -174,16 +166,5 @@ int main(int argc, char** argv) {
               "(store-and-forward); dropping Recv-side\nre-injection adds "
               "one dispatch cycle (%d LANai cycles).\n",
               nic::LanaiTiming{}.dispatch);
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("ablation_early_recv", rp)) return 1;
-
-  if (json_path) {
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return h.finish();
 }

@@ -15,11 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
@@ -81,16 +79,14 @@ const char* name(topo::PortKind k) { return topo::to_string(k); }
 
 int main(int argc, char** argv) {
   using topo::PortKind;
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
+  bench::Harness h("ablation_port_kinds", bench::kSweep);
+  h.parse(argc, argv);
   const std::size_t size = 256;
 
-  telemetry::BenchReport report("ablation_port_kinds");
+  telemetry::BenchReport& report = h.report;
   report.set_param("message_bytes", static_cast<double>(size));
   report.set_param("iterations", 20);
-  telemetry::BenchReport* rp = json_path ? &report : nullptr;
+  telemetry::BenchReport* rp = h.json_report();
 
   std::printf("Ablation: switch latency by traversed port kinds\n");
   std::printf("(2-switch path, 256 B ping-pong, LAN ports re-time the "
@@ -111,18 +107,16 @@ int main(int argc, char** argv) {
       combos.size(),
       [&](std::size_t i) {
         const Combo& c = combos[i];
-        return measure(c.src, c.dst, c.trunk, size, rp != nullptr, watchdog,
-                       fcli.recorder());
+        return measure(c.src, c.dst, c.trunk, size, rp != nullptr,
+                       h.watchdog, h.recorder());
       },
-      jobs);
+      h.jobs);
 
-  flight::BenchFlight bflight(fcli);
-  health::LivenessVerdict liveness;
   for (std::size_t i = 0; i < combos.size(); ++i) {
     const auto& [src, trunk, dst] = combos[i];
     MeasureOutput& o = outputs[i];
-    liveness.merge(o.liveness);
-    if (fcli.enabled) bflight.add(std::move(o.recording));
+    h.liveness.merge(o.liveness);
+    h.add_recording(std::move(o.recording));
     const std::string tag =
         std::string(name(src)) + "_" + name(trunk) + "_" + name(dst);
     std::printf("%8s %8s %8s %14.3f\n", name(src), name(trunk), name(dst),
@@ -145,16 +139,5 @@ int main(int argc, char** argv) {
               "per traversal\n(default %lld ns); trunk LAN links are "
               "crossed by two fall-throughs and pay twice.\n",
               static_cast<long long>(net::NetTiming{}.lan_port_penalty_ns));
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("ablation_port_kinds", rp)) return 1;
-
-  if (json_path) {
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return h.finish();
 }

@@ -20,13 +20,11 @@
 #include <map>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
 #include "itb/routing/table.hpp"
 #include "itb/sim/rng.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/topo/builders.hpp"
 #include "itb/workload/load.hpp"
 
@@ -73,16 +71,13 @@ topo::Topology make_topology(std::uint64_t seed) {
 
 /// Dynamic validation for the JSON report: run uniform load on the
 /// optimised configuration so the static claims (balanced duty, lower
-/// channel peak) are observable as utilization series. Returns the run's
-/// liveness verdict when the watchdog is armed.
-health::LivenessVerdict validation_run(std::uint64_t seed,
-                                       telemetry::BenchReport& report,
-                                       bool watchdog,
-                                       flight::BenchFlight* bf) {
+/// channel peak) are observable as utilization series. Hands the run's
+/// recording and liveness verdict to the harness.
+void validation_run(std::uint64_t seed, bench::Harness& h) {
   core::ClusterConfig cfg;
   cfg.topology = make_topology(seed);
   cfg.engine = {engine::EngineKind::kItb, 1};
-  if (bf) cfg.flight = bf->cli().recorder();
+  cfg.flight = h.recorder();
   cfg.itb_selection = routing::ItbHostSelection::kSpread;
   cfg.mcp_options.recv_buffers = 64;
   cfg.mcp_options.drop_when_full = true;
@@ -90,7 +85,7 @@ health::LivenessVerdict validation_run(std::uint64_t seed,
   cfg.gm_config.window = 32;
   cfg.gm_config.retransmit_timeout = 5 * sim::kMs;
   cfg.telemetry_sample_period = 500 * sim::kUs;
-  cfg.watchdog.enabled = watchdog;
+  cfg.watchdog.enabled = h.watchdog;
   core::Cluster cluster(std::move(cfg));
   cluster.telemetry().start_sampling();
 
@@ -103,23 +98,21 @@ health::LivenessVerdict validation_run(std::uint64_t seed,
   auto r = workload::run_load(cluster.queue(), cluster.ports(), lc);
   cluster.telemetry().stop_sampling();
 
-  report.add_scalar("validation_accepted_msgs_per_s",
-                    r.accepted_msgs_per_s_per_host);
-  report.add_histogram("message_latency", "best_spread", r.latency_hist);
-  report.add_counters("best_spread", cluster.telemetry().registry());
-  report.add_series("best_spread", cluster.telemetry().sampler());
-  if (bf && cluster.flight()) bf->add(cluster.flight()->snapshot());
-  return watchdog ? cluster.health()->verdict() : health::LivenessVerdict{};
+  h.report.add_scalar("validation_accepted_msgs_per_s",
+                      r.accepted_msgs_per_s_per_host);
+  h.report.add_histogram("message_latency", "best_spread", r.latency_hist);
+  h.report.add_counters("best_spread", cluster.telemetry().registry());
+  h.report.add_series("best_spread", cluster.telemetry().sampler());
+  if (cluster.flight()) h.add_recording(cluster.flight()->snapshot());
+  if (h.watchdog) h.liveness = cluster.health()->verdict();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
-  telemetry::BenchReport report("ablation_routing_opts");
+  bench::Harness h("ablation_routing_opts", bench::kSweep);
+  h.parse(argc, argv);
+  telemetry::BenchReport& report = h.report;
 
   std::printf("Ablation: root selection and in-transit host selection "
               "(UD+ITB tables)\n\n");
@@ -157,7 +150,7 @@ int main(int argc, char** argv) {
               kCases[c].sel);
         return out;
       },
-      jobs);
+      h.jobs);
 
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     const std::uint64_t seed = seeds[i];
@@ -192,23 +185,6 @@ int main(int argc, char** argv) {
   // run simulates traffic, so --watchdog and --flight attach there
   // (forcing the run even without --json so a verdict/recording always
   // exists).
-  flight::BenchFlight bflight(fcli);
-  if (json_path || watchdog || fcli.enabled) {
-    const auto liveness =
-        validation_run(11, report, watchdog, fcli.enabled ? &bflight : nullptr);
-    if (watchdog) {
-      health::print_liveness_summary(liveness);
-      health::add_liveness_scalars(report, liveness);
-    }
-  }
-  if (!bflight.finish("ablation_routing_opts", json_path ? &report : nullptr))
-    return 1;
-  if (json_path) {
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  if (h.json || h.watchdog || h.flight) validation_run(11, h);
+  return h.finish();
 }

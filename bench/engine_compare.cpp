@@ -21,14 +21,13 @@
 // `--json P` itb.telemetry.v1 report (BENCH_10.json is the committed
 // headline the CI regression gate compares against).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/engine/engine.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -117,10 +116,12 @@ void run_traffic(const topo::Topology& fabric,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(1);
+  bench::Harness h("engine_compare", bench::kJson | bench::kJobs);
+  h.jobs = 1;
+  h.parse(argc, argv);
+  const unsigned jobs = h.jobs;
 
-  telemetry::BenchReport report("engine_compare");
+  telemetry::BenchReport& report = h.report;
   const auto specs = make_specs();
 
   std::printf(
@@ -192,14 +193,5 @@ int main(int argc, char** argv) {
       "tables are bit-identical for any --jobs value)\n");
 
   if (!all_verified) return 1;
-  if (json_path) {
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    // stderr, so stdout stays byte-identical across --json destinations
-    // (CI compares the --jobs 1 and --jobs 8 stdout directly).
-    std::fprintf(stderr, "JSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return h.finish();
 }

@@ -17,18 +17,16 @@
 //
 // Output: committed events/sec (queue.run_events over wall time), worms/sec
 // (deliveries), and the allocation count; `--json <path>` writes the
-// itb.bench.v1 document CI gates on (>15% events/sec regression vs the
+// itb.telemetry.v1 report CI gates on (>15% events/sec regression vs the
 // committed BENCH_7.json fails the build).
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/net/network.hpp"
 #include "itb/packet/format.hpp"
 #include "itb/sim/alloc_hook.hpp"
@@ -47,7 +45,6 @@ struct Options {
   std::uint64_t warmup = 200'000;   // events before the timed region
   std::uint64_t events = 2'000'000;  // timed region length
   int reps = 3;              // timed repetitions; best rep is reported
-  std::string json_path;
 };
 
 /// Closed-loop traffic source: every delivery at the mirror host re-injects
@@ -175,90 +172,25 @@ BenchResult run_once(const Options& opt) {
   return r;
 }
 
-bool write_json(const Options& opt, const BenchResult& best) {
-  std::FILE* f = std::fopen(opt.json_path.c_str(), "w");
-  if (!f) return false;
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"itb.bench.v1\",\n");
-  std::fprintf(f, "  \"bench\": \"engine_throughput\",\n");
-  std::fprintf(f, "  \"pr\": 7,\n");
-  std::fprintf(f,
-               "  \"description\": \"Pure engine microbench: saturating "
-               "closed-loop mirror traffic on a %d-switch chain COW, %d "
-               "hosts, window %d, %d B payload. Committed events/sec over "
-               "the wall clock of the timed region; buffers recycled so a "
-               "zero-allocation engine shows 0 steady-state allocs.\",\n",
-               opt.switches, opt.switches * opt.hosts_per_switch, opt.window,
-               opt.payload);
-  std::fprintf(f, "  \"config\": {\n");
-  std::fprintf(f, "    \"switches\": %d,\n", opt.switches);
-  std::fprintf(f, "    \"hosts_per_switch\": %d,\n", opt.hosts_per_switch);
-  std::fprintf(f, "    \"window\": %d,\n", opt.window);
-  std::fprintf(f, "    \"payload_bytes\": %d,\n", opt.payload);
-  std::fprintf(f, "    \"warmup_events\": %" PRIu64 ",\n", opt.warmup);
-  std::fprintf(f, "    \"timed_events\": %" PRIu64 ",\n", opt.events);
-  std::fprintf(f, "    \"reps\": %d\n", opt.reps);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"headline\": {\n");
-  std::fprintf(f, "    \"events_per_s\": %.0f,\n", best.events_per_s);
-  std::fprintf(f, "    \"worms_per_s\": %.0f,\n", best.worms_per_s);
-  std::fprintf(f, "    \"steady_state_allocations\": %" PRIu64 ",\n",
-               best.steady_allocs);
-  std::fprintf(f, "    \"alloc_counting_available\": %s,\n",
-               sim::alloc_counting_available() ? "true" : "false");
-  std::fprintf(f, "    \"timed_events\": %" PRIu64 ",\n", best.timed_events);
-  std::fprintf(f, "    \"timed_worms\": %" PRIu64 ",\n", best.timed_worms);
-  std::fprintf(f, "    \"head_blocks\": %" PRIu64 ",\n", best.head_blocks);
-  std::fprintf(f, "    \"live_worms\": %" PRIu64 "\n", best.live_worms);
-  std::fprintf(f, "  }\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", name);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      opt.json_path = next("--json");
-    } else if (arg == "--switches") {
-      opt.switches = std::atoi(next("--switches"));
-    } else if (arg == "--hosts-per-switch") {
-      opt.hosts_per_switch = std::atoi(next("--hosts-per-switch"));
-    } else if (arg == "--window") {
-      opt.window = std::atoi(next("--window"));
-    } else if (arg == "--payload") {
-      opt.payload = std::atoi(next("--payload"));
-    } else if (arg == "--warmup") {
-      opt.warmup = std::strtoull(next("--warmup"), nullptr, 10);
-    } else if (arg == "--events") {
-      opt.events = std::strtoull(next("--events"), nullptr, 10);
-    } else if (arg == "--reps") {
-      opt.reps = std::atoi(next("--reps"));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--switches N] [--hosts-per-switch N] "
-                   "[--window N] [--payload BYTES] [--warmup EVENTS] "
-                   "[--events EVENTS] [--reps N] [--json PATH]\n",
-                   argv[0]);
-      return arg == "--help" ? 0 : 2;
-    }
-  }
-  if (opt.switches < 2 || opt.hosts_per_switch < 1 ||
-      opt.hosts_per_switch > 6 || opt.window < 1) {
-    std::fprintf(stderr, "bad config (need >=2 switches, 1..6 hosts/switch, "
-                         "window >= 1)\n");
-    return 2;
+  bool help = false;
+  bench::Harness h("engine_throughput", bench::kJson);
+  // A chain of 8-port switches: two trunk ports, at most six host slots.
+  h.cli.number("--switches", &opt.switches, 2, 4096);
+  h.cli.number("--hosts-per-switch", &opt.hosts_per_switch, 1, 6);
+  h.cli.number("--window", &opt.window, 1, 4096);
+  h.cli.number("--payload", &opt.payload, 0, 1 << 20);
+  h.cli.number("--warmup", &opt.warmup, std::uint64_t{0});
+  h.cli.number("--events", &opt.events, std::uint64_t{1});
+  h.cli.number("--reps", &opt.reps, 1, 1000);
+  h.cli.toggle("--help", &help);
+  h.parse(argc, argv);
+  if (help) {
+    std::fprintf(stderr, "%s\n", h.cli.usage("engine_throughput").c_str());
+    return 0;
   }
 
   std::printf("engine_throughput: %d-switch chain, %d hosts, window %d, "
@@ -285,12 +217,23 @@ int main(int argc, char** argv) {
               best.events_per_s / 1e6, best.worms_per_s / 1e6,
               best.steady_allocs);
 
-  if (!opt.json_path.empty()) {
-    if (!write_json(opt, best)) {
-      std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
-      return 1;
-    }
-    std::printf("JSON report written to %s\n", opt.json_path.c_str());
-  }
-  return 0;
+  auto& report = h.report;
+  report.set_param("switches", opt.switches);
+  report.set_param("hosts_per_switch", opt.hosts_per_switch);
+  report.set_param("window", opt.window);
+  report.set_param("payload_bytes", opt.payload);
+  report.set_param("warmup_events", static_cast<double>(opt.warmup));
+  report.set_param("timed_events", static_cast<double>(opt.events));
+  report.set_param("reps", opt.reps);
+  report.add_scalar("events_per_s", best.events_per_s);
+  report.add_scalar("worms_per_s", best.worms_per_s);
+  report.add_scalar("steady_state_allocations",
+                    static_cast<double>(best.steady_allocs));
+  report.add_scalar("alloc_counting_available",
+                    sim::alloc_counting_available() ? 1 : 0);
+  report.add_scalar("timed_events", static_cast<double>(best.timed_events));
+  report.add_scalar("timed_worms", static_cast<double>(best.timed_worms));
+  report.add_scalar("head_blocks", static_cast<double>(best.head_blocks));
+  report.add_scalar("live_worms", static_cast<double>(best.live_worms));
+  return h.finish();
 }

@@ -18,11 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/apps.hpp"
 
 namespace {
@@ -108,15 +106,13 @@ void report(const char* kernel, workload::AppResult ud,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  g_watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
-  g_flight = fcli.recorder();
-  telemetry::BenchReport bench_report("ext_applications");
-  if (json_path) g_report = &bench_report;
+  bench::Harness h("ext_applications", bench::kSweep);
+  h.parse(argc, argv);
+  g_watchdog = h.watchdog;
+  g_flight = h.recorder();
+  g_report = h.json_report();
   const std::uint64_t seed = 1977;
-  bench_report.set_param("seed", static_cast<double>(seed));
+  h.report.set_param("seed", static_cast<double>(seed));
 
   std::printf("Extension: distributed-application kernels, 32-switch "
               "irregular COW, 128 hosts\n");
@@ -155,19 +151,15 @@ int main(int argc, char** argv) {
             i % 2 == 0 ? engine::EngineKind::kUpDown : engine::EngineKind::kItb;
         return run_kernel(seed, kind, k.body);
       },
-      jobs);
+      h.jobs);
 
-  flight::BenchFlight bflight(fcli);
-  health::LivenessVerdict liveness;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     KernelOutput& ud = outputs[2 * i];
     KernelOutput& itb = outputs[2 * i + 1];
-    liveness.merge(ud.liveness);
-    liveness.merge(itb.liveness);
-    if (fcli.enabled) {
-      bflight.add(std::move(ud.recording));
-      bflight.add(std::move(itb.recording));
-    }
+    h.liveness.merge(ud.liveness);
+    h.liveness.merge(itb.liveness);
+    h.add_recording(std::move(ud.recording));
+    h.add_recording(std::move(itb.recording));
     if (g_report) {
       const std::string base = kernels[i].name;
       g_report->add_counters(base + "_ud", std::move(ud.counters));
@@ -181,16 +173,5 @@ int main(int argc, char** argv) {
   std::printf("\nExpected: the bursty all-to-all gains most (root "
               "decongestion); the latency-bound\nring gains less; the "
               "endpoint-bound master/worker is unaffected.\n");
-  if (g_watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("ext_applications", g_report)) return 1;
-
-  if (json_path) {
-    if (g_watchdog) health::add_liveness_scalars(bench_report, liveness);
-    if (!bench_report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return h.finish();
 }

@@ -20,11 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
 
 namespace {
 
@@ -191,11 +189,9 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
-  telemetry::BenchReport report("ext_reliability");
+  bench::Harness h("ext_reliability", bench::kSweep);
+  h.parse(argc, argv);
+  telemetry::BenchReport& report = h.report;
   report.set_param("messages", kMessages);
   report.set_param("message_bytes", kMessageBytes);
   report.set_param("chaos_horizon_ns", static_cast<double>(kChaosHorizon));
@@ -221,22 +217,20 @@ int main(int argc, char** argv) {
       points.size(),
       [&](std::size_t i) {
         const Point& p = points[i];
-        auto r = run_point(*p.sc, p.drop, *p.lvl, json_path.has_value(),
-                           watchdog, fcli.recorder());
+        auto r = run_point(*p.sc, p.drop, *p.lvl, h.json.has_value(),
+                           h.watchdog, h.recorder());
         r.run_name = std::string(p.sc->name) + "_" + p.lvl->name + "_d" +
                      std::to_string(static_cast<int>(p.drop * 100));
         return r;
       },
-      jobs);
+      h.jobs);
 
   bool all_exactly_once = true;
-  flight::BenchFlight bflight(fcli);
-  health::LivenessVerdict liveness;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     PointResult& r = results[i];
-    liveness.merge(r.liveness);
-    if (fcli.enabled) bflight.add(std::move(r.recording));
+    h.liveness.merge(r.liveness);
+    h.add_recording(std::move(r.recording));
     std::printf("%-13s %-6s %-6.2f | %5d %5d %4d %6llu | %6llu %7llu %6llu "
                 "%7llu | %7.1fus\n",
                 p.sc->name, p.lvl->name, p.drop, r.accepted,
@@ -256,7 +250,7 @@ int main(int argc, char** argv) {
       std::printf("  ^^ VIOLATION: duplicates, vanished messages or "
                   "unreconciled loss ledger\n");
     }
-    if (json_path) {
+    if (h.json) {
       telemetry::BenchReport::Row row;
       row.text["scenario"] = p.sc->name;
       row.text["chaos"] = p.lvl->name;
@@ -280,7 +274,7 @@ int main(int argc, char** argv) {
           static_cast<double>(r.recovery_flaps_quarantined);
       row.num["sim_end_ns"] = static_cast<double>(r.end);
       row.num["exactly_once"] = ok ? 1.0 : 0.0;
-      if (watchdog) {
+      if (h.watchdog) {
         row.num["health_stalls"] = static_cast<double>(r.liveness.stalls);
         row.num["health_recoveries"] =
             static_cast<double>(r.liveness.recoveries);
@@ -298,17 +292,6 @@ int main(int argc, char** argv) {
                             ? "All runs delivered exactly once with a "
                               "reconciled loss ledger."
                             : "EXACTLY-ONCE VIOLATION: see rows above.");
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("ext_reliability", json_path ? &report : nullptr))
-    return 1;
-
-  if (json_path) {
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("JSON report written to %s\n", json_path->c_str());
-  }
-  return all_exactly_once ? 0 : 1;
+  const int rc = h.finish();
+  return all_exactly_once ? rc : 1;
 }

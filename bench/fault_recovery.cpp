@@ -30,18 +30,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/routing/table.hpp"
 #include "itb/routing/updown.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/topo/builders.hpp"
 
 namespace {
@@ -174,30 +172,23 @@ double ratio(std::uint64_t total, std::uint64_t part) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  std::size_t max_hosts = SIZE_MAX;
-  bool verify = true;
-  std::optional<std::string> routes_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-hosts") == 0 && i + 1 < argc)
-      max_hosts = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    else if (std::strcmp(argv[i], "--routes-out") == 0 && i + 1 < argc)
-      routes_path = argv[++i];
-    else if (std::strcmp(argv[i], "--no-verify") == 0)
-      verify = false;
-  }
+  bench::Harness h("fault_recovery", bench::kJson | bench::kJobs |
+                                         bench::kMaxHosts | bench::kRoutesOut |
+                                         bench::kNoVerify);
+  h.parse(argc, argv);
+  const unsigned jobs = h.jobs;
+  const bool verify = h.verify;
 
   std::ofstream routes_file;
-  if (routes_path) {
-    routes_file.open(*routes_path);
+  if (h.routes_out) {
+    routes_file.open(*h.routes_out);
     if (!routes_file) {
-      std::fprintf(stderr, "cannot write %s\n", routes_path->c_str());
+      std::fprintf(stderr, "cannot write %s\n", h.routes_out->c_str());
       return 1;
     }
   }
 
-  telemetry::BenchReport report("fault_recovery");
+  telemetry::BenchReport& report = h.report;
   report.set_param("jobs", static_cast<double>(jobs));
   report.set_param("verify", verify ? 1.0 : 0.0);
 
@@ -211,7 +202,7 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   for (auto& pt : make_points()) {
-    if (pt.topo.host_count() > max_hosts) continue;
+    if (pt.topo.host_count() > h.max_hosts) continue;
     choose_victims(pt, jobs);
 
     for (const std::string mode : {"single", "flap", "burst"}) {
@@ -244,7 +235,7 @@ int main(int argc, char** argv) {
           failed = true;
         }
 
-        if (json_path) {
+        if (h.json) {
           const std::string run = pt.label + "_" + mode + "_" + engine;
           telemetry::BenchReport::Row row;
           row.text["point"] = pt.label;
@@ -312,7 +303,7 @@ int main(int argc, char** argv) {
                                         res[1].rounds[2].fired) /
                         1e3
                   : 0.0);
-          if (json_path) {
+          if (h.json) {
             report.add_scalar("scoped_p99_ns_" + pt.label, scoped.p99_ns);
             report.add_scalar("full_p99_ns_" + pt.label, res[1].p99_ns);
             report.add_scalar("sources_ratio_" + pt.label, src_ratio);
@@ -334,7 +325,7 @@ int main(int argc, char** argv) {
             failed = true;
           }
         }
-      } else if (json_path) {
+      } else if (h.json) {
         report.add_scalar(mode + "_scoped_p99_ns_" + pt.label, scoped.p99_ns);
       }
       if (mode == "flap" && scoped.stats.flaps_quarantined == 0) {
@@ -351,18 +342,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (json_path) {
-    report.add_scalar("verify_enabled", verify ? 1 : 0);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
   std::printf(
       "\n(latencies are simulated first-event->install; probe/source costs "
       "charged at 1 us/probe + 2 us/source; patched tables %s)\n",
       verify ? "verified byte-identical against full solves"
              : "NOT verified (--no-verify)");
-  return failed ? 1 : 0;
+  report.add_scalar("verify_enabled", verify ? 1 : 0);
+  const int rc = h.finish();
+  return failed ? 1 : rc;
 }

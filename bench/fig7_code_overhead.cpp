@@ -15,9 +15,8 @@
 // recording / the Perfetto-loadable Chrome trace.
 #include <cstdio>
 
+#include "harness.hpp"
 #include "itb/core/experiments.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
@@ -41,25 +40,25 @@ std::vector<workload::AllsizeRow> run(core::Cluster& cluster,
 
 int main(int argc, char** argv) {
   using namespace itb;
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
+  bench::Harness h("fig7_code_overhead", bench::kJson | bench::kFlight);
+  h.parse(argc, argv);
 
   workload::AllsizeConfig cfg;
   cfg.iterations = 100;
   // Single-packet GM messages, like the paper's sweep.
   cfg.sizes = {4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4000};
 
-  auto orig = core::make_fig7_cluster(/*modified_mcp=*/false, fcli.recorder());
-  auto mod = core::make_fig7_cluster(/*modified_mcp=*/true, fcli.recorder());
+  auto orig = core::make_fig7_cluster(/*modified_mcp=*/false, h.recorder());
+  auto mod = core::make_fig7_cluster(/*modified_mcp=*/true, h.recorder());
 
-  auto rows_orig = run(*orig, cfg, json_path.has_value());
-  auto rows_mod = run(*mod, cfg, json_path.has_value());
+  auto rows_orig = run(*orig, cfg, h.json.has_value());
+  auto rows_mod = run(*mod, cfg, h.json.has_value());
 
   std::printf("Figure 7: message latency overhead of the new GM/MCP code\n");
   std::printf("(half-round-trip, host1 <-> host2, up*/down* routes, 100 iters)\n\n");
   std::printf("%10s %14s %14s %12s %10s\n", "size(B)", "original(us)",
               "modified(us)", "delta(ns)", "rel(%)");
-  telemetry::BenchReport report("fig7_code_overhead");
+  telemetry::BenchReport& report = h.report;
   report.set_param("iterations", cfg.iterations);
   double sum_delta = 0, max_delta = 0;
   for (std::size_t i = 0; i < rows_orig.size(); ++i) {
@@ -89,26 +88,17 @@ int main(int argc, char** argv) {
   std::printf("maximum delta: %.1f ns   (paper: < 300 ns)\n", max_delta);
   std::printf("relative overhead falls with size (paper: ~1%% -> ~0.4%%)\n");
 
-  flight::BenchFlight flight(fcli);
-  if (fcli.enabled) {
-    flight.add(orig->flight()->snapshot());
-    flight.add(mod->flight()->snapshot());
+  if (h.flight) {
+    h.add_recording(orig->flight()->snapshot());
+    h.add_recording(mod->flight()->snapshot());
   }
-  if (!flight.finish("fig7_code_overhead", json_path ? &report : nullptr))
-    return 1;
-
-  if (json_path) {
-    report.add_scalar("average_delta_ns", avg_delta);
-    report.add_scalar("maximum_delta_ns", max_delta);
+  report.add_scalar("average_delta_ns", avg_delta);
+  report.add_scalar("maximum_delta_ns", max_delta);
+  if (h.json) {
     report.add_counters("orig", orig->telemetry().registry());
     report.add_counters("mod", mod->telemetry().registry());
     report.add_series("orig", orig->telemetry().sampler());
     report.add_series("mod", mod->telemetry().sampler());
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
   }
-  return 0;
+  return h.finish();
 }

@@ -23,10 +23,9 @@
 // diffs across --jobs values and commits.
 #include <cstdio>
 
+#include "harness.hpp"
 #include "itb/core/experiments.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
@@ -61,11 +60,11 @@ struct PathOutput {
 
 int main(int argc, char** argv) {
   using namespace itb;
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  auto fcli = flight::flight_flags(argc, argv);
+  bench::Harness h("fig8_itb_overhead",
+                   bench::kJson | bench::kJobs | bench::kFlight);
+  h.parse(argc, argv);
   // Acceptance artifact: plain --flight still emits the Perfetto trace.
-  if (fcli.enabled && !fcli.trace) fcli.trace = "fig8_flight_trace.json";
+  if (h.flight && !h.flight_trace) h.flight_trace = "fig8_flight_trace.json";
 
   workload::AllsizeConfig cfg;
   cfg.iterations = 100;
@@ -76,20 +75,20 @@ int main(int argc, char** argv) {
       2,
       [&](std::size_t i) {
         auto cluster = core::make_fig8_cluster(/*itb_path=*/i == 1, {}, {}, {},
-                                               fcli.recorder());
+                                               h.recorder());
         PathOutput out;
-        out.rows = run(*cluster, cfg, json_path.has_value());
+        out.rows = run(*cluster, cfg, h.json.has_value());
         out.itb_forwarded = cluster->nic(core::kInTransit).stats().itb_forwarded;
         out.delivered_to_host =
             cluster->nic(core::kInTransit).stats().delivered_to_host;
-        if (json_path) {
+        if (h.json) {
           out.counters = cluster->telemetry().registry().snapshot();
           out.series = cluster->telemetry().sampler().series();
         }
         if (cluster->flight()) out.recording = cluster->flight()->snapshot();
         return out;
       },
-      jobs);
+      h.jobs);
   const auto& rows_ud = outputs[0].rows;
   const auto& rows_itb = outputs[1].rows;
 
@@ -98,7 +97,7 @@ int main(int argc, char** argv) {
               "port kinds)\n\n");
   std::printf("%10s %12s %12s %14s %10s\n", "size(B)", "UD(us)", "UD-ITB(us)",
               "overhead(us)", "rel(%)");
-  telemetry::BenchReport report("fig8_itb_overhead");
+  telemetry::BenchReport& report = h.report;
   report.set_param("iterations", cfg.iterations);
   double sum = 0;
   for (std::size_t i = 0; i < rows_ud.size(); ++i) {
@@ -137,25 +136,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(forwarded),
               static_cast<unsigned long long>(delivered));
 
-  telemetry::BenchReport* rp = json_path ? &report : nullptr;
-  flight::BenchFlight flight(fcli);
-  if (fcli.enabled)
-    for (auto& o : outputs) flight.add(std::move(o.recording));
-  if (!flight.finish("fig8_itb_overhead", rp)) return 1;
-
-  if (json_path) {
-    report.add_scalar("average_per_itb_overhead_ns", avg_overhead);
-    report.add_scalar("itb_forwarded", static_cast<double>(forwarded));
-    report.add_scalar("itb_delivered_to_host", static_cast<double>(delivered));
-    report.add_counters("ud", std::move(outputs[0].counters));
-    report.add_counters("itb", std::move(outputs[1].counters));
-    report.add_series("ud", std::move(outputs[0].series));
-    report.add_series("itb", std::move(outputs[1].series));
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  for (auto& o : outputs) h.add_recording(std::move(o.recording));
+  report.add_scalar("average_per_itb_overhead_ns", avg_overhead);
+  report.add_scalar("itb_forwarded", static_cast<double>(forwarded));
+  report.add_scalar("itb_delivered_to_host", static_cast<double>(delivered));
+  report.add_counters("ud", std::move(outputs[0].counters));
+  report.add_counters("itb", std::move(outputs[1].counters));
+  report.add_series("ud", std::move(outputs[0].series));
+  report.add_series("itb", std::move(outputs[1].series));
+  return h.finish();
 }

@@ -2,16 +2,12 @@
 // These measure the *host* cost of running the reproduction (how fast the
 // simulator itself is), not simulated time.
 //
-// For CLI uniformity with the other benches, `--json <path>` is accepted
-// and translated to google-benchmark's own JSON reporter
-// (--benchmark_out=<path> --benchmark_out_format=json); the document
-// follows google-benchmark's schema, not itb.telemetry.v1.
+// The command line is google-benchmark's own, strict about unknown flags;
+// `--benchmark_out=<path>` writes its JSON document (google-benchmark's
+// schema, not itb.telemetry.v1).
 #include <benchmark/benchmark.h>
 
-#include <string>
 #include <vector>
-
-#include "itb/telemetry/export.hpp"
 
 #include "itb/core/cluster.hpp"
 #include "itb/mapper/mapper.hpp"
@@ -188,32 +184,4 @@ BENCHMARK(BM_SimulatedPingPong);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const auto json_path = itb::telemetry::json_flag(argc, argv);
-  std::vector<std::string> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--json") {          // flag + its path argument
-      ++i;
-      continue;
-    }
-    if (a.starts_with("--json=")) continue;
-    args.emplace_back(a);
-  }
-  std::string out_flag, fmt_flag;
-  if (json_path) {
-    out_flag = "--benchmark_out=" + *json_path;
-    fmt_flag = "--benchmark_out_format=json";
-    args.push_back(out_flag);
-    args.push_back(fmt_flag);
-  }
-  std::vector<char*> cargs;
-  cargs.reserve(args.size());
-  for (auto& a : args) cargs.push_back(a.data());
-  int cargc = static_cast<int>(cargs.size());
-  benchmark::Initialize(&cargc, cargs.data());
-  if (benchmark::ReportUnrecognizedArguments(cargc, cargs.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

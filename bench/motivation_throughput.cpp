@@ -26,12 +26,10 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
-#include "itb/sim/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
 #include "itb/routing/deadlock.hpp"
-#include "itb/telemetry/export.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -113,10 +111,8 @@ PointOutput run_point(engine::EngineKind kind, std::uint64_t seed, double rate,
 
 std::vector<SweepPoint> sweep(engine::EngineKind kind, std::uint64_t seed,
                               const std::vector<double>& rates,
-                              telemetry::BenchReport* report,
-                              const std::string& run, unsigned jobs,
-                              health::LivenessVerdict* liveness,
-                              flight::BenchFlight* bf) {
+                              const std::string& run, bench::Harness& h) {
+  telemetry::BenchReport* report = h.json_report();
   // Every rate is an independent simulation: fan them out, then merge into
   // the report serially in rate order so the document (and stdout) is
   // byte-identical for any job count.
@@ -126,17 +122,17 @@ std::vector<SweepPoint> sweep(engine::EngineKind kind, std::uint64_t seed,
         // Time series only at the saturating rate: 128 channels x 8 rates
         // would swamp the report without adding information.
         const bool sample = report && i + 1 == rates.size();
-        return run_point(kind, seed, rates[i], sample, liveness != nullptr,
-                         bf ? bf->cli().recorder() : flight::RecorderConfig{});
+        return run_point(kind, seed, rates[i], sample, h.watchdog,
+                         h.recorder());
       },
-      jobs);
+      h.jobs);
 
   std::vector<SweepPoint> points;
   for (std::size_t i = 0; i < rates.size(); ++i) {
     const double rate = rates[i];
     const workload::LoadResult& r = outputs[i].load;
-    if (liveness) liveness->merge(outputs[i].liveness);
-    if (bf) bf->add(std::move(outputs[i].recording));
+    h.liveness.merge(outputs[i].liveness);
+    h.add_recording(std::move(outputs[i].recording));
     points.push_back(SweepPoint{rate, r.accepted_msgs_per_s_per_host,
                                 r.latency_mean_ns / 1000.0,
                                 r.latency_p99_ns / 1000.0});
@@ -173,15 +169,13 @@ double saturation_throughput(const std::vector<SweepPoint>& pts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
+  bench::Harness h("motivation_throughput", bench::kSweep);
+  h.parse(argc, argv);
   const std::uint64_t seed = 2001;
   const std::vector<double> rates = {2.5e3, 5e3,   1e4,   1.5e4,
                                      2e4,   2.5e4, 3e4,   4e4};
 
-  telemetry::BenchReport report("motivation_throughput");
+  telemetry::BenchReport& report = h.report;
   report.set_param("seed", static_cast<double>(seed));
   report.set_param("message_bytes", 512);
 
@@ -220,15 +214,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  telemetry::BenchReport* rp = json_path ? &report : nullptr;
-  health::LivenessVerdict liveness;
-  health::LivenessVerdict* lp = watchdog ? &liveness : nullptr;
-  flight::BenchFlight bflight(fcli);
-  flight::BenchFlight* bf = fcli.enabled ? &bflight : nullptr;
-  auto ud =
-      sweep(engine::EngineKind::kUpDown, seed, rates, rp, "ud", jobs, lp, bf);
-  auto itb =
-      sweep(engine::EngineKind::kItb, seed, rates, rp, "itb", jobs, lp, bf);
+  auto ud = sweep(engine::EngineKind::kUpDown, seed, rates, "ud", h);
+  auto itb = sweep(engine::EngineKind::kItb, seed, rates, "itb", h);
 
   std::printf("\nuniform traffic, 512 B messages, accepted msgs/s/host and "
               "mean latency:\n\n");
@@ -250,18 +237,7 @@ int main(int argc, char** argv) {
               "ratio = %.2fx\n(paper claim from [2,3]: 2x-3x on the bare "
               "fabric; our figure includes full\nGM endpoint overheads, "
               "which compress the ratio)\n", f, matched);
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("motivation_throughput", rp)) return 1;
-
-  if (json_path) {
-    report.add_scalar("saturation_ratio", f);
-    report.add_scalar("best_matched_load_ratio", matched);
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  report.add_scalar("saturation_ratio", f);
+  report.add_scalar("best_matched_load_ratio", matched);
+  return h.finish();
 }

@@ -25,16 +25,14 @@
 // `--json P`       itb.telemetry.v1 report with the sweep table.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/routing/deadlock.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -147,27 +145,21 @@ void run_traffic(const topo::Topology& fabric,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  std::size_t max_hosts = SIZE_MAX;
-  std::optional<std::string> routes_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-hosts") == 0 && i + 1 < argc)
-      max_hosts = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    else if (std::strcmp(argv[i], "--routes-out") == 0 && i + 1 < argc)
-      routes_out = argv[++i];
-  }
+  bench::Harness h("scale_topology", bench::kJson | bench::kJobs |
+                                         bench::kMaxHosts | bench::kRoutesOut);
+  h.parse(argc, argv);
+  const unsigned jobs = h.jobs;
 
   std::ofstream routes_file;
-  if (routes_out) {
-    routes_file.open(*routes_out);
+  if (h.routes_out) {
+    routes_file.open(*h.routes_out);
     if (!routes_file) {
-      std::fprintf(stderr, "cannot write %s\n", routes_out->c_str());
+      std::fprintf(stderr, "cannot write %s\n", h.routes_out->c_str());
       return 1;
     }
   }
 
-  telemetry::BenchReport report("scale_topology");
+  telemetry::BenchReport& report = h.report;
   report.set_param("jobs", static_cast<double>(jobs));
 
   std::printf(
@@ -179,7 +171,7 @@ int main(int argc, char** argv) {
               "UD acc/lat/p99", "ITB acc/lat/p99");
 
   for (auto& pt : make_points()) {
-    if (pt.topo.host_count() > max_hosts) continue;
+    if (pt.topo.host_count() > h.max_hosts) continue;
 
     auto t0 = Clock::now();
     const auto disc = mapper::discover(pt.topo, 0);
@@ -217,7 +209,7 @@ int main(int argc, char** argv) {
         res[0].solve_ms, res[1].solve_ms, res[0].accepted, res[0].lat_us,
         res[0].p99_us, res[1].accepted, res[1].lat_us, res[1].p99_us);
 
-    if (json_path) {
+    if (h.json) {
       for (int p = 0; p < 2; ++p) {
         telemetry::BenchReport::Row row;
         row.text["point"] = pt.label;
@@ -245,12 +237,5 @@ int main(int argc, char** argv) {
       "\n(static metrics and root congestion per point are in the JSON "
       "report; route tables are bit-identical for any --jobs value)\n");
 
-  if (json_path) {
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("JSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return h.finish();
 }

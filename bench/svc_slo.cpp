@@ -28,12 +28,10 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/sim/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
 #include "itb/svc/openloop.hpp"
-#include "itb/telemetry/export.hpp"
 
 namespace {
 
@@ -242,12 +240,10 @@ void print_row(const char* label, double rate, const PointOutput& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
+  bench::Harness h("svc_slo", bench::kSweep);
+  h.parse(argc, argv);
 
-  telemetry::BenchReport report("svc_slo");
+  telemetry::BenchReport& report = h.report;
   report.set_param("seed", static_cast<double>(kSeed));
   report.set_param("mean_service_ns", 300.0 * sim::kUs);
   report.set_param("measure_ns", static_cast<double>(kMeasure));
@@ -259,7 +255,7 @@ int main(int argc, char** argv) {
   for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb})
     for (std::size_t i = 0; i < kRates.size(); ++i)
       points.push_back({kind, kRates[i], svc::SvcPattern::kUniform, false,
-                        json_path.has_value() && i + 1 == kRates.size()});
+                        h.json.has_value() && i + 1 == kRates.size()});
   const std::size_t pattern_begin = points.size();
   for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb}) {
     points.push_back({kind, kIncastRate, svc::SvcPattern::kIncast});
@@ -272,9 +268,9 @@ int main(int argc, char** argv) {
 
   auto outputs = sim::run_sweep_parallel(
       points.size(),
-      [&](std::size_t i) { return run_point(points[i], watchdog,
-                                            fcli.recorder()); },
-      jobs);
+      [&](std::size_t i) { return run_point(points[i], h.watchdog,
+                                            h.recorder()); },
+      h.jobs);
 
   std::printf("svc_slo: 8-switch irregular COW, 32 hosts; open-loop "
               "lognormal arrivals,\nbounded-Pareto service (mean 300us, "
@@ -305,12 +301,10 @@ int main(int argc, char** argv) {
   // sweep's 70%-of-saturation operating point. Saturation = the offered
   // rate with peak goodput; headline = the largest swept rate at or below
   // 70% of it.
-  health::LivenessVerdict liveness;
-  flight::BenchFlight bflight(fcli);
   double sat_rate = kRates.front(), best_goodput = -1;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (watchdog) liveness.merge(outputs[i].liveness);
-    if (fcli.enabled) bflight.add(std::move(outputs[i].recording));
+    h.liveness.merge(outputs[i].liveness);
+    h.add_recording(std::move(outputs[i].recording));
     if (points[i].engine == engine::EngineKind::kItb && !points[i].chaos &&
         points[i].pattern == svc::SvcPattern::kUniform) {
       const auto g = static_cast<double>(
@@ -353,10 +347,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("svc_slo", json_path ? &report : nullptr)) return 1;
-
-  if (json_path) {
+  if (h.json) {
     for (std::size_t i = 0; i < points.size(); ++i) {
       const char* table = i < pattern_begin ? "sweep"
                           : i < chaos_begin ? "patterns"
@@ -376,7 +367,7 @@ int main(int argc, char** argv) {
         report.add_histogram("svc_admit_wait",
                              policy_name(points[i].engine), all.admit);
       }
-      if (points[i].chaos && watchdog) {
+      if (points[i].chaos && h.watchdog) {
         telemetry::BenchReport::Row row;
         row.text["policy"] = policy_name(points[i].engine);
         row.num["health_stalls"] =
@@ -388,12 +379,6 @@ int main(int argc, char** argv) {
         report.add_row("chaos_health", std::move(row));
       }
     }
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
   }
-  return 0;
+  return h.finish();
 }

@@ -13,12 +13,11 @@
 // series) is also written as an itb.telemetry.v1 document.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -48,14 +47,10 @@ char shade(double u) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
+  bench::Harness h("telemetry_demo", bench::kJson);
   double rate = 8e3;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--json") { ++i; continue; }
-    if (a.rfind("--json=", 0) == 0) continue;
-    rate = std::strtod(argv[i], nullptr);
-  }
+  h.cli.positional("rate_msgs_per_s", &rate, 1, 1e6);
+  h.parse(argc, argv);
 
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
@@ -117,12 +112,12 @@ int main(int argc, char** argv) {
               r.latency_p99_ns / 1000.0,
               static_cast<unsigned long long>(r.retransmissions));
 
-  if (json_path) {
-    if (!cluster.telemetry().write_json(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
+  if (h.json) {
+    if (!cluster.telemetry().write_json(*h.json)) {
+      std::fprintf(stderr, "cannot write %s\n", h.json->c_str());
       return 1;
     }
-    std::printf("cluster telemetry written to %s\n", json_path->c_str());
+    std::printf("cluster telemetry written to %s\n", h.json->c_str());
   }
   return 0;
 }

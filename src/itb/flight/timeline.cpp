@@ -244,20 +244,4 @@ WormTimeline::ItbHopSplit WormTimeline::itb_hop_split() const {
   return s;
 }
 
-void WormTimeline::publish_metrics(telemetry::MetricRegistry& registry) const {
-  for (const auto& view : stage_views())
-    registry.gauge("flight", std::string("path.") + view.name + "_ns")
-        .set(static_cast<double>(totals_.*(view.field)));
-  registry.gauge("flight", "path.total_ns")
-      .set(static_cast<double>(totals_.total()));
-  registry.gauge("flight", "path.journeys")
-      .set(static_cast<double>(journeys_.size()));
-  registry.gauge("flight", "path.complete_journeys")
-      .set(static_cast<double>(complete_));
-  const auto split = itb_hop_split();
-  registry.gauge("flight", "path.itb_hops")
-      .set(static_cast<double>(split.hops));
-  registry.gauge("flight", "path.itb_hop_mean_ns").set(split.total_ns());
-}
-
 }  // namespace itb::flight

@@ -29,7 +29,6 @@
 
 #include "itb/flight/recorder.hpp"
 #include "itb/sim/time.hpp"
-#include "itb/telemetry/metrics.hpp"
 
 namespace itb::flight {
 
@@ -119,11 +118,6 @@ class WormTimeline {
     double total_ns() const { return detect_ns + wait_ns + dma_ns; }
   };
   ItbHopSplit itb_hop_split() const;
-
-  /// Register flight.path.* gauges (stage totals over complete journeys,
-  /// journey counts) on a registry, so cluster JSON dumps carry the
-  /// attribution next to every other metric.
-  void publish_metrics(telemetry::MetricRegistry& registry) const;
 
  private:
   std::vector<Journey> journeys_;

@@ -1,8 +1,5 @@
 #include "itb/health/watchdog.hpp"
 
-#include <cstdio>
-#include <string_view>
-
 namespace itb::health {
 
 void LivenessVerdict::merge(const LivenessVerdict& o) {
@@ -232,50 +229,6 @@ void LivenessWatchdog::register_metrics(
         [this, h] { return static_cast<double>(nic_epochs_[h]); },
         telemetry::Labels{.host = static_cast<int>(h), .channel = -1});
   }
-}
-
-bool watchdog_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::string_view(argv[i]) == "--watchdog") return true;
-  return false;
-}
-
-void print_liveness_summary(const LivenessVerdict& v) {
-  if (v.clean()) {
-    std::printf("liveness: clean (%llu checks, no stalls)\n",
-                static_cast<unsigned long long>(v.checks));
-    return;
-  }
-  std::printf(
-      "liveness: stalls=%llu (buffer=%llu channel=%llu blackhole=%llu "
-      "congestion=%llu) pool_switches=%llu forced_ejections=%llu "
-      "recovered=%llu unrecovered=%llu\n",
-      static_cast<unsigned long long>(v.stalls),
-      static_cast<unsigned long long>(v.buffer_deadlocks),
-      static_cast<unsigned long long>(v.channel_deadlocks),
-      static_cast<unsigned long long>(v.fault_blackholes),
-      static_cast<unsigned long long>(v.congestion_verdicts),
-      static_cast<unsigned long long>(v.pool_mode_switches),
-      static_cast<unsigned long long>(v.forced_ejections),
-      static_cast<unsigned long long>(v.recoveries),
-      static_cast<unsigned long long>(v.unrecovered));
-  if (!v.first_cycle.empty())
-    std::printf("liveness: first diagnosed cycle: %s\n",
-                v.first_cycle.c_str());
-}
-
-void add_liveness_scalars(telemetry::BenchReport& report,
-                          const LivenessVerdict& v) {
-  report.add_scalar("health_checks", static_cast<double>(v.checks));
-  report.add_scalar("health_stalls", static_cast<double>(v.stalls));
-  report.add_scalar("health_buffer_deadlocks",
-                    static_cast<double>(v.buffer_deadlocks));
-  report.add_scalar("health_pool_mode_switches",
-                    static_cast<double>(v.pool_mode_switches));
-  report.add_scalar("health_forced_ejections",
-                    static_cast<double>(v.forced_ejections));
-  report.add_scalar("health_recoveries", static_cast<double>(v.recoveries));
-  report.add_scalar("health_unrecovered", static_cast<double>(v.unrecovered));
 }
 
 }  // namespace itb::health

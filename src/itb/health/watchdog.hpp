@@ -36,7 +36,6 @@
 #include "itb/net/network.hpp"
 #include "itb/nic/nic.hpp"
 #include "itb/sim/event_queue.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/telemetry/histogram.hpp"
 #include "itb/telemetry/metrics.hpp"
 
@@ -160,15 +159,5 @@ class LivenessWatchdog {
   StallKind current_kind_ = StallKind::kCongestion;
   std::vector<std::uint16_t> wedged_hosts_;
 };
-
-/// `--watchdog` flag (bench plumbing; value-less, position-independent).
-bool watchdog_flag(int argc, char** argv);
-
-/// One-line stdout summary for benches, printed only when --watchdog is on.
-void print_liveness_summary(const LivenessVerdict& v);
-
-/// Standard JSON scalars for a bench report (health_* names).
-void add_liveness_scalars(telemetry::BenchReport& report,
-                          const LivenessVerdict& v);
 
 }  // namespace itb::health

@@ -33,9 +33,8 @@ std::uint64_t total_allocations();
 std::uint64_t total_deallocations();
 
 /// Declare "warmup is over": remembers the current allocation count as the
-/// steady-state mark. Benches call this after their warmup phase; the
-/// sim.allocations_steady_state metric and allocations_since_mark() then
-/// report growth past the mark only.
+/// steady-state mark. Benches call this after their warmup phase;
+/// allocations_since_mark() then reports growth past the mark only.
 void mark_steady_state();
 bool steady_state_marked();
 

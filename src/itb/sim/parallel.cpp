@@ -3,9 +3,6 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <stdexcept>
-#include <string>
-#include <string_view>
 #include <thread>
 
 namespace itb::sim {
@@ -55,29 +52,6 @@ void ParallelRunner::run_indexed(
   for (unsigned t = 0; t < workers; ++t) threads.emplace_back(worker, t);
   for (auto& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-std::optional<unsigned> jobs_flag(int argc, char** argv) {
-  auto parse = [](std::string_view v) -> unsigned {
-    if (v.empty()) throw std::invalid_argument("--jobs: missing value");
-    unsigned n = 0;
-    for (char c : v) {
-      if (c < '0' || c > '9')
-        throw std::invalid_argument("--jobs: expected a number, got '" +
-                                    std::string(v) + "'");
-      n = n * 10 + static_cast<unsigned>(c - '0');
-    }
-    return n;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--jobs") {
-      if (i + 1 >= argc) throw std::invalid_argument("--jobs: missing value");
-      return parse(argv[i + 1]);
-    }
-    if (a.starts_with("--jobs=")) return parse(a.substr(7));
-  }
-  return std::nullopt;
 }
 
 }  // namespace itb::sim

@@ -68,9 +68,4 @@ auto run_sweep_parallel(std::size_t count, Fn&& point, unsigned jobs = 0)
   return out;
 }
 
-/// Parse `--jobs N` or `--jobs=N` out of argv; nullopt when absent (bench
-/// mains default that to 0 = hardware concurrency). Throws
-/// std::invalid_argument on a missing or non-numeric value.
-std::optional<unsigned> jobs_flag(int argc, char** argv);
-
 }  // namespace itb::sim

@@ -3,9 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <stdexcept>
-
-#include "itb/sim/alloc_hook.hpp"
 
 namespace itb::telemetry {
 
@@ -198,14 +195,6 @@ Telemetry::Telemetry(sim::EventQueue& queue, sim::Duration sample_period)
   registry_.register_source("sim", "events_spilled", MetricKind::kCounter, [&queue] {
     return double(queue.stats().spill_scheduled);
   });
-  // Allocation oracle (zero when counting is compiled out — sanitizers —
-  // or before mark_steady_state()): heap allocations since warmup ended.
-  // The zero-allocation hot path shows a flat 0 here for the whole run.
-  registry_.register_source("sim", "allocations_total", MetricKind::kCounter,
-                            [] { return double(sim::total_allocations()); });
-  registry_.register_source(
-      "sim", "allocations_steady_state", MetricKind::kCounter,
-      [] { return double(sim::allocations_since_mark()); });
 }
 
 void Telemetry::write_json(std::ostream& out) const {
@@ -333,24 +322,6 @@ bool BenchReport::write(const std::string& path) const {
   if (!out) return false;
   write(out);
   return out.good();
-}
-
-std::optional<std::string> json_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      if (i + 1 >= argc)
-        throw std::invalid_argument("--json requires a file path");
-      return std::string(argv[i + 1]);
-    }
-    if (arg.rfind("--json=", 0) == 0) {
-      auto path = std::string(arg.substr(7));
-      if (path.empty())
-        throw std::invalid_argument("--json requires a file path");
-      return path;
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace itb::telemetry

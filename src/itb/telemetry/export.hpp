@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -168,11 +167,6 @@ class BenchReport {
   };
   std::vector<TaggedSeries> series_;
 };
-
-/// Parse `--json <path>` or `--json=<path>` out of argv; nullopt when the
-/// flag is absent. Throws std::invalid_argument on a missing path. Every
-/// bench binary funnels its CLI through this so the flag is uniform.
-std::optional<std::string> json_flag(int argc, char** argv);
 
 /// Shared helpers for emitting histogram / series objects (used by both
 /// Telemetry and BenchReport writers).

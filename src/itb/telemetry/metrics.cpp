@@ -28,12 +28,6 @@ std::uint64_t key_hash(std::string_view component, std::string_view name,
   return h;
 }
 
-double MetricRegistry::Slot::read() const {
-  if (source) return source();
-  return kind == MetricKind::kCounter ? static_cast<double>(counter_value)
-                                      : gauge_value;
-}
-
 const MetricRegistry::Slot* MetricRegistry::find(std::uint64_t hash,
                                                  std::string_view component,
                                                  std::string_view name,
@@ -47,47 +41,25 @@ const MetricRegistry::Slot* MetricRegistry::find(std::uint64_t hash,
   return nullptr;
 }
 
-MetricRegistry::Slot& MetricRegistry::add_slot(std::string component,
-                                               std::string name,
-                                               MetricKind kind, Labels labels) {
+void MetricRegistry::register_source(std::string component, std::string name,
+                                     MetricKind kind, Source source,
+                                     Labels labels) {
+  if (!source) throw std::invalid_argument("metric source must be callable");
   const std::uint64_t hash = key_hash(component, name, labels);
   if (find(hash, component, name, labels))
     throw std::invalid_argument("metric already registered: " + component +
                                 "." + name);
   slots_.push_back(Slot{std::move(component), std::move(name), labels, kind,
-                        0, 0.0, nullptr});
+                        std::move(source)});
   index_.emplace(hash, slots_.size() - 1);
-  return slots_.back();
-}
-
-Counter MetricRegistry::counter(std::string component, std::string name,
-                                Labels labels) {
-  auto& slot =
-      add_slot(std::move(component), std::move(name), MetricKind::kCounter,
-               labels);
-  return Counter(&slot.counter_value);
-}
-
-Gauge MetricRegistry::gauge(std::string component, std::string name,
-                            Labels labels) {
-  auto& slot = add_slot(std::move(component), std::move(name),
-                        MetricKind::kGauge, labels);
-  return Gauge(&slot.gauge_value);
-}
-
-void MetricRegistry::register_source(std::string component, std::string name,
-                                     MetricKind kind, Source source,
-                                     Labels labels) {
-  if (!source) throw std::invalid_argument("metric source must be callable");
-  auto& slot = add_slot(std::move(component), std::move(name), kind, labels);
-  slot.source = std::move(source);
 }
 
 std::vector<MetricSample> MetricRegistry::snapshot() const {
   std::vector<MetricSample> out;
   out.reserve(slots_.size());
   for (const auto& s : slots_)
-    out.push_back(MetricSample{s.component, s.name, s.labels, s.kind, s.read()});
+    out.push_back(
+        MetricSample{s.component, s.name, s.labels, s.kind, s.source()});
   return out;
 }
 
@@ -97,7 +69,7 @@ std::optional<double> MetricRegistry::value(std::string_view component,
   const Slot* s = find(key_hash(component, name, labels), component, name,
                        labels);
   if (!s) return std::nullopt;
-  return s->read();
+  return s->source();
 }
 
 }  // namespace itb::telemetry

@@ -13,7 +13,6 @@
 #include "itb/flight/recorder.hpp"
 #include "itb/flight/replay.hpp"
 #include "itb/flight/timeline.hpp"
-#include "itb/telemetry/metrics.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
@@ -133,20 +132,6 @@ TEST(WormTimeline, TruncatedJourneysAreNotClaimedComplete) {
     if (!j.truncated) continue;
     EXPECT_FALSE(j.complete);
   }
-}
-
-TEST(WormTimeline, PublishMetricsExportsStageTotals) {
-  const auto rec = record_fig8(true, std::size_t{1} << 18);
-  flight::WormTimeline tl(rec);
-  telemetry::MetricRegistry reg;
-  tl.publish_metrics(reg);
-  bool found = false;
-  for (const auto& s : reg.snapshot())
-    if (s.component == "flight" && s.name == "path.host_tx_ns") {
-      found = true;
-      EXPECT_EQ(s.value, static_cast<double>(tl.totals().host_tx));
-    }
-  EXPECT_TRUE(found);
 }
 
 TEST(ReplayChecker, SaveLoadRoundTripsBitExactly) {

@@ -374,14 +374,7 @@ TEST(ChaosHotspot, BurstRidesAlongsideOtherChaosWithoutPerturbingIt) {
   }
 }
 
-// ----------------------------------------------------------- flag + misc --
-
-TEST(WatchdogFlag, ParsesFromArgv) {
-  const char* argv1[] = {"bench", "--watchdog", "--jobs", "4"};
-  EXPECT_TRUE(health::watchdog_flag(4, const_cast<char**>(argv1)));
-  const char* argv2[] = {"bench", "--jobs", "4"};
-  EXPECT_FALSE(health::watchdog_flag(3, const_cast<char**>(argv2)));
-}
+// ------------------------------------------------------------------ misc --
 
 TEST(LivenessVerdict, MergeAggregatesAcrossRuns) {
   health::LivenessVerdict a, b;

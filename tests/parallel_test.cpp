@@ -1,7 +1,6 @@
 // Tests for the parallel sweep runner: exactly-once execution, inline
-// serial path, exception propagation, ordered results, --jobs parsing, and
-// the determinism contract (a real cluster sweep is bit-identical for any
-// job count).
+// serial path, exception propagation, ordered results, and the determinism
+// contract (a real cluster sweep is bit-identical for any job count).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +16,6 @@
 namespace {
 
 using itb::sim::ParallelRunner;
-using itb::sim::jobs_flag;
 using itb::sim::run_sweep_parallel;
 
 TEST(ParallelRunner, RunsEveryIndexExactlyOnce) {
@@ -81,39 +79,6 @@ TEST(RunSweepParallel, MoveOnlyResultsWork) {
       },
       4);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(*out[i], i);
-}
-
-TEST(JobsFlag, ParsesBothSpellings) {
-  {
-    const char* argv[] = {"bench", "--jobs", "3"};
-    EXPECT_EQ(jobs_flag(3, const_cast<char**>(argv)), 3u);
-  }
-  {
-    const char* argv[] = {"bench", "--jobs=12"};
-    EXPECT_EQ(jobs_flag(2, const_cast<char**>(argv)), 12u);
-  }
-  {
-    const char* argv[] = {"bench", "--json", "out.json"};
-    EXPECT_EQ(jobs_flag(3, const_cast<char**>(argv)), std::nullopt);
-  }
-}
-
-TEST(JobsFlag, RejectsMissingOrMalformedValues) {
-  {
-    const char* argv[] = {"bench", "--jobs"};
-    EXPECT_THROW(jobs_flag(2, const_cast<char**>(argv)),
-                 std::invalid_argument);
-  }
-  {
-    const char* argv[] = {"bench", "--jobs", "fast"};
-    EXPECT_THROW(jobs_flag(3, const_cast<char**>(argv)),
-                 std::invalid_argument);
-  }
-  {
-    const char* argv[] = {"bench", "--jobs="};
-    EXPECT_THROW(jobs_flag(2, const_cast<char**>(argv)),
-                 std::invalid_argument);
-  }
 }
 
 /// The determinism contract on a real simulation: a sweep of independent

@@ -138,13 +138,17 @@ TEST(LatencyHistogram, MergeAndBuckets) {
 // ---------------------------------------------------------------------------
 // MetricRegistry
 
+/// A registry source reading a constant.
+telemetry::MetricRegistry::Source constant(double v) {
+  return [v] { return v; };
+}
+
 TEST(MetricRegistry, HandlesAndSources) {
   telemetry::MetricRegistry reg;
-  auto c = reg.counter("core", "events");
-  auto g = reg.gauge("core", "depth", {.host = 2, .channel = -1});
-  c.inc();
-  c.inc(4);
-  g.set(7.5);
+  reg.register_source("core", "events", telemetry::MetricKind::kCounter,
+                      constant(5));
+  reg.register_source("core", "depth", telemetry::MetricKind::kGauge,
+                      constant(7.5), {.host = 2, .channel = -1});
   std::uint64_t backing = 41;
   reg.register_source("core", "legacy", telemetry::MetricKind::kCounter,
                       [&backing] { return static_cast<double>(backing); });
@@ -161,11 +165,13 @@ TEST(MetricRegistry, HandlesAndSources) {
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].name, "events");
   EXPECT_EQ(snap[1].labels.host, 2);
+  EXPECT_EQ(snap[1].kind, telemetry::MetricKind::kGauge);
+  EXPECT_EQ(snap[2].value, 42.0);
 
-  // Default-constructed handles are inert.
-  telemetry::Counter inert;
-  inert.inc();
-  EXPECT_EQ(inert.value(), 0u);
+  // A source must be callable.
+  EXPECT_THROW(reg.register_source("core", "empty",
+                                   telemetry::MetricKind::kGauge, nullptr),
+               std::invalid_argument);
 }
 
 TEST(Telemetry, ExportsEventEngineStats) {
@@ -185,29 +191,33 @@ TEST(Telemetry, ExportsEventEngineStats) {
 
 TEST(MetricRegistry, DuplicateRegistrationThrows) {
   telemetry::MetricRegistry reg;
-  reg.counter("gm", "sent", {.host = 0, .channel = -1});
-  EXPECT_THROW(reg.counter("gm", "sent", {.host = 0, .channel = -1}),
+  const auto kCounter = telemetry::MetricKind::kCounter;
+  reg.register_source("gm", "sent", kCounter, constant(0),
+                      {.host = 0, .channel = -1});
+  EXPECT_THROW(reg.register_source("gm", "sent", kCounter, constant(0),
+                                   {.host = 0, .channel = -1}),
                std::invalid_argument);
   // Same name under a different label set is a different metric.
-  EXPECT_NO_THROW(reg.counter("gm", "sent", {.host = 1, .channel = -1}));
+  EXPECT_NO_THROW(reg.register_source("gm", "sent", kCounter, constant(0),
+                                      {.host = 1, .channel = -1}));
   EXPECT_THROW(reg.register_source("gm", "sent", telemetry::MetricKind::kGauge,
-                                   [] { return 0.0; },
-                                   {.host = 1, .channel = -1}),
+                                   constant(0), {.host = 1, .channel = -1}),
                std::invalid_argument);
 
   // Thousands of label-distinct entries (a thousand-host cluster registers
   // tens of thousands): every lookup and duplicate check finds exactly its
   // own entry, and snapshot() keeps registration order.
   for (int h = 0; h < 4000; ++h)
-    reg.counter("nic", "sent", {.host = h, .channel = h % 7})
-        .inc(static_cast<std::uint64_t>(h));
+    reg.register_source("nic", "sent", kCounter, constant(h),
+                        {.host = h, .channel = h % 7});
   EXPECT_EQ(reg.value("nic", "sent", {.host = 2718, .channel = 2718 % 7}),
             2718.0);
   EXPECT_EQ(reg.value("nic", "sent", {.host = 2718, .channel = 0}),
             std::nullopt);
   EXPECT_EQ(reg.value("nic", "received", {.host = 1, .channel = 1}),
             std::nullopt);
-  EXPECT_THROW(reg.counter("nic", "sent", {.host = 3999, .channel = 3999 % 7}),
+  EXPECT_THROW(reg.register_source("nic", "sent", kCounter, constant(0),
+                                   {.host = 3999, .channel = 3999 % 7}),
                std::invalid_argument);
   const auto rows = reg.snapshot();
   ASSERT_EQ(rows.size(), 2u + 4000u);
@@ -469,30 +479,6 @@ TEST(Export, BenchReportRoundTrip) {
   EXPECT_NE(doc.find("\"label\": \"first\""), std::string::npos);
   EXPECT_NE(doc.find("\"p50\": "), std::string::npos);
   EXPECT_NE(doc.find("\"run\": \"run_a\""), std::string::npos);
-}
-
-TEST(Export, JsonFlagParsing) {
-  {
-    const char* argv[] = {"bench", "--json", "out.json"};
-    auto got = telemetry::json_flag(3, const_cast<char**>(argv));
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, "out.json");
-  }
-  {
-    const char* argv[] = {"bench", "--json=other.json"};
-    auto got = telemetry::json_flag(2, const_cast<char**>(argv));
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, "other.json");
-  }
-  {
-    const char* argv[] = {"bench", "positional"};
-    EXPECT_FALSE(telemetry::json_flag(2, const_cast<char**>(argv)).has_value());
-  }
-  {
-    const char* argv[] = {"bench", "--json"};
-    EXPECT_THROW(telemetry::json_flag(2, const_cast<char**>(argv)),
-                 std::invalid_argument);
-  }
 }
 
 }  // namespace
