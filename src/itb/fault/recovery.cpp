@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace itb::fault {
 
@@ -221,10 +220,7 @@ void RecoveryManager::fire() {
     if (config_.tuning.verify_patches) {
       routing::RouteTable fresh(*new_router, engine_.policy(),
                                 config_.route_jobs, engine_.lane_count());
-      std::ostringstream patched, solved;
-      table_->dump(patched);
-      fresh.dump(solved);
-      if (patched.str() != solved.str()) {
+      if (*table_ != fresh) {
         ++stats_.verify_fallbacks;
         table_.emplace(std::move(fresh));
         table_->enable_patching(*new_router);

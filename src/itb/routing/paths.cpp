@@ -395,18 +395,20 @@ Router::SolveFlags Router::solve_flags(Policy policy) {
   return {/*restrict_updown=*/true, /*allow_itb=*/false};  // unreachable
 }
 
-void Router::routes_from(std::uint16_t src_host, Policy policy,
-                         unsigned vc_lanes, RouteRow& row,
-                         Scratch& sc) const {
-  const auto& topo = updown_->topology();
-  constexpr auto kInfHops = std::numeric_limits<std::uint32_t>::max();
-  const auto hosts = static_cast<std::uint16_t>(topo.host_count());
-  row.reset(src_host);
-  if (!host_usable(src_host)) {  // degraded fabric
-    for (std::uint16_t d = 0; d < hosts; ++d) row.close_entry();
-    return;
+void Router::solve_switch(std::span<const std::uint16_t> sources,
+                          Policy policy, unsigned vc_lanes,
+                          Scratch& sc) const {
+  // The lead is the lowest usable source, so every other row is derived
+  // from a lower one.
+  std::uint16_t lead = 0xFFFF;
+  for (const auto s : sources) {
+    if (!host_usable(s)) continue;
+    if (lead != 0xFFFF && uplinks_[s].sw != uplinks_[lead].sw)
+      throw std::invalid_argument("routes_from: sources on several switches");
+    lead = std::min(lead, s);
   }
-  const auto ss = uplinks_[src_host].sw;
+  if (lead == 0xFFFF) return;  // every row is empty
+  const auto ss = uplinks_[lead].sw;
   const SolveFlags flags = solve_flags(policy);
   relax(ss, flags.restrict_updown, flags.allow_itb, sc.primary, sc);
   // One walk per destination switch: the path, and so the header up to its
@@ -414,16 +416,21 @@ void Router::routes_from(std::uint16_t src_host, Policy policy,
   // pick hashes the pair (kSpread), which only an entry without ITBs
   // escapes. The VC-escape fallback test reads only the trunk channels, so
   // a fallback entry is shared whole.
+  constexpr auto kInfHops = std::numeric_limits<std::uint32_t>::max();
+  const auto hosts = static_cast<std::uint16_t>(uplinks_.size());
+  RouteRow& row = sc.lead;
+  row.marks_.reserve(hosts + 1u);  // one mark per host in every row
+  row.reset(lead);
   auto& walked = sc.walked;
   walked.assign(adj_.size(), Scratch::kNoEntry);
   // Restricted fallback for VC-escape routes whose minimal path needs more
-  // lanes than the ladder has; solved at most once per source.
+  // lanes than the ladder has; solved at most once per switch.
   bool escape_solved = false;
   for (std::uint16_t d = 0; d < hosts; ++d) {
     // Destinations cut off by the mask keep an empty entry rather than
     // throwing in extract(); the NIC backstop (and the recovery engine's
     // unreachable accounting) handles them.
-    if (d != src_host && host_usable(d)) {
+    if (d != lead && host_usable(d)) {
       const auto sd = uplinks_[d].sw;
       if (walked[sd] != Scratch::kNoEntry) {
         row.add_sibling(walked[sd], uplinks_[d].port);  // closes the entry
@@ -431,7 +438,7 @@ void Router::routes_from(std::uint16_t src_host, Policy policy,
       }
       if (sc.primary.dist[sd][0].hops != kInfHops ||
           sc.primary.dist[sd][1].hops != kInfHops) {
-        extract(sc.primary, src_host, d, row, sc);
+        extract(sc.primary, lead, d, row, sc);
         if (policy == Policy::kVcEscape &&
             updown_segments(row.open_channels()) > vc_lanes) {
           if (!escape_solved) {
@@ -441,7 +448,7 @@ void Router::routes_from(std::uint16_t src_host, Policy policy,
           }
           // Overwrite this destination's entry, never append a second.
           row.truncate_open();
-          extract(sc.escape, src_host, d, row, sc);
+          extract(sc.escape, lead, d, row, sc);
         }
         if (selection_ == ItbHostSelection::kLowestIndex ||
             row.open_hosts().empty())
@@ -452,21 +459,60 @@ void Router::routes_from(std::uint16_t src_host, Policy policy,
   }
 }
 
-std::vector<std::size_t> Router::minimal_distances_from(
-    std::uint16_t src_host) const {
-  const auto& topo = updown_->topology();
-  std::vector<std::size_t> row(topo.host_count(), 0);
-  if (!host_usable(src_host)) return row;
-  Scratch sc;
-  relax(uplinks_[src_host].sw, /*restrict_updown=*/false,
-        /*allow_itb=*/false, sc.primary, sc);
-  for (std::uint16_t d = 0; d < row.size(); ++d) {
-    if (d == src_host || !host_usable(d)) continue;
-    const auto hops = sc.primary.dist[uplinks_[d].sw][0].hops;
-    if (hops == std::numeric_limits<std::uint32_t>::max()) continue;
-    row[d] = hops;
+void Router::derive_row(std::uint16_t src, RouteRow& row, Scratch& sc) const {
+  const auto hosts = static_cast<std::uint16_t>(uplinks_.size());
+  if (!host_usable(src)) {  // degraded fabric
+    row.marks_.reserve(hosts + 1u);  // a row moved out comes back empty
+    row.reset(src);
+    for (std::uint16_t d = 0; d < hosts; ++d) row.close_entry();
+    return;
   }
-  return row;
+  row = sc.lead;
+  const auto lead = row.src_;
+  if (src == lead) return;
+  row.src_ = src;
+  // Trade the two entries: src's empties, the lead's (below it) becomes the
+  // one route byte to the lead, and the header bytes between them shift up
+  // by one.
+  auto& marks = row.marks_;
+  auto& header = row.header_;
+  const auto from = header.begin() + marks[lead].header;
+  std::copy_backward(from, header.begin() + marks[src].header,
+                     header.begin() + marks[src].header + 1);
+  *from = packet::encode_route_byte(uplinks_[lead].port);
+  for (auto i = lead; i < src; ++i) ++marks[i + 1].header;
+  // Every switch-mate names the empty channel range where the first of them
+  // sits (src > lead >= it), and src's own entry the one where src sits.
+  // Own ranges are stored in entry order and a shared one ends no later, so
+  // the channels ahead of an entry are the furthest any earlier entry
+  // reaches.
+  const auto& mates = itb_hosts_[uplinks_[src].sw];
+  const auto first = mates.front().host;
+  std::uint32_t reach = 0, at_first = 0;
+  for (std::uint16_t d = 0; d < src; ++d) {
+    if (d == first) at_first = reach;
+    reach = std::max(reach, marks[d + 1].channels_end);
+  }
+  const std::uint32_t at_src = reach;
+  for (const auto& mate : mates) {
+    RouteRow::Mark& close = marks[mate.host + 1];
+    close.channels_begin = close.channels_end =
+        mate.host == src ? at_src : at_first;
+  }
+  if (selection_ != ItbHostSelection::kSpread) return;
+  // The in-transit host pick hashes the pair: walk those entries again.
+  // The path, and so every length, stays the lead's.
+  for (std::uint16_t d = 0; d < hosts; ++d) {
+    const RouteView r = row.route(d);
+    if (r.itb_count() == 0) continue;
+    sc.pair.reset(src, d);
+    extract(sc.primary, src, d, sc.pair, sc);
+    sc.pair.close_entry();
+    const RouteView picked = sc.pair.route(d);
+    std::ranges::copy(picked.header(), header.begin() + marks[d].header);
+    std::ranges::copy(picked.in_transit_hosts(),
+                      row.hosts_.begin() + marks[d].hosts);
+  }
 }
 
 RouteRow Router::updown_route(std::uint16_t src, std::uint16_t dst) const {

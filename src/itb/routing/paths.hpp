@@ -133,6 +133,11 @@ class RouteRow {
   /// Every trunk channel the row stores, each shared range once. Each one
   /// belongs to at least one entry.
   std::span<const topo::Channel> stored_channels() const { return channels_; }
+  /// Every entry's in-transit hosts, in destination order.
+  std::span<const std::uint16_t> stored_hosts() const { return hosts_; }
+
+  /// Field by field: source, entry offsets, header, hosts and channels.
+  friend bool operator==(const RouteRow&, const RouteRow&) = default;
 
  private:
   friend class Router;
@@ -144,6 +149,7 @@ class RouteRow {
     std::uint32_t hosts = 0;
     std::uint32_t channels_begin = 0;
     std::uint32_t channels_end = 0;
+    friend bool operator==(const Mark&, const Mark&) = default;
   };
   /// Close the entry written since the last mark.
   void close_entry();
@@ -177,10 +183,10 @@ enum class ItbHostSelection : std::uint8_t { kLowestIndex, kSpread };
 class Router {
  public:
   /// Reusable search buffers for routes_from(): the Dijkstra arrays, its
-  /// bucket queue, the path step stack and the per-switch entry map. The
-  /// caller owns one per thread (never the const Router, so one Router
-  /// serves concurrent solves); once warm, a re-solve allocates nothing.
-  /// Defined below the class.
+  /// bucket queue, the path step stack, the lead's row and the per-switch
+  /// entry map. The caller owns one per thread (never the const Router, so
+  /// one Router serves concurrent solves); once warm, a re-solve allocates
+  /// nothing. Defined below the class.
   class Scratch;
 
   explicit Router(const UpDown& updown,
@@ -203,30 +209,46 @@ class Router {
   /// which is in its search space.
   RouteRow itb_route(std::uint16_t src_host, std::uint16_t dst_host) const;
 
-  /// All routes out of one source under `policy`, written into `row` (reset
-  /// first): ONE multi-destination search (the Dijkstra never looks at the
-  /// destination until extraction) followed by one path reconstruction per
-  /// destination switch straight into the row; the other hosts on that
-  /// switch copy its header with their own last port and share its trunk
-  /// channels. Entry dst == src and unattached or unreachable endpoints are
-  /// empty. Identical paths to calling updown_route()/itb_route() per pair,
-  /// at 1/H the search cost — the primitive RouteTable parallelises over
-  /// sources. With a warm `row` and `scratch` a re-solve allocates nothing.
+  /// All routes out of each host in `sources` under `policy`. The usable
+  /// sources must all hang off one switch (std::invalid_argument
+  /// otherwise); a cut-off source gets an all-empty row. ONE
+  /// multi-destination search from that switch serves the group (the
+  /// Dijkstra never looks at the destination until extraction). The first
+  /// usable source, the lead, walks the path to each destination switch
+  /// once: its own entry and entries toward cut-off or unreachable hosts
+  /// are empty, the first host on each switch gets the walked path (a
+  /// switch-mate's is the one route byte to it), and the later hosts copy
+  /// its header with their own last port and share its trunk channels —
+  /// except under ItbHostSelection::kSpread, where an entry with an
+  /// in-transit host is walked per host, since the pick hashes (src, dst).
+  /// Every other row is the lead's with the two sources' entries traded
+  /// (DESIGN.md §6m), its kSpread in-transit entries walked again. Each row
+  /// equals the one a group of one gives, with the paths
+  /// updown_route()/itb_route() find per pair.
+  ///
+  /// Source by source, the row lands in `row` and goes to
+  /// `publish(RouteRow&)`, which may move it out to keep it: the next row
+  /// is then allocated exactly sized. With a warm `row` and `scratch` a
+  /// re-solve allocates nothing.
   ///
   /// `vc_lanes` only matters under Policy::kVcEscape: a minimal route is
   /// kept when its up*/down* segment count fits the lane ladder
   /// (updown_segments() <= vc_lanes); otherwise the pair falls back to the
   /// plain up*/down* route, which rides lane 0 end to end.
-  void routes_from(std::uint16_t src_host, Policy policy, unsigned vc_lanes,
-                   RouteRow& row, Scratch& scratch) const;
+  template <class Publish>
+  void routes_from(std::span<const std::uint16_t> sources, Policy policy,
+                   unsigned vc_lanes, RouteRow& row, Scratch& scratch,
+                   Publish&& publish) const {
+    solve_switch(sources, policy, vc_lanes, scratch);
+    for (const auto src : sources) {
+      derive_row(src, row, scratch);
+      publish(row);
+    }
+  }
 
   /// Trunk-hop distance of the unrestricted shortest path.
   std::size_t minimal_distance(std::uint16_t src_host,
                                std::uint16_t dst_host) const;
-
-  /// minimal_distance() to every destination from one unrestricted search.
-  /// Entries for dst == src or unattached endpoints are 0.
-  std::vector<std::size_t> minimal_distances_from(std::uint16_t src_host) const;
 
   /// True if the switch-link traversal sequence obeys up* down*.
   bool is_valid_updown(std::span<const topo::Channel> trunks) const;
@@ -256,9 +278,10 @@ class Router {
   bool has_itb_host(std::uint16_t sw) const { return !itb_hosts_[sw].empty(); }
 
   /// Unrestricted BFS hop distances from one switch over the usable trunk
-  /// graph (0xFFFFFFFF = unreachable). Since hops are the primary key of
-  /// the lex search cost, these lower-bound every restricted route — the
-  /// incremental patcher's attraction test builds on that.
+  /// graph (0xFFFFFFFF = unreachable): the minimal distance of every route
+  /// out of that switch. Since hops are the primary key of the lex search
+  /// cost, these lower-bound every restricted route — the incremental
+  /// patcher's attraction test builds on that.
   std::vector<std::uint32_t> min_hops_from_switch(std::uint16_t sw) const;
 
   const UpDown& updown() const { return *updown_; }
@@ -298,12 +321,13 @@ class Router {
   const ItbCandidate& pick_itb(std::uint16_t sw, std::uint16_t src,
                                std::uint16_t dst) const;
 
-  // ---- Per-source search machinery -------------------------------------
+  // ---- Per-switch search machinery -------------------------------------
   // The Dijkstra over (switch, up*/down* phase) states is destination-blind:
   // it relaxes the whole fabric and only the extraction step looks at dst.
-  // Splitting the two lets routes_from() pay one search for a full table
-  // row where a per-pair search pays H of them. The search cost (hops,
-  // itbs) is ordered lexicographically; a hop adds (1, 0) and an ITB reset
+  // It is source-blind too beyond the source's switch. Splitting the two
+  // lets routes_from() pay one search for every row out of a switch where
+  // a per-pair search pays H of them per row. The search cost (hops, itbs)
+  // is ordered lexicographically; a hop adds (1, 0) and an ITB reset
   // (0, 1).
 
   struct SearchCost {
@@ -336,6 +360,12 @@ class Router {
   /// Append the route to `dst_host` to the open entry of `row`.
   void extract(const Search& s, std::uint16_t src_host,
                std::uint16_t dst_host, RouteRow& row, Scratch& sc) const;
+  /// routes_from()'s shared half: the search from the sources' switch and
+  /// the lead's row, one walk per destination switch, into `sc.lead`.
+  void solve_switch(std::span<const std::uint16_t> sources, Policy policy,
+                    unsigned vc_lanes, Scratch& sc) const;
+  /// routes_from()'s per-source half: `src`'s row, from `sc.lead`.
+  void derive_row(std::uint16_t src, RouteRow& row, Scratch& sc) const;
 
   /// The ONE mapping from a policy to its primary search restriction. Every
   /// route-solve entry point derives its flags here, so a policy with no
@@ -372,8 +402,12 @@ class Router::Scratch {
   };
   std::array<Level, 2> levels;
   std::vector<Step> steps;
-  /// Per destination switch: the row entry the other hosts on it copy, or
-  /// kNoEntry.
+  /// The group lead's row, which every source's row starts from.
+  RouteRow lead;
+  /// kSpread: one route walked again for a source other than the lead.
+  RouteRow pair;
+  /// Per destination switch: the entry of the lead's row the other hosts on
+  /// it copy, or kNoEntry.
   static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
   std::vector<std::uint32_t> walked;
 };

@@ -4,13 +4,46 @@
 #include <charconv>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <ostream>
+#include <ranges>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "itb/sim/parallel.hpp"
 
 namespace itb::routing {
+
+namespace {
+
+/// Counting sort of `sources` into `order` by the switch each hangs off,
+/// the cut-off hosts last as a group of their own; `begins` receives where
+/// each group starts, plus the end. Returns the group count. Both buffers
+/// keep their capacity.
+template <std::ranges::forward_range Sources>
+std::size_t group_by_switch(const Router& router, Sources&& sources,
+                            std::vector<std::uint16_t>& order,
+                            std::vector<std::uint32_t>& begins) {
+  const std::size_t cut_off = router.topology().switch_count();
+  const auto key = [&](std::uint16_t s) -> std::size_t {
+    return router.host_usable(s) ? router.host_switch(s) : cut_off;
+  };
+  begins.assign(cut_off + 3, 0);
+  for (const std::uint16_t s : sources) ++begins[key(s) + 2];
+  std::partial_sum(begins.begin(), begins.end(), begins.begin());
+  order.resize(begins.back());
+  for (const std::uint16_t s : sources) order[begins[key(s) + 1]++] = s;
+  // begins[k] is now where key k's group starts: keep each boundary once.
+  begins.erase(std::unique(begins.begin(), begins.end()), begins.end());
+  return begins.size() - 1;
+}
+
+auto every_host(std::size_t hosts) {
+  return std::views::iota(std::uint16_t{0}, static_cast<std::uint16_t>(hosts));
+}
+
+}  // namespace
 
 const char* to_string(Policy p) {
   switch (p) {
@@ -33,33 +66,37 @@ RouteTable::RouteTable(const Router& router, Policy policy, unsigned jobs,
   // Unattached hosts appear in degraded topologies (fault windows that cut
   // a host off); routes_from leaves their pairs — and the diagonal — as
   // empty entries.
-  std::vector<std::uint16_t> sources(hosts_);
-  for (std::size_t s = 0; s < hosts_; ++s)
-    sources[s] = static_cast<std::uint16_t>(s);
-  solve_rows(router, sources, jobs, std::nullopt);
+  group_by_switch(router, every_host(hosts_), grouped_, group_begins_);
+  solve_groups(router, jobs, std::nullopt);
 }
 
-void RouteTable::solve_rows(const Router& router,
-                            const std::vector<std::uint16_t>& sources,
-                            unsigned jobs,
-                            std::optional<std::uint64_t> index_gen) {
+void RouteTable::solve_groups(const Router& router, unsigned jobs,
+                              std::optional<std::uint64_t> index_gen) {
+  const std::size_t groups = group_begins_.size() - 1;
   const sim::ParallelRunner runner(jobs);
   struct Buffers {
     RouteRow row;
     Router::Scratch search;
   };
-  std::vector<Buffers> workers(
-      std::min<std::size_t>(runner.jobs(), sources.size()));
-  runner.run_indexed(sources.size(), [&](std::size_t i, unsigned w) {
-    const auto s = sources[i];
+  std::vector<Buffers> workers(std::min<std::size_t>(runner.jobs(), groups));
+  runner.run_indexed(groups, [&](std::size_t g, unsigned w) {
+    const auto group = switch_group(g);
     Buffers& b = workers[w];
-    router.routes_from(s, policy_, vc_lanes_, b.row, b.search);
-    rows_[s] = std::make_shared<const RouteRow>(b.row);
+    router.routes_from(group, policy_, vc_lanes_, b.row, b.search,
+                       [this](RouteRow& row) {
+                         rows_[row.src_host()] =
+                             std::make_shared<const RouteRow>(std::move(row));
+                       });
     if (index_gen) {
-      index_source(router, s);  // each worker touches only source s
-      solved_gen_[s] = *index_gen;
+      index_group(router, group);  // each worker touches only its group
+      for (const auto s : group) solved_gen_[s] = *index_gen;
     }
   });
+}
+
+std::span<const std::uint16_t> RouteTable::switch_group(std::size_t g) const {
+  return std::span(grouped_).subspan(group_begins_[g],
+                                     group_begins_[g + 1] - group_begins_[g]);
 }
 
 RouteView RouteTable::route(std::uint16_t src, std::uint16_t dst) const {
@@ -82,23 +119,33 @@ double RouteTable::average_trunk_hops() const {
 }
 
 double RouteTable::minimal_fraction(const Router& router, unsigned jobs) const {
-  std::vector<std::size_t> minimal_per_src(hosts_, 0);
-  std::vector<std::size_t> pairs_per_src(hosts_, 0);
-  sim::ParallelRunner(jobs).run_indexed(hosts_, [&](std::size_t s) {
-    const auto dist = router.minimal_distances_from(static_cast<std::uint16_t>(s));
-    for (std::uint16_t d = 0; d < hosts_; ++d) {
-      if (s == d) continue;
-      const RouteView r = rows_[s]->route(d);
-      if (r.empty()) continue;  // unreachable in a degraded table
-      if (r.trunk_hops() == dist[d]) ++minimal_per_src[s];
-      ++pairs_per_src[s];
+  // One unrestricted search per source switch serves all its hosts.
+  std::vector<std::uint16_t> order;
+  std::vector<std::uint32_t> begins;
+  const std::size_t groups =
+      group_by_switch(router, every_host(hosts_), order, begins);
+  std::vector<std::size_t> minimal_per_group(groups, 0);
+  std::vector<std::size_t> pairs_per_group(groups, 0);
+  sim::ParallelRunner(jobs).run_indexed(groups, [&](std::size_t g) {
+    const auto lead = order[begins[g]];
+    if (!router.host_usable(lead)) return;  // the cut-off hosts' empty rows
+    const auto dist = router.min_hops_from_switch(router.host_switch(lead));
+    for (std::size_t i = begins[g]; i < begins[g + 1]; ++i) {
+      const auto s = order[i];
+      for (std::uint16_t d = 0; d < hosts_; ++d) {
+        if (s == d) continue;
+        const RouteView r = rows_[s]->route(d);
+        if (r.empty()) continue;  // unreachable in a degraded table
+        if (r.trunk_hops() == dist[router.host_switch(d)])
+          ++minimal_per_group[g];
+        ++pairs_per_group[g];
+      }
     }
   });
-  std::size_t minimal = 0, pairs = 0;
-  for (std::size_t s = 0; s < hosts_; ++s) {
-    minimal += minimal_per_src[s];
-    pairs += pairs_per_src[s];
-  }
+  const std::size_t minimal = std::reduce(minimal_per_group.begin(),
+                                          minimal_per_group.end());
+  const std::size_t pairs =
+      std::reduce(pairs_per_group.begin(), pairs_per_group.end());
   return pairs ? static_cast<double>(minimal) / static_cast<double>(pairs) : 1.0;
 }
 
@@ -127,7 +174,31 @@ std::vector<std::uint32_t> RouteTable::channel_usage(
   return usage;
 }
 
-void RouteTable::index_source(const Router& router, std::uint16_t src) {
+void RouteTable::index_group(const Router& router,
+                             std::span<const std::uint16_t> group) {
+  // VC-escape's fallback mark compares against minimal distances, which
+  // depend only on the switch.
+  const auto lead = group.front();
+  const auto min_hops = policy_ == Policy::kVcEscape && router.host_usable(lead)
+                            ? router.min_hops_from_switch(router.host_switch(lead))
+                            : std::vector<std::uint32_t>{};
+  index_source(router, lead, min_hops);
+  // Switch-mates route through the same links, in-transit hosts aside: a
+  // mate whose rows carry the lead's in-transit hosts has its index.
+  for (const auto s : group.subspan(1)) {
+    if (std::ranges::equal(rows_[s]->stored_hosts(),
+                           rows_[lead]->stored_hosts())) {
+      links_used_[s] = links_used_[lead];
+      itb_switch_used_[s] = itb_switch_used_[lead];
+      vc_fallback_[s] = vc_fallback_[lead];
+    } else {
+      index_source(router, s, min_hops);
+    }
+  }
+}
+
+void RouteTable::index_source(const Router& router, std::uint16_t src,
+                              std::span<const std::uint32_t> min_hops) {
   auto& lu = links_used_[src];
   auto& iu = itb_switch_used_[src];
   std::fill(lu.begin(), lu.end(), 0);
@@ -156,12 +227,11 @@ void RouteTable::index_source(const Router& router, std::uint16_t src) {
   // vc_fallback_ comment in the header).
   if (policy_ == Policy::kVcEscape) {
     vc_fallback_[src] = 0;
-    const auto dist = router.minimal_distances_from(src);
     for (std::uint16_t d = 0; d < hosts_; ++d) {
       if (d == src) continue;
       const RouteView r = row.route(d);
       if (r.empty()) continue;
-      if (r.trunk_hops() > dist[d]) {
+      if (r.trunk_hops() > min_hops[router.host_switch(d)]) {
         vc_fallback_[src] = 1;
         break;
       }
@@ -197,7 +267,9 @@ void RouteTable::enable_patching(const Router& router) {
   links_used_.assign(hosts_, std::vector<char>(topo.link_count(), 0));
   itb_switch_used_.assign(hosts_, std::vector<char>(topo.switch_count(), 0));
   vc_fallback_.assign(hosts_, 0);
-  for (std::uint16_t s = 0; s < hosts_; ++s) index_source(router, s);
+  const std::size_t groups =
+      group_by_switch(router, every_host(hosts_), grouped_, group_begins_);
+  for (std::size_t g = 0; g < groups; ++g) index_group(router, switch_group(g));
   solved_gen_.assign(hosts_, intern_state(router));
 }
 
@@ -326,17 +398,40 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
     }
   }
 
-  std::vector<std::uint16_t> work;
-  for (std::uint16_t s = 0; s < hosts_; ++s)
-    if (invalid[s]) work.push_back(s);
-  st.sources_resolved = work.size();
+  st.sources_resolved =
+      static_cast<std::size_t>(std::count(invalid.begin(), invalid.end(), 1));
 
   // Copy on write: each re-solved source gets a fresh row. The row it
   // replaces may be installed in a NIC, which keeps it until the next
   // install — so it is never written in place.
-  solve_rows(router, work, jobs,
-             indexed ? std::optional(target_gen) : std::nullopt);
+  group_by_switch(router,
+                  every_host(hosts_) | std::views::filter([&](std::uint16_t s) {
+                    return invalid[s] != 0;
+                  }),
+                  grouped_, group_begins_);
+  solve_groups(router, jobs,
+               indexed ? std::optional(target_gen) : std::nullopt);
   return st;
+}
+
+bool operator==(const RouteTable& a, const RouteTable& b) {
+  if (a.policy_ != b.policy_ || a.hosts_ != b.hosts_ ||
+      (a.policy_ == Policy::kVcEscape && a.vc_lanes_ != b.vc_lanes_))
+    return false;
+  for (std::uint16_t s = 0; s < a.hosts_; ++s) {
+    const RouteRow& x = *a.rows_[s];
+    const RouteRow& y = *b.rows_[s];
+    if (x == y) continue;  // one solver lays equal rows out alike
+    for (std::uint16_t d = 0; d < a.hosts_; ++d) {
+      const RouteView u = x.route(d);
+      const RouteView v = y.route(d);
+      if (!std::ranges::equal(u.header(), v.header()) ||
+          !std::ranges::equal(u.in_transit_hosts(), v.in_transit_hosts()) ||
+          !std::ranges::equal(u.trunk_channels(), v.trunk_channels()))
+        return false;
+    }
+  }
+  return true;
 }
 
 void RouteTable::dump(std::ostream& os) const {

@@ -45,12 +45,13 @@ struct PatchStats {
 
 class RouteTable {
  public:
-  /// Compute routes for every ordered host pair under `policy`. Each source
-  /// host is one multi-destination solve (Router::routes_from); `jobs` fans
-  /// the sources across that many threads (0 = hardware concurrency). Every
-  /// source writes only its own row, and the row content depends only on
-  /// (router, policy, src), so the table is bit-identical for any job count
-  /// — CI byte-compares jobs=1 against jobs=8 dumps to hold that line.
+  /// Compute routes for every ordered host pair under `policy`. The hosts
+  /// on one switch share one multi-destination solve (Router::routes_from);
+  /// `jobs` fans the switches across that many threads (0 = hardware
+  /// concurrency). Every source writes only its own row, and the row
+  /// content depends only on (router, policy, src), so the table is
+  /// bit-identical for any job count — CI byte-compares jobs=1 against
+  /// jobs=8 dumps to hold that line.
   /// `vc_lanes` parameterises Policy::kVcEscape (ignored otherwise): routes
   /// whose up*/down* segment count exceeds it fall back to plain up*/down*.
   explicit RouteTable(const Router& router, Policy policy, unsigned jobs = 1,
@@ -73,9 +74,9 @@ class RouteTable {
   /// Mean switch-switch hops over all pairs (src != dst).
   double average_trunk_hops() const;
 
-  /// Fraction of pairs routed minimally. The per-source minimal distances
-  /// also solve one search per source; `jobs` parallelises them the same
-  /// way as the constructor (result is jobs-invariant).
+  /// Fraction of pairs routed minimally. The minimal distances take one
+  /// unrestricted search per source switch; `jobs` parallelises them the
+  /// same way as the constructor (result is jobs-invariant).
   double minimal_fraction(const Router& router, unsigned jobs = 1) const;
 
   /// Mean ITBs per route (0 for kUpDown).
@@ -90,6 +91,11 @@ class RouteTable {
   /// in-transit hosts, trunk channels). Deterministic byte-for-byte given
   /// equal tables — the CI jobs-invariance gate compares these dumps.
   void dump(std::ostream& os) const;
+
+  /// Equal exactly when the dumps are: the same policy and host count (and
+  /// lane count under kVcEscape), and per pair the same header bytes,
+  /// in-transit hosts and trunk channels.
+  friend bool operator==(const RouteTable& a, const RouteTable& b);
 
   // ---- Incremental patching --------------------------------------------
   // The recovery engine keeps ONE table alive across fault epochs and asks
@@ -158,15 +164,27 @@ class RouteTable {
   std::vector<std::uint64_t> solved_gen_;  // per source; empty until enabled
 
   std::uint64_t intern_state(const Router& router);
-  void index_source(const Router& router, std::uint16_t src);
+  /// Index a group of sources on one switch (or the cut-off ones). VC's
+  /// minimal distances are taken once; a mate whose rows carry the first
+  /// source's in-transit hosts copies its index.
+  void index_group(const Router& router, std::span<const std::uint16_t> group);
+  /// `min_hops`: minimal distances from src's switch (kVcEscape only).
+  void index_source(const Router& router, std::uint16_t src,
+                    std::span<const std::uint32_t> min_hops);
 
-  /// Re-solve `sources` across `jobs` workers, each filling its own warm
-  /// row and search scratch, and publish an exactly sized copy of each as
+  /// The work list of the current solve, in reusable buffers: the sources
+  /// ordered by the switch they hang off (cut-off sources last), and where
+  /// each switch's group starts, plus the end.
+  std::vector<std::uint16_t> grouped_;
+  std::vector<std::uint32_t> group_begins_;
+  std::span<const std::uint16_t> switch_group(std::size_t g) const;
+
+  /// Re-solve the grouped work list across `jobs` workers, one switch group
+  /// per task, each with its own search scratch, and publish each row as
   /// that source's new row. With `index_gen`, also re-index each source
   /// and stamp it with that solve generation.
-  void solve_rows(const Router& router,
-                  const std::vector<std::uint16_t>& sources, unsigned jobs,
-                  std::optional<std::uint64_t> index_gen);
+  void solve_groups(const Router& router, unsigned jobs,
+                    std::optional<std::uint64_t> index_gen);
 };
 
 }  // namespace itb::routing

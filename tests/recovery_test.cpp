@@ -225,6 +225,102 @@ TEST(RoutePatching, ForceFullAndUnindexedTablesFallBack) {
   EXPECT_TRUE(indexed.patch(router, force, 1).full);
 }
 
+TEST(RoutePatching, TablesCompareRouteByRoute) {
+  // The recovery engine's verify step compares a patched table with a
+  // fresh solve through RouteTable's equality: policy, host count, VC lane
+  // count and every pair's header, in-transit hosts and trunk channels.
+  sim::Rng rng(5);
+  topo::IrregularSpec spec;
+  spec.switches = 32;
+  spec.hosts_per_switch = 4;
+  const auto topo = topo::make_random_irregular(spec, rng);
+  const auto root = topo.host_uplink(0).node.index;
+  const std::vector<char> all_up(topo.link_count(), 1);
+  const routing::UpDown ud(topo, root, all_up);
+  const routing::Router router(ud);
+  routing::RouteTable table(router, routing::Policy::kItb);
+  table.enable_patching(router);
+
+  auto mask = all_up;
+  mask[trunk_links(topo).front()] = 0;
+  const routing::UpDown down_ud(topo, root, mask);
+  const routing::Router down_router(down_ud);
+  const routing::RouteTable down(down_router, routing::Policy::kItb);
+  ASSERT_NE(dump_of(table), dump_of(down)) << "the mask re-routes a pair";
+  EXPECT_FALSE(table == down);
+
+  const auto st =
+      table.patch(down_router, diff_orientation(topo, ud, down_ud), 1);
+  EXPECT_FALSE(st.full);
+  EXPECT_TRUE(table == down) << "a patched table equals a fresh solve";
+  EXPECT_EQ(dump_of(table), dump_of(down));
+
+  // On a fat tree every minimal route is up*/down*, so 2 and 4 VC lanes
+  // route alike: only the lane count tells the tables apart, as it does
+  // their dumps. Outside kVcEscape the lane count is not part of a table.
+  const auto fat_tree = topo::make_fat_tree(4);
+  const routing::UpDown ft_ud(fat_tree);
+  const routing::Router ft_router(ft_ud);
+  const routing::RouteTable vc2(ft_router, routing::Policy::kVcEscape, 1, 2);
+  const routing::RouteTable vc4(ft_router, routing::Policy::kVcEscape, 1, 4);
+  const auto routes = [](const routing::RouteTable& t) {
+    const auto dump = dump_of(t);
+    return dump.substr(dump.find('\n'));
+  };
+  ASSERT_EQ(routes(vc2), routes(vc4));
+  EXPECT_FALSE(vc2 == vc4) << "the lane count is part of a VC table";
+  EXPECT_TRUE(vc2 == routing::RouteTable(ft_router, routing::Policy::kVcEscape,
+                                         4, 2));
+  EXPECT_TRUE(routing::RouteTable(ft_router, routing::Policy::kUpDown, 1, 2) ==
+              routing::RouteTable(ft_router, routing::Policy::kUpDown, 1, 4));
+}
+
+TEST(RoutePatching, RestoredHostLinkPatchesPartOfASwitch) {
+  // Two hosts of one switch are cut off; restoring one of them re-solves
+  // it and its usable mates (their entries toward it were empty) but not
+  // the mate still cut off, so the patch solves only part of the switch's
+  // hosts as a group. The result must equal a fresh solve row for row.
+  sim::Rng rng(3);
+  topo::IrregularSpec spec;
+  spec.switches = 32;
+  spec.hosts_per_switch = 4;
+  const auto topo = topo::make_random_irregular(spec, rng);
+  const auto root = topo.host_uplink(0).node.index;
+  const auto sw = static_cast<std::uint16_t>((root + 1) % spec.switches);
+  std::vector<std::uint16_t> mates;
+  for (std::uint16_t h = 0; h < topo.host_count(); ++h)
+    if (topo.host_uplink(h).node.index == sw) mates.push_back(h);
+  ASSERT_EQ(mates.size(), 4u);
+  const auto uplink = [&topo](std::uint16_t h) {
+    const auto up = topo.host_uplink(h);
+    return *topo.link_at(up.node, up.port);
+  };
+  std::vector<char> two_cut(topo.link_count(), 1);
+  two_cut[uplink(mates[1])] = 0;
+  two_cut[uplink(mates[2])] = 0;
+  auto one_cut = two_cut;
+  one_cut[uplink(mates[2])] = 1;
+
+  for (const auto selection : {routing::ItbHostSelection::kLowestIndex,
+                               routing::ItbHostSelection::kSpread}) {
+    const routing::UpDown before_ud(topo, root, two_cut);
+    const routing::Router before(before_ud, selection);
+    routing::RouteTable table(before, routing::Policy::kItb);
+    table.enable_patching(before);
+    const routing::UpDown after_ud(topo, root, one_cut);
+    const routing::Router after(after_ud, selection);
+    const auto st =
+        table.patch(after, diff_orientation(topo, before_ud, after_ud), 1);
+    EXPECT_FALSE(st.full);
+    EXPECT_EQ(st.sources_resolved, topo.host_count() - 1)
+        << "every usable source, not the mate still cut off";
+    const routing::RouteTable fresh(after, routing::Policy::kItb);
+    EXPECT_TRUE(table == fresh);
+    for (std::uint16_t s = 0; s < topo.host_count(); ++s)
+      EXPECT_TRUE(*table.row(s) == *fresh.row(s)) << "source " << s;
+  }
+}
+
 // ---- scoped re-probe ---------------------------------------------------
 
 TEST(ScopedProbe, RediscoverChargesOnlyTheFaultBoundary) {
@@ -561,9 +657,10 @@ TEST(Recovery, FlightFingerprintInvariantAcrossRouteJobs) {
 
 TEST(ZeroAlloc, ControlPlaneResolvesAndInstallsWithoutCopies) {
   // A 64 x 4 COW on the ITB engine. Once a row and its search scratch are
-  // warm, re-solving every source allocates nothing; installing a table in
-  // a NIC swaps a pointer; a patch round pays a fixed handful of
-  // allocations per re-solved source (its fresh row) and no more.
+  // warm, re-solving every source — one solve per source, or one per
+  // switch for its hosts — allocates nothing; installing a table in a NIC
+  // swaps a pointer; a patch round pays a fixed handful of allocations per
+  // re-solved source (its fresh row) and no more.
   if (!sim::alloc_counting_available())
     GTEST_SKIP() << "allocation counting unavailable (sanitizer build)";
   core::ClusterConfig cfg;
@@ -583,12 +680,29 @@ TEST(ZeroAlloc, ControlPlaneResolvesAndInstallsWithoutCopies) {
   const routing::Router router(ud);
   routing::RouteRow row;
   routing::Router::Scratch scratch;
+  std::size_t stamped = 0;
+  const auto count = [&stamped](const routing::RouteRow&) { ++stamped; };
+  const auto solve_each = [&] {
+    for (std::uint16_t s = 0; s < hosts; ++s)
+      router.routes_from(std::span(&s, 1), routing::Policy::kItb, 2, row,
+                         scratch, count);
+  };
+  std::vector<std::vector<std::uint16_t>> by_switch(topo.switch_count());
   for (std::uint16_t s = 0; s < hosts; ++s)
-    router.routes_from(s, routing::Policy::kItb, 2, row, scratch);
+    by_switch[router.host_switch(s)].push_back(s);
+  const auto solve_grouped = [&] {
+    for (const auto& group : by_switch)
+      router.routes_from(group, routing::Policy::kItb, 2, row, scratch, count);
+  };
+  solve_each();
+  solve_grouped();
   auto before = sim::total_allocations();
-  for (std::uint16_t s = 0; s < hosts; ++s)
-    router.routes_from(s, routing::Policy::kItb, 2, row, scratch);
+  solve_each();
   EXPECT_EQ(sim::total_allocations() - before, 0u) << "warm re-solves";
+  before = sim::total_allocations();
+  solve_grouped();
+  EXPECT_EQ(sim::total_allocations() - before, 0u) << "warm grouped re-solves";
+  EXPECT_EQ(stamped, 4u * hosts);
 
   const auto* boot = c.route_table();
   ASSERT_NE(boot, nullptr);

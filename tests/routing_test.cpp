@@ -3,9 +3,12 @@
 // Fig. 1 scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "itb/routing/deadlock.hpp"
 #include "itb/routing/paths.hpp"
@@ -244,7 +247,9 @@ TEST(Router, PerPairHelpersRejectACutOffSource) {
   ASSERT_FALSE(r.host_usable(5));
   RouteRow row;
   Router::Scratch scratch;
-  r.routes_from(5, Policy::kItb, 2, row, scratch);
+  const std::uint16_t cut_off[] = {5};
+  r.routes_from(cut_off, Policy::kItb, 2, row, scratch,
+                [](const RouteRow&) {});
   EXPECT_TRUE(row.route(9).empty());
   EXPECT_THROW(r.updown_route(5, 9), std::logic_error);
   EXPECT_THROW(r.itb_route(5, 9), std::logic_error);
@@ -672,6 +677,171 @@ TEST(RouteTable, DumpDigestsPinnedOnDegradedFabrics) {
     EXPECT_EQ(digest, it->second) << key;
   }
   EXPECT_EQ(got.size(), 2 * std::size(mask_names) * std::size(solves));
+}
+
+// ------------------------------------------------------------ grouped solve --
+
+/// Fig. 1's switches and trunks with hosts dealt out of order: switch 4
+/// holds hosts 1, 5, 9 and 12, switches 0, 2 and 5 one host each, and
+/// switch 7 none.
+Topology make_interleaved_fig1() {
+  Topology t;
+  for (int i = 0; i < 8; ++i) t.add_switch(8);
+  const std::pair<int, int> trunks[] = {
+      {0, 1}, {0, 2}, {1, 3}, {1, 6}, {2, 4}, {2, 5}, {4, 6}, {3, 7}, {5, 7},
+  };
+  std::vector<std::uint8_t> next_port(8, 0);
+  for (auto [a, b] : trunks)
+    t.connect_switches(static_cast<std::uint16_t>(a), next_port[a]++,
+                       static_cast<std::uint16_t>(b), next_port[b]++);
+  const std::uint16_t switch_of[] = {0, 4, 1, 6, 2, 4, 3, 1, 5, 4, 3, 6, 4};
+  for (std::uint16_t h = 0; h < std::size(switch_of); ++h) {
+    t.add_host();
+    const auto sw = switch_of[h];
+    t.attach_host(h, sw, next_port[sw]++, PortKind::kLan);
+  }
+  return t;
+}
+
+TEST(GroupedSolve, EveryRowEqualsItsOneSourceSolve) {
+  // RouteTable solves the hosts of one switch as a group: one search, one
+  // walk per destination switch, every row stamped from them. Each row it
+  // publishes must equal, field by field (offsets, header, in-transit
+  // hosts, trunk channels), the row routes_from stamps for that source
+  // alone, on irregular COWs, a fat tree and a hand-built fabric whose
+  // switch-mates have non-adjacent ids, under four link masks:
+  //   none      every link up;
+  //   busiest   the trunk carrying the most ITB routes down;
+  //   uplink    the second host of a 4-host switch cut off;
+  //   switch    every trunk of the last non-root switch with hosts down.
+  std::vector<std::pair<std::string, Topology>> fabrics;
+  for (const std::uint16_t switches : {32, 64})
+    for (const std::uint64_t seed : {1, 2, 3, 4}) {
+      itb::sim::Rng rng(seed);
+      IrregularSpec spec;
+      spec.switches = switches;
+      spec.hosts_per_switch = 4;
+      fabrics.emplace_back(std::to_string(switches) + "x4/" +
+                               std::to_string(seed),
+                           make_random_irregular(spec, rng));
+    }
+  fabrics.emplace_back("ft8", make_fat_tree(8));
+  fabrics.emplace_back("interleaved", make_interleaved_fig1());
+
+  struct Solve {
+    const char* name;
+    Policy policy;
+    ItbHostSelection selection;
+  };
+  const Solve solves[] = {
+      {"ud", Policy::kUpDown, ItbHostSelection::kLowestIndex},
+      {"itb", Policy::kItb, ItbHostSelection::kLowestIndex},
+      {"itb_spread", Policy::kItb, ItbHostSelection::kSpread},
+      {"vc2", Policy::kVcEscape, ItbHostSelection::kLowestIndex},
+  };
+  std::size_t vc_fallbacks = 0, spread_itbs = 0, rows = 0;
+  RouteRow one;
+  Router::Scratch scratch;
+  for (const auto& [fabric_name, t] : fabrics) {
+    const auto root = t.host_uplink(0).node.index;
+    std::vector<std::vector<std::uint16_t>> hosts_on(t.switch_count());
+    for (std::uint16_t h = 0; h < t.host_count(); ++h)
+      hosts_on[t.host_uplink(h).node.index].push_back(h);
+    const std::vector<char> all_up(t.link_count(), 1);
+    std::vector<std::pair<const char*, std::vector<char>>> masks;
+    masks.emplace_back("none", all_up);
+    {
+      const UpDown ud(t, root, all_up);
+      const auto usage = RouteTable(Router(ud), Policy::kItb).channel_usage(t);
+      std::optional<LinkId> top;
+      for (LinkId l = 0; l < t.link_count(); ++l) {
+        const auto& link = t.link(l);
+        if (link.a.node.kind != NodeKind::kSwitch ||
+            link.b.node.kind != NodeKind::kSwitch || link.a.node == link.b.node)
+          continue;
+        if (!top || usage[2 * l] + usage[2 * l + 1] >
+                        usage[2 * *top] + usage[2 * *top + 1])
+          top = l;
+      }
+      ASSERT_TRUE(top.has_value()) << fabric_name;
+      masks.emplace_back("busiest", all_up);
+      masks.back().second[*top] = 0;
+    }
+    {
+      const auto it = std::ranges::find_if(
+          hosts_on, [](const auto& hosts) { return hosts.size() == 4; });
+      ASSERT_NE(it, hosts_on.end()) << fabric_name;
+      const auto up = t.host_uplink((*it)[1]);
+      masks.emplace_back("uplink", all_up);
+      masks.back().second[*t.link_at(up.node, up.port)] = 0;
+    }
+    {
+      std::uint16_t lone = 0;
+      for (std::uint16_t sw = 0; sw < t.switch_count(); ++sw)
+        if (sw != root && !hosts_on[sw].empty()) lone = sw;
+      masks.emplace_back("switch", all_up);
+      for (const auto l : t.links_of(switch_id(lone)))
+        if (t.link(l).a.node.kind == NodeKind::kSwitch &&
+            t.link(l).b.node.kind == NodeKind::kSwitch)
+          masks.back().second[l] = 0;
+    }
+    for (const auto& [mask_name, mask] : masks) {
+      const UpDown ud(t, root, mask);
+      for (const Solve& s : solves) {
+        const Router router(ud, s.selection);
+        const RouteTable table(router, s.policy, /*jobs=*/1, /*vc_lanes=*/2);
+        // A switch's hosts in any order: the lowest usable one leads.
+        for (auto group : hosts_on) {
+          std::ranges::reverse(group);
+          router.routes_from(group, s.policy, 2, one, scratch,
+                             [&](const RouteRow& row) {
+                               EXPECT_TRUE(row == *table.row(row.src_host()))
+                                   << fabric_name << "/" << mask_name << "/"
+                                   << s.name << " group source "
+                                   << row.src_host();
+                               ++rows;
+                             });
+        }
+        for (std::uint16_t src = 0; src < t.host_count(); ++src) {
+          router.routes_from(std::span(&src, 1), s.policy, 2, one, scratch,
+                             [&](const RouteRow& row) {
+                               EXPECT_TRUE(row == *table.row(src))
+                                   << fabric_name << "/" << mask_name << "/"
+                                   << s.name << " source " << src;
+                               ++rows;
+                             });
+          if (!router.host_usable(src)) continue;
+          const auto min_hops =
+              router.min_hops_from_switch(router.host_switch(src));
+          for (std::uint16_t dst = 0; dst < t.host_count(); ++dst) {
+            const RouteView r = one.route(dst);
+            if (r.empty()) continue;
+            if (s.policy == Policy::kVcEscape &&
+                r.trunk_hops() > min_hops[router.host_switch(dst)])
+              ++vc_fallbacks;
+            if (s.selection == ItbHostSelection::kSpread)
+              spread_itbs += r.itb_count();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rows, 2u * 4 * 4 * (4 * 128 + 4 * 256 + 128 + 13));
+  // Both exceptions to plain stamping were exercised.
+  EXPECT_GT(vc_fallbacks, 0u);
+  EXPECT_GT(spread_itbs, 0u);
+}
+
+TEST(GroupedSolve, SourcesOnSeveralSwitchesAreRefused) {
+  const auto t = make_fig1_network();
+  const UpDown ud(t);
+  const Router router(ud);
+  RouteRow row;
+  Router::Scratch scratch;
+  const std::uint16_t two_switches[] = {0, 1};
+  EXPECT_THROW(router.routes_from(two_switches, Policy::kItb, 2, row, scratch,
+                                  [](const RouteRow&) {}),
+               std::invalid_argument);
 }
 
 }  // namespace

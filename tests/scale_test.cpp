@@ -283,14 +283,19 @@ TEST(ZeroAlloc, RouteSearchStorageStaysBoundedByTheFrontier) {
                             routing::Policy::kVcEscape}) {
     routing::RouteRow row;
     routing::Router::Scratch scratch;
+    const std::uint16_t middle[] = {512};
+    const auto solve = [&] {
+      router.routes_from(middle, policy, 2, row, scratch,
+                         [](const routing::RouteRow&) {});
+    };
     auto before = sim::total_allocations();
-    router.routes_from(512, policy, 2, row, scratch);
+    solve();
     const auto cold = sim::total_allocations() - before;
     EXPECT_LE(cold, 128u) << to_string(policy);
     EXPECT_EQ(row.route(0).trunk_hops(), 512u);
     EXPECT_EQ(row.route(1023).trunk_hops(), 511u);
     before = sim::total_allocations();
-    router.routes_from(512, policy, 2, row, scratch);
+    solve();
     EXPECT_EQ(sim::total_allocations() - before, 0u) << to_string(policy);
   }
 }
