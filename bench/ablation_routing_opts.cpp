@@ -91,10 +91,10 @@ void validation_run(std::uint64_t seed, bench::Harness& h) {
 
   workload::LoadConfig lc;
   lc.message_bytes = 512;
-  lc.rate_msgs_per_s = 1e4;
+  lc.arrivals.rate_per_s = 1e4;
   lc.warmup = 1 * sim::kMs;
   lc.measure = 4 * sim::kMs;
-  lc.seed = seed + 17;
+  lc.arrivals.seed = seed + 17;
   auto r = workload::run_load(cluster.queue(), cluster.ports(), lc);
   cluster.telemetry().stop_sampling();
 

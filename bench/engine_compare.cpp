@@ -103,10 +103,10 @@ void run_traffic(const topo::Topology& fabric,
 
   workload::LoadConfig lc;
   lc.message_bytes = 512;
-  lc.rate_msgs_per_s = 1e4;
+  lc.arrivals.rate_per_s = 1e4;
   lc.warmup = 1 * sim::kMs;
   lc.measure = 4 * sim::kMs;
-  lc.seed = 2018;
+  lc.arrivals.seed = 2018;
   const auto r = workload::run_load(cluster.queue(), cluster.ports(), lc);
   out.accepted = r.accepted_msgs_per_s_per_host;
   out.lat_us = r.latency_mean_ns / 1000.0;

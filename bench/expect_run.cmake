@@ -1,13 +1,14 @@
 # ctest helper: run one binary and check how it ends.
 #
 #   cmake -DBIN=<path> -DARGS="<space-separated args>" -DEXIT=<status>
-#         [-DSTDOUT=<regex>] [-DUSAGE=ON] [-DFILE=<path> -DSHA256=<hex>]
-#         -P expect_run.cmake
+#         [-DSTDOUT=<regex>] [-DSTDOUT_SHA256=<hex>] [-DUSAGE=ON]
+#         [-DFILE=<path> -DSHA256=<hex>] -P expect_run.cmake
 #
 # Fails unless BIN exits with exactly EXIT and, when given, its stdout
-# matches STDOUT. USAGE=ON also requires an empty stdout (no work started)
-# and a stderr that is one line ending in the usage text. FILE is removed
-# before the run; BIN must write it anew, with SHA-256 digest SHA256.
+# matches STDOUT and has SHA-256 digest STDOUT_SHA256. USAGE=ON also
+# requires an empty stdout (no work started) and a stderr that is one line
+# ending in the usage text. FILE is removed before the run; BIN must write
+# it anew, with SHA-256 digest SHA256.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 if(DEFINED FILE)
   file(REMOVE "${FILE}")
@@ -19,6 +20,13 @@ if(NOT rc STREQUAL "${EXIT}")
 endif()
 if(DEFINED STDOUT AND NOT out MATCHES "${STDOUT}")
   message(FATAL_ERROR "${BIN} ${ARGS}: stdout lacks '${STDOUT}'\n${out}")
+endif()
+if(DEFINED STDOUT_SHA256)
+  string(SHA256 digest "${out}")
+  if(NOT digest STREQUAL "${STDOUT_SHA256}")
+    message(FATAL_ERROR "${BIN} ${ARGS}: stdout has SHA-256 ${digest}, "
+                        "want ${STDOUT_SHA256}\n${out}")
+  endif()
 endif()
 if(USAGE)
   if(NOT out STREQUAL "")

@@ -93,10 +93,10 @@ PointOutput run_point(engine::EngineKind kind, std::uint64_t seed, double rate,
 
   workload::LoadConfig lc;
   lc.message_bytes = 512;
-  lc.rate_msgs_per_s = rate;
+  lc.arrivals.rate_per_s = rate;
   lc.warmup = 2 * sim::kMs;
   lc.measure = 8 * sim::kMs;
-  lc.seed = seed + 17;
+  lc.arrivals.seed = seed + 17;
   PointOutput out;
   out.load = workload::run_load(cluster.queue(), cluster.ports(), lc);
   if (sample) {

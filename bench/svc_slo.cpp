@@ -61,7 +61,7 @@ topo::Topology make_network(std::uint64_t seed) {
 struct PointSpec {
   engine::EngineKind engine = engine::EngineKind::kUpDown;
   double rate = 1e4;
-  svc::SvcPattern pattern = svc::SvcPattern::kUniform;
+  workload::Pattern pattern = workload::Pattern::kUniform;
   bool chaos = false;
   bool sample = false;  // embed registry counters in the JSON report
 };
@@ -69,9 +69,7 @@ struct PointSpec {
 struct PointOutput {
   svc::SloStats slo;
   svc::AdmissionStats admission;
-  svc::OpenLoopStats driver;
   std::uint64_t retransmissions = 0;
-  sim::Time sim_end = 0;
   std::vector<telemetry::MetricSample> counters;
   health::LivenessVerdict liveness;
   flight::Recording recording;
@@ -129,17 +127,17 @@ PointOutput run_point(const PointSpec& ps, bool watchdog,
   }
 
   svc::OpenLoopConfig lc;
-  lc.arrivals = svc::ArrivalDist::kLognormal;
-  lc.arrival_sigma = 1.5;
+  lc.arrivals.gaps = workload::GapLaw::kLognormal;
+  lc.arrivals.gap_sigma = 1.5;
+  lc.arrivals.pattern = ps.pattern;
+  lc.arrivals.rate_per_s = ps.rate;
+  lc.arrivals.seed = kSeed + 29;
   lc.service = svc::ServiceDist::kBoundedPareto;
   lc.mean_service = 300 * sim::kUs;
   lc.pareto_alpha = 1.5;
   lc.pareto_cap = 50.0;
-  lc.pattern = ps.pattern;
-  lc.rate_rps = ps.rate;
   lc.resp_bytes = 512;
   lc.duration = kWarmup + kMeasure;
-  lc.seed = kSeed + 29;
   svc::OpenLoopDriver driver(cluster.queue(), eps, lc);
   driver.start();
   cluster.run();
@@ -147,10 +145,8 @@ PointOutput run_point(const PointSpec& ps, bool watchdog,
   PointOutput out;
   out.slo = driver.merged_slo();
   out.admission = driver.merged_admission();
-  out.driver = driver.stats();
   for (auto* port : cluster.ports())
     out.retransmissions += port->stats().retransmissions;
-  out.sim_end = cluster.queue().now();
   if (ps.sample) out.counters = cluster.telemetry().registry().snapshot();
   if (watchdog) out.liveness = cluster.health()->verdict();
   if (cluster.flight()) out.recording = cluster.flight()->snapshot();
@@ -168,7 +164,7 @@ void add_slo_rows(telemetry::BenchReport& report, const std::string& table,
   auto row_of = [&](const char* cls_name, const svc::SloClassStats& c) {
     telemetry::BenchReport::Row row;
     row.text["policy"] = policy_name(ps.engine);
-    row.text["pattern"] = svc::to_string(ps.pattern);
+    row.text["pattern"] = workload::to_string(ps.pattern);
     row.text["class"] = cls_name;
     row.num["rate_rps"] = ps.rate;
     row.num["chaos"] = ps.chaos ? 1.0 : 0.0;
@@ -195,7 +191,7 @@ void add_slo_rows(telemetry::BenchReport& report, const std::string& table,
   svc::SloClassStats all = out.slo.combined();
   telemetry::BenchReport::Row row;  // combined row carries admission stats
   row.text["policy"] = policy_name(ps.engine);
-  row.text["pattern"] = svc::to_string(ps.pattern);
+  row.text["pattern"] = workload::to_string(ps.pattern);
   row.text["class"] = "all";
   row.num["rate_rps"] = ps.rate;
   row.num["chaos"] = ps.chaos ? 1.0 : 0.0;
@@ -254,17 +250,17 @@ int main(int argc, char** argv) {
   std::vector<PointSpec> points;
   for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb})
     for (std::size_t i = 0; i < kRates.size(); ++i)
-      points.push_back({kind, kRates[i], svc::SvcPattern::kUniform, false,
+      points.push_back({kind, kRates[i], workload::Pattern::kUniform, false,
                         h.json.has_value() && i + 1 == kRates.size()});
   const std::size_t pattern_begin = points.size();
   for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb}) {
-    points.push_back({kind, kIncastRate, svc::SvcPattern::kIncast});
-    points.push_back({kind, kHotspotRate, svc::SvcPattern::kHotspot});
-    points.push_back({kind, kAllToAllRate, svc::SvcPattern::kAllToAll});
+    points.push_back({kind, kIncastRate, workload::Pattern::kIncast});
+    points.push_back({kind, kHotspotRate, workload::Pattern::kHotspot});
+    points.push_back({kind, kAllToAllRate, workload::Pattern::kAllToAll});
   }
   const std::size_t chaos_begin = points.size();
   for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb})
-    points.push_back({kind, 1.5e4, svc::SvcPattern::kUniform, true, false});
+    points.push_back({kind, 1.5e4, workload::Pattern::kUniform, true, false});
 
   auto outputs = sim::run_sweep_parallel(
       points.size(),
@@ -285,7 +281,7 @@ int main(int argc, char** argv) {
   std::printf("\npatterns (per-client rate scaled per pattern):\n");
   for (std::size_t i = pattern_begin; i < chaos_begin; ++i) {
     const std::string label = std::string(policy_name(points[i].engine)) +
-                              "/" + svc::to_string(points[i].pattern);
+                              "/" + workload::to_string(points[i].pattern);
     print_row(label.c_str(), points[i].rate, outputs[i]);
   }
 
@@ -306,7 +302,7 @@ int main(int argc, char** argv) {
     h.liveness.merge(outputs[i].liveness);
     h.add_recording(std::move(outputs[i].recording));
     if (points[i].engine == engine::EngineKind::kItb && !points[i].chaos &&
-        points[i].pattern == svc::SvcPattern::kUniform) {
+        points[i].pattern == workload::Pattern::kUniform) {
       const auto g = static_cast<double>(
           outputs[i].slo.combined().goodput_bytes);
       if (g > best_goodput) {
@@ -321,7 +317,7 @@ int main(int argc, char** argv) {
   const PointOutput* headline = nullptr;
   const PointOutput* headline_ud = nullptr;
   for (std::size_t i = 0; i < points.size(); ++i)
-    if (!points[i].chaos && points[i].pattern == svc::SvcPattern::kUniform &&
+    if (!points[i].chaos && points[i].pattern == workload::Pattern::kUniform &&
         points[i].rate == headline_rate) {
       (points[i].engine == engine::EngineKind::kItb ? headline : headline_ud) =
           &outputs[i];

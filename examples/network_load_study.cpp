@@ -44,10 +44,10 @@ int main(int argc, char** argv) {
 
       workload::LoadConfig lc;
       lc.message_bytes = 512;
-      lc.rate_msgs_per_s = rate;
+      lc.arrivals.rate_per_s = rate;
       lc.warmup = 1 * sim::kMs;
       lc.measure = 5 * sim::kMs;
-      lc.seed = seed;
+      lc.arrivals.seed = seed;
       auto r = workload::run_load(cluster.queue(), cluster.ports(), lc);
       acc[i] = r.accepted_msgs_per_s_per_host;
       lat[i] = r.latency_mean_ns / 1000.0;

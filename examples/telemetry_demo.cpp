@@ -68,10 +68,10 @@ int main(int argc, char** argv) {
   cluster.telemetry().start_sampling();
   workload::LoadConfig lc;
   lc.message_bytes = 512;
-  lc.rate_msgs_per_s = rate;
+  lc.arrivals.rate_per_s = rate;
   lc.warmup = 0;
   lc.measure = 6 * sim::kMs;
-  lc.seed = 42;
+  lc.arrivals.seed = 42;
   auto r = workload::run_load(cluster.queue(), cluster.ports(), lc);
   cluster.telemetry().stop_sampling();
 

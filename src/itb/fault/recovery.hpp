@@ -63,9 +63,10 @@ struct RecoveryTuning {
   /// keeping the new coalescing/quarantine/epoch machinery.
   bool incremental = true;
 
-  /// Re-solve every patched table from scratch too and byte-compare the
-  /// dumps; on mismatch fall back to the full table (counted). The safety
-  /// net the tests and the bench run with — fallbacks must stay 0.
+  /// Re-solve every patched table from scratch too and compare the two
+  /// route by route (RouteTable::operator==); on mismatch fall back to the
+  /// full table (counted). The safety net the tests and the bench run
+  /// with — fallbacks must stay 0.
   bool verify_patches = false;
 
   /// Modelled cost charged between the coalesced fire and the table

@@ -4,13 +4,13 @@
 // small thread pool. Two layers use it:
 //   * sim::run_sweep_parallel — one Cluster per sweep point in the bench
 //     binaries;
-//   * routing::RouteTable — per-source route solves, so an all-pairs table
-//     over a thousand-host fabric is computed one source row per task.
+//   * routing::RouteTable — route solves, so an all-pairs table over a
+//     thousand-host fabric is computed one source switch's hosts per task.
 // It lives in sim/ (the dependency root) so both layers can reach it.
 //
 // Determinism contract: a work item must build everything it touches from
 // its own index/seed and write only state owned by that index (its sweep
-// point's slot, its table row). Under that contract results are
+// point's slot, its switch's table rows). Under that contract results are
 // bit-identical for any job count — threads change only wall-clock, never
 // numbers — and jobs == 1 (which runs inline on the calling thread, no
 // pool at all) reproduces the serial program exactly. The determinism test

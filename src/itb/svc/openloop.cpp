@@ -1,213 +1,60 @@
 #include "itb/svc/openloop.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <sstream>
-#include <stdexcept>
-#include <string>
 
 namespace itb::svc {
 
-const char* to_string(ArrivalDist d) {
-  switch (d) {
-    case ArrivalDist::kExponential: return "exponential";
-    case ArrivalDist::kLognormal: return "lognormal";
-    case ArrivalDist::kBoundedPareto: return "bounded-pareto";
-  }
-  return "?";
-}
+namespace {
 
-const char* to_string(ServiceDist d) {
-  switch (d) {
-    case ServiceDist::kFixed: return "fixed";
-    case ServiceDist::kLognormal: return "lognormal";
-    case ServiceDist::kBoundedPareto: return "bounded-pareto";
-  }
-  return "?";
-}
-
-const char* to_string(SvcPattern p) {
-  switch (p) {
-    case SvcPattern::kUniform: return "uniform";
-    case SvcPattern::kIncast: return "incast";
-    case SvcPattern::kHotspot: return "hotspot";
-    case SvcPattern::kAllToAll: return "all-to-all";
-    case SvcPattern::kTrace: return "trace";
-  }
-  return "?";
-}
-
-std::vector<TraceEntry> parse_trace_csv(std::istream& in) {
-  std::vector<TraceEntry> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ls(line);
-    TraceEntry e;
-    long long at = 0, service = 0;
-    unsigned src = 0, dst = 0, cls = 0, resp = 0;
-    char c1, c2, c3, c4, c5;
-    if (!(ls >> at >> c1 >> src >> c2 >> dst >> c3 >> cls >> c4 >> service >>
-          c5 >> resp) ||
-        c1 != ',' || c2 != ',' || c3 != ',' || c4 != ',' || c5 != ',' ||
-        cls >= kPriorityClasses || at < 0 || service < 0)
-      throw std::invalid_argument("malformed trace line " +
-                                  std::to_string(lineno) + ": " + line);
-    e.at = at;
-    e.src = static_cast<std::uint16_t>(src);
-    e.dst = static_cast<std::uint16_t>(dst);
-    e.cls = static_cast<Priority>(cls);
-    e.service = service;
-    e.resp_bytes = resp;
-    out.push_back(e);
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEntry& a, const TraceEntry& b) {
-                     return a.at < b.at;
-                   });
-  return out;
-}
-
-OpenLoopDriver::OpenLoopDriver(sim::EventQueue& queue,
-                               std::vector<RpcEndpoint*> endpoints,
-                               OpenLoopConfig config)
-    : queue_(queue), endpoints_(std::move(endpoints)),
-      config_(std::move(config)) {
-  if (endpoints_.size() < 2)
-    throw std::invalid_argument("open-loop driver needs >= 2 endpoints");
-  rngs_.reserve(endpoints_.size());
-  for (std::size_t h = 0; h < endpoints_.size(); ++h)
-    rngs_.push_back(sim::Rng::stream(config_.seed, h));
-  end_ = config_.start + config_.duration;
-}
-
-void OpenLoopDriver::start() {
-  if (config_.pattern == SvcPattern::kTrace) {
-    for (const TraceEntry& e : config_.trace) {
-      if (e.src >= endpoints_.size() || e.dst >= endpoints_.size() ||
-          e.src == e.dst)
-        throw std::invalid_argument("trace entry outside the cluster");
-      queue_.schedule_at(std::max(e.at, config_.start), [this, e] {
-        ++stats_.arrivals;
-        CallSpec spec;
-        spec.dst = e.dst;
-        spec.cls = e.cls;
-        spec.service = e.service;
-        spec.resp_bytes = e.resp_bytes;
-        if (endpoints_[e.src]->client().call(spec))
-          ++stats_.calls_issued;
-        else
-          ++stats_.calls_refused;
-      });
-    }
-    return;
-  }
-  for (std::size_t h = 0; h < endpoints_.size(); ++h) {
-    // The incast sink only serves; everyone else generates.
-    if (config_.pattern == SvcPattern::kIncast && h == config_.target_host)
-      continue;
-    arm(h);
-  }
-}
-
-sim::Duration OpenLoopDriver::next_gap(sim::Rng& rng) const {
-  const double mean = 1e9 / config_.rate_rps;
-  double gap = mean;
-  switch (config_.arrivals) {
-    case ArrivalDist::kExponential:
-      gap = rng.next_exponential(mean);
-      break;
-    case ArrivalDist::kLognormal:
-      gap = rng.next_lognormal(mean, config_.arrival_sigma);
-      break;
-    case ArrivalDist::kBoundedPareto:
-      gap = rng.next_bounded_pareto(mean, config_.pareto_alpha,
-                                    config_.pareto_cap);
-      break;
-  }
-  return std::max<sim::Duration>(static_cast<sim::Duration>(gap), 1);
-}
-
-sim::Duration OpenLoopDriver::next_service(sim::Rng& rng) const {
-  const auto mean = static_cast<double>(config_.mean_service);
-  double s = mean;
-  switch (config_.service) {
-    case ServiceDist::kFixed:
-      break;
-    case ServiceDist::kLognormal:
-      s = rng.next_lognormal(mean, config_.service_sigma);
-      break;
-    case ServiceDist::kBoundedPareto:
-      s = rng.next_bounded_pareto(mean, config_.pareto_alpha,
-                                  config_.pareto_cap);
-      break;
-  }
-  return std::max<sim::Duration>(static_cast<sim::Duration>(s), 1);
-}
-
-Priority OpenLoopDriver::next_class(sim::Rng& rng) const {
+Priority next_class(const OpenLoopConfig& config, sim::Rng& rng) {
   double total = 0;
-  for (double w : config_.class_mix) total += w;
+  for (double w : config.class_mix) total += w;
   if (total <= 0) return Priority::kNormal;
   double u = rng.next_double() * total;
   for (std::size_t c = 0; c < kPriorityClasses; ++c) {
-    u -= config_.class_mix[c];
+    u -= config.class_mix[c];
     if (u < 0) return static_cast<Priority>(c);
   }
   return static_cast<Priority>(kPriorityClasses - 1);
 }
 
-std::uint16_t OpenLoopDriver::next_dst(std::size_t src, sim::Rng& rng) const {
-  const std::size_t n = endpoints_.size();
-  switch (config_.pattern) {
-    case SvcPattern::kIncast:
-      return config_.target_host;
-    case SvcPattern::kHotspot:
-      if (src != config_.target_host &&
-          rng.next_bool(config_.hotspot_fraction))
-        return config_.target_host;
-      break;
-    default:
-      break;
-  }
-  std::uint16_t dst;
-  do {
-    dst = static_cast<std::uint16_t>(rng.next_below(n));
-  } while (dst == src);
-  return dst;
+sim::Duration next_service(const OpenLoopConfig& config, sim::Rng& rng) {
+  auto s = static_cast<double>(config.mean_service);
+  if (config.service == ServiceDist::kBoundedPareto)
+    s = rng.next_bounded_pareto(s, config.pareto_alpha, config.pareto_cap);
+  return std::max<sim::Duration>(static_cast<sim::Duration>(s), 1);
 }
 
-void OpenLoopDriver::arm(std::size_t host) {
-  const sim::Duration gap = next_gap(rngs_[host]);
-  const sim::Time at = std::max(queue_.now(), config_.start) + gap;
-  if (at > end_) return;
-  queue_.schedule_at(at, [this, host] { fire(host); });
+}  // namespace
+
+OpenLoopDriver::OpenLoopDriver(sim::EventQueue& queue,
+                               std::vector<RpcEndpoint*> endpoints,
+                               const OpenLoopConfig& config)
+    : queue_(queue), endpoints_(std::move(endpoints)), config_(config),
+      generator_(
+          queue, endpoints_.size(), config.arrivals,
+          [this](std::size_t src, std::uint16_t dst) { call(src, dst); },
+          [this](sim::Rng& rng) {
+            spec_.cls = next_class(config_, rng);
+            spec_.service = next_service(config_, rng);
+          }) {
+  spec_.resp_bytes = config_.resp_bytes;
 }
 
-void OpenLoopDriver::fire(std::size_t host) {
-  ++stats_.arrivals;
-  sim::Rng& rng = rngs_[host];
-  CallSpec spec;
-  spec.cls = next_class(rng);
-  spec.service = next_service(rng);
-  spec.resp_bytes = config_.resp_bytes;
-  auto issue_to = [&](std::uint16_t dst) {
-    spec.dst = dst;
-    if (endpoints_[host]->client().call(spec))
-      ++stats_.calls_issued;
-    else
-      ++stats_.calls_refused;
-  };
-  if (config_.pattern == SvcPattern::kAllToAll) {
-    for (std::size_t d = 0; d < endpoints_.size(); ++d)
-      if (d != host) issue_to(static_cast<std::uint16_t>(d));
-  } else {
-    issue_to(next_dst(host, rng));
-  }
-  arm(host);
+void OpenLoopDriver::start() {
+  generator_.start(queue_.now() + config_.duration);
+}
+
+OpenLoopStats OpenLoopDriver::stats() const {
+  return {generator_.arrivals(), calls_issued_, calls_refused_};
+}
+
+void OpenLoopDriver::call(std::size_t src, std::uint16_t dst) {
+  spec_.dst = dst;
+  if (endpoints_[src]->client().call(spec_))
+    ++calls_issued_;
+  else
+    ++calls_refused_;
 }
 
 SloStats OpenLoopDriver::merged_slo() const {
@@ -229,14 +76,6 @@ AdmissionStats OpenLoopDriver::merged_admission() const {
     out.departures += s.departures;
     out.first_fit_skips += s.first_fit_skips;
   }
-  return out;
-}
-
-telemetry::LatencyHistogram OpenLoopDriver::merged_wait_hist(
-    Priority cls) const {
-  telemetry::LatencyHistogram out;
-  for (const RpcEndpoint* e : endpoints_)
-    out.merge(e->server().admission().wait_hist(cls));
   return out;
 }
 

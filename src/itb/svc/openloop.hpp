@@ -1,93 +1,39 @@
-// Open-loop load generation for the RPC service layer.
-//
-// Closed-loop drivers (run_load, the app kernels) let a slow system slow
-// the offered load down, hiding tail latency — the coordinated-omission
-// trap. The OpenLoopDriver schedules arrivals from the wall clock alone:
-// a request that finds the client buried simply queues behind it, and its
-// full wait lands in the latency distribution. Inter-arrival gaps and
-// service demands draw from exponential, lognormal, or bounded-Pareto
-// distributions ("millions of users" traffic is heavy-tailed, not Poisson),
-// destinations follow uniform / incast / hotspot / all-to-all patterns or a
-// CSV trace replay, and priority classes are drawn from a configurable mix.
-//
-// Determinism: every client draws from its own counter-style RNG stream
-// (sim::Rng::stream(seed, host)), a pure function of the config — arrival
-// sequences do not depend on host count, construction order, or which
-// worker thread runs the sweep point, so bench output is --jobs-invariant.
+// Open-loop RPC load: the one arrival generator (workload/arrivals.hpp)
+// decides when each client calls and whom; this driver adds what a call
+// needs on top — a priority class from a configurable mix, a service
+// demand, and the call itself — and merges the SLO and admission picture
+// over every endpoint. Per arrival a client's stream is read as: gap,
+// class, service, destination.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
-#include "itb/sim/rng.hpp"
 #include "itb/svc/rpc.hpp"
+#include "itb/workload/arrivals.hpp"
 
 namespace itb::svc {
 
-enum class ArrivalDist : std::uint8_t {
-  kExponential,
-  kLognormal,
-  kBoundedPareto,
-};
 enum class ServiceDist : std::uint8_t {
   kFixed,
-  kLognormal,
   kBoundedPareto,
 };
-enum class SvcPattern : std::uint8_t {
-  kUniform,   // dst uniform over the other hosts
-  kIncast,    // every client calls target_host; the target only serves
-  kHotspot,   // hotspot_fraction to target_host, rest uniform
-  kAllToAll,  // each arrival fans one call out to every other host
-  kTrace,     // replay OpenLoopConfig::trace verbatim
-};
-
-const char* to_string(ArrivalDist d);
-const char* to_string(ServiceDist d);
-const char* to_string(SvcPattern p);
-
-/// One replayed call (kTrace). `at` is absolute simulation time.
-struct TraceEntry {
-  sim::Time at = 0;
-  std::uint16_t src = 0;
-  std::uint16_t dst = 0;
-  Priority cls = Priority::kNormal;
-  sim::Duration service = 20 * sim::kUs;
-  std::uint32_t resp_bytes = 512;
-};
-
-/// Parse "t_ns,src,dst,cls,service_ns,resp_bytes" lines ('#' comments,
-/// blank lines skipped; cls is 0-2). Throws std::invalid_argument on a
-/// malformed line. Entries are sorted by arrival time.
-std::vector<TraceEntry> parse_trace_csv(std::istream& in);
 
 struct OpenLoopConfig {
-  ArrivalDist arrivals = ArrivalDist::kExponential;
-  /// Offered arrivals/s per generating client.
-  double rate_rps = 2e4;
-  /// Lognormal shape for inter-arrival gaps (kLognormal).
-  double arrival_sigma = 1.5;
-  /// Bounded-Pareto tail index and truncation multiple (arrivals+service).
-  double pareto_alpha = 1.5;
-  double pareto_cap = 100.0;
-
+  /// `arrivals.rate_per_s` is the offered calls/s per generating client;
+  /// an all-to-all arrival fans out to one call per other host.
+  workload::Arrivals arrivals;
   ServiceDist service = ServiceDist::kFixed;
   sim::Duration mean_service = 20 * sim::kUs;
-  double service_sigma = 1.0;
-
-  SvcPattern pattern = SvcPattern::kUniform;
-  double hotspot_fraction = 0.3;
-  std::uint16_t target_host = 0;
+  /// Bounded-Pareto tail index and truncation multiple.
+  double pareto_alpha = 1.5;
+  double pareto_cap = 100.0;
   std::uint32_t resp_bytes = 512;
   /// Priority mix, normalized internally.
   std::array<double, kPriorityClasses> class_mix = {0.2, 0.5, 0.3};
-
-  sim::Time start = 0;
+  /// Calls arrive from start() for this long.
   sim::Duration duration = 10 * sim::kMs;
-  std::uint64_t seed = 1;
-  std::vector<TraceEntry> trace;  // kTrace only
 };
 
 struct OpenLoopStats {
@@ -100,37 +46,30 @@ class OpenLoopDriver {
  public:
   /// `endpoints[h]` serves host h; all hosts generate except an incast
   /// target. The driver holds pointers only — endpoints outlive it.
+  /// Throws std::invalid_argument for fewer than two endpoints.
   OpenLoopDriver(sim::EventQueue& queue, std::vector<RpcEndpoint*> endpoints,
-                 OpenLoopConfig config);
+                 const OpenLoopConfig& config);
 
-  /// Arm the generators (or schedule the trace). Call once, then run the
-  /// queue; generation stops at start + duration.
+  /// Arm the generators. Call once, then run the queue.
   void start();
 
-  const OpenLoopStats& stats() const { return stats_; }
-  const OpenLoopConfig& config() const { return config_; }
+  OpenLoopStats stats() const;
 
   /// SLO stats merged over every endpoint's client.
   SloStats merged_slo() const;
   /// Admission stats summed over every endpoint's server.
   AdmissionStats merged_admission() const;
-  /// Admission-wait histograms pooled over servers, per class.
-  telemetry::LatencyHistogram merged_wait_hist(Priority cls) const;
 
  private:
-  void arm(std::size_t host);
-  void fire(std::size_t host);
-  sim::Duration next_gap(sim::Rng& rng) const;
-  sim::Duration next_service(sim::Rng& rng) const;
-  Priority next_class(sim::Rng& rng) const;
-  std::uint16_t next_dst(std::size_t src, sim::Rng& rng) const;
+  void call(std::size_t src, std::uint16_t dst);
 
   sim::EventQueue& queue_;
   std::vector<RpcEndpoint*> endpoints_;
   OpenLoopConfig config_;
-  OpenLoopStats stats_;
-  std::vector<sim::Rng> rngs_;
-  sim::Time end_ = 0;
+  CallSpec spec_;  // this arrival's class and service, drawn before its dst
+  std::uint64_t calls_issued_ = 0;
+  std::uint64_t calls_refused_ = 0;
+  workload::ArrivalGenerator generator_;
 };
 
 }  // namespace itb::svc

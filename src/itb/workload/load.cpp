@@ -1,44 +1,19 @@
 #include "itb/workload/load.hpp"
 
-#include <memory>
 #include <stdexcept>
-#include <unordered_map>
+
+#include "itb/sim/stats.hpp"
 
 namespace itb::workload {
 
-const char* to_string(Pattern p) {
-  switch (p) {
-    case Pattern::kUniform: return "uniform";
-    case Pattern::kHotspot: return "hotspot";
-    case Pattern::kBitReversal: return "bit-reversal";
-  }
-  return "?";
-}
-
-namespace {
-
-std::uint16_t bit_reverse(std::uint16_t v, unsigned bits) {
-  std::uint16_t out = 0;
-  for (unsigned i = 0; i < bits; ++i)
-    if (v & (1u << i)) out |= 1u << (bits - 1 - i);
-  return out;
-}
-
-unsigned bits_for(std::size_t n) {
-  unsigned b = 0;
-  while ((1u << b) < n) ++b;
-  return b;
-}
-
-}  // namespace
-
 LoadResult run_load(sim::EventQueue& queue, std::vector<gm::GmPort*> ports,
                     const LoadConfig& config) {
-  if (ports.size() < 2) throw std::invalid_argument("need at least two ports");
+  // Delivery timestamps: the message payload carries its send time in the
+  // first 8 bytes.
+  if (config.message_bytes < 8)
+    throw std::invalid_argument("message_bytes must be >= 8");
   const auto n = ports.size();
-  const double mean_gap_ns = 1e9 / config.rate_msgs_per_s;
-  const sim::Time t0 = queue.now();
-  const sim::Time measure_start = t0 + config.warmup;
+  const sim::Time measure_start = queue.now() + config.warmup;
   const sim::Time measure_end = measure_start + config.measure;
 
   LoadResult result;
@@ -46,14 +21,18 @@ LoadResult run_load(sim::EventQueue& queue, std::vector<gm::GmPort*> ports,
   std::uint64_t base_retransmissions = 0;
   for (auto* p : ports) base_retransmissions += p->stats().retransmissions;
 
-  // Delivery timestamps: the message payload carries its send time in the
-  // first 8 bytes (messages are at least that large in every config used).
-  if (config.message_bytes < 8)
-    throw std::invalid_argument("message_bytes must be >= 8");
-  for (std::size_t i = 0; i < n; ++i) {
-    ports[i]->set_receive_handler(
-        [&, measure_start, measure_end](sim::Time t, std::uint16_t,
-                                        packet::Bytes msg) {
+  ArrivalGenerator generator(
+      queue, n, config.arrivals, [&](std::size_t src, std::uint16_t dst) {
+        packet::Bytes msg(config.message_bytes, 0);
+        const sim::Time now = queue.now();
+        for (int b = 0; b < 8; ++b)
+          msg[static_cast<std::size_t>(b)] =
+              static_cast<std::uint8_t>(now >> (8 * (7 - b)));
+        if (!ports[src]->send(dst, std::move(msg))) ++result.sends_refused;
+      });
+  for (auto* p : ports) {
+    p->set_receive_handler(
+        [&](sim::Time t, std::uint16_t, packet::Bytes msg) {
           sim::Time sent = 0;
           for (int b = 0; b < 8; ++b)
             sent = (sent << 8) | msg[static_cast<std::size_t>(b)];
@@ -65,55 +44,10 @@ LoadResult run_load(sim::EventQueue& queue, std::vector<gm::GmPort*> ports,
         });
   }
 
-  // One generator per host, recursive exponential arrivals. Streams are
-  // counter-style — a pure function of (seed, host) — so host k's arrival
-  // sequence is independent of how many hosts exist or which thread builds
-  // the cluster, keeping every sweep --jobs-invariant by construction.
-  struct Generator {
-    sim::Rng rng{0};
-  };
-  std::vector<Generator> gens(n);
-  for (std::size_t i = 0; i < n; ++i)
-    gens[i].rng = sim::Rng::stream(config.seed, i);
-
-  const unsigned rbits = bits_for(n);
-  std::function<void(std::size_t)> arm = [&](std::size_t src) {
-    const auto gap = static_cast<sim::Duration>(
-        gens[src].rng.next_exponential(mean_gap_ns));
-    queue.schedule_in(std::max<sim::Duration>(gap, 1), [&, src] {
-      if (queue.now() > measure_end) return;  // stop generating
-      // Pick a destination.
-      std::uint16_t dst = 0;
-      switch (config.pattern) {
-        case Pattern::kHotspot:
-          if (src != 0 && gens[src].rng.next_bool(config.hotspot_fraction)) {
-            dst = 0;
-            break;
-          }
-          [[fallthrough]];
-        case Pattern::kUniform:
-          do {
-            dst = static_cast<std::uint16_t>(gens[src].rng.next_below(n));
-          } while (dst == src);
-          break;
-        case Pattern::kBitReversal:
-          dst = bit_reverse(static_cast<std::uint16_t>(src), rbits);
-          if (dst >= n || dst == src)
-            dst = static_cast<std::uint16_t>((src + 1) % n);
-          break;
-      }
-      packet::Bytes msg(config.message_bytes, 0);
-      const sim::Time now = queue.now();
-      for (int b = 0; b < 8; ++b)
-        msg[static_cast<std::size_t>(b)] =
-            static_cast<std::uint8_t>(now >> (8 * (7 - b)));
-      if (!ports[src]->send(dst, std::move(msg))) ++result.sends_refused;
-      arm(src);
-    });
-  };
-  for (std::size_t i = 0; i < n; ++i) arm(i);
-
+  generator.start(measure_end);
   queue.run(measure_end + config.warmup);  // cool-down drains stragglers
+  // Later deliveries must not reach this frame.
+  for (auto* p : ports) p->set_receive_handler({});
 
   const double window_s = static_cast<double>(config.measure) / 1e9;
   result.accepted_msgs_per_s_per_host =
@@ -127,6 +61,7 @@ LoadResult run_load(sim::EventQueue& queue, std::vector<gm::GmPort*> ports,
   result.latency_p95_ns = result.latency_hist.percentile(95);
   result.latency_p99_ns = result.latency_hist.percentile(99);
   result.latency_p999_ns = result.latency_hist.percentile(99.9);
+  result.arrivals = generator.arrivals();
   for (auto* p : ports) result.retransmissions += p->stats().retransmissions;
   result.retransmissions -= base_retransmissions;
   return result;

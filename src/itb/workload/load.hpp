@@ -1,41 +1,27 @@
-// Synthetic load generation for the motivation experiments (§1-2).
-//
-// The prior-work claims this paper builds on (throughput doubled or tripled
-// by ITB routing) came from uniform random traffic on irregular networks.
-// LoadRunner reproduces that methodology: every host generates fixed-size
-// messages with exponential inter-arrival times at a given offered load,
-// destinations drawn by a configurable pattern; accepted throughput and
-// latency are measured over a measurement window after a warm-up.
+// GM message load for the motivation experiments (§1-2): every host sends
+// fixed-size GM messages from the open-loop arrival generator
+// (arrivals.hpp); accepted throughput and latency are measured over a
+// window after a warm-up.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "itb/gm/port.hpp"
-#include "itb/sim/rng.hpp"
-#include "itb/sim/stats.hpp"
 #include "itb/telemetry/histogram.hpp"
+#include "itb/workload/arrivals.hpp"
 
 namespace itb::workload {
 
-enum class Pattern : std::uint8_t {
-  kUniform,      // destination uniform over all other hosts
-  kHotspot,      // a fraction of traffic targets host 0
-  kBitReversal,  // destination = bit-reversed source (permutation)
-};
-
-const char* to_string(Pattern p);
-
 struct LoadConfig {
+  /// `arrivals.rate_per_s` is the offered load per host in messages/s.
+  Arrivals arrivals;
   std::size_t message_bytes = 512;
-  /// Offered load per host in messages/second.
-  double rate_msgs_per_s = 1e4;
-  Pattern pattern = Pattern::kUniform;
-  double hotspot_fraction = 0.3;  // kHotspot only
+  /// Messages arrive from the call for warmup + measure; those sent in the
+  /// measure window are counted, and a cool-down of length warmup drains
+  /// the stragglers.
   sim::Duration warmup = 2 * sim::kMs;
   sim::Duration measure = 10 * sim::kMs;
-  std::uint64_t seed = 1;
 };
 
 struct LoadResult {
@@ -51,13 +37,15 @@ struct LoadResult {
   double latency_p999_ns = 0;
   /// Full latency distribution over the measurement window.
   telemetry::LatencyHistogram latency_hist;
+  std::uint64_t arrivals = 0;  // generator firings, over all hosts
   std::uint64_t messages_delivered = 0;
   std::uint64_t sends_refused = 0;  // token exhaustion (backpressure signal)
   std::uint64_t retransmissions = 0;
 };
 
-/// Drive all `ports` with the configured load on a shared queue.
-/// The caller owns the ports and the network underneath.
+/// Drive all `ports` with the configured load on a shared queue. The caller
+/// owns the ports and the network underneath. On return no arrival is
+/// pending and the ports' receive handlers are cleared.
 LoadResult run_load(sim::EventQueue& queue, std::vector<gm::GmPort*> ports,
                     const LoadConfig& config);
 

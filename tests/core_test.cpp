@@ -1,10 +1,11 @@
 // Integration tests over the Cluster facade and the paper's experiment
 // presets (Fig. 6 testbed with the Fig. 7/8 measurement routes), plus the
-// ping-pong and load harnesses.
+// ping-pong harness and the one open-loop traffic source.
 #include <gtest/gtest.h>
 
 #include "itb/core/experiments.hpp"
 #include "itb/sim/parallel.hpp"
+#include "itb/svc/openloop.hpp"
 #include "itb/workload/load.hpp"
 #include "itb/workload/pingpong.hpp"
 
@@ -190,7 +191,7 @@ TEST(Load, UniformTrafficDeliversUnderLightLoad) {
   core::Cluster c(std::move(cfg));
   workload::LoadConfig lc;
   lc.message_bytes = 256;
-  lc.rate_msgs_per_s = 2000;  // light
+  lc.arrivals.rate_per_s = 2000;  // light
   lc.warmup = 1 * sim::kMs;
   lc.measure = 5 * sim::kMs;
   auto result = workload::run_load(c.queue(), c.ports(), lc);
@@ -207,7 +208,7 @@ TEST(Load, SaturationCapsAcceptedThroughput) {
   core::Cluster c(std::move(cfg));
   workload::LoadConfig lc;
   lc.message_bytes = 2048;
-  lc.rate_msgs_per_s = 5e5;  // absurd
+  lc.arrivals.rate_per_s = 5e5;  // absurd
   lc.warmup = 500 * sim::kUs;
   lc.measure = 3 * sim::kMs;
   auto result = workload::run_load(c.queue(), c.ports(), lc);
@@ -224,10 +225,10 @@ TEST(Load, DeterministicForSeed) {
     cfg.engine = {engine::EngineKind::kUpDown, 1};
     core::Cluster c(std::move(cfg));
     workload::LoadConfig lc;
-    lc.rate_msgs_per_s = 3000;
+    lc.arrivals.rate_per_s = 3000;
     lc.warmup = 1 * sim::kMs;
     lc.measure = 3 * sim::kMs;
-    lc.seed = 42;
+    lc.arrivals.seed = 42;
     return workload::run_load(c.queue(), c.ports(), lc).messages_delivered;
   };
   EXPECT_EQ(run_once(), run_once());
@@ -244,7 +245,7 @@ TEST(Load, BackpressureRefusesSendsAndBoundsLatency) {
   core::Cluster c(std::move(cfg));
   workload::LoadConfig lc;
   lc.message_bytes = 1024;
-  lc.rate_msgs_per_s = 2e5;
+  lc.arrivals.rate_per_s = 2e5;
   lc.warmup = 500 * sim::kUs;
   lc.measure = 3 * sim::kMs;
   auto result = workload::run_load(c.queue(), c.ports(), lc);
@@ -269,10 +270,10 @@ TEST(Load, SweepResultsAreJobsInvariant) {
           cfg.topology = topo::make_fig1_network();
           core::Cluster c(std::move(cfg));
           workload::LoadConfig lc;
-          lc.rate_msgs_per_s = rates[i];
+          lc.arrivals.rate_per_s = rates[i];
           lc.warmup = 500 * sim::kUs;
           lc.measure = 2 * sim::kMs;
-          lc.seed = 7;
+          lc.arrivals.seed = 7;
           return workload::run_load(c.queue(), c.ports(), lc);
         },
         jobs);
@@ -290,21 +291,156 @@ TEST(Load, SweepResultsAreJobsInvariant) {
   }
 }
 
-TEST(Load, PatternsAreSupported) {
-  for (auto pattern : {workload::Pattern::kUniform, workload::Pattern::kHotspot,
-                       workload::Pattern::kBitReversal}) {
-    core::ClusterConfig cfg;
-    cfg.topology = topo::make_fig1_network();
-    cfg.engine = {engine::EngineKind::kItb, 1};
-    core::Cluster c(std::move(cfg));
-    workload::LoadConfig lc;
-    lc.pattern = pattern;
-    lc.rate_msgs_per_s = 1000;
-    lc.warmup = 500 * sim::kUs;
-    lc.measure = 2 * sim::kMs;
-    auto result = workload::run_load(c.queue(), c.ports(), lc);
-    EXPECT_GT(result.messages_delivered, 0u) << to_string(pattern);
+TEST(Load, LeavesNothingPendingAfterReturn) {
+  // With no warm-up the cool-down ends at the window's end. No arrival may
+  // still be pending then: draining the queue afterwards sends nothing and
+  // touches nothing of the returned call.
+  core::ClusterConfig cfg;
+  cfg.topology = topo::make_fig1_network();
+  cfg.engine = {engine::EngineKind::kItb, 1};
+  core::Cluster c(std::move(cfg));
+  workload::LoadConfig lc;
+  lc.arrivals.rate_per_s = 8000;
+  lc.warmup = 0;
+  lc.measure = 6 * sim::kMs;
+  const auto result = workload::run_load(c.queue(), c.ports(), lc);
+  ASSERT_GT(result.messages_delivered, 0u);
+  std::vector<std::uint64_t> sent;
+  for (auto* p : c.ports()) sent.push_back(p->stats().messages_sent);
+  c.queue().run();
+  for (std::size_t h = 0; h < sent.size(); ++h)
+    EXPECT_EQ(c.port(static_cast<std::uint16_t>(h)).stats().messages_sent,
+              sent[h])
+        << "host " << h;
+}
+
+// The one arrival generator's destination patterns, through both of its
+// sources: GM messages (run_load) and RPC calls (svc::OpenLoopDriver), on
+// the Fig. 1 network. Either way a host's sends or calls, and what each
+// host receives, show where the arrivals went.
+struct Tally {
+  std::uint64_t arrivals = 0;
+  std::uint64_t attempts = 0;  // sends or calls, accepted or refused
+  std::vector<std::uint64_t> sent, received;
+};
+
+core::Cluster fig1_cluster() {
+  core::ClusterConfig cfg;
+  cfg.topology = topo::make_fig1_network();
+  cfg.engine = {engine::EngineKind::kItb, 1};
+  return core::Cluster(std::move(cfg));
+}
+
+Tally gm_tally(const workload::Arrivals& arrivals) {
+  core::Cluster c = fig1_cluster();
+  workload::LoadConfig lc;
+  lc.arrivals = arrivals;
+  lc.warmup = 500 * sim::kUs;
+  lc.measure = 4 * sim::kMs;
+  const auto r = workload::run_load(c.queue(), c.ports(), lc);
+  Tally t;
+  t.arrivals = r.arrivals;
+  t.attempts = r.sends_refused;
+  for (auto* p : c.ports()) {
+    t.attempts += p->stats().messages_sent;
+    t.sent.push_back(p->stats().messages_sent);
+    t.received.push_back(p->stats().messages_delivered);
+  }
+  return t;
+}
+
+Tally rpc_tally(const workload::Arrivals& arrivals) {
+  core::Cluster c = fig1_cluster();
+  std::vector<std::unique_ptr<svc::RpcEndpoint>> owned;
+  std::vector<svc::RpcEndpoint*> endpoints;
+  for (auto* port : c.ports()) {
+    owned.push_back(std::make_unique<svc::RpcEndpoint>(
+        c.queue(), *port, svc::EndpointConfig{}));
+    endpoints.push_back(owned.back().get());
+  }
+  svc::OpenLoopConfig lc;
+  lc.arrivals = arrivals;
+  lc.duration = 4 * sim::kMs;
+  svc::OpenLoopDriver d(c.queue(), endpoints, lc);
+  d.start();
+  c.run();
+  Tally t;
+  t.arrivals = d.stats().arrivals;
+  t.attempts = d.stats().calls_issued + d.stats().calls_refused;
+  for (auto* e : endpoints) {
+    t.sent.push_back(e->client().slo().combined().issued);
+    t.received.push_back(e->server().stats().requests);
+  }
+  return t;
+}
+
+struct PatternCase {
+  workload::Pattern pattern;
+  bool rpc;  // RPC calls, else GM messages
+};
+
+// Names the cases (ctest lists .../uniform_gm); see property_test.cpp.
+void PrintTo(const PatternCase& c, std::ostream* os) {
+  *os << workload::to_string(c.pattern) << (c.rpc ? "_rpc" : "_gm");
+}
+
+std::vector<PatternCase> pattern_cases() {
+  std::vector<PatternCase> out;
+  for (auto p : {workload::Pattern::kUniform, workload::Pattern::kIncast,
+                 workload::Pattern::kHotspot, workload::Pattern::kAllToAll})
+    for (bool rpc : {false, true}) out.push_back({p, rpc});
+  return out;
+}
+
+class TrafficPattern : public ::testing::TestWithParam<PatternCase> {};
+
+TEST_P(TrafficPattern, SendsWhereThePatternSays) {
+  const auto [pattern, rpc] = GetParam();
+  workload::Arrivals a;
+  a.pattern = pattern;
+  a.target_host = 3;
+  a.rate_per_s = pattern == workload::Pattern::kAllToAll ? 500 : 3000;
+  // GmPort::send throws on a send to its own host, so a run that completes
+  // is one where no arrival picked its source.
+  Tally t;
+  ASSERT_NO_THROW(t = rpc ? rpc_tally(a) : gm_tally(a));
+  ASSERT_GT(t.arrivals, 0u);
+  const std::size_t n = t.sent.size();
+  std::uint64_t sent = 0, received = 0;
+  for (std::size_t h = 0; h < n; ++h) {
+    sent += t.sent[h];
+    received += t.received[h];
+  }
+  EXPECT_EQ(received, sent);  // light load: everything sent arrives
+  // All-to-all fans each arrival out to every other host; the rest send
+  // one message or call per arrival.
+  const std::size_t fan_out =
+      pattern == workload::Pattern::kAllToAll ? n - 1 : 1;
+  EXPECT_EQ(t.attempts, t.arrivals * fan_out);
+  switch (pattern) {
+    case workload::Pattern::kUniform:
+      for (std::size_t h = 0; h < n; ++h) {
+        EXPECT_GT(t.sent[h], 0u) << "host " << h;
+        EXPECT_GT(t.received[h], 0u) << "host " << h;
+      }
+      break;
+    case workload::Pattern::kIncast:
+      EXPECT_EQ(t.sent[a.target_host], 0u);
+      EXPECT_GT(t.received[a.target_host], 0u);
+      EXPECT_EQ(t.received[a.target_host], sent);
+      break;
+    case workload::Pattern::kHotspot:
+      for (std::size_t h = 0; h < n; ++h) {
+        if (h == a.target_host) continue;
+        EXPECT_GT(t.received[a.target_host], t.received[h]) << "host " << h;
+      }
+      break;
+    case workload::Pattern::kAllToAll:
+      break;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Patterns, TrafficPattern,
+                         ::testing::ValuesIn(pattern_cases()));
 
 }  // namespace

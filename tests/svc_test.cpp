@@ -1,10 +1,8 @@
 // itb::svc — admission control, RPC endpoints, open-loop load (DESIGN.md
 // §6h). Unit tests for the admission controller's BufferEON-style queue
 // discipline and the header codec, end-to-end RPC over a real cluster, and
-// the open-loop driver's patterns, trace replay, and determinism.
+// the open-loop driver's patterns and determinism.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "itb/core/cluster.hpp"
 #include "itb/svc/openloop.hpp"
@@ -373,7 +371,7 @@ struct Rig {
 TEST(OpenLoop, GeneratesTrafficAndCompletesCalls) {
   Rig rig;
   svc::OpenLoopConfig lc;
-  lc.rate_rps = 2000;
+  lc.arrivals.rate_per_s = 2000;
   lc.duration = 5 * sim::kMs;
   svc::OpenLoopDriver d(rig.cluster.queue(), rig.endpoints, lc);
   d.start();
@@ -389,9 +387,9 @@ TEST(OpenLoop, GeneratesTrafficAndCompletesCalls) {
 TEST(OpenLoop, IncastTargetOnlyServes) {
   Rig rig;
   svc::OpenLoopConfig lc;
-  lc.pattern = svc::SvcPattern::kIncast;
-  lc.target_host = 0;
-  lc.rate_rps = 1000;
+  lc.arrivals.pattern = workload::Pattern::kIncast;
+  lc.arrivals.target_host = 0;
+  lc.arrivals.rate_per_s = 1000;
   lc.duration = 3 * sim::kMs;
   svc::OpenLoopDriver d(rig.cluster.queue(), rig.endpoints, lc);
   d.start();
@@ -408,8 +406,8 @@ TEST(OpenLoop, IncastTargetOnlyServes) {
 TEST(OpenLoop, AllToAllFansEveryArrivalOut) {
   Rig rig;
   svc::OpenLoopConfig lc;
-  lc.pattern = svc::SvcPattern::kAllToAll;
-  lc.rate_rps = 200;
+  lc.arrivals.pattern = workload::Pattern::kAllToAll;
+  lc.arrivals.rate_per_s = 200;
   lc.duration = 3 * sim::kMs;
   svc::OpenLoopDriver d(rig.cluster.queue(), rig.endpoints, lc);
   d.start();
@@ -419,52 +417,15 @@ TEST(OpenLoop, AllToAllFansEveryArrivalOut) {
             d.stats().arrivals * (rig.endpoints.size() - 1));
 }
 
-TEST(OpenLoop, TraceReplayIssuesEveryEntry) {
-  Rig rig;
-  std::istringstream csv(
-      "# t_ns,src,dst,cls,service_ns,resp_bytes\n"
-      "200000,1,0,0,50000,256\n"
-      "100000,0,1,2,50000,512\n"
-      "300000,2,3,1,50000,1024\n");
-  svc::OpenLoopConfig lc;
-  lc.pattern = svc::SvcPattern::kTrace;
-  lc.trace = svc::parse_trace_csv(csv);
-  ASSERT_EQ(lc.trace.size(), 3u);
-  // Parser sorts by arrival time.
-  EXPECT_EQ(lc.trace[0].at, 100000);
-  EXPECT_EQ(lc.trace[0].cls, Priority::kBulk);
-  svc::OpenLoopDriver d(rig.cluster.queue(), rig.endpoints, lc);
-  d.start();
-  rig.cluster.run();
-  EXPECT_EQ(d.stats().arrivals, 3u);
-  EXPECT_EQ(d.stats().calls_issued, 3u);
-  EXPECT_EQ(d.merged_slo().combined().completed, 3u);
-  EXPECT_EQ(d.merged_slo().of(Priority::kBulk).goodput_bytes, 512u);
-}
-
-TEST(OpenLoop, TraceParserRejectsMalformedLines) {
-  std::istringstream bad("100,0,1,9,50000,512\n");  // class out of range
-  EXPECT_THROW(svc::parse_trace_csv(bad), std::invalid_argument);
-  std::istringstream garbled("not,a,number\n");
-  EXPECT_THROW(svc::parse_trace_csv(garbled), std::invalid_argument);
-  try {
-    std::istringstream two("100,0,1,0,5,64\nbroken\n");
-    svc::parse_trace_csv(two);
-    FAIL() << "expected throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
-}
-
 TEST(OpenLoop, DeterministicForSeed) {
   auto run_once = [] {
     Rig rig;
     svc::OpenLoopConfig lc;
-    lc.arrivals = svc::ArrivalDist::kLognormal;
+    lc.arrivals.gaps = workload::GapLaw::kLognormal;
     lc.service = svc::ServiceDist::kBoundedPareto;
-    lc.rate_rps = 3000;
+    lc.arrivals.rate_per_s = 3000;
     lc.duration = 4 * sim::kMs;
-    lc.seed = 99;
+    lc.arrivals.seed = 99;
     svc::OpenLoopDriver d(rig.cluster.queue(), rig.endpoints, lc);
     d.start();
     rig.cluster.run();

@@ -240,10 +240,10 @@ TEST(Telemetry, RegistryMatchesLegacyCountersAfterLossyItbRun) {
 
   workload::LoadConfig lc;
   lc.message_bytes = 256;
-  lc.rate_msgs_per_s = 4e3;
+  lc.arrivals.rate_per_s = 4e3;
   lc.warmup = 0;
   lc.measure = 3 * sim::kMs;
-  lc.seed = 7;
+  lc.arrivals.seed = 7;
   auto r = workload::run_load(cluster.queue(), cluster.ports(), lc);
   ASSERT_GT(r.messages_delivered, 0u);
   ASSERT_GT(r.retransmissions, 0u) << "lossy run produced no retransmissions";
@@ -308,10 +308,10 @@ TEST(Sampler, UtilizationSeriesIntegratesToChannelBusy) {
   cluster.telemetry().start_sampling();
   workload::LoadConfig lc;
   lc.message_bytes = 512;
-  lc.rate_msgs_per_s = 5e3;
+  lc.arrivals.rate_per_s = 5e3;
   lc.warmup = 0;
   lc.measure = 2 * sim::kMs;
-  lc.seed = 11;
+  lc.arrivals.seed = 11;
   workload::run_load(cluster.queue(), cluster.ports(), lc);
   cluster.telemetry().stop_sampling();
 
