@@ -26,20 +26,20 @@ int main() {
 
   // The minimal path host4 -> host1 (switches 4 -> 6 -> 1).
   const auto minimal_row = router.minimal_route(4, 1);
-  auto minimal = routing::describe(minimal_row.route(1), fabric);
-  auto valid = router.is_valid_updown(minimal_row.route(1).trunk_channels());
+  auto minimal = routing::describe(minimal_row.route(4, 1), fabric);
+  auto valid = router.is_valid_updown(minimal_row.route(4, 1).trunk_channels());
   std::printf("minimal path:   %s\n", minimal.c_str());
   std::printf("                %s under up*/down* (down->up turn at s6)\n\n",
               valid ? "LEGAL" : "FORBIDDEN");
 
   const auto ud_row = router.updown_route(4, 1);
-  const auto ud = ud_row.route(1);
+  const auto ud = ud_row.route(4, 1);
   std::printf("up*/down* path: %s\n", routing::describe(ud, fabric).c_str());
   std::printf("                %zu trunk hops (one more than minimal)\n\n",
               ud.trunk_hops());
 
   const auto itb_row = router.itb_route(4, 1);
-  const auto itb = itb_row.route(1);
+  const auto itb = itb_row.route(4, 1);
   std::printf("UD+ITB path:    %s\n", routing::describe(itb, fabric).c_str());
   std::printf("                %zu trunk hops, %zu ITB — the invalid path is "
               "split into two\n                valid up*/down* sub-paths at "
@@ -63,7 +63,7 @@ int main() {
   for (std::uint16_t s = 0; s < fabric.host_count(); ++s)
     for (std::uint16_t d = 0; d < fabric.host_count(); ++d) {
       if (s == d) continue;
-      raw.add_route(router.minimal_route(s, d).route(d), fabric);
+      raw.add_route(router.minimal_route(s, d).route(s, d), fabric);
     }
   std::printf("raw minimal (no ITBs):              CDG %s\n",
               raw.has_cycle() ? "CYCLIC (deadlock!)" : "acyclic");

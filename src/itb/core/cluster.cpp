@@ -37,7 +37,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
         throw std::invalid_argument("manual_routes[" + std::to_string(s) +
                                     "] must cover every destination");
       auto row = std::make_shared<routing::RouteRow>();
-      row->reset(s);
       for (std::uint16_t d = 0; d < hosts; ++d) {
         if (s == d)
           row->add(routing::RouteView{});

@@ -5,23 +5,6 @@
 
 namespace itb::fault {
 
-topo::Topology degraded_topology(const topo::Topology& full,
-                                 const FaultInjector& injector) {
-  topo::Topology out;
-  for (std::uint16_t s = 0; s < full.switch_count(); ++s) {
-    const auto& spec = full.switch_spec(s);
-    out.add_switch(spec.ports, spec.name);
-  }
-  for (std::uint16_t h = 0; h < full.host_count(); ++h)
-    out.add_host(full.host_spec(h).name);
-  for (topo::LinkId l = 0; l < full.link_count(); ++l) {
-    if (injector.link_impaired(l)) continue;
-    const auto& link = full.link(l);
-    out.connect(link.a, link.b, link.kind);
-  }
-  return out;
-}
-
 RecoveryManager::RecoveryManager(sim::EventQueue& queue,
                                  const topo::Topology& fabric,
                                  FaultInjector& injector,

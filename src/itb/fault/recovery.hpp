@@ -48,13 +48,6 @@
 
 namespace itb::fault {
 
-/// Copy of `full` with every impaired link removed. Hosts and switches all
-/// remain (indices must stay stable for routing); hosts whose uplink died
-/// are simply unattached. The incremental engine no longer routes over
-/// these (it masks instead); kept for tests and offline analysis.
-topo::Topology degraded_topology(const topo::Topology& full,
-                                 const FaultInjector& injector);
-
 /// Tuning for the incremental recovery engine. Defaults are sized for the
 /// microsecond-scale fabrics the benches run; everything is overridable per
 /// cluster.

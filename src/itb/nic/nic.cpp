@@ -21,12 +21,11 @@ void Nic::set_route(std::uint16_t dst,
                     const std::vector<packet::Route>& segments) {
   if (dst >= host_count()) throw std::out_of_range("destination host");
   auto row = std::make_shared<routing::RouteRow>();
-  row->reset(host_);
   for (std::uint16_t d = 0; d < host_count(); ++d) {
     if (d == dst)
       row->add(segments);
     else
-      row->add(routes_ ? routes_->route(d) : routing::RouteView{});
+      row->add(route(d));
   }
   routes_ = std::move(row);
 }

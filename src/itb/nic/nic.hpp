@@ -118,9 +118,9 @@ class Nic final : public net::HostHooks {
   void load_routes(std::shared_ptr<const routing::RouteRow> row);
 
   /// The installed route toward `dst`: its header is what the MCP stamps
-  /// on the next send. Empty when none is installed.
+  /// on the next send. Empty when none is installed, and toward this host.
   routing::RouteView route(std::uint16_t dst) const {
-    return routes_ && dst < routes_->size() ? routes_->route(dst)
+    return routes_ && dst < routes_->size() ? routes_->route(host_, dst)
                                             : routing::RouteView{};
   }
 
@@ -273,7 +273,7 @@ class Nic final : public net::HostHooks {
   NicStats stats_;
 
   /// This host's route row (the header to stamp per destination), shared
-  /// with the table it came from; null until routes are installed.
+  /// with the table and switch-mates; null until routes are installed.
   std::shared_ptr<const routing::RouteRow> routes_;
 
   // Send path.

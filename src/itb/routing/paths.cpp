@@ -53,8 +53,7 @@ std::size_t RouteView::switch_traversals() const {
 
 // -------------------------------------------------------------- RouteRow --
 
-void RouteRow::reset(std::uint16_t src, std::uint16_t first_dst) {
-  src_ = src;
+void RouteRow::reset(std::uint16_t first_dst) {
   first_ = first_dst;
   open_channels_ = 0;
   marks_.assign(1, Mark{});
@@ -63,15 +62,16 @@ void RouteRow::reset(std::uint16_t src, std::uint16_t first_dst) {
   channels_.clear();
 }
 
-RouteView RouteRow::route(std::uint16_t dst) const {
+RouteView RouteRow::route(std::uint16_t src, std::uint16_t dst) const {
   const std::size_t i = static_cast<std::size_t>(dst) - first_;
   if (dst < first_ || i >= size())
     throw std::out_of_range("destination outside the route row");
+  RouteView v;
+  v.src_ = src;
+  v.dst_ = dst;
+  if (dst == src) return v;  // the entry serves the host's switch-mates
   const Mark& a = marks_[i];
   const Mark& b = marks_[i + 1];
-  RouteView v;
-  v.src_ = src_;
-  v.dst_ = dst;
   v.header_ = std::span(header_).subspan(a.header, b.header - a.header);
   v.hosts_ = std::span(hosts_).subspan(a.hosts, b.hosts - a.hosts);
   v.channels_ = std::span(channels_).subspan(
@@ -356,7 +356,7 @@ RouteRow Router::search(std::uint16_t src_host, std::uint16_t dst_host,
   Scratch sc;
   relax(uplinks_[src_host].sw, restrict_updown, allow_itb, sc.primary, sc);
   RouteRow row;
-  row.reset(src_host, dst_host);
+  row.reset(dst_host);
   extract(sc.primary, src_host, dst_host, row, sc);
   row.close_entry();
   return row;
@@ -395,19 +395,24 @@ Router::SolveFlags Router::solve_flags(Policy policy) {
   return {/*restrict_updown=*/true, /*allow_itb=*/false};  // unreachable
 }
 
-void Router::solve_switch(std::span<const std::uint16_t> sources,
-                          Policy policy, unsigned vc_lanes,
-                          Scratch& sc) const {
-  // The lead is the lowest usable source, so every other row is derived
-  // from a lower one.
-  std::uint16_t lead = 0xFFFF;
+std::size_t Router::solve_switch(std::span<const std::uint16_t> sources,
+                                 Policy policy, unsigned vc_lanes,
+                                 Scratch& sc) const {
+  auto& held = sc.held;
+  held.clear();
   for (const auto s : sources) {
     if (!host_usable(s)) continue;
-    if (lead != 0xFFFF && uplinks_[s].sw != uplinks_[lead].sw)
+    if (!held.empty() && uplinks_[s].sw != uplinks_[held.front()].sw)
       throw std::invalid_argument("routes_from: sources on several switches");
-    lead = std::min(lead, s);
+    held.push_back(s);
   }
-  if (lead == 0xFFFF) return;  // every row is empty
+  const std::size_t usable = held.size();
+  for (const auto s : sources)
+    if (!host_usable(s)) held.push_back(s);
+  if (usable == 0) return 0;  // every row is empty
+  // The in-transit host picks are the first source's; only kSpread's
+  // depend on it, and spread_row() picks again per source.
+  const auto lead = held.front();
   const auto ss = uplinks_[lead].sw;
   const SolveFlags flags = solve_flags(policy);
   relax(ss, flags.restrict_updown, flags.allow_itb, sc.primary, sc);
@@ -418,9 +423,9 @@ void Router::solve_switch(std::span<const std::uint16_t> sources,
   // a fallback entry is shared whole.
   constexpr auto kInfHops = std::numeric_limits<std::uint32_t>::max();
   const auto hosts = static_cast<std::uint16_t>(uplinks_.size());
-  RouteRow& row = sc.lead;
+  RouteRow& row = sc.switch_row;
   row.marks_.reserve(hosts + 1u);  // one mark per host in every row
-  row.reset(lead);
+  row.reset();
   auto& walked = sc.walked;
   walked.assign(adj_.size(), Scratch::kNoEntry);
   // Restricted fallback for VC-escape routes whose minimal path needs more
@@ -430,7 +435,7 @@ void Router::solve_switch(std::span<const std::uint16_t> sources,
     // Destinations cut off by the mask keep an empty entry rather than
     // throwing in extract(); the NIC backstop (and the recovery engine's
     // unreachable accounting) handles them.
-    if (d != lead && host_usable(d)) {
+    if (host_usable(d)) {
       const auto sd = uplinks_[d].sw;
       if (walked[sd] != Scratch::kNoEntry) {
         row.add_sibling(walked[sd], uplinks_[d].port);  // closes the entry
@@ -457,62 +462,29 @@ void Router::solve_switch(std::span<const std::uint16_t> sources,
     }
     row.close_entry();
   }
+  return usable;
 }
 
-void Router::derive_row(std::uint16_t src, RouteRow& row, Scratch& sc) const {
-  const auto hosts = static_cast<std::uint16_t>(uplinks_.size());
-  if (!host_usable(src)) {  // degraded fabric
-    row.marks_.reserve(hosts + 1u);  // a row moved out comes back empty
-    row.reset(src);
-    for (std::uint16_t d = 0; d < hosts; ++d) row.close_entry();
-    return;
-  }
-  row = sc.lead;
-  const auto lead = row.src_;
-  if (src == lead) return;
-  row.src_ = src;
-  // Trade the two entries: src's empties, the lead's (below it) becomes the
-  // one route byte to the lead, and the header bytes between them shift up
-  // by one.
-  auto& marks = row.marks_;
-  auto& header = row.header_;
-  const auto from = header.begin() + marks[lead].header;
-  std::copy_backward(from, header.begin() + marks[src].header,
-                     header.begin() + marks[src].header + 1);
-  *from = packet::encode_route_byte(uplinks_[lead].port);
-  for (auto i = lead; i < src; ++i) ++marks[i + 1].header;
-  // Every switch-mate names the empty channel range where the first of them
-  // sits (src > lead >= it), and src's own entry the one where src sits.
-  // Own ranges are stored in entry order and a shared one ends no later, so
-  // the channels ahead of an entry are the furthest any earlier entry
-  // reaches.
-  const auto& mates = itb_hosts_[uplinks_[src].sw];
-  const auto first = mates.front().host;
-  std::uint32_t reach = 0, at_first = 0;
-  for (std::uint16_t d = 0; d < src; ++d) {
-    if (d == first) at_first = reach;
-    reach = std::max(reach, marks[d + 1].channels_end);
-  }
-  const std::uint32_t at_src = reach;
-  for (const auto& mate : mates) {
-    RouteRow::Mark& close = marks[mate.host + 1];
-    close.channels_begin = close.channels_end =
-        mate.host == src ? at_src : at_first;
-  }
-  if (selection_ != ItbHostSelection::kSpread) return;
-  // The in-transit host pick hashes the pair: walk those entries again.
-  // The path, and so every length, stays the lead's.
-  for (std::uint16_t d = 0; d < hosts; ++d) {
-    const RouteView r = row.route(d);
-    if (r.itb_count() == 0) continue;
-    sc.pair.reset(src, d);
+void Router::spread_row(std::uint16_t src, RouteRow& row, Scratch& sc) const {
+  row = sc.switch_row;
+  // The path, and so every length, stays the switch row's.
+  for (std::uint16_t d = 0; d < row.size(); ++d) {
+    if (row.route(src, d).itb_count() == 0) continue;
+    sc.pair.reset(d);
     extract(sc.primary, src, d, sc.pair, sc);
     sc.pair.close_entry();
-    const RouteView picked = sc.pair.route(d);
-    std::ranges::copy(picked.header(), header.begin() + marks[d].header);
+    const RouteView picked = sc.pair.route(src, d);
+    std::ranges::copy(picked.header(),
+                      row.header_.begin() + row.marks_[d].header);
     std::ranges::copy(picked.in_transit_hosts(),
-                      row.hosts_.begin() + marks[d].hosts);
+                      row.hosts_.begin() + row.marks_[d].hosts);
   }
+}
+
+void Router::empty_row(RouteRow& row) const {
+  row.marks_.reserve(uplinks_.size() + 1);  // a row moved out comes back empty
+  row.reset();
+  for (std::size_t d = 0; d < uplinks_.size(); ++d) row.close_entry();
 }
 
 RouteRow Router::updown_route(std::uint16_t src, std::uint16_t dst) const {
@@ -528,7 +500,7 @@ RouteRow Router::itb_route(std::uint16_t src, std::uint16_t dst) const {
 }
 
 std::size_t Router::minimal_distance(std::uint16_t src, std::uint16_t dst) const {
-  return minimal_route(src, dst).route(dst).trunk_hops();
+  return minimal_route(src, dst).route(src, dst).trunk_hops();
 }
 
 bool Router::is_valid_updown(std::span<const topo::Channel> trunks) const {

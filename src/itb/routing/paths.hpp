@@ -7,11 +7,11 @@
 //   * ITB      — minimal path split into valid up*/down* sub-paths by
 //     ejecting/re-injecting at in-transit hosts (the paper's mechanism).
 //
-// Routes are stored one flat RouteRow per source: for each destination the
-// exact Fig. 3b header the MCP stamps, plus the in-transit hosts and the
-// trunk channels in two side arrays. A RouteView reads one destination's
-// entry; the route table, the recovery engine and every NIC share the
-// same immutable rows.
+// Routes are stored one flat RouteRow per source switch: for each
+// destination the exact Fig. 3b header the MCP stamps, plus the in-transit
+// hosts and the trunk channels in two side arrays. A RouteView reads one
+// (source, destination) entry; the route table, the recovery engine and
+// every NIC on the switch share the same immutable row.
 #pragma once
 
 #include <array>
@@ -97,28 +97,28 @@ class RouteView {
   std::span<const topo::Channel> channels_;
 };
 
-/// One source's routes to a run of destinations, in three flat arrays:
-/// the header bytes, the in-transit hosts and the trunk channels, each
-/// addressed by per-destination offsets. A table row covers every
-/// destination; the per-pair Router helpers return one-destination rows.
-/// Entries are appended in destination order; an empty entry means
-/// unreachable. Hosts on one switch share the trunk channels of the path
-/// to it, so an entry names its channel range explicitly and several
-/// entries may name the same one.
+/// The routes out of one source switch to a run of destinations, in three
+/// flat arrays: the header bytes, the in-transit hosts and the trunk
+/// channels, each addressed by per-destination offsets. A table row covers
+/// every destination and serves every host on the switch; the per-pair
+/// Router helpers return one-destination rows. Entries are appended in
+/// destination order; an empty entry means unreachable. Hosts on one switch
+/// share the trunk channels of the path to it, so an entry names its
+/// channel range explicitly and several entries may name the same one.
 class RouteRow {
  public:
   RouteRow() = default;
 
-  /// Start over as the row from `src` whose first entry is `first_dst`.
-  /// Keeps the arrays' capacity, so a warm row refills without allocating.
-  void reset(std::uint16_t src, std::uint16_t first_dst = 0);
+  /// Start over as the row whose first entry is `first_dst`. Keeps the
+  /// arrays' capacity, so a warm row refills without allocating.
+  void reset(std::uint16_t first_dst = 0);
 
-  std::uint16_t src_host() const { return src_; }
   /// Destinations entered so far.
   std::size_t size() const { return marks_.empty() ? 0 : marks_.size() - 1; }
 
-  /// The route to `dst`. Throws std::out_of_range outside the row.
-  RouteView route(std::uint16_t dst) const;
+  /// The route from `src`, a host the row serves, to `dst`: empty for the
+  /// diagonal. Throws std::out_of_range when `dst` is outside the row.
+  RouteView route(std::uint16_t src, std::uint16_t dst) const;
 
   /// Append the next destination's entry, its header encoded from
   /// `segments` by packet::HeaderEncoder (no segments = unreachable). The
@@ -136,7 +136,7 @@ class RouteRow {
   /// Every entry's in-transit hosts, in destination order.
   std::span<const std::uint16_t> stored_hosts() const { return hosts_; }
 
-  /// Field by field: source, entry offsets, header, hosts and channels.
+  /// Field by field: entry offsets, header, hosts and channels.
   friend bool operator==(const RouteRow&, const RouteRow&) = default;
 
  private:
@@ -163,7 +163,6 @@ class RouteRow {
   std::span<const std::uint16_t> open_hosts() const;
   std::span<const topo::Channel> open_channels() const;
 
-  std::uint16_t src_ = 0;
   std::uint16_t first_ = 0;
   /// Where the open entry's own trunk channels start.
   std::uint32_t open_channels_ = 0;
@@ -183,10 +182,10 @@ enum class ItbHostSelection : std::uint8_t { kLowestIndex, kSpread };
 class Router {
  public:
   /// Reusable search buffers for routes_from(): the Dijkstra arrays, its
-  /// bucket queue, the path step stack, the lead's row and the per-switch
-  /// entry map. The caller owns one per thread (never the const Router, so
-  /// one Router serves concurrent solves); once warm, a re-solve allocates
-  /// nothing. Defined below the class.
+  /// bucket queue, the path step stack, the switch's row and the
+  /// per-switch entry map. The caller owns one per thread (never the const
+  /// Router, so one Router serves concurrent solves); once warm, a re-solve
+  /// allocates nothing. Defined below the class.
   class Scratch;
 
   explicit Router(const UpDown& updown,
@@ -211,25 +210,22 @@ class Router {
 
   /// All routes out of each host in `sources` under `policy`. The usable
   /// sources must all hang off one switch (std::invalid_argument
-  /// otherwise); a cut-off source gets an all-empty row. ONE
-  /// multi-destination search from that switch serves the group (the
-  /// Dijkstra never looks at the destination until extraction). The first
-  /// usable source, the lead, walks the path to each destination switch
-  /// once: its own entry and entries toward cut-off or unreachable hosts
-  /// are empty, the first host on each switch gets the walked path (a
-  /// switch-mate's is the one route byte to it), and the later hosts copy
-  /// its header with their own last port and share its trunk channels —
-  /// except under ItbHostSelection::kSpread, where an entry with an
-  /// in-transit host is walked per host, since the pick hashes (src, dst).
-  /// Every other row is the lead's with the two sources' entries traded
-  /// (DESIGN.md §6m), its kSpread in-transit entries walked again. Each row
-  /// equals the one a group of one gives, with the paths
-  /// updown_route()/itb_route() find per pair.
+  /// otherwise). ONE multi-destination search from that switch and one
+  /// walk per destination switch build the switch's row: every usable host
+  /// is an ordinary destination, so a switch-mate's entry (the source's own
+  /// included) is the one route byte to it, and the later hosts on a
+  /// walked switch copy the first one's header with their own last port
+  /// and share its trunk channels. A source never reads its own entry
+  /// (RouteRow::route masks the diagonal), so the row serves every usable
+  /// source alike — except under ItbHostSelection::kSpread, where the pick
+  /// hashes (src, dst): each source then gets a copy with its in-transit
+  /// entries walked again. The cut-off sources share an all-empty row.
   ///
-  /// Source by source, the row lands in `row` and goes to
-  /// `publish(RouteRow&)`, which may move it out to keep it: the next row
-  /// is then allocated exactly sized. With a warm `row` and `scratch` a
-  /// re-solve allocates nothing.
+  /// Row by row, the row lands in `row` and goes to `publish(RouteRow&,
+  /// std::span<const std::uint16_t> holders)` with the sources it serves;
+  /// publish may move it out to keep it: the next row is then allocated
+  /// exactly sized. With a warm `row` and `scratch` a re-solve allocates
+  /// nothing.
   ///
   /// `vc_lanes` only matters under Policy::kVcEscape: a minimal route is
   /// kept when its up*/down* segment count fits the lane ladder
@@ -238,13 +234,7 @@ class Router {
   template <class Publish>
   void routes_from(std::span<const std::uint16_t> sources, Policy policy,
                    unsigned vc_lanes, RouteRow& row, Scratch& scratch,
-                   Publish&& publish) const {
-    solve_switch(sources, policy, vc_lanes, scratch);
-    for (const auto src : sources) {
-      derive_row(src, row, scratch);
-      publish(row);
-    }
-  }
+                   Publish&& publish) const;
 
   /// Trunk-hop distance of the unrestricted shortest path.
   std::size_t minimal_distance(std::uint16_t src_host,
@@ -360,12 +350,17 @@ class Router {
   /// Append the route to `dst_host` to the open entry of `row`.
   void extract(const Search& s, std::uint16_t src_host,
                std::uint16_t dst_host, RouteRow& row, Scratch& sc) const;
-  /// routes_from()'s shared half: the search from the sources' switch and
-  /// the lead's row, one walk per destination switch, into `sc.lead`.
-  void solve_switch(std::span<const std::uint16_t> sources, Policy policy,
-                    unsigned vc_lanes, Scratch& sc) const;
-  /// routes_from()'s per-source half: `src`'s row, from `sc.lead`.
-  void derive_row(std::uint16_t src, RouteRow& row, Scratch& sc) const;
+  /// routes_from()'s shared half: sorts `sources` into `sc.held`, the
+  /// usable ones first, and builds their switch's row into `sc.switch_row`.
+  /// Returns the usable count.
+  std::size_t solve_switch(std::span<const std::uint16_t> sources,
+                           Policy policy, unsigned vc_lanes,
+                           Scratch& sc) const;
+  /// kSpread: `src`'s row, the switch's with its in-transit hosts picked
+  /// for `src`.
+  void spread_row(std::uint16_t src, RouteRow& row, Scratch& sc) const;
+  /// The all-empty row of a cut-off source.
+  void empty_row(RouteRow& row) const;
 
   /// The ONE mapping from a policy to its primary search restriction. Every
   /// route-solve entry point derives its flags here, so a policy with no
@@ -402,15 +397,40 @@ class Router::Scratch {
   };
   std::array<Level, 2> levels;
   std::vector<Step> steps;
-  /// The group lead's row, which every source's row starts from.
-  RouteRow lead;
-  /// kSpread: one route walked again for a source other than the lead.
+  /// The sources of the current group, the usable ones first.
+  std::vector<std::uint16_t> held;
+  /// The switch's row: every usable source's row, or under kSpread the
+  /// one each source's copy starts from.
+  RouteRow switch_row;
+  /// kSpread: one route walked again for one source.
   RouteRow pair;
-  /// Per destination switch: the entry of the lead's row the other hosts on
-  /// it copy, or kNoEntry.
+  /// Per destination switch: the entry of the switch's row the other hosts
+  /// on it copy, or kNoEntry.
   static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
   std::vector<std::uint32_t> walked;
 };
+
+template <class Publish>
+void Router::routes_from(std::span<const std::uint16_t> sources,
+                         Policy policy, unsigned vc_lanes, RouteRow& row,
+                         Scratch& scratch, Publish&& publish) const {
+  const std::size_t usable = solve_switch(sources, policy, vc_lanes, scratch);
+  const std::span<const std::uint16_t> held(scratch.held);
+  if (selection_ == ItbHostSelection::kSpread &&
+      !scratch.switch_row.stored_hosts().empty()) {
+    for (std::size_t i = 0; i < usable; ++i) {
+      spread_row(held[i], row, scratch);
+      publish(row, held.subspan(i, 1));
+    }
+  } else if (usable > 0) {
+    row = scratch.switch_row;
+    publish(row, held.first(usable));
+  }
+  if (usable < held.size()) {
+    empty_row(row);
+    publish(row, held.subspan(usable));
+  }
+}
 
 /// Render a path like "h0 -> s0 -> s1 =ITB(h3)=> s1 -> s2 -> h5".
 std::string describe(const RouteView& path, const topo::Topology& topo);

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <ostream>
 #include <ranges>
@@ -64,8 +65,7 @@ RouteTable::RouteTable(const Router& router, Policy policy, unsigned jobs,
       vc_lanes_(vc_lanes),
       rows_(hosts_) {
   // Unattached hosts appear in degraded topologies (fault windows that cut
-  // a host off); routes_from leaves their pairs — and the diagonal — as
-  // empty entries.
+  // a host off); routes_from leaves their pairs as empty entries.
   group_by_switch(router, every_host(hosts_), grouped_, group_begins_);
   solve_groups(router, jobs, std::nullopt);
 }
@@ -82,11 +82,12 @@ void RouteTable::solve_groups(const Router& router, unsigned jobs,
   runner.run_indexed(groups, [&](std::size_t g, unsigned w) {
     const auto group = switch_group(g);
     Buffers& b = workers[w];
-    router.routes_from(group, policy_, vc_lanes_, b.row, b.search,
-                       [this](RouteRow& row) {
-                         rows_[row.src_host()] =
-                             std::make_shared<const RouteRow>(std::move(row));
-                       });
+    router.routes_from(
+        group, policy_, vc_lanes_, b.row, b.search,
+        [this](RouteRow& row, std::span<const std::uint16_t> holders) {
+          const auto shared = std::make_shared<const RouteRow>(std::move(row));
+          for (const auto h : holders) rows_[h] = shared;
+        });
     if (index_gen) {
       index_group(router, group);  // each worker touches only its group
       for (const auto s : group) solved_gen_[s] = *index_gen;
@@ -102,16 +103,15 @@ std::span<const std::uint16_t> RouteTable::switch_group(std::size_t g) const {
 RouteView RouteTable::route(std::uint16_t src, std::uint16_t dst) const {
   if (src >= hosts_ || dst >= hosts_ || src == dst)
     throw std::out_of_range("bad host pair");
-  return rows_[src]->route(dst);
+  return rows_[src]->route(src, dst);
 }
 
 double RouteTable::average_trunk_hops() const {
   std::size_t total = 0, pairs = 0;
   for (std::uint16_t s = 0; s < hosts_; ++s)
     for (std::uint16_t d = 0; d < hosts_; ++d) {
-      if (s == d) continue;
-      const RouteView r = route(s, d);
-      if (r.empty()) continue;  // unreachable in a degraded table
+      const RouteView r = rows_[s]->route(s, d);
+      if (r.empty()) continue;  // the diagonal, or unreachable (degraded)
       total += r.trunk_hops();
       ++pairs;
     }
@@ -133,9 +133,8 @@ double RouteTable::minimal_fraction(const Router& router, unsigned jobs) const {
     for (std::size_t i = begins[g]; i < begins[g + 1]; ++i) {
       const auto s = order[i];
       for (std::uint16_t d = 0; d < hosts_; ++d) {
-        if (s == d) continue;
-        const RouteView r = rows_[s]->route(d);
-        if (r.empty()) continue;  // unreachable in a degraded table
+        const RouteView r = rows_[s]->route(s, d);
+        if (r.empty()) continue;  // the diagonal, or unreachable (degraded)
         if (r.trunk_hops() == dist[router.host_switch(d)])
           ++minimal_per_group[g];
         ++pairs_per_group[g];
@@ -153,9 +152,8 @@ double RouteTable::average_itbs() const {
   std::size_t total = 0, pairs = 0;
   for (std::uint16_t s = 0; s < hosts_; ++s)
     for (std::uint16_t d = 0; d < hosts_; ++d) {
-      if (s == d) continue;
-      const RouteView r = route(s, d);
-      if (r.empty()) continue;  // unreachable in a degraded table
+      const RouteView r = rows_[s]->route(s, d);
+      if (r.empty()) continue;  // the diagonal, or unreachable (degraded)
       total += r.itb_count();
       ++pairs;
     }
@@ -166,11 +164,9 @@ std::vector<std::uint32_t> RouteTable::channel_usage(
     const topo::Topology& topo) const {
   std::vector<std::uint32_t> usage(topo.link_count() * 2, 0);
   for (std::uint16_t s = 0; s < hosts_; ++s)
-    for (std::uint16_t d = 0; d < hosts_; ++d) {
-      if (s == d) continue;
-      for (const auto& c : route(s, d).trunk_channels())
+    for (std::uint16_t d = 0; d < hosts_; ++d)
+      for (const auto& c : rows_[s]->route(s, d).trunk_channels())
         ++usage[2 * c.link + (c.forward ? 0 : 1)];
-    }
   return usage;
 }
 
@@ -182,36 +178,35 @@ void RouteTable::index_group(const Router& router,
   const auto min_hops = policy_ == Policy::kVcEscape && router.host_usable(lead)
                             ? router.min_hops_from_switch(router.host_switch(lead))
                             : std::vector<std::uint32_t>{};
-  index_source(router, lead, min_hops);
-  // Switch-mates route through the same links, in-transit hosts aside: a
-  // mate whose rows carry the lead's in-transit hosts has its index.
-  for (const auto s : group.subspan(1)) {
-    if (std::ranges::equal(rows_[s]->stored_hosts(),
-                           rows_[lead]->stored_hosts())) {
-      links_used_[s] = links_used_[lead];
-      itb_switch_used_[s] = itb_switch_used_[lead];
-      vc_fallback_[s] = vc_fallback_[lead];
-    } else {
-      index_source(router, s, min_hops);
-    }
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    const auto s = group[i];
+    const auto earlier = group.first(i);
+    const auto holder =
+        std::ranges::find(earlier, rows_[s].get(),
+                          [this](std::uint16_t h) { return rows_[h].get(); });
+    index_[s] = holder != earlier.end() ? index_[*holder]
+                                        : index_row(router, s, min_hops);
   }
 }
 
-void RouteTable::index_source(const Router& router, std::uint16_t src,
-                              std::span<const std::uint32_t> min_hops) {
-  auto& lu = links_used_[src];
-  auto& iu = itb_switch_used_[src];
-  std::fill(lu.begin(), lu.end(), 0);
-  std::fill(iu.begin(), iu.end(), 0);
+std::shared_ptr<const RouteTable::RowIndex> RouteTable::index_row(
+    const Router& router, std::uint16_t src,
+    std::span<const std::uint32_t> min_hops) const {
+  auto index = std::make_shared<RowIndex>();
+  auto& lu = index->links_used;
+  auto& iu = index->itb_switch_used;
+  lu.assign(router.topology().link_count(), 0);
+  iu.assign(router.topology().switch_count(), 0);
   // Every host a stored route touches was usable under `router`, which
   // solved the row: its uplink is known there.
   const RouteRow& row = *rows_[src];
   // Each shared trunk-channel range once, rather than once per entry.
   for (const auto& c : row.stored_channels()) lu[c.link] = 1;
+  // Read as `src` reads it. Any other holder reads the same routes: its
+  // entry toward `src` and src's toward it reach the two uplinks.
   bool any = false;
   for (std::uint16_t d = 0; d < hosts_; ++d) {
-    if (d == src) continue;
-    const RouteView r = row.route(d);
+    const RouteView r = row.route(src, d);
     if (r.empty()) continue;
     any = true;
     lu[router.host_link(d)] = 1;
@@ -219,24 +214,15 @@ void RouteTable::index_source(const Router& router, std::uint16_t src,
       lu[router.host_link(h)] = 1;
       iu[router.host_switch(h)] = 1;
     }
+    // A VC route longer than its minimal distance is an escape fallback
+    // (see RowIndex::vc_fallback).
+    if (policy_ == Policy::kVcEscape &&
+        r.trunk_hops() > min_hops[router.host_switch(d)])
+      index->vc_fallback = true;
   }
-  // The source's own uplink carries every nonempty row.
+  // The source's own uplink carries every nonempty route.
   if (any) lu[router.host_link(src)] = 1;
-  // A VC row longer than its minimal distance is an escape fallback; the
-  // source carries the conservative "re-solve on any delta" mark (see the
-  // vc_fallback_ comment in the header).
-  if (policy_ == Policy::kVcEscape) {
-    vc_fallback_[src] = 0;
-    for (std::uint16_t d = 0; d < hosts_; ++d) {
-      if (d == src) continue;
-      const RouteView r = row.route(d);
-      if (r.empty()) continue;
-      if (r.trunk_hops() > min_hops[router.host_switch(d)]) {
-        vc_fallback_[src] = 1;
-        break;
-      }
-    }
-  }
+  return index;
 }
 
 std::uint64_t RouteTable::intern_state(const Router& router) {
@@ -264,9 +250,7 @@ void RouteTable::enable_patching(const Router& router) {
   const auto& topo = router.topology();
   if (topo.host_count() != hosts_)
     throw std::invalid_argument("patching needs stable topology coordinates");
-  links_used_.assign(hosts_, std::vector<char>(topo.link_count(), 0));
-  itb_switch_used_.assign(hosts_, std::vector<char>(topo.switch_count(), 0));
-  vc_fallback_.assign(hosts_, 0);
+  index_.assign(hosts_, nullptr);
   const std::size_t groups =
       group_by_switch(router, every_host(hosts_), grouped_, group_begins_);
   for (std::size_t g = 0; g < groups; ++g) index_group(router, switch_group(g));
@@ -279,9 +263,9 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
   PatchStats st;
   st.sources_total = hosts_;
 
-  const bool indexed = links_used_.size() == hosts_ &&
-                       (hosts_ == 0 ||
-                        links_used_[0].size() == topo.link_count());
+  const bool indexed =
+      index_.size() == hosts_ &&
+      (hosts_ == 0 || index_[0]->links_used.size() == topo.link_count());
   std::vector<char> invalid(hosts_, 0);
   const std::uint64_t target_gen = indexed ? intern_state(router) : 0;
 
@@ -337,21 +321,22 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
     if (policy_ == Policy::kVcEscape &&
         (!delta.removed.empty() || !delta.added.empty()))
       for (std::uint16_t s = 0; s < hosts_; ++s)
-        if (vc_fallback_[s] && solved_gen_[s] != target_gen) invalid[s] = 1;
+        if (index_[s]->vc_fallback && solved_gen_[s] != target_gen)
+          invalid[s] = 1;
 
     // (a) a stored route traverses a removed link; (b) an ITB candidate
     // list the source depends on changed.
     for (std::uint16_t s = 0; s < hosts_; ++s) {
       if (invalid[s] || solved_gen_[s] == target_gen) continue;
+      const RowIndex& index = *index_[s];
       for (auto l : delta.removed)
-        if (links_used_[s][l]) {
+        if (index.links_used[l]) {
           invalid[s] = 1;
           break;
         }
       if (invalid[s] || !any_itb_dirty) continue;
-      const auto& iu = itb_switch_used_[s];
       for (std::uint16_t sw = 0; sw < itb_dirty.size(); ++sw)
-        if (itb_dirty[sw] && iu[sw]) {
+        if (itb_dirty[sw] && index.itb_switch_used[sw]) {
           invalid[s] = 1;
           break;
         }
@@ -373,7 +358,7 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
         const auto ss = router.host_switch(s);
         for (std::uint16_t d = 0; d < hosts_ && !invalid[s]; ++d) {
           if (d == s || !router.host_usable(d)) continue;
-          const RouteView r = rows_[s]->route(d);
+          const RouteView r = rows_[s]->route(s, d);
           if (r.empty()) {
             invalid[s] = 1;
             break;
@@ -401,7 +386,7 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
   st.sources_resolved =
       static_cast<std::size_t>(std::count(invalid.begin(), invalid.end(), 1));
 
-  // Copy on write: each re-solved source gets a fresh row. The row it
+  // Copy on write: the re-solved sources get fresh rows. The row one
   // replaces may be installed in a NIC, which keeps it until the next
   // install — so it is never written in place.
   group_by_switch(router,
@@ -418,18 +403,29 @@ bool operator==(const RouteTable& a, const RouteTable& b) {
   if (a.policy_ != b.policy_ || a.hosts_ != b.hosts_ ||
       (a.policy_ == Policy::kVcEscape && a.vc_lanes_ != b.vc_lanes_))
     return false;
+  // Holders share rows, so each distinct pair of rows is compared once,
+  // entry by entry, as stored. A holder never reads its own entry: a pair
+  // that differs in that one entry alone still matches for it.
+  constexpr std::size_t kNone = ~std::size_t{0}, kMany = kNone - 1;
+  std::map<std::pair<const RouteRow*, const RouteRow*>, std::size_t> differs;
   for (std::uint16_t s = 0; s < a.hosts_; ++s) {
     const RouteRow& x = *a.rows_[s];
     const RouteRow& y = *b.rows_[s];
-    if (x == y) continue;  // one solver lays equal rows out alike
-    for (std::uint16_t d = 0; d < a.hosts_; ++d) {
-      const RouteView u = x.route(d);
-      const RouteView v = y.route(d);
-      if (!std::ranges::equal(u.header(), v.header()) ||
-          !std::ranges::equal(u.in_transit_hosts(), v.in_transit_hosts()) ||
-          !std::ranges::equal(u.trunk_channels(), v.trunk_channels()))
-        return false;
+    const auto [it, fresh] = differs.try_emplace(std::pair(&x, &y), kNone);
+    // One solver lays equal rows out alike.
+    if (fresh && &x != &y && !(x == y)) {
+      // Read from a source outside the table, which masks no entry.
+      const auto outside = static_cast<std::uint16_t>(a.hosts_);
+      for (std::uint16_t d = 0; d < a.hosts_ && it->second != kMany; ++d) {
+        const RouteView u = x.route(outside, d);
+        const RouteView v = y.route(outside, d);
+        if (!std::ranges::equal(u.header(), v.header()) ||
+            !std::ranges::equal(u.in_transit_hosts(), v.in_transit_hosts()) ||
+            !std::ranges::equal(u.trunk_channels(), v.trunk_channels()))
+          it->second = it->second == kNone ? d : kMany;
+      }
     }
+    if (it->second != kNone && it->second != s) return false;
   }
   return true;
 }
@@ -450,7 +446,7 @@ void RouteTable::dump(std::ostream& os) const {
   for (std::uint16_t s = 0; s < hosts_; ++s)
     for (std::uint16_t d = 0; d < hosts_; ++d) {
       if (s == d) continue;
-      const RouteView r = rows_[s]->route(d);
+      const RouteView r = rows_[s]->route(s, d);
       put(s);
       buf += '>';
       put(d);

@@ -6,12 +6,13 @@
 // product for one routing policy, plus aggregate statistics the motivation
 // benches report (path length, link utilisation balance).
 //
-// The table holds one immutable RouteRow per source behind a shared
-// pointer. A NIC installs its source's row by taking that pointer, so the
-// mapper, the recovery engine and the NICs share one copy. Rows are never
-// written once published: patch() builds a fresh row for each source it
-// re-solves and swaps the pointer, so a NIC keeps stamping the routes it
-// was given until the next install hands it the new row.
+// The table holds one immutable RouteRow per source switch behind a
+// shared pointer, which every host on the switch holds. A NIC installs its
+// host's row by taking that pointer, so the mapper, the recovery engine and
+// the NICs share one copy. Rows are never written once published: patch()
+// builds a fresh row for the sources it re-solves and swaps their
+// pointers, so a NIC keeps stamping the routes it was given until the next
+// install hands it the new row.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +47,12 @@ struct PatchStats {
 class RouteTable {
  public:
   /// Compute routes for every ordered host pair under `policy`. The hosts
-  /// on one switch share one multi-destination solve (Router::routes_from);
-  /// `jobs` fans the switches across that many threads (0 = hardware
-  /// concurrency). Every source writes only its own row, and the row
-  /// content depends only on (router, policy, src), so the table is
-  /// bit-identical for any job count — CI byte-compares jobs=1 against
-  /// jobs=8 dumps to hold that line.
+  /// on one switch share one multi-destination solve and, outside kSpread,
+  /// one row (Router::routes_from); `jobs` fans the switches across that
+  /// many threads (0 = hardware concurrency). Every switch writes only its
+  /// own hosts' rows, and the row content depends only on (router, policy,
+  /// switch), so the table is bit-identical for any job count — CI
+  /// byte-compares jobs=1 against jobs=8 dumps to hold that line.
   /// `vc_lanes` parameterises Policy::kVcEscape (ignored otherwise): routes
   /// whose up*/down* segment count exceeds it fall back to plain up*/down*.
   explicit RouteTable(const Router& router, Policy policy, unsigned jobs = 1,
@@ -66,7 +67,8 @@ class RouteTable {
   /// the diagonal or a host outside the table.
   RouteView route(std::uint16_t src, std::uint16_t dst) const;
 
-  /// Source `src`'s whole row, shared: what a NIC installs.
+  /// Source `src`'s whole row, shared with its switch-mates (outside
+  /// kSpread): what a NIC installs.
   const std::shared_ptr<const RouteRow>& row(std::uint16_t src) const {
     return rows_.at(src);
   }
@@ -94,7 +96,8 @@ class RouteTable {
 
   /// Equal exactly when the dumps are: the same policy and host count (and
   /// lane count under kVcEscape), and per pair the same header bytes,
-  /// in-transit hosts and trunk channels.
+  /// in-transit hosts and trunk channels. Each distinct pair of rows is
+  /// compared once.
   friend bool operator==(const RouteTable& a, const RouteTable& b);
 
   // ---- Incremental patching --------------------------------------------
@@ -116,7 +119,7 @@ class RouteTable {
   /// the current rows. Must be called once after a full solve (and is
   /// maintained by patch() for re-solved sources).
   void enable_patching(const Router& router);
-  bool patching_enabled() const { return !links_used_.empty(); }
+  bool patching_enabled() const { return !index_.empty(); }
 
   /// Re-solve exactly the sources invalidated by `delta` against `router`
   /// (the post-change orientation/adjacency over the SAME topology ids the
@@ -131,21 +134,26 @@ class RouteTable {
   std::uint64_t epoch_ = 0;
   std::vector<std::shared_ptr<const RouteRow>> rows_;  // by source
 
-  /// Per source: which links its stored rows traverse (trunk channels,
-  /// src/dst uplinks, in-transit host uplinks). Empty until
-  /// enable_patching().
-  std::vector<std::vector<char>> links_used_;
-  /// Per source: switches whose ITB candidate list its rows depend on.
-  std::vector<std::vector<char>> itb_switch_used_;
-  /// Per source, kVcEscape only: 1 when any stored row is an up*/down*
-  /// escape fallback. Fallback rows depend on the GLOBAL orientation (the
-  /// ladder-feasibility test runs over minimal paths the table does not
-  /// store), so the link reverse index cannot prove them stable — patch()
-  /// conservatively re-solves every fallback source on any delta. Minimal
-  /// rows stay covered by the usual (a)/(b)/(c) tests: the unrestricted
-  /// relax is orientation-blind and an orientation flip of a traversed
-  /// link always lands in the delta as removed+added.
-  std::vector<char> vc_fallback_;
+  /// What a published row's routes rest on, built once per row and shared
+  /// by its holders.
+  struct RowIndex {
+    /// Links the routes traverse (trunk channels, src/dst uplinks,
+    /// in-transit host uplinks).
+    std::vector<char> links_used;
+    /// Switches whose ITB candidate list the routes depend on.
+    std::vector<char> itb_switch_used;
+    /// kVcEscape only: some route is an up*/down* escape fallback.
+    /// Fallback routes depend on the GLOBAL orientation (the
+    /// ladder-feasibility test runs over minimal paths the table does not
+    /// store), so the link reverse index cannot prove them stable — patch()
+    /// conservatively re-solves every fallback source on any delta. Minimal
+    /// routes stay covered by the usual (a)/(b)/(c) tests: the unrestricted
+    /// relax is orientation-blind and an orientation flip of a traversed
+    /// link always lands in the delta as removed+added.
+    bool vc_fallback = false;
+  };
+  /// Per source: its row's index. Empty until enable_patching().
+  std::vector<std::shared_ptr<const RowIndex>> index_;
 
   /// Solve-generation shortcut: each distinct (usability, orientation)
   /// graph state is interned once; a source records the state it was last
@@ -165,12 +173,14 @@ class RouteTable {
 
   std::uint64_t intern_state(const Router& router);
   /// Index a group of sources on one switch (or the cut-off ones). VC's
-  /// minimal distances are taken once; a mate whose rows carry the first
-  /// source's in-transit hosts copies its index.
+  /// minimal distances are taken once; the holders of one row share its
+  /// index.
   void index_group(const Router& router, std::span<const std::uint16_t> group);
-  /// `min_hops`: minimal distances from src's switch (kVcEscape only).
-  void index_source(const Router& router, std::uint16_t src,
-                    std::span<const std::uint32_t> min_hops);
+  /// The index of `src`'s row; `min_hops`: minimal distances from src's
+  /// switch (kVcEscape only).
+  std::shared_ptr<const RowIndex> index_row(
+      const Router& router, std::uint16_t src,
+      std::span<const std::uint32_t> min_hops) const;
 
   /// The work list of the current solve, in reusable buffers: the sources
   /// ordered by the switch they hang off (cut-off sources last), and where
@@ -181,8 +191,8 @@ class RouteTable {
 
   /// Re-solve the grouped work list across `jobs` workers, one switch group
   /// per task, each with its own search scratch, and publish each row as
-  /// that source's new row. With `index_gen`, also re-index each source
-  /// and stamp it with that solve generation.
+  /// its holders' new row. With `index_gen`, also re-index each source and
+  /// stamp it with that solve generation.
   void solve_groups(const Router& router, unsigned jobs,
                     std::optional<std::uint64_t> index_gen);
 };

@@ -100,7 +100,7 @@ TEST(BufferAugmentedCdg, RingItbRoutesAcyclicClassicallyButWedgeCapable) {
         topo::Channel{h, true},
         topo::Channel{static_cast<std::uint16_t>((h + 1) % 4), true}};
     routing::RouteRow row;
-    row.reset(h, dst);
+    row.reset(dst);
     row.add({{1, 2}, {1, 2}}, itb_host, trunks);
     return row;
   };
@@ -110,8 +110,8 @@ TEST(BufferAugmentedCdg, RingItbRoutesAcyclicClassicallyButWedgeCapable) {
   for (std::uint16_t h = 0; h < 4; ++h) {
     const auto row = ring_path(h);
     const auto dst = static_cast<std::uint16_t>((h + 2) % 4);
-    plain.add_route(row.route(dst), topo);
-    buffered.add_route_buffered(row.route(dst), topo);
+    plain.add_route(row.route(h, dst), topo);
+    buffered.add_route_buffered(row.route(h, dst), topo);
   }
   // The classical CDG is acyclic — ITB ejection breaks every channel
   // chain, so the static checker passes this route set.

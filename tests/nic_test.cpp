@@ -8,6 +8,8 @@
 
 #include "itb/nic/nic.hpp"
 #include "itb/routing/paths.hpp"
+#include "itb/routing/table.hpp"
+#include "itb/routing/updown.hpp"
 #include "itb/topo/builders.hpp"
 
 namespace {
@@ -134,6 +136,39 @@ TEST(Nic, MissingRouteThrows) {
   // h1 -> h1 impossible; h0 has routes to 1 and 2 only. Wipe one.
   rig.nics[0]->set_route(2, {});
   EXPECT_THROW(rig.nics[0]->post_send(2, Bytes(4, 0)), std::logic_error);
+}
+
+TEST(Nic, OwnHostHasNoRoute) {
+  // A row serves every host on its switch, so the entry at a NIC's own
+  // index is a switch-mate's route; the NIC never reads it.
+  Rig rig;
+  rig.nics[0]->set_route(0, {{1}});  // even an explicit one
+  EXPECT_TRUE(rig.nics[0]->route(0).empty());
+  EXPECT_FALSE(rig.nics[0]->has_route(0));
+  EXPECT_TRUE(rig.nics[0]->has_route(2));
+
+  // A table install: h0 and h1 share s0's row.
+  const routing::UpDown ud(rig.topo);
+  const routing::Router router(ud);
+  const routing::RouteTable table(router, routing::Policy::kItb);
+  for (const auto& nic : rig.nics) nic->load_routes(table);
+  for (std::uint16_t h = 0; h < 3; ++h) {
+    EXPECT_TRUE(rig.nics[h]->route(h).empty()) << h;
+    EXPECT_FALSE(rig.nics[h]->has_route(h)) << h;
+    EXPECT_TRUE(rig.nics[h]->has_route((h + 1) % 3)) << h;
+  }
+  EXPECT_EQ(rig.nics[0]->route(2).header().data(),
+            rig.nics[1]->route(2).header().data());
+  EXPECT_EQ(rig.nics[0]->route(1).src_host(), 0);
+  EXPECT_EQ(rig.nics[1]->route(0).src_host(), 1);
+
+  // set_route rebuilds the row from the NIC's own reading of it.
+  rig.nics[1]->set_route(2, {{0, 1}});
+  EXPECT_FALSE(rig.nics[1]->has_route(1));
+  EXPECT_TRUE(rig.nics[1]->has_route(0));
+  EXPECT_EQ(rig.nics[0]->route(2).header().data(),
+            table.route(0, 2).header().data())
+      << "the mate still holds the table's row";
 }
 
 // ------------------------------------------------------------------- ITB --

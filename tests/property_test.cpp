@@ -38,7 +38,7 @@ TEST_P(RoutingInvariants, UpDownRoutesNeverTurnUpAfterDown) {
     for (std::uint16_t d = 1; d < t.host_count(); d += 2) {
       if (s == d) continue;
       EXPECT_TRUE(
-          r.is_valid_updown(r.updown_route(s, d).route(d).trunk_channels()));
+          r.is_valid_updown(r.updown_route(s, d).route(s, d).trunk_channels()));
     }
 }
 
@@ -51,7 +51,7 @@ TEST_P(RoutingInvariants, ItbRoutesAreMinimal) {
   for (std::uint16_t s = 0; s < t.host_count(); s += 2)
     for (std::uint16_t d = 1; d < t.host_count(); d += 2) {
       if (s == d) continue;
-      EXPECT_EQ(r.itb_route(s, d).route(d).trunk_hops(),
+      EXPECT_EQ(r.itb_route(s, d).route(s, d).trunk_hops(),
                 r.minimal_distance(s, d));
     }
 }
@@ -64,7 +64,7 @@ TEST_P(RoutingInvariants, ItbSegmentsEachValidAndChainConsistent) {
     for (std::uint16_t d = 2; d < t.host_count(); d += 3) {
       if (s == d) continue;
       const auto row = r.itb_route(s, d);
-      const auto p = row.route(d);
+      const auto p = row.route(s, d);
       ASSERT_EQ(p.segment_count(), p.in_transit_hosts().size() + 1);
       std::size_t cursor = 0;
       for (std::size_t i = 0; i < p.segment_count(); ++i) {

@@ -658,9 +658,10 @@ TEST(Recovery, FlightFingerprintInvariantAcrossRouteJobs) {
 TEST(ZeroAlloc, ControlPlaneResolvesAndInstallsWithoutCopies) {
   // A 64 x 4 COW on the ITB engine. Once a row and its search scratch are
   // warm, re-solving every source — one solve per source, or one per
-  // switch for its hosts — allocates nothing; installing a table in a NIC
-  // swaps a pointer; a patch round pays a fixed handful of allocations per
-  // re-solved source (its fresh row) and no more.
+  // switch for its hosts, which publishes one row to all of them —
+  // allocates nothing; installing a table in a NIC swaps a pointer; a patch
+  // round pays a fixed handful of allocations per re-solved source (its
+  // share of a fresh row) and no more.
   if (!sim::alloc_counting_available())
     GTEST_SKIP() << "allocation counting unavailable (sanitizer build)";
   core::ClusterConfig cfg;
@@ -680,8 +681,12 @@ TEST(ZeroAlloc, ControlPlaneResolvesAndInstallsWithoutCopies) {
   const routing::Router router(ud);
   routing::RouteRow row;
   routing::Router::Scratch scratch;
-  std::size_t stamped = 0;
-  const auto count = [&stamped](const routing::RouteRow&) { ++stamped; };
+  std::size_t stamped = 0, published = 0;
+  const auto count = [&](const routing::RouteRow&,
+                         std::span<const std::uint16_t> holders) {
+    stamped += holders.size();
+    ++published;
+  };
   const auto solve_each = [&] {
     for (std::uint16_t s = 0; s < hosts; ++s)
       router.routes_from(std::span(&s, 1), routing::Policy::kItb, 2, row,
@@ -703,6 +708,8 @@ TEST(ZeroAlloc, ControlPlaneResolvesAndInstallsWithoutCopies) {
   solve_grouped();
   EXPECT_EQ(sim::total_allocations() - before, 0u) << "warm grouped re-solves";
   EXPECT_EQ(stamped, 4u * hosts);
+  EXPECT_EQ(published, 2u * hosts + 2u * topo.switch_count())
+      << "one row per source alone, one per switch for its hosts";
 
   const auto* boot = c.route_table();
   ASSERT_NE(boot, nullptr);

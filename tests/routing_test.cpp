@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -89,7 +91,7 @@ TEST(Router, SameSwitchRoute) {
   UpDown ud(t);
   Router r(ud);
   const auto row = r.updown_route(0, 1);
-  const auto path = row.route(1);
+  const auto path = row.route(0, 1);
   EXPECT_EQ(path.segment_count(), 1u);
   EXPECT_EQ(path.segment(0).size(), 1u);  // one traversal of s0
   EXPECT_EQ(path.trunk_hops(), 0u);
@@ -101,7 +103,7 @@ TEST(Router, LinearChainRouteLength) {
   UpDown ud(t);
   Router r(ud);
   const auto row = r.updown_route(0, 3);
-  const auto path = row.route(3);
+  const auto path = row.route(0, 3);
   EXPECT_EQ(path.trunk_hops(), 3u);
   EXPECT_EQ(path.switch_traversals(), 4u);
   EXPECT_TRUE(r.is_valid_updown(path.trunk_channels()));
@@ -117,7 +119,7 @@ TEST(Router, RouteBytesExecuteToDestination) {
     for (std::uint16_t d = 0; d < t.host_count(); ++d) {
       if (s == d) continue;
       const auto row = r.updown_route(s, d);
-      const auto path = row.route(d);
+      const auto path = row.route(s, d);
       auto cur = t.host_uplink(s);
       for (std::size_t seg = 0; seg < path.segment_count(); ++seg) {
         if (seg > 0) cur = t.host_uplink(path.in_transit_hosts()[seg - 1]);
@@ -138,7 +140,7 @@ TEST(Router, Fig1MinimalPathIsForbidden) {
   UpDown ud(t);
   Router r(ud);
   const auto row = r.minimal_route(4, 1);  // host i sits on switch i
-  const auto minimal = row.route(1);
+  const auto minimal = row.route(4, 1);
   EXPECT_EQ(minimal.trunk_hops(), 2u);
   EXPECT_FALSE(r.is_valid_updown(minimal.trunk_channels()));
 }
@@ -148,7 +150,7 @@ TEST(Router, Fig1UpDownDetour) {
   UpDown ud(t);
   Router r(ud);
   const auto row = r.updown_route(4, 1);
-  const auto updown = row.route(1);
+  const auto updown = row.route(4, 1);
   EXPECT_EQ(updown.trunk_hops(), 3u);  // 4 -> 2 -> 0 -> 1
   EXPECT_TRUE(r.is_valid_updown(updown.trunk_channels()));
   EXPECT_EQ(updown.itb_count(), 0u);
@@ -161,7 +163,7 @@ TEST(Router, Fig1ItbRouteIsMinimalWithOneItb) {
   UpDown ud(t);
   Router r(ud);
   const auto row = r.itb_route(4, 1);
-  const auto itb = row.route(1);
+  const auto itb = row.route(4, 1);
   EXPECT_EQ(itb.trunk_hops(), 2u);
   EXPECT_EQ(itb.itb_count(), 1u);
   ASSERT_EQ(itb.in_transit_hosts().size(), 1u);
@@ -183,8 +185,8 @@ TEST(Router, ItbNeverWorseThanUpDown) {
   for (std::uint16_t s = 0; s < t.host_count(); ++s)
     for (std::uint16_t d = 0; d < t.host_count(); ++d) {
       if (s == d) continue;
-      EXPECT_LE(r.itb_route(s, d).route(d).trunk_hops(),
-                r.updown_route(s, d).route(d).trunk_hops());
+      EXPECT_LE(r.itb_route(s, d).route(s, d).trunk_hops(),
+                r.updown_route(s, d).route(s, d).trunk_hops());
     }
 }
 
@@ -197,7 +199,7 @@ TEST(Router, ItbRoutesAreMinimalOnFig1) {
   for (std::uint16_t s = 0; s < t.host_count(); ++s)
     for (std::uint16_t d = 0; d < t.host_count(); ++d) {
       if (s == d) continue;
-      EXPECT_EQ(r.itb_route(s, d).route(d).trunk_hops(),
+      EXPECT_EQ(r.itb_route(s, d).route(s, d).trunk_hops(),
                 r.minimal_distance(s, d));
     }
 }
@@ -215,7 +217,7 @@ TEST(Router, ItbSubPathsAlwaysValidOnRandomNets) {
       for (std::uint16_t d = 0; d < t.host_count(); d += 3) {
         if (s == d) continue;
         const auto row = r.itb_route(s, d);
-        const auto path = row.route(d);
+        const auto path = row.route(s, d);
         std::size_t cursor = 0;
         for (std::size_t i = 0; i < path.segment_count(); ++i) {
           const auto seg = path.segment(i);
@@ -249,22 +251,22 @@ TEST(Router, PerPairHelpersRejectACutOffSource) {
   Router::Scratch scratch;
   const std::uint16_t cut_off[] = {5};
   r.routes_from(cut_off, Policy::kItb, 2, row, scratch,
-                [](const RouteRow&) {});
-  EXPECT_TRUE(row.route(9).empty());
+                [](const RouteRow&, std::span<const std::uint16_t>) {});
+  EXPECT_TRUE(row.route(5, 9).empty());
   EXPECT_THROW(r.updown_route(5, 9), std::logic_error);
   EXPECT_THROW(r.itb_route(5, 9), std::logic_error);
   EXPECT_THROW(r.minimal_route(5, 9), std::logic_error);
   EXPECT_THROW(r.minimal_distance(5, 9), std::logic_error);
   // Either end cut off is refused the same way.
   EXPECT_THROW(r.itb_route(9, 5), std::logic_error);
-  EXPECT_FALSE(r.itb_route(9, 10).route(10).empty());
+  EXPECT_FALSE(r.itb_route(9, 10).route(9, 10).empty());
 }
 
 TEST(Router, DescribeMentionsItb) {
   auto t = make_fig1_network();
   UpDown ud(t);
   Router r(ud);
-  auto text = describe(r.itb_route(4, 1).route(1), t);
+  auto text = describe(r.itb_route(4, 1).route(4, 1), t);
   EXPECT_NE(text.find("ITB(h6)"), std::string::npos) << text;
   EXPECT_NE(text.find("h4"), std::string::npos);
 }
@@ -397,7 +399,7 @@ TEST(Deadlock, MinimalRoutesWithoutItbsCanCycle) {
     for (std::uint16_t s = 0; s < t.host_count(); ++s)
       for (std::uint16_t d = 0; d < t.host_count(); ++d) {
         if (s == d) continue;
-        g.add_route(r.minimal_route(s, d).route(d), t);
+        g.add_route(r.minimal_route(s, d).route(s, d), t);
       }
     found_cycle = g.has_cycle();
   }
@@ -411,7 +413,7 @@ TEST(Deadlock, ItbRouteChainsSplitAtEjection) {
   UpDown ud(t);
   Router r(ud);
   const auto row = r.itb_route(4, 1);
-  const auto path = row.route(1);
+  const auto path = row.route(4, 1);
   ASSERT_EQ(path.itb_count(), 1u);
   DependencyGraph g(t);
   g.add_route(path, t);
@@ -705,9 +707,9 @@ Topology make_interleaved_fig1() {
 
 TEST(GroupedSolve, EveryRowEqualsItsOneSourceSolve) {
   // RouteTable solves the hosts of one switch as a group: one search, one
-  // walk per destination switch, every row stamped from them. Each row it
-  // publishes must equal, field by field (offsets, header, in-transit
-  // hosts, trunk channels), the row routes_from stamps for that source
+  // walk per destination switch, one row published to every holder. Each
+  // holder's row must equal, field by field (offsets, header, in-transit
+  // hosts, trunk channels), the row routes_from publishes for that source
   // alone, on irregular COWs, a fat tree and a hand-built fabric whose
   // switch-mates have non-adjacent ids, under four link masks:
   //   none      every link up;
@@ -793,28 +795,32 @@ TEST(GroupedSolve, EveryRowEqualsItsOneSourceSolve) {
         // A switch's hosts in any order: the lowest usable one leads.
         for (auto group : hosts_on) {
           std::ranges::reverse(group);
-          router.routes_from(group, s.policy, 2, one, scratch,
-                             [&](const RouteRow& row) {
-                               EXPECT_TRUE(row == *table.row(row.src_host()))
-                                   << fabric_name << "/" << mask_name << "/"
-                                   << s.name << " group source "
-                                   << row.src_host();
-                               ++rows;
-                             });
+          router.routes_from(
+              group, s.policy, 2, one, scratch,
+              [&](const RouteRow& row, std::span<const std::uint16_t> held) {
+                for (const auto h : held) {
+                  EXPECT_TRUE(row == *table.row(h))
+                      << fabric_name << "/" << mask_name << "/" << s.name
+                      << " group source " << h;
+                  ++rows;
+                }
+              });
         }
         for (std::uint16_t src = 0; src < t.host_count(); ++src) {
-          router.routes_from(std::span(&src, 1), s.policy, 2, one, scratch,
-                             [&](const RouteRow& row) {
-                               EXPECT_TRUE(row == *table.row(src))
-                                   << fabric_name << "/" << mask_name << "/"
-                                   << s.name << " source " << src;
-                               ++rows;
-                             });
+          router.routes_from(
+              std::span(&src, 1), s.policy, 2, one, scratch,
+              [&](const RouteRow& row, std::span<const std::uint16_t> held) {
+                EXPECT_TRUE(std::ranges::equal(held, std::span(&src, 1)));
+                EXPECT_TRUE(row == *table.row(src))
+                    << fabric_name << "/" << mask_name << "/" << s.name
+                    << " source " << src;
+                ++rows;
+              });
           if (!router.host_usable(src)) continue;
           const auto min_hops =
               router.min_hops_from_switch(router.host_switch(src));
           for (std::uint16_t dst = 0; dst < t.host_count(); ++dst) {
-            const RouteView r = one.route(dst);
+            const RouteView r = one.route(src, dst);
             if (r.empty()) continue;
             if (s.policy == Policy::kVcEscape &&
                 r.trunk_hops() > min_hops[router.host_switch(dst)])
@@ -832,6 +838,112 @@ TEST(GroupedSolve, EveryRowEqualsItsOneSourceSolve) {
   EXPECT_GT(spread_itbs, 0u);
 }
 
+TEST(GroupedSolve, SwitchMatesHoldOneRow) {
+  // Under kLowestIndex a route row depends only on its source switch: the
+  // usable hosts of a switch hold one row object, so the table holds one
+  // distinct row per switch with usable hosts, plus one all-empty row for
+  // the cut-off hosts. A view read through a shared row names its reader.
+  itb::sim::Rng rng(2001);
+  IrregularSpec spec;
+  spec.switches = 64;
+  spec.hosts_per_switch = 4;
+  const auto t = make_random_irregular(spec, rng);
+  const auto root = t.host_uplink(0).node.index;
+  std::uint16_t cut = 0;  // a host off the root switch
+  while (t.host_uplink(cut).node.index == root) ++cut;
+  const std::vector<char> all_up(t.link_count(), 1);
+  auto one_cut = all_up;
+  const auto up = t.host_uplink(cut);
+  one_cut[*t.link_at(up.node, up.port)] = 0;
+  for (const auto& mask : {all_up, one_cut}) {
+    const UpDown ud(t, root, mask);
+    const Router router(ud);
+    const RouteTable table(router, Policy::kItb);
+    std::map<std::uint16_t, const RouteRow*> of_switch;
+    std::set<const RouteRow*> distinct, cut_off;
+    for (std::uint16_t h = 0; h < t.host_count(); ++h) {
+      const RouteRow* row = table.row(h).get();
+      distinct.insert(row);
+      if (!router.host_usable(h)) {
+        cut_off.insert(row);
+        for (std::uint16_t d = 0; d < t.host_count(); ++d) {
+          if (d == h) continue;
+          EXPECT_TRUE(table.route(h, d).empty());
+        }
+        continue;
+      }
+      const auto [first, fresh] =
+          of_switch.try_emplace(router.host_switch(h), row);
+      EXPECT_EQ(first->second, row) << "host " << h;
+    }
+    EXPECT_EQ(of_switch.size(), static_cast<std::size_t>(spec.switches));
+    EXPECT_EQ(cut_off.size(), mask == all_up ? 0u : 1u);
+    EXPECT_EQ(distinct.size(), of_switch.size() + cut_off.size());
+
+    // Host 0 leads its switch's solve; a mate reads the shared row as its
+    // own: every view names it, its own entry is masked, and its entry
+    // toward the lead is the one route byte to it.
+    std::uint16_t mate = 1;
+    while (t.host_uplink(mate).node.index != root) ++mate;
+    ASSERT_EQ(table.row(mate), table.row(0));
+    for (std::uint16_t d = 0; d < t.host_count(); ++d) {
+      if (d == mate) continue;
+      EXPECT_EQ(table.route(mate, d).src_host(), mate);
+    }
+    EXPECT_TRUE(table.row(mate)->route(mate, mate).empty());
+    const auto to_lead = table.route(mate, 0);
+    ASSERT_EQ(to_lead.header().size(), 1u);
+    EXPECT_EQ(to_lead.segment(0).front(), t.host_uplink(0).port);
+    EXPECT_EQ(to_lead.trunk_hops(), 0u);
+  }
+}
+
+TEST(GroupedSolve, CutOffSourceInAMixedGroupGetsAnEmptyRow) {
+  // One switch's hosts solved as a group while one of them is cut off: the
+  // usable ones are published the switch's row, the cut-off one a row of
+  // the same length whose every entry is empty.
+  itb::sim::Rng rng(7);
+  IrregularSpec spec;
+  spec.switches = 8;
+  spec.hosts_per_switch = 3;
+  const auto t = make_random_irregular(spec, rng);
+  const std::uint16_t cut = 5;
+  const auto up = t.host_uplink(cut);
+  std::vector<char> mask(t.link_count(), 1);
+  mask[*t.link_at(up.node, up.port)] = 0;
+  const UpDown ud(t, t.host_uplink(0).node.index, mask);
+  const Router r(ud);
+  std::vector<std::uint16_t> group, usable;
+  for (std::uint16_t h = 0; h < t.host_count(); ++h)
+    if (t.host_uplink(h).node == up.node) {
+      group.push_back(h);
+      if (h != cut) usable.push_back(h);
+    }
+  ASSERT_EQ(group.size(), 3u);
+  RouteRow row;
+  Router::Scratch scratch;
+  std::vector<std::pair<RouteRow, std::vector<std::uint16_t>>> published;
+  r.routes_from(group, Policy::kItb, 2, row, scratch,
+                [&](const RouteRow& one, std::span<const std::uint16_t> held) {
+                  published.emplace_back(one, std::vector<std::uint16_t>(
+                                                  held.begin(), held.end()));
+                });
+  ASSERT_EQ(published.size(), 2u);
+  const auto& [shared, holders] = published[0];
+  const auto& [empty, cut_off] = published[1];
+  EXPECT_EQ(holders, usable);
+  EXPECT_EQ(cut_off, std::vector<std::uint16_t>{cut});
+  ASSERT_EQ(empty.size(), t.host_count());
+  for (std::uint16_t d = 0; d < t.host_count(); ++d) {
+    EXPECT_TRUE(empty.route(cut, d).empty()) << d;
+    if (d != usable[0]) {
+      EXPECT_EQ(shared.route(usable[0], d).empty(), d == cut) << d;
+    }
+  }
+  EXPECT_TRUE(empty.stored_hosts().empty());
+  EXPECT_TRUE(empty.stored_channels().empty());
+}
+
 TEST(GroupedSolve, SourcesOnSeveralSwitchesAreRefused) {
   const auto t = make_fig1_network();
   const UpDown ud(t);
@@ -839,8 +951,9 @@ TEST(GroupedSolve, SourcesOnSeveralSwitchesAreRefused) {
   RouteRow row;
   Router::Scratch scratch;
   const std::uint16_t two_switches[] = {0, 1};
-  EXPECT_THROW(router.routes_from(two_switches, Policy::kItb, 2, row, scratch,
-                                  [](const RouteRow&) {}),
+  EXPECT_THROW(router.routes_from(
+                   two_switches, Policy::kItb, 2, row, scratch,
+                   [](const RouteRow&, std::span<const std::uint16_t>) {}),
                std::invalid_argument);
 }
 

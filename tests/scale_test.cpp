@@ -251,9 +251,9 @@ TEST(ParallelSolve, PerSourceRowsMatchPerPairRoutes) {
       if (s == d) continue;
       const auto pair = router.itb_route(s, d);
       const auto from_table = table.route(s, d);
-      EXPECT_EQ(from_table.segments(), pair.route(d).segments());
+      EXPECT_EQ(from_table.segments(), pair.route(s, d).segments());
       EXPECT_TRUE(std::ranges::equal(from_table.in_transit_hosts(),
-                                     pair.route(d).in_transit_hosts()));
+                                     pair.route(s, d).in_transit_hosts()));
     }
 }
 
@@ -286,14 +286,15 @@ TEST(ZeroAlloc, RouteSearchStorageStaysBoundedByTheFrontier) {
     const std::uint16_t middle[] = {512};
     const auto solve = [&] {
       router.routes_from(middle, policy, 2, row, scratch,
-                         [](const routing::RouteRow&) {});
+                         [](const routing::RouteRow&,
+                            std::span<const std::uint16_t>) {});
     };
     auto before = sim::total_allocations();
     solve();
     const auto cold = sim::total_allocations() - before;
     EXPECT_LE(cold, 128u) << to_string(policy);
-    EXPECT_EQ(row.route(0).trunk_hops(), 512u);
-    EXPECT_EQ(row.route(1023).trunk_hops(), 511u);
+    EXPECT_EQ(row.route(512, 0).trunk_hops(), 512u);
+    EXPECT_EQ(row.route(512, 1023).trunk_hops(), 511u);
     before = sim::total_allocations();
     solve();
     EXPECT_EQ(sim::total_allocations() - before, 0u) << to_string(policy);
