@@ -217,8 +217,7 @@ TxHandle Network::inject(std::uint16_t host, packet::Bytes bytes,
   w->held.clear();
   w->waiting_on.reset();
   w->waiting_lane = 0;
-  w->lane_state =
-      LaneState{lane_policy_ ? lane_policy_->injection_lane(host) : 0, 0};
+  w->lane_state = LaneState{injection_lane(host), 0};
   w->tail_time = -1;
   w->rx_started = false;
   w->tx_signaled = false;

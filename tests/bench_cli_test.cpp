@@ -211,7 +211,7 @@ TEST(BenchCli, MisspelledNoVerifyExitsTwo) {
 }
 
 TEST(BenchCli, NonNumericRepsExitsTwo) {
-  Harness h("engine_throughput", bench::kJson);
+  Harness h("fig7_code_overhead", kFig7);
   int reps = 3;
   h.cli.number("--reps", &reps, 1, 1000);
   EXPECT_USAGE_EXIT(parse(h, {"--reps", "x"}), "--reps: 'x' is not a number");

@@ -150,9 +150,10 @@ TEST(LaneLadder, LaneSequenceIsMonotoneAndMatchesSegmentCount) {
         const auto lanes = engine::trunk_lanes(*eng, r);
         for (std::size_t i = 1; i < lanes.size(); ++i)
           EXPECT_LE(lanes[i - 1], lanes[i]);
-        if (!lanes.empty())
+        if (!lanes.empty()) {
           EXPECT_EQ(lanes.back() + 1u,
                     router.updown_segments(r.trunk_channels()));
+        }
       }
   }
 }

@@ -211,9 +211,8 @@ TEST(FlatFifo, RandomizedAgainstDeque) {
 
 // ---------------------------------------------------------------------------
 // Zero-allocation steady state: after warmup, the pooled network hot path
-// must not touch the heap at all. This is the test-level version of the
-// engine_throughput bench's oracle (skipped under sanitizers, where the
-// counting allocator is compiled out).
+// must not touch the heap at all. This is the only check of that claim
+// (skipped under sanitizers, where the counting allocator is compiled out).
 
 /// Closed-loop source: every delivery re-injects the same buffer.
 class RecyclingHost final : public net::HostHooks {
