@@ -101,8 +101,9 @@ void validation_run(std::uint64_t seed, bench::Harness& h) {
   h.report.add_scalar("validation_accepted_msgs_per_s",
                       r.accepted_msgs_per_s_per_host);
   h.report.add_histogram("message_latency", "best_spread", r.latency_hist);
-  h.report.add_counters("best_spread", cluster.telemetry().registry());
-  h.report.add_series("best_spread", cluster.telemetry().sampler());
+  h.report.add_counters("best_spread",
+                        cluster.telemetry().registry().snapshot());
+  h.report.add_series("best_spread", cluster.telemetry().sampler().series());
   if (cluster.flight()) h.add_recording(cluster.flight()->snapshot());
   if (h.watchdog) h.liveness = cluster.health()->verdict();
 }

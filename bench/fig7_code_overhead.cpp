@@ -95,10 +95,10 @@ int main(int argc, char** argv) {
   report.add_scalar("average_delta_ns", avg_delta);
   report.add_scalar("maximum_delta_ns", max_delta);
   if (h.json) {
-    report.add_counters("orig", orig->telemetry().registry());
-    report.add_counters("mod", mod->telemetry().registry());
-    report.add_series("orig", orig->telemetry().sampler());
-    report.add_series("mod", mod->telemetry().sampler());
+    report.add_counters("orig", orig->telemetry().registry().snapshot());
+    report.add_counters("mod", mod->telemetry().registry().snapshot());
+    report.add_series("orig", orig->telemetry().sampler().series());
+    report.add_series("mod", mod->telemetry().sampler().series());
   }
   return h.finish();
 }

@@ -93,9 +93,10 @@ void Cli::text(std::string name, std::optional<std::string>* out) {
 }
 
 void Cli::positional(std::string name, double* out, double lo, double hi) {
-  positional_ = Spec{std::move(name), "", [out, lo, hi](std::string_view v) {
-    *out = parse_number(v, lo, hi);
-  }};
+  positionals_.push_back(
+      Spec{std::move(name), "", [out, lo, hi](std::string_view v) {
+        *out = parse_number(v, lo, hi);
+      }});
 }
 
 std::uint64_t Cli::parse_integer(std::string_view v, std::uint64_t lo,
@@ -104,14 +105,13 @@ std::uint64_t Cli::parse_integer(std::string_view v, std::uint64_t lo,
 }
 
 void Cli::parse(int argc, const char* const* argv) const {
-  bool positional_seen = false;
+  std::size_t positionals_seen = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (!arg.starts_with("--")) {
-      if (!positional_ || positional_seen)
+      if (positionals_seen == positionals_.size())
         bad("unexpected argument '" + std::string(arg) + "'");
-      positional_->set(arg);
-      positional_seen = true;
+      positionals_[positionals_seen++].set(arg);
       continue;
     }
     const auto eq = arg.find('=');
@@ -147,7 +147,7 @@ std::string Cli::usage(std::string_view program) const {
     if (s.metavar) u += std::string(" ") + s.metavar;
     u += "]";
   }
-  if (positional_) u += " [" + positional_->name + "]";
+  for (const auto& p : positionals_) u += " [" + p.name + "]";
   return u;
 }
 

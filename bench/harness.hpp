@@ -55,13 +55,16 @@ class Cli {
   template <std::integral T>
   void number(std::string name, T* out, T lo,
               T hi = std::numeric_limits<T>::max()) {
-    add(std::move(name), "N", [out, lo, hi](std::string_view v) {
-      *out = static_cast<T>(parse_integer(v, static_cast<std::uint64_t>(lo),
-                                          static_cast<std::uint64_t>(hi)));
-    });
+    add(std::move(name), "N", integer(out, lo, hi));
   }
-  /// One optional positional number in [lo, hi].
+  /// Optional positional arguments, filled in the order they are declared:
+  /// a number in [lo, hi], or a decimal integer in [lo, hi] with lo >= 0.
   void positional(std::string name, double* out, double lo, double hi);
+  template <std::integral T>
+  void positional(std::string name, T* out, T lo,
+                  T hi = std::numeric_limits<T>::max()) {
+    positionals_.push_back(Spec{std::move(name), "", integer(out, lo, hi)});
+  }
 
   void parse(int argc, const char* const* argv) const;
 
@@ -80,9 +83,16 @@ class Cli {
   };
   void add(std::string name, const char* metavar,
            std::function<void(std::string_view)> set);
+  template <std::integral T>
+  static auto integer(T* out, T lo, T hi) {
+    return [out, lo, hi](std::string_view v) {
+      *out = static_cast<T>(parse_integer(v, static_cast<std::uint64_t>(lo),
+                                          static_cast<std::uint64_t>(hi)));
+    };
+  }
 
   std::vector<Spec> flags_;
-  std::optional<Spec> positional_;
+  std::vector<Spec> positionals_;
 };
 
 /// The shared flags, the report and the per-point results a bench merges,

@@ -122,9 +122,10 @@ PointOutput run_point(const PointSpec& ps, bool watchdog,
     endpoints.push_back(
         std::make_unique<svc::RpcEndpoint>(cluster.queue(), *port, ec));
     eps.push_back(endpoints.back().get());
-    if (ps.sample)
-      endpoints.back()->register_metrics(cluster.telemetry().registry());
   }
+  if (ps.sample)
+    cluster.telemetry().registry().add(
+        svc::RpcEndpoint::metric_table(endpoints));
 
   svc::OpenLoopConfig lc;
   lc.arrivals.gaps = workload::GapLaw::kLognormal;

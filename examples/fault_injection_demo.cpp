@@ -4,15 +4,20 @@
 //
 //   $ ./fault_injection_demo [drop%] [corrupt%]
 #include <cstdio>
-#include <cstdlib>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/topo/builders.hpp"
 
 int main(int argc, char** argv) {
   using namespace itb;
-  const double drop = (argc > 1 ? std::atof(argv[1]) : 15.0) / 100.0;
-  const double corrupt = (argc > 2 ? std::atof(argv[2]) : 5.0) / 100.0;
+  bench::Harness h("fault_injection_demo", 0);
+  double drop_percent = 15.0, corrupt_percent = 5.0;
+  h.cli.positional("drop%", &drop_percent, 0, 100);
+  h.cli.positional("corrupt%", &corrupt_percent, 0, 100);
+  h.parse(argc, argv);
+  const double drop = drop_percent / 100.0;
+  const double corrupt = corrupt_percent / 100.0;
 
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
@@ -44,7 +49,9 @@ int main(int argc, char** argv) {
     while (next < kMessages &&
            c.port(4).send(1, packet::Bytes(1500, static_cast<std::uint8_t>(next))))
       ++next;
-    if (next < kMessages) c.queue().schedule_in(100 * sim::kUs, feed);
+    // Once GM declares the connection dead every send fails: stop feeding.
+    if (next < kMessages && c.port(4).stats().send_failures == 0)
+      c.queue().schedule_in(100 * sim::kUs, feed);
   };
   feed();
   c.run();

@@ -12,8 +12,8 @@
 //   * the ITB-hop split (detect / wait / dma) behind the ~1.3 us figure,
 //   * the measured per-ITB overhead at this payload size.
 #include <cstdio>
-#include <cstdlib>
 
+#include "harness.hpp"
 #include "itb/core/experiments.hpp"
 #include "itb/flight/recorder.hpp"
 #include "itb/flight/timeline.hpp"
@@ -51,8 +51,11 @@ double mean_ns(const flight::WormTimeline& tl,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t payload =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 256;
+  bench::Harness h("latency_breakdown", 0);
+  std::size_t payload = 256;
+  h.cli.positional("payload_bytes", &payload, std::size_t{1},
+                   std::size_t{1} << 20);
+  h.parse(argc, argv);
 
   auto ud = run_path(/*itb_path=*/false, payload);
   auto itb = run_path(/*itb_path=*/true, payload);

@@ -4,8 +4,8 @@
 //
 //   $ ./mapper_demo [seed]
 #include <cstdio>
-#include <cstdlib>
 
+#include "harness.hpp"
 #include "itb/mapper/mapper.hpp"
 #include "itb/routing/paths.hpp"
 #include "itb/sim/rng.hpp"
@@ -14,7 +14,10 @@
 int main(int argc, char** argv) {
   using namespace itb;
 
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  bench::Harness h("mapper_demo", 0);
+  std::uint64_t seed = 7;
+  h.cli.positional("seed", &seed, std::uint64_t{0});
+  h.parse(argc, argv);
   sim::Rng rng(seed);
   topo::IrregularSpec spec;
   spec.switches = 12;

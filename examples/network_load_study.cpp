@@ -4,8 +4,8 @@
 //
 //   $ ./network_load_study [seed]
 #include <cstdio>
-#include <cstdlib>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/workload/load.hpp"
 
@@ -24,7 +24,10 @@ topo::Topology make_fabric(std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 3;
+  bench::Harness h("network_load_study", 0);
+  std::uint64_t seed = 3;
+  h.cli.positional("seed", &seed, std::uint64_t{0});
+  h.parse(argc, argv);
 
   std::printf("16-switch irregular COW, 64 hosts, uniform 512 B traffic\n\n");
   std::printf("%10s | %22s | %22s\n", "", "up*/down*", "UD+ITB");

@@ -106,55 +106,37 @@ void Cluster::wire_telemetry() {
   telemetry_ = std::make_unique<telemetry::Telemetry>(
       queue_, config_.telemetry_sample_period);
   auto& reg = telemetry_->registry();
-  network_->register_metrics(reg);
-  for (auto& nic : nics_) nic->register_metrics(reg);
-  for (auto& port : gm_ports_) port->register_metrics(reg);
-  if (fault_injector_) fault_injector_->register_metrics(reg);
-  if (recovery_) recovery_->register_metrics(reg);
-  if (watchdog_) watchdog_->register_metrics(reg);
-  if (flight_) flight_->register_metrics(reg);
+  reg.add(network_->metric_table());
+  const auto& channels = reg.add(network_->busy_table(/*lanes=*/false));
+  const auto& lanes = reg.add(network_->busy_table(/*lanes=*/true));
+  const auto& nics = reg.add(nic::Nic::metric_table(nics_));
+  const auto& ports = reg.add(gm::GmPort::metric_table(gm_ports_));
+  if (fault_injector_) reg.add(fault_injector_->metric_table());
+  if (recovery_) {
+    reg.add(recovery_->fault_table());
+    reg.add(recovery_->metric_table());
+  }
+  if (watchdog_) {
+    reg.add(watchdog_->metric_table());
+    reg.add(watchdog_->nic_table());
+  }
+  if (flight_) reg.add(flight_->metric_table());
 
-  // Default sampler probes (see the telemetry() doc comment in the header).
+  // Default sampler series (see the telemetry() doc comment in the header).
+  // Lane slots are labelled channel * lanes + lane, like the network's; a
+  // single-lane network has none.
   auto& s = telemetry_->sampler();
   using Mode = telemetry::Sampler::Mode;
-  const auto channels = config_.topology.link_count() * 2;
-  for (std::size_t c = 0; c < channels; ++c)
-    s.add_probe("channel_utilization",
-                telemetry::Labels{.host = -1, .channel = static_cast<int>(c)},
-                Mode::kRate, [net = network_.get(), c] {
-                  return static_cast<double>(net->channel_busy_ns()[c]);
-                });
-  // Per-lane busy fractions when a multi-lane engine is active (channel
-  // label = channel * lanes + lane, matching the network's slot indexing).
-  if (network_->lane_count() > 1)
-    for (std::size_t slot = 0; slot < channels * network_->lane_count(); ++slot)
-      s.add_probe(
-          "lane_utilization",
-          telemetry::Labels{.host = -1, .channel = static_cast<int>(slot)},
-          Mode::kRate, [net = network_.get(), slot] {
-            return static_cast<double>(net->lane_busy_ns()[slot]);
-          });
-  for (std::uint16_t h = 0; h < host_count(); ++h) {
-    const telemetry::Labels labels{.host = h, .channel = -1};
-    auto* nic = nics_[h].get();
-    auto* port = gm_ports_[h].get();
-    s.add_probe("itb_pending_depth", labels, Mode::kLevel, [nic] {
-      return static_cast<double>(nic->itb_pending_depth());
-    });
-    s.add_probe("send_dma_utilization", labels, Mode::kRate, [nic] {
-      return static_cast<double>(nic->send_dma_busy_ns());
-    });
-    s.add_probe("rx_buffer_utilization", labels, Mode::kRate, [nic] {
-      return static_cast<double>(nic->rx_busy_ns());
-    });
-    s.add_probe("gm_tokens_in_use", labels, Mode::kLevel, [port] {
-      return static_cast<double>(port->tokens_in_use());
-    });
-    s.add_probe(
-        "gm_retransmit_per_s", labels, Mode::kRate,
-        [port] { return static_cast<double>(port->stats().retransmissions); },
-        /*scale=*/1e9);
-  }
+  s.add_series({{"channel_utilization", &channels, "channel_busy_ns",
+                 Mode::kRate}});
+  s.add_series({{"lane_utilization", &lanes, "lane_busy_ns", Mode::kRate}});
+  const auto& pending = s.own(nic::Nic::pending_table(nics_));
+  s.add_series(
+      {{"itb_pending_depth", &pending, "itb_pending_depth", Mode::kLevel},
+       {"send_dma_utilization", &nics, "send_dma_busy_ns", Mode::kRate},
+       {"rx_buffer_utilization", &nics, "rx_busy_ns", Mode::kRate},
+       {"gm_tokens_in_use", &ports, "tokens_in_use", Mode::kLevel},
+       {"gm_retransmit_per_s", &ports, "retransmissions", Mode::kRate, 1e9}});
 }
 
 bool Cluster::routes_deadlock_free() const {

@@ -57,17 +57,18 @@ struct ClusterConfig {
   bool auto_remap = true;
   /// Detection time from the first unabsorbed topology event to the remap
   /// recompute firing (the recompute itself is charged per probe/source —
-  /// see RecoveryTuning).
+  /// see fault/recovery.cpp).
   sim::Duration remap_delay = 500 * sim::kUs;
   /// Incremental recovery engine tuning (scoped re-probe, table patching,
   /// flap quarantine, verify-against-full).
   fault::RecoveryTuning recovery;
   /// Host that runs the mapper.
   std::uint16_t mapper_root_host = 0;
-  /// Threads for the mapper's per-source route solves (0 = hardware
-  /// concurrency). The table is bit-identical for any value; the default
-  /// stays serial so clusters built inside parallel sweep workers do not
-  /// oversubscribe. The scale bench raises it for thousand-host fabrics.
+  /// Threads for the mapper's route solve, one search per source switch
+  /// (0 = hardware concurrency). The table is bit-identical for any value;
+  /// the default stays serial so clusters built inside parallel sweep
+  /// workers do not oversubscribe. The scale bench raises it for
+  /// thousand-host fabrics.
   unsigned route_solve_jobs = 1;
   /// Which host on a switch takes in-transit duty (kSpread balances the
   /// forwarding load across a switch's hosts).
@@ -104,16 +105,17 @@ class Cluster {
   sim::EventQueue& queue() { return queue_; }
   net::Network& network() { return *network_; }
 
-  /// Observability bundle: every layer's counters in one registry plus the
-  /// periodic sampler. `telemetry().start_sampling()` arms time-series
-  /// collection; `telemetry().write_json(path)` dumps everything.
-  /// Default sampler probes (all labelled by host/channel index):
-  ///   channel_utilization  — per directed channel, busy fraction per tick
+  /// Observability bundle: one metric table per component family (sim,
+  /// net, nic, gm, and fault, recovery, health, flight when built) plus the
+  /// periodic sampler. `telemetry().start_sampling()` arms time series;
+  /// `telemetry().write_json(path)` dumps everything. Default series:
+  ///   channel_utilization  — per channel, rate of net.channel_busy_ns
+  ///   lane_utilization     — per lane slot, rate of net.lane_busy_ns
   ///   itb_pending_depth    — per host, ITB packets waiting for send DMA
-  ///   send_dma_utilization — per host, send DMA busy fraction
-  ///   rx_buffer_utilization— per host, >= 1 receive buffer held fraction
-  ///   gm_tokens_in_use     — per host, send tokens outstanding
-  ///   gm_retransmit_per_s  — per host, GM retransmissions per second
+  ///   send_dma_utilization — per host, rate of nic.send_dma_busy_ns
+  ///   rx_buffer_utilization— per host, rate of nic.rx_busy_ns
+  ///   gm_tokens_in_use     — per host, gm.tokens_in_use
+  ///   gm_retransmit_per_s  — per host, 1e9 x rate of gm.retransmissions
   telemetry::Telemetry& telemetry() { return *telemetry_; }
   const telemetry::Telemetry& telemetry() const { return *telemetry_; }
   gm::GmPort& port(std::uint16_t host) { return *gm_ports_.at(host); }
@@ -174,8 +176,8 @@ class Cluster {
   // Declared after network_/nics_ (it reads both) and destroyed before
   // them; its destructor detaches the network's activity hook.
   std::unique_ptr<health::LivenessWatchdog> watchdog_;
-  // Last member: its registry sources and sampler probes point into the
-  // components above, so it must be destroyed first.
+  // Last member: its metric tables point into the components above, so it
+  // must be destroyed first.
   std::unique_ptr<telemetry::Telemetry> telemetry_;
 
   void wire_telemetry();

@@ -152,21 +152,23 @@ void FaultInjector::announce(const FaultWindow& w) {
   for (const auto& fn : listeners_) fn(queue_.now(), w);
 }
 
-void FaultInjector::register_metrics(telemetry::MetricRegistry& registry) const {
-  auto counter = [&registry](const char* name, const std::uint64_t& field) {
-    registry.register_source("fault", name, telemetry::MetricKind::kCounter,
-                             [&field] { return static_cast<double>(field); });
+std::unique_ptr<telemetry::MetricTable> FaultInjector::metric_table() const {
+  using enum telemetry::MetricKind;
+  using telemetry::stat;
+  using F = FaultInjector;
+  using S = FaultStats;
+  static constexpr telemetry::Field<F> kFields[] = {
+      {"windows_opened", kCounter, stat<F, &S::windows_opened>},
+      {"windows_closed", kCounter, stat<F, &S::windows_closed>},
+      {"lost_drop", kCounter, stat<F, &S::lost_drop>},
+      {"corrupted", kCounter, stat<F, &S::corrupted>},
+      {"lost_link_down", kCounter, stat<F, &S::lost_link_down>},
+      {"lost_switch_down", kCounter, stat<F, &S::lost_switch_down>},
+      {"lost_host_down", kCounter, stat<F, &S::lost_host_down>},
+      {"active_windows", kGauge,
+       [](const F& f) { return double(f.active_windows()); }},
   };
-  counter("windows_opened", stats_.windows_opened);
-  counter("windows_closed", stats_.windows_closed);
-  counter("lost_drop", stats_.lost_drop);
-  counter("corrupted", stats_.corrupted);
-  counter("lost_link_down", stats_.lost_link_down);
-  counter("lost_switch_down", stats_.lost_switch_down);
-  counter("lost_host_down", stats_.lost_host_down);
-  registry.register_source(
-      "fault", "active_windows", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(active_windows_); });
+  return telemetry::make_table("fault", kFields, *this);
 }
 
 }  // namespace itb::fault

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "itb/fault/fault.hpp"
@@ -68,8 +69,8 @@ class FaultInjector final : public net::FaultHook {
     return effective_down_[link] > 0;
   }
 
-  /// Publish FaultStats + active_windows under component "fault".
-  void register_metrics(telemetry::MetricRegistry& registry) const;
+  /// Metric table "fault": the FaultStats counters and active_windows.
+  std::unique_ptr<telemetry::MetricTable> metric_table() const;
 
  private:
   void open_window(const FaultWindow& w);

@@ -4,6 +4,26 @@
 #include <cmath>
 
 namespace itb::fault {
+namespace {
+
+// The modelled cost charged between the coalesced fire and the table
+// install: kProbeCost per probe actually sent plus kPerSourceCost per
+// source re-solved. This is what makes scoped recovery FASTER in sim time,
+// not just in host CPU.
+constexpr sim::Duration kProbeCost = 1 * sim::kUs;
+constexpr sim::Duration kPerSourceCost = 2 * sim::kUs;
+
+// Flap quarantine: >= kFlapThreshold usability transitions of one link
+// within kFlapWindow park it for kQuarantineBase * kQuarantineBackoff^level
+// (capped at kQuarantineMax); a link that stays quiet for kFlapWindow after
+// its last transition resets its backoff level.
+constexpr int kFlapThreshold = 4;
+constexpr sim::Duration kFlapWindow = 5 * sim::kMs;
+constexpr sim::Duration kQuarantineBase = 2 * sim::kMs;
+constexpr double kQuarantineBackoff = 2.0;
+constexpr sim::Duration kQuarantineMax = 50 * sim::kMs;
+
+}  // namespace
 
 RecoveryManager::RecoveryManager(sim::EventQueue& queue,
                                  const topo::Topology& fabric,
@@ -54,24 +74,24 @@ void RecoveryManager::on_topology_event(sim::Time t, const FaultWindow& w) {
 
 void RecoveryManager::note_flap(topo::LinkId link, sim::Time t) {
   auto& f = flap_[link];
-  if (t - f.window_start > config_.tuning.flap_window) {
+  if (t - f.window_start > kFlapWindow) {
     f.window_start = t;
     f.transitions = 0;
   }
   ++f.transitions;
   f.last_transition = t;
-  if (f.quarantined || f.transitions < config_.tuning.flap_threshold) return;
+  if (f.quarantined || f.transitions < kFlapThreshold) return;
 
   // Quarantine: park the link (masked down for routing regardless of its
   // real state) with exponential backoff on repeat offenders.
   f.quarantined = true;
   ++stats_.flaps_quarantined;
   const double scale =
-      std::pow(config_.tuning.quarantine_backoff, f.backoff_level);
+      std::pow(kQuarantineBackoff, f.backoff_level);
   ++f.backoff_level;
   const auto dur = static_cast<sim::Duration>(std::min(
-      static_cast<double>(config_.tuning.quarantine_max),
-      static_cast<double>(config_.tuning.quarantine_base) * scale));
+      static_cast<double>(kQuarantineMax),
+      static_cast<double>(kQuarantineBase) * scale));
   queue_.schedule_in(dur, [this, link] { requalify(link); });
 }
 
@@ -79,7 +99,7 @@ void RecoveryManager::requalify(topo::LinkId link) {
   auto& f = flap_[link];
   f.quarantined = false;
   // Quiet through the whole quarantine -> first offence pricing again.
-  if (queue_.now() - f.last_transition >= config_.tuning.flap_window)
+  if (queue_.now() - f.last_transition >= kFlapWindow)
     f.backoff_level = 0;
   note_dirty(link);
   arm(queue_.now());
@@ -230,8 +250,8 @@ void RecoveryManager::fire() {
 
   // The modelled recompute/download time: scoped rounds install sooner.
   const auto cost = static_cast<sim::Duration>(
-      config_.tuning.probe_cost * round_info_.probes +
-      config_.tuning.per_source_cost * sources_resolved);
+      kProbeCost * round_info_.probes +
+      kPerSourceCost * sources_resolved);
   queue_.schedule_in(cost, [this] { install(); });
 }
 
@@ -264,44 +284,47 @@ void RecoveryManager::install() {
   }
 }
 
-void RecoveryManager::register_metrics(
-    telemetry::MetricRegistry& registry) const {
-  auto counter = [&registry](const char* name, const std::uint64_t& field) {
-    registry.register_source("fault", name, telemetry::MetricKind::kCounter,
-                             [&field] { return static_cast<double>(field); });
+std::unique_ptr<telemetry::MetricTable> RecoveryManager::fault_table() const {
+  using enum telemetry::MetricKind;
+  using telemetry::stat;
+  using R = RecoveryManager;
+  static constexpr telemetry::Field<R> kFields[] = {
+      {"remaps", kCounter, stat<R, &Stats::remaps>},
+      {"failed_remaps", kCounter, stat<R, &Stats::failed_remaps>},
+      {"recovery_latency_p50_ns", kGauge,
+       [](const R& r) {
+         return r.latency_.empty() ? 0.0 : r.latency_.percentile(50);
+       }},
+      {"recovery_latency_p99_ns", kGauge,
+       [](const R& r) {
+         return r.latency_.empty() ? 0.0 : r.latency_.percentile(99);
+       }},
+      {"recovery_latency_max_ns", kGauge,
+       [](const R& r) { return double(r.latency_.max()); }},
+      {"unreachable_hosts", kGauge, stat<R, &Stats::unreachable_hosts>},
   };
-  counter("remaps", stats_.remaps);
-  counter("failed_remaps", stats_.failed_remaps);
-  auto gauge = [&registry, this](const char* name, auto fn) {
-    registry.register_source("fault", name, telemetry::MetricKind::kGauge,
-                             std::move(fn));
-  };
-  gauge("recovery_latency_p50_ns",
-        [this] { return latency_.empty() ? 0.0 : latency_.percentile(50); });
-  gauge("recovery_latency_p99_ns",
-        [this] { return latency_.empty() ? 0.0 : latency_.percentile(99); });
-  gauge("recovery_latency_max_ns",
-        [this] { return static_cast<double>(latency_.max()); });
-  gauge("unreachable_hosts",
-        [this] { return static_cast<double>(stats_.unreachable_hosts); });
+  return telemetry::make_table("fault", kFields, *this);
+}
 
-  // The incremental machinery reports under its own component.
-  auto rcounter = [&registry](const char* name, const std::uint64_t& field) {
-    registry.register_source("recovery", name, telemetry::MetricKind::kCounter,
-                             [&field] { return static_cast<double>(field); });
+std::unique_ptr<telemetry::MetricTable> RecoveryManager::metric_table() const {
+  using enum telemetry::MetricKind;
+  using telemetry::stat;
+  using R = RecoveryManager;
+  static constexpr telemetry::Field<R> kFields[] = {
+      {"scoped_probes", kCounter, stat<R, &Stats::scoped_probes>},
+      {"full_probe_equiv", kCounter, stat<R, &Stats::full_probe_equiv>},
+      {"sources_patched", kCounter, stat<R, &Stats::sources_patched>},
+      {"sources_total", kCounter, stat<R, &Stats::sources_total>},
+      {"flaps_quarantined", kCounter, stat<R, &Stats::flaps_quarantined>},
+      {"coalesced_events", kCounter, stat<R, &Stats::coalesced_events>},
+      {"full_resolves", kCounter, stat<R, &Stats::full_resolves>},
+      {"patch_rounds", kCounter, stat<R, &Stats::patch_rounds>},
+      {"overflow_full_resolves", kCounter,
+       stat<R, &Stats::overflow_full_resolves>},
+      {"verify_fallbacks", kCounter, stat<R, &Stats::verify_fallbacks>},
+      {"epoch", kGauge, [](const R& r) { return double(r.epoch()); }},
   };
-  rcounter("scoped_probes", stats_.scoped_probes);
-  rcounter("full_probe_equiv", stats_.full_probe_equiv);
-  rcounter("sources_patched", stats_.sources_patched);
-  rcounter("sources_total", stats_.sources_total);
-  rcounter("flaps_quarantined", stats_.flaps_quarantined);
-  rcounter("coalesced_events", stats_.coalesced_events);
-  rcounter("full_resolves", stats_.full_resolves);
-  rcounter("patch_rounds", stats_.patch_rounds);
-  rcounter("overflow_full_resolves", stats_.overflow_full_resolves);
-  rcounter("verify_fallbacks", stats_.verify_fallbacks);
-  registry.register_source("recovery", "epoch", telemetry::MetricKind::kGauge,
-                           [this] { return static_cast<double>(epoch_); });
+  return telemetry::make_table("recovery", kFields, *this);
 }
 
 }  // namespace itb::fault

@@ -48,9 +48,8 @@
 
 namespace itb::fault {
 
-/// Tuning for the incremental recovery engine. Defaults are sized for the
-/// microsecond-scale fabrics the benches run; everything is overridable per
-/// cluster.
+/// Tuning for the incremental recovery engine. The modelled recompute cost
+/// and the flap-quarantine timing are fixed constants of recovery.cpp.
 struct RecoveryTuning {
   /// Master switch: false = PR 3 behaviour (full solve every round) while
   /// keeping the new coalescing/quarantine/epoch machinery.
@@ -61,23 +60,6 @@ struct RecoveryTuning {
   /// full table (counted). The safety net the tests and the bench run
   /// with — fallbacks must stay 0.
   bool verify_patches = false;
-
-  /// Modelled cost charged between the coalesced fire and the table
-  /// install: probe_cost per probe actually sent plus per_source_cost per
-  /// source re-solved. This is what makes scoped recovery FASTER in sim
-  /// time, not just in host CPU.
-  sim::Duration probe_cost = 1 * sim::kUs;
-  sim::Duration per_source_cost = 2 * sim::kUs;
-
-  /// Flap quarantine: >= flap_threshold usability transitions of one link
-  /// within flap_window parks it for quarantine_base * backoff^level
-  /// (capped at quarantine_max); a link that stays quiet for flap_window
-  /// after its last transition resets its backoff level.
-  int flap_threshold = 4;
-  sim::Duration flap_window = 5 * sim::kMs;
-  sim::Duration quarantine_base = 2 * sim::kMs;
-  double quarantine_backoff = 2.0;
-  sim::Duration quarantine_max = 50 * sim::kMs;
 
   /// Bounded pending-change set (storm control): more distinct dirty links
   /// than this between rounds degrades the next round to one full
@@ -158,9 +140,11 @@ class RecoveryManager {
     return link < flap_.size() && flap_[link].quarantined;
   }
 
-  /// Publish remap counters + recovery-latency percentiles under "fault"
-  /// (PR 3 names) and the incremental gauges under "recovery".
-  void register_metrics(telemetry::MetricRegistry& registry) const;
+  /// Metric tables: remap counters and recovery-latency percentiles under
+  /// "fault" (their first names), the incremental machinery under
+  /// "recovery".
+  std::unique_ptr<telemetry::MetricTable> fault_table() const;
+  std::unique_ptr<telemetry::MetricTable> metric_table() const;
 
  private:
   enum class Phase : std::uint8_t { kIdle, kArmed, kComputing };

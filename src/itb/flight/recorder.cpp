@@ -85,17 +85,18 @@ void FlightRecorder::clear() {
   hash_ = kFingerprintSeed;
 }
 
-void FlightRecorder::register_metrics(
-    telemetry::MetricRegistry& registry) const {
-  registry.register_source(
-      "flight", "events_recorded", telemetry::MetricKind::kCounter,
-      [this] { return static_cast<double>(recorded_); });
-  registry.register_source(
-      "flight", "events_evicted", telemetry::MetricKind::kCounter,
-      [this] { return static_cast<double>(evicted_); });
-  registry.register_source(
-      "flight", "fingerprint_low32", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(hash_ & 0xffffffffull); });
+std::unique_ptr<telemetry::MetricTable> FlightRecorder::metric_table() const {
+  using enum telemetry::MetricKind;
+  using R = FlightRecorder;
+  static constexpr telemetry::Field<R> kFields[] = {
+      {"events_recorded", kCounter,
+       [](const R& r) { return double(r.recorded()); }},
+      {"events_evicted", kCounter,
+       [](const R& r) { return double(r.evicted()); }},
+      {"fingerprint_low32", kGauge,
+       [](const R& r) { return double(r.hash_ & 0xffffffffull); }},
+  };
+  return telemetry::make_table("flight", kFields, *this);
 }
 
 }  // namespace itb::flight

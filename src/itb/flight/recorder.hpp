@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -130,9 +131,8 @@ class FlightRecorder {
   /// Forget everything, including the fingerprint.
   void clear();
 
-  /// Publish recorded/evicted/fingerprint-low-bits under component
-  /// "flight" (callback-backed).
-  void register_metrics(telemetry::MetricRegistry& registry) const;
+  /// Metric table "flight": recorded, evicted, fingerprint low bits.
+  std::unique_ptr<telemetry::MetricTable> metric_table() const;
 
  private:
   std::vector<FlightEvent> ring_;  // fixed capacity, allocated up front

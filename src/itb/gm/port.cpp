@@ -344,27 +344,26 @@ void GmPort::on_send_complete(sim::Time, std::uint64_t) {
   // acknowledgement instead (reliable semantics), so nothing to do.
 }
 
-void GmPort::register_metrics(telemetry::MetricRegistry& registry) const {
-  const telemetry::Labels labels{.host = nic_.host(), .channel = -1};
-  auto source = [&registry, labels](const char* name,
-                                    const std::uint64_t& field) {
-    registry.register_source("gm", name, telemetry::MetricKind::kCounter,
-                             [&field] { return static_cast<double>(field); },
-                             labels);
+std::unique_ptr<telemetry::MetricTable> GmPort::metric_table(
+    std::span<const std::unique_ptr<GmPort>> ports) {
+  using enum telemetry::MetricKind;
+  using telemetry::stat;
+  using S = GmStats;
+  static constexpr telemetry::Field<GmPort> kFields[] = {
+      {"messages_sent", kCounter, stat<GmPort, &S::messages_sent>},
+      {"messages_delivered", kCounter, stat<GmPort, &S::messages_delivered>},
+      {"packets_data", kCounter, stat<GmPort, &S::packets_data>},
+      {"packets_ack", kCounter, stat<GmPort, &S::packets_ack>},
+      {"retransmissions", kCounter, stat<GmPort, &S::retransmissions>},
+      {"duplicates", kCounter, stat<GmPort, &S::duplicates>},
+      {"out_of_order", kCounter, stat<GmPort, &S::out_of_order>},
+      {"send_failures", kCounter, stat<GmPort, &S::send_failures>},
+      {"messages_failed", kCounter, stat<GmPort, &S::messages_failed>},
+      {"packets_unroutable", kCounter, stat<GmPort, &S::packets_unroutable>},
+      {"tokens_in_use", kGauge,
+       [](const GmPort& p) { return double(p.tokens_in_use()); }},
   };
-  source("messages_sent", stats_.messages_sent);
-  source("messages_delivered", stats_.messages_delivered);
-  source("packets_data", stats_.packets_data);
-  source("packets_ack", stats_.packets_ack);
-  source("retransmissions", stats_.retransmissions);
-  source("duplicates", stats_.duplicates);
-  source("out_of_order", stats_.out_of_order);
-  source("send_failures", stats_.send_failures);
-  source("messages_failed", stats_.messages_failed);
-  source("packets_unroutable", stats_.packets_unroutable);
-  registry.register_source(
-      "gm", "tokens_in_use", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(tokens_in_use_); }, labels);
+  return telemetry::make_table("gm", kFields, telemetry::by_host(ports));
 }
 
 }  // namespace itb::gm

@@ -20,6 +20,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "itb/gm/header.hpp"
@@ -102,9 +104,10 @@ class GmPort final : public nic::NicClient {
   const GmStats& stats() const { return stats_; }
   std::uint16_t host() const { return nic_.host(); }
 
-  /// Publish the GmStats counters and token occupancy under component "gm"
-  /// with this port's host label (callback-backed).
-  void register_metrics(telemetry::MetricRegistry& registry) const;
+  /// Metric table "gm" over `ports`, labelled by host and read in place:
+  /// the GmStats counters and token occupancy.
+  static std::unique_ptr<telemetry::MetricTable> metric_table(
+      std::span<const std::unique_ptr<GmPort>> ports);
 
   // --- nic::NicClient ----------------------------------------------------
   void on_message(sim::Time t, packet::PacketType type,

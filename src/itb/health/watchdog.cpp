@@ -205,30 +205,37 @@ LivenessVerdict LivenessWatchdog::verdict() const {
   return v;
 }
 
-void LivenessWatchdog::register_metrics(
-    telemetry::MetricRegistry& registry) const {
-  auto counter = [&registry](const char* name, const std::uint64_t& field) {
-    registry.register_source("health", name, telemetry::MetricKind::kCounter,
-                             [&field] { return static_cast<double>(field); });
+std::unique_ptr<telemetry::MetricTable> LivenessWatchdog::metric_table()
+    const {
+  using enum telemetry::MetricKind;
+  using telemetry::stat;
+  using W = LivenessWatchdog;
+  using S = HealthStats;
+  static constexpr telemetry::Field<W> kFields[] = {
+      {"checks", kCounter, stat<W, &S::checks>},
+      {"stalls_detected", kCounter, stat<W, &S::stalls_detected>},
+      {"buffer_deadlocks", kCounter, stat<W, &S::buffer_deadlocks>},
+      {"channel_deadlocks", kCounter, stat<W, &S::channel_deadlocks>},
+      {"fault_blackholes", kCounter, stat<W, &S::fault_blackholes>},
+      {"congestion_verdicts", kCounter, stat<W, &S::congestion_verdicts>},
+      {"pool_mode_switches", kCounter, stat<W, &S::pool_mode_switches>},
+      {"forced_ejections", kCounter, stat<W, &S::forced_ejections>},
+      {"recoveries", kCounter, stat<W, &S::recoveries>},
+      {"epoch", kGauge, [](const W& w) { return double(w.epoch()); }},
   };
-  counter("checks", stats_.checks);
-  counter("stalls_detected", stats_.stalls_detected);
-  counter("buffer_deadlocks", stats_.buffer_deadlocks);
-  counter("channel_deadlocks", stats_.channel_deadlocks);
-  counter("fault_blackholes", stats_.fault_blackholes);
-  counter("congestion_verdicts", stats_.congestion_verdicts);
-  counter("pool_mode_switches", stats_.pool_mode_switches);
-  counter("forced_ejections", stats_.forced_ejections);
-  counter("recoveries", stats_.recoveries);
-  registry.register_source("health", "epoch", telemetry::MetricKind::kGauge,
-                           [this] { return static_cast<double>(epoch_); });
-  for (std::size_t h = 0; h < nics_.size(); ++h) {
-    if (!nics_[h]) continue;
-    registry.register_source(
-        "health", "nic_epoch", telemetry::MetricKind::kGauge,
-        [this, h] { return static_cast<double>(nic_epochs_[h]); },
-        telemetry::Labels{.host = static_cast<int>(h), .channel = -1});
-  }
+  return telemetry::make_table("health", kFields, *this);
+}
+
+std::unique_ptr<telemetry::MetricTable> LivenessWatchdog::nic_table() const {
+  static constexpr telemetry::Field<std::uint64_t> kFields[] = {
+      {"nic_epoch", telemetry::MetricKind::kGauge,
+       [](const std::uint64_t& epoch) { return double(epoch); }}};
+  std::vector<telemetry::Instance<std::uint64_t>> instances;
+  for (std::size_t h = 0; h < nics_.size(); ++h)
+    if (nics_[h])
+      instances.push_back(
+          {&nic_epochs_[h], {.host = static_cast<int>(h), .channel = -1}});
+  return telemetry::make_table("health", kFields, std::move(instances));
 }
 
 }  // namespace itb::health

@@ -29,6 +29,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -119,8 +120,10 @@ class LivenessWatchdog {
   /// network on every injection; safe to call any time.
   void poke();
 
-  /// Publish HealthStats + progress epochs under component "health".
-  void register_metrics(telemetry::MetricRegistry& registry) const;
+  /// Metric tables under "health": the HealthStats counters and the global
+  /// epoch; nic_epoch per watched NIC, labelled by host.
+  std::unique_ptr<telemetry::MetricTable> metric_table() const;
+  std::unique_ptr<telemetry::MetricTable> nic_table() const;
 
  private:
   using Fingerprint = std::array<std::uint64_t, 4>;

@@ -554,39 +554,42 @@ void Network::finish_worm(Worm* w) {
   worm_pool_.release(w->self);
 }
 
-void Network::register_metrics(telemetry::MetricRegistry& registry) const {
-  auto source = [&registry, this](const char* name,
-                                  const std::uint64_t& field) {
-    registry.register_source("net", name, telemetry::MetricKind::kCounter,
-                             [&field] { return static_cast<double>(field); });
+std::unique_ptr<telemetry::MetricTable> Network::metric_table() const {
+  using enum telemetry::MetricKind;
+  using telemetry::stat;
+  using S = NetworkStats;
+  static constexpr telemetry::Field<Network> kFields[] = {
+      {"injected", kCounter, stat<Network, &S::injected>},
+      {"delivered", kCounter, stat<Network, &S::delivered>},
+      {"dropped", kCounter, stat<Network, &S::dropped>},
+      {"head_blocks", kCounter, stat<Network, &S::head_blocks>},
+      {"faults_injected", kCounter, stat<Network, &S::faults_injected>},
+      {"lost", kCounter, stat<Network, &S::lost>},
+      {"worm_pool_live", kGauge,
+       [](const Network& n) { return double(n.worm_pool_.live()); }},
+      {"worm_pool_high_water", kGauge,
+       [](const Network& n) { return double(n.worm_pool_.high_water()); }},
+      {"worm_pool_capacity", kGauge,
+       [](const Network& n) { return double(n.worm_pool_.capacity()); }},
   };
-  source("injected", stats_.injected);
-  source("delivered", stats_.delivered);
-  source("dropped", stats_.dropped);
-  source("head_blocks", stats_.head_blocks);
-  source("faults_injected", stats_.faults_injected);
-  source("lost", stats_.lost);
-  registry.register_source(
-      "net", "worm_pool_live", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(worm_pool_.live()); });
-  registry.register_source(
-      "net", "worm_pool_high_water", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(worm_pool_.high_water()); });
-  registry.register_source(
-      "net", "worm_pool_capacity", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(worm_pool_.capacity()); });
-  for (std::size_t c = 0; c < channel_busy_.size(); ++c)
-    registry.register_source(
-        "net", "channel_busy_ns", telemetry::MetricKind::kGauge,
-        [this, c] { return static_cast<double>(channel_busy_[c]); },
-        telemetry::Labels{.host = -1, .channel = static_cast<int>(c)});
-  // Per-lane occupancy (multi-lane engines only); the channel label is the
-  // channel-lane slot, phys = slot / lane_count, lane = slot % lane_count.
-  for (std::size_t s = 0; s < lane_busy_.size(); ++s)
-    registry.register_source(
-        "net", "lane_busy_ns", telemetry::MetricKind::kGauge,
-        [this, s] { return static_cast<double>(lane_busy_[s]); },
-        telemetry::Labels{.host = -1, .channel = static_cast<int>(s)});
+  return telemetry::make_table("net", kFields, *this);
+}
+
+std::unique_ptr<telemetry::MetricTable> Network::busy_table(bool lanes) const {
+  using D = sim::Duration;
+  static constexpr telemetry::Field<D> kChannel[] = {
+      {"channel_busy_ns", telemetry::MetricKind::kGauge,
+       [](const D& busy) { return double(busy); }}};
+  static constexpr telemetry::Field<D> kLane[] = {
+      {"lane_busy_ns", telemetry::MetricKind::kGauge,
+       [](const D& busy) { return double(busy); }}};
+  const auto& busy = lanes ? lane_busy_ : channel_busy_;
+  std::vector<telemetry::Instance<D>> instances;
+  instances.reserve(busy.size());
+  for (std::size_t c = 0; c < busy.size(); ++c)
+    instances.push_back({&busy[c], {-1, static_cast<int>(c)}});
+  return telemetry::make_table("net", lanes ? kLane : kChannel,
+                               std::move(instances));
 }
 
 }  // namespace itb::net

@@ -233,9 +233,13 @@ class Network {
     activity_hook_ = std::move(hook);
   }
 
-  /// Publish the NetworkStats counters and per-channel busy time under
-  /// component "net" (callback-backed: stats() stays the source of truth).
-  void register_metrics(telemetry::MetricRegistry& registry) const;
+  /// Metric tables under component "net", read in place (stats() stays the
+  /// source of truth): the NetworkStats counters and worm-pool gauges; and
+  /// channel_busy_ns per directed channel or, with `lanes`, lane_busy_ns
+  /// per lane slot (none on a single-lane network), labelled channel = the
+  /// index into channel_busy_ns() or lane_busy_ns().
+  std::unique_ptr<telemetry::MetricTable> metric_table() const;
+  std::unique_ptr<telemetry::MetricTable> busy_table(bool lanes) const;
 
   /// Snapshot of an in-flight reception, valid between on_rx_head and
   /// on_rx_complete at the destination NIC. The NIC uses it to set up a

@@ -104,43 +104,45 @@ sim::Duration Nic::rx_busy_ns() const {
   return rx_busy_ns_ + (rx_reserved_ > 0 ? queue_.now() - rx_busy_since_ : 0);
 }
 
-void Nic::register_metrics(telemetry::MetricRegistry& registry) const {
-  const telemetry::Labels labels{.host = host_, .channel = -1};
-  auto source = [&registry, labels](const char* name,
-                                    const std::uint64_t& field) {
-    registry.register_source("nic", name, telemetry::MetricKind::kCounter,
-                             [&field] { return static_cast<double>(field); },
-                             labels);
+std::unique_ptr<telemetry::MetricTable> Nic::metric_table(
+    std::span<const std::unique_ptr<Nic>> nics) {
+  using enum telemetry::MetricKind;
+  using telemetry::stat;
+  using S = NicStats;
+  static constexpr telemetry::Field<Nic> kFields[] = {
+      {"sent", kCounter, stat<Nic, &S::sent>},
+      {"received", kCounter, stat<Nic, &S::received>},
+      {"delivered_to_host", kCounter, stat<Nic, &S::delivered_to_host>},
+      {"itb_forwarded", kCounter, stat<Nic, &S::itb_forwarded>},
+      {"itb_pending_hits", kCounter, stat<Nic, &S::itb_pending_hits>},
+      {"dropped_no_buffer", kCounter, stat<Nic, &S::dropped_no_buffer>},
+      {"dropped_unroutable", kCounter, stat<Nic, &S::dropped_unroutable>},
+      {"resourced_sends", kCounter, stat<Nic, &S::resourced_sends>},
+      {"rx_unknown_type", kCounter, stat<Nic, &S::rx_unknown_type>},
+      {"rx_bad_crc", kCounter, stat<Nic, &S::rx_bad_crc>},
+      {"rx_aborted", kCounter, stat<Nic, &S::rx_aborted>},
+      {"mcp_busy_ns", kGauge,
+       [](const Nic& n) { return double(n.cpu_.busy_ns()); }},
+      {"mcp_jobs", kCounter,
+       [](const Nic& n) { return double(n.cpu_.jobs_executed()); }},
+      {"send_dma_busy_ns", kGauge,
+       [](const Nic& n) { return double(n.send_dma_busy_ns()); }},
+      {"rx_busy_ns", kGauge,
+       [](const Nic& n) { return double(n.rx_busy_ns()); }},
+      {"send_pool_high_water", kGauge,
+       [](const Nic& n) { return double(n.send_pool_.high_water()); }},
+      {"injection_lane", kGauge,
+       [](const Nic& n) { return double(n.injection_lane()); }},
   };
-  source("sent", stats_.sent);
-  source("received", stats_.received);
-  source("delivered_to_host", stats_.delivered_to_host);
-  source("itb_forwarded", stats_.itb_forwarded);
-  source("itb_pending_hits", stats_.itb_pending_hits);
-  source("dropped_no_buffer", stats_.dropped_no_buffer);
-  source("dropped_unroutable", stats_.dropped_unroutable);
-  source("resourced_sends", stats_.resourced_sends);
-  source("rx_unknown_type", stats_.rx_unknown_type);
-  source("rx_bad_crc", stats_.rx_bad_crc);
-  source("rx_aborted", stats_.rx_aborted);
-  registry.register_source(
-      "nic", "mcp_busy_ns", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(cpu_.busy_ns()); }, labels);
-  registry.register_source(
-      "nic", "mcp_jobs", telemetry::MetricKind::kCounter,
-      [this] { return static_cast<double>(cpu_.jobs_executed()); }, labels);
-  registry.register_source(
-      "nic", "send_dma_busy_ns", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(send_dma_busy_ns()); }, labels);
-  registry.register_source(
-      "nic", "rx_busy_ns", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(rx_busy_ns()); }, labels);
-  registry.register_source(
-      "nic", "send_pool_high_water", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(send_pool_.high_water()); }, labels);
-  registry.register_source(
-      "nic", "injection_lane", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(injection_lane()); }, labels);
+  return telemetry::make_table("nic", kFields, telemetry::by_host(nics));
+}
+
+std::unique_ptr<telemetry::MetricTable> Nic::pending_table(
+    std::span<const std::unique_ptr<Nic>> nics) {
+  static constexpr telemetry::Field<Nic> kFields[] = {
+      {"itb_pending_depth", telemetry::MetricKind::kGauge,
+       [](const Nic& n) { return double(n.itb_pending_depth()); }}};
+  return telemetry::make_table("nic", kFields, telemetry::by_host(nics));
 }
 
 void Nic::send_pump() {

@@ -189,9 +189,14 @@ class Nic final : public net::HostHooks {
   /// them. Returns true when the mode actually changed.
   bool enable_drop_when_full();
 
-  /// Publish the NicStats counters plus MCP busy time under component
-  /// "nic" with a host label (callback-backed).
-  void register_metrics(telemetry::MetricRegistry& registry) const;
+  /// Metric table "nic" over `nics`, labelled by host and read in place:
+  /// the NicStats counters, then MCP, DMA, receive and pool gauges.
+  static std::unique_ptr<telemetry::MetricTable> metric_table(
+      std::span<const std::unique_ptr<Nic>> nics);
+  /// Table "nic" of itb_pending_depth() over `nics`, for the sampler (no
+  /// snapshot exports it).
+  static std::unique_ptr<telemetry::MetricTable> pending_table(
+      std::span<const std::unique_ptr<Nic>> nics);
 
   // --- net::HostHooks ---------------------------------------------------
   void on_rx_head(sim::Time t, net::TxHandle h) override;

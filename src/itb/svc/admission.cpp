@@ -112,29 +112,4 @@ void AdmissionController::admit_from_queue() {
   }
 }
 
-void AdmissionController::register_metrics(telemetry::MetricRegistry& registry,
-                                           int host) const {
-  telemetry::Labels labels;
-  labels.host = host;
-  auto counter = [&](const char* name, const std::uint64_t* v) {
-    registry.register_source(
-        "svc", name, telemetry::MetricKind::kCounter,
-        [v] { return static_cast<double>(*v); }, labels);
-  };
-  counter("admission_offered", &stats_.offered);
-  counter("admission_immediate", &stats_.admitted_immediate);
-  counter("admission_from_queue", &stats_.admitted_from_queue);
-  counter("admission_queued", &stats_.queued);
-  counter("admission_rejected_full", &stats_.rejected_full);
-  counter("admission_evicted", &stats_.evicted);
-  counter("admission_departures", &stats_.departures);
-  counter("admission_first_fit_skips", &stats_.first_fit_skips);
-  registry.register_source(
-      "svc", "admission_tokens_free", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(tokens_free_); }, labels);
-  registry.register_source(
-      "svc", "admission_queue_depth", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(queue_depth()); }, labels);
-}
-
 }  // namespace itb::svc

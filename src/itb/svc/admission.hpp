@@ -25,7 +25,6 @@
 
 #include "itb/sim/event_queue.hpp"
 #include "itb/telemetry/histogram.hpp"
-#include "itb/telemetry/metrics.hpp"
 
 namespace itb::svc {
 
@@ -97,10 +96,6 @@ class AdmissionController {
   const telemetry::LatencyHistogram& wait_hist(Priority cls) const {
     return wait_hist_[static_cast<std::size_t>(cls)];
   }
-
-  /// Publish svc.admission_* counters/gauges under component "svc",
-  /// labelled with `host`.
-  void register_metrics(telemetry::MetricRegistry& registry, int host) const;
 
  private:
   struct Blocked {

@@ -166,24 +166,6 @@ void RpcServer::flush_sendq() {
   }
 }
 
-void RpcServer::register_metrics(telemetry::MetricRegistry& registry,
-                                 int host) const {
-  telemetry::Labels labels;
-  labels.host = host;
-  auto counter = [&](const char* name, const std::uint64_t* v) {
-    registry.register_source(
-        "svc", name, telemetry::MetricKind::kCounter,
-        [v] { return static_cast<double>(*v); }, labels);
-  };
-  counter("server_requests", &stats_.requests);
-  counter("server_responses", &stats_.responses_sent);
-  counter("server_rejects", &stats_.rejects_sent);
-  counter("server_send_retries", &stats_.send_retries);
-  counter("server_dead_peer_drops", &stats_.dead_peer_drops);
-  counter("server_malformed", &stats_.malformed);
-  admission_.register_metrics(registry, host);
-}
-
 // --- RpcClient -------------------------------------------------------------
 
 RpcClient::RpcClient(sim::EventQueue& queue, gm::GmPort& port,
@@ -325,35 +307,6 @@ void RpcClient::flush_sendq() {
   }
 }
 
-void RpcClient::register_metrics(telemetry::MetricRegistry& registry,
-                                 int host) const {
-  telemetry::Labels labels;
-  labels.host = host;
-  for (std::size_t c = 0; c < kPriorityClasses; ++c) {
-    const std::string suffix =
-        std::string("_") + to_string(static_cast<Priority>(c));
-    auto counter = [&](const char* name, const std::uint64_t* v) {
-      registry.register_source(
-          "svc", std::string(name) + suffix, telemetry::MetricKind::kCounter,
-          [v] { return static_cast<double>(*v); }, labels);
-    };
-    const SloClassStats& s = slo_.cls[c];
-    counter("client_issued", &s.issued);
-    counter("client_completed", &s.completed);
-    counter("client_rejected", &s.rejected);
-    counter("client_retries", &s.retries);
-    counter("client_deadline_misses", &s.deadline_misses);
-    counter("client_failed", &s.failed);
-    counter("client_goodput_bytes", &s.goodput_bytes);
-  }
-  registry.register_source(
-      "svc", "client_gm_backpressure", telemetry::MetricKind::kCounter,
-      [this] { return static_cast<double>(gm_backpressure_); }, labels);
-  registry.register_source(
-      "svc", "client_pending", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(pending_.size()); }, labels);
-}
-
 // --- RpcEndpoint -----------------------------------------------------------
 
 RpcEndpoint::RpcEndpoint(sim::EventQueue& queue, gm::GmPort& port,
@@ -375,9 +328,91 @@ RpcEndpoint::RpcEndpoint(sim::EventQueue& queue, gm::GmPort& port,
       });
 }
 
-void RpcEndpoint::register_metrics(telemetry::MetricRegistry& registry) const {
-  server_.register_metrics(registry, port_.host());
-  client_.register_metrics(registry, port_.host());
+namespace {
+
+template <std::uint64_t RpcServerStats::*M>
+double server_stat(const RpcEndpoint& e) {
+  return static_cast<double>(e.server().stats().*M);
+}
+
+template <std::uint64_t AdmissionStats::*M>
+double admission_stat(const RpcEndpoint& e) {
+  return static_cast<double>(e.server().admission().stats().*M);
+}
+
+template <Priority C, std::uint64_t SloClassStats::*M>
+double client_stat(const RpcEndpoint& e) {
+  return static_cast<double>(e.client().slo().of(C).*M);
+}
+
+}  // namespace
+
+std::unique_ptr<telemetry::MetricTable> RpcEndpoint::metric_table(
+    std::span<const std::unique_ptr<RpcEndpoint>> endpoints) {
+  using enum telemetry::MetricKind;
+  using enum Priority;
+  using E = RpcEndpoint;
+  using Srv = RpcServerStats;
+  using Adm = AdmissionStats;
+  using Slo = SloClassStats;
+  static constexpr telemetry::Field<E> kFields[] = {
+      {"server_requests", kCounter, server_stat<&Srv::requests>},
+      {"server_responses", kCounter, server_stat<&Srv::responses_sent>},
+      {"server_rejects", kCounter, server_stat<&Srv::rejects_sent>},
+      {"server_send_retries", kCounter, server_stat<&Srv::send_retries>},
+      {"server_dead_peer_drops", kCounter, server_stat<&Srv::dead_peer_drops>},
+      {"server_malformed", kCounter, server_stat<&Srv::malformed>},
+      {"admission_offered", kCounter, admission_stat<&Adm::offered>},
+      {"admission_immediate", kCounter,
+       admission_stat<&Adm::admitted_immediate>},
+      {"admission_from_queue", kCounter,
+       admission_stat<&Adm::admitted_from_queue>},
+      {"admission_queued", kCounter, admission_stat<&Adm::queued>},
+      {"admission_rejected_full", kCounter,
+       admission_stat<&Adm::rejected_full>},
+      {"admission_evicted", kCounter, admission_stat<&Adm::evicted>},
+      {"admission_departures", kCounter, admission_stat<&Adm::departures>},
+      {"admission_first_fit_skips", kCounter,
+       admission_stat<&Adm::first_fit_skips>},
+      {"admission_tokens_free", kGauge,
+       [](const E& e) { return double(e.server().admission().tokens_free()); }},
+      {"admission_queue_depth", kGauge,
+       [](const E& e) { return double(e.server().admission().queue_depth()); }},
+      {"client_issued_high", kCounter, client_stat<kHigh, &Slo::issued>},
+      {"client_completed_high", kCounter, client_stat<kHigh, &Slo::completed>},
+      {"client_rejected_high", kCounter, client_stat<kHigh, &Slo::rejected>},
+      {"client_retries_high", kCounter, client_stat<kHigh, &Slo::retries>},
+      {"client_deadline_misses_high", kCounter,
+       client_stat<kHigh, &Slo::deadline_misses>},
+      {"client_failed_high", kCounter, client_stat<kHigh, &Slo::failed>},
+      {"client_goodput_bytes_high", kCounter,
+       client_stat<kHigh, &Slo::goodput_bytes>},
+      {"client_issued_normal", kCounter, client_stat<kNormal, &Slo::issued>},
+      {"client_completed_normal", kCounter,
+       client_stat<kNormal, &Slo::completed>},
+      {"client_rejected_normal", kCounter,
+       client_stat<kNormal, &Slo::rejected>},
+      {"client_retries_normal", kCounter, client_stat<kNormal, &Slo::retries>},
+      {"client_deadline_misses_normal", kCounter,
+       client_stat<kNormal, &Slo::deadline_misses>},
+      {"client_failed_normal", kCounter, client_stat<kNormal, &Slo::failed>},
+      {"client_goodput_bytes_normal", kCounter,
+       client_stat<kNormal, &Slo::goodput_bytes>},
+      {"client_issued_bulk", kCounter, client_stat<kBulk, &Slo::issued>},
+      {"client_completed_bulk", kCounter, client_stat<kBulk, &Slo::completed>},
+      {"client_rejected_bulk", kCounter, client_stat<kBulk, &Slo::rejected>},
+      {"client_retries_bulk", kCounter, client_stat<kBulk, &Slo::retries>},
+      {"client_deadline_misses_bulk", kCounter,
+       client_stat<kBulk, &Slo::deadline_misses>},
+      {"client_failed_bulk", kCounter, client_stat<kBulk, &Slo::failed>},
+      {"client_goodput_bytes_bulk", kCounter,
+       client_stat<kBulk, &Slo::goodput_bytes>},
+      {"client_gm_backpressure", kCounter,
+       [](const E& e) { return double(e.client().gm_backpressure()); }},
+      {"client_pending", kGauge,
+       [](const E& e) { return double(e.client().pending()); }},
+  };
+  return telemetry::make_table("svc", kFields, telemetry::by_host(endpoints));
 }
 
 }  // namespace itb::svc

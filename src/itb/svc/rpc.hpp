@@ -28,12 +28,15 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "itb/gm/port.hpp"
 #include "itb/svc/admission.hpp"
 #include "itb/svc/slo.hpp"
+#include "itb/telemetry/metrics.hpp"
 
 namespace itb::svc {
 
@@ -90,7 +93,6 @@ class RpcServer {
   AdmissionController& admission() { return admission_; }
   const AdmissionController& admission() const { return admission_; }
   const RpcServerStats& stats() const { return stats_; }
-  void register_metrics(telemetry::MetricRegistry& registry, int host) const;
 
  private:
   friend class RpcEndpoint;
@@ -154,7 +156,6 @@ class RpcClient {
   const SloStats& slo() const { return slo_; }
   std::size_t pending() const { return pending_.size(); }
   std::uint64_t gm_backpressure() const { return gm_backpressure_; }
-  void register_metrics(telemetry::MetricRegistry& registry, int host) const;
 
  private:
   struct Pending {
@@ -205,8 +206,12 @@ class RpcEndpoint {
   const RpcClient& client() const { return client_; }
   std::uint16_t host() const { return port_.host(); }
 
-  /// Publish svc.* metrics for both roles, labelled with this host.
-  void register_metrics(telemetry::MetricRegistry& registry) const;
+  /// Metric table "svc" over `endpoints`, labelled by host: the server's
+  /// and its admission controller's counters and gauges, the client's SLO
+  /// counters per priority class, then its backpressure and pending calls.
+  /// The endpoints must outlive every snapshot that reads the table.
+  static std::unique_ptr<telemetry::MetricTable> metric_table(
+      std::span<const std::unique_ptr<RpcEndpoint>> endpoints);
 
  private:
   gm::GmPort& port_;

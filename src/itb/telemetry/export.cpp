@@ -118,6 +118,8 @@ std::string json_quote(std::string_view s) {
 
 // -------------------------------------------------------- shared pieces --
 
+namespace {
+
 void write_counter_json(JsonWriter& w, std::string_view run,
                         const MetricSample& m) {
   w.begin_object();
@@ -176,25 +178,23 @@ void write_series_json(JsonWriter& w, std::string_view run,
   w.end_object();
 }
 
+}  // namespace
+
 // ------------------------------------------------------------ Telemetry --
 
 Telemetry::Telemetry(sim::EventQueue& queue, sim::Duration sample_period)
     : queue_(queue), sampler_(queue, sample_period) {
   // Scheduler self-metrics: how the event engine behaved during the run.
-  registry_.register_source("sim", "events_fired", MetricKind::kCounter,
-                            [&queue] { return double(queue.stats().fired); });
-  registry_.register_source("sim", "events_cancelled", MetricKind::kCounter, [&queue] {
-    return double(queue.stats().cancelled);
-  });
-  registry_.register_source("sim", "peak_pending", MetricKind::kGauge, [&queue] {
-    return double(queue.stats().peak_pending);
-  });
-  registry_.register_source("sim", "events_wheel", MetricKind::kCounter, [&queue] {
-    return double(queue.stats().wheel_scheduled);
-  });
-  registry_.register_source("sim", "events_spilled", MetricKind::kCounter, [&queue] {
-    return double(queue.stats().spill_scheduled);
-  });
+  using enum MetricKind;
+  using S = sim::EventQueue::Stats;
+  static constexpr Field<sim::EventQueue> kFields[] = {
+      {"events_fired", kCounter, stat<sim::EventQueue, &S::fired>},
+      {"events_cancelled", kCounter, stat<sim::EventQueue, &S::cancelled>},
+      {"peak_pending", kGauge, stat<sim::EventQueue, &S::peak_pending>},
+      {"events_wheel", kCounter, stat<sim::EventQueue, &S::wheel_scheduled>},
+      {"events_spilled", kCounter, stat<sim::EventQueue, &S::spill_scheduled>},
+  };
+  registry_.add(make_table("sim", kFields, queue));
 }
 
 void Telemetry::write_json(std::ostream& out) const {
@@ -221,18 +221,6 @@ bool Telemetry::write_json(const std::string& path) const {
   return out.good();
 }
 
-void Telemetry::write_series_csv(std::ostream& out) const {
-  out << "series,host,channel,t_ns,value\n";
-  for (const auto& s : sampler_.series())
-    for (std::size_t i = 0; i < s.at.size(); ++i) {
-      out << s.name << ',';
-      if (s.labels.host >= 0) out << s.labels.host;
-      out << ',';
-      if (s.labels.channel >= 0) out << s.labels.channel;
-      out << ',' << s.at[i] << ',' << s.values[i] << '\n';
-    }
-}
-
 // ----------------------------------------------------------- BenchReport --
 
 BenchReport::BenchReport(std::string bench_name) : bench_(std::move(bench_name)) {}
@@ -252,17 +240,8 @@ void BenchReport::add_histogram(std::string name, std::string run,
 }
 
 void BenchReport::add_counters(std::string run,
-                               const MetricRegistry& registry) {
-  add_counters(std::move(run), registry.snapshot());
-}
-
-void BenchReport::add_counters(std::string run,
                                std::vector<MetricSample> samples) {
   counters_.push_back(TaggedCounters{std::move(run), std::move(samples)});
-}
-
-void BenchReport::add_series(std::string run, const Sampler& sampler) {
-  add_series(std::move(run), sampler.series());
 }
 
 void BenchReport::add_series(std::string run,

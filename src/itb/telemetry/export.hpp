@@ -4,7 +4,7 @@
 //   * JsonWriter — a tiny streaming JSON emitter (no dependency, correct
 //     escaping, finite-number handling) shared by everything below;
 //   * Telemetry — the facade core::Cluster owns: one MetricRegistry + one
-//     Sampler, with write_json()/write_series_csv() for whole-cluster dumps
+//     Sampler, with write_json() for whole-cluster dumps
 //     (`cluster.telemetry().write_json("run.json")`);
 //   * BenchReport — what the bench binaries build: named scalars, numeric
 //     row tables, latency histograms, plus embedded registry snapshots and
@@ -99,9 +99,6 @@ class Telemetry {
   /// Returns false when the file cannot be opened.
   bool write_json(const std::string& path) const;
 
-  /// Time series as CSV: series,host,channel,t_ns,value.
-  void write_series_csv(std::ostream& out) const;
-
  private:
   sim::EventQueue& queue_;
   MetricRegistry registry_;
@@ -133,10 +130,8 @@ class BenchReport {
 
   /// Embed a cluster's registry snapshot / recorded series, tagged `run`
   /// so multiple clusters (original vs modified MCP, UD vs ITB) coexist.
-  void add_counters(std::string run, const MetricRegistry& registry);
-  void add_series(std::string run, const Sampler& sampler);
-  /// By-value variants for parallel sweeps, where the cluster (and its
-  /// registry/sampler) is gone by the time results are merged in order.
+  /// They are copies: a parallel sweep's cluster is gone by the time its
+  /// results are merged in order.
   void add_counters(std::string run, std::vector<MetricSample> samples);
   void add_series(std::string run, std::vector<Sampler::Series> series);
 
@@ -167,14 +162,5 @@ class BenchReport {
   };
   std::vector<TaggedSeries> series_;
 };
-
-/// Shared helpers for emitting histogram / series objects (used by both
-/// Telemetry and BenchReport writers).
-void write_histogram_json(JsonWriter& w, std::string_view name,
-                          std::string_view run, const LatencyHistogram& hist);
-void write_series_json(JsonWriter& w, std::string_view run,
-                       const Sampler::Series& s);
-void write_counter_json(JsonWriter& w, std::string_view run,
-                        const MetricSample& m);
 
 }  // namespace itb::telemetry

@@ -107,15 +107,4 @@ std::vector<LatencyHistogram::Bucket> LatencyHistogram::nonzero_buckets()
   return out;
 }
 
-std::string LatencyHistogram::summary() const {
-  auto fmt = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return std::string(buf);
-  };
-  return "n=" + std::to_string(total_) + " p50=" + fmt(percentile(50)) +
-         " p95=" + fmt(percentile(95)) + " p99=" + fmt(percentile(99)) +
-         " p999=" + fmt(percentile(99.9)) + " max=" + std::to_string(max_);
-}
-
 }  // namespace itb::telemetry

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace itb::telemetry {
@@ -60,9 +59,6 @@ class LatencyHistogram {
     std::uint64_t count = 0;
   };
   std::vector<Bucket> nonzero_buckets() const;
-
-  /// Compact one-line summary ("n=.. p50=.. p95=.. p99=.. p999=.. max=..").
-  std::string summary() const;
 
  private:
   std::size_t index_of(std::uint64_t v) const;

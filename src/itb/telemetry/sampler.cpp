@@ -1,6 +1,7 @@
 #include "itb/telemetry/sampler.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace itb::telemetry {
 
@@ -9,40 +10,44 @@ Sampler::Sampler(sim::EventQueue& queue, sim::Duration period)
   if (period_ <= 0) throw std::invalid_argument("sampler period must be > 0");
 }
 
-void Sampler::add_probe(std::string name, Labels labels, Mode mode,
-                        Probe probe, double scale) {
-  if (!probe) throw std::invalid_argument("sampler probe must be callable");
-  const std::uint64_t hash = key_hash({}, name, labels);
-  const auto [first, last] = index_.equal_range(hash);
-  for (auto it = first; it != last; ++it)
-    if (series_[it->second].name == name &&
-        series_[it->second].labels == labels)
-      throw std::invalid_argument("sampler probe already registered: " + name);
-  index_.emplace(hash, series_.size());
-  Series s;
-  s.name = std::move(name);
-  s.labels = labels;
-  s.mode = mode;
-  s.scale = scale;
-  series_.push_back(std::move(s));
-  probes_.push_back(std::move(probe));
-  prev_.push_back(0.0);
+void Sampler::add_series(std::initializer_list<SeriesSpec> specs) {
+  if (built_) throw std::logic_error("sampler series added after start()");
+  for (const auto& s : specs)
+    if (!s.table->field(s.field) ||
+        s.table->instance_count() != specs.begin()->table->instance_count())
+      throw std::invalid_argument("sampler series " + std::string(s.name) +
+                                  ": no field " + std::string(s.field) +
+                                  " or another instance count");
+  groups_.emplace_back(specs);
 }
 
-void Sampler::set_period(sim::Duration period) {
-  if (period <= 0) throw std::invalid_argument("sampler period must be > 0");
-  if (armed_) throw std::logic_error("cannot change period while armed");
-  period_ = period;
+const MetricTable& Sampler::own(std::unique_ptr<MetricTable> table) {
+  owned_.push_back(std::move(table));
+  return *owned_.back();
+}
+
+void Sampler::build_series() {
+  built_ = true;
+  for (const auto& group : groups_)
+    for (std::size_t i = 0;
+         !group.empty() && i < group.front().table->instance_count(); ++i)
+      for (const auto& s : group) {
+        series_.push_back(
+            Series{s.name, s.table->labels(i), s.mode, s.scale, {}, {}});
+        reads_.push_back(Read{s.table, *s.table->field(s.field), i});
+      }
+  prev_.assign(series_.size(), 0.0);
 }
 
 void Sampler::start() {
   if (armed_) return;
   if (!running_) {
-    // Fresh start: baseline every rate probe so the first window measures
+    // Fresh start: baseline every rate series so the first window measures
     // growth from now, not from zero.
+    if (!built_) build_series();
     running_ = true;
     prev_at_ = queue_.now();
-    for (std::size_t i = 0; i < probes_.size(); ++i) prev_[i] = probes_[i]();
+    for (std::size_t k = 0; k < series_.size(); ++k) prev_[k] = read(k);
   }
   arm();
 }
@@ -57,29 +62,30 @@ void Sampler::tick() {
   sample_all(queue_.now());
   // Re-arm only while the simulation has other work: a lone sampler tick
   // would otherwise keep a drain-style run() alive forever. Parking loses
-  // nothing because simulated time halts with an empty queue; resume()
+  // nothing because simulated time halts with an empty queue; start()
   // (or stop()'s flush) picks the window back up.
   if (queue_.pending() > 0) arm();
 }
 
 void Sampler::sample_all(sim::Time t) {
   const sim::Duration elapsed = t - prev_at_;
-  for (std::size_t i = 0; i < probes_.size(); ++i) {
-    const double raw = probes_[i]();
+  for (std::size_t k = 0; k < series_.size(); ++k) {
+    Series& s = series_[k];
+    const double raw = read(k);
     double v = 0.0;
-    switch (series_[i].mode) {
+    switch (s.mode) {
       case Mode::kLevel:
-        v = raw * series_[i].scale;
+        v = raw * s.scale;
         break;
       case Mode::kRate:
-        v = elapsed > 0 ? series_[i].scale * (raw - prev_[i]) /
+        v = elapsed > 0 ? s.scale * (raw - prev_[k]) /
                               static_cast<double>(elapsed)
                         : 0.0;
         break;
     }
-    series_[i].at.push_back(t);
-    series_[i].values.push_back(v);
-    prev_[i] = raw;
+    s.at.push_back(t);
+    s.values.push_back(v);
+    prev_[k] = raw;
   }
   prev_at_ = t;
   ++ticks_;
@@ -101,14 +107,6 @@ const Sampler::Series* Sampler::find(std::string_view name,
   for (const auto& s : series_)
     if (s.name == name && s.labels == labels) return &s;
   return nullptr;
-}
-
-void Sampler::clear_samples() {
-  for (auto& s : series_) {
-    s.at.clear();
-    s.values.clear();
-  }
-  ticks_ = 0;
 }
 
 }  // namespace itb::telemetry

@@ -28,7 +28,7 @@ AllsizeRow run_one(sim::EventQueue& queue, gm::GmPort& a, gm::GmPort& b,
           reply_at = t;
           done = true;
         });
-    if (sampler) sampler->resume();  // draining the queue parks it
+    if (sampler) sampler->start();  // draining the queue parks it
     const sim::Time start = queue.now();
     if (!a.send(b.host(), packet::Bytes(size, 0xA5)))
       throw std::logic_error("pingpong: out of send tokens");

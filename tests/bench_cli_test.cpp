@@ -188,6 +188,34 @@ TEST(BenchCli, NumbersAreStrictAndRanged) {
   EXPECT_THROW(cli_parse(h, {"100", "200"}), std::invalid_argument);
 }
 
+TEST(BenchCli, PositionalsFillInDeclarationOrder) {
+  Harness demo("fault_injection_demo", 0);
+  double drop = 15, corrupt = 5;
+  demo.cli.positional("drop%", &drop, 0, 100);
+  demo.cli.positional("corrupt%", &corrupt, 0, 100);
+  EXPECT_EQ(demo.cli.usage("fault_injection_demo"),
+            "usage: fault_injection_demo [drop%] [corrupt%]");
+  parse(demo, {"20"});
+  EXPECT_EQ(drop, 20.0);
+  EXPECT_EQ(corrupt, 5.0);
+  parse(demo, {"0", "2.5"});
+  EXPECT_EQ(drop, 0.0);
+  EXPECT_EQ(corrupt, 2.5);
+  for (const auto& bad : std::vector<std::vector<const char*>>{
+           {"abc", "xyz"}, {"10", "xyz"}, {"101"}, {"1", "2", "3"}})
+    EXPECT_THROW(cli_parse(demo, bad), std::invalid_argument) << bad[0];
+
+  Harness sizes("latency_breakdown", 0);
+  std::size_t payload = 256;
+  sizes.cli.positional("payload_bytes", &payload, std::size_t{1},
+                       std::size_t{1} << 20);
+  for (const char* bad : {"-5", "0", "1.5", "1048577", "abc", ""})
+    EXPECT_THROW(cli_parse(sizes, {bad}), std::invalid_argument) << bad;
+  EXPECT_EQ(payload, 256u);
+  parse(sizes, {"4096"});
+  EXPECT_EQ(payload, 4096u);
+}
+
 // ------------------------------------------ hostile command lines exit 2 --
 
 TEST(BenchCli, MisspelledFlagExitsTwo) {

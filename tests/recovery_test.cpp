@@ -583,9 +583,6 @@ TEST(Recovery, FlapQuarantineParksOscillatingLink) {
   // Wider than the open->close gap, so a window's close coalesces into the
   // round armed by its open.
   cfg.remap_delay = 300 * sim::kUs;
-  cfg.recovery.flap_threshold = 4;
-  cfg.recovery.flap_window = 5 * sim::kMs;
-  cfg.recovery.quarantine_base = 2 * sim::kMs;
   const auto victim = trunk_links(cfg.topology).front();
   cfg.fault_schedule.link_down(victim, 1000 * sim::kUs, 1200 * sim::kUs);
   cfg.fault_schedule.link_down(victim, 1400 * sim::kUs, 1600 * sim::kUs);

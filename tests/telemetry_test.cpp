@@ -1,18 +1,24 @@
 // Tests for the telemetry subsystem: histogram accuracy against exact
-// percentiles, registry <-> legacy-counter equality after a lossy ITB run,
+// percentiles, metric tables (lookup, order, unique keys over a full
+// cluster), registry <-> legacy-counter equality after a lossy ITB run,
 // sampler integration (rate series integrate back to the underlying
-// counters), trace cross-checks, and the JSON/CSV exporters.
+// counters), and the JSON exporters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "itb/core/cluster.hpp"
 #include "itb/core/experiments.hpp"
 #include "itb/sim/rng.hpp"
+#include "itb/svc/rpc.hpp"
 #include "itb/telemetry/export.hpp"
 #include "itb/telemetry/histogram.hpp"
 #include "itb/telemetry/metrics.hpp"
@@ -106,7 +112,6 @@ TEST(LatencyHistogram, P999TrackedAndSummarized) {
   for (int i = 1; i <= 10000; ++i) h.record(i);
   // Within the documented 0.4% relative-error bound.
   EXPECT_NEAR(h.percentile(99.9), 9990.0, 0.004 * 9990.0);
-  EXPECT_NE(h.summary().find("p999="), std::string::npos);
 
   telemetry::LatencyHistogram empty;
   EXPECT_EQ(empty.percentile(99.9), 0.0);
@@ -138,40 +143,61 @@ TEST(LatencyHistogram, MergeAndBuckets) {
 // ---------------------------------------------------------------------------
 // MetricRegistry
 
-/// A registry source reading a constant.
-telemetry::MetricRegistry::Source constant(double v) {
-  return [v] { return v; };
-}
+/// A component under test: one counter and one gauge.
+struct Gadget {
+  std::uint64_t events = 0;
+  double depth = 0;
+};
+
+constexpr telemetry::Field<Gadget> kGadgetFields[] = {
+    {"events", telemetry::MetricKind::kCounter,
+     [](const Gadget& g) { return static_cast<double>(g.events); }},
+    {"depth", telemetry::MetricKind::kGauge,
+     [](const Gadget& g) { return g.depth; }},
+};
 
 TEST(MetricRegistry, HandlesAndSources) {
+  Gadget solo{5, 7.5};
+  std::vector<Gadget> hosts(3);
   telemetry::MetricRegistry reg;
-  reg.register_source("core", "events", telemetry::MetricKind::kCounter,
-                      constant(5));
-  reg.register_source("core", "depth", telemetry::MetricKind::kGauge,
-                      constant(7.5), {.host = 2, .channel = -1});
-  std::uint64_t backing = 41;
-  reg.register_source("core", "legacy", telemetry::MetricKind::kCounter,
-                      [&backing] { return static_cast<double>(backing); });
+  reg.add(telemetry::make_table("core", kGadgetFields, solo));
+  std::vector<telemetry::Instance<Gadget>> instances;
+  for (int h = 0; h < 3; ++h) {
+    hosts[h].events = 40 + h;
+    instances.push_back({&hosts[h], {.host = h, .channel = -1}});
+  }
+  const auto& table =
+      reg.add(telemetry::make_table("core", kGadgetFields, instances));
+  EXPECT_EQ(table.field("depth"), 1u);
+  EXPECT_FALSE(table.field("missing").has_value());
+  EXPECT_EQ(reg.size(), 2u + 2u * 3u);
 
   EXPECT_EQ(reg.value("core", "events"), 5.0);
-  EXPECT_EQ(reg.value("core", "depth", {.host = 2, .channel = -1}), 7.5);
-  EXPECT_EQ(reg.value("core", "legacy"), 41.0);
-  ++backing;  // sources poll live state
-  EXPECT_EQ(reg.value("core", "legacy"), 42.0);
+  EXPECT_EQ(reg.value("core", "depth"), 7.5);
+  EXPECT_EQ(reg.value("core", "events", {.host = 1, .channel = -1}), 41.0);
+  ++hosts[1].events;  // rows read live state
+  EXPECT_EQ(reg.value("core", "events", {.host = 1, .channel = -1}), 42.0);
   EXPECT_FALSE(reg.value("core", "missing").has_value());
-  EXPECT_FALSE(reg.value("core", "depth").has_value());  // labels mismatch
+  EXPECT_FALSE(reg.value("gm", "events").has_value());
+  // Labels must match exactly.
+  EXPECT_FALSE(reg.value("core", "depth", {.host = 3, .channel = -1}));
+  EXPECT_FALSE(reg.value("core", "depth", {.host = 1, .channel = 0}));
 
-  auto snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
+  // Table by table, then instance by instance, then field by field.
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), reg.size());
+  EXPECT_EQ(snap[0].component, "core");
   EXPECT_EQ(snap[0].name, "events");
-  EXPECT_EQ(snap[1].labels.host, 2);
+  EXPECT_EQ(snap[1].name, "depth");
   EXPECT_EQ(snap[1].kind, telemetry::MetricKind::kGauge);
-  EXPECT_EQ(snap[2].value, 42.0);
-
-  // A source must be callable.
-  EXPECT_THROW(reg.register_source("core", "empty",
-                                   telemetry::MetricKind::kGauge, nullptr),
-               std::invalid_argument);
+  EXPECT_EQ(snap[1].value, 7.5);
+  for (int h = 0; h < 3; ++h) {
+    const auto& row = snap[2 + 2 * static_cast<std::size_t>(h)];
+    EXPECT_EQ(row.name, "events");
+    EXPECT_EQ(row.labels.host, h);
+    EXPECT_EQ(row.kind, telemetry::MetricKind::kCounter);
+  }
+  EXPECT_EQ(snap[4].value, 42.0);
 }
 
 TEST(Telemetry, ExportsEventEngineStats) {
@@ -187,42 +213,6 @@ TEST(Telemetry, ExportsEventEngineStats) {
   EXPECT_EQ(tel.registry().value("sim", "peak_pending"), 3.0);
   EXPECT_EQ(tel.registry().value("sim", "events_wheel"), 2.0);
   EXPECT_EQ(tel.registry().value("sim", "events_spilled"), 1.0);
-}
-
-TEST(MetricRegistry, DuplicateRegistrationThrows) {
-  telemetry::MetricRegistry reg;
-  const auto kCounter = telemetry::MetricKind::kCounter;
-  reg.register_source("gm", "sent", kCounter, constant(0),
-                      {.host = 0, .channel = -1});
-  EXPECT_THROW(reg.register_source("gm", "sent", kCounter, constant(0),
-                                   {.host = 0, .channel = -1}),
-               std::invalid_argument);
-  // Same name under a different label set is a different metric.
-  EXPECT_NO_THROW(reg.register_source("gm", "sent", kCounter, constant(0),
-                                      {.host = 1, .channel = -1}));
-  EXPECT_THROW(reg.register_source("gm", "sent", telemetry::MetricKind::kGauge,
-                                   constant(0), {.host = 1, .channel = -1}),
-               std::invalid_argument);
-
-  // Thousands of label-distinct entries (a thousand-host cluster registers
-  // tens of thousands): every lookup and duplicate check finds exactly its
-  // own entry, and snapshot() keeps registration order.
-  for (int h = 0; h < 4000; ++h)
-    reg.register_source("nic", "sent", kCounter, constant(h),
-                        {.host = h, .channel = h % 7});
-  EXPECT_EQ(reg.value("nic", "sent", {.host = 2718, .channel = 2718 % 7}),
-            2718.0);
-  EXPECT_EQ(reg.value("nic", "sent", {.host = 2718, .channel = 0}),
-            std::nullopt);
-  EXPECT_EQ(reg.value("nic", "received", {.host = 1, .channel = 1}),
-            std::nullopt);
-  EXPECT_THROW(reg.register_source("nic", "sent", kCounter, constant(0),
-                                   {.host = 3999, .channel = 3999 % 7}),
-               std::invalid_argument);
-  const auto rows = reg.snapshot();
-  ASSERT_EQ(rows.size(), 2u + 4000u);
-  for (int h = 0; h < 4000; ++h)
-    EXPECT_EQ(rows[2 + static_cast<std::size_t>(h)].labels.host, h);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,6 +283,56 @@ TEST(Telemetry, RegistryMatchesLegacyCountersAfterLossyItbRun) {
     EXPECT_EQ(reg.value("net", "channel_busy_ns",
                         {.host = -1, .channel = static_cast<int>(c)}),
               static_cast<double>(busy[c]));
+}
+
+// Every row of a fully built cluster (a topology fault with auto-remap, the
+// watchdog, the flight recorder, a two-lane engine and svc endpoints) has
+// its own {component, name, labels} key, and size() counts exactly the rows
+// a snapshot reads. Every default sampler series has its own {name,
+// labels} too.
+TEST(MetricRegistry, EveryClusterRowKeyIsUnique) {
+  core::ClusterConfig cfg;
+  cfg.topology = topo::make_fig1_network();
+  cfg.engine = {engine::EngineKind::kVcEscape, 2};
+  cfg.fault_schedule.host_down(5, 100 * sim::kUs, 300 * sim::kUs);
+  cfg.watchdog.enabled = true;
+  cfg.flight.enabled = true;
+  core::Cluster cluster(std::move(cfg));
+  ASSERT_NE(cluster.recovery(), nullptr);
+  std::vector<std::unique_ptr<svc::RpcEndpoint>> endpoints;
+  for (auto* port : cluster.ports())
+    endpoints.push_back(
+        std::make_unique<svc::RpcEndpoint>(cluster.queue(), *port));
+  auto& reg = cluster.telemetry().registry();
+  reg.add(svc::RpcEndpoint::metric_table(endpoints));
+  cluster.telemetry().start_sampling();
+  cluster.run(400 * sim::kUs);
+  cluster.telemetry().stop_sampling();
+
+  const auto rows = reg.snapshot();
+  EXPECT_EQ(reg.size(), rows.size());
+  std::set<std::tuple<std::string_view, std::string_view, int, int>> keys;
+  std::set<std::string_view> components;
+  for (const auto& r : rows) {
+    EXPECT_TRUE(
+        keys.emplace(r.component, r.name, r.labels.host, r.labels.channel)
+            .second)
+        << r.component << "." << r.name << " host " << r.labels.host
+        << " channel " << r.labels.channel;
+    components.insert(r.component);
+  }
+  EXPECT_EQ(components,
+            (std::set<std::string_view>{"sim", "net", "nic", "gm", "fault",
+                                        "recovery", "health", "flight",
+                                        "svc"}));
+  EXPECT_TRUE(reg.value("net", "lane_busy_ns", {.host = -1, .channel = 0}));
+
+  std::set<std::tuple<std::string_view, int, int>> series;
+  for (const auto& s : cluster.telemetry().sampler().series())
+    EXPECT_TRUE(series.emplace(s.name, s.labels.host, s.labels.channel).second)
+        << s.name << " host " << s.labels.host << " channel "
+        << s.labels.channel;
+  EXPECT_GT(series.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -373,22 +413,24 @@ TEST(Sampler, ParksOnDrainResumesAndTracesEveryTick) {
 TEST(Sampler, RateSeriesScaleAndLevelMode) {
   sim::EventQueue queue;
   telemetry::Sampler sampler(queue, 100);
-  double counter = 0, level = 3;
-  sampler.add_probe("rate", {}, telemetry::Sampler::Mode::kRate,
-                    [&counter] { return counter; }, /*scale=*/1e9);
-  sampler.add_probe("level", {}, telemetry::Sampler::Mode::kLevel,
-                    [&level] { return level; });
-  EXPECT_THROW(sampler.add_probe("level", {}, telemetry::Sampler::Mode::kLevel,
-                                 [] { return 0.0; }),
+  using Mode = telemetry::Sampler::Mode;
+  Gadget gadget{0, 3};
+  const auto& table =
+      sampler.own(telemetry::make_table("core", kGadgetFields, gadget));
+  sampler.add_series({{"rate", &table, "events", Mode::kRate, 1e9},
+                      {"level", &table, "depth", Mode::kLevel}});
+  EXPECT_THROW(sampler.add_series({{"bad", &table, "missing", Mode::kLevel}}),
                std::invalid_argument);
 
   sampler.start();
+  EXPECT_THROW(sampler.add_series({{"late", &table, "depth", Mode::kLevel}}),
+               std::logic_error);
   // Keep the queue busy so ticks re-arm; bump the counter as time passes
   // (at off-tick times so every increment lands in a well-defined window).
   for (int i = 1; i <= 5; ++i)
-    queue.schedule_in(i * 100 - 30, [&counter, &level, i] {
-      counter += 50;
-      level = 3 + i;
+    queue.schedule_in(i * 100 - 30, [&gadget, i] {
+      gadget.events += 50;
+      gadget.depth = 3 + i;
     });
   queue.run();
   sampler.stop();
@@ -405,10 +447,10 @@ TEST(Sampler, RateSeriesScaleAndLevelMode) {
     integral += rate->values[i] * static_cast<double>(rate->at[i] - t_prev);
     t_prev = rate->at[i];
   }
-  EXPECT_NEAR(integral / 1e9, counter, 1e-9);
+  EXPECT_NEAR(integral / 1e9, static_cast<double>(gadget.events), 1e-9);
   const auto* lvl = sampler.find("level");
   ASSERT_NE(lvl, nullptr);
-  EXPECT_EQ(lvl->values.back(), level);
+  EXPECT_EQ(lvl->values.back(), gadget.depth);
 }
 
 // ---------------------------------------------------------------------------
@@ -447,12 +489,6 @@ TEST(Export, ClusterWriteJsonContainsSchemaCountersAndSeries) {
   EXPECT_NE(doc.find("\"series\": "), std::string::npos);
   EXPECT_NE(doc.find("\"itb_forwarded\""), std::string::npos);
   EXPECT_NE(doc.find("channel_utilization"), std::string::npos);
-
-  std::ostringstream csv;
-  cluster->telemetry().write_series_csv(csv);
-  EXPECT_NE(csv.str().find("series,host,channel,t_ns,value"),
-            std::string::npos);
-  EXPECT_NE(csv.str().find("channel_utilization"), std::string::npos);
 }
 
 TEST(Export, BenchReportRoundTrip) {
