@@ -99,6 +99,16 @@ void Cli::positional(std::string name, double* out, double lo, double hi) {
       }});
 }
 
+void Cli::positional(std::string name, std::string* out,
+                     std::vector<std::string> choices) {
+  positionals_.push_back(Spec{
+      std::move(name), "", [out, choices = std::move(choices)](std::string_view v) {
+        if (std::find(choices.begin(), choices.end(), v) == choices.end())
+          bad("'" + std::string(v) + "' is not a choice");
+        *out = std::string(v);
+      }});
+}
+
 std::uint64_t Cli::parse_integer(std::string_view v, std::uint64_t lo,
                                  std::uint64_t hi) {
   return parse_number(v, lo, hi);

@@ -65,6 +65,9 @@ class Cli {
                   T hi = std::numeric_limits<T>::max()) {
     positionals_.push_back(Spec{std::move(name), "", integer(out, lo, hi)});
   }
+  /// An optional positional word, one of `choices`.
+  void positional(std::string name, std::string* out,
+                  std::vector<std::string> choices);
 
   void parse(int argc, const char* const* argv) const;
 

@@ -2,7 +2,8 @@
 //
 //   cow_tool routes   <file> [ud|itb]          print the route table
 //   cow_tool check    <file>                   validate + deadlock analysis
-//   cow_tool pingpong <file> <src> <dst> [sz]  measure half-RTT
+//   cow_tool pingpong <file> <src> <dst> [sz]  measure half-RTT (hosts below
+//                                              the host count, 1 B-1 MiB)
 //   cow_tool serialize <file>                  parse + re-emit (round trip)
 //   cow_tool trace    <file.flt>               print a flight recording,
 //                                              one event per line
@@ -18,11 +19,15 @@
 //   link sw0:0 sw1:0 san
 //   link a:0 sw0:1 lan
 //   link b:0 sw1:1 lan
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/flight/replay.hpp"
 #include "itb/routing/deadlock.hpp"
@@ -106,16 +111,36 @@ int cmd_trace(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) {
-    std::fprintf(
-        stderr,
-        "usage: %s routes|check|pingpong|serialize|trace <file> [args]\n",
-        argv[0]);
+  // Everything after `<command> <file>` goes through the benches' strict
+  // parser: a bad argument prints one usage line on stderr and exits 2.
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  const auto parse_args = [&](const bench::Cli& cli, const char* needs) {
+    const std::string program = "cow_tool " + cmd + " <file>";
+    try {
+      if (argc < 3) throw std::invalid_argument("missing <file>");
+      if (needs && argc < 5) throw std::invalid_argument(needs);
+      cli.parse(argc - 2, argv + 2);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "cow_tool %s: %s; %s\n", cmd.c_str(), e.what(),
+                   cli.usage(program).c_str());
+      std::exit(2);
+    }
+  };
+  if (cmd != "routes" && cmd != "check" && cmd != "pingpong" &&
+      cmd != "serialize" && cmd != "trace") {
+    std::fprintf(stderr,
+                 "cow_tool: unknown command '%s'; usage: cow_tool "
+                 "routes|check|pingpong|serialize|trace <file> [args]\n",
+                 cmd.c_str());
     return 2;
   }
-  const std::string cmd = argv[1];
+  if (argc < 3) parse_args(bench::Cli{}, nullptr);  // exits: no <file>
   // A recording is not a topology: dispatch before the topology parse.
-  if (cmd == "trace") return cmd_trace(argv[2]);
+  if (cmd == "trace") {
+    parse_args(bench::Cli{}, nullptr);
+    return cmd_trace(argv[2]);
+  }
+  // Host bounds come from the topology, so it is read first.
   topo::Topology topo;
   try {
     topo = topo::parse_topology(read_file(argv[2]));
@@ -125,31 +150,31 @@ int main(int argc, char** argv) {
   }
 
   try {
+    bench::Cli cli;
     if (cmd == "routes") {
-      const auto policy = (argc > 3 && std::string(argv[3]) == "ud")
-                              ? routing::Policy::kUpDown
-                              : routing::Policy::kItb;
-      return cmd_routes(topo, policy);
+      std::string policy = "itb";
+      cli.positional("ud|itb", &policy, {"ud", "itb"});
+      parse_args(cli, nullptr);
+      return cmd_routes(topo, policy == "ud" ? routing::Policy::kUpDown
+                                             : routing::Policy::kItb);
     }
-    if (cmd == "check") return cmd_check(topo);
     if (cmd == "pingpong") {
-      if (argc < 5) {
-        std::fprintf(stderr, "pingpong needs <src> <dst>\n");
-        return 2;
-      }
-      const auto src = static_cast<std::uint16_t>(std::atoi(argv[3]));
-      const auto dst = static_cast<std::uint16_t>(std::atoi(argv[4]));
-      const std::size_t size = argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 64;
+      const auto last = static_cast<std::uint16_t>(
+          std::max<std::size_t>(topo.host_count(), 1) - 1);
+      std::uint16_t src = 0, dst = 0;
+      std::size_t size = 64;
+      cli.positional("src", &src, std::uint16_t{0}, last);
+      cli.positional("dst", &dst, std::uint16_t{0}, last);
+      cli.positional("size", &size, std::size_t{1}, std::size_t{1} << 20);
+      parse_args(cli, "needs <src> <dst>");
       return cmd_pingpong(std::move(topo), src, dst, size);
     }
-    if (cmd == "serialize") {
-      std::fputs(topo::serialize_topology(topo).c_str(), stdout);
-      return 0;
-    }
+    parse_args(cli, nullptr);
+    if (cmd == "check") return cmd_check(topo);
+    std::fputs(topo::serialize_topology(topo).c_str(), stdout);
+    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  std::fprintf(stderr, "unknown command %s\n", cmd.c_str());
-  return 2;
 }

@@ -4,11 +4,14 @@
 //   $ ./quickstart
 #include <cstdio>
 
+#include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/workload/pingpong.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace itb;
+  bench::Harness h("quickstart", 0);
+  h.parse(argc, argv);  // it takes no argument: any one exits 2
 
   // 1. Describe the fabric: two 8-port switches, two hosts each.
   topo::Topology fabric;

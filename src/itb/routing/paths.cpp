@@ -1,6 +1,7 @@
 #include "itb/routing/paths.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -79,6 +80,13 @@ RouteView RouteRow::route(std::uint16_t src, std::uint16_t dst) const {
   return v;
 }
 
+bool RouteRow::has_route(std::uint16_t dst) const {
+  const std::size_t i = static_cast<std::size_t>(dst) - first_;
+  if (dst < first_ || i >= size())
+    throw std::out_of_range("destination outside the route row");
+  return marks_[i].header != marks_[i + 1].header;
+}
+
 void RouteRow::add(const std::vector<packet::Route>& segments,
                    std::span<const std::uint16_t> in_transit_hosts,
                    std::span<const topo::Channel> trunk_channels) {
@@ -153,184 +161,254 @@ std::span<const topo::Channel> RouteRow::open_channels() const {
 Router::Router(const UpDown& updown, ItbHostSelection selection)
     : updown_(&updown), selection_(selection) {
   const auto& topo = updown.topology();
-  adj_.resize(topo.switch_count());
-  itb_hosts_.resize(topo.switch_count());
-  uplinks_.resize(topo.host_count());
+  const std::size_t switches = topo.switch_count();
+  offsets_.assign(switches + 1, Offsets{});
+  uplinks_.assign(topo.host_count(), Uplink{});
 
-  for (topo::LinkId lid = 0; lid < topo.link_count(); ++lid) {
-    // Masked-down, self-cable, and cut-off links never enter the search
-    // graph (link_usable covers all three; without a mask it reduces to the
-    // old self-cable check).
-    if (!updown.link_usable(lid)) continue;
-    const auto& l = topo.link(lid);
-    const bool a_sw = l.a.node.kind == topo::NodeKind::kSwitch;
-    const bool b_sw = l.b.node.kind == topo::NodeKind::kSwitch;
-    if (a_sw && b_sw) {
-      const auto sa = l.a.node.index;
-      const auto sb = l.b.node.index;
-      adj_[sa].push_back(
-          Hop{lid, sb, l.a.port, updown.is_up_traversal(lid, sa), true});
-      adj_[sb].push_back(
-          Hop{lid, sa, l.b.port, updown.is_up_traversal(lid, sb), false});
-      continue;
+  // Masked-down, self-cable, and cut-off links never enter the search
+  // graph (link_usable covers all three; without a mask it reduces to the
+  // old self-cable check). Two passes: count each switch's runs one slot
+  // ahead, so the prefix sums leave offsets_[sw] at their start, then fill.
+  const auto for_each_usable = [&](auto&& trunk, auto&& host) {
+    for (topo::LinkId lid = 0; lid < topo.link_count(); ++lid) {
+      if (!updown.link_usable(lid)) continue;
+      const auto& l = topo.link(lid);
+      const bool a_sw = l.a.node.kind == topo::NodeKind::kSwitch;
+      const bool b_sw = l.b.node.kind == topo::NodeKind::kSwitch;
+      if (a_sw && b_sw)
+        trunk(lid, l);
+      else
+        host(lid, a_sw ? l.a : l.b, a_sw ? l.b : l.a);
     }
-    // Usable host link: every reachable attached host is an ITB candidate.
-    const auto sw_end = a_sw ? l.a : l.b;
-    const auto host_end = a_sw ? l.b : l.a;
-    itb_hosts_[sw_end.node.index].push_back(
-        ItbCandidate{host_end.node.index, sw_end.port});
-    uplinks_[host_end.node.index] =
-        Uplink{lid, sw_end.node.index, sw_end.port, true};
+  };
+  for_each_usable(
+      [&](topo::LinkId, const topo::Link& l) {
+        for (const auto sw : {l.a.node.index, l.b.node.index}) {
+          ++offsets_[sw + 1].hops;
+          ++offsets_[sw + 1].in;
+        }
+      },
+      [&](topo::LinkId lid, const topo::Endpoint& sw_end,
+          const topo::Endpoint& host_end) {
+        // Every reachable attached host is an ITB candidate.
+        ++offsets_[sw_end.node.index + 1].itbs;
+        uplinks_[host_end.node.index] =
+            Uplink{lid, sw_end.node.index, sw_end.port, true};
+      });
+  for (std::size_t sw = 0; sw < switches; ++sw) {
+    offsets_[sw + 1].hops += offsets_[sw].hops;
+    offsets_[sw + 1].in += offsets_[sw].in;
+    offsets_[sw + 1].itbs += offsets_[sw].itbs;
   }
-  for (auto& hosts : itb_hosts_)
-    std::sort(hosts.begin(), hosts.end(),
+  hops_.resize(offsets_[switches].hops);
+  in_hops_.resize(offsets_[switches].in);
+  itb_hosts_.resize(offsets_[switches].itbs);
+
+  std::vector<Offsets> next(offsets_.begin(), offsets_.end() - 1);
+  for_each_usable(
+      [&](topo::LinkId lid, const topo::Link& l) {
+        const auto sa = l.a.node.index;
+        const auto sb = l.b.node.index;
+        hops_[next[sa].hops++] = Hop{lid, sa, sb, l.a.port,
+                                     updown.is_up_traversal(lid, sa), true};
+        hops_[next[sb].hops++] = Hop{lid, sb, sa, l.b.port,
+                                     updown.is_up_traversal(lid, sb), false};
+      },
+      [&](topo::LinkId, const topo::Endpoint& sw_end,
+          const topo::Endpoint& host_end) {
+        itb_hosts_[next[sw_end.node.index].itbs++] =
+            ItbCandidate{host_end.node.index, sw_end.port};
+      });
+  for (std::uint32_t k = 0; k < hops_.size(); ++k)
+    in_hops_[next[hops_[k].to].in++] = k;
+  for (std::size_t sw = 0; sw < switches; ++sw)
+    std::sort(itb_hosts_.begin() + offsets_[sw].itbs,
+              itb_hosts_.begin() + offsets_[sw + 1].itbs,
               [](const ItbCandidate& a, const ItbCandidate& b) {
                 return a.host < b.host;
               });
 }
 
+std::span<const Router::Hop> Router::hops_out(std::uint16_t sw) const {
+  return std::span(hops_).subspan(offsets_[sw].hops,
+                                  offsets_[sw + 1].hops - offsets_[sw].hops);
+}
+
 const Router::ItbCandidate& Router::pick_itb(std::uint16_t sw,
                                              std::uint16_t src,
                                              std::uint16_t dst) const {
-  const auto& hosts = itb_hosts_[sw];
-  if (hosts.empty()) throw std::logic_error("no ITB host on switch");
-  if (selection_ == ItbHostSelection::kLowestIndex) return hosts.front();
+  if (!has_itb_host(sw)) throw std::logic_error("no ITB host on switch");
+  const std::size_t first = offsets_[sw].itbs;
+  if (selection_ == ItbHostSelection::kLowestIndex) return itb_hosts_[first];
   // Deterministic spread: hash the pair over the candidates.
-  const std::size_t idx =
-      (static_cast<std::size_t>(src) * 31 + dst) % hosts.size();
-  return hosts[idx];
+  const std::size_t idx = (static_cast<std::size_t>(src) * 31 + dst) %
+                          (offsets_[sw + 1].itbs - first);
+  return itb_hosts_[first + idx];
 }
 
-namespace {
+void Router::search(std::span<const std::uint16_t> sources, SolveFlags flags,
+                    Search& out, Scratch& sc) const {
+  // A level search: (source, state)'s cost is the (hops, itbs) level at
+  // which its bit first reaches the state. Sub-level (h, i) gains the bits
+  // that sub-level (h - 1, i) carries one hop further and, when phase
+  // resets are allowed, the bits sub-level (h, i - 1) brought to a phase-1
+  // state on a switch with an ITB host; `reached` clears whatever an
+  // earlier level already brought. Levels run in lexicographic order, so
+  // the first arrival is the cheapest.
+  const std::size_t states = 2 * switch_count();
+  out.states = states;
+  out.reached.assign(states, 0);
+  out.down_first.assign(switch_count(), 0);
+  out.pred.resize(sources.size() * states);
+  sc.fresh.assign(states, 0);
+  sc.tails.assign(states, 0);
+  auto& touched = sc.touched;
+  touched.clear();
+  // A sub-level touches a state at most once, and a path visits a state at
+  // most once: sized once here, these grow only past a level holding a
+  // state in several sub-levels.
+  touched.reserve(states);
+  sc.steps.reserve(states);
+  for (auto& f : sc.frontiers) f.entries.reserve(states);
+  Scratch::Frontier* prev = &sc.frontiers[0];
+  Scratch::Frontier* cur = &sc.frontiers[1];
 
-/// A Dijkstra state is a switch plus the up*/down* phase. Phase 0: no down
-/// traversal yet (up and down both legal). Phase 1: a down traversal
-/// happened (only down legal until an ITB resets the phase). A state's key
-/// packs (hops, itbs, switch, phase) into one word whose integer order is
-/// the canonical order, each field wider than any value it can take (hops
-/// and itbs stay below the 2 * 65535 states).
-constexpr std::uint64_t pack(std::uint32_t hops, std::uint32_t itbs,
-                             std::uint16_t sw, std::uint8_t phase) {
-  return (std::uint64_t{hops} << 41) | (std::uint64_t{itbs} << 17) |
-         (std::uint64_t{sw} << 1) | phase;
-}
-
-}  // namespace
-
-void Router::relax(std::uint16_t src_switch, bool restrict_updown,
-                   bool allow_itb, Search& out, Scratch& sc) const {
-  const auto n = adj_.size();
-  out.src_switch = src_switch;
-  // dist[sw][phase]; with restrictions off everything stays in phase 0.
-  out.dist.assign(n, {});
-  out.pred.assign(n, {});
-  auto& dist = out.dist;
-  auto& pred = out.pred;
-
-  // Canonical predecessors: among the states that reach a state at its
-  // final cost, the one with the smallest packed key wins (and of its
-  // parallel hops, the first). Every pred assignment is then a pure
-  // function of the search graph, whatever order a bucket holds its
-  // states in, which the incremental patcher relies on — a source whose
-  // stored routes avoid all changed links provably re-solves to the
-  // byte-identical row, so it can be skipped.
-  const auto key_of = [&dist](const SearchPred& p) {
-    const SearchCost& c = dist[p.sw][p.phase];
-    return pack(c.hops, c.itbs, p.sw, p.phase);
+  const auto set_pred = [&](std::uint64_t bits, std::uint32_t state,
+                            std::uint32_t pred) {
+    for (; bits != 0; bits &= bits - 1)
+      out.pred[static_cast<std::size_t>(std::countr_zero(bits)) * states +
+               state] = pred;
   };
-  // Returns true when `to` improved and must be queued.
-  const auto reach = [&](SearchCost cost, std::uint16_t to, std::uint8_t phase,
-                         SearchPred by, std::uint64_t by_key) {
-    SearchCost& d = dist[to][phase];
-    if (cost < d) {
-      d = cost;
-      pred[to][phase] = by;
-      return true;
-    }
-    if (cost == d && by_key < key_of(pred[to][phase])) pred[to][phase] = by;
-    return false;
+  const auto gain = [&](std::uint32_t state, std::uint64_t bits) {
+    bits &= ~out.reached[state];
+    if (bits == 0) return;
+    if (sc.fresh[state] == 0) touched.push_back(state);
+    sc.fresh[state] |= bits;
   };
 
-  // Two-level bucket queue over (hops, itbs), drained in lexicographic
-  // order. A hop queues at (hops + 1, itbs), the next level; an ITB reset
-  // at (hops, itbs + 1), a later bucket of the level being drained. Both
-  // costs exceed the state's own, so a state's cost is final when its
-  // bucket comes up and it expands exactly once; entries whose state has
-  // since improved are stale and skipped.
-  Scratch::Level* level = &sc.levels[0];
-  Scratch::Level* next = &sc.levels[1];
-  dist[src_switch][0] = SearchCost{0, 0};
-  pred[src_switch][0] = SearchPred{0xFFFF, 0, -2};
-  level->push(0, std::uint32_t{src_switch} << 1);
+  // Level 0: each source at its switch, phase 0.
+  for (std::size_t b = 0; b < sources.size(); ++b)
+    gain(std::uint32_t{sources[b]} << 1, std::uint64_t{1} << b);
+  prev->entries.clear();
+  prev->subs.assign(1, 0);
+  for (const auto state : touched) {
+    const std::uint64_t bits = std::exchange(sc.fresh[state], 0);
+    out.reached[state] = bits;
+    prev->entries.push_back({state, bits});
+    set_pred(bits, state, kSourcePred);
+  }
+  touched.clear();
 
-  for (std::uint32_t hops = 0; level->used > 0; ++hops) {
-    // By index throughout: an ITB reset grows this level's bucket list.
-    for (std::uint32_t itbs = 0; itbs < level->used; ++itbs) {
-      for (std::size_t k = 0; k < level->by_itbs[itbs].size(); ++k) {
-        const std::uint32_t state = level->by_itbs[itbs][k];
-        const auto sw = static_cast<std::uint16_t>(state >> 1);
-        const auto phase = static_cast<std::uint8_t>(state & 1);
-        const SearchCost cost{hops, itbs};
-        if (cost != dist[sw][phase]) continue;  // stale entry
-        const std::uint64_t key = pack(hops, itbs, sw, phase);
-
-        const SearchCost hop_cost{hops + 1, itbs};
-        for (std::size_t hi = 0; hi < adj_[sw].size(); ++hi) {
-          const Hop& h = adj_[sw][hi];
-          std::uint8_t next_phase = 0;
-          if (restrict_updown) {
-            if (h.up && phase == 1) continue;  // down -> up forbidden
-            if (!h.up) next_phase = 1;
+  const bool resets = flags.restrict_updown && flags.allow_itb;
+  while (!prev->entries.empty()) {
+    cur->entries.clear();
+    cur->subs.clear();
+    for (std::size_t i = 0;
+         i < prev->runs() || (resets && i > 0 && !cur->run(i - 1).empty());
+         ++i) {
+      const bool hops_in = i < prev->runs();
+      if (hops_in) {
+        for (const auto& e : prev->run(i)) {
+          sc.tails[e.state] = e.bits;
+          const unsigned phase = e.state & 1;
+          for (const Hop& h : hops_out(static_cast<std::uint16_t>(e.state >> 1))) {
+            std::uint32_t to = std::uint32_t{h.to} << 1;
+            if (flags.restrict_updown) {
+              if (!h.up)
+                to |= 1;
+              else if (phase == 1)
+                continue;  // down -> up forbidden
+            }
+            gain(to, e.bits);
           }
-          if (reach(hop_cost, h.to_switch, next_phase,
-                    SearchPred{sw, phase, static_cast<int>(hi)}, key))
-            next->push(itbs, (std::uint32_t{h.to_switch} << 1) | next_phase);
         }
-
-        // ITB reset: eject at a host on this switch, re-inject in phase 0.
-        if (allow_itb && restrict_updown && phase == 1 &&
-            !itb_hosts_[sw].empty() &&
-            reach(SearchCost{hops, itbs + 1}, sw, 0, SearchPred{sw, 1, -1},
-                  key))
-          level->push(itbs + 1, std::uint32_t{sw} << 1);
       }
-      level->by_itbs[itbs].clear();
+      if (resets && i > 0)
+        for (const auto& e : cur->run(i - 1))
+          if ((e.state & 1) != 0 &&
+              has_itb_host(static_cast<std::uint16_t>(e.state >> 1)))
+            gain(e.state & ~1u, e.bits);
+
+      // Settle the sub-level. A gained bit's predecessor is the first
+      // in-hop, in (tail switch, tail phase, hop index) order, whose tail
+      // held the bit in the previous level's run: the tail with the
+      // smallest (hops, itbs, switch, phase) key among those reaching the
+      // state at its cost, and of its parallel hops the first. Trying each
+      // in-hop's tail phases in turn picks the same hop: for a given tail
+      // switch and state, every hop qualifies from both phases or from
+      // phase 0 only. A bit no in-hop carried came by an ITB reset.
+      const std::size_t settled = cur->entries.size();
+      cur->subs.push_back(static_cast<std::uint32_t>(settled));
+      for (const auto state : touched) {
+        const std::uint64_t bits = std::exchange(sc.fresh[state], 0);
+        out.reached[state] |= bits;
+        cur->entries.push_back({state, bits});
+        const auto sw = state >> 1;
+        const unsigned phase = state & 1;
+        std::uint64_t rest = bits;
+        const std::uint32_t first = offsets_[sw].in;
+        for (std::uint32_t j = first; j < offsets_[sw + 1].in && rest; ++j) {
+          const Hop& h = hops_[in_hops_[j]];
+          // The tail phases this hop leaves into `phase`, as a bit set.
+          unsigned tail_phases = 1;
+          if (flags.restrict_updown)
+            tail_phases = h.up ? (phase == 0 ? 1 : 0) : (phase == 1 ? 3 : 0);
+          for (unsigned q = 0; q < 2; ++q) {
+            if ((tail_phases >> q & 1) == 0) continue;
+            const std::uint32_t tail = (std::uint32_t{h.from} << 1) | q;
+            const std::uint64_t got = rest & sc.tails[tail];
+            rest &= ~got;
+            set_pred(got, state, tail << 8 | (j - first));
+          }
+        }
+        set_pred(rest, state, (state | 1) << 8 | kResetIndex);
+      }
+      touched.clear();
+      // A phase-1 arrival the phase-0 twin has not matched by now, its own
+      // sub-level included, is strictly cheaper: ties go to phase 0.
+      for (std::size_t k = settled; k < cur->entries.size(); ++k) {
+        const auto& e = cur->entries[k];
+        if ((e.state & 1) != 0)
+          out.down_first[e.state >> 1] |= e.bits & ~out.reached[e.state & ~1u];
+      }
+      if (hops_in)
+        for (const auto& e : prev->run(i)) sc.tails[e.state] = 0;
     }
-    level->used = 0;
-    std::swap(level, next);
+    // Trailing empty runs carry nothing to the next level.
+    while (!cur->subs.empty() && cur->subs.back() == cur->entries.size())
+      cur->subs.pop_back();
+    std::swap(prev, cur);
   }
 }
 
-void Router::extract(const Search& s, std::uint16_t src_host,
+void Router::extract(const Search& s, std::size_t bit, std::uint16_t src_host,
                      std::uint16_t dst_host, RouteRow& row,
                      Scratch& sc) const {
   const Uplink& dst_up = uplinks_[dst_host];
-  const auto ss = s.src_switch;
-  const auto sd = dst_up.sw;
-  const auto& dist = s.dist;
-  const auto& pred = s.pred;
-
-  const std::uint8_t best_phase = dist[sd][0] <= dist[sd][1] ? 0 : 1;
-  if (dist[sd][best_phase].hops == std::numeric_limits<std::uint32_t>::max())
+  if (!s.reaches(bit, dst_up.sw))
     throw std::logic_error("no route between hosts (disconnected?)");
+  const std::uint32_t* pred = s.pred.data() + bit * s.states;
+  // The cheaper phase at the destination switch.
+  std::uint32_t state = (std::uint32_t{dst_up.sw} << 1) |
+                        static_cast<std::uint32_t>(s.down_first[dst_up.sw] >> bit & 1);
 
-  // Reconstruct the (switch, action) chain back to front.
+  // Reconstruct the (switch, action) chain back to front. Each predecessor
+  // sits at a lower level, so the walk ends at the source.
   auto& steps = sc.steps;
   steps.clear();
-  std::uint16_t sw = sd;
-  std::uint8_t phase = best_phase;
-  while (!(sw == ss && phase == 0 && pred[sw][phase].hop == -2)) {
-    const SearchPred& p = pred[sw][phase];
-    if (p.hop == -2) throw std::logic_error("route reconstruction failed");
-    steps.push_back(Step{p.sw, p.hop});
-    sw = p.sw;
-    phase = p.phase;
+  for (std::uint32_t p = pred[state]; p != kSourcePred; p = pred[state]) {
+    const auto sw = static_cast<std::uint16_t>(state >> 1);
+    const std::uint32_t index = p & 0xFFu;
+    steps.push_back(Step{sw, index == kResetIndex
+                                 ? kNoHop
+                                 : in_hops_[offsets_[sw].in + index]});
+    state = p >> 8;
   }
 
   // Emit the header, in-transit hosts and channels front to back.
   packet::HeaderEncoder header(row.header_);
   for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
-    if (it->hop == -1) {
+    if (it->hop == kNoHop) {
       // Ejection: the segment ends with the port to the in-transit host;
       // the next segment resumes at the same switch behind an ITB tag.
       const ItbCandidate& itb = pick_itb(it->sw, src_host, dst_host);
@@ -339,7 +417,7 @@ void Router::extract(const Search& s, std::uint16_t src_host,
       header.itb();
       continue;
     }
-    const Hop& h = adj_[it->sw][static_cast<std::size_t>(it->hop)];
+    const Hop& h = hops_[it->hop];
     header.port(h.out_port);
     row.channels_.push_back(topo::Channel{h.link, h.forward});
   }
@@ -347,34 +425,35 @@ void Router::extract(const Search& s, std::uint16_t src_host,
   header.finish();
 }
 
-RouteRow Router::search(std::uint16_t src_host, std::uint16_t dst_host,
-                        bool restrict_updown, bool allow_itb) const {
+RouteRow Router::pair_row(std::uint16_t src_host, std::uint16_t dst_host,
+                          SolveFlags flags) const {
   if (!host_usable(src_host))
     throw std::logic_error("no route between hosts (source cut off)");
   if (!host_usable(dst_host))
     throw std::logic_error("no route between hosts (destination cut off)");
   Scratch sc;
-  relax(uplinks_[src_host].sw, restrict_updown, allow_itb, sc.primary, sc);
+  const std::uint16_t source = uplinks_[src_host].sw;
+  search(std::span(&source, 1), flags, sc.primary, sc);
   RouteRow row;
   row.reset(dst_host);
-  extract(sc.primary, src_host, dst_host, row, sc);
+  extract(sc.primary, 0, src_host, dst_host, row, sc);
   row.close_entry();
   return row;
 }
 
 std::vector<std::uint32_t> Router::min_hops_from_switch(std::uint16_t sw) const {
   constexpr auto kInf = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> dist(adj_.size(), kInf);
+  std::vector<std::uint32_t> dist(switch_count(), kInf);
   std::vector<std::uint16_t> frontier;
-  frontier.reserve(adj_.size());
+  frontier.reserve(switch_count());
   dist[sw] = 0;
   frontier.push_back(sw);
   for (std::size_t head = 0; head < frontier.size(); ++head) {
     const auto cur = frontier[head];
-    for (const Hop& h : adj_[cur]) {
-      if (dist[h.to_switch] != kInf) continue;
-      dist[h.to_switch] = dist[cur] + 1;
-      frontier.push_back(h.to_switch);
+    for (const Hop& h : hops_out(cur)) {
+      if (dist[h.to] != kInf) continue;
+      dist[h.to] = dist[cur] + 1;
+      frontier.push_back(h.to);
     }
   }
   return dist;
@@ -395,39 +474,62 @@ Router::SolveFlags Router::solve_flags(Policy policy) {
   return {/*restrict_updown=*/true, /*allow_itb=*/false};  // unreachable
 }
 
-std::size_t Router::solve_switch(std::span<const std::uint16_t> sources,
-                                 Policy policy, unsigned vc_lanes,
-                                 Scratch& sc) const {
+void Router::search_block(
+    std::span<const std::span<const std::uint16_t>> groups, Policy policy,
+    Scratch& sc) const {
+  if (groups.size() > kBlockWidth)
+    throw std::invalid_argument("routes_from_block: more groups than bits");
   auto& held = sc.held;
   held.clear();
-  for (const auto s : sources) {
-    if (!host_usable(s)) continue;
-    if (!held.empty() && uplinks_[s].sw != uplinks_[held.front()].sw)
-      throw std::invalid_argument("routes_from: sources on several switches");
-    held.push_back(s);
+  sc.groups.clear();
+  sc.sources.clear();
+  std::size_t total = 0;
+  for (const auto group : groups) total += group.size();
+  held.reserve(total);
+  sc.groups.reserve(groups.size());
+  sc.sources.reserve(groups.size());
+  for (const auto sources : groups) {
+    Scratch::Group group{};
+    group.begin = static_cast<std::uint32_t>(held.size());
+    for (const auto s : sources) {
+      if (!host_usable(s)) continue;
+      if (held.size() > group.begin &&
+          uplinks_[s].sw != uplinks_[held[group.begin]].sw)
+        throw std::invalid_argument("routes_from: sources on several switches");
+      held.push_back(s);
+    }
+    group.usable = static_cast<std::uint32_t>(held.size()) - group.begin;
+    for (const auto s : sources)
+      if (!host_usable(s)) held.push_back(s);
+    group.end = static_cast<std::uint32_t>(held.size());
+    // A group with no usable source gets no bit: every row is empty.
+    group.bit = static_cast<std::uint32_t>(sc.sources.size());
+    if (group.usable > 0) sc.sources.push_back(uplinks_[held[group.begin]].sw);
+    sc.groups.push_back(group);
   }
-  const std::size_t usable = held.size();
-  for (const auto s : sources)
-    if (!host_usable(s)) held.push_back(s);
-  if (usable == 0) return 0;  // every row is empty
+  if (!sc.sources.empty())
+    search(sc.sources, solve_flags(policy), sc.primary, sc);
+}
+
+std::size_t Router::switch_row(std::size_t g, Policy policy,
+                               unsigned vc_lanes, Scratch& sc) const {
+  const Scratch::Group& group = sc.groups[g];
+  if (group.usable == 0) return 0;
   // The in-transit host picks are the first source's; only kSpread's
   // depend on it, and spread_row() picks again per source.
-  const auto lead = held.front();
+  const auto lead = sc.held[group.begin];
   const auto ss = uplinks_[lead].sw;
-  const SolveFlags flags = solve_flags(policy);
-  relax(ss, flags.restrict_updown, flags.allow_itb, sc.primary, sc);
   // One walk per destination switch: the path, and so the header up to its
   // last port, depends only on that switch — unless the in-transit host
   // pick hashes the pair (kSpread), which only an entry without ITBs
   // escapes. The VC-escape fallback test reads only the trunk channels, so
   // a fallback entry is shared whole.
-  constexpr auto kInfHops = std::numeric_limits<std::uint32_t>::max();
   const auto hosts = static_cast<std::uint16_t>(uplinks_.size());
   RouteRow& row = sc.switch_row;
   row.marks_.reserve(hosts + 1u);  // one mark per host in every row
   row.reset();
   auto& walked = sc.walked;
-  walked.assign(adj_.size(), Scratch::kNoEntry);
+  walked.assign(switch_count(), Scratch::kNoEntry);
   // Restricted fallback for VC-escape routes whose minimal path needs more
   // lanes than the ladder has; solved at most once per switch.
   bool escape_solved = false;
@@ -441,19 +543,19 @@ std::size_t Router::solve_switch(std::span<const std::uint16_t> sources,
         row.add_sibling(walked[sd], uplinks_[d].port);  // closes the entry
         continue;
       }
-      if (sc.primary.dist[sd][0].hops != kInfHops ||
-          sc.primary.dist[sd][1].hops != kInfHops) {
-        extract(sc.primary, lead, d, row, sc);
+      if (sc.primary.reaches(group.bit, sd)) {
+        extract(sc.primary, group.bit, lead, d, row, sc);
         if (policy == Policy::kVcEscape &&
             updown_segments(row.open_channels()) > vc_lanes) {
           if (!escape_solved) {
-            relax(ss, /*restrict_updown=*/true, /*allow_itb=*/false,
-                  sc.escape, sc);
+            search(std::span(&ss, 1),
+                   {/*restrict_updown=*/true, /*allow_itb=*/false}, sc.escape,
+                   sc);
             escape_solved = true;
           }
           // Overwrite this destination's entry, never append a second.
           row.truncate_open();
-          extract(sc.escape, lead, d, row, sc);
+          extract(sc.escape, 0, lead, d, row, sc);
         }
         if (selection_ == ItbHostSelection::kLowestIndex ||
             row.open_hosts().empty())
@@ -462,16 +564,17 @@ std::size_t Router::solve_switch(std::span<const std::uint16_t> sources,
     }
     row.close_entry();
   }
-  return usable;
+  return group.usable;
 }
 
-void Router::spread_row(std::uint16_t src, RouteRow& row, Scratch& sc) const {
+void Router::spread_row(std::size_t g, std::uint16_t src, RouteRow& row,
+                        Scratch& sc) const {
   row = sc.switch_row;
   // The path, and so every length, stays the switch row's.
   for (std::uint16_t d = 0; d < row.size(); ++d) {
     if (row.route(src, d).itb_count() == 0) continue;
     sc.pair.reset(d);
-    extract(sc.primary, src, d, sc.pair, sc);
+    extract(sc.primary, sc.groups[g].bit, src, d, sc.pair, sc);
     sc.pair.close_entry();
     const RouteView picked = sc.pair.route(src, d);
     std::ranges::copy(picked.header(),
@@ -488,15 +591,15 @@ void Router::empty_row(RouteRow& row) const {
 }
 
 RouteRow Router::updown_route(std::uint16_t src, std::uint16_t dst) const {
-  return search(src, dst, /*restrict=*/true, /*allow_itb=*/false);
+  return pair_row(src, dst, solve_flags(Policy::kUpDown));
 }
 
 RouteRow Router::minimal_route(std::uint16_t src, std::uint16_t dst) const {
-  return search(src, dst, /*restrict=*/false, /*allow_itb=*/false);
+  return pair_row(src, dst, {/*restrict_updown=*/false, /*allow_itb=*/false});
 }
 
 RouteRow Router::itb_route(std::uint16_t src, std::uint16_t dst) const {
-  return search(src, dst, /*restrict=*/true, /*allow_itb=*/true);
+  return pair_row(src, dst, solve_flags(Policy::kItb));
 }
 
 std::size_t Router::minimal_distance(std::uint16_t src, std::uint16_t dst) const {

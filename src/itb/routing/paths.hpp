@@ -19,6 +19,7 @@
 #include <ranges>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "itb/packet/format.hpp"
@@ -119,6 +120,10 @@ class RouteRow {
   /// The route from `src`, a host the row serves, to `dst`: empty for the
   /// diagonal. Throws std::out_of_range when `dst` is outside the row.
   RouteView route(std::uint16_t src, std::uint16_t dst) const;
+  /// True when the entry toward `dst` holds a route, which the diagonal's
+  /// does for the switch-mates it serves; false for an unreachable
+  /// destination. Throws std::out_of_range like route().
+  bool has_route(std::uint16_t dst) const;
 
   /// Append the next destination's entry, its header encoded from
   /// `segments` by packet::HeaderEncoder (no segments = unreachable). The
@@ -181,12 +186,15 @@ enum class ItbHostSelection : std::uint8_t { kLowestIndex, kSpread };
 /// Route computation over one topology + one up*/down* orientation.
 class Router {
  public:
-  /// Reusable search buffers for routes_from(): the Dijkstra arrays, its
-  /// bucket queue, the path step stack, the switch's row and the
+  /// Reusable buffers for routes_from(): one block's search results, the
+  /// search's active lists, the path step stack, the switch's row and the
   /// per-switch entry map. The caller owns one per thread (never the const
   /// Router, so one Router serves concurrent solves); once warm, a re-solve
   /// allocates nothing. Defined below the class.
   class Scratch;
+
+  /// Source switches one search carries: one bit of a word each.
+  static constexpr std::size_t kBlockWidth = 64;
 
   explicit Router(const UpDown& updown,
                   ItbHostSelection selection = ItbHostSelection::kLowestIndex);
@@ -236,6 +244,16 @@ class Router {
                    unsigned vc_lanes, RouteRow& row, Scratch& scratch,
                    Publish&& publish) const;
 
+  /// routes_from() for up to kBlockWidth groups at once (more throw
+  /// std::invalid_argument): each group is a `sources` as above, and ONE
+  /// search carries the switches of all of them, a bit each. The rows go
+  /// to `publish` group by group, in order, exactly as routes_from() on
+  /// each group alone would publish them.
+  template <class Publish>
+  void routes_from_block(std::span<const std::span<const std::uint16_t>> groups,
+                         Policy policy, unsigned vc_lanes, RouteRow& row,
+                         Scratch& scratch, Publish&& publish) const;
+
   /// Trunk-hop distance of the unrestricted shortest path.
   std::size_t minimal_distance(std::uint16_t src_host,
                                std::uint16_t dst_host) const;
@@ -265,7 +283,9 @@ class Router {
 
   /// True when the switch has at least one usable attached host (an ITB
   /// candidate / phase-reset point).
-  bool has_itb_host(std::uint16_t sw) const { return !itb_hosts_[sw].empty(); }
+  bool has_itb_host(std::uint16_t sw) const {
+    return offsets_[sw].itbs != offsets_[sw + 1].itbs;
+  }
 
   /// Unrestricted BFS hop distances from one switch over the usable trunk
   /// graph (0xFFFFFFFF = unreachable): the minimal distance of every route
@@ -279,24 +299,38 @@ class Router {
 
  private:
   const UpDown* updown_;
+  ItbHostSelection selection_;
 
+  /// One usable trunk traversal out of switch `from`.
   struct Hop {
     topo::LinkId link;
-    std::uint16_t to_switch;
-    std::uint8_t out_port;  // port on the *from* switch
+    std::uint16_t from;
+    std::uint16_t to;
+    std::uint8_t out_port;  // port on `from`
     bool up;
     bool forward;  // the trunk channel runs link a -> b
   };
-  /// Adjacency: for each switch, its usable outgoing trunk hops.
-  std::vector<std::vector<Hop>> adj_;
-  ItbHostSelection selection_;
   struct ItbCandidate {
     std::uint16_t host;
     std::uint8_t port;  // switch port leading to it
   };
-  /// For each switch, its attached hosts usable as in-transit hosts,
-  /// sorted by host index.
-  std::vector<std::vector<ItbCandidate>> itb_hosts_;
+  /// Where each switch's runs start in the three flat arrays below; the
+  /// entry after the last switch closes its runs.
+  struct Offsets {
+    std::uint32_t hops = 0;
+    std::uint32_t in = 0;
+    std::uint32_t itbs = 0;
+  };
+  std::vector<Offsets> offsets_;
+  /// Every usable trunk traversal, by `from` switch and, within one, in
+  /// link order. A hop's id is its index here.
+  std::vector<Hop> hops_;
+  /// Per `to` switch, the ids of the hops into it, ascending: in (from
+  /// switch, index among from's hops) order.
+  std::vector<std::uint32_t> in_hops_;
+  /// Per switch, its attached hosts usable as in-transit hosts, sorted by
+  /// host index.
+  std::vector<ItbCandidate> itb_hosts_;
   /// Per host: its uplink link, switch and the switch port leading to it,
   /// valid when the uplink is usable.
   struct Uplink {
@@ -307,60 +341,22 @@ class Router {
   };
   std::vector<Uplink> uplinks_;
 
+  std::size_t switch_count() const { return offsets_.size() - 1; }
+  std::span<const Hop> hops_out(std::uint16_t sw) const;
+
   /// Pick the in-transit host on `sw` for the (src, dst) pair.
   const ItbCandidate& pick_itb(std::uint16_t sw, std::uint16_t src,
                                std::uint16_t dst) const;
 
-  // ---- Per-switch search machinery -------------------------------------
-  // The Dijkstra over (switch, up*/down* phase) states is destination-blind:
-  // it relaxes the whole fabric and only the extraction step looks at dst.
-  // It is source-blind too beyond the source's switch. Splitting the two
-  // lets routes_from() pay one search for every row out of a switch where
-  // a per-pair search pays H of them per row. The search cost (hops, itbs)
-  // is ordered lexicographically; a hop adds (1, 0) and an ITB reset
-  // (0, 1).
-
-  struct SearchCost {
-    std::uint32_t hops = 0xFFFFFFFFu;
-    std::uint32_t itbs = 0xFFFFFFFFu;
-    friend auto operator<=>(const SearchCost&, const SearchCost&) = default;
-  };
-  struct SearchPred {
-    std::uint16_t sw = 0xFFFF;
-    std::uint8_t phase = 0;
-    /// Index into adj_[pred.sw] of the hop taken, or -1 for an ITB reset
-    /// (same switch, phase 1 -> 0).
-    int hop = -2;  // -2 = unset / source
-  };
-  /// Full relaxation result from one source switch.
-  struct Search {
-    std::uint16_t src_switch = 0;
-    std::vector<std::array<SearchCost, 2>> dist;  // [switch][phase]
-    std::vector<std::array<SearchPred, 2>> pred;
-  };
-  /// One step of a reconstructed path: the hop taken out of `sw` (an adj_
-  /// index), or -1 for an ITB reset at `sw`.
-  struct Step {
-    std::uint16_t sw;
-    int hop;
-  };
-
-  void relax(std::uint16_t src_switch, bool restrict_updown, bool allow_itb,
-             Search& out, Scratch& sc) const;
-  /// Append the route to `dst_host` to the open entry of `row`.
-  void extract(const Search& s, std::uint16_t src_host,
-               std::uint16_t dst_host, RouteRow& row, Scratch& sc) const;
-  /// routes_from()'s shared half: sorts `sources` into `sc.held`, the
-  /// usable ones first, and builds their switch's row into `sc.switch_row`.
-  /// Returns the usable count.
-  std::size_t solve_switch(std::span<const std::uint16_t> sources,
-                           Policy policy, unsigned vc_lanes,
-                           Scratch& sc) const;
-  /// kSpread: `src`'s row, the switch's with its in-transit hosts picked
-  /// for `src`.
-  void spread_row(std::uint16_t src, RouteRow& row, Scratch& sc) const;
-  /// The all-empty row of a cut-off source.
-  void empty_row(RouteRow& row) const;
+  // ---- Block search ---------------------------------------------------
+  // The search over (switch, up*/down* phase) states is destination-blind:
+  // it covers the whole fabric and only the extraction step looks at dst.
+  // It is source-blind too beyond the source's switch, so one search
+  // serves every host on a switch, and one level search carries up to 64
+  // switches as the bits of a word. A state is switch << 1 | phase; phase 1
+  // means a down traversal happened (only down is legal until an ITB
+  // resets the phase). The search cost (hops, itbs) is ordered
+  // lexicographically; a hop adds (1, 0) and an ITB reset (0, 1).
 
   /// The ONE mapping from a policy to its primary search restriction. Every
   /// route-solve entry point derives its flags here, so a policy with no
@@ -373,32 +369,105 @@ class Router {
   };
   static SolveFlags solve_flags(Policy policy);
 
-  RouteRow search(std::uint16_t src_host, std::uint16_t dst_host,
-                  bool restrict_updown, bool allow_itb) const;
+  /// A predecessor: the state it leaves << 8 | the index of the hop taken
+  /// among the in-hops of the state's switch, or kResetIndex for an ITB
+  /// reset (same switch, phase 1 -> 0): a switch has at most 255 ports,
+  /// one in-hop each, so an index stays below it. The walk back to the
+  /// source then reads one word per step.
+  static constexpr std::uint32_t kSourcePred = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kResetIndex = 0xFFu;
+
+  /// One block's search result. Bit b of `reached[state]` says source b
+  /// reached the state; then `pred[b * states + state]` is its
+  /// predecessor. Bit b of `down_first[sw]` says source b reached the
+  /// switch more cheaply in phase 1 than in phase 0 (a tie goes to phase
+  /// 0): its routes to the switch's hosts end in phase 1.
+  struct Search {
+    std::size_t states = 0;
+    std::vector<std::uint64_t> reached;
+    std::vector<std::uint64_t> down_first;
+    std::vector<std::uint32_t> pred;
+    bool reaches(std::size_t bit, std::uint16_t sw) const {
+      return ((reached[2u * sw] | reached[2u * sw + 1]) >> bit & 1) != 0;
+    }
+  };
+  /// One step of a reconstructed path: the hop taken into switch `sw`, or
+  /// kNoHop for an ITB reset at `sw`.
+  static constexpr std::uint32_t kNoHop = 0xFFFFFFFFu;
+  struct Step {
+    std::uint16_t sw;
+    std::uint32_t hop;
+  };
+
+  /// Search from each switch of `sources` (at most kBlockWidth), source b
+  /// as bit b.
+  void search(std::span<const std::uint16_t> sources, SolveFlags flags,
+              Search& out, Scratch& sc) const;
+  /// Append source `bit`'s route to `dst_host` to the open entry of `row`.
+  void extract(const Search& s, std::size_t bit, std::uint16_t src_host,
+               std::uint16_t dst_host, RouteRow& row, Scratch& sc) const;
+  /// routes_from_block()'s shared half: sorts each group's sources into
+  /// `sc.held`, the usable ones first, and searches from their switches.
+  void search_block(std::span<const std::span<const std::uint16_t>> groups,
+                    Policy policy, Scratch& sc) const;
+  /// Build group `g`'s switch row into `sc.switch_row`; returns its usable
+  /// source count (no row without one).
+  std::size_t switch_row(std::size_t g, Policy policy, unsigned vc_lanes,
+                         Scratch& sc) const;
+  /// kSpread: `src`'s row, group `g`'s switch row with its in-transit hosts
+  /// picked for `src`.
+  void spread_row(std::size_t g, std::uint16_t src, RouteRow& row,
+                  Scratch& sc) const;
+  /// The all-empty row of a cut-off source.
+  void empty_row(RouteRow& row) const;
+
+  RouteRow pair_row(std::uint16_t src_host, std::uint16_t dst_host,
+                    SolveFlags flags) const;
 };
 
 class Router::Scratch {
  private:
   friend class Router;
-  Search primary;
-  Search escape;  // kVcEscape's restricted fallback search
-  /// One hop level of the bucket queue: the states (switch << 1 | phase)
-  /// queued at each itbs count. Only levels h and h + 1 are ever non-empty,
-  /// so relax() keeps two, swaps them and leaves both drained; drained
-  /// buckets keep their capacity.
-  struct Level {
-    std::vector<std::vector<std::uint32_t>> by_itbs;
-    std::uint32_t used = 0;  // by_itbs[0, used) may be non-empty
-    void push(std::uint32_t itbs, std::uint32_t state) {
-      if (itbs >= by_itbs.size()) by_itbs.resize(itbs + 1);
-      by_itbs[itbs].push_back(state);
-      if (itbs >= used) used = itbs + 1;
+  Search primary;  // the block's search
+  Search escape;   // kVcEscape's restricted fallback, a block of one
+  /// One hop level's active list: the states that gained bits at that
+  /// level and the bits they gained, one run per itbs count (sub-level),
+  /// empty runs included. The search keeps the previous level and the one
+  /// it builds, so its storage is bounded by the frontier.
+  struct Frontier {
+    struct Entry {
+      std::uint32_t state;
+      std::uint64_t bits;
+    };
+    std::vector<Entry> entries;
+    std::vector<std::uint32_t> subs;  // where each run starts
+    std::size_t runs() const { return subs.size(); }
+    std::span<const Entry> run(std::size_t i) const {
+      const std::size_t end = i + 1 < subs.size() ? subs[i + 1] : entries.size();
+      return std::span(entries).subspan(subs[i], end - subs[i]);
     }
   };
-  std::array<Level, 2> levels;
+  std::array<Frontier, 2> frontiers;
+  /// Per state: the bits it gains in the sub-level being settled.
+  std::vector<std::uint64_t> fresh;
+  /// Per state: its bits in the previous level's run of the same itbs
+  /// count, the hop predecessors of that sub-level.
+  std::vector<std::uint64_t> tails;
+  /// The states with fresh bits, in the order they first gained one.
+  std::vector<std::uint32_t> touched;
   std::vector<Step> steps;
-  /// The sources of the current group, the usable ones first.
+  /// The block's groups: each one's sources in `held`, its usable ones
+  /// first, and its bit in the search.
+  struct Group {
+    std::uint32_t begin;
+    std::uint32_t usable;
+    std::uint32_t end;
+    std::uint32_t bit;
+  };
+  std::vector<Group> groups;
   std::vector<std::uint16_t> held;
+  /// The switch each bit searches from.
+  std::vector<std::uint16_t> sources;
   /// The switch's row: every usable source's row, or under kSpread the
   /// one each source's copy starts from.
   RouteRow switch_row;
@@ -414,21 +483,35 @@ template <class Publish>
 void Router::routes_from(std::span<const std::uint16_t> sources,
                          Policy policy, unsigned vc_lanes, RouteRow& row,
                          Scratch& scratch, Publish&& publish) const {
-  const std::size_t usable = solve_switch(sources, policy, vc_lanes, scratch);
-  const std::span<const std::uint16_t> held(scratch.held);
-  if (selection_ == ItbHostSelection::kSpread &&
-      !scratch.switch_row.stored_hosts().empty()) {
-    for (std::size_t i = 0; i < usable; ++i) {
-      spread_row(held[i], row, scratch);
-      publish(row, held.subspan(i, 1));
+  routes_from_block(std::span(&sources, 1), policy, vc_lanes, row, scratch,
+                    std::forward<Publish>(publish));
+}
+
+template <class Publish>
+void Router::routes_from_block(
+    std::span<const std::span<const std::uint16_t>> groups, Policy policy,
+    unsigned vc_lanes, RouteRow& row, Scratch& scratch,
+    Publish&& publish) const {
+  search_block(groups, policy, scratch);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const std::size_t usable = switch_row(g, policy, vc_lanes, scratch);
+    const Scratch::Group& group = scratch.groups[g];
+    const auto held = std::span<const std::uint16_t>(scratch.held).subspan(
+        group.begin, group.end - group.begin);
+    if (selection_ == ItbHostSelection::kSpread && usable > 0 &&
+        !scratch.switch_row.stored_hosts().empty()) {
+      for (std::size_t i = 0; i < usable; ++i) {
+        spread_row(g, held[i], row, scratch);
+        publish(row, held.subspan(i, 1));
+      }
+    } else if (usable > 0) {
+      row = scratch.switch_row;
+      publish(row, held.first(usable));
     }
-  } else if (usable > 0) {
-    row = scratch.switch_row;
-    publish(row, held.first(usable));
-  }
-  if (usable < held.size()) {
-    empty_row(row);
-    publish(row, held.subspan(usable));
+    if (usable < held.size()) {
+      empty_row(row);
+      publish(row, held.subspan(usable));
+    }
   }
 }
 

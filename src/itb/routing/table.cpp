@@ -1,6 +1,7 @@
 #include "itb/routing/table.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdint>
 #include <limits>
@@ -72,26 +73,36 @@ RouteTable::RouteTable(const Router& router, Policy policy, unsigned jobs,
 
 void RouteTable::solve_groups(const Router& router, unsigned jobs,
                               std::optional<std::uint64_t> index_gen) {
+  // One task per block of consecutive switch groups, one search per block.
+  // The blocks do not depend on `jobs`, and a row depends only on (router,
+  // policy, switch), so neither does the table.
+  constexpr std::size_t kWidth = Router::kBlockWidth;
   const std::size_t groups = group_begins_.size() - 1;
+  const std::size_t blocks = (groups + kWidth - 1) / kWidth;
   const sim::ParallelRunner runner(jobs);
   struct Buffers {
     RouteRow row;
     Router::Scratch search;
   };
-  std::vector<Buffers> workers(std::min<std::size_t>(runner.jobs(), groups));
-  runner.run_indexed(groups, [&](std::size_t g, unsigned w) {
-    const auto group = switch_group(g);
+  std::vector<Buffers> workers(std::min<std::size_t>(runner.jobs(), blocks));
+  runner.run_indexed(blocks, [&](std::size_t k, unsigned w) {
     Buffers& b = workers[w];
-    router.routes_from(
-        group, policy_, vc_lanes_, b.row, b.search,
+    const std::size_t first = k * kWidth;
+    std::array<std::span<const std::uint16_t>, kWidth> spans;
+    const auto block = std::span(spans).first(std::min(kWidth, groups - first));
+    for (std::size_t i = 0; i < block.size(); ++i)
+      block[i] = switch_group(first + i);
+    router.routes_from_block(
+        block, policy_, vc_lanes_, b.row, b.search,
         [this](RouteRow& row, std::span<const std::uint16_t> holders) {
           const auto shared = std::make_shared<const RouteRow>(std::move(row));
           for (const auto h : holders) rows_[h] = shared;
         });
-    if (index_gen) {
-      index_group(router, group);  // each worker touches only its group
-      for (const auto s : group) solved_gen_[s] = *index_gen;
-    }
+    if (index_gen)
+      for (const auto group : block) {
+        index_group(router, group);  // each worker touches only its groups
+        for (const auto s : group) solved_gen_[s] = *index_gen;
+      }
   });
 }
 
@@ -200,24 +211,25 @@ std::shared_ptr<const RouteTable::RowIndex> RouteTable::index_row(
   // Every host a stored route touches was usable under `router`, which
   // solved the row: its uplink is known there.
   const RouteRow& row = *rows_[src];
-  // Each shared trunk-channel range once, rather than once per entry.
+  // Each shared trunk-channel range once, rather than once per entry, and
+  // every entry's in-transit hosts: the diagonal entry, a route to a
+  // switch-mate, has none.
   for (const auto& c : row.stored_channels()) lu[c.link] = 1;
+  for (const auto h : row.stored_hosts()) {
+    lu[router.host_link(h)] = 1;
+    iu[router.host_switch(h)] = 1;
+  }
   // Read as `src` reads it. Any other holder reads the same routes: its
   // entry toward `src` and src's toward it reach the two uplinks.
   bool any = false;
   for (std::uint16_t d = 0; d < hosts_; ++d) {
-    const RouteView r = row.route(src, d);
-    if (r.empty()) continue;
+    if (d == src || !row.has_route(d)) continue;
     any = true;
     lu[router.host_link(d)] = 1;
-    for (auto h : r.in_transit_hosts()) {
-      lu[router.host_link(h)] = 1;
-      iu[router.host_switch(h)] = 1;
-    }
     // A VC route longer than its minimal distance is an escape fallback
     // (see RowIndex::vc_fallback).
     if (policy_ == Policy::kVcEscape &&
-        r.trunk_hops() > min_hops[router.host_switch(d)])
+        row.route(src, d).trunk_hops() > min_hops[router.host_switch(d)])
       index->vc_fallback = true;
   }
   // The source's own uplink carries every nonempty route.

@@ -48,7 +48,8 @@ class RouteTable {
  public:
   /// Compute routes for every ordered host pair under `policy`. The hosts
   /// on one switch share one multi-destination solve and, outside kSpread,
-  /// one row (Router::routes_from); `jobs` fans the switches across that
+  /// one row, and one search carries 64 switches
+  /// (Router::routes_from_block); `jobs` fans those blocks across that
   /// many threads (0 = hardware concurrency). Every switch writes only its
   /// own hosts' rows, and the row content depends only on (router, policy,
   /// switch), so the table is bit-identical for any job count — CI
@@ -103,8 +104,8 @@ class RouteTable {
   // ---- Incremental patching --------------------------------------------
   // The recovery engine keeps ONE table alive across fault epochs and asks
   // it to repair itself against a re-masked Router instead of re-solving
-  // all pairs. Soundness rests on the canonical search order (see
-  // Router::relax): a source is re-solved iff (a) any stored route touches
+  // all pairs. Soundness rests on the canonical predecessor rule (see
+  // Router::search): a source is re-solved iff (a) any stored route touches
   // a removed link, (b) an ITB candidate set it uses changed, or (c) an
   // added link could attract it (unrestricted-hop lower bound <= stored
   // cost). Everything else is provably byte-identical, which the
@@ -148,7 +149,7 @@ class RouteTable {
     /// store), so the link reverse index cannot prove them stable — patch()
     /// conservatively re-solves every fallback source on any delta. Minimal
     /// routes stay covered by the usual (a)/(b)/(c) tests: the unrestricted
-    /// relax is orientation-blind and an orientation flip of a traversed
+    /// search is orientation-blind and an orientation flip of a traversed
     /// link always lands in the delta as removed+added.
     bool vc_fallback = false;
   };
@@ -189,10 +190,10 @@ class RouteTable {
   std::vector<std::uint32_t> group_begins_;
   std::span<const std::uint16_t> switch_group(std::size_t g) const;
 
-  /// Re-solve the grouped work list across `jobs` workers, one switch group
-  /// per task, each with its own search scratch, and publish each row as
-  /// its holders' new row. With `index_gen`, also re-index each source and
-  /// stamp it with that solve generation.
+  /// Re-solve the grouped work list across `jobs` workers, one block of 64
+  /// switch groups per task, each worker with its own search scratch, and
+  /// publish each row as its holders' new row. With `index_gen`, also
+  /// re-index each source and stamp it with that solve generation.
   void solve_groups(const Router& router, unsigned jobs,
                     std::optional<std::uint64_t> index_gen);
 };

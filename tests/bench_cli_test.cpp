@@ -214,6 +214,16 @@ TEST(BenchCli, PositionalsFillInDeclarationOrder) {
   EXPECT_EQ(payload, 256u);
   parse(sizes, {"4096"});
   EXPECT_EQ(payload, 4096u);
+
+  Harness words("cow_tool", 0);
+  std::string policy = "itb";
+  words.cli.positional("ud|itb", &policy, {"ud", "itb"});
+  EXPECT_EQ(words.cli.usage("cow_tool"), "usage: cow_tool [ud|itb]");
+  for (const char* bad : {"bogus", "UD", "", "ud "})
+    EXPECT_THROW(cli_parse(words, {bad}), std::invalid_argument) << bad;
+  EXPECT_EQ(policy, "itb");
+  parse(words, {"ud"});
+  EXPECT_EQ(policy, "ud");
 }
 
 // ------------------------------------------ hostile command lines exit 2 --

@@ -3,9 +3,14 @@
 // gtest, one instantiation axis per sweep).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <numeric>
 #include <ostream>
+#include <queue>
 #include <set>
+#include <tuple>
+#include <utility>
 
 #include "itb/core/cluster.hpp"
 #include "itb/mapper/mapper.hpp"
@@ -109,6 +114,115 @@ TEST_P(RoutingInvariants, RoutesExecuteToDestination) {
       }
       EXPECT_EQ(cur.node, topo::host_id(d));
     }
+}
+
+/// (hops, itbs), ordered lexicographically.
+using LexCost = std::pair<std::uint32_t, std::uint32_t>;
+constexpr LexCost kUnreached{0xFFFFFFFFu, 0xFFFFFFFFu};
+
+/// The least (hops, itbs) of a legal route from `src_sw` to every switch:
+/// a binary-heap Dijkstra over (switch, up*/down* phase) states, read
+/// straight off the topology and its orientation, sharing no code with
+/// routing::Router. Phase 1 means a down traversal happened; with
+/// `allow_itb`, a phase-1 state on a switch with a usable host resets to
+/// phase 0 for one ITB.
+std::vector<LexCost> reference_costs(const topo::Topology& t,
+                                     const routing::UpDown& ud,
+                                     std::uint16_t src_sw, bool allow_itb) {
+  const auto is_switch = [](const topo::Endpoint& e) {
+    return e.node.kind == topo::NodeKind::kSwitch;
+  };
+  std::vector<bool> has_host(t.switch_count(), false);
+  for (topo::LinkId l = 0; l < t.link_count(); ++l) {
+    const auto& link = t.link(l);
+    if (ud.link_usable(l) && is_switch(link.a) != is_switch(link.b))
+      has_host[(is_switch(link.a) ? link.a : link.b).node.index] = true;
+  }
+  std::vector<std::array<LexCost, 2>> best(t.switch_count(),
+                                           {kUnreached, kUnreached});
+  using Item = std::tuple<LexCost, std::uint16_t, int>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  const auto offer = [&](LexCost c, std::uint16_t sw, int phase) {
+    if (c >= best[sw][phase]) return;
+    best[sw][phase] = c;
+    heap.emplace(c, sw, phase);
+  };
+  offer({0, 0}, src_sw, 0);
+  while (!heap.empty()) {
+    const auto [c, sw, phase] = heap.top();
+    heap.pop();
+    if (c != best[sw][phase]) continue;
+    if (allow_itb && phase == 1 && has_host[sw])
+      offer({c.first, c.second + 1}, sw, 0);
+    for (const auto l : t.links_of(topo::switch_id(sw))) {
+      const auto& link = t.link(l);
+      if (!ud.link_usable(l) || !is_switch(link.a) || !is_switch(link.b))
+        continue;
+      const bool up = ud.is_up_traversal(l, sw);
+      if (up && phase == 1) continue;
+      const auto to =
+          link.a.node.index == sw ? link.b.node.index : link.a.node.index;
+      offer({c.first + 1, c.second}, to, up ? phase : 1);
+    }
+  }
+  std::vector<LexCost> out(t.switch_count());
+  for (std::size_t sw = 0; sw < out.size(); ++sw)
+    out[sw] = std::min(best[sw][0], best[sw][1]);
+  return out;
+}
+
+TEST_P(RoutingInvariants, TablesReachTheReferenceLexOptimum) {
+  // Every route of the UD and ITB tables, under both in-transit host
+  // selections, has the reference search's least (hops, itbs): on the
+  // whole fabric, with its busiest trunk down, and with one switch cut off.
+  const auto t = random_topo(GetParam());
+  const routing::UpDown whole(t);
+  const auto usage =
+      routing::RouteTable(routing::Router(whole), routing::Policy::kItb)
+          .channel_usage(t);
+  topo::LinkId busiest = 0;
+  for (topo::LinkId l = 0; l < t.link_count(); ++l)
+    if (usage[2 * l] + usage[2 * l + 1] >
+        usage[2 * busiest] + usage[2 * busiest + 1])
+      busiest = l;
+  std::vector<std::vector<char>> masks(3, std::vector<char>(t.link_count(), 1));
+  masks[1][busiest] = 0;
+  const auto cut = static_cast<std::uint16_t>(t.switch_count() - 1);
+  for (const auto l : t.links_of(topo::switch_id(cut))) masks[2][l] = 0;
+
+  for (std::size_t m = 0; m < masks.size(); ++m) {
+    const routing::UpDown ud(t, 0, masks[m]);
+    const auto usable = [&](std::uint16_t h) {
+      return ud.link_usable(t.links_of(topo::host_id(h)).front());
+    };
+    for (const bool itb : {false, true}) {
+      std::vector<std::vector<LexCost>> want(t.switch_count());
+      for (const auto selection : {routing::ItbHostSelection::kLowestIndex,
+                                   routing::ItbHostSelection::kSpread}) {
+        const routing::Router r(ud, selection);
+        const routing::RouteTable table(
+            r, itb ? routing::Policy::kItb : routing::Policy::kUpDown);
+        for (std::uint16_t s = 0; s < t.host_count(); ++s)
+          for (std::uint16_t d = 0; d < t.host_count(); ++d) {
+            if (s == d) continue;
+            const auto route = table.route(s, d);
+            const auto ss = t.host_uplink(s).node.index;
+            if (usable(s) && want[ss].empty())
+              want[ss] = reference_costs(t, ud, ss, itb);
+            const LexCost best = usable(s) && usable(d)
+                                     ? want[ss][t.host_uplink(d).node.index]
+                                     : kUnreached;
+            const LexCost got = route.empty()
+                                    ? kUnreached
+                                    : LexCost(route.trunk_hops(),
+                                              route.itb_count());
+            EXPECT_EQ(got, best) << "mask " << m << (itb ? " ITB " : " UD ")
+                                 << static_cast<int>(selection) << " h" << s
+                                 << " -> h" << d;
+          }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingInvariants,

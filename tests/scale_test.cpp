@@ -301,6 +301,26 @@ TEST(ZeroAlloc, RouteSearchStorageStaysBoundedByTheFrontier) {
   }
 }
 
+TEST(ZeroAlloc, RouterBuildDoesNotAllocatePerSwitch) {
+  // The Router lays its adjacency, in-hops and ITB candidates out as flat
+  // arrays sized once, so building one over four times the switches makes
+  // the same number of allocations.
+  if (!sim::alloc_counting_available())
+    GTEST_SKIP() << "allocation counting unavailable in this build";
+  const auto build_allocs = [](std::uint16_t switches) {
+    sim::Rng rng(2001);
+    topo::IrregularSpec spec;
+    spec.switches = switches;
+    spec.hosts_per_switch = 4;
+    const auto t = topo::make_random_irregular(spec, rng);
+    const routing::UpDown ud(t);
+    const auto before = sim::total_allocations();
+    const routing::Router router(ud);
+    return sim::total_allocations() - before;
+  };
+  EXPECT_EQ(build_allocs(64), build_allocs(256));
+}
+
 // ---- Route-set safety on the generated families -------------------------
 
 TEST(GeneratedTables, ItbTablesAreDeadlockFree) {
