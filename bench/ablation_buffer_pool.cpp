@@ -22,7 +22,6 @@
 
 #include "harness.hpp"
 #include "itb/core/cluster.hpp"
-#include "itb/sim/parallel.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -38,18 +37,14 @@ struct Outcome {
   /// drops this includes the retransmission stalls — the latency price of
   /// the smaller pool.
   telemetry::LatencyHistogram send_to_ack;
-  // Captured for --json runs, by value: the cluster dies with the run.
-  std::vector<telemetry::MetricSample> counters;
-  std::vector<telemetry::Sampler::Series> series;
-  health::LivenessVerdict liveness;  // --watchdog only
-  flight::Recording recording;       // --flight only
 };
 
 /// Star topology stressing one in-transit host: four sources on switch 0,
 /// four sinks on switch 1; every route is forced through the ITB host h8
-/// on switch 0, so its NIC forwards every packet.
-Outcome run(int recv_buffers, bool drop_when_full, bool sample,
-            bool watchdog, const flight::RecorderConfig& frc) {
+/// on switch 0, so its NIC forwards every packet. A run with a `tag` is
+/// sampled and captured under it.
+Outcome run(int recv_buffers, bool drop_when_full, const std::string& tag,
+            bench::Point& p) {
   topo::Topology topo;
   topo.add_switch(16);
   topo.add_switch(16);
@@ -77,12 +72,10 @@ Outcome run(int recv_buffers, bool drop_when_full, bool sample,
     r[d][s] = {{1, static_cast<std::uint8_t>(2 + s)}};
   }
   cfg.manual_routes = std::move(r);
-  cfg.watchdog.enabled = watchdog;
-  cfg.flight = frc;
-  core::Cluster cluster(std::move(cfg));
+  core::Cluster cluster(p.arm(std::move(cfg)));
 
   Outcome out;
-  if (sample) cluster.telemetry().start_sampling();
+  if (!tag.empty()) cluster.telemetry().start_sampling();
 
   // Each source sends 30 x 2 KB messages as fast as tokens allow. The
   // feeders live in this frame: cluster.run() drains every scheduled retry.
@@ -120,14 +113,7 @@ Outcome run(int recv_buffers, bool drop_when_full, bool sample,
   for (std::uint16_t s = 0; s < 4; ++s)
     out.retransmissions += cluster.port(s).stats().retransmissions;
   if (remaining != 0) out.makespan = -1;  // did not complete (diagnostic)
-
-  if (sample) {
-    cluster.telemetry().stop_sampling();
-    out.counters = cluster.telemetry().registry().snapshot();
-    out.series = cluster.telemetry().sampler().series();
-  }
-  if (watchdog) out.liveness = cluster.health()->verdict();
-  if (cluster.flight()) out.recording = cluster.flight()->snapshot();
+  p.capture(cluster, tag);
   return out;
 }
 
@@ -155,32 +141,27 @@ int main(int argc, char** argv) {
   for (bool drop : {false, true})
     for (int buffers : {2, 4, 8, 16}) configs.push_back({drop, buffers});
 
+  auto mode_of = [&](std::size_t i) {
+    return std::string(configs[i].drop ? "drop" : "backpressure");
+  };
+  auto tag_of = [&](std::size_t i) {
+    return mode_of(i) + "_b" + std::to_string(configs[i].buffers);
+  };
   // Eight independent clusters; fan out, then print/report in config order.
-  auto outcomes = sim::run_sweep_parallel(
-      configs.size(),
-      [&](std::size_t i) {
-        return run(configs[i].buffers, configs[i].drop, rp != nullptr,
-                   h.watchdog, h.recorder());
-      },
-      h.jobs);
+  auto outcomes = h.sweep(configs.size(), [&](std::size_t i, bench::Point& p) {
+    return run(configs[i].buffers, configs[i].drop, rp ? tag_of(i) : "", p);
+  });
 
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto& [drop, buffers] = configs[i];
-    Outcome& o = outcomes[i];
-    h.liveness.merge(o.liveness);
-    h.add_recording(std::move(o.recording));
-    const std::string mode = drop ? "drop" : "backpressure";
-    const std::string tag = mode + "_b" + std::to_string(buffers);
+    const int buffers = configs[i].buffers;
+    const Outcome& o = outcomes[i];
+    const std::string mode = mode_of(i);
     std::printf("%8d %12s | %12.1f %8llu %10llu %10llu\n", buffers,
                 mode.c_str(), static_cast<double>(o.makespan) / 1000.0,
                 static_cast<unsigned long long>(o.drops),
                 static_cast<unsigned long long>(o.retransmissions),
                 static_cast<unsigned long long>(o.itb_forwarded));
-    if (rp) {
-      rp->add_histogram("send_to_ack", tag, o.send_to_ack);
-      rp->add_counters(tag, std::move(o.counters));
-      rp->add_series(tag, std::move(o.series));
-    }
+    if (rp) rp->add_histogram("send_to_ack", tag_of(i), o.send_to_ack);
     telemetry::BenchReport::Row row;
     row.text["mode"] = mode;
     row.num["buffers"] = buffers;

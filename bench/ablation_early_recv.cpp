@@ -19,7 +19,6 @@
 
 #include "harness.hpp"
 #include "itb/core/experiments.hpp"
-#include "itb/sim/parallel.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
@@ -32,53 +31,35 @@ struct OverheadOutput {
   double overhead_ns = 0;
   telemetry::LatencyHistogram ud_hist;
   telemetry::LatencyHistogram itb_hist;
-  std::vector<telemetry::MetricSample> counters;  // want_series pairs only
-  std::vector<telemetry::Sampler::Series> series;
-  health::LivenessVerdict liveness;  // --watchdog only, both clusters merged
-  // --flight only. Kept separate: handles are only unique per cluster, so
-  // the timeline must stitch each recording on its own.
-  flight::Recording ud_recording;
-  flight::Recording itb_recording;
 };
 
+/// A pair with a `tag` samples its ITB-path cluster and captures it under
+/// the tag; `sample` keeps the half-RTT histograms.
 OverheadOutput itb_overhead(const nic::McpOptions& options, std::size_t size,
-                            bool sample, bool want_series, bool watchdog,
-                            const flight::RecorderConfig& frc) {
-  health::WatchdogConfig wc;
-  wc.enabled = watchdog;
-  auto ud = core::make_fig8_cluster(false, options, {}, wc, frc);
-  auto itb = core::make_fig8_cluster(true, options, {}, wc, frc);
-  if (sample) itb->telemetry().start_sampling();
-  auto a = workload::run_pingpong(ud->queue(), ud->port(core::kHost1),
-                                  ud->port(core::kHost2), size, 20);
+                            bool sample, const std::string& tag,
+                            bench::Point& p) {
+  core::Cluster ud(p.arm(core::fig8_config(false, options)));
+  core::Cluster itb(p.arm(core::fig8_config(true, options)));
+  if (sample) itb.telemetry().start_sampling();
+  auto a = workload::run_pingpong(ud.queue(), ud.port(core::kHost1),
+                                  ud.port(core::kHost2), size, 20);
   workload::AllsizeConfig cfg;
   cfg.iterations = 20;
   cfg.sizes = {size};
-  if (sample) cfg.sampler = &itb->telemetry().sampler();
-  auto b = workload::run_allsize(itb->queue(), itb->port(core::kHost1),
-                                 itb->port(core::kHost2), cfg)
+  if (sample) cfg.sampler = &itb.telemetry().sampler();
+  auto b = workload::run_allsize(itb.queue(), itb.port(core::kHost1),
+                                 itb.port(core::kHost2), cfg)
                .front();
   OverheadOutput out;
   out.overhead_ns = 2.0 * (b.half_rtt_ns - a.half_rtt_ns);
   if (sample) {
     out.ud_hist = a.hist;
     out.itb_hist = b.hist;
-    itb->telemetry().stop_sampling();
-    // Series from every configuration would be repetitive; keep the paper
-    // MCP's as the reference picture of the ITB path under ping-pong.
-    if (want_series) {
-      out.counters = itb->telemetry().registry().snapshot();
-      out.series = itb->telemetry().sampler().series();
-    }
   }
-  if (watchdog) {
-    out.liveness = ud->health()->verdict();
-    out.liveness.merge(itb->health()->verdict());
-  }
-  if (ud->flight()) {
-    out.ud_recording = ud->flight()->snapshot();
-    out.itb_recording = itb->flight()->snapshot();
-  }
+  // Two recordings: handles are only unique per cluster, so the timeline
+  // must stitch each on its own.
+  p.capture(ud);
+  p.capture(itb, tag);
   return out;
 }
 
@@ -115,39 +96,32 @@ int main(int argc, char** argv) {
                               {"no_recv_side", dispatch},
                               {"neither", neither}};
 
-  // 4 sizes x 4 variants = 16 independent measurement pairs.
-  auto outputs = sim::run_sweep_parallel(
+  // 4 sizes x 4 variants = 16 independent measurement pairs. Series from
+  // every configuration would be repetitive; the paper MCP's are the
+  // reference picture of the ITB path under ping-pong.
+  auto tag_of = [&](std::size_t i) {
+    return std::string(variants[i % std::size(variants)].run) + "_" +
+           std::to_string(sizes[i / std::size(variants)]) + "B";
+  };
+  auto outputs = h.sweep(
       std::size(sizes) * std::size(variants),
-      [&](std::size_t i) {
-        const std::size_t size = sizes[i / std::size(variants)];
-        const Variant& v = variants[i % std::size(variants)];
-        return itb_overhead(v.options, size, rp != nullptr,
-                            std::string_view(v.run) == "paper", h.watchdog,
-                            h.recorder());
-      },
-      h.jobs);
-
-  for (auto& o : outputs) {
-    h.add_recording(std::move(o.ud_recording));
-    h.add_recording(std::move(o.itb_recording));
-  }
+      [&](std::size_t i, bench::Point& p) {
+        const std::size_t vi = i % std::size(variants);
+        return itb_overhead(variants[vi].options,
+                            sizes[i / std::size(variants)], rp != nullptr,
+                            rp && vi == 0 ? tag_of(i) : "", p);
+      });
 
   for (std::size_t si = 0; si < std::size(sizes); ++si) {
     const std::size_t size = sizes[si];
     double overhead[std::size(variants)];
     for (std::size_t vi = 0; vi < std::size(variants); ++vi) {
-      OverheadOutput& o = outputs[si * std::size(variants) + vi];
-      h.liveness.merge(o.liveness);
+      const std::size_t i = si * std::size(variants) + vi;
+      const OverheadOutput& o = outputs[i];
       overhead[vi] = o.overhead_ns;
       if (rp) {
-        const std::string tag =
-            std::string(variants[vi].run) + "_" + std::to_string(size) + "B";
-        rp->add_histogram("ud_half_rtt", tag, o.ud_hist);
-        rp->add_histogram("itb_half_rtt", tag, o.itb_hist);
-        if (std::string_view(variants[vi].run) == "paper") {
-          rp->add_counters(tag, std::move(o.counters));
-          rp->add_series(tag, std::move(o.series));
-        }
+        rp->add_histogram("ud_half_rtt", tag_of(i), o.ud_hist);
+        rp->add_histogram("itb_half_rtt", tag_of(i), o.itb_hist);
       }
     }
     std::printf("%10zu %12.3f %14.3f %16.3f %18.3f\n", size,

@@ -17,27 +17,16 @@
 
 #include "harness.hpp"
 #include "itb/core/cluster.hpp"
-#include "itb/sim/parallel.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
 
 using namespace itb;
 
-/// One combination's output, returned by value so the cluster can die on
-/// its worker thread.
-struct MeasureOutput {
-  workload::AllsizeRow row;
-  std::vector<telemetry::MetricSample> counters;
-  std::vector<telemetry::Sampler::Series> series;
-  health::LivenessVerdict liveness;  // --watchdog only
-  flight::Recording recording;       // --flight only
-};
-
-MeasureOutput measure(topo::PortKind src_kind, topo::PortKind dst_kind,
-                      topo::PortKind trunk_kind, std::size_t size,
-                      bool sample, bool watchdog,
-                      const flight::RecorderConfig& frc) {
+/// A combination with a `tag` is sampled and captured under it.
+workload::AllsizeRow measure(topo::PortKind src_kind, topo::PortKind dst_kind,
+                             topo::PortKind trunk_kind, std::size_t size,
+                             const std::string& tag, bench::Point& p) {
   topo::Topology topo;
   topo.add_switch(8);
   topo.add_switch(8);
@@ -49,28 +38,19 @@ MeasureOutput measure(topo::PortKind src_kind, topo::PortKind dst_kind,
 
   core::ClusterConfig cfg;
   cfg.topology = std::move(topo);
-  cfg.watchdog.enabled = watchdog;
-  cfg.flight = frc;
-  core::Cluster cluster(std::move(cfg));
+  core::Cluster cluster(p.arm(std::move(cfg)));
   workload::AllsizeConfig acfg;
   acfg.iterations = 20;
   acfg.sizes = {size};
-  if (sample) {
+  if (!tag.empty()) {
     acfg.sampler = &cluster.telemetry().sampler();
     cluster.telemetry().start_sampling();
   }
-  MeasureOutput out;
-  out.row = workload::run_allsize(cluster.queue(), cluster.port(0),
-                                  cluster.port(1), acfg)
-                .front();
-  if (sample) {
-    cluster.telemetry().stop_sampling();
-    out.counters = cluster.telemetry().registry().snapshot();
-    out.series = cluster.telemetry().sampler().series();
-  }
-  if (watchdog) out.liveness = cluster.health()->verdict();
-  if (cluster.flight()) out.recording = cluster.flight()->snapshot();
-  return out;
+  auto row = workload::run_allsize(cluster.queue(), cluster.port(0),
+                                   cluster.port(1), acfg)
+                 .front();
+  p.capture(cluster, tag);
+  return row;
 }
 
 const char* name(topo::PortKind k) { return topo::to_string(k); }
@@ -102,37 +82,28 @@ int main(int argc, char** argv) {
       for (auto dst : {PortKind::kSan, PortKind::kLan})
         combos.push_back({src, trunk, dst});
 
+  auto tag_of = [&](const Combo& c) {
+    return std::string(name(c.src)) + "_" + name(c.trunk) + "_" + name(c.dst);
+  };
   // Eight independent clusters; fan out, then print/report in combo order.
-  auto outputs = sim::run_sweep_parallel(
-      combos.size(),
-      [&](std::size_t i) {
-        const Combo& c = combos[i];
-        return measure(c.src, c.dst, c.trunk, size, rp != nullptr,
-                       h.watchdog, h.recorder());
-      },
-      h.jobs);
+  auto rows = h.sweep(combos.size(), [&](std::size_t i, bench::Point& p) {
+    const Combo& c = combos[i];
+    return measure(c.src, c.dst, c.trunk, size, rp ? tag_of(c) : "", p);
+  });
 
   for (std::size_t i = 0; i < combos.size(); ++i) {
     const auto& [src, trunk, dst] = combos[i];
-    MeasureOutput& o = outputs[i];
-    h.liveness.merge(o.liveness);
-    h.add_recording(std::move(o.recording));
-    const std::string tag =
-        std::string(name(src)) + "_" + name(trunk) + "_" + name(dst);
+    const workload::AllsizeRow& row = rows[i];
     std::printf("%8s %8s %8s %14.3f\n", name(src), name(trunk), name(dst),
-                o.row.half_rtt_ns / 1000.0);
-    if (rp) {
-      rp->add_histogram("half_rtt", tag, o.row.hist);
-      rp->add_counters(tag, std::move(o.counters));
-      rp->add_series(tag, std::move(o.series));
-    }
+                row.half_rtt_ns / 1000.0);
+    if (rp) rp->add_histogram("half_rtt", tag_of(combos[i]), row.hist);
     telemetry::BenchReport::Row r;
     r.text["src"] = name(src);
     r.text["trunk"] = name(trunk);
     r.text["dst"] = name(dst);
-    r.num["half_rtt_ns"] = o.row.half_rtt_ns;
-    r.num["p50_ns"] = o.row.p50_ns;
-    r.num["p99_ns"] = o.row.p99_ns;
+    r.num["half_rtt_ns"] = row.half_rtt_ns;
+    r.num["p50_ns"] = row.p50_ns;
+    r.num["p99_ns"] = row.p99_ns;
     report.add_row("combinations", std::move(r));
   }
   std::printf("\nEach LAN port on the path adds a fixed re-timing penalty "

@@ -22,7 +22,6 @@
 
 #include "harness.hpp"
 #include "itb/core/cluster.hpp"
-#include "itb/sim/parallel.hpp"
 #include "itb/routing/table.hpp"
 #include "itb/sim/rng.hpp"
 #include "itb/topo/builders.hpp"
@@ -71,13 +70,11 @@ topo::Topology make_topology(std::uint64_t seed) {
 
 /// Dynamic validation for the JSON report: run uniform load on the
 /// optimised configuration so the static claims (balanced duty, lower
-/// channel peak) are observable as utilization series. Hands the run's
-/// recording and liveness verdict to the harness.
-void validation_run(std::uint64_t seed, bench::Harness& h) {
+/// channel peak) are observable as utilization series.
+workload::LoadResult validation_run(std::uint64_t seed, bench::Point& p) {
   core::ClusterConfig cfg;
   cfg.topology = make_topology(seed);
   cfg.engine = {engine::EngineKind::kItb, 1};
-  cfg.flight = h.recorder();
   cfg.itb_selection = routing::ItbHostSelection::kSpread;
   cfg.mcp_options.recv_buffers = 64;
   cfg.mcp_options.drop_when_full = true;
@@ -85,8 +82,7 @@ void validation_run(std::uint64_t seed, bench::Harness& h) {
   cfg.gm_config.window = 32;
   cfg.gm_config.retransmit_timeout = 5 * sim::kMs;
   cfg.telemetry_sample_period = 500 * sim::kUs;
-  cfg.watchdog.enabled = h.watchdog;
-  core::Cluster cluster(std::move(cfg));
+  core::Cluster cluster(p.arm(std::move(cfg)));
   cluster.telemetry().start_sampling();
 
   workload::LoadConfig lc;
@@ -96,16 +92,8 @@ void validation_run(std::uint64_t seed, bench::Harness& h) {
   lc.measure = 4 * sim::kMs;
   lc.arrivals.seed = seed + 17;
   auto r = workload::run_load(cluster.queue(), cluster.ports(), lc);
-  cluster.telemetry().stop_sampling();
-
-  h.report.add_scalar("validation_accepted_msgs_per_s",
-                      r.accepted_msgs_per_s_per_host);
-  h.report.add_histogram("message_latency", "best_spread", r.latency_hist);
-  h.report.add_counters("best_spread",
-                        cluster.telemetry().registry().snapshot());
-  h.report.add_series("best_spread", cluster.telemetry().sampler().series());
-  if (cluster.flight()) h.add_recording(cluster.flight()->snapshot());
-  if (h.watchdog) h.liveness = cluster.health()->verdict();
+  p.capture(cluster, "best_spread");
+  return r;
 }
 
 }  // namespace
@@ -139,19 +127,16 @@ int main(int argc, char** argv) {
     std::uint16_t best = 0;
     std::array<Metrics, std::size(kCases)> metrics;
   };
-  auto outputs = sim::run_sweep_parallel(
-      seeds.size(),
-      [&](std::size_t i) {
-        auto topo = make_topology(seeds[i]);
-        SeedOutput out;
-        out.best = routing::select_best_root(topo);
-        for (std::size_t c = 0; c < std::size(kCases); ++c)
-          out.metrics[c] = evaluate(
-              topo, kCases[c].use_best ? out.best : std::uint16_t{0},
-              kCases[c].sel);
-        return out;
-      },
-      h.jobs);
+  auto outputs = h.sweep(seeds.size(), [&](std::size_t i, bench::Point&) {
+    auto topo = make_topology(seeds[i]);
+    SeedOutput out;
+    out.best = routing::select_best_root(topo);
+    for (std::size_t c = 0; c < std::size(kCases); ++c)
+      out.metrics[c] = evaluate(
+          topo, kCases[c].use_best ? out.best : std::uint16_t{0},
+          kCases[c].sel);
+    return out;
+  });
 
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     const std::uint64_t seed = seeds[i];
@@ -186,6 +171,13 @@ int main(int argc, char** argv) {
   // run simulates traffic, so --watchdog and --flight attach there
   // (forcing the run even without --json so a verdict/recording always
   // exists).
-  if (h.json || h.watchdog || h.flight) validation_run(11, h);
+  if (h.json || h.watchdog || h.flight) {
+    const auto r = h.sweep(1, [](std::size_t, bench::Point& p) {
+      return validation_run(11, p);
+    }).front();
+    report.add_scalar("validation_accepted_msgs_per_s",
+                      r.accepted_msgs_per_s_per_host);
+    report.add_histogram("message_latency", "best_spread", r.latency_hist);
+  }
   return h.finish();
 }

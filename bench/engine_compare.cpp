@@ -27,7 +27,6 @@
 #include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/engine/engine.hpp"
-#include "itb/sim/parallel.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {

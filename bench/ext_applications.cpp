@@ -14,24 +14,18 @@
 // `--jobs 1` because every run owns its cluster.
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "harness.hpp"
 #include "itb/core/cluster.hpp"
-#include "itb/sim/parallel.hpp"
 #include "itb/workload/apps.hpp"
 
 namespace {
 
 using namespace itb;
 
-bool g_watchdog = false;
-flight::RecorderConfig g_flight;
-
-std::unique_ptr<core::Cluster> make_cluster(engine::EngineKind kind,
-                                            std::uint64_t seed) {
+core::ClusterConfig make_config(engine::EngineKind kind, std::uint64_t seed) {
   sim::Rng rng(seed);
   topo::IrregularSpec spec;
   spec.switches = 32;
@@ -47,42 +41,24 @@ std::unique_ptr<core::Cluster> make_cluster(engine::EngineKind kind,
   cfg.gm_config.window = 32;
   cfg.gm_config.retransmit_timeout = 50 * sim::kMs;  // patient: ack RTT is large under bursts
   cfg.telemetry_sample_period = 500 * sim::kUs;
-  cfg.watchdog.enabled = g_watchdog;
-  cfg.flight = g_flight;
-  return std::make_unique<core::Cluster>(std::move(cfg));
+  return cfg;
 }
 
-telemetry::BenchReport* g_report = nullptr;
-
-/// One {kernel, policy} run's full output, returned by value so the
-/// cluster can die on its worker thread.
-struct KernelOutput {
-  workload::AppResult result;
-  std::vector<telemetry::MetricSample> counters;
-  std::vector<telemetry::Sampler::Series> series;
-  health::LivenessVerdict liveness;  // --watchdog only
-  flight::Recording recording;       // --flight only
-};
-
-KernelOutput run_kernel(
-    std::uint64_t seed, engine::EngineKind kind,
-    const std::function<workload::AppResult(core::Cluster&)>& body) {
-  auto cluster = make_cluster(kind, seed);
-  if (g_report) cluster->telemetry().start_sampling();
-  KernelOutput out;
-  out.result = body(*cluster);
-  if (g_report) {
-    cluster->telemetry().stop_sampling();
-    out.counters = cluster->telemetry().registry().snapshot();
-    out.series = cluster->telemetry().sampler().series();
-  }
-  if (g_watchdog) out.liveness = cluster->health()->verdict();
-  if (cluster->flight()) out.recording = cluster->flight()->snapshot();
-  return out;
+/// One {kernel, policy} run; a run with a `tag` is sampled and captured
+/// under it.
+workload::AppResult run_kernel(
+    std::uint64_t seed, engine::EngineKind kind, const std::string& tag,
+    const std::function<workload::AppResult(core::Cluster&)>& body,
+    bench::Point& p) {
+  core::Cluster cluster(p.arm(make_config(kind, seed)));
+  if (!tag.empty()) cluster.telemetry().start_sampling();
+  auto result = body(cluster);
+  p.capture(cluster, tag);
+  return result;
 }
 
-void report(const char* kernel, workload::AppResult ud,
-            workload::AppResult itb) {
+void report(telemetry::BenchReport* rp, const char* kernel,
+            const workload::AppResult& ud, const workload::AppResult& itb) {
   std::printf("%-14s | %12.1f | %12.1f | %6.2fx  (%llu msgs, %.1f MB)\n",
               kernel, static_cast<double>(ud.makespan) / 1000.0,
               static_cast<double>(itb.makespan) / 1000.0,
@@ -90,7 +66,7 @@ void report(const char* kernel, workload::AppResult ud,
                   static_cast<double>(itb.makespan),
               static_cast<unsigned long long>(ud.messages),
               static_cast<double>(ud.bytes) / 1e6);
-  if (g_report) {
+  if (rp) {
     telemetry::BenchReport::Row row;
     row.text["kernel"] = kernel;
     row.num["ud_makespan_ns"] = static_cast<double>(ud.makespan);
@@ -99,7 +75,7 @@ void report(const char* kernel, workload::AppResult ud,
                          static_cast<double>(itb.makespan);
     row.num["messages"] = static_cast<double>(ud.messages);
     row.num["bytes"] = static_cast<double>(ud.bytes);
-    g_report->add_row("kernels", std::move(row));
+    rp->add_row("kernels", std::move(row));
   }
 }
 
@@ -108,9 +84,7 @@ void report(const char* kernel, workload::AppResult ud,
 int main(int argc, char** argv) {
   bench::Harness h("ext_applications", bench::kSweep);
   h.parse(argc, argv);
-  g_watchdog = h.watchdog;
-  g_flight = h.recorder();
-  g_report = h.json_report();
+  telemetry::BenchReport* rp = h.json_report();
   const std::uint64_t seed = 1977;
   h.report.set_param("seed", static_cast<double>(seed));
 
@@ -143,32 +117,17 @@ int main(int argc, char** argv) {
   // Six independent simulations (kernel x policy), fanned across threads;
   // stdout and the report are assembled serially afterwards, in the same
   // order the serial program produced them.
-  auto outputs = sim::run_sweep_parallel(
-      kernels.size() * 2,
-      [&](std::size_t i) {
-        const Kernel& k = kernels[i / 2];
-        const auto kind =
-            i % 2 == 0 ? engine::EngineKind::kUpDown : engine::EngineKind::kItb;
-        return run_kernel(seed, kind, k.body);
-      },
-      h.jobs);
-
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    KernelOutput& ud = outputs[2 * i];
-    KernelOutput& itb = outputs[2 * i + 1];
-    h.liveness.merge(ud.liveness);
-    h.liveness.merge(itb.liveness);
-    h.add_recording(std::move(ud.recording));
-    h.add_recording(std::move(itb.recording));
-    if (g_report) {
-      const std::string base = kernels[i].name;
-      g_report->add_counters(base + "_ud", std::move(ud.counters));
-      g_report->add_series(base + "_ud", std::move(ud.series));
-      g_report->add_counters(base + "_itb", std::move(itb.counters));
-      g_report->add_series(base + "_itb", std::move(itb.series));
-    }
-    report(kernels[i].name, ud.result, itb.result);
-  }
+  auto results = h.sweep(kernels.size() * 2, [&](std::size_t i,
+                                                  bench::Point& p) {
+    const Kernel& k = kernels[i / 2];
+    const bool ud = i % 2 == 0;
+    const std::string tag = std::string(k.name) + (ud ? "_ud" : "_itb");
+    return run_kernel(
+        seed, ud ? engine::EngineKind::kUpDown : engine::EngineKind::kItb,
+        rp ? tag : "", k.body, p);
+  });
+  for (std::size_t i = 0; i < kernels.size(); ++i)
+    report(rp, kernels[i].name, results[2 * i], results[2 * i + 1]);
 
   std::printf("\nExpected: the bursty all-to-all gains most (root "
               "decongestion); the latency-bound\nring gains less; the "

@@ -22,7 +22,6 @@
 
 #include "harness.hpp"
 #include "itb/core/cluster.hpp"
-#include "itb/sim/parallel.hpp"
 
 namespace {
 
@@ -71,7 +70,6 @@ const ChaosLevel kChaosLevels[] = {
 const double kDropRates[] = {0.0, 0.02, 0.1};
 
 struct PointResult {
-  std::string run_name;
   int accepted = 0;
   int delivered_unique = 0;
   int duplicates = 0;  // message-level duplicate deliveries (must stay 0)
@@ -87,14 +85,13 @@ struct PointResult {
   std::uint64_t recovery_flaps_quarantined = 0;
   sim::Time end = 0;
   bool reconciled = false;
-  std::vector<telemetry::MetricSample> counters;
-  health::LivenessVerdict liveness;  // --watchdog only
-  flight::Recording recording;       // --flight only
+  // The point's liveness verdict, --watchdog only.
+  std::uint64_t stalls = 0, recoveries = 0, forced_ejections = 0,
+                unrecovered = 0;
 };
 
 PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
-                      bool want_counters, bool watchdog,
-                      const flight::RecorderConfig& frc) {
+                      bench::Point& p) {
   core::ClusterConfig cfg;
   cfg.topology = sc.make();
   cfg.engine = {sc.engine, 1};
@@ -117,9 +114,7 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
     cfg.fault_schedule = fault::FaultSchedule::chaos(cfg.topology, spec);
   }
   cfg.fault_schedule.drop_probability = drop;
-  cfg.watchdog.enabled = watchdog;
-  cfg.flight = frc;
-  core::Cluster c(std::move(cfg));
+  core::Cluster c(p.arm(std::move(cfg)));
 
   std::vector<int> delivered(kMessages, 0);
   c.port(sc.dst).set_receive_handler(
@@ -146,6 +141,13 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
   c.run();
 
   PointResult r;
+  const health::LivenessVerdict v = p.capture(
+      c, std::string(sc.name) + "_" + lvl.name + "_d" +
+             std::to_string(static_cast<int>(drop * 100)));
+  r.stalls = v.stalls;
+  r.recoveries = v.recoveries;
+  r.forced_ejections = v.forced_ejections;
+  r.unrecovered = v.unrecovered;
   r.accepted = accepted;
   for (int n : delivered) {
     if (n > 0) ++r.delivered_unique;
@@ -154,18 +156,16 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
   r.failed = c.port(sc.src).stats().messages_failed;
   const auto& ns = c.network().stats();
   r.lost = ns.lost;
-  if (watchdog) r.liveness = c.health()->verdict();
   // Forced ejections are watchdog-attributed losses: net.lost but not on
   // the fault injector's ledger, so the reconciliation admits exactly that
   // many extra.
-  const std::uint64_t ejected = r.liveness.forced_ejections;
   if (auto* f = c.faults()) {
     const auto& fs = f->stats();
     r.lost_windows = fs.lost_link_down + fs.lost_switch_down + fs.lost_host_down;
-    r.reconciled = ns.lost == fs.total_lost() + ejected &&
+    r.reconciled = ns.lost == fs.total_lost() + r.forced_ejections &&
                    ns.injected == ns.delivered + ns.dropped + ns.lost;
   } else {
-    r.reconciled = ns.lost == ejected &&
+    r.reconciled = ns.lost == r.forced_ejections &&
                    ns.injected == ns.delivered + ns.dropped + ns.lost;
   }
   if (auto* rec = c.recovery()) {
@@ -181,8 +181,6 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
   }
   r.retransmissions = c.port(sc.src).stats().retransmissions;
   r.end = c.queue().now();
-  if (want_counters) r.counters = c.telemetry().registry().snapshot();
-  if (c.flight()) r.recording = c.flight()->snapshot();
   return r;
 }
 
@@ -213,24 +211,14 @@ int main(int argc, char** argv) {
     for (const auto& lvl : kChaosLevels)
       for (double drop : kDropRates) points.push_back({&sc, &lvl, drop});
 
-  auto results = sim::run_sweep_parallel(
-      points.size(),
-      [&](std::size_t i) {
-        const Point& p = points[i];
-        auto r = run_point(*p.sc, p.drop, *p.lvl, h.json.has_value(),
-                           h.watchdog, h.recorder());
-        r.run_name = std::string(p.sc->name) + "_" + p.lvl->name + "_d" +
-                     std::to_string(static_cast<int>(p.drop * 100));
-        return r;
-      },
-      h.jobs);
+  auto results = h.sweep(points.size(), [&](std::size_t i, bench::Point& bp) {
+    return run_point(*points[i].sc, points[i].drop, *points[i].lvl, bp);
+  });
 
   bool all_exactly_once = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
-    PointResult& r = results[i];
-    h.liveness.merge(r.liveness);
-    h.add_recording(std::move(r.recording));
+    const PointResult& r = results[i];
     std::printf("%-13s %-6s %-6.2f | %5d %5d %4d %6llu | %6llu %7llu %6llu "
                 "%7llu | %7.1fus\n",
                 p.sc->name, p.lvl->name, p.drop, r.accepted,
@@ -275,16 +263,13 @@ int main(int argc, char** argv) {
       row.num["sim_end_ns"] = static_cast<double>(r.end);
       row.num["exactly_once"] = ok ? 1.0 : 0.0;
       if (h.watchdog) {
-        row.num["health_stalls"] = static_cast<double>(r.liveness.stalls);
-        row.num["health_recoveries"] =
-            static_cast<double>(r.liveness.recoveries);
+        row.num["health_stalls"] = static_cast<double>(r.stalls);
+        row.num["health_recoveries"] = static_cast<double>(r.recoveries);
         row.num["health_forced_ejections"] =
-            static_cast<double>(r.liveness.forced_ejections);
-        row.num["health_unrecovered"] =
-            static_cast<double>(r.liveness.unrecovered);
+            static_cast<double>(r.forced_ejections);
+        row.num["health_unrecovered"] = static_cast<double>(r.unrecovered);
       }
       report.add_row("chaos_soak", std::move(row));
-      report.add_counters(r.run_name, std::move(r.counters));
     }
   }
 

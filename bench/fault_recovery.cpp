@@ -39,7 +39,6 @@
 #include "itb/core/cluster.hpp"
 #include "itb/routing/table.hpp"
 #include "itb/routing/updown.hpp"
-#include "itb/sim/parallel.hpp"
 #include "itb/topo/builders.hpp"
 
 namespace {

@@ -23,16 +23,19 @@ namespace {
 
 using namespace itb;
 
-std::vector<workload::AllsizeRow> run(core::Cluster& cluster,
-                                      workload::AllsizeConfig cfg,
-                                      bool sample) {
-  if (sample) {
+/// Under --json the MCP's cluster is sampled and captured as `run`.
+std::vector<workload::AllsizeRow> run_mcp(bool modified_mcp,
+                                          workload::AllsizeConfig cfg,
+                                          const std::string& run,
+                                          bench::Point& p) {
+  core::Cluster cluster(p.arm(core::fig7_config(modified_mcp)));
+  if (!run.empty()) {
     cfg.sampler = &cluster.telemetry().sampler();
     cluster.telemetry().start_sampling();
   }
   auto rows = workload::run_allsize(cluster.queue(), cluster.port(core::kHost1),
                                     cluster.port(core::kHost2), cfg);
-  if (sample) cluster.telemetry().stop_sampling();
+  p.capture(cluster, run);
   return rows;
 }
 
@@ -48,11 +51,13 @@ int main(int argc, char** argv) {
   // Single-packet GM messages, like the paper's sweep.
   cfg.sizes = {4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4000};
 
-  auto orig = core::make_fig7_cluster(/*modified_mcp=*/false, h.recorder());
-  auto mod = core::make_fig7_cluster(/*modified_mcp=*/true, h.recorder());
-
-  auto rows_orig = run(*orig, cfg, h.json.has_value());
-  auto rows_mod = run(*mod, cfg, h.json.has_value());
+  // Point 0 = the original MCP, point 1 = the modified one.
+  auto rows = h.sweep(2, [&](std::size_t i, bench::Point& p) {
+    return run_mcp(/*modified_mcp=*/i == 1, cfg,
+                   h.json ? (i ? "mod" : "orig") : "", p);
+  });
+  const auto& rows_orig = rows[0];
+  const auto& rows_mod = rows[1];
 
   std::printf("Figure 7: message latency overhead of the new GM/MCP code\n");
   std::printf("(half-round-trip, host1 <-> host2, up*/down* routes, 100 iters)\n\n");
@@ -88,17 +93,7 @@ int main(int argc, char** argv) {
   std::printf("maximum delta: %.1f ns   (paper: < 300 ns)\n", max_delta);
   std::printf("relative overhead falls with size (paper: ~1%% -> ~0.4%%)\n");
 
-  if (h.flight) {
-    h.add_recording(orig->flight()->snapshot());
-    h.add_recording(mod->flight()->snapshot());
-  }
   report.add_scalar("average_delta_ns", avg_delta);
   report.add_scalar("maximum_delta_ns", max_delta);
-  if (h.json) {
-    report.add_counters("orig", orig->telemetry().registry().snapshot());
-    report.add_counters("mod", mod->telemetry().registry().snapshot());
-    report.add_series("orig", orig->telemetry().sampler().series());
-    report.add_series("mod", mod->telemetry().sampler().series());
-  }
   return h.finish();
 }

@@ -25,25 +25,11 @@
 
 #include "harness.hpp"
 #include "itb/core/experiments.hpp"
-#include "itb/sim/parallel.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
 
 using namespace itb;
-
-std::vector<workload::AllsizeRow> run(core::Cluster& cluster,
-                                      workload::AllsizeConfig cfg,
-                                      bool sample) {
-  if (sample) {
-    cfg.sampler = &cluster.telemetry().sampler();
-    cluster.telemetry().start_sampling();
-  }
-  auto rows = workload::run_allsize(cluster.queue(), cluster.port(core::kHost1),
-                                    cluster.port(core::kHost2), cfg);
-  if (sample) cluster.telemetry().stop_sampling();
-  return rows;
-}
 
 /// One forward-path configuration, returned by value so the cluster can
 /// die on the worker thread.
@@ -51,10 +37,25 @@ struct PathOutput {
   std::vector<workload::AllsizeRow> rows;
   std::uint64_t itb_forwarded = 0;
   std::uint64_t delivered_to_host = 0;
-  std::vector<telemetry::MetricSample> counters;
-  std::vector<telemetry::Sampler::Series> series;
-  flight::Recording recording;
 };
+
+/// Under --json the path is sampled and captured as `run`.
+PathOutput run_path(bool itb_path, workload::AllsizeConfig cfg,
+                    const std::string& run, bench::Point& p) {
+  core::Cluster cluster(p.arm(core::fig8_config(itb_path)));
+  if (!run.empty()) {
+    cfg.sampler = &cluster.telemetry().sampler();
+    cluster.telemetry().start_sampling();
+  }
+  PathOutput out;
+  out.rows = workload::run_allsize(cluster.queue(), cluster.port(core::kHost1),
+                                   cluster.port(core::kHost2), cfg);
+  out.itb_forwarded = cluster.nic(core::kInTransit).stats().itb_forwarded;
+  out.delivered_to_host =
+      cluster.nic(core::kInTransit).stats().delivered_to_host;
+  p.capture(cluster, run);
+  return out;
+}
 
 }  // namespace
 
@@ -71,24 +72,10 @@ int main(int argc, char** argv) {
   cfg.sizes = {4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4000};
 
   // Point 0 = the UD forward route, point 1 = the UD+ITB route.
-  auto outputs = sim::run_sweep_parallel(
-      2,
-      [&](std::size_t i) {
-        auto cluster = core::make_fig8_cluster(/*itb_path=*/i == 1, {}, {}, {},
-                                               h.recorder());
-        PathOutput out;
-        out.rows = run(*cluster, cfg, h.json.has_value());
-        out.itb_forwarded = cluster->nic(core::kInTransit).stats().itb_forwarded;
-        out.delivered_to_host =
-            cluster->nic(core::kInTransit).stats().delivered_to_host;
-        if (h.json) {
-          out.counters = cluster->telemetry().registry().snapshot();
-          out.series = cluster->telemetry().sampler().series();
-        }
-        if (cluster->flight()) out.recording = cluster->flight()->snapshot();
-        return out;
-      },
-      h.jobs);
+  auto outputs = h.sweep(2, [&](std::size_t i, bench::Point& p) {
+    return run_path(/*itb_path=*/i == 1, cfg, h.json ? (i ? "itb" : "ud") : "",
+                    p);
+  });
   const auto& rows_ud = outputs[0].rows;
   const auto& rows_itb = outputs[1].rows;
 
@@ -136,13 +123,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(forwarded),
               static_cast<unsigned long long>(delivered));
 
-  for (auto& o : outputs) h.add_recording(std::move(o.recording));
   report.add_scalar("average_per_itb_overhead_ns", avg_overhead);
   report.add_scalar("itb_forwarded", static_cast<double>(forwarded));
   report.add_scalar("itb_delivered_to_host", static_cast<double>(delivered));
-  report.add_counters("ud", std::move(outputs[0].counters));
-  report.add_counters("itb", std::move(outputs[1].counters));
-  report.add_series("ud", std::move(outputs[0].series));
-  report.add_series("itb", std::move(outputs[1].series));
   return h.finish();
 }

@@ -161,6 +161,28 @@ std::string Cli::usage(std::string_view program) const {
   return u;
 }
 
+// ---------------------------------------------------------------- Point --
+
+core::ClusterConfig Point::arm(core::ClusterConfig cfg) const {
+  cfg.watchdog.enabled = h_->watchdog;
+  cfg.flight.enabled = h_->flight;
+  return cfg;
+}
+
+health::LivenessVerdict Point::capture(core::Cluster& cluster,
+                                       std::string run) {
+  auto& t = cluster.telemetry();
+  t.stop_sampling();
+  if (h_->json && !run.empty())
+    runs_.push_back(Run{std::move(run), t.registry().snapshot(),
+                        t.sampler().series()});
+  if (cluster.flight()) recordings_.push_back(cluster.flight()->snapshot());
+  if (!cluster.health()) return {};
+  const health::LivenessVerdict v = cluster.health()->verdict();
+  liveness_.merge(v);
+  return v;
+}
+
 // -------------------------------------------------------------- Harness --
 
 Harness::Harness(std::string bench, unsigned flags)
@@ -190,20 +212,19 @@ void Harness::parse(int argc, const char* const* argv) {
   if (flight_out || flight_trace) flight = true;
 }
 
-flight::RecorderConfig Harness::recorder() const {
-  flight::RecorderConfig rc;
-  rc.enabled = flight;
-  return rc;
-}
-
-void Harness::add_recording(flight::Recording r) {
-  if (flight) recordings_.push_back(std::move(r));
+void Harness::merge(Point& p) {
+  liveness_.merge(p.liveness_);
+  for (auto& r : p.recordings_) recordings_.push_back(std::move(r));
+  for (auto& r : p.runs_) {
+    report.add_counters(r.name, std::move(r.counters));
+    report.add_series(std::move(r.name), std::move(r.series));
+  }
 }
 
 int Harness::finish() {
-  if (watchdog) print_liveness_summary(liveness);
+  if (watchdog) print_liveness_summary(liveness_);
   if (flight && !finish_flight()) return 1;
-  if (watchdog) add_liveness_scalars(report, liveness);
+  if (watchdog) add_liveness_scalars(report, liveness_);
   if (!json) return 0;
   if (!report.write(*json)) {
     std::fprintf(stderr, "cannot write %s\n", json->c_str());

@@ -7,6 +7,14 @@
 // stderr and exits 2 before any work starts. Values come as `--flag V` or
 // `--flag=V`.
 //
+// Harness::sweep is the one point driver: it fans a bench's simulation
+// points across --jobs threads and hands each a Point, which arms the
+// point's cluster configs with --watchdog and --flight and captures each
+// finished cluster (liveness verdict, flight recording, and under --json
+// its registry rows and sampler series). After the fan-out it merges every
+// point's captures in point order into the verdict, the recording and the
+// report, so all three are the same for any --jobs.
+//
 // Harness::finish is the shared epilogue, in this order: the liveness
 // summary (--watchdog), the merged flight recording (stage-sum check,
 // .flt and Chrome-trace files, flight.* scalars), the health_* scalars,
@@ -24,9 +32,8 @@
 #include <string_view>
 #include <vector>
 
-#include "itb/flight/recorder.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
+#include "itb/core/cluster.hpp"
+#include "itb/sim/parallel.hpp"
 
 namespace itb::bench {
 
@@ -98,9 +105,41 @@ class Cli {
   std::vector<Spec> positionals_;
 };
 
-/// The shared flags, the report and the per-point results a bench merges,
-/// with the epilogue that turns them into output. Holds pointers to its own
-/// members, so it is neither copied nor moved.
+class Harness;
+
+/// One simulation point's share of the harness: it arms the point's
+/// clusters and keeps what the epilogue and the report need of each before
+/// the cluster dies on its worker thread.
+class Point {
+ public:
+  /// `cfg` with --watchdog and --flight armed.
+  core::ClusterConfig arm(core::ClusterConfig cfg) const;
+
+  /// Stop a finished cluster's sampling and keep its liveness verdict and
+  /// flight recording (when armed) and, under --json with a non-empty
+  /// `run`, its registry rows and sampler series tagged `run`. Returns the
+  /// cluster's verdict, empty without --watchdog.
+  health::LivenessVerdict capture(core::Cluster& cluster,
+                                  std::string run = {});
+
+ private:
+  friend class Harness;
+  explicit Point(const Harness& h) : h_(&h) {}
+
+  struct Run {
+    std::string name;
+    std::vector<telemetry::MetricSample> counters;
+    std::vector<telemetry::Sampler::Series> series;
+  };
+  const Harness* h_;
+  health::LivenessVerdict liveness_;
+  std::vector<flight::Recording> recordings_;
+  std::vector<Run> runs_;
+};
+
+/// The shared flags, the report, the point driver and the epilogue that
+/// turns the merged points into output. Holds pointers to its own members,
+/// so it is neither copied nor moved.
 class Harness {
  public:
   Harness(std::string bench, unsigned flags);
@@ -126,25 +165,33 @@ class Harness {
   bool verify = true;
 
   telemetry::BenchReport report;
-  health::LivenessVerdict liveness;  // benches merge per-point verdicts
 
   /// The report under --json, else nullptr (benches skip report-only work).
   telemetry::BenchReport* json_report() { return json ? &report : nullptr; }
 
-  flight::RecorderConfig recorder() const;
-  /// Append one point's recording, in point order; a no-op without
-  /// --flight. Merging in point order keeps the fingerprint independent of
-  /// --jobs.
-  void add_recording(flight::Recording r);
+  /// Run `point(i, Point&)` for every i in [0, count) on --jobs threads,
+  /// merge each point's captures in point order, and return the points'
+  /// results in point order. A point builds everything it touches from its
+  /// index, so the results are the same for any --jobs.
+  template <typename Fn>
+  auto sweep(std::size_t count, Fn&& point) {
+    std::vector<Point> points(count, Point(*this));
+    auto results = sim::run_sweep_parallel(
+        count, [&](std::size_t i) { return point(i, points[i]); }, jobs);
+    for (auto& p : points) merge(p);
+    return results;
+  }
 
   /// The shared epilogue; returns the exit code (0, or 1 on a failed
   /// stage-sum check or an unwritable file).
   int finish();
 
  private:
+  void merge(Point& p);
   bool finish_flight();
 
   std::string bench_;
+  health::LivenessVerdict liveness_;
   std::vector<flight::Recording> recordings_;
 };
 

@@ -29,7 +29,6 @@
 #include "harness.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/routing/deadlock.hpp"
-#include "itb/sim/parallel.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -55,23 +54,14 @@ topo::Topology make_network(std::uint64_t seed) {
   return topo::make_random_irregular(spec, rng);
 }
 
-/// Everything one {policy, rate} point produces, returned by value so the
-/// point's cluster can die on its worker thread.
-struct PointOutput {
-  workload::LoadResult load;
-  std::vector<telemetry::MetricSample> counters;      // sampled point only
-  std::vector<telemetry::Sampler::Series> series;     // sampled point only
-  health::LivenessVerdict liveness;                   // --watchdog only
-  flight::Recording recording;                        // --flight only
-};
-
-PointOutput run_point(engine::EngineKind kind, std::uint64_t seed, double rate,
-                      bool sample, bool watchdog,
-                      const flight::RecorderConfig& frc) {
+/// One {policy, rate} point; a point with a `run` tag is sampled and
+/// captured under it.
+workload::LoadResult run_point(engine::EngineKind kind, std::uint64_t seed,
+                               double rate, const std::string& run,
+                               bench::Point& p) {
   core::ClusterConfig cfg;
   cfg.topology = make_network(seed);
   cfg.engine = {kind, 1};
-  cfg.flight = frc;
   // Loaded-network configuration (paper §4): the two-buffer shipped MCP
   // can deadlock through buffer-wait cycles once in-transit packets hold
   // receive buffers while their re-injection blocks; the proposed
@@ -86,10 +76,9 @@ PointOutput run_point(engine::EngineKind kind, std::uint64_t seed, double rate,
   cfg.gm_config.retransmit_timeout = 5 * sim::kMs;
   // Coarse sampling: the 12 ms run yields ~24 points per channel.
   cfg.telemetry_sample_period = 500 * sim::kUs;
-  cfg.watchdog.enabled = watchdog;
-  core::Cluster cluster(std::move(cfg));
+  core::Cluster cluster(p.arm(std::move(cfg)));
 
-  if (sample) cluster.telemetry().start_sampling();
+  if (!run.empty()) cluster.telemetry().start_sampling();
 
   workload::LoadConfig lc;
   lc.message_bytes = 512;
@@ -97,42 +86,27 @@ PointOutput run_point(engine::EngineKind kind, std::uint64_t seed, double rate,
   lc.warmup = 2 * sim::kMs;
   lc.measure = 8 * sim::kMs;
   lc.arrivals.seed = seed + 17;
-  PointOutput out;
-  out.load = workload::run_load(cluster.queue(), cluster.ports(), lc);
-  if (sample) {
-    cluster.telemetry().stop_sampling();
-    out.counters = cluster.telemetry().registry().snapshot();
-    out.series = cluster.telemetry().sampler().series();
-  }
-  if (watchdog) out.liveness = cluster.health()->verdict();
-  if (cluster.flight()) out.recording = cluster.flight()->snapshot();
-  return out;
+  auto load = workload::run_load(cluster.queue(), cluster.ports(), lc);
+  p.capture(cluster, run);
+  return load;
 }
 
 std::vector<SweepPoint> sweep(engine::EngineKind kind, std::uint64_t seed,
                               const std::vector<double>& rates,
                               const std::string& run, bench::Harness& h) {
   telemetry::BenchReport* report = h.json_report();
-  // Every rate is an independent simulation: fan them out, then merge into
-  // the report serially in rate order so the document (and stdout) is
-  // byte-identical for any job count.
-  auto outputs = sim::run_sweep_parallel(
-      rates.size(),
-      [&](std::size_t i) {
-        // Time series only at the saturating rate: 128 channels x 8 rates
-        // would swamp the report without adding information.
-        const bool sample = report && i + 1 == rates.size();
-        return run_point(kind, seed, rates[i], sample, h.watchdog,
-                         h.recorder());
-      },
-      h.jobs);
+  // Every rate is an independent simulation. Counters and time series only
+  // at the saturating rate, under --json: 128 channels x 8 rates would
+  // swamp the report without adding information.
+  auto outputs = h.sweep(rates.size(), [&](std::size_t i, bench::Point& p) {
+    const bool sample = report && i + 1 == rates.size();
+    return run_point(kind, seed, rates[i], sample ? run : "", p);
+  });
 
   std::vector<SweepPoint> points;
   for (std::size_t i = 0; i < rates.size(); ++i) {
     const double rate = rates[i];
-    const workload::LoadResult& r = outputs[i].load;
-    h.liveness.merge(outputs[i].liveness);
-    h.add_recording(std::move(outputs[i].recording));
+    const workload::LoadResult& r = outputs[i];
     points.push_back(SweepPoint{rate, r.accepted_msgs_per_s_per_host,
                                 r.latency_mean_ns / 1000.0,
                                 r.latency_p99_ns / 1000.0});
@@ -151,10 +125,6 @@ std::vector<SweepPoint> sweep(engine::EngineKind kind, std::uint64_t seed,
       report->add_row("sweep", std::move(row));
       report->add_histogram("latency_rate_" + std::to_string(int(rate)), run,
                             r.latency_hist);
-      if (i + 1 == rates.size()) {
-        report->add_counters(run, std::move(outputs[i].counters));
-        report->add_series(run, std::move(outputs[i].series));
-      }
     }
   }
   return points;

@@ -30,7 +30,6 @@
 
 #include "harness.hpp"
 #include "itb/core/cluster.hpp"
-#include "itb/sim/parallel.hpp"
 #include "itb/svc/openloop.hpp"
 
 namespace {
@@ -66,22 +65,22 @@ struct PointSpec {
   bool sample = false;  // embed registry counters in the JSON report
 };
 
+const char* policy_name(engine::EngineKind k) {
+  return k == engine::EngineKind::kItb ? "itb" : "ud";
+}
+
 struct PointOutput {
   svc::SloStats slo;
   svc::AdmissionStats admission;
   std::uint64_t retransmissions = 0;
-  std::vector<telemetry::MetricSample> counters;
-  health::LivenessVerdict liveness;
-  flight::Recording recording;
+  // The point's liveness verdict, --watchdog only.
+  std::uint64_t stalls = 0, recoveries = 0, unrecovered = 0;
 };
 
-PointOutput run_point(const PointSpec& ps, bool watchdog,
-                      const flight::RecorderConfig& frc) {
+PointOutput run_point(const PointSpec& ps, bench::Point& p) {
   core::ClusterConfig cfg;
   cfg.topology = make_network(kSeed);
   cfg.engine = {ps.engine, 1};
-  cfg.flight = frc;
-  cfg.watchdog.enabled = watchdog;
   // Loaded-network MCP (paper §4): circular pool, drop when full; GM
   // retransmission recovers. Deep send queues so the fabric saturates
   // before GM token flow control does.
@@ -101,7 +100,7 @@ PointOutput run_point(const PointSpec& ps, bool watchdog,
     cfg.fault_schedule = fault::FaultSchedule::chaos(cfg.topology, spec);
     cfg.remap_delay = 300 * sim::kUs;
   }
-  core::Cluster cluster(std::move(cfg));
+  core::Cluster cluster(p.arm(std::move(cfg)));
 
   svc::EndpointConfig ec;
   // Admission: 8 tokens, heavy requests cost up to 4 of them, a 32-deep
@@ -148,14 +147,14 @@ PointOutput run_point(const PointSpec& ps, bool watchdog,
   out.admission = driver.merged_admission();
   for (auto* port : cluster.ports())
     out.retransmissions += port->stats().retransmissions;
-  if (ps.sample) out.counters = cluster.telemetry().registry().snapshot();
-  if (watchdog) out.liveness = cluster.health()->verdict();
-  if (cluster.flight()) out.recording = cluster.flight()->snapshot();
+  const health::LivenessVerdict v = p.capture(
+      cluster, ps.sample ? std::string(policy_name(ps.engine)) + "_rate_" +
+                               std::to_string(static_cast<int>(ps.rate))
+                         : "");
+  out.stalls = v.stalls;
+  out.recoveries = v.recoveries;
+  out.unrecovered = v.unrecovered;
   return out;
-}
-
-const char* policy_name(engine::EngineKind k) {
-  return k == engine::EngineKind::kItb ? "itb" : "ud";
 }
 
 double window_s() { return static_cast<double>(kMeasure) / 1e9; }
@@ -263,11 +262,9 @@ int main(int argc, char** argv) {
   for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb})
     points.push_back({kind, 1.5e4, workload::Pattern::kUniform, true, false});
 
-  auto outputs = sim::run_sweep_parallel(
-      points.size(),
-      [&](std::size_t i) { return run_point(points[i], h.watchdog,
-                                            h.recorder()); },
-      h.jobs);
+  auto outputs = h.sweep(points.size(), [&](std::size_t i, bench::Point& p) {
+    return run_point(points[i], p);
+  });
 
   std::printf("svc_slo: 8-switch irregular COW, 32 hosts; open-loop "
               "lognormal arrivals,\nbounded-Pareto service (mean 300us, "
@@ -300,8 +297,6 @@ int main(int argc, char** argv) {
   // 70% of it.
   double sat_rate = kRates.front(), best_goodput = -1;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    h.liveness.merge(outputs[i].liveness);
-    h.add_recording(std::move(outputs[i].recording));
     if (points[i].engine == engine::EngineKind::kItb && !points[i].chaos &&
         points[i].pattern == workload::Pattern::kUniform) {
       const auto g = static_cast<double>(
@@ -350,13 +345,6 @@ int main(int argc, char** argv) {
                           : i < chaos_begin ? "patterns"
                                             : "chaos";
       add_slo_rows(report, table, points[i], outputs[i]);
-      if (points[i].sample) {
-        report.add_counters(std::string(policy_name(points[i].engine)) +
-                                "_rate_" +
-                                std::to_string(static_cast<int>(
-                                    points[i].rate)),
-                            std::move(outputs[i].counters));
-      }
       if (i + 1 == kRates.size() || i + 1 == 2 * kRates.size()) {
         const auto all = outputs[i].slo.combined();
         report.add_histogram("svc_total_latency",
@@ -367,12 +355,11 @@ int main(int argc, char** argv) {
       if (points[i].chaos && h.watchdog) {
         telemetry::BenchReport::Row row;
         row.text["policy"] = policy_name(points[i].engine);
-        row.num["health_stalls"] =
-            static_cast<double>(outputs[i].liveness.stalls);
+        row.num["health_stalls"] = static_cast<double>(outputs[i].stalls);
         row.num["health_recoveries"] =
-            static_cast<double>(outputs[i].liveness.recoveries);
+            static_cast<double>(outputs[i].recoveries);
         row.num["health_unrecovered"] =
-            static_cast<double>(outputs[i].liveness.unrecovered);
+            static_cast<double>(outputs[i].unrecovered);
         report.add_row("chaos_health", std::move(row));
       }
     }

@@ -29,14 +29,14 @@ struct PathRun {
 };
 
 PathRun run_path(bool itb_path, std::size_t payload) {
-  flight::RecorderConfig frc;
-  frc.enabled = true;
-  auto cluster = core::make_fig8_cluster(itb_path, {}, {}, {}, frc);
+  core::ClusterConfig cfg = core::fig8_config(itb_path);
+  cfg.flight.enabled = true;
+  core::Cluster cluster(std::move(cfg));
   PathRun r;
-  r.pingpong = workload::run_pingpong(cluster->queue(),
-                                      cluster->port(core::kHost1),
-                                      cluster->port(core::kHost2), payload, 20);
-  r.recording = cluster->flight()->snapshot();
+  r.pingpong = workload::run_pingpong(cluster.queue(),
+                                      cluster.port(core::kHost1),
+                                      cluster.port(core::kHost2), payload, 20);
+  r.recording = cluster.flight()->snapshot();
   return r;
 }
 

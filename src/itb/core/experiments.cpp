@@ -5,61 +5,40 @@ namespace {
 
 using Routes = std::vector<std::vector<std::vector<packet::Route>>>;
 
-/// Empty 3x3 manual-route matrix for the testbed.
-Routes empty_routes() { return Routes(3, std::vector<std::vector<packet::Route>>(3)); }
-
-/// Routes shared by every testbed experiment: the plain reverse path and
-/// the in-transit host's service paths (used by GM acks).
-void fill_common(Routes& r) {
+/// The testbed with the routes shared by every testbed experiment (the
+/// plain reverse path and the in-transit host's service paths, used by GM
+/// acks) plus the forward routes `host1_to_host2`.
+ClusterConfig testbed_config(std::vector<packet::Route> host1_to_host2,
+                             const nic::McpOptions& options) {
+  Routes r(3, std::vector<std::vector<packet::Route>>(3));
   r[kHost2][kHost1] = {{5, 0}};      // s1 -> s0 -> h0
   r[kHost1][kInTransit] = {{4}};     // s0 -> h1
   r[kInTransit][kHost1] = {{0}};     // s0 -> h0
   r[kInTransit][kHost2] = {{5, 4}};  // s0 -> s1 -> h2
   r[kHost2][kInTransit] = {{5, 4}};  // s1 -> s0 -> h1
-}
-
-std::unique_ptr<Cluster> make_testbed_cluster(
-    Routes routes, const nic::McpOptions& options,
-    const nic::LanaiTiming& lanai,
-    const health::WatchdogConfig& watchdog = {},
-    const flight::RecorderConfig& flight = {}) {
+  r[kHost1][kHost2] = std::move(host1_to_host2);
   ClusterConfig cfg;
   cfg.topology = topo::make_paper_testbed();
   cfg.mcp_options = options;
-  cfg.lanai_timing = lanai;
-  cfg.manual_routes = std::move(routes);
-  cfg.watchdog = watchdog;
-  cfg.flight = flight;
-  return std::make_unique<Cluster>(std::move(cfg));
+  cfg.manual_routes = std::move(r);
+  return cfg;
 }
 
 }  // namespace
 
-std::unique_ptr<Cluster> make_fig7_cluster(bool modified_mcp,
-                                           const flight::RecorderConfig& flight) {
-  Routes r = empty_routes();
-  fill_common(r);
-  // 3 traversals forward (s0, s1, loop back into s1), 2 reverse: the
-  // paper's "packets traversing 2.5 switches".
-  r[kHost1][kHost2] = {{5, 7, 4}};
+ClusterConfig fig7_config(bool modified_mcp) {
   nic::McpOptions options;
   options.itb_support = modified_mcp;
-  return make_testbed_cluster(std::move(r), options, {}, {}, flight);
+  // 3 traversals forward (s0, s1, loop back into s1), 2 reverse: the
+  // paper's "packets traversing 2.5 switches".
+  return testbed_config({{5, 7, 4}}, options);
 }
 
-std::unique_ptr<Cluster> make_fig8_cluster(bool itb_path,
-                                           const nic::McpOptions& options,
-                                           const nic::LanaiTiming& lanai,
-                                           const health::WatchdogConfig& watchdog,
-                                           const flight::RecorderConfig& flight) {
-  Routes r = empty_routes();
-  fill_common(r);
-  if (itb_path) {
-    r[kHost1][kHost2] = {{5, 6, 4}, {6, 4}};  // ITB at h1; 5 traversals
-  } else {
-    r[kHost1][kHost2] = {{5, 7, 6, 6, 4}};    // loop in switch 2; 5 traversals
-  }
-  return make_testbed_cluster(std::move(r), options, lanai, watchdog, flight);
+ClusterConfig fig8_config(bool itb_path, const nic::McpOptions& options) {
+  // 5 traversals either way: through the ITB at h1, or round the loop in
+  // switch 2.
+  if (itb_path) return testbed_config({{5, 6, 4}, {6, 4}}, options);
+  return testbed_config({{5, 7, 6, 6, 4}}, options);
 }
 
 }  // namespace itb::core

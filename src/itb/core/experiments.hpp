@@ -26,8 +26,6 @@
 //   benches.
 #pragma once
 
-#include <memory>
-
 #include "itb/core/cluster.hpp"
 
 namespace itb::core {
@@ -37,21 +35,13 @@ inline constexpr std::uint16_t kHost1 = 0;
 inline constexpr std::uint16_t kInTransit = 1;
 inline constexpr std::uint16_t kHost2 = 2;
 
-/// Fig. 7 cluster: up*/down* routes; `modified_mcp` selects the ITB-capable
-/// MCP (true) or the original GM MCP (false). `flight` arms the flight
-/// recorder (benches pass it through from --flight).
-std::unique_ptr<Cluster> make_fig7_cluster(
-    bool modified_mcp, const flight::RecorderConfig& flight = {});
+/// Fig. 7 cluster config: up*/down* routes; `modified_mcp` selects the
+/// ITB-capable MCP (true) or the original GM MCP (false).
+ClusterConfig fig7_config(bool modified_mcp);
 
-/// Fig. 8 cluster: ITB-capable MCP on every NIC; `itb_path` selects the
-/// UD+ITB forward route (true) or the 5-traversal UD route (false).
-/// `options` lets the ablation benches tweak the MCP; `watchdog` arms the
-/// liveness watchdog and `flight` the flight recorder (benches pass them
-/// through from --watchdog / --flight).
-std::unique_ptr<Cluster> make_fig8_cluster(
-    bool itb_path, const nic::McpOptions& options = {},
-    const nic::LanaiTiming& lanai = {},
-    const health::WatchdogConfig& watchdog = {},
-    const flight::RecorderConfig& flight = {});
+/// Fig. 8 cluster config: ITB-capable MCP on every NIC; `itb_path` selects
+/// the UD+ITB forward route (true) or the 5-traversal UD route (false).
+/// `options` lets the ablation benches tweak the MCP.
+ClusterConfig fig8_config(bool itb_path, const nic::McpOptions& options = {});
 
 }  // namespace itb::core

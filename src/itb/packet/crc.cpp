@@ -25,19 +25,7 @@ constexpr Crc8Tables make_crc8_tables() {
   return t;
 }
 
-constexpr std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit)
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
-  }
-  return table;
-}
-
 constexpr auto kCrc8Tables = make_crc8_tables();
-constexpr auto kCrc32Table = make_crc32_table();
 
 }  // namespace
 
@@ -53,20 +41,6 @@ std::uint8_t crc8(std::span<const std::uint8_t> data) {
   }
   for (; n > 0; ++p, --n) c = t[0][c ^ *p];
   return c;
-}
-
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  Crc32 crc;
-  crc.update(data);
-  return crc.value();
-}
-
-void Crc32::update(std::span<const std::uint8_t> data) {
-  for (auto b : data) update(b);
-}
-
-void Crc32::update(std::uint8_t byte) {
-  state_ = kCrc32Table[(state_ ^ byte) & 0xFFu] ^ (state_ >> 8);
 }
 
 }  // namespace itb::packet

@@ -1,9 +1,9 @@
-// CRC routines for packet integrity.
+// The CRC that guards every packet.
 //
 // Myrinet packets carry an 8-bit CRC appended by the sending interface and
-// checked (and stripped/recomputed) at each hop; GM additionally protects
-// payloads end-to-end. We implement CRC-8/ATM (poly 0x07) for the trailing
-// header byte and CRC-32 (IEEE, reflected) for payload protection.
+// checked (and stripped/recomputed) at each hop. We implement it as
+// CRC-8/ATM (poly 0x07) for the trailing byte; the simulator models no
+// other checksum.
 #pragma once
 
 #include <cstdint>
@@ -13,20 +13,5 @@ namespace itb::packet {
 
 /// CRC-8, polynomial x^8+x^2+x+1 (0x07), init 0, no reflection.
 std::uint8_t crc8(std::span<const std::uint8_t> data);
-
-/// CRC-32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF).
-std::uint32_t crc32(std::span<const std::uint8_t> data);
-
-/// Incremental CRC-32 for streaming use by DMA models.
-class Crc32 {
- public:
-  void update(std::span<const std::uint8_t> data);
-  void update(std::uint8_t byte);
-  std::uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }
-  void reset() { state_ = 0xFFFFFFFFu; }
-
- private:
-  std::uint32_t state_ = 0xFFFFFFFFu;
-};
 
 }  // namespace itb::packet

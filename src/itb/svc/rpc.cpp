@@ -72,12 +72,57 @@ std::optional<RpcHeader> RpcHeader::decode(const packet::Bytes& msg) {
   return h;
 }
 
+// --- SendBacklog -----------------------------------------------------------
+
+SendBacklog::SendBacklog(sim::EventQueue& queue, gm::GmPort& port,
+                         sim::Duration retry_gap, std::uint64_t& refused,
+                         std::uint64_t* dead_peer_drops)
+    : queue_(queue), port_(port), retry_gap_(retry_gap), refused_(refused),
+      dead_peer_drops_(dead_peer_drops) {}
+
+void SendBacklog::send(std::uint16_t dst, packet::Bytes msg) {
+  if (dropped(dst)) return;
+  if (pending_.empty() && hand_to_gm(dst, msg)) return;
+  ++refused_;
+  pending_.emplace_back(dst, std::move(msg));
+  arm();
+}
+
+bool SendBacklog::dropped(std::uint16_t dst) {
+  if (!port_.peer_failed(dst)) return false;
+  if (dead_peer_drops_) ++*dead_peer_drops_;
+  return true;
+}
+
+// To a live peer GM refuses a send only when no send token is free, so a
+// probe first lets the buffer move instead of being copied for a refusal.
+bool SendBacklog::hand_to_gm(std::uint16_t dst, packet::Bytes& msg) {
+  return port_.tokens_available() > 0 && port_.send(dst, std::move(msg));
+}
+
+void SendBacklog::arm() {
+  if (flush_armed_) return;
+  flush_armed_ = true;
+  queue_.schedule_in(retry_gap_, [this] { flush(); });
+}
+
+void SendBacklog::flush() {
+  flush_armed_ = false;
+  while (!pending_.empty()) {
+    auto& [dst, msg] = pending_.front();
+    if (!dropped(dst) && !hand_to_gm(dst, msg)) break;
+    pending_.pop_front();
+  }
+  if (!pending_.empty()) arm();
+}
+
 // --- RpcServer -------------------------------------------------------------
 
 RpcServer::RpcServer(sim::EventQueue& queue, gm::GmPort& port,
                      const RpcServerConfig& config)
-    : queue_(queue), port_(port), config_(config),
-      admission_(queue, config.admission) {}
+    : queue_(queue), config_(config), admission_(queue, config.admission),
+      backlog_(queue, port, config.send_retry_gap, stats_.send_retries,
+               &stats_.dead_peer_drops) {}
 
 int RpcServer::cost_of(const RpcHeader& h) const {
   const auto extra = static_cast<int>(
@@ -101,7 +146,7 @@ void RpcServer::handle_request(sim::Time t, std::uint16_t src,
           RpcHeader r = h;
           r.kind = RpcHeader::kReject;
           ++stats_.rejects_sent;
-          send_or_queue(src, r.encode(RpcHeader::kSize));
+          backlog_.send(src, r.encode(RpcHeader::kSize));
         }
       });
   if (outcome == AdmissionController::Outcome::kAdmitted) {
@@ -110,7 +155,7 @@ void RpcServer::handle_request(sim::Time t, std::uint16_t src,
     RpcHeader r = h;
     r.kind = RpcHeader::kReject;
     ++stats_.rejects_sent;
-    send_or_queue(src, r.encode(RpcHeader::kSize));
+    backlog_.send(src, r.encode(RpcHeader::kSize));
   }
 }
 
@@ -130,47 +175,15 @@ void RpcServer::start_service(std::uint16_t src, RpcHeader h,
 void RpcServer::respond(std::uint16_t dst, RpcHeader h) {
   h.kind = RpcHeader::kResponse;
   ++stats_.responses_sent;
-  send_or_queue(dst, h.encode(h.resp_bytes));
-}
-
-void RpcServer::send_or_queue(std::uint16_t dst, packet::Bytes msg) {
-  if (port_.peer_failed(dst)) {
-    ++stats_.dead_peer_drops;
-    return;
-  }
-  if (!sendq_.empty() || !port_.send(dst, packet::Bytes(msg))) {
-    ++stats_.send_retries;
-    sendq_.emplace_back(dst, std::move(msg));
-    if (!flush_armed_) {
-      flush_armed_ = true;
-      queue_.schedule_in(config_.send_retry_gap, [this] { flush_sendq(); });
-    }
-  }
-}
-
-void RpcServer::flush_sendq() {
-  flush_armed_ = false;
-  while (!sendq_.empty()) {
-    auto& [dst, msg] = sendq_.front();
-    if (port_.peer_failed(dst)) {
-      ++stats_.dead_peer_drops;
-      sendq_.pop_front();
-      continue;
-    }
-    if (!port_.send(dst, packet::Bytes(msg))) break;
-    sendq_.pop_front();
-  }
-  if (!sendq_.empty() && !flush_armed_) {
-    flush_armed_ = true;
-    queue_.schedule_in(config_.send_retry_gap, [this] { flush_sendq(); });
-  }
+  backlog_.send(dst, h.encode(h.resp_bytes));
 }
 
 // --- RpcClient -------------------------------------------------------------
 
 RpcClient::RpcClient(sim::EventQueue& queue, gm::GmPort& port,
                      const RpcClientConfig& config)
-    : queue_(queue), port_(port), config_(config) {}
+    : queue_(queue), port_(port), config_(config),
+      backlog_(queue, port, config.send_retry_gap, gm_backpressure_) {}
 
 bool RpcClient::call(const CallSpec& spec) {
   const sim::Time now = queue_.now();
@@ -206,7 +219,8 @@ void RpcClient::issue(std::uint32_t id, Pending p) {
   p.deadline_ev =
       queue_.schedule_in(deadline, [this, id] { on_deadline(id); });
   pending_.emplace(id, std::move(p));
-  send_or_queue(dst, h.encode(config_.request_bytes));
+  // A failed peer drops the request; the deadline timer settles the call.
+  backlog_.send(dst, h.encode(config_.request_bytes));
 }
 
 void RpcClient::on_deadline(std::uint32_t id) {
@@ -276,35 +290,6 @@ void RpcClient::handle_response(sim::Time t, const RpcHeader& h) {
   cls.service.record(h.service_span_ns);
   const std::uint64_t attributed = h.admit_wait_ns + h.service_span_ns;
   cls.network.record(lat > attributed ? lat - attributed : 0);
-}
-
-void RpcClient::send_or_queue(std::uint16_t dst, packet::Bytes msg) {
-  if (port_.peer_failed(dst)) return;  // deadline timer will settle the call
-  if (!sendq_.empty() || !port_.send(dst, packet::Bytes(msg))) {
-    ++gm_backpressure_;
-    sendq_.emplace_back(dst, std::move(msg));
-    if (!flush_armed_) {
-      flush_armed_ = true;
-      queue_.schedule_in(config_.send_retry_gap, [this] { flush_sendq(); });
-    }
-  }
-}
-
-void RpcClient::flush_sendq() {
-  flush_armed_ = false;
-  while (!sendq_.empty()) {
-    auto& [dst, msg] = sendq_.front();
-    if (port_.peer_failed(dst)) {
-      sendq_.pop_front();
-      continue;
-    }
-    if (!port_.send(dst, packet::Bytes(msg))) break;
-    sendq_.pop_front();
-  }
-  if (!sendq_.empty() && !flush_armed_) {
-    flush_armed_ = true;
-    queue_.schedule_in(config_.send_retry_gap, [this] { flush_sendq(); });
-  }
 }
 
 // --- RpcEndpoint -----------------------------------------------------------

@@ -62,6 +62,38 @@ struct RpcHeader {
   static std::optional<RpcHeader> decode(const packet::Bytes& msg);
 };
 
+/// Messages GM refused for want of a send token, retried in order every
+/// `retry_gap` until GM takes them. Each RPC role owns one, with its own
+/// queue and timer. A message whose destination has failed is dropped.
+class SendBacklog {
+ public:
+  /// Each refusal bumps `refused`; each drop to a failed peer bumps
+  /// `dead_peer_drops` when given.
+  SendBacklog(sim::EventQueue& queue, gm::GmPort& port,
+              sim::Duration retry_gap, std::uint64_t& refused,
+              std::uint64_t* dead_peer_drops = nullptr);
+  // Its retry timer holds `this`.
+  SendBacklog(const SendBacklog&) = delete;
+  SendBacklog& operator=(const SendBacklog&) = delete;
+
+  /// Hand `msg` to GM, or queue it behind the messages GM refused before.
+  void send(std::uint16_t dst, packet::Bytes msg);
+
+ private:
+  bool dropped(std::uint16_t dst);
+  bool hand_to_gm(std::uint16_t dst, packet::Bytes& msg);
+  void arm();
+  void flush();
+
+  sim::EventQueue& queue_;
+  gm::GmPort& port_;
+  sim::Duration retry_gap_;
+  std::uint64_t& refused_;
+  std::uint64_t* dead_peer_drops_;
+  std::deque<std::pair<std::uint16_t, packet::Bytes>> pending_;
+  bool flush_armed_ = false;
+};
+
 struct RpcServerConfig {
   AdmissionConfig admission;
   /// Token cost of a request: 1 + service_ns / cost_quantum, clamped to
@@ -99,16 +131,12 @@ class RpcServer {
   int cost_of(const RpcHeader& h) const;
   void start_service(std::uint16_t src, RpcHeader h, sim::Duration wait);
   void respond(std::uint16_t dst, RpcHeader h);
-  void send_or_queue(std::uint16_t dst, packet::Bytes msg);
-  void flush_sendq();
 
   sim::EventQueue& queue_;
-  gm::GmPort& port_;
   RpcServerConfig config_;
   AdmissionController admission_;
   RpcServerStats stats_;
-  std::deque<std::pair<std::uint16_t, packet::Bytes>> sendq_;
-  bool flush_armed_ = false;
+  SendBacklog backlog_;
 };
 
 struct RpcClientConfig {
@@ -170,8 +198,6 @@ class RpcClient {
   void on_deadline(std::uint32_t id);
   void retry(std::uint32_t id, Pending p);
   void finish_failed(Pending& p);
-  void send_or_queue(std::uint16_t dst, packet::Bytes msg);
-  void flush_sendq();
   SloClassStats& slo_of(const Pending& p) {
     return slo_.cls[static_cast<std::size_t>(p.spec.cls)];
   }
@@ -182,9 +208,8 @@ class RpcClient {
   SloStats slo_;
   std::uint32_t next_id_ = 1;
   std::unordered_map<std::uint32_t, Pending> pending_;
-  std::deque<std::pair<std::uint16_t, packet::Bytes>> sendq_;
-  bool flush_armed_ = false;
   std::uint64_t gm_backpressure_ = 0;
+  SendBacklog backlog_;
 };
 
 struct EndpointConfig {

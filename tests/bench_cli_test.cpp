@@ -125,6 +125,13 @@ TEST(WatchdogFlag, ParsesFromArgv) {
   EXPECT_THROW(cli_parse(h, {"--watchdog=1"}), std::invalid_argument);
 }
 
+/// Whether a point of `h` arms the flight recorder on its clusters.
+bool armed_flight(Harness& h) {
+  return h.sweep(1, [](std::size_t, bench::Point& p) {
+            return p.arm({}).flight.enabled;
+          }).front();
+}
+
 TEST(BenchCli, FlightPathsImplyFlight) {
   {
     Harness h("fig8_itb_overhead", kFig8);
@@ -132,7 +139,7 @@ TEST(BenchCli, FlightPathsImplyFlight) {
     EXPECT_TRUE(h.flight);
     EXPECT_EQ(h.flight_out, "a.flt");
     EXPECT_FALSE(h.flight_trace.has_value());
-    EXPECT_TRUE(h.recorder().enabled);
+    EXPECT_TRUE(armed_flight(h));
   }
   {
     Harness h("fig8_itb_overhead", kFig8);
@@ -144,7 +151,7 @@ TEST(BenchCli, FlightPathsImplyFlight) {
     Harness h("fig8_itb_overhead", kFig8);
     parse(h, {});
     EXPECT_FALSE(h.flight);
-    EXPECT_FALSE(h.recorder().enabled);
+    EXPECT_FALSE(armed_flight(h));
   }
 }
 
@@ -277,18 +284,17 @@ TEST(BenchCli, SharedFlagTheBenchDoesNotHonourExitsTwo) {
 // ---------------------------------------------------- shared epilogue --
 
 TEST(BenchHarness, FinishExportsStageTotals) {
-  flight::RecorderConfig frc;
-  frc.enabled = true;
-  frc.capacity = std::size_t{1} << 18;
-  auto cluster = core::make_fig8_cluster(/*itb_path=*/true, {}, {}, {}, frc);
-  workload::run_pingpong(cluster->queue(), cluster->port(core::kHost1),
-                         cluster->port(core::kHost2), 256, 5);
-  const flight::Recording rec = cluster->flight()->snapshot();
-
   const std::string path = testing::TempDir() + "bench_cli_finish.json";
   Harness h("fig8_itb_overhead", kFig8);
   parse(h, {"--flight", "--json", path.c_str()});
-  h.add_recording(rec);
+  const flight::Recording rec =
+      h.sweep(1, [](std::size_t, bench::Point& p) {
+         core::Cluster cluster(p.arm(core::fig8_config(/*itb_path=*/true)));
+         workload::run_pingpong(cluster.queue(), cluster.port(core::kHost1),
+                                cluster.port(core::kHost2), 256, 5);
+         p.capture(cluster);
+         return cluster.flight()->snapshot();
+       }).front();
   ASSERT_EQ(h.finish(), 0);
 
   std::ifstream in(path);
@@ -303,6 +309,43 @@ TEST(BenchHarness, FinishExportsStageTotals) {
             static_cast<double>(flight::WormTimeline(rec).totals().host_tx));
   EXPECT_GT(host_tx, 0.0);
   std::remove(path.c_str());
+}
+
+/// Stdout and --json report of a three-point sweep of Fig. 8 ping-pongs,
+/// every capture armed, on `jobs` threads. Point 1 has no run tag.
+std::string armed_sweep_output(const char* jobs) {
+  const std::string path =
+      testing::TempDir() + "bench_cli_sweep_" + jobs + ".json";
+  Harness h("ablation_early_recv", bench::kSweep);
+  parse(h, {"--jobs", jobs, "--watchdog", "--flight", "--json", path.c_str()});
+  testing::internal::CaptureStdout();
+  h.sweep(3, [](std::size_t i, bench::Point& p) {
+    core::Cluster cluster(p.arm(core::fig8_config(/*itb_path=*/i != 1)));
+    cluster.telemetry().start_sampling();
+    workload::run_pingpong(cluster.queue(), cluster.port(core::kHost1),
+                           cluster.port(core::kHost2), 64u << i, 3);
+    return p.capture(cluster, i == 1 ? "" : "p" + std::to_string(i)).checks;
+  });
+  EXPECT_EQ(h.finish(), 0);
+  std::string out = testing::internal::GetCapturedStdout();
+  std::ifstream in(path);
+  std::stringstream doc;
+  doc << in.rdbuf();
+  std::remove(path.c_str());
+  return out + doc.str();
+}
+
+TEST(BenchHarness, SweepMergesCapturesInPointOrderForAnyJobs) {
+  const std::string serial = armed_sweep_output("1");
+  EXPECT_EQ(armed_sweep_output("3"), serial);
+  EXPECT_NE(serial.find("liveness: clean"), std::string::npos);
+  EXPECT_NE(serial.find("fingerprint 0x"), std::string::npos);
+  const auto p0 = serial.find("\"run\": \"p0\"");
+  const auto p2 = serial.find("\"run\": \"p2\"");
+  ASSERT_NE(p0, std::string::npos);
+  ASSERT_NE(p2, std::string::npos);
+  EXPECT_LT(p0, p2);
+  EXPECT_EQ(serial.find("\"p1\""), std::string::npos);
 }
 
 }  // namespace

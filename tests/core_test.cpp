@@ -35,9 +35,9 @@ TEST(Cluster, BuildsWithMapperAndDeliversTraffic) {
 }
 
 TEST(Cluster, ManualRoutesSkipMapper) {
-  auto c = core::make_fig7_cluster(true);
-  EXPECT_EQ(c->route_table(), nullptr);
-  EXPECT_EQ(c->mapper_report(), nullptr);
+  core::Cluster c(core::fig7_config(true));
+  EXPECT_EQ(c.route_table(), nullptr);
+  EXPECT_EQ(c.mapper_report(), nullptr);
 }
 
 TEST(Cluster, ManualRoutesWithShortRowsThrow) {
@@ -103,9 +103,9 @@ TEST(Cluster, ForeignPacketTypesReachTheHostButNotGm) {
 }
 
 TEST(PingPong, ProducesPositiveLatency) {
-  auto c = core::make_fig7_cluster(true);
-  auto row = workload::run_pingpong(c->queue(), c->port(core::kHost1),
-                                    c->port(core::kHost2), 64, 10);
+  core::Cluster c(core::fig7_config(true));
+  auto row = workload::run_pingpong(c.queue(), c.port(core::kHost1),
+                                    c.port(core::kHost2), 64, 10);
   EXPECT_GT(row.half_rtt_ns, 0);
   EXPECT_GE(row.max_ns, row.min_ns);
   // Unloaded deterministic simulation: iterations are identical.
@@ -113,12 +113,12 @@ TEST(PingPong, ProducesPositiveLatency) {
 }
 
 TEST(PingPong, LatencyMonotonicInSize) {
-  auto c = core::make_fig7_cluster(true);
+  core::Cluster c(core::fig7_config(true));
   workload::AllsizeConfig cfg;
   cfg.iterations = 3;
   cfg.sizes = {8, 256, 4096, 16384};
-  auto rows = workload::run_allsize(c->queue(), c->port(core::kHost1),
-                                    c->port(core::kHost2), cfg);
+  auto rows = workload::run_allsize(c.queue(), c.port(core::kHost1),
+                                    c.port(core::kHost2), cfg);
   ASSERT_EQ(rows.size(), 4u);
   for (std::size_t i = 1; i < rows.size(); ++i)
     EXPECT_GT(rows[i].half_rtt_ns, rows[i - 1].half_rtt_ns);
@@ -128,15 +128,15 @@ TEST(Fig7, ModifiedMcpOverheadSmallAndPositive) {
   // The headline Fig. 7 result: the ITB-capable MCP adds a small constant
   // to the receive path of every packet — the paper measured ~125 ns
   // average and < 300 ns.
-  auto orig = core::make_fig7_cluster(false);
-  auto mod = core::make_fig7_cluster(true);
+  core::Cluster orig(core::fig7_config(false));
+  core::Cluster mod(core::fig7_config(true));
   // Single-packet message sizes (multi-fragment messages pay the
   // per-packet overhead once per fragment).
   for (std::size_t size : {16u, 1024u, 4000u}) {
-    auto a = workload::run_pingpong(orig->queue(), orig->port(core::kHost1),
-                                    orig->port(core::kHost2), size, 5);
-    auto b = workload::run_pingpong(mod->queue(), mod->port(core::kHost1),
-                                    mod->port(core::kHost2), size, 5);
+    auto a = workload::run_pingpong(orig.queue(), orig.port(core::kHost1),
+                                    orig.port(core::kHost2), size, 5);
+    auto b = workload::run_pingpong(mod.queue(), mod.port(core::kHost1),
+                                    mod.port(core::kHost2), size, 5);
     const double overhead = b.half_rtt_ns - a.half_rtt_ns;
     EXPECT_GT(overhead, 0) << size;
     EXPECT_LT(overhead, 300) << size;
@@ -145,17 +145,17 @@ TEST(Fig7, ModifiedMcpOverheadSmallAndPositive) {
 
 TEST(Fig8, BothPathsCrossFiveSwitchesAndDeliver) {
   for (bool itb : {false, true}) {
-    auto c = core::make_fig8_cluster(itb);
+    core::Cluster c(core::fig8_config(itb));
     Bytes got;
-    c->port(core::kHost2)
+    c.port(core::kHost2)
         .set_receive_handler(
             [&](sim::Time, std::uint16_t, Bytes m) { got = std::move(m); });
     Bytes msg(333, 5);
-    ASSERT_TRUE(c->port(core::kHost1).send(core::kHost2, msg));
-    c->run();
+    ASSERT_TRUE(c.port(core::kHost1).send(core::kHost2, msg));
+    c.run();
     EXPECT_EQ(got, msg) << (itb ? "ITB" : "UD");
     if (itb) {
-      EXPECT_GE(c->nic(core::kInTransit).stats().itb_forwarded, 1u);
+      EXPECT_GE(c.nic(core::kInTransit).stats().itb_forwarded, 1u);
     }
   }
 }
@@ -166,12 +166,12 @@ TEST(Fig8, ItbOverheadAboutOneMicrosecondAndFlat) {
   // with ITB - half-RTT without), since only the forward leg differs.
   std::vector<double> overheads;
   for (std::size_t size : {16u, 512u, 4096u}) {
-    auto ud = core::make_fig8_cluster(false);
-    auto itb = core::make_fig8_cluster(true);
-    auto a = workload::run_pingpong(ud->queue(), ud->port(core::kHost1),
-                                    ud->port(core::kHost2), size, 5);
-    auto b = workload::run_pingpong(itb->queue(), itb->port(core::kHost1),
-                                    itb->port(core::kHost2), size, 5);
+    core::Cluster ud(core::fig8_config(false));
+    core::Cluster itb(core::fig8_config(true));
+    auto a = workload::run_pingpong(ud.queue(), ud.port(core::kHost1),
+                                    ud.port(core::kHost2), size, 5);
+    auto b = workload::run_pingpong(itb.queue(), itb.port(core::kHost1),
+                                    itb.port(core::kHost2), size, 5);
     overheads.push_back(2 * (b.half_rtt_ns - a.half_rtt_ns));
   }
   for (double o : overheads) {

@@ -22,26 +22,25 @@ using namespace itb;
 /// Run the Fig. 8 ping-pong on one forward path with the recorder armed.
 flight::Recording record_fig8(bool itb_path, std::size_t capacity,
                               std::size_t payload = 256, int iterations = 5) {
-  flight::RecorderConfig frc;
-  frc.enabled = true;
-  frc.capacity = capacity;
-  auto cluster = core::make_fig8_cluster(itb_path, {}, {}, {}, frc);
-  workload::run_pingpong(cluster->queue(), cluster->port(core::kHost1),
-                         cluster->port(core::kHost2), payload, iterations);
-  return cluster->flight()->snapshot();
+  core::ClusterConfig cfg = core::fig8_config(itb_path);
+  cfg.flight = {/*enabled=*/true, capacity};
+  core::Cluster cluster(std::move(cfg));
+  workload::run_pingpong(cluster.queue(), cluster.port(core::kHost1),
+                         cluster.port(core::kHost2), payload, iterations);
+  return cluster.flight()->snapshot();
 }
 
 TEST(FlightRecorder, ClusterGatesCaptureBehindConfig) {
   // Off by default: the cluster owns no recorder and every hook site stays
   // a single null-pointer branch.
-  auto plain = core::make_fig8_cluster(true);
-  EXPECT_EQ(plain->flight(), nullptr);
+  core::Cluster plain(core::fig8_config(true));
+  EXPECT_EQ(plain.flight(), nullptr);
 
-  flight::RecorderConfig frc;
-  frc.enabled = true;
-  auto armed = core::make_fig8_cluster(true, {}, {}, {}, frc);
-  ASSERT_NE(armed->flight(), nullptr);
-  EXPECT_EQ(armed->flight()->capacity(), frc.capacity);
+  core::ClusterConfig cfg = core::fig8_config(true);
+  cfg.flight.enabled = true;
+  core::Cluster armed(cfg);
+  ASSERT_NE(armed.flight(), nullptr);
+  EXPECT_EQ(armed.flight()->capacity(), cfg.flight.capacity);
 }
 
 TEST(FlightRecorder, RingWraparoundKeepsNewestAndCountsEvicted) {

@@ -12,22 +12,22 @@ namespace {
 using namespace itb;
 
 double fig7_delta_ns(std::size_t size) {
-  auto orig = core::make_fig7_cluster(false);
-  auto mod = core::make_fig7_cluster(true);
-  auto a = workload::run_pingpong(orig->queue(), orig->port(core::kHost1),
-                                  orig->port(core::kHost2), size, 3);
-  auto b = workload::run_pingpong(mod->queue(), mod->port(core::kHost1),
-                                  mod->port(core::kHost2), size, 3);
+  core::Cluster orig(core::fig7_config(false));
+  core::Cluster mod(core::fig7_config(true));
+  auto a = workload::run_pingpong(orig.queue(), orig.port(core::kHost1),
+                                  orig.port(core::kHost2), size, 3);
+  auto b = workload::run_pingpong(mod.queue(), mod.port(core::kHost1),
+                                  mod.port(core::kHost2), size, 3);
   return b.half_rtt_ns - a.half_rtt_ns;
 }
 
 double fig8_overhead_ns(std::size_t size) {
-  auto ud = core::make_fig8_cluster(false);
-  auto itb = core::make_fig8_cluster(true);
-  auto a = workload::run_pingpong(ud->queue(), ud->port(core::kHost1),
-                                  ud->port(core::kHost2), size, 3);
-  auto b = workload::run_pingpong(itb->queue(), itb->port(core::kHost1),
-                                  itb->port(core::kHost2), size, 3);
+  core::Cluster ud(core::fig8_config(false));
+  core::Cluster itb(core::fig8_config(true));
+  auto a = workload::run_pingpong(ud.queue(), ud.port(core::kHost1),
+                                  ud.port(core::kHost2), size, 3);
+  auto b = workload::run_pingpong(itb.queue(), itb.port(core::kHost1),
+                                  itb.port(core::kHost2), size, 3);
   return 2.0 * (b.half_rtt_ns - a.half_rtt_ns);
 }
 
@@ -52,9 +52,9 @@ TEST(Golden, Fig8PerItbOverheadIs1319ns) {
 }
 
 TEST(Golden, Fig7BaselineLatenciesStable) {
-  auto orig = core::make_fig7_cluster(false);
-  auto row = workload::run_pingpong(orig->queue(), orig->port(core::kHost1),
-                                    orig->port(core::kHost2), 4, 3);
+  core::Cluster orig(core::fig7_config(false));
+  auto row = workload::run_pingpong(orig.queue(), orig.port(core::kHost1),
+                                    orig.port(core::kHost2), 4, 3);
   EXPECT_DOUBLE_EQ(row.half_rtt_ns, 9059.5);
   EXPECT_DOUBLE_EQ(row.stddev_ns, 0.0);  // unloaded determinism
 }
@@ -62,12 +62,12 @@ TEST(Golden, Fig7BaselineLatenciesStable) {
 TEST(Golden, Fig8PathsTraverseFiveSwitchesWorth) {
   // Both Fig. 8 forward paths carry the same switch-count latency: their
   // absolute half-RTTs differ by exactly half the per-ITB overhead.
-  auto ud = core::make_fig8_cluster(false);
-  auto itb = core::make_fig8_cluster(true);
-  auto a = workload::run_pingpong(ud->queue(), ud->port(core::kHost1),
-                                  ud->port(core::kHost2), 64, 3);
-  auto b = workload::run_pingpong(itb->queue(), itb->port(core::kHost1),
-                                  itb->port(core::kHost2), 64, 3);
+  core::Cluster ud(core::fig8_config(false));
+  core::Cluster itb(core::fig8_config(true));
+  auto a = workload::run_pingpong(ud.queue(), ud.port(core::kHost1),
+                                  ud.port(core::kHost2), 64, 3);
+  auto b = workload::run_pingpong(itb.queue(), itb.port(core::kHost1),
+                                  itb.port(core::kHost2), 64, 3);
   EXPECT_DOUBLE_EQ(b.half_rtt_ns - a.half_rtt_ns, 1319.0 / 2.0);
 }
 

@@ -1,4 +1,4 @@
-// Unit tests for packet formats (paper Fig. 3) and CRC routines.
+// Unit tests for packet formats (paper Fig. 3) and the CRC-8.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -56,21 +56,6 @@ TEST(Crc8, MatchesBitwiseReferenceAtEveryLength) {
     ASSERT_EQ(crc8(all.subspan(off, 1001)),
               crc8_reference(all.subspan(off, 1001)))
         << "offset " << off;
-}
-
-TEST(Crc32, KnownVector) {
-  // CRC-32 of "123456789" is 0xCBF43926.
-  const char* s = "123456789";
-  std::vector<std::uint8_t> data(s, s + 9);
-  EXPECT_EQ(crc32(data), 0xCBF43926u);
-}
-
-TEST(Crc32, IncrementalMatchesOneShot) {
-  auto p = make_payload(100);
-  Crc32 inc;
-  inc.update(std::span(p).subspan(0, 37));
-  inc.update(std::span(p).subspan(37));
-  EXPECT_EQ(inc.value(), crc32(p));
 }
 
 TEST(Crc8, DetectsSingleBitFlips) {

@@ -88,10 +88,10 @@ TEST(RunSweepParallel, ClusterSweepIsBitIdenticalAcrossJobCounts) {
   using namespace itb;
   const std::vector<std::size_t> sizes = {16, 256, 1024};
   auto point = [&](std::size_t i) {
-    auto cluster = core::make_fig8_cluster(true, nic::McpOptions{});
-    auto r = workload::run_pingpong(cluster->queue(),
-                                    cluster->port(core::kHost1),
-                                    cluster->port(core::kHost2), sizes[i], 5);
+    core::Cluster cluster(core::fig8_config(true, nic::McpOptions{}));
+    auto r = workload::run_pingpong(cluster.queue(),
+                                    cluster.port(core::kHost1),
+                                    cluster.port(core::kHost2), sizes[i], 5);
     return r.half_rtt_ns;
   };
   const auto serial = run_sweep_parallel(sizes.size(), point, 1);

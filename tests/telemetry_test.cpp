@@ -384,15 +384,15 @@ TEST(Sampler, UtilizationSeriesIntegratesToChannelBusy) {
 }
 
 TEST(Sampler, ParksOnDrainResumesAndTracesEveryTick) {
-  auto cluster = core::make_fig8_cluster(/*itb_path=*/true);
-  auto& telemetry = cluster->telemetry();
+  core::Cluster cluster(core::fig8_config(/*itb_path=*/true));
+  auto& telemetry = cluster.telemetry();
   telemetry.start_sampling();
   workload::AllsizeConfig cfg;
   cfg.iterations = 5;
   cfg.sizes = {256, 1024};
   cfg.sampler = &telemetry.sampler();
-  workload::run_allsize(cluster->queue(), cluster->port(core::kHost1),
-                        cluster->port(core::kHost2), cfg);
+  workload::run_allsize(cluster.queue(), cluster.port(core::kHost1),
+                        cluster.port(core::kHost2), cfg);
   // After each drain the sampler parks rather than spinning the queue.
   EXPECT_TRUE(telemetry.sampler().parked());
   telemetry.stop_sampling();
@@ -475,14 +475,14 @@ TEST(Export, JsonWriterEscapesAndNests) {
 }
 
 TEST(Export, ClusterWriteJsonContainsSchemaCountersAndSeries) {
-  auto cluster = core::make_fig8_cluster(/*itb_path=*/true);
-  cluster->telemetry().start_sampling();
-  workload::run_pingpong(cluster->queue(), cluster->port(core::kHost1),
-                         cluster->port(core::kHost2), 512, 3);
-  cluster->telemetry().stop_sampling();
+  core::Cluster cluster(core::fig8_config(/*itb_path=*/true));
+  cluster.telemetry().start_sampling();
+  workload::run_pingpong(cluster.queue(), cluster.port(core::kHost1),
+                         cluster.port(core::kHost2), 512, 3);
+  cluster.telemetry().stop_sampling();
 
   std::ostringstream out;
-  cluster->telemetry().write_json(out);
+  cluster.telemetry().write_json(out);
   const std::string doc = out.str();
   EXPECT_NE(doc.find("\"schema\": \"itb.telemetry.v1\""), std::string::npos);
   EXPECT_NE(doc.find("\"counters\": "), std::string::npos);
