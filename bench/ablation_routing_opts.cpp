@@ -74,7 +74,7 @@ topo::Topology make_topology(std::uint64_t seed) {
 workload::LoadResult validation_run(std::uint64_t seed, bench::Point& p) {
   core::ClusterConfig cfg;
   cfg.topology = make_topology(seed);
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   cfg.itb_selection = routing::ItbHostSelection::kSpread;
   cfg.mcp_options.recv_buffers = 64;
   cfg.mcp_options.drop_when_full = true;

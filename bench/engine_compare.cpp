@@ -49,17 +49,17 @@ std::vector<Point> make_points() {
 
 std::vector<engine::EngineSpec> make_specs() {
   return {
-      engine::EngineSpec{engine::EngineKind::kUpDown, 1},
-      engine::EngineSpec{engine::EngineKind::kItb, 1},
-      engine::EngineSpec{engine::EngineKind::kVcEscape, 2},
-      engine::EngineSpec{engine::EngineKind::kVcEscape, 4},
+      engine::EngineSpec{routing::Policy::kUpDown, 1},
+      engine::EngineSpec{routing::Policy::kItb, 1},
+      engine::EngineSpec{routing::Policy::kVcEscape, 2},
+      engine::EngineSpec{routing::Policy::kVcEscape, 4},
   };
 }
 
 std::string spec_label(const engine::EngineSpec& spec) {
-  if (spec.kind == engine::EngineKind::kVcEscape)
+  if (spec.policy == routing::Policy::kVcEscape)
     return "vc" + std::to_string(spec.lanes);
-  return engine::to_string(spec.kind);
+  return routing::short_name(spec.policy);
 }
 
 struct Result {
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
       res.avg_hops = table.average_trunk_hops();
       res.minimal_frac = table.minimal_fraction(router, jobs);
       res.avg_itbs = table.average_itbs();
-      res.buffer_lanes = eng->buffer_lanes_per_port();
+      res.buffer_lanes = eng->lane_count();
       res.host_buffers = eng->uses_host_buffers();
       res.deadlock_free = engine::verify_deadlock_free(*eng, table, pt.topo);
       if (!res.deadlock_free) {

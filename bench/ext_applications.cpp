@@ -25,14 +25,14 @@ namespace {
 
 using namespace itb;
 
-core::ClusterConfig make_config(engine::EngineKind kind, std::uint64_t seed) {
+core::ClusterConfig make_config(routing::Policy policy, std::uint64_t seed) {
   sim::Rng rng(seed);
   topo::IrregularSpec spec;
   spec.switches = 32;
   spec.hosts_per_switch = 4;
   core::ClusterConfig cfg;
   cfg.topology = topo::make_random_irregular(spec, rng);
-  cfg.engine = {kind, 1};
+  cfg.engine = {policy, 1};
   // Loaded-network MCP (§4 buffer pool) — collectives burst hard.
   cfg.mcp_options.recv_buffers = 512;  // 8 MB SRAM at 2 KB packets (paper: overflow "very unusual")
   cfg.itb_selection = routing::ItbHostSelection::kSpread;
@@ -47,10 +47,10 @@ core::ClusterConfig make_config(engine::EngineKind kind, std::uint64_t seed) {
 /// One {kernel, policy} run; a run with a `tag` is sampled and captured
 /// under it.
 workload::AppResult run_kernel(
-    std::uint64_t seed, engine::EngineKind kind, const std::string& tag,
+    std::uint64_t seed, routing::Policy policy, const std::string& tag,
     const std::function<workload::AppResult(core::Cluster&)>& body,
     bench::Point& p) {
-  core::Cluster cluster(p.arm(make_config(kind, seed)));
+  core::Cluster cluster(p.arm(make_config(policy, seed)));
   if (!tag.empty()) cluster.telemetry().start_sampling();
   auto result = body(cluster);
   p.capture(cluster, tag);
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
     const bool ud = i % 2 == 0;
     const std::string tag = std::string(k.name) + (ud ? "_ud" : "_itb");
     return run_kernel(
-        seed, ud ? engine::EngineKind::kUpDown : engine::EngineKind::kItb,
+        seed, ud ? routing::Policy::kUpDown : routing::Policy::kItb,
         rp ? tag : "", k.body, p);
   });
   for (std::size_t i = 0; i < kernels.size(); ++i)

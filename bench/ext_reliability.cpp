@@ -35,7 +35,7 @@ constexpr sim::Time kChaosHorizon = 20 * sim::kMs;
 struct Scenario {
   const char* name;
   topo::Topology (*make)();
-  engine::EngineKind engine;
+  routing::Policy policy;
   std::uint16_t src, dst;
 };
 
@@ -44,10 +44,10 @@ topo::Topology make_testbed() { return topo::make_paper_testbed(); }
 const Scenario kScenarios[] = {
     // Fig. 6 testbed: h0 -> h2 crosses one of the two trunks; a trunk
     // window forces the remap onto the other.
-    {"fig6_testbed", make_testbed, engine::EngineKind::kUpDown, 0, 2},
+    {"fig6_testbed", make_testbed, routing::Policy::kUpDown, 0, 2},
     // Fig. 1 network under ITB routing: the 4 -> 1 route relies on the
     // in-transit host on switch 6, which chaos may take down mid-path.
-    {"fig1_network", topo::make_fig1_network, engine::EngineKind::kItb, 4, 1},
+    {"fig1_network", topo::make_fig1_network, routing::Policy::kItb, 4, 1},
 };
 
 struct ChaosLevel {
@@ -94,7 +94,7 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
                       bench::Point& p) {
   core::ClusterConfig cfg;
   cfg.topology = sc.make();
-  cfg.engine = {sc.engine, 1};
+  cfg.engine = {sc.policy, 1};
   cfg.gm_config.retransmit_timeout = 300 * sim::kUs;
   cfg.gm_config.max_retries = 12;
   cfg.remap_delay = 300 * sim::kUs;

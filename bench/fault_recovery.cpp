@@ -53,7 +53,7 @@ double ms_since(Clock::time_point t0) {
 struct Point {
   std::string label;
   topo::Topology topo;
-  engine::EngineKind engine;
+  routing::Policy policy;
   // Chosen off the canonical boot table (below): the busiest trunk is
   // crossed by every source (the up*/down* funnel), the median trunk — like
   // most of the fabric — carries no stored routes.
@@ -64,15 +64,12 @@ struct Point {
 
 std::vector<Point> make_points() {
   std::vector<Point> pts;
-  pts.push_back(
-      {"clos64", topo::make_clos(4, 16, 4), engine::EngineKind::kItb});
-  pts.push_back(
-      {"clos256", topo::make_clos(8, 16, 16), engine::EngineKind::kItb});
+  pts.push_back({"clos64", topo::make_clos(4, 16, 4), routing::Policy::kItb});
+  pts.push_back({"clos256", topo::make_clos(8, 16, 16), routing::Policy::kItb});
   // The thousand-host headline measures recovery scaling; ITB-candidate
   // invalidation is exercised at the Clos points (an ITB solve at this size
   // would dominate the sweep's wall clock without changing the story).
-  pts.push_back(
-      {"ft1024", topo::make_fat_tree(16), engine::EngineKind::kUpDown});
+  pts.push_back({"ft1024", topo::make_fat_tree(16), routing::Policy::kUpDown});
   return pts;
 }
 
@@ -84,8 +81,7 @@ void choose_victims(Point& pt, unsigned jobs) {
   std::vector<char> all_up(pt.topo.link_count(), 1);
   const routing::UpDown ud(pt.topo, root, all_up);
   const routing::Router router(ud, routing::ItbHostSelection::kLowestIndex);
-  const routing::RouteTable table(
-      router, engine::make_engine({pt.engine, 1})->policy(), jobs);
+  const routing::RouteTable table(router, pt.policy, jobs);
   const auto usage = table.channel_usage(pt.topo);
   std::vector<std::pair<std::uint64_t, topo::LinkId>> trunks;
   for (topo::LinkId l = 0; l < pt.topo.link_count(); ++l) {
@@ -135,7 +131,7 @@ RunResult run_scenario(const Point& pt, const std::string& mode,
                        std::ofstream* routes_out) {
   core::ClusterConfig cfg;
   cfg.topology = pt.topo;
-  cfg.engine = {pt.engine, 1};
+  cfg.engine = {pt.policy, 1};
   cfg.route_solve_jobs = jobs;
   cfg.fault_schedule = make_schedule(pt, mode);
   cfg.recovery.incremental = incremental;

@@ -27,7 +27,7 @@ T parse_number(std::string_view v, T lo, T hi) {
   const bool overflow = ec == std::errc::result_out_of_range;
   if (end != v.data() + v.size() || (ec != std::errc() && !overflow) ||
       !std::isfinite(static_cast<double>(n)))
-    bad("'" + std::string(v) + "' is not a number");
+    bad(std::string("'").append(v) + "' is not a number");
   if (overflow || n < lo || n > hi) {
     std::ostringstream range;
     range << v << " is out of range [" << lo << ", " << hi << "]";

@@ -56,12 +56,12 @@ topo::Topology make_network(std::uint64_t seed) {
 
 /// One {policy, rate} point; a point with a `run` tag is sampled and
 /// captured under it.
-workload::LoadResult run_point(engine::EngineKind kind, std::uint64_t seed,
+workload::LoadResult run_point(routing::Policy policy, std::uint64_t seed,
                                double rate, const std::string& run,
                                bench::Point& p) {
   core::ClusterConfig cfg;
   cfg.topology = make_network(seed);
-  cfg.engine = {kind, 1};
+  cfg.engine = {policy, 1};
   // Loaded-network configuration (paper §4): the two-buffer shipped MCP
   // can deadlock through buffer-wait cycles once in-transit packets hold
   // receive buffers while their re-injection blocks; the proposed
@@ -91,7 +91,7 @@ workload::LoadResult run_point(engine::EngineKind kind, std::uint64_t seed,
   return load;
 }
 
-std::vector<SweepPoint> sweep(engine::EngineKind kind, std::uint64_t seed,
+std::vector<SweepPoint> sweep(routing::Policy policy, std::uint64_t seed,
                               const std::vector<double>& rates,
                               const std::string& run, bench::Harness& h) {
   telemetry::BenchReport* report = h.json_report();
@@ -100,7 +100,7 @@ std::vector<SweepPoint> sweep(engine::EngineKind kind, std::uint64_t seed,
   // swamp the report without adding information.
   auto outputs = h.sweep(rates.size(), [&](std::size_t i, bench::Point& p) {
     const bool sample = report && i + 1 == rates.size();
-    return run_point(kind, seed, rates[i], sample ? run : "", p);
+    return run_point(policy, seed, rates[i], sample ? run : "", p);
   });
 
   std::vector<SweepPoint> points;
@@ -184,8 +184,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  auto ud = sweep(engine::EngineKind::kUpDown, seed, rates, "ud", h);
-  auto itb = sweep(engine::EngineKind::kItb, seed, rates, "itb", h);
+  auto ud = sweep(routing::Policy::kUpDown, seed, rates, "ud", h);
+  auto itb = sweep(routing::Policy::kItb, seed, rates, "itb", h);
 
   std::printf("\nuniform traffic, 512 B messages, accepted msgs/s/host and "
               "mean latency:\n\n");

@@ -58,15 +58,15 @@ topo::Topology make_network(std::uint64_t seed) {
 }
 
 struct PointSpec {
-  engine::EngineKind engine = engine::EngineKind::kUpDown;
+  routing::Policy policy = routing::Policy::kUpDown;
   double rate = 1e4;
   workload::Pattern pattern = workload::Pattern::kUniform;
   bool chaos = false;
   bool sample = false;  // embed registry counters in the JSON report
 };
 
-const char* policy_name(engine::EngineKind k) {
-  return k == engine::EngineKind::kItb ? "itb" : "ud";
+const char* policy_name(routing::Policy p) {
+  return p == routing::Policy::kItb ? "itb" : "ud";
 }
 
 struct PointOutput {
@@ -80,7 +80,7 @@ struct PointOutput {
 PointOutput run_point(const PointSpec& ps, bench::Point& p) {
   core::ClusterConfig cfg;
   cfg.topology = make_network(kSeed);
-  cfg.engine = {ps.engine, 1};
+  cfg.engine = {ps.policy, 1};
   // Loaded-network MCP (paper §4): circular pool, drop when full; GM
   // retransmission recovers. Deep send queues so the fabric saturates
   // before GM token flow control does.
@@ -148,7 +148,7 @@ PointOutput run_point(const PointSpec& ps, bench::Point& p) {
   for (auto* port : cluster.ports())
     out.retransmissions += port->stats().retransmissions;
   const health::LivenessVerdict v = p.capture(
-      cluster, ps.sample ? std::string(policy_name(ps.engine)) + "_rate_" +
+      cluster, ps.sample ? std::string(policy_name(ps.policy)) + "_rate_" +
                                std::to_string(static_cast<int>(ps.rate))
                          : "");
   out.stalls = v.stalls;
@@ -163,7 +163,7 @@ void add_slo_rows(telemetry::BenchReport& report, const std::string& table,
                   const PointSpec& ps, const PointOutput& out) {
   auto row_of = [&](const char* cls_name, const svc::SloClassStats& c) {
     telemetry::BenchReport::Row row;
-    row.text["policy"] = policy_name(ps.engine);
+    row.text["policy"] = policy_name(ps.policy);
     row.text["pattern"] = workload::to_string(ps.pattern);
     row.text["class"] = cls_name;
     row.num["rate_rps"] = ps.rate;
@@ -190,7 +190,7 @@ void add_slo_rows(telemetry::BenchReport& report, const std::string& table,
     row_of(kClassNames[c], out.slo.cls[c]);
   svc::SloClassStats all = out.slo.combined();
   telemetry::BenchReport::Row row;  // combined row carries admission stats
-  row.text["policy"] = policy_name(ps.engine);
+  row.text["policy"] = policy_name(ps.policy);
   row.text["pattern"] = workload::to_string(ps.pattern);
   row.text["class"] = "all";
   row.num["rate_rps"] = ps.rate;
@@ -248,19 +248,19 @@ int main(int argc, char** argv) {
 
   // Point list: load sweep (both policies), then patterns, then chaos.
   std::vector<PointSpec> points;
-  for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb})
+  for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb})
     for (std::size_t i = 0; i < kRates.size(); ++i)
-      points.push_back({kind, kRates[i], workload::Pattern::kUniform, false,
+      points.push_back({policy, kRates[i], workload::Pattern::kUniform, false,
                         h.json.has_value() && i + 1 == kRates.size()});
   const std::size_t pattern_begin = points.size();
-  for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb}) {
-    points.push_back({kind, kIncastRate, workload::Pattern::kIncast});
-    points.push_back({kind, kHotspotRate, workload::Pattern::kHotspot});
-    points.push_back({kind, kAllToAllRate, workload::Pattern::kAllToAll});
+  for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb}) {
+    points.push_back({policy, kIncastRate, workload::Pattern::kIncast});
+    points.push_back({policy, kHotspotRate, workload::Pattern::kHotspot});
+    points.push_back({policy, kAllToAllRate, workload::Pattern::kAllToAll});
   }
   const std::size_t chaos_begin = points.size();
-  for (auto kind : {engine::EngineKind::kUpDown, engine::EngineKind::kItb})
-    points.push_back({kind, 1.5e4, workload::Pattern::kUniform, true, false});
+  for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb})
+    points.push_back({policy, 1.5e4, workload::Pattern::kUniform, true, false});
 
   auto outputs = h.sweep(points.size(), [&](std::size_t i, bench::Point& p) {
     return run_point(points[i], p);
@@ -274,11 +274,11 @@ int main(int argc, char** argv) {
               "rate", "good MB/s", "p50(us)", "p99(us)", "p999(us)", "miss",
               "block", "retry");
   for (std::size_t i = 0; i < pattern_begin; ++i)
-    print_row(policy_name(points[i].engine), points[i].rate, outputs[i]);
+    print_row(policy_name(points[i].policy), points[i].rate, outputs[i]);
 
   std::printf("\npatterns (per-client rate scaled per pattern):\n");
   for (std::size_t i = pattern_begin; i < chaos_begin; ++i) {
-    const std::string label = std::string(policy_name(points[i].engine)) +
+    const std::string label = std::string(policy_name(points[i].policy)) +
                               "/" + workload::to_string(points[i].pattern);
     print_row(label.c_str(), points[i].rate, outputs[i]);
   }
@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
               "stall windows):\n");
   for (std::size_t i = chaos_begin; i < points.size(); ++i) {
     const std::string label =
-        std::string(policy_name(points[i].engine)) + "/chaos";
+        std::string(policy_name(points[i].policy)) + "/chaos";
     print_row(label.c_str(), points[i].rate, outputs[i]);
   }
 
@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
   // 70% of it.
   double sat_rate = kRates.front(), best_goodput = -1;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].engine == engine::EngineKind::kItb && !points[i].chaos &&
+    if (points[i].policy == routing::Policy::kItb && !points[i].chaos &&
         points[i].pattern == workload::Pattern::kUniform) {
       const auto g = static_cast<double>(
           outputs[i].slo.combined().goodput_bytes);
@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < points.size(); ++i)
     if (!points[i].chaos && points[i].pattern == workload::Pattern::kUniform &&
         points[i].rate == headline_rate) {
-      (points[i].engine == engine::EngineKind::kItb ? headline : headline_ud) =
+      (points[i].policy == routing::Policy::kItb ? headline : headline_ud) =
           &outputs[i];
     }
   if (headline) {
@@ -348,13 +348,13 @@ int main(int argc, char** argv) {
       if (i + 1 == kRates.size() || i + 1 == 2 * kRates.size()) {
         const auto all = outputs[i].slo.combined();
         report.add_histogram("svc_total_latency",
-                             policy_name(points[i].engine), all.total);
+                             policy_name(points[i].policy), all.total);
         report.add_histogram("svc_admit_wait",
-                             policy_name(points[i].engine), all.admit);
+                             policy_name(points[i].policy), all.admit);
       }
       if (points[i].chaos && h.watchdog) {
         telemetry::BenchReport::Row row;
-        row.text["policy"] = policy_name(points[i].engine);
+        row.text["policy"] = policy_name(points[i].policy);
         row.num["health_stalls"] = static_cast<double>(outputs[i].stalls);
         row.num["health_recoveries"] =
             static_cast<double>(outputs[i].recoveries);

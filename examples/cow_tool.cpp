@@ -87,7 +87,7 @@ int cmd_pingpong(topo::Topology topo, std::uint16_t src, std::uint16_t dst,
                  std::size_t size) {
   core::ClusterConfig cfg;
   cfg.topology = std::move(topo);
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   core::Cluster cluster(std::move(cfg));
   auto row = workload::run_pingpong(cluster.queue(), cluster.port(src),
                                     cluster.port(dst), size, 100);

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};  // src 4 -> dst 1 crosses one ITB
+  cfg.engine = {routing::Policy::kItb, 1};  // src 4 -> dst 1 crosses one ITB
   cfg.fault_schedule.drop_probability = drop;
   cfg.fault_schedule.corrupt_probability = corrupt;
   cfg.fault_schedule.seed = 42;

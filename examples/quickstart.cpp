@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   //    into every NIC. Timing models default to the paper's testbed.
   core::ClusterConfig cfg;
   cfg.topology = std::move(fabric);
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   core::Cluster cluster(std::move(cfg));
 
   std::printf("mapper: %zu switches, %zu hosts discovered with %llu probes\n",

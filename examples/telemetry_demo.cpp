@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
 
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   cfg.mcp_options.recv_buffers = 64;
   cfg.mcp_options.drop_when_full = true;  // loaded-network MCP (§4)
   cfg.telemetry_sample_period = 100 * sim::kUs;

@@ -13,7 +13,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
 
   network_ = std::make_unique<net::Network>(config_.topology,
                                             config_.net_timing, queue_);
-  if (engine_->lane_count() > 1) network_->set_lane_policy(engine_.get());
+  network_->set_ladder(&engine_->ladder());
   if (config_.flight.enabled) {
     flight_ = std::make_unique<flight::FlightRecorder>(config_.flight);
     network_->set_flight_recorder(flight_.get());
@@ -145,7 +145,7 @@ bool Cluster::routes_deadlock_free() const {
   // is bound in true coordinates — so check with a throwaway engine bound
   // over the discovered topology itself. Single-lane engines reduce to the
   // classical CDG either way.
-  auto check = engine::make_engine({engine_->kind(), engine_->lane_count()});
+  auto check = engine::make_engine({engine_->policy(), engine_->lane_count()});
   check->bind(routing::UpDown(report_->discovered, 0), report_->discovered, {});
   return engine::verify_deadlock_free(*check, *table_, report_->discovered);
 }

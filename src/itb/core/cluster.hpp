@@ -8,7 +8,7 @@
 // Typical use:
 //   core::ClusterConfig cfg;
 //   cfg.topology = topo::make_fig1_network();
-//   cfg.engine = {engine::EngineKind::kItb, 1};
+//   cfg.engine = {routing::Policy::kItb, 1};
 //   core::Cluster cluster(cfg);
 //   cluster.port(0).send(5, message);
 //   cluster.run();
@@ -163,7 +163,7 @@ class Cluster {
   // the recorder must outlive the components that feed it.
   std::unique_ptr<flight::FlightRecorder> flight_;
   // Before network_ too: the network arbitrates through the engine's
-  // LanePolicy pointer.
+  // lane ladder.
   std::unique_ptr<engine::DeadlockEngine> engine_;
   std::unique_ptr<net::Network> network_;
   std::optional<mapper::DiscoveryReport> report_;

@@ -128,15 +128,15 @@ void Network::attach_host(std::uint16_t host, HostHooks* hooks) {
   hooks_[host] = hooks;
 }
 
-void Network::set_lane_policy(const LanePolicy* policy) {
+void Network::set_ladder(const LaneLadder* ladder) {
   if (live_worms_)
-    throw std::logic_error("lane policy change with worms in flight");
-  const unsigned lanes = policy ? policy->lane_count() : 1;
+    throw std::logic_error("lane ladder change with worms in flight");
+  const unsigned lanes = ladder ? ladder->lane_count() : 1;
   if (lanes == 0 || lanes > 255)
     throw std::invalid_argument("lane count must be in [1, 255]");
-  // A single-lane policy keeps the classical hot path: lane_policy_ stays
-  // null and every slot computation folds to the physical channel index.
-  lane_policy_ = lanes > 1 ? policy : nullptr;
+  // A one-lane ladder keeps the classical hot path: ladder_ stays null and
+  // every slot computation folds to the physical channel index.
+  ladder_ = lanes > 1 ? ladder : nullptr;
   lanes_ = lanes;
   channels_.assign(topo_.link_count() * 2 * lanes_, ChannelState{});
   lane_busy_.assign(lanes_ > 1 ? topo_.link_count() * 2 * lanes_ : 0, 0);
@@ -217,7 +217,7 @@ TxHandle Network::inject(std::uint16_t host, packet::Bytes bytes,
   w->held.clear();
   w->waiting_on.reset();
   w->waiting_lane = 0;
-  w->lane_state = LaneState{injection_lane(host), 0};
+  w->lane_state = LaneState{};  // every worm starts on lane 0
   w->tail_time = -1;
   w->rx_started = false;
   w->tx_signaled = false;
@@ -232,13 +232,10 @@ TxHandle Network::inject(std::uint16_t host, packet::Bytes bytes,
   if (activity_hook_) activity_hook_();
 
   if (flight_)
-    // detail carries the injection lane — 0 on single-lane networks, so
-    // lane-less captures (the golden fig8 fingerprint) are byte-identical.
     flight_->record(flight::EventType::kInject, queue_.now(), w->handle, host,
-                    w->orig_len, w->lane_state.lane);
+                    w->orig_len);
   const TxHandle handle = w->handle;
-  request_channel(w, static_cast<std::uint32_t>(entry_idx) * lanes_ +
-                         w->lane_state.lane);
+  request_channel(w, static_cast<std::uint32_t>(entry_idx) * lanes_);
   return handle;
 }
 
@@ -248,22 +245,12 @@ void Network::set_host_rx_ready(std::uint16_t host, bool ready) {
   if (ready) rearbitrate_host(host);
 }
 
-bool Network::host_rx_ready(std::uint16_t host) const {
-  return rx_ready_.at(host) != 0;
-}
-
 void Network::rearbitrate_host(std::uint16_t host) {
   if (host >= host_in_channel_.size()) return;
   const std::int32_t into = host_in_channel_[host];
   if (into < 0) return;
   for (unsigned lane = 0; lane < lanes_; ++lane)
     arbitrate(static_cast<std::uint32_t>(into) * lanes_ + lane);
-}
-
-bool Network::host_gate_closed(topo::Endpoint target) const {
-  if (target.node.kind != topo::NodeKind::kHost) return false;
-  if (!rx_ready_[target.node.index]) return true;
-  return fault_hook_ && !fault_hook_->host_accepting(target.node.index);
 }
 
 void Network::on_link_state(topo::LinkId link, bool up) {
@@ -328,7 +315,7 @@ void Network::grant_channel(Worm* w, std::uint32_t slot) {
 
   // The head crosses the link: propagation plus one byte of transmission.
   sim::Duration hop = timing_.link_latency_ns + timing_.byte_time(1);
-  if (lane_policy_ && timing_.lane_mux_penalty_ns > 0) {
+  if (lanes_ > 1 && timing_.lane_mux_penalty_ns > 0) {
     // Lane mux cost: another lane of the same physical channel is already
     // streaming, so this head's flits interleave behind it.
     const std::uint32_t base = phys_of(slot) * lanes_;
@@ -396,12 +383,12 @@ void Network::head_at_node(Worm* w, topo::Endpoint arrival) {
     flight_->record(flight::EventType::kHeadSwitch, t, w->handle,
                     arrival.node.index, 0, out_port);
   // The lane is decided HERE, once per traversal, and captured in the
-  // closure: lane_for mutates the worm's ladder state, so re-evaluating it
+  // closure: next() advances the worm's ladder state, so re-evaluating it
   // on a grant-after-wait would double-advance the ladder.
-  const topo::Channel out =
-      channel_from_index(static_cast<std::uint32_t>(out_idx));
-  const std::uint8_t lane =
-      lane_policy_ ? lane_policy_->lane_for(w->lane_state, out) : 0;
+  std::uint8_t lane = 0;
+  if (lanes_ > 1)
+    lane = ladder_->next(
+        w->lane_state, channel_from_index(static_cast<std::uint32_t>(out_idx)));
   const std::uint32_t slot =
       static_cast<std::uint32_t>(out_idx) * lanes_ + lane;
   w->pending =

@@ -141,18 +141,14 @@ class Network {
   /// the network or be cleared before destruction.
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
 
-  /// Install (or clear, with nullptr) the virtual-lane policy. Resizes the
+  /// Install (or clear, with nullptr) the lane ladder. Resizes the
   /// per-lane channel tables, so it must run before any traffic and with
-  /// nothing in flight; the policy must outlive the network or be cleared.
-  /// A policy with lane_count() == 1 (or nullptr) leaves the network on the
-  /// classical single-lane hot path — zero extra work per event.
-  void set_lane_policy(const LanePolicy* policy);
+  /// nothing in flight; the ladder must outlive the network or be cleared
+  /// (re-binding its directions in place is fine). A one-lane ladder (or
+  /// nullptr) leaves the network on the classical single-lane hot path —
+  /// zero extra work per event.
+  void set_ladder(const LaneLadder* ladder);
   unsigned lane_count() const { return lanes_; }
-
-  /// Lane the policy assigns to injections at `host` (0 without a policy).
-  std::uint8_t injection_lane(std::uint16_t host) const {
-    return lane_policy_ ? lane_policy_->injection_lane(host) : 0;
-  }
 
   /// Install (or clear) the flight recorder. Off by default; when set,
   /// every lifecycle station (inject, channel block/grant, per-hop head
@@ -174,7 +170,6 @@ class Network {
   /// Receive-buffer gate: while false, the channel into `host` is not
   /// granted and upstream packets stall (Stop&Go backpressure).
   void set_host_rx_ready(std::uint16_t host, bool ready);
-  bool host_rx_ready(std::uint16_t host) const;
 
   const NetworkStats& stats() const { return stats_; }
   const NetTiming& timing() const { return timing_; }
@@ -278,7 +273,7 @@ class Network {
     std::vector<std::uint32_t> held;
     std::optional<topo::Channel> waiting_on;  // parked in this lane's queue
     std::uint8_t waiting_lane = 0;            // valid iff waiting_on
-    LaneState lane_state;  // mutated by the lane policy per traversal
+    LaneState lane_state;  // advanced by the ladder per traversal
     sim::Time tail_time = -1;  // set once the head reaches the final NIC
     bool rx_started = false;   // on_rx_head fired at the destination
     bool tx_signaled = false;  // on_tx_complete / on_tx_dropped fired
@@ -315,7 +310,7 @@ class Network {
   NetworkStats stats_;
   FaultHook* fault_hook_ = nullptr;
   flight::FlightRecorder* flight_ = nullptr;
-  const LanePolicy* lane_policy_ = nullptr;  // non-null only when lanes_ > 1
+  const LaneLadder* ladder_ = nullptr;  // non-null iff lanes_ > 1
   unsigned lanes_ = 1;
   std::function<void()> activity_hook_;
 
@@ -382,9 +377,8 @@ class Network {
   static Worm* waiter_pop(ChannelState& st);
   static void waiter_unlink(ChannelState& st, Worm* w);
 
-  /// The host gate: rx-buffer backpressure or a NIC-stall fault window.
-  bool host_gate_closed(topo::Endpoint target) const;
-  /// Same gate keyed by channel index — one table read on the request path.
+  /// The host gate (rx-buffer backpressure or a NIC-stall fault window),
+  /// keyed by channel index — one table read on the request path.
   bool gate_closed_idx(std::uint32_t channel_idx) const {
     const std::int32_t h = channel_gate_host_[channel_idx];
     if (h < 0) return false;

@@ -95,6 +95,20 @@ void Nic::set_send_dma(bool busy) {
   send_dma_busy_ = busy;
 }
 
+bool Nic::release_send_dma() {
+  set_send_dma(false);
+  if (itb_pending_.empty()) {
+    send_pump();
+    return false;
+  }
+  // Pending ITB packets beat normal sends (Fig. 5, high priority).
+  const auto next = itb_pending_.take_front();
+  set_send_dma(true);
+  cpu_.post(McpPriority::kItbPendingSend, timing_.itb_program_send,
+            [this, next] { start_reinjection(next); });
+  return true;
+}
+
 sim::Duration Nic::send_dma_busy_ns() const {
   return send_dma_busy_ns_ +
          (send_dma_busy_ ? queue_.now() - send_dma_since_ : 0);
@@ -131,8 +145,8 @@ std::unique_ptr<telemetry::MetricTable> Nic::metric_table(
        [](const Nic& n) { return double(n.rx_busy_ns()); }},
       {"send_pool_high_water", kGauge,
        [](const Nic& n) { return double(n.send_pool_.high_water()); }},
-      {"injection_lane", kGauge,
-       [](const Nic& n) { return double(n.injection_lane()); }},
+      // Every worm is injected on lane 0; the row stays for the schema.
+      {"injection_lane", kGauge, [](const Nic&) { return 0.0; }},
   };
   return telemetry::make_table("nic", kFields, telemetry::by_host(nics));
 }
@@ -169,16 +183,7 @@ void Nic::send_pump() {
         send_pool_.release(sh);
         ++stats_.dropped_unroutable;
       }
-      set_send_dma(false);
-      if (!itb_pending_.empty()) {
-        const auto next = itb_pending_.take_front();
-        set_send_dma(true);
-        cpu_.post(McpPriority::kItbPendingSend, timing_.itb_program_send,
-                  [this, next] { start_reinjection(next); });
-      } else {
-        send_pump();
-        sdma_pump();
-      }
+      if (!release_send_dma()) sdma_pump();
       return;
     }
     // The row holds the ready Fig. 3b header: stamp it, then Type,
@@ -299,15 +304,7 @@ void Nic::start_reinjection(net::TxHandle h) {
     // The packet was lost (fault injection) between detection and DMA
     // programming; on_rx_aborted already released its receive buffer (and
     // erased the record). Release the send DMA and resume normal service.
-    set_send_dma(false);
-    if (!itb_pending_.empty()) {
-      const auto next = itb_pending_.take_front();
-      set_send_dma(true);
-      cpu_.post(McpPriority::kItbPendingSend, timing_.itb_program_send,
-                [this, next] { start_reinjection(next); });
-    } else {
-      send_pump();
-    }
+    release_send_dma();
     return;
   }
   // The reception is live (stash or peek succeeded), so its record is too.
@@ -453,16 +450,7 @@ void Nic::on_tx_complete(sim::Time, net::TxHandle h) {
         if (client_) client_->on_send_complete(queue_.now(), token);
       }
     }
-    set_send_dma(false);
-    if (!itb_pending_.empty()) {
-      // Pending ITB packets beat normal sends (Fig. 5, high priority).
-      const auto next = itb_pending_.take_front();
-      set_send_dma(true);
-      cpu_.post(McpPriority::kItbPendingSend, timing_.itb_program_send,
-                [this, next] { start_reinjection(next); });
-    } else {
-      send_pump();
-    }
+    release_send_dma();
     sdma_pump();
   });
 }
@@ -493,8 +481,7 @@ void Nic::on_tx_dropped(sim::Time, net::TxHandle h) {
         erase_tx(tx);
       }
     }
-    set_send_dma(false);
-    send_pump();
+    release_send_dma();
     sdma_pump();
   });
 }

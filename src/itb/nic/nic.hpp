@@ -156,9 +156,6 @@ class Nic final : public net::HostHooks {
     return static_cast<std::uint16_t>(network_.topology().host_count());
   }
   const McpCpu& cpu() const { return cpu_; }
-  /// Virtual lane this NIC's injections start on (0 unless a multi-lane
-  /// deadlock engine is installed on the network).
-  std::uint8_t injection_lane() const { return network_.injection_lane(host_); }
 
   /// The network's flight recorder (nullptr when capture is off); the GM
   /// layer records its message-level events through this.
@@ -255,6 +252,9 @@ class Nic final : public net::HostHooks {
   void send_pump();
   // Busy-time accounting around the send DMA flag / rx buffer count.
   void set_send_dma(bool busy);
+  // Free the send DMA and serve a pending ITB packet first (Fig. 5), else
+  // the next ready send. True when it served a pending ITB packet.
+  bool release_send_dma();
   // ITB: forward an in-transit packet (from peek or a stashed completion).
   void forward_itb(net::TxHandle h);
   void start_reinjection(net::TxHandle h);

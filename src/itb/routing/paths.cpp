@@ -634,7 +634,8 @@ std::size_t Router::updown_segments(
 }
 
 std::string describe(const RouteView& path, const topo::Topology& topo) {
-  std::string out = "h" + std::to_string(path.src_host());
+  std::string out = "h";
+  out += std::to_string(path.src_host());
   // Re-derive the switch sequence by walking the route bytes from the
   // source uplink switch.
   auto cur = topo.host_uplink(path.src_host());

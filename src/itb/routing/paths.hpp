@@ -36,7 +36,11 @@ enum class Policy : std::uint8_t {
   kVcEscape,  // minimal routing legalised with virtual-channel lanes
 };
 
+/// Display name: "up*/down*", "UD+ITB" or "VC-escape".
 const char* to_string(Policy p);
+/// Short spelling for labels and test names: "updown", "itb" or
+/// "vc-escape".
+const char* short_name(Policy p);
 
 /// Route byte -> output port, applied as a segment is read.
 struct PortOf {

@@ -59,6 +59,18 @@ const char* to_string(Policy p) {
   return "?";
 }
 
+const char* short_name(Policy p) {
+  switch (p) {
+    case Policy::kUpDown:
+      return "updown";
+    case Policy::kItb:
+      return "itb";
+    case Policy::kVcEscape:
+      return "vc-escape";
+  }
+  return "?";
+}
+
 RouteTable::RouteTable(const Router& router, Policy policy, unsigned jobs,
                        unsigned vc_lanes)
     : policy_(policy),

@@ -21,7 +21,6 @@ namespace itb::sim {
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_deallocs{0};
 std::atomic<std::uint64_t> g_mark{0};
 std::atomic<bool> g_marked{false};
 
@@ -37,10 +36,6 @@ bool alloc_counting_available() {
 
 std::uint64_t total_allocations() {
   return g_allocs.load(std::memory_order_relaxed);
-}
-
-std::uint64_t total_deallocations() {
-  return g_deallocs.load(std::memory_order_relaxed);
 }
 
 void mark_steady_state() {
@@ -76,12 +71,6 @@ void* counted_alloc_aligned(std::size_t size, std::size_t align) noexcept {
   return std::aligned_alloc(align, rounded ? rounded : align);
 }
 
-void counted_free(void* p) noexcept {
-  if (!p) return;
-  itb::sim::g_deallocs.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-
 [[noreturn]] void throw_bad_alloc() { throw std::bad_alloc(); }
 
 }  // namespace
@@ -111,23 +100,23 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   return counted_alloc(size);
 }
 
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 
 #endif  // ITB_ALLOC_HOOK_DISABLED

@@ -28,9 +28,8 @@ namespace itb::sim {
 /// (false under sanitizers). When false every counter below stays zero.
 bool alloc_counting_available();
 
-/// Heap allocations / deallocations since process start (all threads).
+/// Heap allocations since process start (all threads).
 std::uint64_t total_allocations();
-std::uint64_t total_deallocations();
 
 /// Declare "warmup is over": remembers the current allocation count as the
 /// steady-state mark. Benches call this after their warmup phase;

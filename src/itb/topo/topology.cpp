@@ -13,8 +13,9 @@ const char* to_string(NodeKind k) {
 const char* to_string(PortKind k) { return k == PortKind::kSan ? "SAN" : "LAN"; }
 
 std::string to_string(NodeId id) {
-  return std::string(id.kind == NodeKind::kSwitch ? "s" : "h") +
-         std::to_string(id.index);
+  std::string out = id.kind == NodeKind::kSwitch ? "s" : "h";
+  out += std::to_string(id.index);
+  return out;
 }
 
 NodeId Topology::add_switch(std::uint8_t ports, std::string name) {

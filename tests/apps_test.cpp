@@ -12,11 +12,11 @@ namespace {
 using namespace itb;
 
 std::unique_ptr<core::Cluster> small_cluster(
-    engine::EngineKind kind,
+    routing::Policy policy,
     routing::ItbHostSelection sel = routing::ItbHostSelection::kLowestIndex) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {kind, 1};
+  cfg.engine = {policy, 1};
   cfg.itb_selection = sel;
   cfg.gm_config.send_tokens = 32;
   cfg.gm_config.window = 16;
@@ -24,7 +24,7 @@ std::unique_ptr<core::Cluster> small_cluster(
 }
 
 TEST(Apps, AllToAllCompletes) {
-  auto c = small_cluster(engine::EngineKind::kItb);
+  auto c = small_cluster(routing::Policy::kItb);
   auto r = workload::run_all_to_all(c->queue(), c->ports(), 256, 1);
   EXPECT_EQ(r.messages, 8u * 7u);
   EXPECT_EQ(r.bytes, 8u * 7u * 256u);
@@ -32,13 +32,13 @@ TEST(Apps, AllToAllCompletes) {
 }
 
 TEST(Apps, AllToAllMultipleRounds) {
-  auto c = small_cluster(engine::EngineKind::kUpDown);
+  auto c = small_cluster(routing::Policy::kUpDown);
   auto r = workload::run_all_to_all(c->queue(), c->ports(), 64, 3);
   EXPECT_EQ(r.messages, 3u * 8u * 7u);
 }
 
 TEST(Apps, RingExchangeCompletesEveryRound) {
-  auto c = small_cluster(engine::EngineKind::kItb);
+  auto c = small_cluster(routing::Policy::kItb);
   auto r = workload::run_ring_exchange(c->queue(), c->ports(), 1024, 5);
   EXPECT_EQ(r.messages, 5u * 8u);
   EXPECT_EQ(r.bytes, 5u * 8u * 1024u);
@@ -47,21 +47,21 @@ TEST(Apps, RingExchangeCompletesEveryRound) {
 TEST(Apps, RingRoundsAreOrdered) {
   // Round k+1 cannot start before round k's message arrived: the makespan
   // of r rounds grows linearly in r.
-  auto c1 = small_cluster(engine::EngineKind::kUpDown);
+  auto c1 = small_cluster(routing::Policy::kUpDown);
   auto one = workload::run_ring_exchange(c1->queue(), c1->ports(), 512, 1);
-  auto c4 = small_cluster(engine::EngineKind::kUpDown);
+  auto c4 = small_cluster(routing::Policy::kUpDown);
   auto four = workload::run_ring_exchange(c4->queue(), c4->ports(), 512, 4);
   EXPECT_GT(four.makespan, 3 * one.makespan);
 }
 
 TEST(Apps, MasterWorkerCompletes) {
-  auto c = small_cluster(engine::EngineKind::kItb);
+  auto c = small_cluster(routing::Policy::kItb);
   auto r = workload::run_master_worker(c->queue(), c->ports(), 512, 128, 3);
   EXPECT_EQ(r.messages, 3u * 2u * 7u);
 }
 
 TEST(Apps, RejectsDegenerateInputs) {
-  auto c = small_cluster(engine::EngineKind::kUpDown);
+  auto c = small_cluster(routing::Policy::kUpDown);
   std::vector<gm::GmPort*> one{c->ports()[0]};
   EXPECT_THROW(workload::run_all_to_all(c->queue(), one, 64, 1),
                std::invalid_argument);
@@ -147,7 +147,7 @@ TEST(RoutingOpts, SpreadSelectionDistributesItbDuty) {
 }
 
 TEST(RoutingOpts, SpreadRoutesStillDeliver) {
-  auto c = small_cluster(engine::EngineKind::kItb,
+  auto c = small_cluster(routing::Policy::kItb,
                          routing::ItbHostSelection::kSpread);
   int got = 0;
   for (std::uint16_t h = 0; h < 8; ++h)
@@ -163,8 +163,8 @@ TEST(RoutingOpts, SpreadRoutesStillDeliver) {
 TEST(RoutingOpts, ItbKernelsMatchUpDownResults) {
   // Same kernel, both policies: byte counts must agree (routing must never
   // change what the application sees).
-  auto a = small_cluster(engine::EngineKind::kUpDown);
-  auto b = small_cluster(engine::EngineKind::kItb);
+  auto a = small_cluster(routing::Policy::kUpDown);
+  auto b = small_cluster(routing::Policy::kItb);
   auto ra = workload::run_all_to_all(a->queue(), a->ports(), 512, 1);
   auto rb = workload::run_all_to_all(b->queue(), b->ports(), 512, 1);
   EXPECT_EQ(ra.messages, rb.messages);

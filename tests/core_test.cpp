@@ -17,7 +17,7 @@ using packet::Bytes;
 TEST(Cluster, BuildsWithMapperAndDeliversTraffic) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   core::Cluster c(std::move(cfg));
   EXPECT_EQ(c.host_count(), 8u);
   EXPECT_NE(c.route_table(), nullptr);
@@ -187,7 +187,7 @@ TEST(Fig8, ItbOverheadAboutOneMicrosecondAndFlat) {
 TEST(Load, UniformTrafficDeliversUnderLightLoad) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   core::Cluster c(std::move(cfg));
   workload::LoadConfig lc;
   lc.message_bytes = 256;
@@ -222,7 +222,7 @@ TEST(Load, DeterministicForSeed) {
   auto run_once = [] {
     core::ClusterConfig cfg;
     cfg.topology = topo::make_fig1_network();
-    cfg.engine = {engine::EngineKind::kUpDown, 1};
+    cfg.engine = {routing::Policy::kUpDown, 1};
     core::Cluster c(std::move(cfg));
     workload::LoadConfig lc;
     lc.arrivals.rate_per_s = 3000;
@@ -297,7 +297,7 @@ TEST(Load, LeavesNothingPendingAfterReturn) {
   // touches nothing of the returned call.
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   core::Cluster c(std::move(cfg));
   workload::LoadConfig lc;
   lc.arrivals.rate_per_s = 8000;
@@ -327,7 +327,7 @@ struct Tally {
 core::Cluster fig1_cluster() {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   return core::Cluster(std::move(cfg));
 }
 

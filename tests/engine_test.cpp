@@ -1,6 +1,6 @@
-// Deadlock-engine subsystem (DESIGN.md §6l): the policy interface that
-// re-expresses up*/down*, the paper's ITBs and the new virtual-channel
-// escape engine behind one abstraction — lane ladder decomposition, the
+// Deadlock-engine subsystem (DESIGN.md §6l): one engine class that
+// re-expresses up*/down*, the paper's ITBs and the virtual-channel escape
+// ladder as values of routing::Policy — lane ladder decomposition, the
 // vc-lane fallback when a minimal route needs more segments than lanes,
 // per-lane CDG verification, cluster wiring (bind, recovery re-bind), the
 // multi-lane zero-allocation steady state, and patch-vs-fresh parity for
@@ -21,39 +21,37 @@
 namespace {
 
 using namespace itb;
-using engine::EngineKind;
+using routing::Policy;
 using engine::EngineSpec;
 using packet::Bytes;
 
 // ------------------------------------------------------------ factory --
 
 TEST(EngineFactory, ThreeEnginesExposeTheirContracts) {
-  const auto ud = engine::make_engine({EngineKind::kUpDown, 1});
-  EXPECT_EQ(ud->kind(), EngineKind::kUpDown);
+  const auto ud = engine::make_engine({Policy::kUpDown, 1});
+  EXPECT_EQ(ud->policy(), Policy::kUpDown);
   EXPECT_STREQ(ud->name(), "updown");
-  EXPECT_EQ(ud->policy(), routing::Policy::kUpDown);
   EXPECT_EQ(ud->lane_count(), 1u);
-  EXPECT_EQ(ud->buffer_lanes_per_port(), 1u);
   EXPECT_FALSE(ud->uses_host_buffers());
 
-  const auto itb = engine::make_engine({EngineKind::kItb, 1});
-  EXPECT_EQ(itb->kind(), EngineKind::kItb);
+  // Only the escape ladder reads the lane budget.
+  const auto itb = engine::make_engine({Policy::kItb, 4});
+  EXPECT_EQ(itb->policy(), Policy::kItb);
   EXPECT_STREQ(itb->name(), "itb");
-  EXPECT_EQ(itb->policy(), routing::Policy::kItb);
   EXPECT_EQ(itb->lane_count(), 1u);
   EXPECT_TRUE(itb->uses_host_buffers());
 
-  const auto vc = engine::make_engine({EngineKind::kVcEscape, 3});
-  EXPECT_EQ(vc->kind(), EngineKind::kVcEscape);
+  const auto vc = engine::make_engine({Policy::kVcEscape, 3});
+  EXPECT_EQ(vc->policy(), Policy::kVcEscape);
   EXPECT_STREQ(vc->name(), "vc-escape");
-  EXPECT_EQ(vc->policy(), routing::Policy::kVcEscape);
   EXPECT_EQ(vc->lane_count(), 3u);
-  EXPECT_EQ(vc->buffer_lanes_per_port(), 3u);
+  EXPECT_EQ(vc->ladder().lane_count(), 3u);
   EXPECT_FALSE(vc->uses_host_buffers());
 
   // The escape scheme needs at least two lanes to mean anything.
-  EXPECT_GE(engine::make_engine({EngineKind::kVcEscape, 0})->lane_count(), 2u);
-  EXPECT_STREQ(engine::to_string(EngineKind::kVcEscape), "vc-escape");
+  EXPECT_GE(engine::make_engine({Policy::kVcEscape, 0})->lane_count(), 2u);
+  EXPECT_STREQ(routing::short_name(Policy::kVcEscape), "vc-escape");
+  EXPECT_STREQ(routing::to_string(Policy::kVcEscape), "VC-escape");
 }
 
 // ------------------------------------------------- ladder decomposition --
@@ -100,7 +98,7 @@ TEST(LaneLadder, ValleyRouteDecomposesIntoThreeSegments) {
   EXPECT_TRUE(r.in_transit_hosts().empty());
   ASSERT_EQ(r.segment_count(), 1u);
 
-  auto eng = engine::make_engine({EngineKind::kVcEscape, 3});
+  auto eng = engine::make_engine({Policy::kVcEscape, 3});
   eng->bind(ud, t, {});
   const auto lanes = engine::trunk_lanes(*eng, r);
   EXPECT_EQ(lanes, (std::vector<std::uint8_t>{0, 1, 1, 2}));
@@ -124,7 +122,7 @@ TEST(LaneLadder, RouteFallsBackToUpDownWhenOutOfLanes) {
   routing::RouteTable vc3(router, routing::Policy::kVcEscape, 1, 3);
   EXPECT_DOUBLE_EQ(vc3.minimal_fraction(router), 1.0);
   for (unsigned lanes : {2u, 3u}) {
-    auto eng = engine::make_engine({EngineKind::kVcEscape, lanes});
+    auto eng = engine::make_engine({Policy::kVcEscape, lanes});
     eng->bind(ud, t, {});
     const auto& table = lanes == 2 ? vc2 : vc3;
     EXPECT_TRUE(engine::verify_deadlock_free(*eng, table, t)) << lanes;
@@ -139,7 +137,7 @@ TEST(LaneLadder, LaneSequenceIsMonotoneAndMatchesSegmentCount) {
     routing::UpDown ud(t, 0);
     routing::Router router(ud);
     routing::RouteTable table(router, routing::Policy::kVcEscape, 1, 3);
-    auto eng = engine::make_engine({EngineKind::kVcEscape, 3});
+    auto eng = engine::make_engine({Policy::kVcEscape, 3});
     eng->bind(ud, t, {});
     const auto hosts = t.host_count();
     for (std::uint16_t s = 0; s < hosts; ++s)
@@ -178,12 +176,14 @@ TEST(SolveFlags, UnrestrictedEngineReportsFullMinimalityUnspecialCased) {
 TEST(EngineCluster, VcEscapeDeliversEndToEndWithoutHostBuffers) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = EngineSpec{EngineKind::kVcEscape, 2};
+  cfg.engine = EngineSpec{Policy::kVcEscape, 2};
   core::Cluster c(std::move(cfg));
 
   EXPECT_EQ(c.network().lane_count(), 2u);
-  EXPECT_EQ(c.deadlock_engine().kind(), EngineKind::kVcEscape);
-  EXPECT_EQ(c.nic(0).injection_lane(), 0u);
+  EXPECT_EQ(c.deadlock_engine().policy(), Policy::kVcEscape);
+  EXPECT_EQ(c.telemetry().registry().value("nic", "injection_lane",
+                                           {.host = 0}),
+            0.0);  // every worm starts on lane 0
   EXPECT_TRUE(c.routes_deadlock_free());
 
   int got = 0;
@@ -205,7 +205,7 @@ TEST(EngineCluster, VcEscapeSolvesForTheLanesTheNetworkRuns) {
   auto build = [](unsigned lanes) {
     core::ClusterConfig cfg;
     cfg.topology = topo::make_fig1_network();
-    cfg.engine = EngineSpec{EngineKind::kVcEscape, lanes};
+    cfg.engine = EngineSpec{Policy::kVcEscape, lanes};
     return std::make_unique<core::Cluster>(std::move(cfg));
   };
   const auto one = build(1);
@@ -222,9 +222,9 @@ TEST(EngineCluster, VcEscapeSolvesForTheLanesTheNetworkRuns) {
 TEST(EngineCluster, PolicyAloneDerivesTheMatchingEngine) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   core::Cluster c(std::move(cfg));
-  EXPECT_EQ(c.deadlock_engine().kind(), EngineKind::kItb);
+  EXPECT_EQ(c.deadlock_engine().policy(), Policy::kItb);
   EXPECT_EQ(c.network().lane_count(), 1u);
   EXPECT_TRUE(c.routes_deadlock_free());
 }
@@ -235,7 +235,7 @@ TEST(EngineCluster, VcEscapeChaosSoakHasNoUnrecoveredWedges) {
   // cycle with zero unrecovered stall verdicts and a reconciled ledger.
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = EngineSpec{EngineKind::kVcEscape, 2};
+  cfg.engine = EngineSpec{Policy::kVcEscape, 2};
   cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
   cfg.gm_config.max_retries = 8;
   cfg.remap_delay = 300 * sim::kUs;
@@ -325,9 +325,9 @@ TEST(ZeroAlloc, MultiLaneSteadyStateMakesNoHeapAllocations) {
 
   sim::EventQueue queue;
   net::Network network(topo, net::NetTiming{}, queue);
-  auto eng = engine::make_engine({EngineKind::kVcEscape, 2});
+  auto eng = engine::make_engine({Policy::kVcEscape, 2});
   eng->bind(routing::UpDown(topo, 0), topo, {});
-  network.set_lane_policy(eng.get());
+  network.set_ladder(&eng->ladder());
   ASSERT_EQ(network.lane_count(), 2u);
 
   std::vector<RecyclingHost::Flow> flows(4);

@@ -118,7 +118,7 @@ TEST(FaultRecovery, TestbedLinkDownRemapsAndDeliversExactlyOnce) {
   topo::TestbedIds ids;
   core::ClusterConfig cfg;
   cfg.topology = topo::make_paper_testbed(&ids);
-  cfg.engine = {engine::EngineKind::kUpDown, 1};
+  cfg.engine = {routing::Policy::kUpDown, 1};
   cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
   cfg.remap_delay = 200 * sim::kUs;
 
@@ -227,7 +227,7 @@ TEST(FaultRecovery, ItbHostFailureMidPathReroutesWithoutItb) {
   // flowing during the window.
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
   cfg.remap_delay = 200 * sim::kUs;
   cfg.fault_schedule.host_down(6, 200 * sim::kUs, 40 * sim::kMs);
@@ -362,7 +362,7 @@ TEST(FaultRecovery, ChaosSoakIsDeterministicAndExactlyOnce) {
   auto run_once = [](std::uint64_t seed) {
     core::ClusterConfig cfg;
     cfg.topology = topo::make_fig1_network();
-    cfg.engine = {engine::EngineKind::kItb, 1};
+    cfg.engine = {routing::Policy::kItb, 1};
     cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
     cfg.gm_config.max_retries = 8;
     cfg.remap_delay = 300 * sim::kUs;

@@ -18,6 +18,7 @@
 
 #include "itb/core/cluster.hpp"
 #include "itb/fault/fault.hpp"
+#include "itb/flight/recorder.hpp"
 #include "itb/health/diagnosis.hpp"
 #include "itb/health/watchdog.hpp"
 #include "itb/routing/deadlock.hpp"
@@ -234,6 +235,44 @@ TEST(BufferWaitWedge, ForcedEjectionBreaksWedgeWhenPoolSwitchDisabled) {
   EXPECT_EQ(wd->verdict().unrecovered, 0u);
 }
 
+TEST(BufferWaitWedge, EscalationFiresAtEachStallVerdict) {
+  // Pins when the watchdog acts, from the flight recorder's kForceEject
+  // times. With one receive buffer per NIC the ring re-wedges after every
+  // forced ejection. With the pool switch off, each ejection fires on the
+  // tick that declares the stall, and the ejection itself is progress: it
+  // ends the episode, so the next verdict, and the next ejection, comes a
+  // stall threshold after the tick that saw it, check_period later.
+  // escalation_grace spaces nothing here.
+  auto cfg = ring_config();
+  cfg.mcp_options.recv_buffers = 1;
+  cfg.watchdog.enabled = true;
+  cfg.watchdog.check_period = 50 * sim::kUs;
+  cfg.watchdog.stall_threshold = 250 * sim::kUs;
+  cfg.watchdog.escalation_grace = 150 * sim::kUs;
+  cfg.watchdog.switch_to_pool = false;
+  cfg.flight.enabled = true;
+  core::Cluster c(std::move(cfg));
+  std::map<int, std::map<int, int>> delivered;
+  start_ring_load(c, delivered);
+  c.run(10 * sim::kMs);
+
+  std::vector<sim::Time> ejections;
+  for (const auto& e : c.flight()->snapshot().events)
+    if (e.type == flight::EventType::kForceEject) ejections.push_back(e.t);
+  const auto& diagnoses = c.health()->diagnoses();
+  ASSERT_GE(ejections.size(), 10u);
+  ASSERT_EQ(diagnoses.size(), ejections.size());
+  EXPECT_EQ(c.health()->stats().forced_ejections, ejections.size());
+  for (std::size_t i = 0; i < ejections.size(); ++i) {
+    EXPECT_EQ(diagnoses[i].kind, health::StallKind::kBufferDeadlock) << i;
+    EXPECT_EQ(ejections[i], diagnoses[i].at) << i;
+    if (i > 0) {
+      EXPECT_EQ(ejections[i] - ejections[i - 1], 300 * sim::kUs) << i;
+    }
+  }
+  EXPECT_EQ(ejections.front(), 306'966);
+}
+
 // --------------------------------------------------- other stall kinds --
 
 TEST(Watchdog, NicStallWindowClassifiedAsFaultBlackhole) {
@@ -399,7 +438,7 @@ TEST(LivenessVerdict, MergeAggregatesAcrossRuns) {
 TEST(Cluster, BufferWedgePredictionOnMapperRoutes) {
   core::ClusterConfig up;
   up.topology = topo::make_paper_testbed();
-  up.engine = {engine::EngineKind::kUpDown, 1};
+  up.engine = {routing::Policy::kUpDown, 1};
   core::Cluster updown(std::move(up));
   EXPECT_TRUE(updown.routes_deadlock_free());
   // Up*/down* uses no in-transit hosts at all: no buffer edges, no wedge.
@@ -409,7 +448,7 @@ TEST(Cluster, BufferWedgePredictionOnMapperRoutes) {
   // cycle...
   core::ClusterConfig tb;
   tb.topology = topo::make_paper_testbed();
-  tb.engine = {engine::EngineKind::kItb, 1};
+  tb.engine = {routing::Policy::kItb, 1};
   core::Cluster testbed(std::move(tb));
   EXPECT_TRUE(testbed.routes_deadlock_free());
   EXPECT_TRUE(testbed.routes_buffer_wedge_free());
@@ -421,7 +460,7 @@ TEST(Cluster, BufferWedgePredictionOnMapperRoutes) {
   // moves.
   core::ClusterConfig itb_cfg;
   itb_cfg.topology = topo::make_fig1_network();
-  itb_cfg.engine = {engine::EngineKind::kItb, 1};
+  itb_cfg.engine = {routing::Policy::kItb, 1};
   core::Cluster fig1(std::move(itb_cfg));
   EXPECT_TRUE(fig1.routes_deadlock_free());
   EXPECT_FALSE(fig1.routes_buffer_wedge_free());

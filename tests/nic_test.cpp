@@ -254,6 +254,54 @@ TEST(Nic, ItbPendingFlagWhenSendBusy) {
   ASSERT_EQ(rig.clients[2]->messages.size(), 5u);
 }
 
+TEST(Nic, PendingItbServedWhenOwnSendIsDropped) {
+  // h1's one send of its own waits at s0 behind h0's long packet and is
+  // then dropped at s1, whose port 7 is dangling. Meanwhile an ITB packet
+  // from h2 to h0 lands at h1 and finds the send DMA busy. The drop must
+  // hand the freed DMA to that pending packet (Fig. 5): h1 has nothing
+  // else to send, so no later send would.
+  Rig rig;
+  rig.nics[1]->set_route(2, {{0, 7}});
+  rig.nics[2]->set_route(0, {{0, 2}, {1}});  // through h1
+  rig.nics[0]->post_send(2, Bytes(4000, 1));  // holds s0 -> s1 ~11-36 us
+  rig.queue.schedule_at(14 * sim::kUs,
+                        [&] { rig.nics[1]->post_send(2, Bytes(64, 2)); });
+  rig.queue.schedule_at(16 * sim::kUs,
+                        [&] { rig.nics[2]->post_send(0, Bytes(64, 3)); });
+  rig.run();
+  EXPECT_EQ(rig.net->stats().dropped, 1u);
+  EXPECT_EQ(rig.nics[1]->stats().itb_pending_hits, 1u);
+  EXPECT_EQ(rig.nics[1]->stats().itb_forwarded, 1u);
+  EXPECT_EQ(rig.nics[1]->itb_pending_depth(), 0u);
+  ASSERT_EQ(rig.clients[0]->messages.size(), 1u);
+  EXPECT_EQ(rig.clients[0]->messages[0].payload, Bytes(64, 3));
+}
+
+TEST(Nic, PendingItbServedWhenOwnSendIsUnroutable) {
+  // The same hand-over on the unroutable-drop path. A long SDMA step keeps
+  // h1's MCP busy, so its first send's job queues behind the second's SDMA
+  // with the send DMA already claimed, and the Early Recv check of h2's
+  // ITB packet (higher priority) runs first and parks the packet. h1's
+  // route to h0 is withdrawn before the send job runs, so both of h1's
+  // sends are dropped as unroutable; the first drop must serve the parked
+  // packet, and nothing else of h1's would.
+  nic::LanaiTiming lanai;
+  lanai.sdma_process = 1000;  // 30 us per SDMA step
+  Rig rig({}, lanai);
+  rig.nics[2]->set_route(0, {{0, 2}, {1}});  // through h1
+  rig.nics[1]->post_send(0, Bytes(64, 1));
+  rig.nics[1]->post_send(0, Bytes(64, 2));
+  rig.nics[2]->post_send(0, Bytes(64, 3));
+  rig.queue.schedule_at(45 * sim::kUs, [&] { rig.nics[1]->set_route(0, {}); });
+  rig.run();
+  EXPECT_EQ(rig.nics[1]->stats().dropped_unroutable, 2u);
+  EXPECT_EQ(rig.nics[1]->stats().itb_pending_hits, 1u);
+  EXPECT_EQ(rig.nics[1]->stats().itb_forwarded, 1u);
+  EXPECT_EQ(rig.nics[1]->itb_pending_depth(), 0u);
+  ASSERT_EQ(rig.clients[0]->messages.size(), 1u);
+  EXPECT_EQ(rig.clients[0]->messages[0].payload, Bytes(64, 3));
+}
+
 TEST(Nic, OriginalMcpDiscardsItbPackets) {
   Rig rig(nic::McpOptions::original_gm());
   rig.nics[0]->set_route(2, itb_segments());

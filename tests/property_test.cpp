@@ -233,14 +233,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RoutingInvariants,
 
 struct DeliveryCase {
   std::uint64_t seed;
-  engine::EngineKind kind;
+  routing::Policy policy;
 };
 
 // Names the cases (ctest lists .../seed1_itb): CMake's test discovery takes
 // the printed parameter, and without a printer gtest dumps the struct's raw
 // bytes, uninitialised padding included, which differ from build to build.
 void PrintTo(const DeliveryCase& c, std::ostream* os) {
-  *os << "seed" << c.seed << "_" << engine::to_string(c.kind);
+  *os << "seed" << c.seed << "_" << routing::short_name(c.policy);
 }
 
 class DeliveryInvariants : public ::testing::TestWithParam<DeliveryCase> {};
@@ -249,7 +249,7 @@ TEST_P(DeliveryInvariants, EveryHostPairExchangesIntactPayloads) {
   const auto& param = GetParam();
   core::ClusterConfig cfg;
   cfg.topology = random_topo(param.seed, 6, 2);
-  cfg.engine = {param.kind, 1};
+  cfg.engine = {param.policy, 1};
   core::Cluster c(std::move(cfg));
   const auto n = static_cast<std::uint16_t>(c.host_count());
 
@@ -287,12 +287,12 @@ TEST_P(DeliveryInvariants, EveryHostPairExchangesIntactPayloads) {
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndPolicies, DeliveryInvariants,
-    ::testing::Values(DeliveryCase{1, engine::EngineKind::kUpDown},
-                      DeliveryCase{1, engine::EngineKind::kItb},
-                      DeliveryCase{2, engine::EngineKind::kUpDown},
-                      DeliveryCase{2, engine::EngineKind::kItb},
-                      DeliveryCase{3, engine::EngineKind::kItb},
-                      DeliveryCase{4, engine::EngineKind::kItb}));
+    ::testing::Values(DeliveryCase{1, routing::Policy::kUpDown},
+                      DeliveryCase{1, routing::Policy::kItb},
+                      DeliveryCase{2, routing::Policy::kUpDown},
+                      DeliveryCase{2, routing::Policy::kItb},
+                      DeliveryCase{3, routing::Policy::kItb},
+                      DeliveryCase{4, routing::Policy::kItb}));
 
 // --------------------------------------------------- latency properties --
 
@@ -302,7 +302,7 @@ TEST_P(SizeSweep, PayloadIntegrityAcrossItbChain) {
   // Messages of every size cross a route with an ITB and arrive intact.
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   core::Cluster c(std::move(cfg));
   Bytes msg(GetParam());
   for (std::size_t i = 0; i < msg.size(); ++i)
@@ -324,7 +324,7 @@ class TimingMonotonic : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(TimingMonotonic, HalfRttIncreasesWithSizeOnRandomFabrics) {
   core::ClusterConfig cfg;
   cfg.topology = random_topo(GetParam(), 5, 2);
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   core::Cluster c(std::move(cfg));
   const auto far = static_cast<std::uint16_t>(c.host_count() - 1);
   double prev = 0;

@@ -360,7 +360,7 @@ TEST(ScopedProbe, RediscoverChargesOnlyTheFaultBoundary) {
 TEST(Recovery, RootHostFailsOverToLowestLiveHost) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   cfg.remap_delay = 200 * sim::kUs;
   cfg.recovery.verify_patches = true;
   cfg.fault_schedule.host_down(0, 1 * sim::kMs, 3 * sim::kMs);
@@ -398,7 +398,7 @@ TEST(Recovery, RestoredLinkReusedInSamePassWhileOtherStillDown) {
   topo::TestbedIds ids;
   core::ClusterConfig cfg;
   cfg.topology = topo::make_paper_testbed(&ids);
-  cfg.engine = {engine::EngineKind::kUpDown, 1};
+  cfg.engine = {routing::Policy::kUpDown, 1};
   cfg.gm_config.retransmit_timeout = 300 * sim::kUs;
   cfg.remap_delay = 200 * sim::kUs;
   cfg.recovery.verify_patches = true;
@@ -432,7 +432,7 @@ TEST(Recovery, NicResourcesQueuedSendsAcrossEpochSwap) {
   topo::TestbedIds ids;
   core::ClusterConfig cfg;
   cfg.topology = topo::make_paper_testbed(&ids);
-  cfg.engine = {engine::EngineKind::kUpDown, 1};
+  cfg.engine = {routing::Policy::kUpDown, 1};
   cfg.remap_delay = 100 * sim::kUs;
   const auto trunks = trunk_links(cfg.topology);
   ASSERT_EQ(trunks.size(), 2u);
@@ -469,7 +469,7 @@ TEST(Recovery, Clos256OverlappingWindowsReconcileUnderWatchdog) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_clos(8, 16, 16);  // 256 hosts, 24 switches
   ASSERT_EQ(cfg.topology.host_count(), 256u);
-  cfg.engine = {engine::EngineKind::kUpDown, 1};
+  cfg.engine = {routing::Policy::kUpDown, 1};
   cfg.route_solve_jobs = 4;
   cfg.remap_delay = 200 * sim::kUs;
   cfg.gm_config.retransmit_timeout = 400 * sim::kUs;
@@ -518,7 +518,7 @@ TEST(Recovery, Clos256OverlappingWindowsReconcileUnderWatchdog) {
 TEST(Recovery, ScopedRoundProbesAndSolvesFractionOfFabric) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fat_tree(8);  // 128 hosts, 80 switches
-  cfg.engine = {engine::EngineKind::kUpDown, 1};
+  cfg.engine = {routing::Policy::kUpDown, 1};
   cfg.route_solve_jobs = 4;
   cfg.remap_delay = 200 * sim::kUs;
   cfg.recovery.verify_patches = true;
@@ -579,7 +579,7 @@ TEST(Recovery, ScopedRoundProbesAndSolvesFractionOfFabric) {
 TEST(Recovery, FlapQuarantineParksOscillatingLink) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kUpDown, 1};
+  cfg.engine = {routing::Policy::kUpDown, 1};
   // Wider than the open->close gap, so a window's close coalesces into the
   // round armed by its open.
   cfg.remap_delay = 300 * sim::kUs;
@@ -607,7 +607,7 @@ TEST(Recovery, FlapQuarantineParksOscillatingLink) {
 TEST(Recovery, StormControlDegradesOverflowToFullResolve) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kUpDown, 1};
+  cfg.engine = {routing::Policy::kUpDown, 1};
   cfg.remap_delay = 100 * sim::kUs;
   cfg.recovery.max_pending_links = 2;
   // A switch takes all its links with it: more dirty links than the
@@ -631,7 +631,7 @@ TEST(Recovery, FlightFingerprintInvariantAcrossRouteJobs) {
   auto run_once = [](unsigned jobs) {
     core::ClusterConfig cfg;
     cfg.topology = topo::make_fig1_network();
-    cfg.engine = {engine::EngineKind::kItb, 1};
+    cfg.engine = {routing::Policy::kItb, 1};
     cfg.route_solve_jobs = jobs;
     cfg.remap_delay = 200 * sim::kUs;
     cfg.recovery.verify_patches = (jobs == 1);  // exercised either way
@@ -667,7 +667,7 @@ TEST(ZeroAlloc, ControlPlaneResolvesAndInstallsWithoutCopies) {
   spec.switches = 64;
   spec.hosts_per_switch = 4;
   cfg.topology = topo::make_random_irregular(spec, rng);
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   core::Cluster c(std::move(cfg));
   const auto& topo = c.topology();
   const auto hosts = static_cast<std::uint16_t>(topo.host_count());
@@ -755,7 +755,7 @@ TEST(RecoveryInstall, NicsStampTheOldHeaderUntilTheRoundInstalls) {
   spec.switches = 8;
   spec.hosts_per_switch = 2;
   cfg.topology = topo::make_random_irregular(spec, rng);
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   // A pair whose route leaves the source switch over a trunk: failing that
   // trunk re-routes it, restoring the trunk routes it back.
   const std::uint16_t src = 0;

@@ -319,7 +319,7 @@ TEST(ZeroAlloc, ClusterSteadyStateAllocatesOneWireBufferPerPacket) {
   spec.switches = 8;
   spec.hosts_per_switch = 4;
   cfg.topology = topo::make_random_irregular(spec, rng);
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   cfg.mcp_options.recv_buffers = 64;
   cfg.mcp_options.drop_when_full = true;
   cfg.gm_config.send_tokens = 64;

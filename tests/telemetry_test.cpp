@@ -221,7 +221,7 @@ TEST(Telemetry, ExportsEventEngineStats) {
 TEST(Telemetry, RegistryMatchesLegacyCountersAfterLossyItbRun) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   cfg.mcp_options.recv_buffers = 16;
   cfg.mcp_options.drop_when_full = true;
   cfg.fault_schedule.drop_probability = 0.03;  // force GM retransmissions
@@ -293,7 +293,7 @@ TEST(Telemetry, RegistryMatchesLegacyCountersAfterLossyItbRun) {
 TEST(MetricRegistry, EveryClusterRowKeyIsUnique) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kVcEscape, 2};
+  cfg.engine = {routing::Policy::kVcEscape, 2};
   cfg.fault_schedule.host_down(5, 100 * sim::kUs, 300 * sim::kUs);
   cfg.watchdog.enabled = true;
   cfg.flight.enabled = true;
@@ -341,7 +341,7 @@ TEST(MetricRegistry, EveryClusterRowKeyIsUnique) {
 TEST(Sampler, UtilizationSeriesIntegratesToChannelBusy) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = {engine::EngineKind::kItb, 1};
+  cfg.engine = {routing::Policy::kItb, 1};
   cfg.telemetry_sample_period = 50 * sim::kUs;
   core::Cluster cluster(std::move(cfg));
 
