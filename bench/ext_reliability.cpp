@@ -144,7 +144,7 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
   const health::LivenessVerdict v = p.capture(
       c, std::string(sc.name) + "_" + lvl.name + "_d" +
              std::to_string(static_cast<int>(drop * 100)));
-  r.stalls = v.stalls;
+  r.stalls = v.stalls_detected;
   r.recoveries = v.recoveries;
   r.forced_ejections = v.forced_ejections;
   r.unrecovered = v.unrecovered;

@@ -46,7 +46,7 @@ void print_liveness_summary(const health::LivenessVerdict& v) {
       "liveness: stalls=%llu (buffer=%llu channel=%llu blackhole=%llu "
       "congestion=%llu) pool_switches=%llu forced_ejections=%llu "
       "recovered=%llu unrecovered=%llu\n",
-      static_cast<unsigned long long>(v.stalls),
+      static_cast<unsigned long long>(v.stalls_detected),
       static_cast<unsigned long long>(v.buffer_deadlocks),
       static_cast<unsigned long long>(v.channel_deadlocks),
       static_cast<unsigned long long>(v.fault_blackholes),
@@ -63,7 +63,7 @@ void print_liveness_summary(const health::LivenessVerdict& v) {
 void add_liveness_scalars(telemetry::BenchReport& report,
                           const health::LivenessVerdict& v) {
   report.add_scalar("health_checks", static_cast<double>(v.checks));
-  report.add_scalar("health_stalls", static_cast<double>(v.stalls));
+  report.add_scalar("health_stalls", static_cast<double>(v.stalls_detected));
   report.add_scalar("health_buffer_deadlocks",
                     static_cast<double>(v.buffer_deadlocks));
   report.add_scalar("health_pool_mode_switches",

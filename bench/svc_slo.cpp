@@ -151,7 +151,7 @@ PointOutput run_point(const PointSpec& ps, bench::Point& p) {
       cluster, ps.sample ? std::string(policy_name(ps.policy)) + "_rate_" +
                                std::to_string(static_cast<int>(ps.rate))
                          : "");
-  out.stalls = v.stalls;
+  out.stalls = v.stalls_detected;
   out.recoveries = v.recoveries;
   out.unrecovered = v.unrecovered;
   return out;

@@ -1,9 +1,10 @@
 // The paper's Figure 1, executable: a minimal path that up*/down* routing
 // forbids, made legal by one in-transit buffer — with the deadlock-freedom
-// argument checked on the spot.
+// argument and the §8 buffer-wait wedge prediction checked on the spot.
 //
 //   $ ./itb_routing_demo
 #include <cstdio>
+#include <string>
 
 #include "itb/routing/deadlock.hpp"
 #include "itb/routing/paths.hpp"
@@ -46,7 +47,9 @@ int main() {
               "the host on switch 6\n\n",
               itb.trunk_hops(), itb.itb_count());
 
-  // Deadlock freedom of the full route tables.
+  // Deadlock freedom of the full route tables, and the §8 prediction: the
+  // same routes threaded through each in-transit host's receive pool. A
+  // cycle through a pool is a buffer-wait wedge the CDG cannot see.
   for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb}) {
     routing::RouteTable table(router, policy);
     routing::DependencyGraph graph(fabric);
@@ -56,6 +59,15 @@ int main() {
                 to_string(policy), table.average_trunk_hops(),
                 table.minimal_fraction(router),
                 graph.has_cycle() ? "CYCLIC (deadlock!)" : "acyclic");
+    routing::DependencyGraph buffered(fabric);
+    buffered.add_table_buffered(table, fabric);
+    const std::string wedge =
+        buffered.cycle_through_buffer()
+            ? "wedge-capable (cycle through a pool): " +
+                  routing::DependencyGraph::describe(
+                      buffered.find_cycle_nodes())
+            : "wedge-free (no cycle through a pool)";
+    std::printf("%-10s buffer-augmented graph: %s\n", "", wedge.c_str());
   }
 
   // And the contrast: raw minimal routing without ITBs is NOT safe.

@@ -77,14 +77,6 @@ Recording FlightRecorder::snapshot() const {
   return r;
 }
 
-void FlightRecorder::clear() {
-  head_ = 0;
-  count_ = 0;
-  recorded_ = 0;
-  evicted_ = 0;
-  hash_ = kFingerprintSeed;
-}
-
 std::unique_ptr<telemetry::MetricTable> FlightRecorder::metric_table() const {
   using enum telemetry::MetricKind;
   using R = FlightRecorder;

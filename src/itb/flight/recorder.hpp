@@ -128,9 +128,6 @@ class FlightRecorder {
   /// Copy the ring out in stream order.
   Recording snapshot() const;
 
-  /// Forget everything, including the fingerprint.
-  void clear();
-
   /// Metric table "flight": recorded, evicted, fingerprint low bits.
   std::unique_ptr<telemetry::MetricTable> metric_table() const;
 

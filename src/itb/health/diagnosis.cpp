@@ -5,16 +5,6 @@
 
 namespace itb::health {
 
-const char* to_string(StallKind k) {
-  switch (k) {
-    case StallKind::kBufferDeadlock: return "buffer-deadlock";
-    case StallKind::kChannelDeadlock: return "channel-deadlock";
-    case StallKind::kFaultBlackhole: return "fault-blackhole";
-    case StallKind::kCongestion: return "congestion";
-  }
-  return "?";
-}
-
 Diagnosis WaitGraphDiagnoser::diagnose(sim::Time now) const {
   using Node = routing::DependencyGraph::Node;
   routing::DependencyGraph graph(network_.topology(), network_.lane_count());

@@ -39,8 +39,6 @@ enum class StallKind : std::uint8_t {
   kCongestion,       // no cycle, no fault: just slow
 };
 
-const char* to_string(StallKind k);
-
 /// One stall verdict: what wedged, the cycle that proves it, and the hosts
 /// whose buffer pools participate (the escalation targets).
 struct Diagnosis {

@@ -4,7 +4,7 @@ namespace itb::health {
 
 void LivenessVerdict::merge(const LivenessVerdict& o) {
   checks += o.checks;
-  stalls += o.stalls;
+  stalls_detected += o.stalls_detected;
   buffer_deadlocks += o.buffer_deadlocks;
   channel_deadlocks += o.channel_deadlocks;
   fault_blackholes += o.fault_blackholes;
@@ -44,7 +44,7 @@ LivenessWatchdog::~LivenessWatchdog() {
 void LivenessWatchdog::poke() {
   if (!parked_) return;
   parked_ = false;
-  last_progress_ = queue_.now();
+  stall_clock_ = queue_.now();
   arm();
 }
 
@@ -76,12 +76,12 @@ std::uint64_t LivenessWatchdog::nic_fingerprint(std::size_t h) const {
          s.rx_aborted;
 }
 
-void LivenessWatchdog::update_epochs() {
+bool LivenessWatchdog::update_epochs() {
   const Fingerprint fp = global_fingerprint();
-  if (fp != last_fp_) {
+  const bool progress = fp != last_fp_;
+  if (progress) {
     last_fp_ = fp;
     ++epoch_;
-    last_progress_ = queue_.now();
   }
   for (std::size_t h = 0; h < nics_.size(); ++h) {
     const std::uint64_t nf = nic_fingerprint(h);
@@ -90,13 +90,16 @@ void LivenessWatchdog::update_epochs() {
       ++nic_epochs_[h];
     }
   }
+  return progress;
 }
 
 void LivenessWatchdog::tick() {
   ++stats_.checks;
   const sim::Time now = queue_.now();
-  update_epochs();
-  if (in_stall_ && last_progress_ == now) finish_episode(now);
+  if (update_epochs()) {
+    stall_clock_ = now;
+    if (in_stall_) finish_episode(now);
+  }
   if (network_.in_flight() == 0) {
     // Idle: park unconditionally — the next injection pokes us awake. This
     // also keeps the watchdog and the telemetry sampler from re-arming
@@ -104,82 +107,55 @@ void LivenessWatchdog::tick() {
     parked_ = true;
     return;
   }
-  if (now - last_progress_ >= config_.stall_threshold) {
-    handle_stall(now);
-    if (parked_) return;
+  if (now - stall_clock_ >= config_.stall_threshold) {
+    stall_clock_ = now;
+    // Park (leaving the episode unrecovered) only when nothing can change
+    // any more: this verdict took no action and no event is left for
+    // anyone else. A blackhole's window-close event keeps the queue busy.
+    if (!act_on_stall(now) && queue_.pending() == 0) {
+      parked_ = true;
+      return;
+    }
   }
   arm();
 }
 
-void LivenessWatchdog::handle_stall(sim::Time now) {
-  bool acted = false;
+bool LivenessWatchdog::act_on_stall(sim::Time now) {
+  diagnoses_.push_back(diagnoser_.diagnose(now));
+  const Diagnosis& d = diagnoses_.back();
   if (!in_stall_) {
     in_stall_ = true;
     stall_detected_ = now;
-    stage_ = 0;
-    last_action_ = now;
     ++stats_.stalls_detected;
-    Diagnosis d = diagnoser_.diagnose(now);
     switch (d.kind) {
       case StallKind::kBufferDeadlock: ++stats_.buffer_deadlocks; break;
       case StallKind::kChannelDeadlock: ++stats_.channel_deadlocks; break;
       case StallKind::kFaultBlackhole: ++stats_.fault_blackholes; break;
       case StallKind::kCongestion: ++stats_.congestion_verdicts; break;
     }
-    current_kind_ = d.kind;
-    wedged_hosts_ = d.wedged_hosts;
-    diagnoses_.push_back(std::move(d));
-    acted = try_escalate(now);
-  } else if (now - last_action_ >= config_.escalation_grace) {
-    acted = try_escalate(now);
   }
-  if (!acted) {
-    // Park (leaving the verdict unrecovered) only when nothing can ever
-    // change: no escalation left for us, and no event left for anyone
-    // else. A blackhole's window-close event keeps the queue non-empty.
-    const bool deadlock = current_kind_ == StallKind::kBufferDeadlock ||
-                          current_kind_ == StallKind::kChannelDeadlock;
-    const bool may_act_later = deadlock && config_.force_eject;
-    if (!may_act_later && queue_.pending() == 0) parked_ = true;
-  }
-}
-
-bool LivenessWatchdog::try_escalate(sim::Time now) {
-  if (current_kind_ != StallKind::kBufferDeadlock &&
-      current_kind_ != StallKind::kChannelDeadlock)
+  if (d.kind != StallKind::kBufferDeadlock &&
+      d.kind != StallKind::kChannelDeadlock)
     return false;  // blackholes heal themselves; congestion needs no cure
-  if (stage_ == 0) {
-    stage_ = 1;
-    last_action_ = now;
-    if (config_.switch_to_pool) {
-      bool any = false;
-      for (const std::uint16_t h : wedged_hosts_) {
-        if (h >= nics_.size() || !nics_[h]) continue;
-        if (nics_[h]->enable_drop_when_full()) {
-          any = true;
-          ++stats_.pool_mode_switches;
-        }
+  bool switched = false;
+  if (config_.switch_to_pool)
+    for (const std::uint16_t h : d.wedged_hosts)
+      if (h < nics_.size() && nics_[h] && nics_[h]->enable_drop_when_full()) {
+        ++stats_.pool_mode_switches;
+        switched = true;
       }
-      if (any) return true;
-    }
-    // Pool switch off or found no target (channel-only cycle, or the hosts
-    // are already in pool mode): fall through to ejection.
-  }
-  if (!config_.force_eject) return false;
-  if (const auto victim = network_.oldest_blocked()) {
-    if (network_.force_eject(*victim)) {
-      ++stats_.forced_ejections;
-      stage_ = 2;
-      last_action_ = now;
-      return true;
-    }
-  }
-  return false;
+  if (switched) return true;
+  // No pool left to switch (a channel-only cycle, every wedged host
+  // already drops on full, or switching is off): eject the oldest blocked
+  // worm.
+  const auto victim = network_.oldest_blocked();
+  if (!victim || !network_.force_eject(*victim)) return false;
+  ++stats_.forced_ejections;
+  return true;
 }
 
 void LivenessWatchdog::finish_episode(sim::Time now) {
   in_stall_ = false;
-  stage_ = 0;
   ++stats_.recoveries;
   recovery_latency_.record(
       static_cast<std::uint64_t>(now - stall_detected_));
@@ -187,15 +163,7 @@ void LivenessWatchdog::finish_episode(sim::Time now) {
 
 LivenessVerdict LivenessWatchdog::verdict() const {
   LivenessVerdict v;
-  v.checks = stats_.checks;
-  v.stalls = stats_.stalls_detected;
-  v.buffer_deadlocks = stats_.buffer_deadlocks;
-  v.channel_deadlocks = stats_.channel_deadlocks;
-  v.fault_blackholes = stats_.fault_blackholes;
-  v.congestion_verdicts = stats_.congestion_verdicts;
-  v.pool_mode_switches = stats_.pool_mode_switches;
-  v.forced_ejections = stats_.forced_ejections;
-  v.recoveries = stats_.recoveries;
+  static_cast<HealthStats&>(v) = stats_;
   v.unrecovered = in_stall_ && network_.in_flight() > 0 ? 1 : 0;
   for (const auto& d : diagnoses_) {
     if (d.cycle.empty()) continue;

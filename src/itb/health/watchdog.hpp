@@ -10,20 +10,19 @@
 // compares a progress fingerprint — network delivered/dropped/lost plus
 // each NIC's receive-side counters, deliberately EXCLUDING injections,
 // because GM happily retransmits into a wedged fabric and would mask the
-// stall. No change for `stall_threshold` while worms are in flight is a
-// stall verdict, handed to the WaitGraphDiagnoser. On a confirmed deadlock
-// the escalation policy acts in two stages:
-//   1. switch the wedged in-transit NICs (the buffer nodes on the cycle)
-//      to §4 drop-on-full pool mode — GM retransmission recovers drops;
-//   2. after a grace period still without progress, force-eject the oldest
-//      blocked worm, charged to the ledger as health.forced_ejections.
-// Fault blackholes (traffic parked behind a NIC-stall window) and plain
-// congestion are diagnosed but never acted on: the former heals when the
-// window closes, the latter needs no healing.
+// stall. One rule: `stall_threshold` without progress while worms are in
+// flight, counted from the later of the last progress and the last verdict,
+// is a stall verdict. Each verdict diagnoses afresh (WaitGraphDiagnoser)
+// and acts on that diagnosis alone: a buffer cycle switches its wedged
+// hosts still in stop-when-full to §4 drop-on-full (GM retransmission
+// recovers the drops); a buffer or channel cycle with no pool left to
+// switch force-ejects the oldest blocked worm (health.forced_ejections);
+// a fault blackhole or congestion is left alone.
 //
-// The watchdog parks itself whenever the network is idle so a drain-style
-// EventQueue::run() still returns; Network's activity hook re-arms it on
-// the next injection. Progress epochs (global and per NIC) and all verdict
+// The watchdog parks when the network is idle, so a drain-style
+// EventQueue::run() still returns (Network's activity hook re-arms it on
+// the next injection), and on a verdict that took no action with no other
+// event queued. Progress epochs (global and per NIC) and all verdict
 // counters are published as `health.*` telemetry.
 #pragma once
 
@@ -47,15 +46,13 @@ struct WatchdogConfig {
   sim::Duration check_period = 100 * sim::kUs;
   /// No fingerprint change for this long with worms in flight = stall.
   sim::Duration stall_threshold = 500 * sim::kUs;
-  /// Escalation stage 1: switch wedged in-transit NICs to drop-on-full.
+  /// Cure a buffer cycle by switching its wedged in-transit NICs to
+  /// drop-on-full; off, every deadlock verdict force-ejects instead.
   bool switch_to_pool = true;
-  /// Escalation stage 2: force-eject the oldest blocked worm.
-  bool force_eject = true;
-  /// Wait between escalation stages (and between repeated ejections).
-  sim::Duration escalation_grace = 200 * sim::kUs;
 };
 
-/// Counters behind the `health.*` metrics.
+/// Counters behind the `health.*` metrics. An episode (a stall up to the
+/// next progress) counts one stall, of the kind its first verdict found.
 struct HealthStats {
   std::uint64_t checks = 0;
   std::uint64_t stalls_detected = 0;
@@ -69,20 +66,11 @@ struct HealthStats {
 };
 
 /// One run's liveness outcome, aggregatable across sweep points.
-struct LivenessVerdict {
-  std::uint64_t checks = 0;
-  std::uint64_t stalls = 0;
-  std::uint64_t buffer_deadlocks = 0;
-  std::uint64_t channel_deadlocks = 0;
-  std::uint64_t fault_blackholes = 0;
-  std::uint64_t congestion_verdicts = 0;
-  std::uint64_t pool_mode_switches = 0;
-  std::uint64_t forced_ejections = 0;
-  std::uint64_t recoveries = 0;
+struct LivenessVerdict : HealthStats {
   std::uint64_t unrecovered = 0;  // runs that ended still stalled
   std::string first_cycle;        // first diagnosed wait cycle, if any
 
-  bool clean() const { return stalls == 0 && unrecovered == 0; }
+  bool clean() const { return stalls_detected == 0 && unrecovered == 0; }
   void merge(const LivenessVerdict& o);
 };
 
@@ -97,8 +85,8 @@ class LivenessWatchdog {
   LivenessWatchdog(const LivenessWatchdog&) = delete;
   LivenessWatchdog& operator=(const LivenessWatchdog&) = delete;
 
-  const WatchdogConfig& config() const { return config_; }
   const HealthStats& stats() const { return stats_; }
+  /// One diagnosis per stall verdict, in order.
   const std::vector<Diagnosis>& diagnoses() const { return diagnoses_; }
   /// Detection-to-first-progress latency of every finished stall episode.
   const telemetry::LatencyHistogram& recovery_latency() const {
@@ -110,9 +98,6 @@ class LivenessWatchdog {
   std::uint64_t nic_epoch(std::uint16_t host) const {
     return nic_epochs_.at(host);
   }
-
-  /// True while a stall episode is open (no progress since detection).
-  bool stalled() const { return in_stall_; }
 
   LivenessVerdict verdict() const;
 
@@ -130,9 +115,8 @@ class LivenessWatchdog {
 
   void arm();
   void tick();
-  void update_epochs();
-  void handle_stall(sim::Time now);
-  bool try_escalate(sim::Time now);
+  bool update_epochs();
+  bool act_on_stall(sim::Time now);
   void finish_episode(sim::Time now);
   Fingerprint global_fingerprint() const;
   std::uint64_t nic_fingerprint(std::size_t h) const;
@@ -151,16 +135,13 @@ class LivenessWatchdog {
   std::vector<std::uint64_t> nic_fps_;
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> nic_epochs_;
-  sim::Time last_progress_ = 0;
+  // Later of the last progress (or wake-up) and the last stall verdict.
+  sim::Time stall_clock_ = 0;
 
   bool parked_ = true;
   sim::EventId tick_event_;
   bool in_stall_ = false;
   sim::Time stall_detected_ = 0;
-  sim::Time last_action_ = 0;
-  int stage_ = 0;  // 0 = none, 1 = pool switch done, 2 = ejecting
-  StallKind current_kind_ = StallKind::kCongestion;
-  std::vector<std::uint16_t> wedged_hosts_;
 };
 
 }  // namespace itb::health

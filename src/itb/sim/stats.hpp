@@ -11,7 +11,6 @@ class RunningStats {
  public:
   void add(double x);
   void merge(const RunningStats& other);
-  void clear();
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }

@@ -60,8 +60,6 @@ void LatencyHistogram::record(std::uint64_t v, std::uint64_t times) {
   sum_ += static_cast<double>(v) * static_cast<double>(times);
 }
 
-void LatencyHistogram::clear() { *this = LatencyHistogram(sub_bits_); }
-
 void LatencyHistogram::merge(const LatencyHistogram& other) {
   if (other.sub_bits_ != sub_bits_)
     throw std::invalid_argument("cannot merge histograms of different sub_bits");

@@ -29,8 +29,6 @@ class LatencyHistogram {
   void add(double v);
   void record(std::uint64_t v, std::uint64_t times = 1);
 
-  void clear();
-
   /// Merge another histogram recorded with the same sub_bits.
   /// Throws std::invalid_argument on a resolution mismatch.
   void merge(const LatencyHistogram& other);

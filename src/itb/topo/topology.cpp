@@ -6,10 +6,6 @@
 
 namespace itb::topo {
 
-const char* to_string(NodeKind k) {
-  return k == NodeKind::kSwitch ? "switch" : "host";
-}
-
 const char* to_string(PortKind k) { return k == PortKind::kSan ? "SAN" : "LAN"; }
 
 std::string to_string(NodeId id) {

@@ -23,7 +23,6 @@ enum class NodeKind : std::uint8_t { kSwitch, kHost };
 /// Port electrical kind; switch fall-through latency depends on it (§5).
 enum class PortKind : std::uint8_t { kSan, kLan };
 
-const char* to_string(NodeKind k);
 const char* to_string(PortKind k);
 
 /// Identifies a switch or host within one Topology.

@@ -163,7 +163,6 @@ TEST(BufferWaitWedge, WatchdogDiagnosesRecoversAndDrains) {
   cfg.watchdog.enabled = true;
   cfg.watchdog.check_period = 50 * sim::kUs;
   cfg.watchdog.stall_threshold = 250 * sim::kUs;
-  cfg.watchdog.escalation_grace = 150 * sim::kUs;
   core::Cluster c(std::move(cfg));
   std::map<int, std::map<int, int>> delivered;
   start_ring_load(c, delivered);
@@ -210,8 +209,7 @@ TEST(BufferWaitWedge, ForcedEjectionBreaksWedgeWhenPoolSwitchDisabled) {
   cfg.watchdog.enabled = true;
   cfg.watchdog.check_period = 50 * sim::kUs;
   cfg.watchdog.stall_threshold = 250 * sim::kUs;
-  cfg.watchdog.escalation_grace = 150 * sim::kUs;
-  cfg.watchdog.switch_to_pool = false;  // stage 1 off: go straight to eject
+  cfg.watchdog.switch_to_pool = false;  // no pool switch: eject
   core::Cluster c(std::move(cfg));
   std::map<int, std::map<int, int>> delivered;
   start_ring_load(c, delivered);
@@ -242,13 +240,11 @@ TEST(BufferWaitWedge, EscalationFiresAtEachStallVerdict) {
   // tick that declares the stall, and the ejection itself is progress: it
   // ends the episode, so the next verdict, and the next ejection, comes a
   // stall threshold after the tick that saw it, check_period later.
-  // escalation_grace spaces nothing here.
   auto cfg = ring_config();
   cfg.mcp_options.recv_buffers = 1;
   cfg.watchdog.enabled = true;
   cfg.watchdog.check_period = 50 * sim::kUs;
   cfg.watchdog.stall_threshold = 250 * sim::kUs;
-  cfg.watchdog.escalation_grace = 150 * sim::kUs;
   cfg.watchdog.switch_to_pool = false;
   cfg.flight.enabled = true;
   core::Cluster c(std::move(cfg));
@@ -271,6 +267,49 @@ TEST(BufferWaitWedge, EscalationFiresAtEachStallVerdict) {
     }
   }
   EXPECT_EQ(ejections.front(), 306'966);
+}
+
+TEST(BufferWaitWedge, WedgeLeftByBlackholeIsEscalated) {
+  // NIC-stall windows on all four hosts park the ring's traffic behind the
+  // faults, so the first verdicts are blackholes and are left alone. The
+  // ring comes out of the windows in the buffer-wait wedge; the next
+  // verdict, diagnosed afresh, must see the buffer cycle and cure it.
+  auto cfg = ring_config();
+  for (std::uint16_t h = 0; h < 4; ++h)
+    cfg.fault_schedule.nic_stall(h, 260 * sim::kUs, 1'500 * sim::kUs);
+  cfg.watchdog.enabled = true;
+  cfg.watchdog.check_period = 50 * sim::kUs;
+  cfg.watchdog.stall_threshold = 250 * sim::kUs;
+  core::Cluster c(std::move(cfg));
+  std::map<int, std::map<int, int>> delivered;
+  start_ring_load(c, delivered);
+  c.run(2'000 * sim::kMs);
+
+  EXPECT_EQ(c.network().in_flight(), 0u);
+  for (std::uint16_t h = 0; h < 4; ++h) {
+    const int flow = h * 4 + (h + 2) % 4;
+    for (int i = 0; i < kRingMessages; ++i)
+      EXPECT_EQ(delivered[flow][i], 1) << "flow " << flow << " msg " << i;
+  }
+  auto* wd = c.health();
+  ASSERT_NE(wd, nullptr);
+  EXPECT_GE(wd->stats().pool_mode_switches, 1u);
+  EXPECT_EQ(wd->verdict().unrecovered, 0u);
+  // One episode, counted once, of the kind its first verdict found.
+  EXPECT_EQ(wd->stats().stalls_detected, 1u);
+  EXPECT_EQ(wd->stats().fault_blackholes, 1u);
+  EXPECT_EQ(wd->stats().recoveries, 1u);
+
+  // A verdict every stall threshold while the episode lasts: blackholes
+  // until the windows close, then the buffer deadlock.
+  const auto& diagnoses = wd->diagnoses();
+  ASSERT_GE(diagnoses.size(), 2u);
+  EXPECT_EQ(diagnoses.front().kind, health::StallKind::kFaultBlackhole);
+  EXPECT_EQ(diagnoses.back().kind, health::StallKind::kBufferDeadlock);
+  for (std::size_t i = 1; i < diagnoses.size(); ++i)
+    EXPECT_EQ(diagnoses[i].at - diagnoses[i - 1].at, 250 * sim::kUs) << i;
+  EXPECT_EQ(diagnoses.front().at, 514'598);
+  EXPECT_EQ(diagnoses.back().at, 1'514'598);
 }
 
 // --------------------------------------------------- other stall kinds --
@@ -331,7 +370,7 @@ TEST(Watchdog, ParksWhenIdleAndReArmsOnInjection) {
   EXPECT_EQ(delivered, 2);
   const auto v = wd->verdict();
   EXPECT_TRUE(v.clean());
-  EXPECT_EQ(v.stalls, 0u);
+  EXPECT_EQ(v.stalls_detected, 0u);
 }
 
 TEST(Watchdog, PerNicEpochsTrackReceiveSideProgress) {
@@ -418,7 +457,7 @@ TEST(ChaosHotspot, BurstRidesAlongsideOtherChaosWithoutPerturbingIt) {
 TEST(LivenessVerdict, MergeAggregatesAcrossRuns) {
   health::LivenessVerdict a, b;
   a.checks = 3;
-  a.stalls = 1;
+  a.stalls_detected = 1;
   a.buffer_deadlocks = 1;
   a.recoveries = 1;
   a.first_cycle = "buf(h1) -> ch(0>)";
@@ -427,7 +466,7 @@ TEST(LivenessVerdict, MergeAggregatesAcrossRuns) {
   b.forced_ejections = 2;
   b.merge(a);
   EXPECT_EQ(b.checks, 8u);
-  EXPECT_EQ(b.stalls, 1u);
+  EXPECT_EQ(b.stalls_detected, 1u);
   EXPECT_EQ(b.forced_ejections, 2u);
   EXPECT_EQ(b.unrecovered, 1u);
   EXPECT_EQ(b.first_cycle, "buf(h1) -> ch(0>)");
