@@ -192,6 +192,7 @@ void RecoveryManager::fire() {
   const bool full = !config_.tuning.incremental || !table_ || overflow ||
                     root_sw != last_root_switch_ || !table_->patching_enabled();
   std::uint64_t sources_resolved = 0;
+  std::uint64_t pairs_walked = 0;
   if (full) {
     table_.emplace(*new_router, engine_.policy(), config_.route_jobs,
                    engine_.lane_count());
@@ -219,6 +220,7 @@ void RecoveryManager::fire() {
     }
     const auto ps = table_->patch(*new_router, delta, config_.route_jobs);
     sources_resolved = ps.sources_resolved;
+    pairs_walked = ps.pairs_walked;
     ++stats_.patch_rounds;
     if (config_.tuning.verify_patches) {
       routing::RouteTable fresh(*new_router, engine_.policy(),
@@ -243,6 +245,7 @@ void RecoveryManager::fire() {
   round_info_.full_walk_probes = reach.full_walk_probes;
   round_info_.sources_resolved = sources_resolved;
   round_info_.sources_total = hosts;
+  round_info_.pairs_walked = pairs_walked;
   round_unreachable_ = 0;
   for (std::uint16_t h = 0; h < hosts; ++h)
     if (!reach.host_up[h]) ++round_unreachable_;

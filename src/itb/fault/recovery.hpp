@@ -14,9 +14,10 @@
 //   * scoped re-probe — mapper::rediscover_scoped re-scans only the fault
 //     boundary and newly exposed subtrees, not the whole fabric;
 //   * route-table patching — RouteTable::patch re-solves only sources whose
-//     stored routes are provably affected (link reverse index + ITB
-//     candidate index + added-link attraction bound); every surviving row
-//     is byte-identical to a from-scratch solve;
+//     stored routes are provably affected (a removed link or changed ITB
+//     candidate list on a route, or an added-link attraction bound), and
+//     inside a re-solved row walks only the affected destinations, copying
+//     the rest; the patched table is byte-identical to a from-scratch solve;
 //   * epoch-safe hot-swap — each install bumps a monotonic epoch; NICs
 //     re-source in-flight sends bound to a retired epoch instead of leaning
 //     on the dropped_unroutable backstop;
@@ -110,6 +111,9 @@ class RecoveryManager {
     std::uint64_t full_walk_probes = 0;
     std::uint64_t sources_resolved = 0;
     std::uint64_t sources_total = 0;
+    /// Patch rounds only: PatchStats::pairs_walked, the (switch row,
+    /// destination switch) pairs walked again rather than copied.
+    std::uint64_t pairs_walked = 0;
   };
 
   /// Re-solves under `engine`'s routing policy and lane budget, and at each

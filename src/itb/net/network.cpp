@@ -64,7 +64,7 @@ bool Network::force_eject(TxHandle h) {
 std::optional<Network::RxPeek> Network::peek_rx(TxHandle h) const {
   for (const Worm* w = live_head_; w; w = w->live_next) {
     if (w->handle == h && w->tail_time >= 0)
-      return RxPeek{&w->bytes, w->tail_time};
+      return RxPeek{&w->bytes, w->tail_time, w->crc_intact};
   }
   return std::nullopt;
 }
@@ -193,7 +193,8 @@ void Network::waiter_unlink(ChannelState& st, Worm* w) {
 }
 
 TxHandle Network::inject(std::uint16_t host, packet::Bytes bytes,
-                         std::optional<sim::Time> data_ready) {
+                         std::optional<sim::Time> data_ready,
+                         bool crc_intact) {
   if (host >= hooks_.size() || !hooks_[host])
     throw std::logic_error("inject from unattached host");
   if (bytes.empty()) throw std::invalid_argument("empty packet");
@@ -219,6 +220,7 @@ TxHandle Network::inject(std::uint16_t host, packet::Bytes bytes,
   w->waiting_lane = 0;
   w->lane_state = LaneState{};  // every worm starts on lane 0
   w->tail_time = -1;
+  w->crc_intact = crc_intact;
   w->rx_started = false;
   w->tx_signaled = false;
   w->done = false;
@@ -456,6 +458,7 @@ void Network::complete_at_host(Worm* w, std::uint16_t host,
           break;
         case FaultHook::Fate::kCorrupt:
           ++stats_.faults_injected;
+          w->crc_intact = false;  // the receiver must check what arrived
           break;
         case FaultHook::Fate::kDeliver:
           break;
@@ -463,7 +466,8 @@ void Network::complete_at_host(Worm* w, std::uint16_t host,
     }
     // A lost packet is never delivered: it counts under lost only.
     if (!lost) ++stats_.delivered;
-    WirePacket pkt{w->handle, std::move(w->bytes), w->src_host, w->injected_at};
+    WirePacket pkt{w->handle, std::move(w->bytes), w->src_host,
+                   w->crc_intact, w->injected_at};
     release_channels(w);
     finish_worm(w);  // recycles w — only locals below
     if (lost) {

@@ -134,8 +134,11 @@ class Network {
   /// byte becomes available in the sending NIC (pass std::nullopt for a
   /// fully buffered packet: ready as soon as transmission reaches it).
   /// Transmission begins when the host's uplink channel is granted.
+  /// `crc_intact`: the sender framed these bytes and their CRC itself
+  /// (WirePacket::crc_intact); a raw frame leaves the receiver to check.
   TxHandle inject(std::uint16_t host, packet::Bytes bytes,
-                  std::optional<sim::Time> data_ready = std::nullopt);
+                  std::optional<sim::Time> data_ready = std::nullopt,
+                  bool crc_intact = false);
 
   /// Install (or clear, with nullptr) the fault hook. The hook must outlive
   /// the network or be cleared before destruction.
@@ -245,6 +248,7 @@ class Network {
   struct RxPeek {
     const packet::Bytes* bytes;
     sim::Time tail_time;
+    bool crc_intact;  // as injected: a fate is decided only at the tail
   };
   std::optional<RxPeek> peek_rx(TxHandle h) const;
 
@@ -275,6 +279,7 @@ class Network {
     std::uint8_t waiting_lane = 0;            // valid iff waiting_on
     LaneState lane_state;  // advanced by the ladder per traversal
     sim::Time tail_time = -1;  // set once the head reaches the final NIC
+    bool crc_intact = false;   // WirePacket::crc_intact, until a fault
     bool rx_started = false;   // on_rx_head fired at the destination
     bool tx_signaled = false;  // on_tx_complete / on_tx_dropped fired
     bool done = false;

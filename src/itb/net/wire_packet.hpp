@@ -16,6 +16,9 @@ struct WirePacket {
   TxHandle handle = 0;
   packet::Bytes bytes;      // route bytes still present are consumed en route
   std::uint16_t src_host = 0;
+  /// The bytes still carry the CRC their framing NIC computed over them:
+  /// nothing has touched them since. A receiver need not recompute it.
+  bool crc_intact = false;
   sim::Time injected_at = 0;
 };
 

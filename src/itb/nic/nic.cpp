@@ -193,7 +193,9 @@ void Nic::send_pump() {
     send_pool_.release(sh);  // payload consumed; buffer recycles warm
     queue_.schedule_in(timing_.cycles(timing_.send_dma_start),
                        [this, token, bytes = std::move(bytes)]() mutable {
-                         const auto h = network_.inject(host_, std::move(bytes));
+                         const auto h = network_.inject(
+                             host_, std::move(bytes), std::nullopt,
+                             /*crc_intact=*/true);
                          tx_live_.push_back(TxRec{h, token, 0, false});
                          if (auto* fr = network_.flight_recorder())
                            fr->record(flight::EventType::kTxBind, queue_.now(),
@@ -300,6 +302,7 @@ void Nic::start_reinjection(net::TxHandle h) {
     // tail lands, so the re-injection streams from a copy.
     stripped = packet::strip_itb_stage(*peek->bytes);
     data_ready = peek->tail_time;
+    rec->stash.crc_intact = peek->crc_intact;
   } else {
     // The packet was lost (fault injection) between detection and DMA
     // programming; on_rx_aborted already released its receive buffer (and
@@ -310,11 +313,15 @@ void Nic::start_reinjection(net::TxHandle h) {
   // The reception is live (stash or peek succeeded), so its record is too.
   rec->injected = true;
   ++stats_.itb_forwarded;
+  // Stripping the ITB stage leaves the CRC, which covers only the body,
+  // as valid as it came; the bit waits in the record, which the
+  // re-injection keeps alive, so the closure stays inline.
   queue_.schedule_in(
       timing_.cycles(timing_.send_dma_start),
       [this, h, data_ready, stripped = std::move(stripped)]() mutable {
-        const auto nh =
-            network_.inject(host_, std::move(stripped), data_ready);
+        const RxRec* rec = find_rx(h);
+        const auto nh = network_.inject(host_, std::move(stripped), data_ready,
+                                        rec && rec->stash.crc_intact);
         tx_live_.push_back(TxRec{nh, 0, h, true});
         if (auto* fr = network_.flight_recorder())
           fr->record(flight::EventType::kReinject, queue_.now(), nh, host_, h);
@@ -382,8 +389,10 @@ void Nic::on_rx_complete(sim::Time, net::WirePacket packet) {
               }
               // The interface checks the packet CRC before handing the
               // payload to the host; a corrupted packet is discarded and
-              // GM's retransmission recovers it.
-              if (!packet::verify_crc(packet.bytes)) {
+              // GM's retransmission recovers it. Bytes nothing touched
+              // since their sender framed them pass without recomputing
+              // it; the check's cycles are charged either way.
+              if (!packet.crc_intact && !packet::verify_crc(packet.bytes)) {
                 ++stats_.rx_bad_crc;
                 free_recv_buffer();
                 return;

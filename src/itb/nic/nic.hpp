@@ -243,7 +243,7 @@ class Nic final : public net::HostHooks {
     bool claimed = false;   // Early Recv identified an ITB packet
     bool injected = false;  // re-injection has started (owns the rx buffer)
     bool stashed = false;   // completed before re-injection; bytes kept
-    net::WirePacket stash;
+    net::WirePacket stash;  // its crc_intact also rides a re-injection
   };
 
   // SDMA: pull host sends into SRAM send buffers.

@@ -459,6 +459,72 @@ std::vector<std::uint32_t> Router::min_hops_from_switch(std::uint16_t sw) const 
   return dist;
 }
 
+void Router::min_hops_via(std::span<const std::uint16_t> sources,
+                          std::span<const char> via_link,
+                          std::span<const char> via_switch,
+                          std::span<std::uint32_t> dist, Scratch& sc) const {
+  if (sources.size() > kBlockWidth)
+    throw std::invalid_argument("min_hops_via: more sources than bits");
+  // A level search over (switch, layer) states, state = switch << 1 |
+  // layer, source b as bit b: layer 1 has crossed a marked link or passed a
+  // marked switch. A hop costs one level; passing a marked switch lifts a
+  // walk to layer 1 within its level. A bit first reaches a state at its
+  // distance. The block search's buffers serve: `tails` holds the bits
+  // each state has, `fresh` the bits it gains in the level being built.
+  const std::size_t n = switch_count();
+  std::ranges::fill(dist, std::numeric_limits<std::uint32_t>::max());
+  auto& reached = sc.tails;
+  auto& gained = sc.fresh;
+  reached.assign(2 * n, 0);
+  gained.assign(2 * n, 0);
+  auto& touched = sc.touched;
+  touched.clear();
+  auto* cur = &sc.frontiers[0].entries;
+  auto* next = &sc.frontiers[1].entries;
+  next->clear();
+  std::uint32_t level = 0;
+  const auto settle = [&](std::uint32_t state, std::uint64_t bits) {
+    for (;;) {
+      bits &= ~reached[state];
+      if (bits == 0) return;
+      reached[state] |= bits;
+      next->push_back({state, bits});
+      if ((state & 1) != 0) {
+        for (; bits != 0; bits &= bits - 1)
+          dist[static_cast<std::size_t>(std::countr_zero(bits)) * n +
+               (state >> 1)] = level;
+        return;
+      }
+      if (via_switch[state >> 1] == 0) return;
+      state |= 1;
+    }
+  };
+  const auto gain = [&](std::uint32_t state, std::uint64_t bits) {
+    bits &= ~reached[state];
+    if (bits == 0) return;
+    if (gained[state] == 0) touched.push_back(state);
+    gained[state] |= bits;
+  };
+  for (std::size_t b = 0; b < sources.size(); ++b)
+    settle(std::uint32_t{sources[b]} << 1, std::uint64_t{1} << b);
+  while (!next->empty()) {
+    std::swap(cur, next);
+    next->clear();
+    ++level;
+    for (const auto& e : *cur) {
+      const bool lifted = (e.state & 1) != 0;
+      for (const Hop& h : hops_out(static_cast<std::uint16_t>(e.state >> 1))) {
+        const std::uint32_t to = std::uint32_t{h.to} << 1;
+        if (!lifted) gain(to, e.bits);
+        if (lifted || via_link[h.link] != 0) gain(to | 1, e.bits);
+      }
+    }
+    for (const auto state : touched)
+      settle(state, std::exchange(gained[state], 0));
+    touched.clear();
+  }
+}
+
 Router::SolveFlags Router::solve_flags(Policy policy) {
   switch (policy) {
     case Policy::kUpDown:
@@ -486,6 +552,7 @@ void Router::search_block(
   std::size_t total = 0;
   for (const auto group : groups) total += group.size();
   held.reserve(total);
+  sc.escaped_.assign(groups.size(), 0);
   sc.groups.reserve(groups.size());
   sc.sources.reserve(groups.size());
   for (const auto sources : groups) {
@@ -512,7 +579,8 @@ void Router::search_block(
 }
 
 std::size_t Router::switch_row(std::size_t g, Policy policy,
-                               unsigned vc_lanes, Scratch& sc) const {
+                               unsigned vc_lanes, const Reuse& reuse,
+                               Scratch& sc) const {
   const Scratch::Group& group = sc.groups[g];
   if (group.usable == 0) return 0;
   // The in-transit host picks are the first source's; only kSpread's
@@ -533,7 +601,23 @@ std::size_t Router::switch_row(std::size_t g, Policy policy,
   // Restricted fallback for VC-escape routes whose minimal path needs more
   // lanes than the ladder has; solved at most once per switch.
   bool escape_solved = false;
+  // Kept entries come in runs, each copied whole; `cursor` follows the
+  // replaced row's channel array past the entries walked instead.
+  const auto keeps = [&](std::uint16_t d) {
+    return reuse.row != nullptr && host_usable(d) &&
+           reuse.redo[uplinks_[d].sw] == 0;
+  };
+  std::uint32_t cursor = 0;
   for (std::uint16_t d = 0; d < hosts; ++d) {
+    if (keeps(d)) {
+      auto last = static_cast<std::uint16_t>(d + 1);
+      while (last < hosts && keeps(last)) ++last;
+      copy_entries(*reuse.row, d, last, cursor, row, sc);
+      d = static_cast<std::uint16_t>(last - 1);
+      continue;
+    }
+    if (reuse.row != nullptr)
+      cursor = std::max(cursor, reuse.row->marks_[d + 1u].channels_end);
     // Destinations cut off by the mask keep an empty entry rather than
     // throwing in extract(); the NIC backstop (and the recovery engine's
     // unreachable accounting) handles them.
@@ -564,7 +648,52 @@ std::size_t Router::switch_row(std::size_t g, Policy policy,
     }
     row.close_entry();
   }
+  sc.escaped_[g] = escape_solved;
   return group.usable;
+}
+
+void Router::copy_entries(const RouteRow& from, std::uint16_t first,
+                          std::uint16_t last, std::uint32_t& cursor,
+                          RouteRow& row, Scratch& sc) const {
+  const RouteRow::Mark& a = from.marks_[first];
+  const RouteRow::Mark& b = from.marks_[last];
+  // Each array's offsets move by one amount; the unsigned sums wrap back
+  // into range.
+  const auto header_by =
+      static_cast<std::uint32_t>(row.header_.size()) - a.header;
+  const auto hosts_by =
+      static_cast<std::uint32_t>(row.hosts_.size()) - a.hosts;
+  const std::uint32_t owned = cursor;
+  const auto channels_by =
+      static_cast<std::uint32_t>(row.channels_.size()) - owned;
+  for (std::uint16_t d = first; d < last; ++d) {
+    RouteRow::Mark m = from.marks_[d + 1u];
+    cursor = std::max(cursor, m.channels_end);
+    m.header += header_by;
+    m.hosts += hosts_by;
+    const auto sd = uplinks_[d].sw;
+    if (sc.walked[sd] != Scratch::kNoEntry) {
+      const RouteRow::Mark& w = row.marks_[sc.walked[sd] + 1u];
+      m.channels_begin = w.channels_begin;
+      m.channels_end = w.channels_end;
+    } else {
+      m.channels_begin += channels_by;
+      m.channels_end += channels_by;
+      const RouteRow::Mark& open = row.marks_.back();
+      if (m.header != open.header &&
+          (selection_ == ItbHostSelection::kLowestIndex ||
+           m.hosts == open.hosts))
+        sc.walked[sd] = d;
+    }
+    row.marks_.push_back(m);
+  }
+  row.header_.insert(row.header_.end(), from.header_.begin() + a.header,
+                     from.header_.begin() + b.header);
+  row.hosts_.insert(row.hosts_.end(), from.hosts_.begin() + a.hosts,
+                    from.hosts_.begin() + b.hosts);
+  row.channels_.insert(row.channels_.end(), from.channels_.begin() + owned,
+                       from.channels_.begin() + cursor);
+  row.open_channels_ = static_cast<std::uint32_t>(row.channels_.size());
 }
 
 void Router::spread_row(std::size_t g, std::uint16_t src, RouteRow& row,

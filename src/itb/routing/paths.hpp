@@ -150,6 +150,7 @@ class RouteRow {
 
  private:
   friend class Router;
+  friend class RouteTable;  // the patcher reads stored entries in place
   /// Entry i's header and in-transit hosts span marks_[i] to marks_[i + 1]
   /// (both arrays are cumulative); its trunk channels are the range its
   /// close mark marks_[i + 1] names, which later entries may share.
@@ -199,6 +200,15 @@ class Router {
 
   /// Source switches one search carries: one bit of a word each.
   static constexpr std::size_t kBlockWidth = 64;
+
+  /// What a re-solve keeps of the row it replaces (RouteTable::patch): the
+  /// entries toward every usable host on a switch that `redo` leaves unset
+  /// are copied from `row` instead of walked. The caller vouches that those
+  /// routes are what a walk would find.
+  struct Reuse {
+    const RouteRow* row = nullptr;  // nullptr: walk every destination
+    std::span<const char> redo;     // per destination switch
+  };
 
   explicit Router(const UpDown& updown,
                   ItbHostSelection selection = ItbHostSelection::kLowestIndex);
@@ -252,11 +262,14 @@ class Router {
   /// std::invalid_argument): each group is a `sources` as above, and ONE
   /// search carries the switches of all of them, a bit each. The rows go
   /// to `publish` group by group, in order, exactly as routes_from() on
-  /// each group alone would publish them.
+  /// each group alone would publish them. `reuse`, when given, holds one
+  /// Reuse per group: the row built for it is the same, entry for entry and
+  /// layout for layout, with the kept entries copied in bulk.
   template <class Publish>
   void routes_from_block(std::span<const std::span<const std::uint16_t>> groups,
                          Policy policy, unsigned vc_lanes, RouteRow& row,
-                         Scratch& scratch, Publish&& publish) const;
+                         Scratch& scratch, Publish&& publish,
+                         std::span<const Reuse> reuse = {}) const;
 
   /// Trunk-hop distance of the unrestricted shortest path.
   std::size_t minimal_distance(std::uint16_t src_host,
@@ -294,9 +307,22 @@ class Router {
   /// Unrestricted BFS hop distances from one switch over the usable trunk
   /// graph (0xFFFFFFFF = unreachable): the minimal distance of every route
   /// out of that switch. Since hops are the primary key of the lex search
-  /// cost, these lower-bound every restricted route — the incremental
-  /// patcher's attraction test builds on that.
+  /// cost, these lower-bound every restricted route.
   std::vector<std::uint32_t> min_hops_from_switch(std::uint16_t sw) const;
+
+  /// min_hops_from_switch() from each switch of `sources` (at most
+  /// kBlockWidth, more throw std::invalid_argument) over the walks that
+  /// cross a trunk link marked in `via_link` or pass a switch marked in
+  /// `via_switch`: source i's distance to switch s lands in
+  /// dist[i * switch_count() + s] (0xFFFFFFFF = no such walk). They
+  /// lower-bound every route out of a source that an added link or a new
+  /// phase-reset point could offer — the incremental patcher's attraction
+  /// test. One level search carries the block, a bit per source, in the
+  /// buffers of `scratch`.
+  void min_hops_via(std::span<const std::uint16_t> sources,
+                    std::span<const char> via_link,
+                    std::span<const char> via_switch,
+                    std::span<std::uint32_t> dist, Scratch& scratch) const;
 
   const UpDown& updown() const { return *updown_; }
   const topo::Topology& topology() const { return updown_->topology(); }
@@ -414,10 +440,19 @@ class Router {
   /// `sc.held`, the usable ones first, and searches from their switches.
   void search_block(std::span<const std::span<const std::uint16_t>> groups,
                     Policy policy, Scratch& sc) const;
-  /// Build group `g`'s switch row into `sc.switch_row`; returns its usable
-  /// source count (no row without one).
+  /// Build group `g`'s switch row into `sc.switch_row`, keeping what
+  /// `reuse` allows; returns its usable source count (no row without one).
   std::size_t switch_row(std::size_t g, Policy policy, unsigned vc_lanes,
-                         Scratch& sc) const;
+                         const Reuse& reuse, Scratch& sc) const;
+  /// Append entries [first, last) of `from`, the row being replaced, to
+  /// `row`: header bytes, in-transit hosts and the trunk channels they own
+  /// in one copy each, and their marks moved to the new offsets. A copied
+  /// entry that repeats an earlier one's channel range (a host after the
+  /// first on its switch) names where that range now lies. `cursor` is
+  /// where from's next owned channel range starts, moved past the run.
+  void copy_entries(const RouteRow& from, std::uint16_t first,
+                    std::uint16_t last, std::uint32_t& cursor, RouteRow& row,
+                    Scratch& sc) const;
   /// kSpread: `src`'s row, group `g`'s switch row with its in-transit hosts
   /// picked for `src`.
   void spread_row(std::size_t g, std::uint16_t src, RouteRow& row,
@@ -430,6 +465,11 @@ class Router {
 };
 
 class Router::Scratch {
+ public:
+  /// Whether group `g` of the last block solved holds a route that fell
+  /// back to the escape lane (Policy::kVcEscape).
+  bool escaped(std::size_t g) const { return escaped_[g] != 0; }
+
  private:
   friend class Router;
   Search primary;  // the block's search
@@ -460,6 +500,8 @@ class Router::Scratch {
   /// The states with fresh bits, in the order they first gained one.
   std::vector<std::uint32_t> touched;
   std::vector<Step> steps;
+  /// Per group of the block: whether its row holds an escape route.
+  std::vector<char> escaped_;
   /// The block's groups: each one's sources in `held`, its usable ones
   /// first, and its bit in the search.
   struct Group {
@@ -494,11 +536,12 @@ void Router::routes_from(std::span<const std::uint16_t> sources,
 template <class Publish>
 void Router::routes_from_block(
     std::span<const std::span<const std::uint16_t>> groups, Policy policy,
-    unsigned vc_lanes, RouteRow& row, Scratch& scratch,
-    Publish&& publish) const {
+    unsigned vc_lanes, RouteRow& row, Scratch& scratch, Publish&& publish,
+    std::span<const Reuse> reuse) const {
   search_block(groups, policy, scratch);
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    const std::size_t usable = switch_row(g, policy, vc_lanes, scratch);
+    const std::size_t usable = switch_row(
+        g, policy, vc_lanes, reuse.empty() ? Reuse{} : reuse[g], scratch);
     const Scratch::Group& group = scratch.groups[g];
     const auto held = std::span<const std::uint16_t>(scratch.held).subspan(
         group.begin, group.end - group.begin);

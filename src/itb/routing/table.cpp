@@ -76,15 +76,17 @@ RouteTable::RouteTable(const Router& router, Policy policy, unsigned jobs,
     : policy_(policy),
       hosts_(router.topology().host_count()),
       vc_lanes_(vc_lanes),
-      rows_(hosts_) {
+      rows_(hosts_),
+      escapes_(policy == Policy::kVcEscape ? hosts_ : 0) {
   // Unattached hosts appear in degraded topologies (fault windows that cut
   // a host off); routes_from leaves their pairs as empty entries.
   group_by_switch(router, every_host(hosts_), grouped_, group_begins_);
-  solve_groups(router, jobs, std::nullopt);
+  solve_groups(router, jobs, {}, std::nullopt);
 }
 
 void RouteTable::solve_groups(const Router& router, unsigned jobs,
-                              std::optional<std::uint64_t> index_gen) {
+                              std::span<const Router::Reuse> reuse,
+                              std::optional<std::uint64_t> gen) {
   // One task per block of consecutive switch groups, one search per block.
   // The blocks do not depend on `jobs`, and a row depends only on (router,
   // policy, switch), so neither does the table.
@@ -109,11 +111,14 @@ void RouteTable::solve_groups(const Router& router, unsigned jobs,
         [this](RouteRow& row, std::span<const std::uint16_t> holders) {
           const auto shared = std::make_shared<const RouteRow>(std::move(row));
           for (const auto h : holders) rows_[h] = shared;
-        });
-    if (index_gen)
-      for (const auto group : block) {
-        index_group(router, group);  // each worker touches only its groups
-        for (const auto s : group) solved_gen_[s] = *index_gen;
+        },
+        reuse.empty() ? reuse : reuse.subspan(first, block.size()));
+    // Each worker touches only its groups' sources.
+    for (std::size_t i = 0; i < block.size(); ++i)
+      for (const auto s : block[i]) {
+        if (!escapes_.empty())
+          escapes_[s] = b.search.escaped(i) && router.host_usable(s);
+        if (gen) solved_gen_[s] = *gen;
       }
   });
 }
@@ -193,62 +198,6 @@ std::vector<std::uint32_t> RouteTable::channel_usage(
   return usage;
 }
 
-void RouteTable::index_group(const Router& router,
-                             std::span<const std::uint16_t> group) {
-  // VC-escape's fallback mark compares against minimal distances, which
-  // depend only on the switch.
-  const auto lead = group.front();
-  const auto min_hops = policy_ == Policy::kVcEscape && router.host_usable(lead)
-                            ? router.min_hops_from_switch(router.host_switch(lead))
-                            : std::vector<std::uint32_t>{};
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    const auto s = group[i];
-    const auto earlier = group.first(i);
-    const auto holder =
-        std::ranges::find(earlier, rows_[s].get(),
-                          [this](std::uint16_t h) { return rows_[h].get(); });
-    index_[s] = holder != earlier.end() ? index_[*holder]
-                                        : index_row(router, s, min_hops);
-  }
-}
-
-std::shared_ptr<const RouteTable::RowIndex> RouteTable::index_row(
-    const Router& router, std::uint16_t src,
-    std::span<const std::uint32_t> min_hops) const {
-  auto index = std::make_shared<RowIndex>();
-  auto& lu = index->links_used;
-  auto& iu = index->itb_switch_used;
-  lu.assign(router.topology().link_count(), 0);
-  iu.assign(router.topology().switch_count(), 0);
-  // Every host a stored route touches was usable under `router`, which
-  // solved the row: its uplink is known there.
-  const RouteRow& row = *rows_[src];
-  // Each shared trunk-channel range once, rather than once per entry, and
-  // every entry's in-transit hosts: the diagonal entry, a route to a
-  // switch-mate, has none.
-  for (const auto& c : row.stored_channels()) lu[c.link] = 1;
-  for (const auto h : row.stored_hosts()) {
-    lu[router.host_link(h)] = 1;
-    iu[router.host_switch(h)] = 1;
-  }
-  // Read as `src` reads it. Any other holder reads the same routes: its
-  // entry toward `src` and src's toward it reach the two uplinks.
-  bool any = false;
-  for (std::uint16_t d = 0; d < hosts_; ++d) {
-    if (d == src || !row.has_route(d)) continue;
-    any = true;
-    lu[router.host_link(d)] = 1;
-    // A VC route longer than its minimal distance is an escape fallback
-    // (see RowIndex::vc_fallback).
-    if (policy_ == Policy::kVcEscape &&
-        row.route(src, d).trunk_hops() > min_hops[router.host_switch(d)])
-      index->vc_fallback = true;
-  }
-  // The source's own uplink carries every nonempty route.
-  if (any) lu[router.host_link(src)] = 1;
-  return index;
-}
-
 std::uint64_t RouteTable::intern_state(const Router& router) {
   const auto& topo = router.topology();
   const auto& ud = router.updown();
@@ -274,136 +223,190 @@ void RouteTable::enable_patching(const Router& router) {
   const auto& topo = router.topology();
   if (topo.host_count() != hosts_)
     throw std::invalid_argument("patching needs stable topology coordinates");
-  index_.assign(hosts_, nullptr);
-  const std::size_t groups =
-      group_by_switch(router, every_host(hosts_), grouped_, group_begins_);
-  for (std::size_t g = 0; g < groups; ++g) index_group(router, switch_group(g));
+  patch_links_ = topo.link_count();
   solved_gen_.assign(hosts_, intern_state(router));
 }
 
 PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
                              unsigned jobs) {
   const auto& topo = router.topology();
+  const std::size_t switches = topo.switch_count();
   PatchStats st;
   st.sources_total = hosts_;
 
-  const bool indexed =
-      index_.size() == hosts_ &&
-      (hosts_ == 0 || index_[0]->links_used.size() == topo.link_count());
+  const bool enabled = patching_enabled() && patch_links_ == topo.link_count();
+  const std::uint64_t target_gen = enabled ? intern_state(router) : 0;
   std::vector<char> invalid(hosts_, 0);
-  const std::uint64_t target_gen = indexed ? intern_state(router) : 0;
+  // Each routed row a re-solve may replace gets a slot: one flag per
+  // destination switch, set where the row's routes must be walked again.
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> slot_of(hosts_, kNone);
+  std::vector<char> redo;
 
-  if (delta.force_full || !indexed) {
+  if (delta.force_full || !enabled) {
     std::fill(invalid.begin(), invalid.end(), 1);
     st.full = true;
   } else {
-    // Classify the delta. Trunk additions (including the "added" half of an
-    // orientation flip) become attraction tests; host-link churn marks the
-    // switch's ITB candidate list dirty, and an added host link additionally
+    // What the delta touches. Trunk additions (including the "added" half
+    // of an orientation flip) can attract routes; host-link churn changes
+    // the switch's ITB candidate list, a removed host link cuts its host
+    // off, and an added one restores a host (which gains a whole row) and
     // makes its switch a (potential) new phase-reset point.
-    struct Attract {
-      std::vector<std::uint32_t> da, db;  // db empty = reuse da (ITB point)
-      std::uint32_t extra;                // hop cost of crossing the link
-    };
-    std::vector<Attract> attracts;
-    std::vector<char> itb_dirty(topo.switch_count(), 0);
-    bool any_itb_dirty = false;
-
-    const auto classify = [&](topo::LinkId lid, bool added) {
-      const auto& l = topo.link(lid);
-      const bool a_sw = l.a.node.kind == topo::NodeKind::kSwitch;
-      const bool b_sw = l.b.node.kind == topo::NodeKind::kSwitch;
-      if (a_sw && b_sw) {
-        if (added && !(l.a.node == l.b.node))
-          attracts.push_back(
-              Attract{router.min_hops_from_switch(l.a.node.index),
-                      router.min_hops_from_switch(l.b.node.index), 1});
-        return;
-      }
-      const auto sw = a_sw ? l.a.node.index : l.b.node.index;
-      const auto host = a_sw ? l.b.node.index : l.a.node.index;
-      itb_dirty[sw] = 1;
-      any_itb_dirty = true;
-      if (added) {
-        invalid[host] = 1;  // the restored host gains a whole row
-        attracts.push_back(
-            Attract{router.min_hops_from_switch(sw), {}, 0});
-      }
-    };
-    for (auto l : delta.removed) classify(l, /*added=*/false);
-    for (auto l : delta.added) classify(l, /*added=*/true);
-
-    // Generation shortcut: a source whose last re-solve ran against this
-    // exact graph state needs nothing — its row IS routes_from's output
-    // for the patch target, whatever the delta looks like.
-    for (std::uint16_t s = 0; s < hosts_; ++s)
-      if (solved_gen_[s] == target_gen) invalid[s] = 0;
-
-    // VC-escape fallback rows depend on the whole orientation, not just the
-    // links they traverse — conservatively re-solve their sources on any
-    // non-empty delta (unless the generation shortcut already proved them).
-    if (policy_ == Policy::kVcEscape &&
-        (!delta.removed.empty() || !delta.added.empty()))
-      for (std::uint16_t s = 0; s < hosts_; ++s)
-        if (index_[s]->vc_fallback && solved_gen_[s] != target_gen)
-          invalid[s] = 1;
-
-    // (a) a stored route traverses a removed link; (b) an ITB candidate
-    // list the source depends on changed.
-    for (std::uint16_t s = 0; s < hosts_; ++s) {
-      if (invalid[s] || solved_gen_[s] == target_gen) continue;
-      const RowIndex& index = *index_[s];
-      for (auto l : delta.removed)
-        if (index.links_used[l]) {
-          invalid[s] = 1;
-          break;
+    std::vector<char> removed(topo.link_count(), 0);
+    std::vector<char> added(topo.link_count(), 0);
+    std::vector<char> itb_dirty(switches, 0), resets(switches, 0);
+    std::vector<std::uint32_t> cut_from(hosts_, kNone);  // its old switch
+    std::vector<char> was_restored(hosts_, 0);
+    std::vector<std::uint16_t> cut, restored;
+    bool any_added = false;
+    for (const bool add : {false, true})
+      for (const auto lid : add ? delta.added : delta.removed) {
+        const auto& l = topo.link(lid);
+        const bool a_sw = l.a.node.kind == topo::NodeKind::kSwitch;
+        const bool b_sw = l.b.node.kind == topo::NodeKind::kSwitch;
+        if (a_sw && b_sw) {
+          if (!add)
+            removed[lid] = 1;
+          else if (!(l.a.node == l.b.node))
+            added[lid] = any_added = true;
+          continue;
         }
-      if (invalid[s] || !any_itb_dirty) continue;
-      for (std::uint16_t sw = 0; sw < itb_dirty.size(); ++sw)
-        if (itb_dirty[sw] && index.itb_switch_used[sw]) {
-          invalid[s] = 1;
-          break;
+        const auto sw = a_sw ? l.a.node.index : l.b.node.index;
+        const auto host = a_sw ? l.b.node.index : l.a.node.index;
+        itb_dirty[sw] = 1;
+        if (add) {
+          resets[sw] = was_restored[host] = any_added = true;
+          restored.push_back(host);
+        } else {
+          cut_from[host] = sw;
+          cut.push_back(host);
         }
+      }
+    const bool escapes_at_risk =
+        !escapes_.empty() && (!delta.removed.empty() || !delta.added.empty());
+
+    // (c)'s bound from every switch to every switch, 64 sources a search.
+    std::vector<std::uint32_t> via;
+    if (any_added) {
+      via.resize(switches * switches);
+      Router::Scratch scratch;
+      std::array<std::uint16_t, Router::kBlockWidth> block;
+      for (std::size_t first = 0; first < switches; first += block.size()) {
+        const auto width = std::min(block.size(), switches - first);
+        std::iota(block.begin(), block.begin() + width,
+                  static_cast<std::uint16_t>(first));
+        router.min_hops_via(std::span(block).first(width), added, resets,
+                            std::span(via).subspan(first * switches,
+                                                   width * switches),
+                            scratch);
+      }
     }
 
-    // (c) an added link (or new reset point) could attract the source: the
-    // unrestricted hop distance through it lower-bounds any restricted
-    // route, and hops are the primary lex key — so bound > stored hops
-    // proves the stored row survives; bound <= means a shorter OR
-    // equal-cost canonical winner may exist, re-solve. Empty entries toward
-    // usable destinations are conservatively re-solved too (the addition
-    // may have connected them).
-    if (!attracts.empty()) {
-      constexpr std::uint64_t kInf = std::numeric_limits<std::uint32_t>::max();
-      for (std::uint16_t s = 0; s < hosts_; ++s) {
-        if (invalid[s] || solved_gen_[s] == target_gen ||
-            !router.host_usable(s))
-          continue;
-        const auto ss = router.host_switch(s);
-        for (std::uint16_t d = 0; d < hosts_ && !invalid[s]; ++d) {
-          if (d == s || !router.host_usable(d)) continue;
-          const RouteView r = rows_[s]->route(s, d);
-          if (r.empty()) {
-            invalid[s] = 1;
-            break;
-          }
-          const auto sd = router.host_switch(d);
-          const std::uint64_t stored = r.trunk_hops();
-          for (const auto& a : attracts) {
-            const auto& db = a.db.empty() ? a.da : a.db;
-            const std::uint64_t fwd =
-                std::min(kInf, static_cast<std::uint64_t>(a.da[ss]) +
-                                   a.extra + db[sd]);
-            const std::uint64_t rev =
-                std::min(kInf, static_cast<std::uint64_t>(db[ss]) + a.extra +
-                                   a.da[sd]);
-            if (std::min(fwd, rev) <= stored) {
-              invalid[s] = 1;
-              break;
-            }
-          }
+    // The hosts a stored route may lead to, by switch: those usable before
+    // the delta (a cut-off host under its old switch).
+    std::vector<std::uint32_t> begins(switches + 2, 0);
+    std::vector<std::uint16_t> on_switch;
+    const auto old_switch = [&](std::uint16_t h) {
+      if (cut_from[h] != kNone) return cut_from[h];
+      return router.host_usable(h) && !was_restored[h]
+                 ? std::uint32_t{router.host_switch(h)}
+                 : kNone;
+    };
+    for (std::uint16_t h = 0; h < hosts_; ++h)
+      if (const auto w = old_switch(h); w != kNone) ++begins[w + 2];
+    std::partial_sum(begins.begin(), begins.end(), begins.begin());
+    on_switch.resize(begins.back());
+    for (std::uint16_t h = 0; h < hosts_; ++h)
+      if (const auto w = old_switch(h); w != kNone)
+        on_switch[begins[w + 1]++] = h;
+
+    // Flag the destination switches of `row`, the routed row out of switch
+    // `from`, whose stored routes the delta can change; returns which tests
+    // fired. The first host on a switch the row routes to stands for the
+    // rest: they share its trunk channels and eject at the same switches.
+    enum : char { kStale = 1, kAttract = 2 };
+    const bool any_itb_dirty =
+        std::ranges::find(itb_dirty, 1) != itb_dirty.end();
+    // Per stored channel of the row: the removed links among those before.
+    std::vector<std::uint32_t> crossed;
+    const auto flag_row = [&](const RouteRow& row, std::uint32_t from,
+                              std::span<char> flags) {
+      crossed.resize(row.channels_.size() + 1);
+      for (std::size_t i = 0; i < row.channels_.size(); ++i)
+        crossed[i + 1] = crossed[i] + removed[row.channels_[i].link];
+      const auto routes_to = [&row](std::uint16_t d) {
+        return row.marks_[d].header != row.marks_[d + 1u].header;
+      };
+      const auto bound =
+          any_added ? std::span(via).subspan(from * switches, switches)
+                    : std::span<const std::uint32_t>{};
+      char fired = 0;
+      const auto flag = [&](std::uint32_t w, char test) {
+        flags[w] = 1;
+        fired |= test;
+      };
+      for (std::uint32_t w = 0; w < switches; ++w) {
+        const auto there = std::span(on_switch).subspan(
+            begins[w], begins[w + 1] - begins[w]);
+        const auto d = std::ranges::find_if(there, routes_to);
+        if (d == there.end()) continue;
+        const RouteRow::Mark& open = row.marks_[*d];
+        const RouteRow::Mark& m = row.marks_[*d + 1u];
+        // (a) the route crosses a removed trunk link or an in-transit
+        // host's removed uplink; (b) it ejects at a switch whose ITB
+        // candidate list changed (a cut-off in-transit host's included).
+        bool stale = crossed[m.channels_end] != crossed[m.channels_begin];
+        for (auto i = open.hosts; any_itb_dirty && i < m.hosts && !stale;
+             ++i) {
+          const auto h = row.hosts_[i];
+          stale = cut_from[h] != kNone || itb_dirty[router.host_switch(h)];
         }
+        if (stale) flag(w, kStale);
+        // (c) an added link or new reset point offers a walk no longer than
+        // the route: hops are the primary lex key, so a tie may still win.
+        if (any_added && bound[w] <= m.channels_end - m.channels_begin)
+          flag(w, kAttract);
       }
+      // (a) a route to a cut-off host crosses its uplink; (c) an empty
+      // entry toward a restored host: the addition connects it.
+      for (const auto d : cut)
+        if (routes_to(d)) flag(cut_from[d], kStale);
+      for (const auto d : restored)
+        if (!routes_to(d)) flag(router.host_switch(d), kAttract);
+      return fired;
+    };
+
+    // Each routed row once, at its first holder that is not skipped: the
+    // holders of a row hang off one switch and share its verdict, except
+    // that only a usable source can be attracted.
+    std::vector<char> fired;
+    std::vector<const RouteRow*> slot_rows;
+    std::vector<std::uint32_t> last_slot(switches, kNone);  // per switch
+    for (std::uint16_t s = 0; s < hosts_; ++s) {
+      // Generation shortcut: a source whose last re-solve ran against this
+      // exact graph state needs nothing — its row IS routes_from's output
+      // for the patch target, whatever the delta looks like.
+      if (solved_gen_[s] == target_gen) continue;
+      const RouteRow& row = *rows_[s];
+      // A cut-off source's row routes nothing; only its restore touches it.
+      if (!row.has_route(s)) {
+        invalid[s] = was_restored[s];
+        continue;
+      }
+      const std::uint32_t from =
+          cut_from[s] != kNone ? cut_from[s] : router.host_switch(s);
+      std::uint32_t slot = last_slot[from];
+      if (slot == kNone || slot_rows[slot] != &row) {
+        slot = last_slot[from] = static_cast<std::uint32_t>(slot_rows.size());
+        slot_rows.push_back(&row);
+        redo.resize(redo.size() + switches, 0);
+        fired.push_back(flag_row(
+            row, from, std::span(redo).subspan(slot * switches, switches)));
+      }
+      slot_of[s] = slot;
+      invalid[s] = (escapes_at_risk && escapes_[s]) ||
+                   (fired[slot] & kStale) != 0 ||
+                   (router.host_usable(s) && (fired[slot] & kAttract) != 0);
     }
   }
 
@@ -413,13 +416,38 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
   // Copy on write: the re-solved sources get fresh rows. The row one
   // replaces may be installed in a NIC, which keeps it until the next
   // install — so it is never written in place.
-  group_by_switch(router,
-                  every_host(hosts_) | std::views::filter([&](std::uint16_t s) {
-                    return invalid[s] != 0;
-                  }),
-                  grouped_, group_begins_);
-  solve_groups(router, jobs,
-               indexed ? std::optional(target_gen) : std::nullopt);
+  const std::size_t groups = group_by_switch(
+      router, every_host(hosts_) | std::views::filter([&](std::uint16_t s) {
+                return invalid[s] != 0;
+              }),
+      grouped_, group_begins_);
+  // A switch group whose sources all held one routed row without an escape
+  // route (a restored host held an empty one) keeps that row's unflagged
+  // destinations. The row stays alive until the group's own publish: only
+  // the group's holders hold it, and only their worker writes their rows.
+  std::vector<Router::Reuse> reuse(groups);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const auto group = switch_group(g);
+    const auto lead = group.front();
+    if (!router.host_usable(lead)) continue;  // the cut-off sources
+    const RouteRow* replaced = rows_[lead].get();
+    const bool keep =
+        slot_of[lead] != kNone && (escapes_.empty() || !escapes_[lead]) &&
+        std::ranges::all_of(group, [&](std::uint16_t s) {
+          return rows_[s].get() == replaced;
+        });
+    if (!keep) {
+      st.pairs_walked += switches;
+      continue;
+    }
+    const auto redo_row =
+        std::span(redo).subspan(slot_of[lead] * switches, switches);
+    reuse[g] = {replaced, redo_row};
+    st.pairs_walked +=
+        static_cast<std::size_t>(std::ranges::count(redo_row, 1));
+  }
+  solve_groups(router, jobs, reuse,
+               enabled ? std::optional(target_gen) : std::nullopt);
   return st;
 }
 

@@ -41,7 +41,12 @@ struct LinkDelta {
 struct PatchStats {
   std::size_t sources_resolved = 0;
   std::size_t sources_total = 0;
-  bool full = false;  // every source re-solved (forced or no index)
+  /// Host work inside the re-solved rows: (switch row, destination switch)
+  /// pairs walked again. A full solve walks switch_count() squared; a
+  /// patch copies every other pair of a re-solved row from the row it
+  /// replaces.
+  std::size_t pairs_walked = 0;
+  bool full = false;  // every source re-solved (forced or not enabled)
 };
 
 class RouteTable {
@@ -105,26 +110,30 @@ class RouteTable {
   // The recovery engine keeps ONE table alive across fault epochs and asks
   // it to repair itself against a re-masked Router instead of re-solving
   // all pairs. Soundness rests on the canonical predecessor rule (see
-  // Router::search): a source is re-solved iff (a) any stored route touches
-  // a removed link, (b) an ITB candidate set it uses changed, or (c) an
-  // added link could attract it (unrestricted-hop lower bound <= stored
-  // cost). Everything else is provably byte-identical, which the
-  // verify-against-full tests and bench hold as an invariant.
+  // Router::search): a stored route toward a destination switch changes
+  // only if (a) it crosses a removed link, (b) it ejects at a switch whose
+  // ITB candidate list changed, or (c) an added link or new phase-reset
+  // point offers a walk no longer than it (the unrestricted-hop lower
+  // bound, ties included). A row is re-solved when one of its destinations
+  // is so flagged, and inside it only the flagged destinations are walked
+  // again; the rest are copied. The patched table equals a fresh solve row
+  // for row, which the tests and the bench hold as an invariant.
 
   /// Monotonic epoch stamped by the recovery engine at each install; NICs
   /// compare in-flight sends against it to re-source across hot-swaps.
   std::uint64_t epoch() const { return epoch_; }
   void set_epoch(std::uint64_t e) { epoch_ = e; }
 
-  /// Build the link->sources and itb-switch->sources reverse indexes from
-  /// the current rows. Must be called once after a full solve (and is
-  /// maintained by patch() for re-solved sources).
+  /// Stamp every row with the graph state of `router`, which solved the
+  /// table. Must be called once after a full solve; patch() keeps the
+  /// stamps of the sources it re-solves.
   void enable_patching(const Router& router);
-  bool patching_enabled() const { return !index_.empty(); }
+  bool patching_enabled() const { return !solved_gen_.empty(); }
 
   /// Re-solve exactly the sources invalidated by `delta` against `router`
   /// (the post-change orientation/adjacency over the SAME topology ids the
-  /// table was built with). Returns how much work was done.
+  /// table was built with), walking again only their rows' flagged
+  /// destinations. Returns how much work was done.
   PatchStats patch(const Router& router, const LinkDelta& delta,
                    unsigned jobs = 1);
 
@@ -135,26 +144,17 @@ class RouteTable {
   std::uint64_t epoch_ = 0;
   std::vector<std::shared_ptr<const RouteRow>> rows_;  // by source
 
-  /// What a published row's routes rest on, built once per row and shared
-  /// by its holders.
-  struct RowIndex {
-    /// Links the routes traverse (trunk channels, src/dst uplinks,
-    /// in-transit host uplinks).
-    std::vector<char> links_used;
-    /// Switches whose ITB candidate list the routes depend on.
-    std::vector<char> itb_switch_used;
-    /// kVcEscape only: some route is an up*/down* escape fallback.
-    /// Fallback routes depend on the GLOBAL orientation (the
-    /// ladder-feasibility test runs over minimal paths the table does not
-    /// store), so the link reverse index cannot prove them stable — patch()
-    /// conservatively re-solves every fallback source on any delta. Minimal
-    /// routes stay covered by the usual (a)/(b)/(c) tests: the unrestricted
-    /// search is orientation-blind and an orientation flip of a traversed
-    /// link always lands in the delta as removed+added.
-    bool vc_fallback = false;
-  };
-  /// Per source: its row's index. Empty until enable_patching().
-  std::vector<std::shared_ptr<const RowIndex>> index_;
+  /// kVcEscape only, per source: its row holds an up*/down* escape
+  /// fallback. A fallback route depends on the GLOBAL orientation (the
+  /// ladder-feasibility test runs over a minimal path the table does not
+  /// store), so its stored route cannot prove it stable: patch() re-solves
+  /// every fallback row, whole, on any delta. Minimal routes stay covered
+  /// by the (a)/(b)/(c) tests: the unrestricted search is orientation-blind
+  /// and an orientation flip of a traversed link lands in the delta as
+  /// removed+added.
+  std::vector<char> escapes_;
+  /// Links of the topology patching was enabled on.
+  std::size_t patch_links_ = 0;
 
   /// Solve-generation shortcut: each distinct (usability, orientation)
   /// graph state is interned once; a source records the state it was last
@@ -173,15 +173,6 @@ class RouteTable {
   std::vector<std::uint64_t> solved_gen_;  // per source; empty until enabled
 
   std::uint64_t intern_state(const Router& router);
-  /// Index a group of sources on one switch (or the cut-off ones). VC's
-  /// minimal distances are taken once; the holders of one row share its
-  /// index.
-  void index_group(const Router& router, std::span<const std::uint16_t> group);
-  /// The index of `src`'s row; `min_hops`: minimal distances from src's
-  /// switch (kVcEscape only).
-  std::shared_ptr<const RowIndex> index_row(
-      const Router& router, std::uint16_t src,
-      std::span<const std::uint32_t> min_hops) const;
 
   /// The work list of the current solve, in reusable buffers: the sources
   /// ordered by the switch they hang off (cut-off sources last), and where
@@ -192,10 +183,12 @@ class RouteTable {
 
   /// Re-solve the grouped work list across `jobs` workers, one block of 64
   /// switch groups per task, each worker with its own search scratch, and
-  /// publish each row as its holders' new row. With `index_gen`, also
-  /// re-index each source and stamp it with that solve generation.
+  /// publish each row as its holders' new row. `reuse`, when not empty,
+  /// holds one Router::Reuse per group. With `gen`, also stamp each source
+  /// with that solve generation.
   void solve_groups(const Router& router, unsigned jobs,
-                    std::optional<std::uint64_t> index_gen);
+                    std::span<const Router::Reuse> reuse,
+                    std::optional<std::uint64_t> gen);
 };
 
 }  // namespace itb::routing

@@ -304,6 +304,38 @@ TEST(GmPort, DuplicatesAreSuppressed) {
   EXPECT_GT(c->port(1).stats().duplicates, 0u);
 }
 
+TEST(GmPort, AckAfterBarrenTimeoutsRestoresBaseTimeout) {
+  // Each barren timeout doubles the retransmission timer; an ack that
+  // advances the window restores the base timeout for the next loss. A NIC
+  // stall at the receiver parks traffic without losing it: the first stall
+  // costs two barren timeouts (at 100 and 300 us), the second message's
+  // timer then fires after the base 100 us again (1.1 ms), not after the
+  // 400 us the doubled timer would wait (1.4 ms).
+  core::ClusterConfig cfg;
+  cfg.topology = topo::make_linear(2, 1);
+  cfg.engine = {routing::Policy::kUpDown, 1};
+  cfg.gm_config.retransmit_timeout = 100 * sim::kUs;
+  cfg.fault_schedule.nic_stall(1, 1 * sim::kUs, 350 * sim::kUs);
+  cfg.fault_schedule.nic_stall(1, 1000 * sim::kUs, 2000 * sim::kUs);
+  core::Cluster c(std::move(cfg));
+  int got = 0;
+  c.port(1).set_receive_handler(
+      [&](sim::Time, std::uint16_t, Bytes) { ++got; });
+  const auto& st = c.port(0).stats();
+  std::uint64_t in_first_stall = 0, after_base_timeout = 0;
+  ASSERT_TRUE(c.port(0).send(1, Bytes(64, 1)));
+  c.queue().schedule_in(340 * sim::kUs,
+                        [&] { in_first_stall = st.retransmissions; });
+  c.queue().schedule_in(1000 * sim::kUs,
+                        [&] { ASSERT_TRUE(c.port(0).send(1, Bytes(64, 2))); });
+  c.queue().schedule_in(1250 * sim::kUs,
+                        [&] { after_base_timeout = st.retransmissions; });
+  c.run();
+  EXPECT_EQ(in_first_stall, 2u) << "two barren timeouts";
+  EXPECT_EQ(after_base_timeout, 3u) << "the base timeout fired at 1.1 ms";
+  EXPECT_EQ(got, 2);
+}
+
 TEST(GmPort, StatsCountAcks) {
   auto c = make_cluster();
   c->port(1).set_receive_handler([](sim::Time, std::uint16_t, Bytes) {});

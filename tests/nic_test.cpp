@@ -91,6 +91,22 @@ TEST(Nic, EndToEndDelivery) {
   EXPECT_EQ(rig.nics[2]->stats().delivered_to_host, 1u);
 }
 
+TEST(Nic, RawFrameIsCheckedAgainstItsCrc) {
+  // A frame injected raw carries no "CRC intact" mark from a framing NIC,
+  // so the receiving MCP recomputes its CRC: a wrong CRC byte discards the
+  // packet, a right one delivers it.
+  Rig rig;
+  Bytes bad = packet::build_packet({0, 1}, PacketType::kGm, Bytes(64, 0x11));
+  bad.back() ^= 0xFF;
+  rig.net->inject(0, std::move(bad));
+  rig.net->inject(0, packet::build_packet({0, 1}, PacketType::kGm,
+                                          Bytes(64, 0x22)));
+  rig.run();
+  EXPECT_EQ(rig.nics[2]->stats().rx_bad_crc, 1u);
+  ASSERT_EQ(rig.clients[2]->messages.size(), 1u);
+  EXPECT_EQ(rig.clients[2]->messages[0].payload, Bytes(64, 0x22));
+}
+
 TEST(Nic, ManyPacketsArriveInOrder) {
   Rig rig;
   for (int i = 0; i < 20; ++i)

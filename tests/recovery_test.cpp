@@ -321,6 +321,153 @@ TEST(RoutePatching, RestoredHostLinkPatchesPartOfASwitch) {
   }
 }
 
+// A seeded family of irregular COWs under every policy and both in-transit
+// host selections: each trunk in turn fails and returns, and the trunk
+// carrying the most stored routes fails and returns too (its restore flips
+// many orientations at once). After every patch the table equals a fresh
+// solve, and so does every row, layout included: the destinations a patch
+// re-walks and the ones it copies from the replaced row assemble the row a
+// full solve builds. One host per switch makes every kSpread row with ITB
+// entries a row of its own that a patch keeps.
+TEST(RoutePatching, SeededFamilyMatchesFreshSolveRowForRow) {
+  struct Config {
+    routing::Policy policy;
+    routing::ItbHostSelection selection;
+    unsigned lanes;
+  };
+  const Config configs[] = {
+      {routing::Policy::kUpDown, routing::ItbHostSelection::kLowestIndex, 2},
+      {routing::Policy::kItb, routing::ItbHostSelection::kLowestIndex, 2},
+      {routing::Policy::kItb, routing::ItbHostSelection::kSpread, 2},
+      {routing::Policy::kVcEscape, routing::ItbHostSelection::kLowestIndex, 2},
+  };
+  std::size_t walked = 0, all_pairs = 0;
+  const std::pair<std::uint16_t, std::uint8_t> fabrics[] = {
+      {16, 4}, {32, 4}, {64, 4}, {32, 1}};
+  for (const auto& [switches, hosts_per_switch] : fabrics) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      sim::Rng rng(seed);
+      topo::IrregularSpec spec;
+      spec.switches = switches;
+      spec.hosts_per_switch = hosts_per_switch;
+      const auto topo = topo::make_random_irregular(spec, rng);
+      const auto root = topo.host_uplink(0).node.index;
+      const std::vector<char> all_up(topo.link_count(), 1);
+      const routing::UpDown base_ud(topo, root, all_up);
+
+      auto victims = trunk_links(topo);
+      if (switches == 64) {
+        sim::Rng pick(seed + 100);
+        std::vector<topo::LinkId> some;
+        for (int i = 0; i < 16; ++i)
+          some.push_back(victims[pick.next_below(victims.size())]);
+        victims = std::move(some);
+      }
+      {
+        const routing::Router router(base_ud);
+        const auto usage = routing::RouteTable(router, routing::Policy::kItb)
+                               .channel_usage(topo);
+        const auto trunks = trunk_links(topo);
+        victims.push_back(*std::ranges::max_element(
+            trunks, {}, [&](topo::LinkId l) {
+              return std::pair(usage[2 * l] + usage[2 * l + 1], l);
+            }));
+      }
+
+      for (const auto& cfg : configs) {
+        SCOPED_TRACE(::testing::Message()
+                     << switches << " x " << int{hosts_per_switch}
+                     << " COW, seed " << seed << ", "
+                     << routing::short_name(cfg.policy) << " selection "
+                     << static_cast<int>(cfg.selection));
+        const routing::Router base(base_ud, cfg.selection);
+        const routing::RouteTable base_table(base, cfg.policy, 1, cfg.lanes);
+        routing::RouteTable table(base, cfg.policy, 1, cfg.lanes);
+        table.enable_patching(base);
+        const auto matches = [&](const routing::RouteTable& fresh) {
+          if (!(table == fresh)) return false;
+          for (std::uint16_t s = 0; s < topo.host_count(); ++s)
+            if (!(*table.row(s) == *fresh.row(s))) return false;
+          return true;
+        };
+        for (const auto victim : victims) {
+          auto mask = all_up;
+          mask[victim] = 0;
+          const routing::UpDown down_ud(topo, root, mask);
+          const routing::Router down(down_ud, cfg.selection);
+          auto st = table.patch(down, diff_orientation(topo, base_ud, down_ud));
+          walked += st.pairs_walked;
+          all_pairs += std::size_t{switches} * switches;
+          ASSERT_TRUE(matches(
+              routing::RouteTable(down, cfg.policy, 1, cfg.lanes)))
+              << "trunk " << victim << " down";
+          st = table.patch(base, diff_orientation(topo, down_ud, base_ud));
+          walked += st.pairs_walked;
+          all_pairs += std::size_t{switches} * switches;
+          ASSERT_TRUE(matches(base_table)) << "trunk " << victim << " up";
+        }
+      }
+    }
+  }
+  // Most (row, destination switch) pairs are copied, not walked again.
+  EXPECT_LT(walked * 2, all_pairs);
+}
+
+// W3's fabric and fault pair (perfbench's map_recover_itb1024: the 256 x 4
+// irregular COW of seed 2001 on the ITB engine, its busiest and its median
+// trunk), patched as its rounds 2-4 patch it. The row rule still re-solves,
+// and the recovery engine still charges, every source in each round; the
+// host work inside the rows shrinks to the destinations a change can touch.
+TEST(RoutePatching, W3RoundsWalkFewDestinationPairs) {
+  sim::Rng rng(2001);
+  topo::IrregularSpec spec;
+  spec.switches = 256;
+  spec.hosts_per_switch = 4;
+  const auto topo = topo::make_random_irregular(spec, rng);
+  const auto root = topo.host_uplink(0).node.index;
+  const std::vector<char> all_up(topo.link_count(), 1);
+  const routing::UpDown up_ud(topo, root, all_up);
+  const routing::Router up(up_ud);
+  const routing::RouteTable boot(up, routing::Policy::kItb);
+  const auto usage = boot.channel_usage(topo);
+  std::vector<std::pair<std::uint64_t, topo::LinkId>> by_usage;
+  for (const auto l : trunk_links(topo))
+    by_usage.push_back({std::uint64_t{usage[2 * l]} + usage[2 * l + 1], l});
+  std::sort(by_usage.begin(), by_usage.end());
+  const auto busiest = by_usage.back().second;
+  const auto median = by_usage[by_usage.size() / 2].second;
+
+  auto mask = all_up;
+  mask[busiest] = 0;
+  const routing::UpDown busiest_ud(topo, root, mask);
+  const routing::Router busiest_down(busiest_ud);
+  mask = all_up;
+  mask[median] = 0;
+  const routing::UpDown median_ud(topo, root, mask);
+  const routing::Router median_down(median_ud);
+
+  // Round 1 is a full solve with the busiest trunk down.
+  routing::RouteTable table(busiest_down, routing::Policy::kItb);
+  table.enable_patching(busiest_down);
+  const std::size_t pairs = std::size_t{spec.switches} * spec.switches;
+  const auto restored_busiest =
+      table.patch(up, diff_orientation(topo, busiest_ud, up_ud));
+  EXPECT_EQ(restored_busiest.sources_resolved, topo.host_count());
+  EXPECT_LE(restored_busiest.pairs_walked * 100, pairs * 60);
+  const auto failed_median =
+      table.patch(median_down, diff_orientation(topo, up_ud, median_ud));
+  EXPECT_EQ(failed_median.sources_resolved, topo.host_count());
+  EXPECT_LE(failed_median.pairs_walked * 100, pairs * 5);
+  EXPECT_TRUE(table == routing::RouteTable(median_down, routing::Policy::kItb));
+  const auto restored_median =
+      table.patch(up, diff_orientation(topo, median_ud, up_ud));
+  EXPECT_EQ(restored_median.sources_resolved, topo.host_count());
+  EXPECT_LE(restored_median.pairs_walked * 100, pairs * 5);
+  EXPECT_TRUE(table == boot);
+  for (std::uint16_t s = 0; s < topo.host_count(); ++s)
+    ASSERT_TRUE(*table.row(s) == *boot.row(s)) << "source " << s;
+}
+
 // ---- scoped re-probe ---------------------------------------------------
 
 TEST(ScopedProbe, RediscoverChargesOnlyTheFaultBoundary) {
@@ -569,6 +716,54 @@ TEST(Recovery, ScopedRoundProbesAndSolvesFractionOfFabric) {
   // Victim close: the graph returns to a state every surviving source was
   // last solved under — the restore is free.
   EXPECT_EQ(rounds[3].sources_resolved, 0u);
+  EXPECT_EQ(c.recovery()->stats().verify_fallbacks, 0u);
+}
+
+// Two fault cycles through the cluster on a 64 x 4 irregular COW (ITB):
+// the busiest trunk fails and returns, then the median one. What each round
+// re-solves, and so what it charges, is the row rule's: the counts are
+// pinned from the binary that re-walked whole rows, so walking only the
+// affected destinations moved no modelled cost.
+TEST(Recovery, TwoFaultCyclesChargePinnedSources) {
+  core::ClusterConfig cfg;
+  sim::Rng rng(2001);
+  topo::IrregularSpec spec;
+  spec.switches = 64;
+  spec.hosts_per_switch = 4;
+  cfg.topology = topo::make_random_irregular(spec, rng);
+  cfg.engine = {routing::Policy::kItb, 1};
+  cfg.remap_delay = 200 * sim::kUs;
+  cfg.recovery.verify_patches = true;
+  const auto& topo = cfg.topology;
+  const auto root = topo.host_uplink(0).node.index;
+  const routing::UpDown ud(topo, root,
+                           std::vector<char>(topo.link_count(), 1));
+  const routing::Router router(ud);
+  const auto usage =
+      routing::RouteTable(router, routing::Policy::kItb).channel_usage(topo);
+  std::vector<std::pair<std::uint64_t, topo::LinkId>> by_usage;
+  for (const auto l : trunk_links(topo))
+    by_usage.push_back({std::uint64_t{usage[2 * l]} + usage[2 * l + 1], l});
+  std::sort(by_usage.begin(), by_usage.end());
+  cfg.fault_schedule.link_down(by_usage.back().second, 1 * sim::kMs,
+                               3 * sim::kMs);
+  cfg.fault_schedule.link_down(by_usage[by_usage.size() / 2].second,
+                               5 * sim::kMs, 7 * sim::kMs);
+
+  core::Cluster c(std::move(cfg));
+  ASSERT_NE(c.recovery(), nullptr);
+  c.run();
+  const auto& rounds = c.recovery()->rounds();
+  ASSERT_EQ(rounds.size(), 4u);
+  std::vector<std::uint64_t> resolved;
+  for (const auto& r : rounds) resolved.push_back(r.sources_resolved);
+  EXPECT_EQ(resolved, (std::vector<std::uint64_t>{256, 256, 128, 128}));
+  EXPECT_EQ(c.recovery()->stats().sources_patched, 768u)
+      << "the sources of all four rounds";
+  // The median trunk's rounds walk a small share of their rows' pairs.
+  const std::uint64_t pairs = std::uint64_t{spec.switches} * spec.switches;
+  EXPECT_LE(rounds[2].pairs_walked * 10, pairs);
+  EXPECT_LE(rounds[3].pairs_walked * 10, pairs);
   EXPECT_EQ(c.recovery()->stats().verify_fallbacks, 0u);
 }
 
