@@ -731,10 +731,6 @@ RouteRow Router::itb_route(std::uint16_t src, std::uint16_t dst) const {
   return pair_row(src, dst, solve_flags(Policy::kItb));
 }
 
-std::size_t Router::minimal_distance(std::uint16_t src, std::uint16_t dst) const {
-  return minimal_route(src, dst).route(src, dst).trunk_hops();
-}
-
 bool Router::is_valid_updown(std::span<const topo::Channel> trunks) const {
   bool went_down = false;
   for (const auto& c : trunks) {

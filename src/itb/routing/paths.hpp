@@ -271,10 +271,6 @@ class Router {
                          Scratch& scratch, Publish&& publish,
                          std::span<const Reuse> reuse = {}) const;
 
-  /// Trunk-hop distance of the unrestricted shortest path.
-  std::size_t minimal_distance(std::uint16_t src_host,
-                               std::uint16_t dst_host) const;
-
   /// True if the switch-link traversal sequence obeys up* down*.
   bool is_valid_updown(std::span<const topo::Channel> trunks) const;
 

@@ -212,9 +212,11 @@ std::uint64_t RouteTable::intern_state(const Router& router) {
   }
   for (const auto& gs : gen_states_)
     if (gs.encoded == encoded) return gs.id;
-  // Bounded pool: evicting an old state only loses the shortcut for
-  // sources still stamped with it (ids are never reused), never soundness.
-  if (gen_states_.size() >= 64) gen_states_.erase(gen_states_.begin());
+  // Bounded pool: evicting an old state only loses the shortcut and the
+  // take-back for rows still stamped with it (ids are never reused), never
+  // soundness.
+  if (gen_states_.size() >= kRememberedStates)
+    gen_states_.erase(gen_states_.begin());
   gen_states_.push_back(GraphState{++next_gen_, std::move(encoded)});
   return gen_states_.back().id;
 }
@@ -225,6 +227,7 @@ void RouteTable::enable_patching(const Router& router) {
     throw std::invalid_argument("patching needs stable topology coordinates");
   patch_links_ = topo.link_count();
   solved_gen_.assign(hosts_, intern_state(router));
+  replaced_.assign(hosts_, Replaced{});
 }
 
 PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
@@ -236,6 +239,11 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
 
   const bool enabled = patching_enabled() && patch_links_ == topo.link_count();
   const std::uint64_t target_gen = enabled ? intern_state(router) : 0;
+  // Only a replaced row solved under the target state can be taken back
+  // (below). Every other one goes first, so what this patch allocates can
+  // reuse its memory.
+  for (Replaced& r : replaced_)
+    if (!enabled || r.gen != target_gen) r = {};
   std::vector<char> invalid(hosts_, 0);
   // Each routed row a re-solve may replace gets a slot: one flag per
   // destination switch, set where the row's routes must be walked again.
@@ -413,7 +421,18 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
   st.sources_resolved =
       static_cast<std::size_t>(std::count(invalid.begin(), invalid.end(), 1));
 
-  // Copy on write: the re-solved sources get fresh rows. The row one
+  // Take-back: a replaced row solved under the target state is what a
+  // re-solve would build, so an invalidated source swaps it back in.
+  for (std::uint16_t s = 0; s < replaced_.size(); ++s) {
+    Replaced& r = replaced_[s];
+    if (!r.row || !invalid[s]) continue;
+    std::swap(rows_[s], r.row);
+    std::swap(solved_gen_[s], r.gen);
+    if (!escapes_.empty()) std::swap(escapes_[s], r.escape);
+    invalid[s] = 0;
+  }
+
+  // Copy on write: the other re-solved sources get fresh rows. The row one
   // replaces may be installed in a NIC, which keeps it until the next
   // install — so it is never written in place.
   const std::size_t groups = group_by_switch(
@@ -446,6 +465,10 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
     st.pairs_walked +=
         static_cast<std::size_t>(std::ranges::count(redo_row, 1));
   }
+  if (enabled)
+    for (const auto s : grouped_)
+      replaced_[s] = {rows_[s], solved_gen_[s],
+                      escapes_.empty() ? char{0} : escapes_[s]};
   solve_groups(router, jobs, reuse,
                enabled ? std::optional(target_gen) : std::nullopt);
   return st;

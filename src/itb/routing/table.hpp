@@ -10,9 +10,10 @@
 // shared pointer, which every host on the switch holds. A NIC installs its
 // host's row by taking that pointer, so the mapper, the recovery engine and
 // the NICs share one copy. Rows are never written once published: patch()
-// builds a fresh row for the sources it re-solves and swaps their
-// pointers, so a NIC keeps stamping the routes it was given until the next
-// install hands it the new row.
+// builds a fresh row for the sources it re-solves, or hands back the row a
+// source held before its last re-solve, and swaps their pointers, so a NIC
+// keeps stamping the routes it was given until the next install hands it
+// the new row.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +45,7 @@ struct PatchStats {
   /// Host work inside the re-solved rows: (switch row, destination switch)
   /// pairs walked again. A full solve walks switch_count() squared; a
   /// patch copies every other pair of a re-solved row from the row it
-  /// replaces.
+  /// replaces, and walks none for a row it takes back.
   std::size_t pairs_walked = 0;
   bool full = false;  // every source re-solved (forced or not enabled)
 };
@@ -114,10 +115,13 @@ class RouteTable {
   // only if (a) it crosses a removed link, (b) it ejects at a switch whose
   // ITB candidate list changed, or (c) an added link or new phase-reset
   // point offers a walk no longer than it (the unrestricted-hop lower
-  // bound, ties included). A row is re-solved when one of its destinations
-  // is so flagged, and inside it only the flagged destinations are walked
-  // again; the rest are copied. The patched table equals a fresh solve row
-  // for row, which the tests and the bench hold as an invariant.
+  // bound, ties included). A row is re-solved, and charged, when one of its
+  // destinations is so flagged (the row rule). What that costs the host:
+  // a source whose replaced row was solved under the target state takes
+  // it back (see Replaced below); any other re-solved row walks only its
+  // flagged destinations again and copies the rest. The patched table
+  // equals a fresh solve row for row, which the tests and the bench hold
+  // as an invariant.
 
   /// Monotonic epoch stamped by the recovery engine at each install; NICs
   /// compare in-flight sends against it to re-source across hot-swaps.
@@ -130,10 +134,16 @@ class RouteTable {
   void enable_patching(const Router& router);
   bool patching_enabled() const { return !solved_gen_.empty(); }
 
+  /// Graph states a patching table remembers (see the solve generations
+  /// below). Interning one more drops the oldest: the rows solved under it
+  /// lose the shortcut and the take-back, never soundness.
+  static constexpr std::size_t kRememberedStates = 64;
+
   /// Re-solve exactly the sources invalidated by `delta` against `router`
   /// (the post-change orientation/adjacency over the SAME topology ids the
-  /// table was built with), walking again only their rows' flagged
-  /// destinations. Returns how much work was done.
+  /// table was built with): each takes back its replaced row when that row
+  /// was solved under the state of `router`, and otherwise walks again
+  /// only its row's flagged destinations. Returns how much work was done.
   PatchStats patch(const Router& router, const LinkDelta& delta,
                    unsigned jobs = 1);
 
@@ -156,21 +166,38 @@ class RouteTable {
   /// Links of the topology patching was enabled on.
   std::size_t patch_links_ = 0;
 
-  /// Solve-generation shortcut: each distinct (usability, orientation)
-  /// graph state is interned once; a source records the state it was last
-  /// actually re-solved under. A patch whose target state matches a
-  /// source's solve state skips it outright — routes_from is a pure
-  /// function of that state, so the stored row IS the re-solve result.
-  /// This is what makes the close of a clean down->up fault cycle free:
-  /// restoring a link returns to the boot state, and every source that was
-  /// never re-solved in between still carries the boot generation.
+  /// Solve generations: each distinct (usability, orientation) graph state
+  /// is interned once, and a source records the state its row was solved
+  /// under. routes_from is a pure function of that state, so a row solved
+  /// under a patch's target state IS the re-solve result. Two uses:
+  ///  - the shortcut: a source whose row was solved under the target state
+  ///    is skipped outright, uncharged;
+  ///  - the take-back: a source keeps the row its last re-solve replaced
+  ///    (below), and a patch whose target is that row's state swaps it
+  ///    back instead of solving the source again. So the up-round of a
+  ///    down->up fault cycle hands back the rows its down-round replaced.
+  ///    The row rule still picks, and charges, the sources it swaps; only
+  ///    the host work goes.
   struct GraphState {
     std::uint64_t id;
     std::vector<std::uint32_t> encoded;
   };
-  std::vector<GraphState> gen_states_;  // bounded intern pool
+  std::vector<GraphState> gen_states_;  // at most kRememberedStates
   std::uint64_t next_gen_ = 0;
   std::vector<std::uint64_t> solved_gen_;  // per source; empty until enabled
+
+  /// Per source: the row its last re-solve replaced, the generation that
+  /// row was solved under and its escape flag (see escapes_). A patch
+  /// releases every replaced row not solved under its target state before
+  /// it allocates anything, so the table holds at most two rows per source
+  /// (the installed one and the replaced one), and a patch holds no more
+  /// than the rows the NICs still hold plus the rows it builds.
+  struct Replaced {
+    std::shared_ptr<const RouteRow> row;
+    std::uint64_t gen = 0;
+    char escape = 0;
+  };
+  std::vector<Replaced> replaced_;  // per source; empty until enabled
 
   std::uint64_t intern_state(const Router& router);
 

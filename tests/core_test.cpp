@@ -443,4 +443,33 @@ TEST_P(TrafficPattern, SendsWhereThePatternSays) {
 INSTANTIATE_TEST_SUITE_P(Patterns, TrafficPattern,
                          ::testing::ValuesIn(pattern_cases()));
 
+// Arrivals fall in (now, until]: an arrival drawn exactly at the horizon is
+// issued, one a nanosecond past it is not. Host 0 is the only generating
+// host (incast onto host 1), and its first gap is redrawn from its stream.
+TEST(Arrivals, HorizonIncludesAnArrivalDrawnAtIt) {
+  workload::Arrivals a;
+  a.pattern = workload::Pattern::kIncast;
+  a.target_host = 1;
+  a.seed = 7;
+  const auto first_gap = static_cast<sim::Duration>(
+      sim::Rng::stream(a.seed, 0).next_exponential(1e9 / a.rate_per_s));
+  ASSERT_GT(first_gap, 1);
+  for (const sim::Time until : {first_gap, first_gap - 1}) {
+    sim::EventQueue queue;
+    std::vector<sim::Time> issued;
+    workload::ArrivalGenerator gen(
+        queue, 2, a, [&](std::size_t src, std::uint16_t dst) {
+          EXPECT_EQ(src, 0u);
+          EXPECT_EQ(dst, 1u);
+          issued.push_back(queue.now());
+        });
+    gen.start(until);
+    queue.run();
+    const auto want = until == first_gap ? std::vector<sim::Time>{first_gap}
+                                         : std::vector<sim::Time>{};
+    EXPECT_EQ(issued, want) << "horizon " << until;
+    EXPECT_EQ(gen.arrivals(), issued.size());
+  }
+}
+
 }  // namespace

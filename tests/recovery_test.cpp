@@ -104,6 +104,15 @@ std::string dump_of(const routing::RouteTable& t) {
   return os.str();
 }
 
+// The row object each source holds, kept alive: equal vectors mean every
+// source holds the same object again.
+std::vector<std::shared_ptr<const routing::RouteRow>> rows_of(
+    const routing::RouteTable& t) {
+  std::vector<std::shared_ptr<const routing::RouteRow>> rows;
+  for (std::uint16_t s = 0; s < t.host_count(); ++s) rows.push_back(t.row(s));
+  return rows;
+}
+
 // The fabric link behind route(src, dst)'s first hop: the installed route's
 // first byte is the exit port on src's uplink switch.
 topo::LinkId first_hop_link(const topo::Topology& topo,
@@ -192,11 +201,17 @@ TEST(RoutePatching, PatchedTablesMatchFullSolveForEveryTrunk) {
         if (st.sources_resolved < hosts) ++scoped_removals;
 
         routing::UpDown up_ud(topo, root, all_up);
-        const auto st2 = table.patch(
-            base_router, diff_orientation(topo, down_ud, up_ud), 1);
+        const auto restore = diff_orientation(topo, down_ud, up_ud);
+        const auto st2 = table.patch(base_router, restore, 1);
         EXPECT_FALSE(st2.full);
         EXPECT_EQ(dump_of(table), base_dump)
             << "restore mismatch, victim " << victim;
+        // The same restore of a table solved with the victim down, which
+        // holds no replaced row to take back.
+        fresh.enable_patching(down_router);
+        EXPECT_FALSE(fresh.patch(base_router, restore, 2).full);
+        EXPECT_EQ(dump_of(fresh), base_dump)
+            << "restore of a fresh table mismatch, victim " << victim;
       }
       // The reverse index must be doing real scoping work, not re-solving
       // the world on every removal.
@@ -322,13 +337,15 @@ TEST(RoutePatching, RestoredHostLinkPatchesPartOfASwitch) {
 }
 
 // A seeded family of irregular COWs under every policy and both in-transit
-// host selections: each trunk in turn fails and returns, and the trunk
-// carrying the most stored routes fails and returns too (its restore flips
-// many orientations at once). After every patch the table equals a fresh
-// solve, and so does every row, layout included: the destinations a patch
-// re-walks and the ones it copies from the replaced row assemble the row a
-// full solve builds. One host per switch makes every kSpread row with ITB
-// entries a row of its own that a patch keeps.
+// host selections: each trunk in turn fails and returns, twice, and the
+// trunk carrying the most stored routes fails and returns too (its restore
+// flips many orientations at once). After every patch the table equals a
+// fresh solve, and so does every row, layout included: the destinations a
+// patch re-walks and the ones it copies from the replaced row assemble the
+// row a full solve builds, and a row taken back is the one a full solve
+// builds. Each trunk also returns once to a table solved with it down,
+// which holds no row to take back. One host per switch makes every kSpread
+// row with ITB entries a row of its own that a patch keeps.
 TEST(RoutePatching, SeededFamilyMatchesFreshSolveRowForRow) {
   struct Config {
     routing::Policy policy;
@@ -341,6 +358,9 @@ TEST(RoutePatching, SeededFamilyMatchesFreshSolveRowForRow) {
       {routing::Policy::kItb, routing::ItbHostSelection::kSpread, 2},
       {routing::Policy::kVcEscape, routing::ItbHostSelection::kLowestIndex, 2},
   };
+  // The pairs walked by the rounds that re-solve rows (a trunk's first
+  // failure and its return to the down-state table), and the pairs they
+  // could have walked.
   std::size_t walked = 0, all_pairs = 0;
   const std::pair<std::uint16_t, std::uint8_t> fabrics[] = {
       {16, 4}, {32, 4}, {64, 4}, {32, 1}};
@@ -384,27 +404,59 @@ TEST(RoutePatching, SeededFamilyMatchesFreshSolveRowForRow) {
         const routing::RouteTable base_table(base, cfg.policy, 1, cfg.lanes);
         routing::RouteTable table(base, cfg.policy, 1, cfg.lanes);
         table.enable_patching(base);
-        const auto matches = [&](const routing::RouteTable& fresh) {
-          if (!(table == fresh)) return false;
+        const auto matches = [&](const routing::RouteTable& patched,
+                                 const routing::RouteTable& fresh) {
+          if (!(patched == fresh)) return false;
           for (std::uint16_t s = 0; s < topo.host_count(); ++s)
-            if (!(*table.row(s) == *fresh.row(s))) return false;
+            if (!(*patched.row(s) == *fresh.row(s))) return false;
           return true;
         };
-        for (const auto victim : victims) {
+        const auto solved = [&](const routing::PatchStats& st) {
+          walked += st.pairs_walked;
+          all_pairs += std::size_t{switches} * switches;
+        };
+        for (std::size_t i = 0; i < victims.size(); ++i) {
+          const auto victim = victims[i];
+          SCOPED_TRACE(::testing::Message() << "trunk " << victim);
           auto mask = all_up;
           mask[victim] = 0;
           const routing::UpDown down_ud(topo, root, mask);
           const routing::Router down(down_ud, cfg.selection);
-          auto st = table.patch(down, diff_orientation(topo, base_ud, down_ud));
-          walked += st.pairs_walked;
-          all_pairs += std::size_t{switches} * switches;
-          ASSERT_TRUE(matches(
-              routing::RouteTable(down, cfg.policy, 1, cfg.lanes)))
-              << "trunk " << victim << " down";
-          st = table.patch(base, diff_orientation(topo, down_ud, base_ud));
-          walked += st.pairs_walked;
-          all_pairs += std::size_t{switches} * switches;
-          ASSERT_TRUE(matches(base_table)) << "trunk " << victim << " up";
+          routing::RouteTable down_table(down, cfg.policy, 1, cfg.lanes);
+          const auto fell = diff_orientation(topo, base_ud, down_ud);
+          const auto rose = diff_orientation(topo, down_ud, base_ud);
+          // The trunk fails: the rows replaced before were solved under
+          // other states, so the round re-solves.
+          auto st = table.patch(down, fell);
+          solved(st);
+          ASSERT_TRUE(matches(table, down_table)) << "down";
+          // It returns, fails and returns again, and each round takes back
+          // the rows the round before replaced, escape flags included (a
+          // lost flag would let a later patch keep an escape row it must
+          // redo). The first return is checked only while the table
+          // surely remembers the base state: the 64th trunk's down state
+          // pushes it out of the table's kRememberedStates, and that return
+          // re-solves.
+          const bool base_remembered =
+              i + 2 <= routing::RouteTable::kRememberedStates;
+          st = table.patch(base, rose);
+          ASSERT_TRUE(matches(table, base_table)) << "up";
+          if (base_remembered) {
+            EXPECT_EQ(st.pairs_walked, 0u) << "up";
+          }
+          st = table.patch(down, fell);
+          ASSERT_TRUE(matches(table, down_table)) << "down again";
+          EXPECT_EQ(st.pairs_walked, 0u) << "down again";
+          st = table.patch(base, rose);
+          ASSERT_TRUE(matches(table, base_table)) << "up again";
+          EXPECT_EQ(st.pairs_walked, 0u) << "up again";
+          // The return to a table solved with the trunk down, on two
+          // workers: nothing to take back, so the round flags through the
+          // added trunk (ties included) and copies the unflagged pairs.
+          down_table.enable_patching(down);
+          st = down_table.patch(base, rose, 2);
+          solved(st);
+          ASSERT_TRUE(matches(down_table, base_table)) << "up, fresh";
         }
       }
     }
@@ -413,29 +465,41 @@ TEST(RoutePatching, SeededFamilyMatchesFreshSolveRowForRow) {
   EXPECT_LT(walked * 2, all_pairs);
 }
 
+// The irregular COW of `switches` x 4 hosts drawn from `seed`.
+topo::Topology irregular_cow(std::uint16_t switches, std::uint64_t seed) {
+  sim::Rng rng(seed);
+  topo::IrregularSpec spec;
+  spec.switches = switches;
+  spec.hosts_per_switch = 4;
+  return topo::make_random_irregular(spec, rng);
+}
+
+// The trunk carrying the most routes of `table` and a median one: the
+// fault pair of perfbench's map_recover_itb1024 (W3).
+std::pair<topo::LinkId, topo::LinkId> busiest_and_median(
+    const topo::Topology& topo, const routing::RouteTable& table) {
+  const auto usage = table.channel_usage(topo);
+  std::vector<std::pair<std::uint64_t, topo::LinkId>> by_usage;
+  for (const auto l : trunk_links(topo))
+    by_usage.push_back({std::uint64_t{usage[2 * l]} + usage[2 * l + 1], l});
+  std::sort(by_usage.begin(), by_usage.end());
+  return {by_usage.back().second, by_usage[by_usage.size() / 2].second};
+}
+
 // W3's fabric and fault pair (perfbench's map_recover_itb1024: the 256 x 4
 // irregular COW of seed 2001 on the ITB engine, its busiest and its median
 // trunk), patched as its rounds 2-4 patch it. The row rule still re-solves,
 // and the recovery engine still charges, every source in each round; the
-// host work inside the rows shrinks to the destinations a change can touch.
+// host work inside the rows shrinks to the destinations a change can touch,
+// and to none in round 4, which takes back the rows round 3 replaced.
 TEST(RoutePatching, W3RoundsWalkFewDestinationPairs) {
-  sim::Rng rng(2001);
-  topo::IrregularSpec spec;
-  spec.switches = 256;
-  spec.hosts_per_switch = 4;
-  const auto topo = topo::make_random_irregular(spec, rng);
+  const auto topo = irregular_cow(256, 2001);
   const auto root = topo.host_uplink(0).node.index;
   const std::vector<char> all_up(topo.link_count(), 1);
   const routing::UpDown up_ud(topo, root, all_up);
   const routing::Router up(up_ud);
   const routing::RouteTable boot(up, routing::Policy::kItb);
-  const auto usage = boot.channel_usage(topo);
-  std::vector<std::pair<std::uint64_t, topo::LinkId>> by_usage;
-  for (const auto l : trunk_links(topo))
-    by_usage.push_back({std::uint64_t{usage[2 * l]} + usage[2 * l + 1], l});
-  std::sort(by_usage.begin(), by_usage.end());
-  const auto busiest = by_usage.back().second;
-  const auto median = by_usage[by_usage.size() / 2].second;
+  const auto [busiest, median] = busiest_and_median(topo, boot);
 
   auto mask = all_up;
   mask[busiest] = 0;
@@ -449,11 +513,12 @@ TEST(RoutePatching, W3RoundsWalkFewDestinationPairs) {
   // Round 1 is a full solve with the busiest trunk down.
   routing::RouteTable table(busiest_down, routing::Policy::kItb);
   table.enable_patching(busiest_down);
-  const std::size_t pairs = std::size_t{spec.switches} * spec.switches;
+  const std::size_t pairs = topo.switch_count() * topo.switch_count();
   const auto restored_busiest =
       table.patch(up, diff_orientation(topo, busiest_ud, up_ud));
   EXPECT_EQ(restored_busiest.sources_resolved, topo.host_count());
   EXPECT_LE(restored_busiest.pairs_walked * 100, pairs * 60);
+  const auto round2 = rows_of(table);
   const auto failed_median =
       table.patch(median_down, diff_orientation(topo, up_ud, median_ud));
   EXPECT_EQ(failed_median.sources_resolved, topo.host_count());
@@ -462,10 +527,99 @@ TEST(RoutePatching, W3RoundsWalkFewDestinationPairs) {
   const auto restored_median =
       table.patch(up, diff_orientation(topo, median_ud, up_ud));
   EXPECT_EQ(restored_median.sources_resolved, topo.host_count());
-  EXPECT_LE(restored_median.pairs_walked * 100, pairs * 5);
+  EXPECT_EQ(restored_median.pairs_walked, 0u);
   EXPECT_TRUE(table == boot);
+  EXPECT_TRUE(rows_of(table) == round2) << "round 4 takes back round 2's rows";
   for (std::uint16_t s = 0; s < topo.host_count(); ++s)
     ASSERT_TRUE(*table.row(s) == *boot.row(s)) << "source " << s;
+}
+
+// A down->up fault cycle from the boot table on W3's fabric, on its busiest
+// and then on its median trunk. The row rule still re-solves, and charges,
+// every source in both rounds, but the up-round takes back every row its
+// down-round replaced: each source holds again the very row it held before
+// the fault, and no pair is walked.
+TEST(RoutePatching, UpRoundTakesBackTheRowsItsDownRoundReplaced) {
+  const auto topo = irregular_cow(256, 2001);
+  const auto root = topo.host_uplink(0).node.index;
+  const std::vector<char> all_up(topo.link_count(), 1);
+  const routing::UpDown up_ud(topo, root, all_up);
+  const routing::Router up(up_ud);
+  const routing::RouteTable boot(up, routing::Policy::kItb);
+  routing::RouteTable table(up, routing::Policy::kItb);
+  table.enable_patching(up);
+  const auto [busiest, median] = busiest_and_median(topo, boot);
+  for (const auto victim : {busiest, median}) {
+    SCOPED_TRACE(::testing::Message() << "trunk " << victim);
+    const auto before = rows_of(table);
+    auto mask = all_up;
+    mask[victim] = 0;
+    const routing::UpDown down_ud(topo, root, mask);
+    const routing::Router down(down_ud);
+    const auto fell = table.patch(down, diff_orientation(topo, up_ud, down_ud));
+    EXPECT_EQ(fell.sources_resolved, topo.host_count());
+    EXPECT_TRUE(table == routing::RouteTable(down, routing::Policy::kItb));
+    const auto rose = table.patch(up, diff_orientation(topo, down_ud, up_ud));
+    EXPECT_EQ(rose.sources_resolved, topo.host_count());
+    EXPECT_EQ(rose.pairs_walked, 0u);
+    EXPECT_TRUE(table == boot);
+    for (std::uint16_t s = 0; s < topo.host_count(); ++s)
+      ASSERT_EQ(table.row(s), before[s]) << "source " << s;
+  }
+}
+
+// A patch keeps a replaced row only while a later patch could take it
+// back: towards any other state it releases the row before it re-solves,
+// whether or not it re-solves the row's source.
+TEST(RoutePatching, ReplacedRowsOfAnotherStateAreReleased) {
+  const auto topo = irregular_cow(32, 3);
+  const auto root = topo.host_uplink(0).node.index;
+  const std::vector<char> all_up(topo.link_count(), 1);
+  const routing::UpDown base_ud(topo, root, all_up);
+  const routing::Router base(base_ud);
+  routing::RouteTable table(base, routing::Policy::kItb);
+  table.enable_patching(base);
+  const auto [busiest, median] = busiest_and_median(topo, table);
+  auto mask = all_up;
+  mask[busiest] = 0;
+  const routing::UpDown busiest_ud(topo, root, mask);
+  mask[median] = 0;
+  const routing::UpDown both_ud(topo, root, mask);
+  const routing::Router busiest_down(busiest_ud);
+  const routing::Router both_down(both_ud);
+
+  // Weak references only: the table alone decides what stays alive.
+  std::vector<std::weak_ptr<const routing::RouteRow>> boot_rows;
+  for (std::uint16_t s = 0; s < topo.host_count(); ++s)
+    boot_rows.push_back(table.row(s));
+  const auto installed = [&](const std::shared_ptr<const routing::RouteRow>& r) {
+    for (std::uint16_t s = 0; s < topo.host_count(); ++s)
+      if (table.row(s) == r) return true;
+    return false;
+  };
+
+  // The busiest trunk fails: the boot rows it replaced stay, kept for the
+  // trunk's return.
+  table.patch(busiest_down, diff_orientation(topo, base_ud, busiest_ud));
+  ASSERT_TRUE(table == routing::RouteTable(busiest_down, routing::Policy::kItb));
+  const auto round1 = rows_of(table);
+  std::size_t kept = 0;
+  for (const auto& w : boot_rows)
+    if (const auto r = w.lock(); r && !installed(r)) ++kept;
+  EXPECT_GT(kept, 0u);
+
+  // The median trunk fails too. No row was solved under that state, so no
+  // boot row may stay unless it is installed, the replaced rows of the
+  // sources this patch leaves alone included.
+  table.patch(both_down, diff_orientation(topo, busiest_ud, both_ud));
+  ASSERT_TRUE(table == routing::RouteTable(both_down, routing::Policy::kItb));
+  std::size_t left_alone = 0;
+  for (std::uint16_t s = 0; s < topo.host_count(); ++s) {
+    const auto r = boot_rows[s].lock();
+    EXPECT_TRUE(!r || installed(r)) << "source " << s << "'s boot row was kept";
+    if (table.row(s) == round1[s] && r != round1[s]) ++left_alone;
+  }
+  EXPECT_GT(left_alone, 0u) << "no source re-solved once is left alone";
 }
 
 // ---- scoped re-probe ---------------------------------------------------
@@ -726,11 +880,7 @@ TEST(Recovery, ScopedRoundProbesAndSolvesFractionOfFabric) {
 // affected destinations moved no modelled cost.
 TEST(Recovery, TwoFaultCyclesChargePinnedSources) {
   core::ClusterConfig cfg;
-  sim::Rng rng(2001);
-  topo::IrregularSpec spec;
-  spec.switches = 64;
-  spec.hosts_per_switch = 4;
-  cfg.topology = topo::make_random_irregular(spec, rng);
+  cfg.topology = irregular_cow(64, 2001);
   cfg.engine = {routing::Policy::kItb, 1};
   cfg.remap_delay = 200 * sim::kUs;
   cfg.recovery.verify_patches = true;
@@ -739,16 +889,10 @@ TEST(Recovery, TwoFaultCyclesChargePinnedSources) {
   const routing::UpDown ud(topo, root,
                            std::vector<char>(topo.link_count(), 1));
   const routing::Router router(ud);
-  const auto usage =
-      routing::RouteTable(router, routing::Policy::kItb).channel_usage(topo);
-  std::vector<std::pair<std::uint64_t, topo::LinkId>> by_usage;
-  for (const auto l : trunk_links(topo))
-    by_usage.push_back({std::uint64_t{usage[2 * l]} + usage[2 * l + 1], l});
-  std::sort(by_usage.begin(), by_usage.end());
-  cfg.fault_schedule.link_down(by_usage.back().second, 1 * sim::kMs,
-                               3 * sim::kMs);
-  cfg.fault_schedule.link_down(by_usage[by_usage.size() / 2].second,
-                               5 * sim::kMs, 7 * sim::kMs);
+  const auto [busiest, median] = busiest_and_median(
+      topo, routing::RouteTable(router, routing::Policy::kItb));
+  cfg.fault_schedule.link_down(busiest, 1 * sim::kMs, 3 * sim::kMs);
+  cfg.fault_schedule.link_down(median, 5 * sim::kMs, 7 * sim::kMs);
 
   core::Cluster c(std::move(cfg));
   ASSERT_NE(c.recovery(), nullptr);
@@ -761,42 +905,64 @@ TEST(Recovery, TwoFaultCyclesChargePinnedSources) {
   EXPECT_EQ(c.recovery()->stats().sources_patched, 768u)
       << "the sources of all four rounds";
   // The median trunk's rounds walk a small share of their rows' pairs.
-  const std::uint64_t pairs = std::uint64_t{spec.switches} * spec.switches;
+  const std::uint64_t pairs =
+      std::uint64_t{c.topology().switch_count()} * c.topology().switch_count();
   EXPECT_LE(rounds[2].pairs_walked * 10, pairs);
   EXPECT_LE(rounds[3].pairs_walked * 10, pairs);
   EXPECT_EQ(c.recovery()->stats().verify_fallbacks, 0u);
 }
 
-// Flap quarantine: a link that bounces four times inside the window is
-// parked (masked down regardless of its real state) and requalified after
-// backoff; storm control degrades an over-budget dirty set to one full
-// re-solve instead of queueing unbounded patch work.
+// Flap quarantine: a link that bounces four times inside the 5 ms window
+// is parked (masked down regardless of its real state) and requalified
+// after backoff, while three transitions inside the window leave it live;
+// storm control degrades an over-budget dirty set to one full re-solve
+// instead of queueing unbounded patch work.
 TEST(Recovery, FlapQuarantineParksOscillatingLink) {
-  core::ClusterConfig cfg;
-  cfg.topology = topo::make_fig1_network();
-  cfg.engine = {routing::Policy::kUpDown, 1};
-  // Wider than the open->close gap, so a window's close coalesces into the
-  // round armed by its open.
-  cfg.remap_delay = 300 * sim::kUs;
-  const auto victim = trunk_links(cfg.topology).front();
-  cfg.fault_schedule.link_down(victim, 1000 * sim::kUs, 1200 * sim::kUs);
-  cfg.fault_schedule.link_down(victim, 1400 * sim::kUs, 1600 * sim::kUs);
-  cfg.fault_schedule.link_down(victim, 1800 * sim::kUs, 2000 * sim::kUs);
+  struct Outcome {
+    bool parked_midway = false;  // at 2.5 ms
+    bool parked_at_end = false;
+    fault::RecoveryManager::Stats stats;
+  };
+  // The Fig. 1 network with one trunk down over each (open, close) window.
+  const auto run = [](std::initializer_list<std::pair<int, int>> windows_us) {
+    core::ClusterConfig cfg;
+    cfg.topology = topo::make_fig1_network();
+    cfg.engine = {routing::Policy::kUpDown, 1};
+    // Wider than the open->close gap, so a window's close coalesces into
+    // the round armed by its open.
+    cfg.remap_delay = 300 * sim::kUs;
+    const auto victim = trunk_links(cfg.topology).front();
+    for (const auto& [open, close] : windows_us)
+      cfg.fault_schedule.link_down(victim, open * sim::kUs, close * sim::kUs);
+    core::Cluster c(std::move(cfg));
+    Outcome o;
+    auto* rec = c.recovery();
+    EXPECT_NE(rec, nullptr);
+    if (rec == nullptr) return o;
+    c.queue().schedule_in(2500 * sim::kUs, [&o, rec, victim] {
+      o.parked_midway = rec->quarantined(victim);
+    });
+    c.run();
+    o.parked_at_end = rec->quarantined(victim);
+    o.stats = rec->stats();
+    return o;
+  };
 
-  core::Cluster c(std::move(cfg));
-  ASSERT_NE(c.recovery(), nullptr);
   // The 4th transition (1.6ms close) crosses the threshold: by 2.5ms the
   // link must be parked even though its last window closed at 2.0ms.
-  auto* rec = c.recovery();
-  bool parked_midway = false;
-  c.queue().schedule_in(2500 * sim::kUs,
-                        [&, victim] { parked_midway = rec->quarantined(victim); });
-  c.run();
+  const auto four = run({{1000, 1200}, {1400, 1600}, {1800, 2000}});
+  EXPECT_TRUE(four.parked_midway);
+  EXPECT_FALSE(four.parked_at_end) << "quarantine never released";
+  EXPECT_GE(four.stats.flaps_quarantined, 1u);
+  EXPECT_GE(four.stats.coalesced_events, 1u);
 
-  EXPECT_TRUE(parked_midway);
-  EXPECT_FALSE(rec->quarantined(victim)) << "quarantine never released";
-  EXPECT_GE(rec->stats().flaps_quarantined, 1u);
-  EXPECT_GE(rec->stats().coalesced_events, 1u);
+  // Three transitions by 1.4ms; the 4th (7ms) falls outside the window
+  // that opened at 1ms. The link is never parked.
+  const auto three = run({{1000, 1200}, {1400, 7000}});
+  EXPECT_GE(three.stats.remaps, 2u);
+  EXPECT_FALSE(three.parked_midway);
+  EXPECT_FALSE(three.parked_at_end);
+  EXPECT_EQ(three.stats.flaps_quarantined, 0u);
 }
 
 TEST(Recovery, StormControlDegradesOverflowToFullResolve) {

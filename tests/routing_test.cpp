@@ -196,12 +196,14 @@ TEST(Router, ItbRoutesAreMinimalOnFig1) {
   auto t = make_fig1_network();
   UpDown ud(t);
   Router r(ud);
-  for (std::uint16_t s = 0; s < t.host_count(); ++s)
+  for (std::uint16_t s = 0; s < t.host_count(); ++s) {
+    const auto dist = r.min_hops_from_switch(r.host_switch(s));
     for (std::uint16_t d = 0; d < t.host_count(); ++d) {
       if (s == d) continue;
       EXPECT_EQ(r.itb_route(s, d).route(s, d).trunk_hops(),
-                r.minimal_distance(s, d));
+                dist[r.host_switch(d)]);
     }
+  }
 }
 
 TEST(Router, ItbSubPathsAlwaysValidOnRandomNets) {
@@ -213,7 +215,8 @@ TEST(Router, ItbSubPathsAlwaysValidOnRandomNets) {
     auto t = make_random_irregular(spec, rng);
     UpDown ud(t);
     Router r(ud);
-    for (std::uint16_t s = 0; s < t.host_count(); s += 3)
+    for (std::uint16_t s = 0; s < t.host_count(); s += 3) {
+      const auto dist = r.min_hops_from_switch(r.host_switch(s));
       for (std::uint16_t d = 0; d < t.host_count(); d += 3) {
         if (s == d) continue;
         const auto row = r.itb_route(s, d);
@@ -226,9 +229,10 @@ TEST(Router, ItbSubPathsAlwaysValidOnRandomNets) {
           EXPECT_TRUE(r.is_valid_updown(chain)) << describe(path, t);
           cursor += seg.size() - 1;
         }
-        EXPECT_EQ(path.trunk_hops(), r.minimal_distance(s, d))
+        EXPECT_EQ(path.trunk_hops(), dist[r.host_switch(d)])
             << describe(path, t);
       }
+    }
   }
 }
 
@@ -256,7 +260,6 @@ TEST(Router, PerPairHelpersRejectACutOffSource) {
   EXPECT_THROW(r.updown_route(5, 9), std::logic_error);
   EXPECT_THROW(r.itb_route(5, 9), std::logic_error);
   EXPECT_THROW(r.minimal_route(5, 9), std::logic_error);
-  EXPECT_THROW(r.minimal_distance(5, 9), std::logic_error);
   // Either end cut off is refused the same way.
   EXPECT_THROW(r.itb_route(9, 5), std::logic_error);
   EXPECT_FALSE(r.itb_route(9, 10).route(9, 10).empty());

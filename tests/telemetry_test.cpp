@@ -107,6 +107,17 @@ TEST(LatencyHistogram, EdgeCases) {
   EXPECT_EQ(h.count(), 2u);
 }
 
+TEST(LatencyHistogram, NearestRankRoundsTheRankUp) {
+  // Four exact unit buckets: p60 covers 2.4 of 4 samples, so its nearest
+  // rank is the 3rd sample, not the 2nd.
+  telemetry::LatencyHistogram h;
+  for (std::uint64_t v : {1, 2, 3, 4}) h.record(v);
+  EXPECT_EQ(h.percentile(60), 3.0);
+  EXPECT_EQ(h.percentile(50), 2.0);  // exactly 2 of 4: the 2nd sample
+  EXPECT_EQ(h.percentile(75), 3.0);
+  EXPECT_EQ(h.percentile(76), 4.0);
+}
+
 TEST(LatencyHistogram, P999TrackedAndSummarized) {
   telemetry::LatencyHistogram h;
   for (int i = 1; i <= 10000; ++i) h.record(i);
