@@ -186,8 +186,9 @@ void Nic::send_pump() {
       if (!release_send_dma()) sdma_pump();
       return;
     }
-    // The row holds the ready Fig. 3b header: stamp it, then Type,
-    // payload and CRC, into one wire buffer.
+    // The row holds the ready Fig. 3b header in two parts, the bytes the
+    // destination switch's hosts share and this host's final route byte:
+    // stamp both, then Type, payload and CRC, into one wire buffer.
     auto bytes = packet::frame(route(ps.dst).header(), ps.type, ps.payload);
     const std::uint64_t token = ps.token;
     send_pool_.release(sh);  // payload consumed; buffer recycles warm

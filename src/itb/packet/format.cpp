@@ -1,5 +1,6 @@
 #include "itb/packet/format.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "itb/packet/crc.hpp"
@@ -53,42 +54,37 @@ std::optional<PacketType> read_type(std::span<const std::uint8_t> b) {
 }  // namespace
 
 void HeaderEncoder::itb() {
-  append_type(out_, PacketType::kItb);
-  out_.push_back(0);  // Length, filled in by finish()
+  // Everything written so far follows the Length, and the Type after it.
+  const std::size_t remaining = out_.size() - start_ + 2;
+  if (remaining > kMaxHeaderBytes)
+    throw std::invalid_argument("ITB Length field overflow");
+  out_.push_back(static_cast<std::uint8_t>(remaining));
+  const auto v = static_cast<std::uint16_t>(PacketType::kItb);
+  out_.push_back(static_cast<std::uint8_t>(v & 0xFF));
+  out_.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
 void HeaderEncoder::finish() {
-  // The Length behind a tag counts every header byte after it up to and
-  // including the final 2-byte Type, so the first one is the largest.
-  const std::size_t type_end = out_.size() + 2;
-  for (std::size_t pos = start_; pos < out_.size();) {
-    if (is_route_byte(out_[pos])) {
-      ++pos;
-      continue;
-    }
-    const std::size_t remaining = type_end - (pos + 3);
-    if (remaining > kMaxHeaderBytes)
-      throw std::invalid_argument("ITB Length field overflow");
-    out_[pos + 2] = static_cast<std::uint8_t>(remaining);
-    pos += 3;
-  }
+  std::reverse(out_.begin() + static_cast<std::ptrdiff_t>(start_), out_.end());
 }
 
 void append_header(Bytes& out, const std::vector<Route>& segments) {
   if (segments.empty()) throw std::invalid_argument("no route segments");
   HeaderEncoder enc(out);
-  for (std::size_t i = 0; i < segments.size(); ++i) {
+  for (std::size_t i = segments.size(); i-- > 0;) {
+    for (auto p = segments[i].rbegin(); p != segments[i].rend(); ++p)
+      enc.port(*p);
     if (i > 0) enc.itb();
-    for (auto port : segments[i]) enc.port(port);
   }
   enc.finish();
 }
 
-Bytes frame(std::span<const std::uint8_t> header, PacketType type,
+Bytes frame(const HeaderView& header, PacketType type,
             std::span<const std::uint8_t> payload) {
   Bytes out;
   out.reserve(header.size() + 2 + payload.size() + 1);
-  out.assign(header.begin(), header.end());
+  out.assign(header.body().begin(), header.body().end());
+  if (!header.empty()) out.push_back(header.last());
   append_body(out, type, payload);
   return out;
 }
@@ -98,7 +94,8 @@ Bytes build_packet(const Route& route, PacketType type,
   Bytes out;
   out.reserve(route.size() + 2 + payload.size() + 1);
   HeaderEncoder enc(out);
-  for (auto port : route) enc.port(port);
+  for (auto p = route.rbegin(); p != route.rend(); ++p) enc.port(*p);
+  enc.finish();
   append_body(out, type, payload);
   return out;
 }

@@ -19,9 +19,13 @@
 //                 that consume route bytes don't have to recompute it)
 #pragma once
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace itb::packet {
@@ -54,23 +58,26 @@ inline constexpr std::size_t kMaxHeaderBytes = 255;
 /// The one encoder of a route header: everything a sender puts in front
 /// of the final Type. Route bytes of segment 0, then per ITB the kItb tag,
 /// the Length byte and the next segment's route bytes (Fig. 3b; one
-/// segment is Fig. 3a). It appends to the caller's buffer one route byte
-/// or ITB stage at a time, so the route solver writes straight into a
-/// table row; finish() then fills in the Length fields.
+/// segment is Fig. 3a). It is written back to front, the final route byte
+/// first, one route byte or ITB stage at a time: each Length (the header
+/// bytes behind it, the final Type included) is known when its stage is
+/// written, and the route solver writes straight from its predecessor
+/// chain, which runs from the destination back to the source. The bytes go
+/// at the end of the caller's buffer, and finish() turns them around.
 class HeaderEncoder {
  public:
   /// Start a header at the current end of `out`.
   explicit HeaderEncoder(Bytes& out) : out_(out), start_(out.size()) {}
 
-  /// Append a route byte. Throws std::invalid_argument for port >= 128.
+  /// Prepend a route byte. Throws std::invalid_argument for port >= 128.
   void port(std::uint8_t p) { out_.push_back(encode_route_byte(p)); }
 
-  /// End the current segment at an in-transit host: append the ITB tag
-  /// and a Length placeholder.
+  /// Prepend an ITB stage, the kItb tag and its Length: the segment before
+  /// it ends at an in-transit host, whose route byte goes in front of it.
+  /// Throws std::invalid_argument if the Length overflows.
   void itb();
 
-  /// Fill every Length field (the header bytes that follow it, the final
-  /// Type included). Throws std::invalid_argument if one overflows.
+  /// Put the header's bytes in wire order.
   void finish();
 
  private:
@@ -81,9 +88,91 @@ class HeaderEncoder {
 /// Append the header for `segments` (>= 1) to `out` through HeaderEncoder.
 void append_header(Bytes& out, const std::vector<Route>& segments);
 
+/// A ready header read in place from where a route table stores it, in two
+/// parts: every byte but the last, which the hosts of one destination
+/// switch share, and the final route byte toward one of them. It reads as
+/// the whole header, byte by byte. A header never ends in 0 (a route byte
+/// has its high bit set, a Length counts at least the Type), so a final
+/// byte of 0 means no header at all.
+class HeaderView {
+ public:
+  /// Random-access iterator over the header's bytes, by value.
+  class iterator {
+   public:
+    using value_type = std::uint8_t;
+    using difference_type = std::ptrdiff_t;
+    using iterator_concept = std::random_access_iterator_tag;
+
+    iterator() = default;
+    std::uint8_t operator*() const {
+      return static_cast<std::size_t>(pos_) < body_.size() ? body_[pos_]
+                                                           : last_;
+    }
+    std::uint8_t operator[](difference_type n) const { return *(*this + n); }
+    iterator& operator++() { return *this += 1; }
+    iterator operator++(int) { return std::exchange(*this, *this + 1); }
+    iterator& operator--() { return *this -= 1; }
+    iterator operator--(int) { return std::exchange(*this, *this - 1); }
+    iterator& operator+=(difference_type n) {
+      pos_ += n;
+      return *this;
+    }
+    iterator& operator-=(difference_type n) { return *this += -n; }
+    friend iterator operator+(iterator it, difference_type n) {
+      return it += n;
+    }
+    friend iterator operator+(difference_type n, iterator it) {
+      return it += n;
+    }
+    friend iterator operator-(iterator it, difference_type n) {
+      return it -= n;
+    }
+    friend difference_type operator-(const iterator& a, const iterator& b) {
+      return a.pos_ - b.pos_;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.pos_ == b.pos_;
+    }
+    friend std::strong_ordering operator<=>(const iterator& a,
+                                            const iterator& b) {
+      return a.pos_ <=> b.pos_;
+    }
+
+   private:
+    friend class HeaderView;
+    iterator(std::span<const std::uint8_t> body, std::uint8_t last,
+             difference_type pos)
+        : body_(body), last_(last), pos_(pos) {}
+    std::span<const std::uint8_t> body_;
+    std::uint8_t last_ = 0;
+    difference_type pos_ = 0;
+  };
+
+  HeaderView() = default;
+  HeaderView(std::span<const std::uint8_t> body, std::uint8_t last)
+      : body_(body), last_(last) {}
+
+  /// Every byte but the final route byte.
+  std::span<const std::uint8_t> body() const { return body_; }
+  std::uint8_t last() const { return last_; }
+  bool empty() const { return last_ == 0; }
+  std::size_t size() const { return empty() ? 0 : body_.size() + 1; }
+  std::uint8_t operator[](std::size_t i) const {
+    return i < body_.size() ? body_[i] : last_;
+  }
+  iterator begin() const { return {body_, last_, 0}; }
+  iterator end() const {
+    return {body_, last_, static_cast<std::ptrdiff_t>(size())};
+  }
+
+ private:
+  std::span<const std::uint8_t> body_;
+  std::uint8_t last_ = 0;
+};
+
 /// Frame a ready header: `header`, Type, payload and the CRC-8, in one
 /// allocation. What the MCP does with the route it downloaded.
-Bytes frame(std::span<const std::uint8_t> header, PacketType type,
+Bytes frame(const HeaderView& header, PacketType type,
             std::span<const std::uint8_t> payload);
 
 /// Build an original-format packet (Fig. 3a).

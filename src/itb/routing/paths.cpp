@@ -13,7 +13,7 @@ namespace itb::routing {
 namespace {
 
 /// End of the route bytes of the segment starting at `pos`.
-std::size_t segment_end(std::span<const std::uint8_t> header, std::size_t pos) {
+std::size_t segment_end(const packet::HeaderView& header, std::size_t pos) {
   while (pos < header.size() && packet::is_route_byte(header[pos])) ++pos;
   return pos;
 }
@@ -33,8 +33,11 @@ SegmentPorts RouteView::segment(std::size_t i) const {
   std::size_t pos = 0;
   for (; i > 0 && pos < header_.size(); --i) pos = segment_end(header_, pos) + 3;
   if (pos >= header_.size()) throw std::out_of_range("no such route segment");
-  return SegmentPorts(header_.subspan(pos, segment_end(header_, pos) - pos),
-                      PortOf{});
+  const auto at = [this](std::size_t i) {
+    return header_.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  return SegmentPorts(
+      std::ranges::subrange(at(pos), at(segment_end(header_, pos))), PortOf{});
 }
 
 std::vector<packet::Route> RouteView::segments() const {
@@ -56,11 +59,11 @@ std::size_t RouteView::switch_traversals() const {
 
 void RouteRow::reset(std::uint16_t first_dst) {
   first_ = first_dst;
-  open_channels_ = 0;
   marks_.assign(1, Mark{});
   header_.clear();
   hosts_.clear();
   channels_.clear();
+  dests_.clear();
 }
 
 RouteView RouteRow::route(std::uint16_t src, std::uint16_t dst) const {
@@ -70,13 +73,16 @@ RouteView RouteRow::route(std::uint16_t src, std::uint16_t dst) const {
   RouteView v;
   v.src_ = src;
   v.dst_ = dst;
-  if (dst == src) return v;  // the entry serves the host's switch-mates
-  const Mark& a = marks_[i];
-  const Mark& b = marks_[i + 1];
-  v.header_ = std::span(header_).subspan(a.header, b.header - a.header);
+  const Dest t = dests_[i];
+  // The diagonal's route serves the host's switch-mates.
+  if (dst == src || t.last == 0) return v;
+  const Mark& a = marks_[t.entry];
+  const Mark& b = marks_[t.entry + 1u];
+  v.header_ = packet::HeaderView(
+      std::span(header_).subspan(a.header, b.header - a.header), t.last);
   v.hosts_ = std::span(hosts_).subspan(a.hosts, b.hosts - a.hosts);
-  v.channels_ = std::span(channels_).subspan(
-      b.channels_begin, b.channels_end - b.channels_begin);
+  v.channels_ =
+      std::span(channels_).subspan(a.channels, b.channels - a.channels);
   return v;
 }
 
@@ -84,14 +90,15 @@ bool RouteRow::has_route(std::uint16_t dst) const {
   const std::size_t i = static_cast<std::size_t>(dst) - first_;
   if (dst < first_ || i >= size())
     throw std::out_of_range("destination outside the route row");
-  return marks_[i].header != marks_[i + 1].header;
+  return dests_[i].last != 0;
 }
 
 void RouteRow::add(const std::vector<packet::Route>& segments,
                    std::span<const std::uint16_t> in_transit_hosts,
                    std::span<const topo::Channel> trunk_channels) {
+  Dest t;
+  const std::size_t start = header_.size();
   if (!segments.empty()) {
-    const std::size_t start = header_.size();
     try {
       packet::append_header(header_, segments);
     } catch (...) {
@@ -99,61 +106,70 @@ void RouteRow::add(const std::vector<packet::Route>& segments,
       throw;
     }
   }
-  hosts_.insert(hosts_.end(), in_transit_hosts.begin(), in_transit_hosts.end());
-  channels_.insert(channels_.end(), trunk_channels.begin(),
-                   trunk_channels.end());
-  close_entry();
+  if (header_.size() > start) {
+    t.last = header_.back();
+    header_.pop_back();
+    hosts_.insert(hosts_.end(), in_transit_hosts.begin(),
+                  in_transit_hosts.end());
+    channels_.insert(channels_.end(), trunk_channels.begin(),
+                     trunk_channels.end());
+    t.entry = close_entry();
+  }
+  dests_.push_back(t);
 }
 
 void RouteRow::add(const RouteView& route) {
-  header_.insert(header_.end(), route.header().begin(), route.header().end());
-  hosts_.insert(hosts_.end(), route.in_transit_hosts().begin(),
-                route.in_transit_hosts().end());
-  channels_.insert(channels_.end(), route.trunk_channels().begin(),
-                   route.trunk_channels().end());
-  close_entry();
+  Dest t;
+  if (!route.empty()) {
+    const packet::HeaderView header = route.header();
+    header_.insert(header_.end(), header.body().begin(), header.body().end());
+    hosts_.insert(hosts_.end(), route.in_transit_hosts().begin(),
+                  route.in_transit_hosts().end());
+    channels_.insert(channels_.end(), route.trunk_channels().begin(),
+                     route.trunk_channels().end());
+    t = Dest{close_entry(), header.last()};
+  }
+  dests_.push_back(t);
 }
 
-void RouteRow::close_entry() {
+std::uint16_t RouteRow::close_entry() {
   if (marks_.empty()) marks_.push_back(Mark{});
-  const auto end = static_cast<std::uint32_t>(channels_.size());
   marks_.push_back(Mark{static_cast<std::uint32_t>(header_.size()),
                         static_cast<std::uint32_t>(hosts_.size()),
-                        open_channels_, end});
-  open_channels_ = end;
-}
-
-void RouteRow::add_sibling(std::size_t entry, std::uint8_t last_port) {
-  const Mark a = marks_[entry];  // by value: the push below may reallocate
-  const Mark b = marks_[entry + 1];
-  // Copy by index: the source bytes live in the arrays being grown.
-  const std::size_t bytes = b.header - a.header;
-  header_.resize(header_.size() + bytes);
-  std::copy_n(header_.begin() + a.header, bytes, header_.end() - bytes);
-  header_.back() = packet::encode_route_byte(last_port);
-  const std::size_t hosts = b.hosts - a.hosts;
-  hosts_.resize(hosts_.size() + hosts);
-  std::copy_n(hosts_.begin() + a.hosts, hosts, hosts_.end() - hosts);
-  marks_.push_back(Mark{static_cast<std::uint32_t>(header_.size()),
-                        static_cast<std::uint32_t>(hosts_.size()),
-                        b.channels_begin, b.channels_end});
+                        static_cast<std::uint32_t>(channels_.size())});
+  return static_cast<std::uint16_t>(marks_.size() - 2);
 }
 
 void RouteRow::truncate_open() {
   const Mark& m = marks_.back();
   header_.resize(m.header);
   hosts_.resize(m.hosts);
-  // Only the open entry's own channels: the last mark's range may be one
-  // an earlier entry owns.
-  channels_.resize(open_channels_);
-}
-
-std::span<const std::uint16_t> RouteRow::open_hosts() const {
-  return std::span(hosts_).subspan(marks_.back().hosts);
+  channels_.resize(m.channels);
 }
 
 std::span<const topo::Channel> RouteRow::open_channels() const {
-  return std::span(channels_).subspan(open_channels_);
+  return std::span(channels_).subspan(marks_.back().channels);
+}
+
+void RouteRow::append_entries(const RouteRow& from, std::uint32_t first,
+                              std::uint32_t last) {
+  const Mark& a = from.marks_[first];
+  const Mark& b = from.marks_[last];
+  // Each array's offsets move by one amount; the unsigned sums wrap back
+  // into range. By value: the pushes below may reallocate.
+  const Mark open = marks_.back();
+  for (std::uint32_t e = first + 1; e <= last; ++e) {
+    const Mark& m = from.marks_[e];
+    marks_.push_back(Mark{m.header - a.header + open.header,
+                          m.hosts - a.hosts + open.hosts,
+                          m.channels - a.channels + open.channels});
+  }
+  header_.insert(header_.end(), from.header_.begin() + a.header,
+                 from.header_.begin() + b.header);
+  hosts_.insert(hosts_.end(), from.hosts_.begin() + a.hosts,
+                from.hosts_.begin() + b.hosts);
+  channels_.insert(channels_.end(), from.channels_.begin() + a.channels,
+                   from.channels_.begin() + b.channels);
 }
 
 // ---------------------------------------------------------------- Router --
@@ -234,6 +250,11 @@ std::span<const Router::Hop> Router::hops_out(std::uint16_t sw) const {
                                   offsets_[sw + 1].hops - offsets_[sw].hops);
 }
 
+std::span<const Router::ItbCandidate> Router::hosts_on(std::uint16_t sw) const {
+  return std::span(itb_hosts_).subspan(
+      offsets_[sw].itbs, offsets_[sw + 1].itbs - offsets_[sw].itbs);
+}
+
 const Router::ItbCandidate& Router::pick_itb(std::uint16_t sw,
                                              std::uint16_t src,
                                              std::uint16_t dst) const {
@@ -264,11 +285,9 @@ void Router::search(std::span<const std::uint16_t> sources, SolveFlags flags,
   sc.tails.assign(states, 0);
   auto& touched = sc.touched;
   touched.clear();
-  // A sub-level touches a state at most once, and a path visits a state at
-  // most once: sized once here, these grow only past a level holding a
-  // state in several sub-levels.
+  // A sub-level touches a state at most once: sized once here, these grow
+  // only past a level holding a state in several sub-levels.
   touched.reserve(states);
-  sc.steps.reserve(states);
   for (auto& f : sc.frontiers) f.entries.reserve(states);
   Scratch::Frontier* prev = &sc.frontiers[0];
   Scratch::Frontier* cur = &sc.frontiers[1];
@@ -382,8 +401,7 @@ void Router::search(std::span<const std::uint16_t> sources, SolveFlags flags,
 }
 
 void Router::extract(const Search& s, std::size_t bit, std::uint16_t src_host,
-                     std::uint16_t dst_host, RouteRow& row,
-                     Scratch& sc) const {
+                     std::uint16_t dst_host, RouteRow& row) const {
   const Uplink& dst_up = uplinks_[dst_host];
   if (!s.reaches(bit, dst_up.sw))
     throw std::logic_error("no route between hosts (disconnected?)");
@@ -392,37 +410,40 @@ void Router::extract(const Search& s, std::size_t bit, std::uint16_t src_host,
   std::uint32_t state = (std::uint32_t{dst_up.sw} << 1) |
                         static_cast<std::uint32_t>(s.down_first[dst_up.sw] >> bit & 1);
 
-  // Reconstruct the (switch, action) chain back to front. Each predecessor
-  // sits at a lower level, so the walk ends at the source.
-  auto& steps = sc.steps;
-  steps.clear();
+  // Walk the (switch, action) chain from the destination back to the
+  // source, writing the header, in-transit hosts and channels back to
+  // front as it goes. Each predecessor sits at a lower level, so the walk
+  // ends at the source.
+  const std::size_t hosts_at = row.hosts_.size();
+  const std::size_t channels_at = row.channels_.size();
+  packet::HeaderEncoder header(row.header_);
+  header.port(dst_up.port);
   for (std::uint32_t p = pred[state]; p != kSourcePred; p = pred[state]) {
     const auto sw = static_cast<std::uint16_t>(state >> 1);
     const std::uint32_t index = p & 0xFFu;
-    steps.push_back(Step{sw, index == kResetIndex
-                                 ? kNoHop
-                                 : in_hops_[offsets_[sw].in + index]});
-    state = p >> 8;
-  }
-
-  // Emit the header, in-transit hosts and channels front to back.
-  packet::HeaderEncoder header(row.header_);
-  for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
-    if (it->hop == kNoHop) {
+    if (index == kResetIndex) {
       // Ejection: the segment ends with the port to the in-transit host;
       // the next segment resumes at the same switch behind an ITB tag.
-      const ItbCandidate& itb = pick_itb(it->sw, src_host, dst_host);
+      const ItbCandidate& itb = pick_itb(sw, src_host, dst_host);
+      header.itb();
       header.port(itb.port);
       row.hosts_.push_back(itb.host);
-      header.itb();
-      continue;
+    } else {
+      const Hop& h = hops_[in_hops_[offsets_[sw].in + index]];
+      header.port(h.out_port);
+      row.channels_.push_back(topo::Channel{h.link, h.forward});
     }
-    const Hop& h = hops_[it->hop];
-    header.port(h.out_port);
-    row.channels_.push_back(topo::Channel{h.link, h.forward});
+    state = p >> 8;
   }
-  header.port(dst_up.port);
   header.finish();
+  // The Length fields count the final route byte, which the row keeps
+  // per destination host instead.
+  row.header_.pop_back();
+  std::reverse(row.hosts_.begin() + static_cast<std::ptrdiff_t>(hosts_at),
+               row.hosts_.end());
+  std::reverse(
+      row.channels_.begin() + static_cast<std::ptrdiff_t>(channels_at),
+      row.channels_.end());
 }
 
 RouteRow Router::pair_row(std::uint16_t src_host, std::uint16_t dst_host,
@@ -436,8 +457,9 @@ RouteRow Router::pair_row(std::uint16_t src_host, std::uint16_t dst_host,
   search(std::span(&source, 1), flags, sc.primary, sc);
   RouteRow row;
   row.reset(dst_host);
-  extract(sc.primary, 0, src_host, dst_host, row, sc);
-  row.close_entry();
+  extract(sc.primary, 0, src_host, dst_host, row);
+  row.dests_.push_back(RouteRow::Dest{
+      row.close_entry(), packet::encode_route_byte(uplinks_[dst_host].port)});
   return row;
 }
 
@@ -587,136 +609,97 @@ std::size_t Router::switch_row(std::size_t g, Policy policy,
   // depend on it, and spread_row() picks again per source.
   const auto lead = sc.held[group.begin];
   const auto ss = uplinks_[lead].sw;
-  // One walk per destination switch: the path, and so the header up to its
-  // last port, depends only on that switch — unless the in-transit host
-  // pick hashes the pair (kSpread), which only an entry without ITBs
-  // escapes. The VC-escape fallback test reads only the trunk channels, so
-  // a fallback entry is shared whole.
-  const auto hosts = static_cast<std::uint16_t>(uplinks_.size());
   RouteRow& row = sc.switch_row;
-  row.marks_.reserve(hosts + 1u);  // one mark per host in every row
   row.reset();
-  auto& walked = sc.walked;
-  walked.assign(switch_count(), Scratch::kNoEntry);
+  // Destinations cut off by the mask, or on a switch the search did not
+  // reach, keep no entry rather than throwing in extract(); the NIC
+  // backstop (and the recovery engine's unreachable accounting) handles
+  // them.
+  row.dests_.assign(uplinks_.size(), RouteRow::Dest{});
   // Restricted fallback for VC-escape routes whose minimal path needs more
   // lanes than the ladder has; solved at most once per switch.
   bool escape_solved = false;
-  // Kept entries come in runs, each copied whole; `cursor` follows the
-  // replaced row's channel array past the entries walked instead.
-  const auto keeps = [&](std::uint16_t d) {
-    return reuse.row != nullptr && host_usable(d) &&
-           reuse.redo[uplinks_[d].sw] == 0;
+  // One destination host's route as a new entry; returns its index. The
+  // VC-escape fallback test reads only the trunk channels.
+  const auto walk = [&](std::uint16_t d) {
+    extract(sc.primary, group.bit, lead, d, row);
+    if (policy == Policy::kVcEscape &&
+        updown_segments(row.open_channels()) > vc_lanes) {
+      if (!escape_solved) {
+        search(std::span(&ss, 1),
+               {/*restrict_updown=*/true, /*allow_itb=*/false}, sc.escape, sc);
+        escape_solved = true;
+      }
+      // Overwrite this destination's entry, never append a second.
+      row.truncate_open();
+      extract(sc.escape, 0, lead, d, row);
+    }
+    return row.close_entry();
   };
-  std::uint32_t cursor = 0;
-  for (std::uint16_t d = 0; d < hosts; ++d) {
-    if (keeps(d)) {
-      auto last = static_cast<std::uint16_t>(d + 1);
-      while (last < hosts && keeps(last)) ++last;
-      copy_entries(*reuse.row, d, last, cursor, row, sc);
-      d = static_cast<std::uint16_t>(last - 1);
+  // Kept switches come in runs, each run's entries of the replaced row
+  // copied whole: [begin, end) of them, landing `shift` entries later.
+  const RouteRow* const from = reuse.row;
+  std::uint32_t begin = 0, end = 0;
+  std::uint16_t shift = 0;
+  const auto copy_run = [&] {
+    if (end > begin) row.append_entries(*from, begin, end);
+    begin = end = 0;
+  };
+  for (std::uint16_t w = 0; w < switch_count(); ++w) {
+    const auto hosts = hosts_on(w);
+    if (from != nullptr && reuse.redo[w] == 0) {
+      for (const ItbCandidate& h : hosts) {
+        RouteRow::Dest t = from->dests_[h.host];
+        if (t.last == 0) continue;
+        if (end == begin) {
+          begin = t.entry;
+          shift = static_cast<std::uint16_t>(row.entry_count() - t.entry);
+        }
+        end = t.entry + 1u;
+        t.entry = static_cast<std::uint16_t>(t.entry + shift);
+        row.dests_[h.host] = t;
+      }
       continue;
     }
-    if (reuse.row != nullptr)
-      cursor = std::max(cursor, reuse.row->marks_[d + 1u].channels_end);
-    // Destinations cut off by the mask keep an empty entry rather than
-    // throwing in extract(); the NIC backstop (and the recovery engine's
-    // unreachable accounting) handles them.
-    if (host_usable(d)) {
-      const auto sd = uplinks_[d].sw;
-      if (walked[sd] != Scratch::kNoEntry) {
-        row.add_sibling(walked[sd], uplinks_[d].port);  // closes the entry
-        continue;
-      }
-      if (sc.primary.reaches(group.bit, sd)) {
-        extract(sc.primary, group.bit, lead, d, row, sc);
-        if (policy == Policy::kVcEscape &&
-            updown_segments(row.open_channels()) > vc_lanes) {
-          if (!escape_solved) {
-            search(std::span(&ss, 1),
-                   {/*restrict_updown=*/true, /*allow_itb=*/false}, sc.escape,
-                   sc);
-            escape_solved = true;
-          }
-          // Overwrite this destination's entry, never append a second.
-          row.truncate_open();
-          extract(sc.escape, 0, lead, d, row, sc);
-        }
-        if (selection_ == ItbHostSelection::kLowestIndex ||
-            row.open_hosts().empty())
-          walked[sd] = d;
-      }
-    }
-    row.close_entry();
+    copy_run();
+    if (hosts.empty() || !sc.primary.reaches(group.bit, w)) continue;
+    // One walk per destination switch: the path, and so every header byte
+    // but the last, depends only on the switch — unless the in-transit
+    // host pick hashes the pair (kSpread), which only a route without
+    // ITBs escapes.
+    const std::uint16_t e = walk(hosts.front().host);
+    const bool shared = selection_ == ItbHostSelection::kLowestIndex ||
+                        row.marks_[e].hosts == row.marks_[e + 1u].hosts;
+    for (const ItbCandidate& h : hosts)
+      row.dests_[h.host] = RouteRow::Dest{
+          shared || h.host == hosts.front().host ? e : walk(h.host),
+          packet::encode_route_byte(h.port)};
   }
+  copy_run();
   sc.escaped_[g] = escape_solved;
   return group.usable;
-}
-
-void Router::copy_entries(const RouteRow& from, std::uint16_t first,
-                          std::uint16_t last, std::uint32_t& cursor,
-                          RouteRow& row, Scratch& sc) const {
-  const RouteRow::Mark& a = from.marks_[first];
-  const RouteRow::Mark& b = from.marks_[last];
-  // Each array's offsets move by one amount; the unsigned sums wrap back
-  // into range.
-  const auto header_by =
-      static_cast<std::uint32_t>(row.header_.size()) - a.header;
-  const auto hosts_by =
-      static_cast<std::uint32_t>(row.hosts_.size()) - a.hosts;
-  const std::uint32_t owned = cursor;
-  const auto channels_by =
-      static_cast<std::uint32_t>(row.channels_.size()) - owned;
-  for (std::uint16_t d = first; d < last; ++d) {
-    RouteRow::Mark m = from.marks_[d + 1u];
-    cursor = std::max(cursor, m.channels_end);
-    m.header += header_by;
-    m.hosts += hosts_by;
-    const auto sd = uplinks_[d].sw;
-    if (sc.walked[sd] != Scratch::kNoEntry) {
-      const RouteRow::Mark& w = row.marks_[sc.walked[sd] + 1u];
-      m.channels_begin = w.channels_begin;
-      m.channels_end = w.channels_end;
-    } else {
-      m.channels_begin += channels_by;
-      m.channels_end += channels_by;
-      const RouteRow::Mark& open = row.marks_.back();
-      if (m.header != open.header &&
-          (selection_ == ItbHostSelection::kLowestIndex ||
-           m.hosts == open.hosts))
-        sc.walked[sd] = d;
-    }
-    row.marks_.push_back(m);
-  }
-  row.header_.insert(row.header_.end(), from.header_.begin() + a.header,
-                     from.header_.begin() + b.header);
-  row.hosts_.insert(row.hosts_.end(), from.hosts_.begin() + a.hosts,
-                    from.hosts_.begin() + b.hosts);
-  row.channels_.insert(row.channels_.end(), from.channels_.begin() + owned,
-                       from.channels_.begin() + cursor);
-  row.open_channels_ = static_cast<std::uint32_t>(row.channels_.size());
 }
 
 void Router::spread_row(std::size_t g, std::uint16_t src, RouteRow& row,
                         Scratch& sc) const {
   row = sc.switch_row;
-  // The path, and so every length, stays the switch row's.
+  // Each in-transit route has an entry of its own; its path, and so every
+  // length, stays the switch row's.
   for (std::uint16_t d = 0; d < row.size(); ++d) {
-    if (row.route(src, d).itb_count() == 0) continue;
+    const RouteRow::Dest t = row.dests_[d];
+    if (t.last == 0) continue;
+    const RouteRow::Mark& m = row.marks_[t.entry];
+    if (m.hosts == row.marks_[t.entry + 1u].hosts) continue;
     sc.pair.reset(d);
-    extract(sc.primary, sc.groups[g].bit, src, d, sc.pair, sc);
-    sc.pair.close_entry();
-    const RouteView picked = sc.pair.route(src, d);
-    std::ranges::copy(picked.header(),
-                      row.header_.begin() + row.marks_[d].header);
-    std::ranges::copy(picked.in_transit_hosts(),
-                      row.hosts_.begin() + row.marks_[d].hosts);
+    extract(sc.primary, sc.groups[g].bit, src, d, sc.pair);
+    std::ranges::copy(sc.pair.header_, row.header_.begin() + m.header);
+    std::ranges::copy(sc.pair.hosts_, row.hosts_.begin() + m.hosts);
   }
 }
 
 void Router::empty_row(RouteRow& row) const {
-  row.marks_.reserve(uplinks_.size() + 1);  // a row moved out comes back empty
   row.reset();
-  for (std::size_t d = 0; d < uplinks_.size(); ++d) row.close_entry();
+  row.dests_.assign(uplinks_.size(), RouteRow::Dest{});
 }
 
 RouteRow Router::updown_route(std::uint16_t src, std::uint16_t dst) const {

@@ -7,11 +7,13 @@
 //   * ITB      — minimal path split into valid up*/down* sub-paths by
 //     ejecting/re-injecting at in-transit hosts (the paper's mechanism).
 //
-// Routes are stored one flat RouteRow per source switch: for each
-// destination the exact Fig. 3b header the MCP stamps, plus the in-transit
-// hosts and the trunk channels in two side arrays. A RouteView reads one
-// (source, destination) entry; the route table, the recovery engine and
-// every NIC on the switch share the same immutable row.
+// Routes are stored one flat RouteRow per source switch, each path once
+// per destination switch: the Fig. 3b header the MCP stamps but its final
+// route byte, the in-transit hosts and the trunk channels, plus per
+// destination host which path leads there and that final byte. A
+// RouteView reads one (source, destination) route; the route table, the
+// recovery engine and every NIC on the switch share the same immutable
+// row.
 #pragma once
 
 #include <array>
@@ -49,8 +51,8 @@ struct PortOf {
   }
 };
 /// The output ports of one route segment, in traversal order.
-using SegmentPorts =
-    std::ranges::transform_view<std::span<const std::uint8_t>, PortOf>;
+using SegmentPorts = std::ranges::transform_view<
+    std::ranges::subrange<packet::HeaderView::iterator>, PortOf>;
 
 /// One computed route, read in place from the RouteRow that holds it.
 /// Cheap to copy; it must not outlive that row.
@@ -66,8 +68,10 @@ class RouteView {
 
   /// Every byte the MCP stamps ahead of the final Type (Fig. 3b): route
   /// bytes 0x80|port, then per ITB the 2-byte kItb tag, the Length byte
-  /// and the next sub-path's route bytes.
-  std::span<const std::uint8_t> header() const { return header_; }
+  /// and the next sub-path's route bytes. Read in place, in the row's two
+  /// parts: the bytes the destination switch's hosts share, then the
+  /// final route byte toward this one.
+  packet::HeaderView header() const { return header_; }
 
   /// Route-byte segments, one per injection (0 for an empty route).
   std::size_t segment_count() const;
@@ -97,89 +101,99 @@ class RouteView {
   friend class RouteRow;
   std::uint16_t src_ = 0;
   std::uint16_t dst_ = 0;
-  std::span<const std::uint8_t> header_;
+  packet::HeaderView header_;
   std::span<const std::uint16_t> hosts_;
   std::span<const topo::Channel> channels_;
 };
 
-/// The routes out of one source switch to a run of destinations, in three
-/// flat arrays: the header bytes, the in-transit hosts and the trunk
-/// channels, each addressed by per-destination offsets. A table row covers
-/// every destination and serves every host on the switch; the per-pair
-/// Router helpers return one-destination rows. Entries are appended in
-/// destination order; an empty entry means unreachable. Hosts on one switch
-/// share the trunk channels of the path to it, so an entry names its
-/// channel range explicitly and several entries may name the same one.
+/// The routes out of one source switch to a run of destinations. Each path
+/// is stored once, as an entry of three flat arrays: the header bytes but
+/// the final route byte, the in-transit hosts and the trunk channels. Per
+/// destination host the row keeps only which entry leads there and that
+/// host's final route byte. A table row covers every destination and
+/// serves every host on the switch; the per-pair Router helpers return
+/// one-destination rows. The solver writes one entry per reached
+/// destination switch, in switch order, shared by the hosts on it, except
+/// that under ItbHostSelection::kSpread each host an in-transit route
+/// leads to gets an entry of its own; add() writes one entry per
+/// destination host. An unreachable destination has no entry.
 class RouteRow {
  public:
   RouteRow() = default;
 
-  /// Start over as the row whose first entry is `first_dst`. Keeps the
-  /// arrays' capacity, so a warm row refills without allocating.
+  /// Start over as the row whose first destination is `first_dst`. Keeps
+  /// the arrays' capacity, so a warm row refills without allocating.
   void reset(std::uint16_t first_dst = 0);
 
   /// Destinations entered so far.
-  std::size_t size() const { return marks_.empty() ? 0 : marks_.size() - 1; }
+  std::size_t size() const { return dests_.size(); }
+  /// Paths stored: each one serves every destination that leads to it.
+  std::size_t entry_count() const {
+    return marks_.empty() ? 0 : marks_.size() - 1;
+  }
 
   /// The route from `src`, a host the row serves, to `dst`: empty for the
   /// diagonal. Throws std::out_of_range when `dst` is outside the row.
   RouteView route(std::uint16_t src, std::uint16_t dst) const;
-  /// True when the entry toward `dst` holds a route, which the diagonal's
-  /// does for the switch-mates it serves; false for an unreachable
-  /// destination. Throws std::out_of_range like route().
+  /// True when a route leads to `dst`, which the diagonal's does for the
+  /// switch-mates the row serves; false for an unreachable destination.
+  /// Throws std::out_of_range like route().
   bool has_route(std::uint16_t dst) const;
 
-  /// Append the next destination's entry, its header encoded from
-  /// `segments` by packet::HeaderEncoder (no segments = unreachable). The
-  /// side arrays are optional: a NIC reads only the header. Throws
-  /// std::invalid_argument on a port >= 128 or a Length overflow.
+  /// Append the next destination, its header encoded from `segments` by
+  /// packet::HeaderEncoder into an entry of its own (no segments =
+  /// unreachable: no entry, the side arrays ignored). The side arrays are
+  /// optional: a NIC reads only the header. Throws std::invalid_argument
+  /// on a port >= 128 or a Length overflow.
   void add(const std::vector<packet::Route>& segments,
            std::span<const std::uint16_t> in_transit_hosts = {},
            std::span<const topo::Channel> trunk_channels = {});
-  /// Append a copy of another row's entry.
+  /// Append the next destination as a copy of another row's route.
   void add(const RouteView& route);
 
-  /// Every trunk channel the row stores, each shared range once. Each one
-  /// belongs to at least one entry.
+  /// Every entry's trunk channels, in entry order.
   std::span<const topo::Channel> stored_channels() const { return channels_; }
-  /// Every entry's in-transit hosts, in destination order.
+  /// Every entry's in-transit hosts, in entry order.
   std::span<const std::uint16_t> stored_hosts() const { return hosts_; }
 
-  /// Field by field: entry offsets, header, hosts and channels.
+  /// Field by field: entry marks, header, hosts, channels and destinations.
   friend bool operator==(const RouteRow&, const RouteRow&) = default;
 
  private:
   friend class Router;
   friend class RouteTable;  // the patcher reads stored entries in place
-  /// Entry i's header and in-transit hosts span marks_[i] to marks_[i + 1]
-  /// (both arrays are cumulative); its trunk channels are the range its
-  /// close mark marks_[i + 1] names, which later entries may share.
+  /// Where entries end in the three arrays, all cumulative: entry e spans
+  /// marks_[e] to marks_[e + 1] in each.
   struct Mark {
     std::uint32_t header = 0;
     std::uint32_t hosts = 0;
-    std::uint32_t channels_begin = 0;
-    std::uint32_t channels_end = 0;
+    std::uint32_t channels = 0;
     friend bool operator==(const Mark&, const Mark&) = default;
   };
-  /// Close the entry written since the last mark.
-  void close_entry();
-  /// Append and close a copy of entry `entry` whose final route byte leads
-  /// to `last_port` instead: its header (the Length fields count bytes, so
-  /// they still hold) and in-transit hosts copied, its channel range shared.
-  void add_sibling(std::size_t entry, std::uint8_t last_port);
+  /// One destination: the entry leading there and the final route byte
+  /// toward it (0: unreachable, see packet::HeaderView).
+  struct Dest {
+    std::uint16_t entry = 0;
+    std::uint8_t last = 0;
+    friend bool operator==(const Dest&, const Dest&) = default;
+  };
+  /// Close the entry written since the last mark; returns its index.
+  std::uint16_t close_entry();
   /// Drop whatever the open entry has written.
   void truncate_open();
-  /// In-transit hosts and trunk channels the open entry has written.
-  std::span<const std::uint16_t> open_hosts() const;
+  /// Trunk channels the open entry has written.
   std::span<const topo::Channel> open_channels() const;
+  /// Append copies of entries [first, last) of `from`: their marks moved to
+  /// this row's offsets, and each array's bytes in one piece.
+  void append_entries(const RouteRow& from, std::uint32_t first,
+                      std::uint32_t last);
 
   std::uint16_t first_ = 0;
-  /// Where the open entry's own trunk channels start.
-  std::uint32_t open_channels_ = 0;
   std::vector<Mark> marks_;
   packet::Bytes header_;
   std::vector<std::uint16_t> hosts_;
   std::vector<topo::Channel> channels_;
+  std::vector<Dest> dests_;
 };
 
 /// Which host on a switch serves as the in-transit host when several are
@@ -192,8 +206,8 @@ enum class ItbHostSelection : std::uint8_t { kLowestIndex, kSpread };
 class Router {
  public:
   /// Reusable buffers for routes_from(): one block's search results, the
-  /// search's active lists, the path step stack, the switch's row and the
-  /// per-switch entry map. The caller owns one per thread (never the const
+  /// search's active lists and the switch's row. The caller owns one per
+  /// thread (never the const
   /// Router, so one Router serves concurrent solves); once warm, a re-solve
   /// allocates nothing. Defined below the class.
   class Scratch;
@@ -202,8 +216,8 @@ class Router {
   static constexpr std::size_t kBlockWidth = 64;
 
   /// What a re-solve keeps of the row it replaces (RouteTable::patch): the
-  /// entries toward every usable host on a switch that `redo` leaves unset
-  /// are copied from `row` instead of walked. The caller vouches that those
+  /// entries of every destination switch that `redo` leaves unset are
+  /// copied from `row` instead of walked. The caller vouches that those
   /// routes are what a walk would find.
   struct Reuse {
     const RouteRow* row = nullptr;  // nullptr: walk every destination
@@ -234,14 +248,15 @@ class Router {
   /// sources must all hang off one switch (std::invalid_argument
   /// otherwise). ONE multi-destination search from that switch and one
   /// walk per destination switch build the switch's row: every usable host
-  /// is an ordinary destination, so a switch-mate's entry (the source's own
-  /// included) is the one route byte to it, and the later hosts on a
-  /// walked switch copy the first one's header with their own last port
-  /// and share its trunk channels. A source never reads its own entry
-  /// (RouteRow::route masks the diagonal), so the row serves every usable
-  /// source alike — except under ItbHostSelection::kSpread, where the pick
-  /// hashes (src, dst): each source then gets a copy with its in-transit
-  /// entries walked again. The cut-off sources share an all-empty row.
+  /// is an ordinary destination, so the entry of the source's own switch
+  /// is empty and a switch-mate's route is the one route byte to it, and
+  /// every host on a walked switch reads its entry with its own final
+  /// byte. A source never reads its own route (RouteRow::route masks the
+  /// diagonal), so the row serves every usable source alike — except
+  /// under ItbHostSelection::kSpread, where the pick hashes (src, dst):
+  /// each host an in-transit route leads to gets an entry of its own, and
+  /// each source a copy with those entries walked again. The cut-off
+  /// sources share an all-empty row.
   ///
   /// Row by row, the row lands in `row` and goes to `publish(RouteRow&,
   /// std::span<const std::uint16_t> holders)` with the sources it serves;
@@ -369,6 +384,8 @@ class Router {
 
   std::size_t switch_count() const { return offsets_.size() - 1; }
   std::span<const Hop> hops_out(std::uint16_t sw) const;
+  /// The usable hosts on `sw`, sorted, with the ports leading to them.
+  std::span<const ItbCandidate> hosts_on(std::uint16_t sw) const;
 
   /// Pick the in-transit host on `sw` for the (src, dst) pair.
   const ItbCandidate& pick_itb(std::uint16_t sw, std::uint16_t src,
@@ -417,21 +434,14 @@ class Router {
       return ((reached[2u * sw] | reached[2u * sw + 1]) >> bit & 1) != 0;
     }
   };
-  /// One step of a reconstructed path: the hop taken into switch `sw`, or
-  /// kNoHop for an ITB reset at `sw`.
-  static constexpr std::uint32_t kNoHop = 0xFFFFFFFFu;
-  struct Step {
-    std::uint16_t sw;
-    std::uint32_t hop;
-  };
-
   /// Search from each switch of `sources` (at most kBlockWidth), source b
   /// as bit b.
   void search(std::span<const std::uint16_t> sources, SolveFlags flags,
               Search& out, Scratch& sc) const;
-  /// Append source `bit`'s route to `dst_host` to the open entry of `row`.
+  /// Append source `bit`'s route to `dst_host` to the open entry of `row`:
+  /// every header byte but the final route byte, the port to `dst_host`.
   void extract(const Search& s, std::size_t bit, std::uint16_t src_host,
-               std::uint16_t dst_host, RouteRow& row, Scratch& sc) const;
+               std::uint16_t dst_host, RouteRow& row) const;
   /// routes_from_block()'s shared half: sorts each group's sources into
   /// `sc.held`, the usable ones first, and searches from their switches.
   void search_block(std::span<const std::span<const std::uint16_t>> groups,
@@ -440,15 +450,6 @@ class Router {
   /// `reuse` allows; returns its usable source count (no row without one).
   std::size_t switch_row(std::size_t g, Policy policy, unsigned vc_lanes,
                          const Reuse& reuse, Scratch& sc) const;
-  /// Append entries [first, last) of `from`, the row being replaced, to
-  /// `row`: header bytes, in-transit hosts and the trunk channels they own
-  /// in one copy each, and their marks moved to the new offsets. A copied
-  /// entry that repeats an earlier one's channel range (a host after the
-  /// first on its switch) names where that range now lies. `cursor` is
-  /// where from's next owned channel range starts, moved past the run.
-  void copy_entries(const RouteRow& from, std::uint16_t first,
-                    std::uint16_t last, std::uint32_t& cursor, RouteRow& row,
-                    Scratch& sc) const;
   /// kSpread: `src`'s row, group `g`'s switch row with its in-transit hosts
   /// picked for `src`.
   void spread_row(std::size_t g, std::uint16_t src, RouteRow& row,
@@ -495,7 +496,6 @@ class Router::Scratch {
   std::vector<std::uint64_t> tails;
   /// The states with fresh bits, in the order they first gained one.
   std::vector<std::uint32_t> touched;
-  std::vector<Step> steps;
   /// Per group of the block: whether its row holds an escape route.
   std::vector<char> escaped_;
   /// The block's groups: each one's sources in `held`, its usable ones
@@ -515,10 +515,6 @@ class Router::Scratch {
   RouteRow switch_row;
   /// kSpread: one route walked again for one source.
   RouteRow pair;
-  /// Per destination switch: the entry of the switch's row the other hosts
-  /// on it copy, or kNoEntry.
-  static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> walked;
 };
 
 template <class Publish>

@@ -210,9 +210,14 @@ std::uint64_t RouteTable::intern_state(const Router& router) {
     else
       encoded[l] = 0xFFFFFFFEu;  // usable host link (never oriented)
   }
-  for (const auto& gs : gen_states_)
-    if (gs.encoded == encoded) return gs.id;
-  // Bounded pool: evicting an old state only loses the shortcut and the
+  // A state met again moves to the back, so the pool drops the one met
+  // longest ago: a state a fault cycle returns to every other round stays.
+  for (auto it = gen_states_.begin(); it != gen_states_.end(); ++it)
+    if (it->encoded == encoded) {
+      std::rotate(it, it + 1, gen_states_.end());
+      return gen_states_.back().id;
+    }
+  // Bounded pool: evicting a state only loses the shortcut and the
   // take-back for rows still stamped with it (ids are never reused), never
   // soundness.
   if (gen_states_.size() >= kRememberedStates)
@@ -293,22 +298,29 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
     const bool escapes_at_risk =
         !escapes_.empty() && (!delta.removed.empty() || !delta.added.empty());
 
-    // (c)'s bound from every switch to every switch, 64 sources a search.
-    std::vector<std::uint32_t> via;
-    if (any_added) {
-      via.resize(switches * switches);
-      Router::Scratch scratch;
-      std::array<std::uint16_t, Router::kBlockWidth> block;
-      for (std::size_t first = 0; first < switches; first += block.size()) {
+    // (c)'s bound from every switch to every switch, one search per block
+    // of 64 source switches, run the first time a row out of the block
+    // needs it.
+    constexpr std::size_t kWidth = Router::kBlockWidth;
+    std::vector<std::uint32_t> via(any_added ? switches * switches : 0);
+    std::vector<char> via_ready((switches + kWidth - 1) / kWidth, 0);
+    Router::Scratch via_scratch;
+    const auto bound_from = [&](std::uint32_t from) {
+      const std::size_t first = from / kWidth * kWidth;
+      if (via_ready[first / kWidth] == 0) {
+        std::array<std::uint16_t, kWidth> block;
         const auto width = std::min(block.size(), switches - first);
         std::iota(block.begin(), block.begin() + width,
                   static_cast<std::uint16_t>(first));
         router.min_hops_via(std::span(block).first(width), added, resets,
                             std::span(via).subspan(first * switches,
                                                    width * switches),
-                            scratch);
+                            via_scratch);
+        via_ready[first / kWidth] = 1;
       }
-    }
+      return std::span<const std::uint32_t>(via).subspan(from * switches,
+                                                          switches);
+    };
 
     // The hosts a stored route may lead to, by switch: those usable before
     // the delta (a cut-off host under its old switch).
@@ -331,64 +343,100 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
     // Flag the destination switches of `row`, the routed row out of switch
     // `from`, whose stored routes the delta can change; returns which tests
     // fired. The first host on a switch the row routes to stands for the
-    // rest: they share its trunk channels and eject at the same switches.
+    // rest: they share its entry, or under kSpread its path, and so eject
+    // at the same switches. With `verdict_only` it stops as soon as every
+    // holder's verdict is known. A stale route decides it for all of them,
+    // so every switch is tested for staleness before any for attraction,
+    // and the attraction bound is searched only when none is stale.
     enum : char { kStale = 1, kAttract = 2 };
     const bool any_itb_dirty =
         std::ranges::find(itb_dirty, 1) != itb_dirty.end();
-    // Per stored channel of the row: the removed links among those before.
+    // Per stored channel of a row: the removed links among those before.
     std::vector<std::uint32_t> crossed;
     const auto flag_row = [&](const RouteRow& row, std::uint32_t from,
-                              std::span<char> flags) {
-      crossed.resize(row.channels_.size() + 1);
-      for (std::size_t i = 0; i < row.channels_.size(); ++i)
-        crossed[i + 1] = crossed[i] + removed[row.channels_[i].link];
+                              std::span<char> flags, bool verdict_only) {
       const auto routes_to = [&row](std::uint16_t d) {
-        return row.marks_[d].header != row.marks_[d + 1u].header;
+        return row.dests_[d].last != 0;
       };
-      const auto bound =
-          any_added ? std::span(via).subspan(from * switches, switches)
-                    : std::span<const std::uint32_t>{};
       char fired = 0;
       const auto flag = [&](std::uint32_t w, char test) {
         flags[w] = 1;
         fired |= test;
       };
-      for (std::uint32_t w = 0; w < switches; ++w) {
-        const auto there = std::span(on_switch).subspan(
-            begins[w], begins[w + 1] - begins[w]);
-        const auto d = std::ranges::find_if(there, routes_to);
-        if (d == there.end()) continue;
-        const RouteRow::Mark& open = row.marks_[*d];
-        const RouteRow::Mark& m = row.marks_[*d + 1u];
-        // (a) the route crosses a removed trunk link or an in-transit
-        // host's removed uplink; (b) it ejects at a switch whose ITB
-        // candidate list changed (a cut-off in-transit host's included).
-        bool stale = crossed[m.channels_end] != crossed[m.channels_begin];
-        for (auto i = open.hosts; any_itb_dirty && i < m.hosts && !stale;
-             ++i) {
-          const auto h = row.hosts_[i];
-          stale = cut_from[h] != kNone || itb_dirty[router.host_switch(h)];
-        }
-        if (stale) flag(w, kStale);
-        // (c) an added link or new reset point offers a walk no longer than
-        // the route: hops are the primary lex key, so a tie may still win.
-        if (any_added && bound[w] <= m.channels_end - m.channels_begin)
-          flag(w, kAttract);
-      }
       // (a) a route to a cut-off host crosses its uplink; (c) an empty
       // entry toward a restored host: the addition connects it.
       for (const auto d : cut)
         if (routes_to(d)) flag(cut_from[d], kStale);
       for (const auto d : restored)
         if (!routes_to(d)) flag(router.host_switch(d), kAttract);
+      if (verdict_only && (fired & kStale) != 0) return fired;
+      crossed.resize(row.channels_.size() + 1);
+      for (std::size_t i = 0; i < row.channels_.size(); ++i)
+        crossed[i + 1] = crossed[i] + removed[row.channels_[i].link];
+      // The entry of the first host on `w` the row routes to, if any.
+      const auto entry_to = [&](std::uint32_t w) -> const RouteRow::Mark* {
+        const auto there = std::span(on_switch).subspan(
+            begins[w], begins[w + 1] - begins[w]);
+        const auto d = std::ranges::find_if(there, routes_to);
+        return d == there.end() ? nullptr
+                                : row.marks_.data() + row.dests_[*d].entry;
+      };
+      // (a) the route crosses a removed trunk link or an in-transit host's
+      // removed uplink; (b) it ejects at a switch whose ITB candidate list
+      // changed (a cut-off in-transit host's included).
+      const auto stale = [&](const RouteRow::Mark* m) {
+        bool stale = crossed[m[1].channels] != crossed[m[0].channels];
+        for (auto i = m[0].hosts; any_itb_dirty && i < m[1].hosts && !stale;
+             ++i) {
+          const auto h = row.hosts_[i];
+          stale = cut_from[h] != kNone || itb_dirty[router.host_switch(h)];
+        }
+        return stale;
+      };
+      // (c) an added link or new reset point offers a walk no longer than
+      // the route: hops are the primary lex key, so a tie may still win.
+      const auto attracted = [&](std::span<const std::uint32_t> bound,
+                                 std::uint32_t w, const RouteRow::Mark* m) {
+        return bound[w] <= m[1].channels - m[0].channels;
+      };
+      if (!verdict_only) {
+        const auto bound = any_added ? bound_from(from)
+                                     : std::span<const std::uint32_t>{};
+        for (std::uint32_t w = 0; w < switches; ++w) {
+          const RouteRow::Mark* m = entry_to(w);
+          if (m == nullptr) continue;
+          if (stale(m)) flag(w, kStale);
+          if (any_added && attracted(bound, w, m)) flag(w, kAttract);
+        }
+        return fired;
+      }
+      for (std::uint32_t w = 0; w < switches; ++w)
+        if (const RouteRow::Mark* m = entry_to(w); m != nullptr && stale(m)) {
+          flag(w, kStale);
+          return fired;
+        }
+      if (fired != 0 || !any_added) return fired;
+      const auto bound = bound_from(from);
+      for (std::uint32_t w = 0; w < switches; ++w)
+        if (const RouteRow::Mark* m = entry_to(w);
+            m != nullptr && attracted(bound, w, m)) {
+          flag(w, kAttract);
+          return fired;
+        }
       return fired;
     };
 
     // Each routed row once, at its first holder that is not skipped: the
     // holders of a row hang off one switch and share its verdict, except
-    // that only a usable source can be attracted.
-    std::vector<char> fired;
-    std::vector<const RouteRow*> slot_rows;
+    // that only a usable source can be attracted. A slot notes whether
+    // every holder takes back its replaced row (below).
+    struct Slot {
+      const RouteRow* row;
+      std::uint32_t from;
+      bool all_back = true;
+      char fired = 0;
+    };
+    std::vector<Slot> slots;
     std::vector<std::uint32_t> last_slot(switches, kNone);  // per switch
     for (std::uint16_t s = 0; s < hosts_; ++s) {
       // Generation shortcut: a source whose last re-solve ran against this
@@ -404,17 +452,25 @@ PatchStats RouteTable::patch(const Router& router, const LinkDelta& delta,
       const std::uint32_t from =
           cut_from[s] != kNone ? cut_from[s] : router.host_switch(s);
       std::uint32_t slot = last_slot[from];
-      if (slot == kNone || slot_rows[slot] != &row) {
-        slot = last_slot[from] = static_cast<std::uint32_t>(slot_rows.size());
-        slot_rows.push_back(&row);
-        redo.resize(redo.size() + switches, 0);
-        fired.push_back(flag_row(
-            row, from, std::span(redo).subspan(slot * switches, switches)));
+      if (slot == kNone || slots[slot].row != &row) {
+        slot = last_slot[from] = static_cast<std::uint32_t>(slots.size());
+        slots.push_back(Slot{&row, from});
       }
       slot_of[s] = slot;
-      invalid[s] = (escapes_at_risk && escapes_[s]) ||
-                   (fired[slot] & kStale) != 0 ||
-                   (router.host_usable(s) && (fired[slot] & kAttract) != 0);
+      slots[slot].all_back &= replaced_[s].row != nullptr;
+    }
+    // A row whose holders all take back their replaced rows is walked by
+    // no one, so only its verdict counts.
+    redo.assign(slots.size() * switches, 0);
+    for (std::size_t k = 0; k < slots.size(); ++k)
+      slots[k].fired = flag_row(
+          *slots[k].row, slots[k].from,
+          std::span(redo).subspan(k * switches, switches), slots[k].all_back);
+    for (std::uint16_t s = 0; s < hosts_; ++s) {
+      if (slot_of[s] == kNone) continue;
+      const char fired = slots[slot_of[s]].fired;
+      invalid[s] = (escapes_at_risk && escapes_[s]) || (fired & kStale) != 0 ||
+                   (router.host_usable(s) && (fired & kAttract) != 0);
     }
   }
 

@@ -118,8 +118,10 @@ class RouteTable {
   // bound, ties included). A row is re-solved, and charged, when one of its
   // destinations is so flagged (the row rule). What that costs the host:
   // a source whose replaced row was solved under the target state takes
-  // it back (see Replaced below); any other re-solved row walks only its
-  // flagged destinations again and copies the rest. The patched table
+  // it back (see Replaced below), and a row whose holders all do so is
+  // classified only until its verdict is known; any other re-solved row
+  // walks only its flagged destinations again and copies the rest in
+  // bulk. The patched table
   // equals a fresh solve row for row, which the tests and the bench hold
   // as an invariant.
 
@@ -135,8 +137,8 @@ class RouteTable {
   bool patching_enabled() const { return !solved_gen_.empty(); }
 
   /// Graph states a patching table remembers (see the solve generations
-  /// below). Interning one more drops the oldest: the rows solved under it
-  /// lose the shortcut and the take-back, never soundness.
+  /// below). Interning one more drops the one met longest ago: the rows
+  /// solved under it lose the shortcut and the take-back, never soundness.
   static constexpr std::size_t kRememberedStates = 64;
 
   /// Re-solve exactly the sources invalidated by `delta` against `router`
@@ -168,8 +170,9 @@ class RouteTable {
 
   /// Solve generations: each distinct (usability, orientation) graph state
   /// is interned once, and a source records the state its row was solved
-  /// under. routes_from is a pure function of that state, so a row solved
-  /// under a patch's target state IS the re-solve result. Two uses:
+  /// under. A state met again by a patch moves to the back of the pool.
+  /// routes_from is a pure function of that state, so a row solved under
+  /// a patch's target state IS the re-solve result. Two uses:
   ///  - the shortcut: a source whose row was solved under the target state
   ///    is skipped outright, uncharged;
   ///  - the take-back: a source keeps the row its last re-solve replaced

@@ -173,8 +173,8 @@ TEST(Nic, OwnHostHasNoRoute) {
     EXPECT_FALSE(rig.nics[h]->has_route(h)) << h;
     EXPECT_TRUE(rig.nics[h]->has_route((h + 1) % 3)) << h;
   }
-  EXPECT_EQ(rig.nics[0]->route(2).header().data(),
-            rig.nics[1]->route(2).header().data());
+  EXPECT_EQ(rig.nics[0]->route(2).header().body().data(),
+            rig.nics[1]->route(2).header().body().data());
   EXPECT_EQ(rig.nics[0]->route(1).src_host(), 0);
   EXPECT_EQ(rig.nics[1]->route(0).src_host(), 1);
 
@@ -182,8 +182,8 @@ TEST(Nic, OwnHostHasNoRoute) {
   rig.nics[1]->set_route(2, {{0, 1}});
   EXPECT_FALSE(rig.nics[1]->has_route(1));
   EXPECT_TRUE(rig.nics[1]->has_route(0));
-  EXPECT_EQ(rig.nics[0]->route(2).header().data(),
-            table.route(0, 2).header().data())
+  EXPECT_EQ(rig.nics[0]->route(2).header().body().data(),
+            table.route(0, 2).header().body().data())
       << "the mate still holds the table's row";
 }
 

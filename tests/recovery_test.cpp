@@ -337,15 +337,19 @@ TEST(RoutePatching, RestoredHostLinkPatchesPartOfASwitch) {
 }
 
 // A seeded family of irregular COWs under every policy and both in-transit
-// host selections: each trunk in turn fails and returns, twice, and the
-// trunk carrying the most stored routes fails and returns too (its restore
-// flips many orientations at once). After every patch the table equals a
+// host selections: each trunk in turn fails and returns, twice, and so do
+// the trunk carrying the most stored routes (its restore flips many
+// orientations at once) and the last host's uplink (its switch-mates hold
+// one row with a cut-off host). After every patch the table equals a
 // fresh solve, and so does every row, layout included: the destinations a
 // patch re-walks and the ones it copies from the replaced row assemble the
 // row a full solve builds, and a row taken back is the one a full solve
-// builds. Each trunk also returns once to a table solved with it down,
-// which holds no row to take back. One host per switch makes every kSpread
-// row with ITB entries a row of its own that a patch keeps.
+// builds. The second down and up rounds start from the tables the first
+// ones did, so they charge the same sources, although their rows are only
+// classified until the verdict is known. Each link also returns once to a
+// table solved with it down, which holds no row to take back. One host
+// per switch makes every kSpread row with ITB entries a row of its own
+// that a patch keeps.
 TEST(RoutePatching, SeededFamilyMatchesFreshSolveRowForRow) {
   struct Config {
     routing::Policy policy;
@@ -392,6 +396,9 @@ TEST(RoutePatching, SeededFamilyMatchesFreshSolveRowForRow) {
             trunks, {}, [&](topo::LinkId l) {
               return std::pair(usage[2 * l] + usage[2 * l + 1], l);
             }));
+        const auto last = topo.host_uplink(
+            static_cast<std::uint16_t>(topo.host_count() - 1));
+        victims.push_back(*topo.link_at(last.node, last.port));
       }
 
       for (const auto& cfg : configs) {
@@ -415,9 +422,8 @@ TEST(RoutePatching, SeededFamilyMatchesFreshSolveRowForRow) {
           walked += st.pairs_walked;
           all_pairs += std::size_t{switches} * switches;
         };
-        for (std::size_t i = 0; i < victims.size(); ++i) {
-          const auto victim = victims[i];
-          SCOPED_TRACE(::testing::Message() << "trunk " << victim);
+        for (const auto victim : victims) {
+          SCOPED_TRACE(::testing::Message() << "link " << victim);
           auto mask = all_up;
           mask[victim] = 0;
           const routing::UpDown down_ud(topo, root, mask);
@@ -425,34 +431,32 @@ TEST(RoutePatching, SeededFamilyMatchesFreshSolveRowForRow) {
           routing::RouteTable down_table(down, cfg.policy, 1, cfg.lanes);
           const auto fell = diff_orientation(topo, base_ud, down_ud);
           const auto rose = diff_orientation(topo, down_ud, base_ud);
-          // The trunk fails: the rows replaced before were solved under
+          // The link fails: the rows replaced before were solved under
           // other states, so the round re-solves.
-          auto st = table.patch(down, fell);
-          solved(st);
+          const auto first_down = table.patch(down, fell);
+          solved(first_down);
           ASSERT_TRUE(matches(table, down_table)) << "down";
           // It returns, fails and returns again, and each round takes back
           // the rows the round before replaced, escape flags included (a
           // lost flag would let a later patch keep an escape row it must
-          // redo). The first return is checked only while the table
-          // surely remembers the base state: the 64th trunk's down state
-          // pushes it out of the table's kRememberedStates, and that return
-          // re-solves.
-          const bool base_remembered =
-              i + 2 <= routing::RouteTable::kRememberedStates;
-          st = table.patch(base, rose);
+          // redo). The base state is met every other round, so the table
+          // remembers it however many down states pass through.
+          const auto first_up = table.patch(base, rose);
           ASSERT_TRUE(matches(table, base_table)) << "up";
-          if (base_remembered) {
-            EXPECT_EQ(st.pairs_walked, 0u) << "up";
-          }
-          st = table.patch(down, fell);
+          EXPECT_EQ(first_up.pairs_walked, 0u) << "up";
+          auto st = table.patch(down, fell);
           ASSERT_TRUE(matches(table, down_table)) << "down again";
           EXPECT_EQ(st.pairs_walked, 0u) << "down again";
+          EXPECT_EQ(st.sources_resolved, first_down.sources_resolved)
+              << "down again";
           st = table.patch(base, rose);
           ASSERT_TRUE(matches(table, base_table)) << "up again";
           EXPECT_EQ(st.pairs_walked, 0u) << "up again";
-          // The return to a table solved with the trunk down, on two
+          EXPECT_EQ(st.sources_resolved, first_up.sources_resolved)
+              << "up again";
+          // The return to a table solved with the link down, on two
           // workers: nothing to take back, so the round flags through the
-          // added trunk (ties included) and copies the unflagged pairs.
+          // added link (ties included) and copies the unflagged pairs.
           down_table.enable_patching(down);
           st = down_table.patch(base, rose, 2);
           solved(st);
@@ -566,6 +570,42 @@ TEST(RoutePatching, UpRoundTakesBackTheRowsItsDownRoundReplaced) {
     for (std::uint16_t s = 0; s < topo.host_count(); ++s)
       ASSERT_EQ(table.row(s), before[s]) << "source " << s;
   }
+}
+
+// More fault cycles than a table remembers graph states, each from the
+// base state to a state of its own and back. The base state is met every
+// other round, so the table keeps it however many other states pass
+// through, and every return takes back the rows its down round replaced:
+// each source holds again the very row it held before the fault, and no
+// pair is walked.
+TEST(RoutePatching, ReturnsTakeBackPastThePoolOfRememberedStates) {
+  const auto topo = irregular_cow(64, 1);
+  const auto trunks = trunk_links(topo);
+  ASSERT_GT(trunks.size(), routing::RouteTable::kRememberedStates);
+  const auto root = topo.host_uplink(0).node.index;
+  const std::vector<char> all_up(topo.link_count(), 1);
+  const routing::UpDown base_ud(topo, root, all_up);
+  const routing::Router base(base_ud);
+  routing::RouteTable table(base, routing::Policy::kItb);
+  table.enable_patching(base);
+  std::size_t resolved = 0;
+  for (const auto victim : trunks) {
+    SCOPED_TRACE(::testing::Message() << "trunk " << victim);
+    const auto before = rows_of(table);
+    auto mask = all_up;
+    mask[victim] = 0;
+    const routing::UpDown down_ud(topo, root, mask);
+    const routing::Router down(down_ud);
+    resolved +=
+        table.patch(down, diff_orientation(topo, base_ud, down_ud))
+            .sources_resolved;
+    const auto rose =
+        table.patch(base, diff_orientation(topo, down_ud, base_ud));
+    EXPECT_EQ(rose.pairs_walked, 0u);
+    ASSERT_TRUE(rows_of(table) == before) << "the return took back every row";
+  }
+  EXPECT_GT(resolved, 0u);
+  EXPECT_TRUE(table == routing::RouteTable(base, routing::Policy::kItb));
 }
 
 // A patch keeps a replaced row only while a later patch could take it
@@ -1075,8 +1115,8 @@ TEST(ZeroAlloc, ControlPlaneResolvesAndInstallsWithoutCopies) {
   for (std::uint16_t h = 0; h < hosts; ++h) c.nic(h).load_routes(*boot);
   EXPECT_EQ(sim::total_allocations() - before, 0u) << "NIC installs";
   for (std::uint16_t d = 1; d < hosts; ++d)
-    EXPECT_EQ(c.nic(0).route(d).header().data(),
-              boot->route(0, d).header().data())
+    EXPECT_EQ(c.nic(0).route(d).header().body().data(),
+              boot->route(0, d).header().body().data())
         << "the NIC holds the table's row, not a copy";
 
   // Fail the trunk most routes cross and patch, as a recovery round does.

@@ -684,6 +684,99 @@ TEST(RouteTable, DumpDigestsPinnedOnDegradedFabrics) {
   EXPECT_EQ(got.size(), 2 * std::size(mask_names) * std::size(solves));
 }
 
+/// The trunk of `t` the most ITB routes cross, solved from `root` with
+/// every link up.
+LinkId busiest_trunk(const Topology& t, std::uint16_t root) {
+  const UpDown ud(t, root, std::vector<char>(t.link_count(), 1));
+  const auto usage = RouteTable(Router(ud), Policy::kItb).channel_usage(t);
+  std::optional<LinkId> top;
+  for (LinkId l = 0; l < t.link_count(); ++l) {
+    const auto& link = t.link(l);
+    if (link.a.node.kind != NodeKind::kSwitch ||
+        link.b.node.kind != NodeKind::kSwitch || link.a.node == link.b.node)
+      continue;
+    if (!top || usage[2 * l] + usage[2 * l + 1] >
+                    usage[2 * *top] + usage[2 * *top + 1])
+      top = l;
+  }
+  return top.value();
+}
+
+TEST(RouteTable, FramedHeadersMatchTheSegmentEncoder) {
+  // A row stores a header in two parts, the bytes a destination switch's
+  // hosts share and each host's final route byte, and the send path frames
+  // both (packet::frame). Whatever the row layout, the wire bytes must be
+  // what the segment encoder builds from the route's decoded segments
+  // (packet::build_itb_packet): every (src, dst) of a seeded 32 x 4 and
+  // 64 x 4 COW, whole and with the busiest trunk down, under UD, ITB with
+  // both host selections and 2-lane VC.
+  struct Solve {
+    const char* name;
+    Policy policy;
+    ItbHostSelection selection;
+  };
+  const Solve solves[] = {
+      {"ud", Policy::kUpDown, ItbHostSelection::kLowestIndex},
+      {"itb", Policy::kItb, ItbHostSelection::kLowestIndex},
+      {"itb_spread", Policy::kItb, ItbHostSelection::kSpread},
+      {"vc2", Policy::kVcEscape, ItbHostSelection::kLowestIndex},
+  };
+  std::size_t framed = 0, unreachable = 0, with_itbs = 0;
+  for (const auto& [switches, seed] :
+       {std::pair<std::uint16_t, std::uint64_t>{32, 1}, {64, 2}}) {
+    itb::sim::Rng rng(seed);
+    IrregularSpec spec;
+    spec.switches = switches;
+    spec.hosts_per_switch = 4;
+    const auto t = make_random_irregular(spec, rng);
+    const auto root = t.host_uplink(0).node.index;
+    const std::vector<char> all_up(t.link_count(), 1);
+    auto busiest = all_up;
+    busiest[busiest_trunk(t, root)] = 0;
+    const std::vector<char>* const masks[] = {&all_up, &busiest};
+    for (const auto* mask : masks) {
+      const UpDown ud(t, root, *mask);
+      for (const Solve& s : solves) {
+        SCOPED_TRACE(::testing::Message()
+                     << switches << " x 4 COW, seed " << seed << ", "
+                     << (mask == &all_up ? "whole" : "busiest trunk down")
+                     << ", " << s.name);
+        const Router router(ud, s.selection);
+        const RouteTable table(router, s.policy, /*jobs=*/1, /*vc_lanes=*/2);
+        std::size_t mismatches = 0;
+        for (std::uint16_t src = 0; src < t.host_count(); ++src)
+          for (std::uint16_t dst = 0; dst < t.host_count(); ++dst) {
+            if (src == dst) continue;
+            const RouteView r = table.route(src, dst);
+            if (r.empty()) {
+              ++unreachable;
+              continue;
+            }
+            const std::uint8_t payload[] = {
+                static_cast<std::uint8_t>(src), static_cast<std::uint8_t>(dst),
+                0xA5};
+            const auto wire =
+                itb::packet::frame(r.header(), itb::packet::PacketType::kGm,
+                                   payload);
+            if (wire != itb::packet::build_itb_packet(
+                            r.segments(), itb::packet::PacketType::kGm,
+                            payload) &&
+                mismatches++ == 0)
+              ADD_FAILURE() << "first mismatch: " << src << " > " << dst
+                            << ": " << describe(r, t);
+            ++framed;
+            with_itbs += r.itb_count() > 0;
+          }
+        EXPECT_EQ(mismatches, 0u);
+      }
+    }
+  }
+  EXPECT_EQ(framed + unreachable,
+            2u * std::size(solves) * (128u * 127 + 256u * 255));
+  EXPECT_GT(framed, 0u);
+  EXPECT_GT(with_itbs, 0u);
+}
+
 // ------------------------------------------------------------ grouped solve --
 
 /// Fig. 1's switches and trunks with hosts dealt out of order: switch 4
@@ -899,6 +992,93 @@ TEST(GroupedSolve, SwitchMatesHoldOneRow) {
     EXPECT_EQ(to_lead.segment(0).front(), t.host_uplink(0).port);
     EXPECT_EQ(to_lead.trunk_hops(), 0u);
   }
+}
+
+TEST(GroupedSolve, RowsStoreOnePathPerDestinationSwitch) {
+  // A row stores each path once per destination switch. Under kLowestIndex
+  // it holds one entry per destination switch its source reaches, which
+  // every host on that switch reads with its own final route byte. Under
+  // kSpread the in-transit pick hashes (src, dst), so each host an
+  // in-transit route leads to gets an entry of its own; every other
+  // switch still has one. The cut-off hosts' row holds no entry. Seeded
+  // 32 x 4 and 64 x 4 COWs, whole and with one host's uplink down (its
+  // switch-mates solve as a group with a cut-off member), under UD, ITB
+  // with both host selections and 2-lane VC.
+  struct Solve {
+    const char* name;
+    Policy policy;
+    ItbHostSelection selection;
+  };
+  const Solve solves[] = {
+      {"ud", Policy::kUpDown, ItbHostSelection::kLowestIndex},
+      {"itb", Policy::kItb, ItbHostSelection::kLowestIndex},
+      {"itb_spread", Policy::kItb, ItbHostSelection::kSpread},
+      {"vc2", Policy::kVcEscape, ItbHostSelection::kLowestIndex},
+  };
+  std::size_t rows = 0, own_entries = 0, cut_off_rows = 0;
+  for (const std::uint16_t switches : {32, 64}) {
+    itb::sim::Rng rng(switches);
+    IrregularSpec spec;
+    spec.switches = switches;
+    spec.hosts_per_switch = 4;
+    const auto t = make_random_irregular(spec, rng);
+    const auto root = t.host_uplink(0).node.index;
+    const std::vector<char> all_up(t.link_count(), 1);
+    auto one_cut = all_up;
+    const auto up = t.host_uplink(5);
+    one_cut[*t.link_at(up.node, up.port)] = 0;
+    const std::vector<char>* const masks[] = {&all_up, &one_cut};
+    for (const auto* mask : masks) {
+      const UpDown ud(t, root, *mask);
+      for (const Solve& s : solves) {
+        SCOPED_TRACE(::testing::Message()
+                     << switches << " x 4 COW, "
+                     << (mask == &all_up ? "whole" : "host 5 cut off") << ", "
+                     << s.name);
+        const Router router(ud, s.selection);
+        const RouteTable table(router, s.policy, /*jobs=*/1, /*vc_lanes=*/2);
+        std::vector<std::vector<std::uint16_t>> on(t.switch_count());
+        for (std::uint16_t h = 0; h < t.host_count(); ++h)
+          if (router.host_usable(h)) on[router.host_switch(h)].push_back(h);
+        // Read from a source outside the table, which masks no entry.
+        const auto outside = static_cast<std::uint16_t>(t.host_count());
+        std::set<const RouteRow*> seen;
+        for (std::uint16_t src = 0; src < t.host_count(); ++src) {
+          const RouteRow& row = *table.row(src);
+          if (!seen.insert(&row).second) continue;
+          ++rows;
+          if (!router.host_usable(src)) {
+            EXPECT_EQ(row.entry_count(), 0u) << "cut-off source " << src;
+            ++cut_off_rows;
+            continue;
+          }
+          std::size_t expected = 0;
+          for (const auto& hosts : on) {
+            if (hosts.empty()) continue;
+            const RouteView first = row.route(outside, hosts.front());
+            if (first.empty()) continue;
+            const bool own = s.selection == ItbHostSelection::kSpread &&
+                             first.itb_count() > 0;
+            expected += own ? hosts.size() : 1;
+            own_entries += own ? hosts.size() : 0;
+            for (const auto h : hosts) {
+              const RouteView r = row.route(outside, h);
+              EXPECT_EQ(r.header().body().data() ==
+                            first.header().body().data(),
+                        !own || h == hosts.front())
+                  << "source " << src << " toward " << h;
+              EXPECT_EQ(r.header().last(),
+                        itb::packet::encode_route_byte(t.host_uplink(h).port));
+            }
+          }
+          EXPECT_EQ(row.entry_count(), expected) << "source " << src;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rows, 0u);
+  EXPECT_GT(own_entries, 0u) << "a kSpread row held in-transit entries";
+  EXPECT_EQ(cut_off_rows, 2u * std::size(solves));
 }
 
 TEST(GroupedSolve, CutOffSourceInAMixedGroupGetsAnEmptyRow) {
