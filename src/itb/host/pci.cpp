@@ -3,8 +3,14 @@
 namespace itb::host {
 
 void PciBus::dma(std::int64_t bytes, Done done) {
+  if (!busy_) {
+    // An idle bus has nothing queued (start_next() goes idle only on an
+    // empty queue), so this transfer is the one it would pop: start it.
+    running_ = std::move(done);
+    start(bytes);
+    return;
+  }
   pending_.push_back(Pending{bytes, std::move(done)});
-  if (!busy_) start_next();
 }
 
 void PciBus::start_next() {
@@ -12,12 +18,15 @@ void PciBus::start_next() {
     busy_ = false;
     return;
   }
-  busy_ = true;
   Pending& job = pending_.front();
-  const sim::Duration cost = timing_.transfer_time(job.bytes);
   running_ = std::move(job.done);
+  start(job.bytes);
   pending_.pop_front();
-  queue_.schedule_in(cost, [this] {
+}
+
+void PciBus::start(std::int64_t bytes) {
+  busy_ = true;
+  queue_.schedule_in(timing_.transfer_time(bytes), [this] {
     ++completed_;
     running_();
     running_.reset();  // release what the callback captured

@@ -56,6 +56,8 @@ class PciBus {
   };
 
   void start_next();
+  /// Put `running_` on the bus for a transfer of `bytes`.
+  void start(std::int64_t bytes);
 
   sim::EventQueue& queue_;
   PciTiming timing_;

@@ -316,17 +316,7 @@ void Network::grant_channel(Worm* w, std::uint32_t slot) {
   }
 
   // The head crosses the link: propagation plus one byte of transmission.
-  sim::Duration hop = timing_.link_latency_ns + timing_.byte_time(1);
-  if (lanes_ > 1 && timing_.lane_mux_penalty_ns > 0) {
-    // Lane mux cost: another lane of the same physical channel is already
-    // streaming, so this head's flits interleave behind it.
-    const std::uint32_t base = phys_of(slot) * lanes_;
-    for (unsigned l = 0; l < lanes_; ++l)
-      if (base + l != slot && channels_[base + l].busy) {
-        hop += timing_.lane_mux_penalty_ns;
-        break;
-      }
-  }
+  const sim::Duration hop = timing_.link_latency_ns + timing_.byte_time(1);
   w->pipe_ns += hop;
   const auto arrival = channel_target_[phys_of(slot)];
   w->pending =

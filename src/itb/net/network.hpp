@@ -134,15 +134,20 @@ class Network {
   /// byte becomes available in the sending NIC (pass std::nullopt for a
   /// fully buffered packet: ready as soon as transmission reaches it).
   /// Transmission begins when the host's uplink channel is granted.
-  /// `crc_intact`: the sender framed these bytes and their CRC itself
-  /// (WirePacket::crc_intact); a raw frame leaves the receiver to check.
+  /// `crc_intact`: the sender framed these bytes itself and nothing has
+  /// touched them (WirePacket::crc_intact); a raw frame leaves the receiver
+  /// to check its CRC.
   TxHandle inject(std::uint16_t host, packet::Bytes bytes,
                   std::optional<sim::Time> data_ready = std::nullopt,
                   bool crc_intact = false);
 
   /// Install (or clear, with nullptr) the fault hook. The hook must outlive
-  /// the network or be cleared before destruction.
+  /// the network or be cleared before destruction. Install it before any
+  /// packet is framed: a NIC computes a packet's CRC only while a hook is
+  /// installed, since nothing else can touch the bytes, so a hook installed
+  /// mid-run could corrupt bytes that carry no CRC to catch it.
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
+  bool has_fault_hook() const { return fault_hook_ != nullptr; }
 
   /// Install (or clear, with nullptr) the lane ladder. Resizes the
   /// per-lane channel tables, so it must run before any traffic and with

@@ -26,13 +26,6 @@ struct NetTiming {
   /// signal and are noticeably slower than SAN ports.
   sim::Duration lan_port_penalty_ns = 200;
 
-  /// Extra head latency when a grant lands on a virtual lane while a
-  /// sibling lane of the same physical channel is busy (the lane mux
-  /// interleaves flits). 0 by default — single-lane engines and the stock
-  /// timing model are unaffected; the engine bench can charge VC storage
-  /// its arbitration cost here.
-  sim::Duration lane_mux_penalty_ns = 0;
-
   sim::Duration byte_time(std::int64_t bytes) const {
     return sim::scaled_bytes_time(bytes, ns_per_256bytes);
   }

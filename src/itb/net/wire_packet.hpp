@@ -16,8 +16,11 @@ struct WirePacket {
   TxHandle handle = 0;
   packet::Bytes bytes;      // route bytes still present are consumed en route
   std::uint16_t src_host = 0;
-  /// The bytes still carry the CRC their framing NIC computed over them:
-  /// nothing has touched them since. A receiver need not recompute it.
+  /// Nothing has touched the bytes since their NIC framed them, so a
+  /// receiver takes them without checking the CRC. The framing NIC
+  /// computes the CRC only when a net::FaultHook is installed (the only
+  /// thing that can touch the bytes, clearing this bit); without one the
+  /// CRC byte is 0.
   bool crc_intact = false;
   sim::Time injected_at = 0;
 };

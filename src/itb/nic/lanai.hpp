@@ -104,6 +104,9 @@ class McpCpu {
   };
 
   void pump();
+  /// Run `running_` for `cycles` (plus the dispatch cost unless skipped),
+  /// then call it and pump() the next job.
+  void start(int cycles, bool skip_dispatch);
 
   sim::EventQueue& queue_;
   LanaiTiming timing_;

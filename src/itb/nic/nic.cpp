@@ -188,8 +188,11 @@ void Nic::send_pump() {
     }
     // The row holds the ready Fig. 3b header in two parts, the bytes the
     // destination switch's hosts share and this host's final route byte:
-    // stamp both, then Type, payload and CRC, into one wire buffer.
-    auto bytes = packet::frame(route(ps.dst).header(), ps.type, ps.payload);
+    // stamp both, then Type, payload and CRC, into one wire buffer. The
+    // CRC's only reader is a receiver's check of bytes a fault hook may
+    // have touched, so without a hook its byte is left 0.
+    auto bytes = packet::frame(route(ps.dst).header(), ps.type, ps.payload,
+                               /*crc=*/network_.has_fault_hook());
     const std::uint64_t token = ps.token;
     send_pool_.release(sh);  // payload consumed; buffer recycles warm
     queue_.schedule_in(timing_.cycles(timing_.send_dma_start),
@@ -391,8 +394,9 @@ void Nic::on_rx_complete(sim::Time, net::WirePacket packet) {
               // The interface checks the packet CRC before handing the
               // payload to the host; a corrupted packet is discarded and
               // GM's retransmission recovers it. Bytes nothing touched
-              // since their sender framed them pass without recomputing
-              // it; the check's cycles are charged either way.
+              // since their sender framed them pass unchecked (their
+              // sender computed no CRC unless a fault hook could touch
+              // them); the check's cycles are charged either way.
               if (!packet.crc_intact && !packet::verify_crc(packet.bytes)) {
                 ++stats_.rx_bad_crc;
                 free_recv_buffer();

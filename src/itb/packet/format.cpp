@@ -27,15 +27,16 @@ void append_type(Bytes& out, PacketType type) {
   out.push_back(static_cast<std::uint8_t>(v & 0xFF));
 }
 
-/// Append Type, payload and the CRC-8 over both behind a header.
+/// Append Type, payload and the CRC-8 over both (or a 0 in its place)
+/// behind a header.
 void append_body(Bytes& out, PacketType type,
-                 std::span<const std::uint8_t> payload) {
+                 std::span<const std::uint8_t> payload, bool crc = true) {
   const std::size_t body_start = out.size();
   append_type(out, type);
   out.insert(out.end(), payload.begin(), payload.end());
   // CRC over the terminal portion (Type + payload) so that consuming route
   // bytes and stripping ITB stages never invalidates it.
-  out.push_back(crc8(std::span(out).subspan(body_start)));
+  out.push_back(crc ? crc8(std::span(out).subspan(body_start)) : 0);
 }
 
 std::optional<PacketType> read_type(std::span<const std::uint8_t> b) {
@@ -80,12 +81,12 @@ void append_header(Bytes& out, const std::vector<Route>& segments) {
 }
 
 Bytes frame(const HeaderView& header, PacketType type,
-            std::span<const std::uint8_t> payload) {
+            std::span<const std::uint8_t> payload, bool crc) {
   Bytes out;
   out.reserve(header.size() + 2 + payload.size() + 1);
   out.assign(header.body().begin(), header.body().end());
   if (!header.empty()) out.push_back(header.last());
-  append_body(out, type, payload);
+  append_body(out, type, payload, crc);
   return out;
 }
 

@@ -171,9 +171,12 @@ class HeaderView {
 };
 
 /// Frame a ready header: `header`, Type, payload and the CRC-8, in one
-/// allocation. What the MCP does with the route it downloaded.
+/// allocation. What the MCP does with the route it downloaded. With `crc`
+/// false the trailing byte is 0 instead of the CRC: a sender may skip it
+/// only when nothing can touch the bytes before their receiver, which then
+/// takes them unchecked (net::WirePacket::crc_intact).
 Bytes frame(const HeaderView& header, PacketType type,
-            std::span<const std::uint8_t> payload);
+            std::span<const std::uint8_t> payload, bool crc);
 
 /// Build an original-format packet (Fig. 3a).
 Bytes build_packet(const Route& route, PacketType type,

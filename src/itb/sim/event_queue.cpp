@@ -1,8 +1,8 @@
 #include "itb/sim/event_queue.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace itb::sim {
 
@@ -31,7 +31,6 @@ void EventQueue::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.action.reset();
   if (++s.gen == 0) s.gen = 1;  // generation 0 is reserved for null ids
-  s.in_wheel = false;
   s.next = free_head_;
   free_head_ = slot;
 }
@@ -41,7 +40,6 @@ void EventQueue::push_wheel(std::uint32_t slot) {
   // by seq and fire_next can pop the head without scanning.
   Slot& s = slots_[slot];
   const std::uint32_t b = bucket_of(s.at, kWheelSize - 1);
-  s.in_wheel = true;
   s.next = kNoSlot;
   s.prev = wheel_tail_[b];
   if (s.prev != kNoSlot)
@@ -62,7 +60,6 @@ void EventQueue::push_wheel_ordered(std::uint32_t slot) {
   std::uint32_t after = wheel_tail_[b];
   while (after != kNoSlot && slots_[after].seq > s.seq)
     after = slots_[after].prev;
-  s.in_wheel = true;
   s.prev = after;
   if (after == kNoSlot) {
     s.next = wheel_[b];
@@ -99,19 +96,52 @@ void EventQueue::clear_bucket_bit(std::uint32_t b) {
   if (occupied_[w] == 0) summary_ &= ~(1ull << w);
 }
 
-void EventQueue::migrate() {
-  while (!heap_.empty()) {
-    if (stale(heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), RefLater{});
-      heap_.pop_back();
-      continue;
-    }
-    if (heap_.front().at - wbase_ >= kWheelSpan) break;
-    const std::uint32_t slot = heap_.front().slot;
-    std::pop_heap(heap_.begin(), heap_.end(), RefLater{});
-    heap_.pop_back();
-    push_wheel_ordered(slot);
+void EventQueue::heap_place(std::uint32_t i, const Ref& r) {
+  heap_[i] = r;
+  slots_[r.slot].heap_pos = i;
+}
+
+void EventQueue::sift_up(std::uint32_t i, Ref r) {
+  while (i > 0) {
+    const std::uint32_t parent = (i - 1) / 2;
+    if (!earlier(r, heap_[parent])) break;
+    heap_place(i, heap_[parent]);
+    i = parent;
   }
+  heap_place(i, r);
+}
+
+void EventQueue::sift_down(std::uint32_t i, Ref r) {
+  const auto n = static_cast<std::uint32_t>(heap_.size());
+  for (;;) {
+    std::uint32_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
+    if (!earlier(heap_[child], r)) break;
+    heap_place(i, heap_[child]);
+    i = child;
+  }
+  heap_place(i, r);
+}
+
+void EventQueue::heap_remove(std::uint32_t i) {
+  slots_[heap_[i].slot].heap_pos = kNoSlot;
+  const Ref last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // it was the last entry
+  // The last entry fills the hole: up past an earlier parent, else down.
+  if (i > 0 && earlier(last, heap_[(i - 1) / 2]))
+    sift_up(i, last);
+  else
+    sift_down(i, last);
+}
+
+void EventQueue::migrate() {
+  do {
+    const std::uint32_t slot = heap_.front().slot;
+    heap_remove(0);
+    push_wheel_ordered(slot);
+  } while (heap_due());
 }
 
 std::uint32_t EventQueue::find_bucket(Time from) const {
@@ -137,9 +167,9 @@ void EventQueue::enqueue_ready(std::uint32_t slot, Time at) {
     push_wheel(slot);
     ++stats_.wheel_scheduled;
   } else {
-    Slot& s = slots_[slot];
-    heap_.push_back(Ref{at, s.seq, slot, s.gen});
-    std::push_heap(heap_.begin(), heap_.end(), RefLater{});
+    const Ref r{at, slots_[slot].seq, slot};
+    heap_.push_back(r);
+    sift_up(static_cast<std::uint32_t>(heap_.size() - 1), r);
     ++stats_.spill_scheduled;
   }
   ++live_;
@@ -152,10 +182,11 @@ bool EventQueue::cancel(EventId id) {
   const auto gen = static_cast<std::uint32_t>(id.value);
   if (gen == 0 || slot >= slots_.size() || slots_[slot].gen != gen)
     return false;
-  // Wheel events unlink eagerly; a spilled event leaves a 24 B reference in
-  // the heap that retains nothing (the closure dies here) and is dropped
-  // when it surfaces.
-  if (slots_[slot].in_wheel) unlink_wheel(slot);
+  // Either tier lets go of the event here, and its closure dies with it.
+  if (const std::uint32_t pos = slots_[slot].heap_pos; pos != kNoSlot)
+    heap_remove(pos);
+  else
+    unlink_wheel(slot);
   free_slot(slot);
   --live_;
   ++stats_.cancelled;
@@ -165,16 +196,12 @@ bool EventQueue::cancel(EventId id) {
 EventQueue::Next EventQueue::fire_next(Time limit) {
   for (;;) {
     if (live_ == 0) return Next::kEmpty;
-    migrate();
+    if (heap_due()) migrate();
     const std::uint32_t b = find_bucket(wbase_);
     if (b == kWheelSize) {
       // Wheel completely empty: every pending event is spilled beyond the
-      // window. Jump the window to the earliest one (idle-gap skip).
-      while (!heap_.empty() && stale(heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), RefLater{});
-        heap_.pop_back();
-      }
-      if (heap_.empty()) return Next::kEmpty;
+      // window, and the heap holds only live ones. Jump the window to the
+      // earliest (idle-gap skip).
       const Time t = heap_.front().at;
       if (t > limit) return Next::kBeyond;
       wbase_ = t;
@@ -237,8 +264,10 @@ void EventQueue::reset() {
       wheel_tail_[b] = kNoSlot;
     }
   }
-  for (const Ref& r : heap_)
-    if (!stale(r)) free_slot(r.slot);
+  for (const Ref& r : heap_) {
+    slots_[r.slot].heap_pos = kNoSlot;
+    free_slot(r.slot);
+  }
   heap_.clear();
   occupied_.fill(0);
   summary_ = 0;

@@ -15,13 +15,12 @@
 //   * Timing is two-tier: a bucketed near-horizon wheel (kWheelSpan ns of
 //     1 ns buckets, two-level occupancy bitmap for O(1) earliest-bucket
 //     lookup) absorbs the byte-time/cycle-cost events that dominate
-//     traffic, and a binary heap of plain {time, seq, slot, gen}
-//     references spills the far timers (retransmit timeouts, sampler
-//     ticks). Wheel buckets are intrusive doubly-linked lists threaded
-//     through the slots — no per-bucket allocation, and a cancelled wheel
-//     event unlinks eagerly. A spilled event cancelled before it migrates
-//     leaves a 24 B POD reference behind that retains nothing and is
-//     dropped when it surfaces.
+//     traffic, and a binary heap of plain {time, seq, slot} references
+//     spills the far timers (retransmit timeouts, sampler ticks). Wheel
+//     buckets are intrusive doubly-linked lists threaded through the
+//     slots — no per-bucket allocation. Both tiers hold live events only:
+//     a cancelled wheel event unlinks, and a cancelled spilled event
+//     leaves the heap at once (each spilled slot records its heap index).
 #pragma once
 
 #include <array>
@@ -122,9 +121,10 @@ class EventQueue {
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
   /// Owner of one pending event. `gen` advances every time the slot is
-  /// freed, so heap references and EventIds from a previous occupancy miss.
-  /// While in the wheel, `next`/`prev` thread the slot into its bucket's
-  /// doubly-linked list; while free, `next` is the free-list link.
+  /// freed, so EventIds from a previous occupancy miss. While in the wheel,
+  /// `next`/`prev` thread the slot into its bucket's doubly-linked list;
+  /// while free, `next` is the free-list link. `heap_pos` is the slot's
+  /// index in the spill heap while it is spilled, kNoSlot otherwise.
   struct Slot {
     Action action;
     Time at = 0;
@@ -132,21 +132,19 @@ class EventQueue {
     std::uint32_t gen = 1;
     std::uint32_t next = kNoSlot;
     std::uint32_t prev = kNoSlot;
-    bool in_wheel = false;
+    std::uint32_t heap_pos = kNoSlot;
   };
 
-  /// POD reference stored in the spill heap; stale iff gen mismatches.
+  /// POD reference stored in the spill heap: the slot's own (at, seq),
+  /// copied so sifting compares without touching the slots.
   struct Ref {
     Time at;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
-  struct RefLater {
-    bool operator()(const Ref& a, const Ref& b) const {
-      return a.at > b.at || (a.at == b.at && a.seq > b.seq);
-    }
-  };
+  static bool earlier(const Ref& a, const Ref& b) {
+    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+  }
 
   enum class Next : std::uint8_t { kFired, kBeyond, kEmpty };
 
@@ -155,7 +153,19 @@ class EventQueue {
   /// Second half of schedule_at: file the freshly filled slot into the
   /// wheel or the spill heap and update the bookkeeping.
   void enqueue_ready(std::uint32_t slot, Time at);
-  bool stale(const Ref& r) const { return slots_[r.slot].gen != r.gen; }
+
+  /// Spill heap: a binary min-heap on (at, seq) whose moves keep each
+  /// slot's heap_pos current. heap_remove takes out the entry at index `i`
+  /// and re-seats the last entry there; a sift moves `r` from the hole at
+  /// `i` to its place.
+  void heap_remove(std::uint32_t i);
+  void heap_place(std::uint32_t i, const Ref& r);
+  void sift_up(std::uint32_t i, Ref r);
+  void sift_down(std::uint32_t i, Ref r);
+  /// Does the earliest spilled event lie inside the wheel window?
+  bool heap_due() const {
+    return !heap_.empty() && heap_.front().at - wbase_ < kWheelSpan;
+  }
 
   void push_wheel(std::uint32_t slot);
   /// push_wheel for migrated spill refs: inserts by (at, seq) so the bucket
@@ -165,6 +175,7 @@ class EventQueue {
   void unlink_wheel(std::uint32_t slot);
   void clear_bucket_bit(std::uint32_t b);
   /// Move spilled refs whose time entered the wheel window into the wheel.
+  /// Call only when heap_due().
   void migrate();
   /// First occupied bucket at or after absolute time `from` within the
   /// window [wbase_, wbase_ + kWheelSpan); kWheelSize when none.
@@ -194,7 +205,7 @@ class EventQueue {
   /// exact (wheel events unlink eagerly on cancel).
   std::array<std::uint64_t, kWordCount> occupied_{};
   std::uint64_t summary_ = 0;
-  std::vector<Ref> heap_;                  // far-timer spill (RefLater order)
+  std::vector<Ref> heap_;                  // far-timer spill, min at front
 
   Stats stats_;
 };

@@ -327,6 +327,107 @@ TEST(EventEngineEquivalence, RandomizedScriptMatchesReference) {
     EXPECT_EQ(fast_trace, ref_trace) << "seed " << seed;
     EXPECT_EQ(fast.pending(), 0u);
   }
+
+  // Cancel-heavy script, GM's pattern: far timers armed and most of them
+  // cancelled before they surface. Each round first fires a no-op at now(),
+  // which migrates every spilled event the window has reached, so the spill
+  // heap holds exactly the pending events at or beyond now() + 4096 (the
+  // wheel's span). Among those the script cancels the heap's front (the
+  // earliest by time, then arming order), its last entry (a timer armed
+  // later than every other, which its push leaves at the heap's end), a
+  // middle entry and then most of the rest; and one timer that spilled
+  // when armed but has since migrated into the wheel. Then it arms a timer
+  // at the window's far edge, which must stay spilled until every earlier
+  // event has fired.
+  constexpr Time kSpan = 4096;
+  for (std::uint64_t seed : {6ull, 7ull, 8ull}) {
+    Rng rng(seed);
+    EventQueue fast;
+    ReferenceQueue ref;
+    std::vector<std::pair<Time, int>> fast_trace, ref_trace;
+    struct Armed {
+      Time at;
+      bool spilled;  // beyond the window when armed
+      EventId fast_id;
+      std::uint64_t ref_id;
+      bool cancelled = false;
+    };
+    std::vector<Armed> armed;  // in arming (= sequence) order
+    int tag = 0;
+    const auto arm = [&](Time at) {
+      const int t = tag++;
+      armed.push_back(
+          {at, at >= fast.now() + kSpan,
+           fast.schedule_at(at, [&fast_trace, &fast, t] {
+             fast_trace.emplace_back(fast.now(), t);
+           }),
+           ref.schedule_at(at, [&ref_trace, &ref, t] {
+             ref_trace.emplace_back(ref.now(), t);
+           })});
+    };
+    const auto cancel = [&](std::size_t i) {
+      EXPECT_TRUE(fast.cancel(armed[i].fast_id)) << "seed " << seed;
+      EXPECT_TRUE(ref.cancel(armed[i].ref_id));
+      armed[i].cancelled = true;
+    };
+    const auto pick_one = [&](std::vector<std::size_t>& from) {
+      const auto k = static_cast<std::ptrdiff_t>(rng.next_below(from.size()));
+      const std::size_t i = from[static_cast<std::size_t>(k)];
+      from.erase(from.begin() + k);
+      return i;
+    };
+    for (int round = 0; round < 80; ++round) {
+      const int timers = 8 + static_cast<int>(rng.next_below(16));
+      for (int i = 0; i < timers; ++i)
+        arm(fast.now() + kSpan +
+            static_cast<Time>(rng.next_below(rng.next_below(2) ? 50'000
+                                                               : 5'000'000)));
+      for (int i = static_cast<int>(rng.next_below(4)); i > 0; --i)
+        arm(fast.now() + static_cast<Time>(rng.next_below(kSpan)));
+      arm(fast.now());
+      EXPECT_EQ(fast.run(fast.now()), ref.run(ref.now()));
+
+      // Pending events in the heap, and spilled ones now in the wheel.
+      std::vector<std::size_t> in_heap, migrated;
+      Time latest = fast.now();
+      for (std::size_t i = 0; i < armed.size(); ++i) {
+        if (armed[i].cancelled || armed[i].at <= fast.now()) continue;
+        latest = std::max(latest, armed[i].at);
+        if (armed[i].at >= fast.now() + kSpan)
+          in_heap.push_back(i);
+        else if (armed[i].spilled)
+          migrated.push_back(i);
+      }
+      if (!in_heap.empty()) {
+        const auto front = *std::min_element(
+            in_heap.begin(), in_heap.end(), [&](std::size_t a, std::size_t b) {
+              return armed[a].at < armed[b].at ||
+                     (armed[a].at == armed[b].at && a < b);
+            });
+        cancel(front);
+        std::erase(in_heap, front);
+      }
+      if (!in_heap.empty()) cancel(pick_one(in_heap));
+      arm(std::max(latest, fast.now() + kSpan) + 1);
+      cancel(armed.size() - 1);
+      while (in_heap.size() > 24) cancel(pick_one(in_heap));
+      for (const std::size_t i : in_heap)
+        if (rng.next_below(3) == 0) cancel(i);
+      if (!migrated.empty()) cancel(pick_one(migrated));
+      arm(fast.now() + kSpan);  // the earliest time that spills
+      EXPECT_EQ(fast.pending(), ref.pending()) << "seed " << seed;
+
+      const Time until =
+          fast.now() + static_cast<Time>(rng.next_below(2'000'000));
+      EXPECT_EQ(fast.run(until), ref.run(until));
+      EXPECT_EQ(fast.now(), ref.now()) << "seed " << seed;
+      EXPECT_EQ(fast.pending(), ref.pending()) << "seed " << seed;
+    }
+    fast.run();
+    ref.run(INT64_MAX);
+    EXPECT_EQ(fast_trace, ref_trace) << "seed " << seed;
+    EXPECT_EQ(fast.pending(), 0u);
+  }
 }
 
 TEST(EventEngineEquivalence, ResetMatchesReferenceRestart) {

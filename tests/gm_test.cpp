@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "itb/core/cluster.hpp"
 #include "itb/gm/header.hpp"
@@ -334,6 +335,63 @@ TEST(GmPort, AckAfterBarrenTimeoutsRestoresBaseTimeout) {
   EXPECT_EQ(in_first_stall, 2u) << "two barren timeouts";
   EXPECT_EQ(after_base_timeout, 3u) << "the base timeout fired at 1.1 ms";
   EXPECT_EQ(got, 2);
+}
+
+TEST(GmPort, LastAckCancelsTheRetransmitTimer) {
+  // The ack that empties the window cancels the retransmission timer: the
+  // run ends at that ack, not at the timeout, and the queue counts the
+  // cancel. One message on two hosts: the timer is the run's only cancel.
+  auto c = make_cluster();
+  sim::Time acked_at = -1;
+  ASSERT_TRUE(c->port(0).send(1, Bytes(64, 1),
+                              [&](sim::Time t) { acked_at = t; }));
+  c->run();
+  ASSERT_GT(acked_at, 0);
+  EXPECT_EQ(c->queue().now(), acked_at) << "nothing fires after the ack";
+  EXPECT_LT(c->queue().now(), gm::GmConfig{}.retransmit_timeout / 100);
+  EXPECT_EQ(c->queue().stats().cancelled, 1u);
+  EXPECT_EQ(c->port(0).stats().retransmissions, 0u);
+}
+
+TEST(GmPort, BarrenTimeoutsDoubleUpToSixtyFourTimesTheBase) {
+  // Each barren timeout doubles the next one, up to 2^6 times the base:
+  // with the receiver's NIC stalled past eight timeouts, the timer fires
+  // T, 2T, 4T, ..., 64T and then 64T again after it was first armed (at
+  // the end of gm_send()'s host cost). A probe scheduled up front fires
+  // before a timer due at the same time, so the probes at t and t + 1
+  // pin each retransmission to exactly t.
+  constexpr sim::Duration T = 100 * sim::kUs;
+  core::ClusterConfig cfg;
+  cfg.topology = topo::make_linear(2, 1);
+  cfg.engine = {routing::Policy::kUpDown, 1};
+  cfg.gm_config.retransmit_timeout = T;
+  cfg.fault_schedule.nic_stall(1, 1 * sim::kUs, 200 * T);
+  core::Cluster c(std::move(cfg));
+  int got = 0;
+  c.port(1).set_receive_handler(
+      [&](sim::Time, std::uint16_t, Bytes) { ++got; });
+  ASSERT_TRUE(c.port(0).send(1, Bytes(64, 1)));
+  const auto& st = c.port(0).stats();
+  std::vector<sim::Time> due;
+  sim::Time at = gm::GmConfig{}.host_send_overhead_ns;
+  for (const int shift : {0, 1, 2, 3, 4, 5, 6, 6}) {
+    at += T << shift;
+    due.push_back(at);
+  }
+  ASSERT_LT(due.back(), 200 * T) << "every timeout falls in the stall";
+  std::vector<std::uint64_t> before(due.size()), after(due.size());
+  for (std::size_t k = 0; k < due.size(); ++k) {
+    c.queue().schedule_at(due[k], [&, k] { before[k] = st.retransmissions; });
+    c.queue().schedule_at(due[k] + 1,
+                          [&, k] { after[k] = st.retransmissions; });
+  }
+  c.run();
+  for (std::size_t k = 0; k < due.size(); ++k) {
+    EXPECT_EQ(before[k], k) << "timeout " << k + 1 << " fired early";
+    EXPECT_EQ(after[k], k + 1) << "timeout " << k + 1 << " not at " << due[k];
+  }
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(c.port(0).stats().send_failures, 0u);
 }
 
 TEST(GmPort, StatsCountAcks) {

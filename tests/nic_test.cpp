@@ -207,6 +207,65 @@ TEST(Nic, ItbForwardingDeliversEndToEnd) {
   EXPECT_EQ(rig.nics[1]->stats().delivered_to_host, 0u);
 }
 
+/// A fault hook that only watches: every channel usable, every host
+/// accepting, every packet delivered as it came, and the bytes of each
+/// one whose tail reached a NIC recorded.
+class RecordingHook : public net::FaultHook {
+ public:
+  std::vector<Bytes> seen;
+
+  bool channel_usable(topo::Channel) const override { return true; }
+  bool host_accepting(std::uint16_t) const override { return true; }
+  Fate delivery_fate(std::uint16_t, Bytes& bytes) override {
+    seen.push_back(bytes);
+    return Fate::kDeliver;
+  }
+  void note_kill(topo::Channel) override {}
+};
+
+/// What a packet's final receiver checks: its ITB stages stripped, each
+/// with the route bytes of the segment behind it.
+Bytes terminal_body(Bytes bytes) {
+  while (packet::peek_type(bytes) == PacketType::kItb) {
+    bytes = packet::strip_itb_stage(std::move(bytes));
+    bytes.erase(bytes.begin(),
+                bytes.begin() + static_cast<std::ptrdiff_t>(
+                                    packet::leading_route_bytes(bytes)));
+  }
+  return bytes;
+}
+
+TEST(Nic, FramedPacketsCarryTheirCrcWhileAFaultHookIsInstalled) {
+  // A NIC computes a packet's CRC only when a fault hook may touch the
+  // bytes; then every packet the hook sees must carry a valid body CRC:
+  // direct sends, the leg into an in-transit host and its re-injection,
+  // cut through (Early Recv) or forwarded from the full buffer.
+  for (const bool early_recv : {true, false}) {
+    SCOPED_TRACE(early_recv ? "early recv" : "late detection");
+    RecordingHook hook;  // outlives the rig's network
+    nic::McpOptions opts;
+    opts.early_recv = early_recv;
+    Rig rig(opts);
+    rig.net->set_fault_hook(&hook);
+    rig.nics[0]->set_route(2, itb_segments());
+    rig.nics[0]->post_send(2, Bytes(64, 0x77));
+    rig.nics[0]->post_send(1, Bytes(100, 0x11));
+    rig.nics[2]->post_send(1, Bytes(10, 0xEE), PacketType::kMapping);
+    rig.run();
+    ASSERT_EQ(hook.seen.size(), 4u);
+    int itb_legs = 0;
+    for (const Bytes& b : hook.seen) {
+      itb_legs += packet::peek_type(b) == PacketType::kItb;
+      EXPECT_TRUE(packet::verify_crc(terminal_body(b)));
+    }
+    EXPECT_EQ(itb_legs, 1);
+    EXPECT_EQ(rig.nics[1]->stats().itb_forwarded, 1u);
+    EXPECT_EQ(rig.clients[2]->messages.size(), 1u);
+    EXPECT_EQ(rig.clients[1]->messages.size(), 2u);
+    for (const auto& nic : rig.nics) EXPECT_EQ(nic->stats().rx_bad_crc, 0u);
+  }
+}
+
 TEST(Nic, ItbForwardingSlowerThanDirectButBounded) {
   sim::Time direct, via_itb;
   {

@@ -757,7 +757,7 @@ TEST(RouteTable, FramedHeadersMatchTheSegmentEncoder) {
                 0xA5};
             const auto wire =
                 itb::packet::frame(r.header(), itb::packet::PacketType::kGm,
-                                   payload);
+                                   payload, /*crc=*/true);
             if (wire != itb::packet::build_itb_packet(
                             r.segments(), itb::packet::PacketType::kGm,
                             payload) &&
