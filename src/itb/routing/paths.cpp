@@ -18,6 +18,30 @@ std::size_t segment_end(const packet::HeaderView& header, std::size_t pos) {
   return pos;
 }
 
+/// A level search's gain: `state` adds to `fresh` the bits of `bits` that
+/// `reached` lacks and is marked in `dirty` when there are any. No branch.
+void add_fresh(std::uint32_t state, std::uint64_t bits,
+               const std::vector<std::uint64_t>& reached,
+               std::vector<std::uint64_t>& fresh,
+               std::vector<std::uint64_t>& dirty) {
+  bits &= ~reached[state];
+  fresh[state] |= bits;
+  dirty[state >> 6] |= std::uint64_t{bits != 0} << (state & 63);
+}
+
+/// Hand each state marked in `dirty`, in state order, to `settle(state,
+/// bits)` with the bits `fresh` holds for it, clearing both.
+template <class Settle>
+void drain(std::vector<std::uint64_t>& dirty, std::vector<std::uint64_t>& fresh,
+           Settle&& settle) {
+  for (std::size_t w = 0; w < dirty.size(); ++w)
+    for (std::uint64_t m = std::exchange(dirty[w], 0); m != 0; m &= m - 1) {
+      const auto state =
+          static_cast<std::uint32_t>(w * 64 + std::countr_zero(m));
+      settle(state, std::exchange(fresh[state], 0));
+    }
+}
+
 }  // namespace
 
 std::size_t RouteView::segment_count() const {
@@ -217,7 +241,7 @@ Router::Router(const UpDown& updown, ItbHostSelection selection)
     offsets_[sw + 1].itbs += offsets_[sw].itbs;
   }
   hops_.resize(offsets_[switches].hops);
-  in_hops_.resize(offsets_[switches].in);
+  inbound_.resize(offsets_[switches].in);
   itb_hosts_.resize(offsets_[switches].itbs);
 
   std::vector<Offsets> next(offsets_.begin(), offsets_.end() - 1);
@@ -225,18 +249,21 @@ Router::Router(const UpDown& updown, ItbHostSelection selection)
       [&](topo::LinkId lid, const topo::Link& l) {
         const auto sa = l.a.node.index;
         const auto sb = l.b.node.index;
-        hops_[next[sa].hops++] = Hop{lid, sa, sb, l.a.port,
-                                     updown.is_up_traversal(lid, sa), true};
-        hops_[next[sb].hops++] = Hop{lid, sb, sa, l.b.port,
-                                     updown.is_up_traversal(lid, sb), false};
+        hops_[next[sa].hops++] =
+            Hop{lid, sb, l.a.port, updown.is_up_traversal(lid, sa), true};
+        hops_[next[sb].hops++] =
+            Hop{lid, sa, l.b.port, updown.is_up_traversal(lid, sb), false};
       },
       [&](topo::LinkId, const topo::Endpoint& sw_end,
           const topo::Endpoint& host_end) {
         itb_hosts_[next[sw_end.node.index].itbs++] =
             ItbCandidate{host_end.node.index, sw_end.port};
       });
-  for (std::uint32_t k = 0; k < hops_.size(); ++k)
-    in_hops_[next[hops_[k].to].in++] = k;
+  for (std::uint16_t sw = 0; sw < switches; ++sw)
+    for (const Hop& h : hops_out(sw))
+      inbound_[next[h.to].in++] = InHop{topo::Channel{h.link, h.forward},
+                                        std::uint32_t{sw} << 1, h.out_port,
+                                        h.up};
   for (std::size_t sw = 0; sw < switches; ++sw)
     std::sort(itb_hosts_.begin() + offsets_[sw].itbs,
               itb_hosts_.begin() + offsets_[sw + 1].itbs,
@@ -275,19 +302,37 @@ void Router::search(std::span<const std::uint16_t> sources, SolveFlags flags,
   // resets are allowed, the bits sub-level (h, i - 1) brought to a phase-1
   // state on a switch with an ITB host; `reached` clears whatever an
   // earlier level already brought. Levels run in lexicographic order, so
-  // the first arrival is the cheapest.
+  // the first arrival is the cheapest. A state that gains bits is marked
+  // in `dirty`, and each sub-level settles its marked states in state
+  // order, which changes no result: gains and `down_first` are ORs, and a
+  // predecessor depends only on the in-hop order. A hop the search forbids
+  // (down -> up) leads to the sink, one spare state past the last whose
+  // bits all count as reached: it never gains one, so a gain takes no
+  // branch.
   const std::size_t states = 2 * switch_count();
+  const auto sink = static_cast<std::uint32_t>(states);
   out.states = states;
-  out.reached.assign(states, 0);
+  out.reached.assign(states + 1, 0);
+  out.reached[sink] = ~std::uint64_t{0};
   out.down_first.assign(switch_count(), 0);
   out.pred.resize(sources.size() * states);
-  sc.fresh.assign(states, 0);
+  sc.fresh.assign(states + 1, 0);
   sc.tails.assign(states, 0);
-  auto& touched = sc.touched;
-  touched.clear();
-  // A sub-level touches a state at most once: sized once here, these grow
+  sc.dirty.assign(states / 64 + 1, 0);
+  // Where each hop leads from either tail phase: a restricted down hop
+  // into phase 1, an up hop out of phase 1 nowhere. Unrestricted, only
+  // phase 0 is ever reached.
+  const std::size_t hops = hops_.size();
+  sc.lands.resize(2 * hops);
+  for (std::size_t k = 0; k < hops; ++k) {
+    const Hop& h = hops_[k];
+    const std::uint32_t to =
+        std::uint32_t{h.to} << 1 | (flags.restrict_updown && !h.up);
+    sc.lands[k] = to;
+    sc.lands[hops + k] = flags.restrict_updown && h.up ? sink : to;
+  }
+  // A sub-level holds a state at most once: sized once here, these grow
   // only past a level holding a state in several sub-levels.
-  touched.reserve(states);
   for (auto& f : sc.frontiers) f.entries.reserve(states);
   Scratch::Frontier* prev = &sc.frontiers[0];
   Scratch::Frontier* cur = &sc.frontiers[1];
@@ -299,10 +344,7 @@ void Router::search(std::span<const std::uint16_t> sources, SolveFlags flags,
                state] = pred;
   };
   const auto gain = [&](std::uint32_t state, std::uint64_t bits) {
-    bits &= ~out.reached[state];
-    if (bits == 0) return;
-    if (sc.fresh[state] == 0) touched.push_back(state);
-    sc.fresh[state] |= bits;
+    add_fresh(state, bits, out.reached, sc.fresh, sc.dirty);
   };
 
   // Level 0: each source at its switch, phase 0.
@@ -310,13 +352,11 @@ void Router::search(std::span<const std::uint16_t> sources, SolveFlags flags,
     gain(std::uint32_t{sources[b]} << 1, std::uint64_t{1} << b);
   prev->entries.clear();
   prev->subs.assign(1, 0);
-  for (const auto state : touched) {
-    const std::uint64_t bits = std::exchange(sc.fresh[state], 0);
+  drain(sc.dirty, sc.fresh, [&](std::uint32_t state, std::uint64_t bits) {
     out.reached[state] = bits;
     prev->entries.push_back({state, bits});
     set_pred(bits, state, kSourcePred);
-  }
-  touched.clear();
+  });
 
   const bool resets = flags.restrict_updown && flags.allow_itb;
   while (!prev->entries.empty()) {
@@ -329,17 +369,11 @@ void Router::search(std::span<const std::uint16_t> sources, SolveFlags flags,
       if (hops_in) {
         for (const auto& e : prev->run(i)) {
           sc.tails[e.state] = e.bits;
-          const unsigned phase = e.state & 1;
-          for (const Hop& h : hops_out(static_cast<std::uint16_t>(e.state >> 1))) {
-            std::uint32_t to = std::uint32_t{h.to} << 1;
-            if (flags.restrict_updown) {
-              if (!h.up)
-                to |= 1;
-              else if (phase == 1)
-                continue;  // down -> up forbidden
-            }
-            gain(to, e.bits);
-          }
+          const auto sw = e.state >> 1;
+          const std::uint32_t* lands = sc.lands.data() + (e.state & 1) * hops;
+          for (std::uint32_t k = offsets_[sw].hops; k < offsets_[sw + 1].hops;
+               ++k)
+            gain(lands[k], e.bits);
         }
       }
       if (resets && i > 0)
@@ -355,41 +389,36 @@ void Router::search(std::span<const std::uint16_t> sources, SolveFlags flags,
       // state at its cost, and of its parallel hops the first. Trying each
       // in-hop's tail phases in turn picks the same hop: for a given tail
       // switch and state, every hop qualifies from both phases or from
-      // phase 0 only. A bit no in-hop carried came by an ITB reset.
-      const std::size_t settled = cur->entries.size();
-      cur->subs.push_back(static_cast<std::uint32_t>(settled));
-      for (const auto state : touched) {
-        const std::uint64_t bits = std::exchange(sc.fresh[state], 0);
+      // phase 0 only. A bit no in-hop carried came by an ITB reset. A
+      // phase-1 arrival the phase-0 twin has not matched by now, its own
+      // sub-level included (the twin settles first), is strictly cheaper:
+      // ties go to phase 0.
+      cur->subs.push_back(static_cast<std::uint32_t>(cur->entries.size()));
+      drain(sc.dirty, sc.fresh, [&](std::uint32_t state, std::uint64_t bits) {
         out.reached[state] |= bits;
         cur->entries.push_back({state, bits});
         const auto sw = state >> 1;
         const unsigned phase = state & 1;
+        if (phase != 0) out.down_first[sw] |= bits & ~out.reached[state - 1];
         std::uint64_t rest = bits;
         const std::uint32_t first = offsets_[sw].in;
         for (std::uint32_t j = first; j < offsets_[sw + 1].in && rest; ++j) {
-          const Hop& h = hops_[in_hops_[j]];
-          // The tail phases this hop leaves into `phase`, as a bit set.
-          unsigned tail_phases = 1;
-          if (flags.restrict_updown)
-            tail_phases = h.up ? (phase == 0 ? 1 : 0) : (phase == 1 ? 3 : 0);
-          for (unsigned q = 0; q < 2; ++q) {
-            if ((tail_phases >> q & 1) == 0) continue;
-            const std::uint32_t tail = (std::uint32_t{h.from} << 1) | q;
-            const std::uint64_t got = rest & sc.tails[tail];
-            rest &= ~got;
-            set_pred(got, state, tail << 8 | (j - first));
-          }
+          const InHop& h = inbound_[j];
+          // Masks of the tail phases this hop leaves into `phase`: an up
+          // hop leaves phase 0 into phase 0, a down hop either phase into
+          // phase 1; unrestricted, phase 0 is all there is.
+          const bool into = !flags.restrict_updown || h.up == (phase == 0);
+          const std::uint64_t from0 = -std::uint64_t{into};
+          const std::uint64_t from1 = -std::uint64_t{into && phase != 0};
+          const std::uint64_t got0 = rest & sc.tails[h.tail] & from0;
+          rest &= ~got0;
+          set_pred(got0, state, h.tail << 8 | (j - first));
+          const std::uint64_t got1 = rest & sc.tails[h.tail | 1] & from1;
+          rest &= ~got1;
+          set_pred(got1, state, (h.tail | 1) << 8 | (j - first));
         }
         set_pred(rest, state, (state | 1) << 8 | kResetIndex);
-      }
-      touched.clear();
-      // A phase-1 arrival the phase-0 twin has not matched by now, its own
-      // sub-level included, is strictly cheaper: ties go to phase 0.
-      for (std::size_t k = settled; k < cur->entries.size(); ++k) {
-        const auto& e = cur->entries[k];
-        if ((e.state & 1) != 0)
-          out.down_first[e.state >> 1] |= e.bits & ~out.reached[e.state & ~1u];
-      }
+      });
       if (hops_in)
         for (const auto& e : prev->run(i)) sc.tails[e.state] = 0;
     }
@@ -429,9 +458,9 @@ void Router::extract(const Search& s, std::size_t bit, std::uint16_t src_host,
       header.port(itb.port);
       row.hosts_.push_back(itb.host);
     } else {
-      const Hop& h = hops_[in_hops_[offsets_[sw].in + index]];
+      const InHop& h = inbound_[offsets_[sw].in + index];
       header.port(h.out_port);
-      row.channels_.push_back(topo::Channel{h.link, h.forward});
+      row.channels_.push_back(h.channel);
     }
     state = p >> 8;
   }
@@ -492,15 +521,14 @@ void Router::min_hops_via(std::span<const std::uint16_t> sources,
   // marked switch. A hop costs one level; passing a marked switch lifts a
   // walk to layer 1 within its level. A bit first reaches a state at its
   // distance. The block search's buffers serve: `tails` holds the bits
-  // each state has, `fresh` the bits it gains in the level being built.
+  // each state has, `fresh` the bits it gains in the level being built and
+  // `dirty` the states that gain any, settled in state order.
   const std::size_t n = switch_count();
   std::ranges::fill(dist, std::numeric_limits<std::uint32_t>::max());
   auto& reached = sc.tails;
-  auto& gained = sc.fresh;
   reached.assign(2 * n, 0);
-  gained.assign(2 * n, 0);
-  auto& touched = sc.touched;
-  touched.clear();
+  sc.fresh.assign(2 * n, 0);
+  sc.dirty.assign(2 * n / 64 + 1, 0);
   auto* cur = &sc.frontiers[0].entries;
   auto* next = &sc.frontiers[1].entries;
   next->clear();
@@ -522,10 +550,7 @@ void Router::min_hops_via(std::span<const std::uint16_t> sources,
     }
   };
   const auto gain = [&](std::uint32_t state, std::uint64_t bits) {
-    bits &= ~reached[state];
-    if (bits == 0) return;
-    if (gained[state] == 0) touched.push_back(state);
-    gained[state] |= bits;
+    add_fresh(state, bits, reached, sc.fresh, sc.dirty);
   };
   for (std::size_t b = 0; b < sources.size(); ++b)
     settle(std::uint32_t{sources[b]} << 1, std::uint64_t{1} << b);
@@ -541,9 +566,7 @@ void Router::min_hops_via(std::span<const std::uint16_t> sources,
         if (lifted || via_link[h.link] != 0) gain(to | 1, e.bits);
       }
     }
-    for (const auto state : touched)
-      settle(state, std::exchange(gained[state], 0));
-    touched.clear();
+    drain(sc.dirty, sc.fresh, settle);
   }
 }
 

@@ -342,14 +342,21 @@ class Router {
   const UpDown* updown_;
   ItbHostSelection selection_;
 
-  /// One usable trunk traversal out of switch `from`.
+  /// One usable trunk traversal out of the switch whose run holds it.
   struct Hop {
     topo::LinkId link;
-    std::uint16_t from;
     std::uint16_t to;
-    std::uint8_t out_port;  // port on `from`
+    std::uint8_t out_port;  // port on the switch it leaves
     bool up;
     bool forward;  // the trunk channel runs link a -> b
+  };
+  /// The same traversal as the switch it enters sees it: everything the
+  /// search's settle step and the extraction read, in one record.
+  struct InHop {
+    topo::Channel channel;
+    std::uint32_t tail;     // the state it leaves in phase 0: from << 1
+    std::uint8_t out_port;  // port on `from`, encoded by the extraction
+    bool up;
   };
   struct ItbCandidate {
     std::uint16_t host;
@@ -363,12 +370,12 @@ class Router {
     std::uint32_t itbs = 0;
   };
   std::vector<Offsets> offsets_;
-  /// Every usable trunk traversal, by `from` switch and, within one, in
-  /// link order. A hop's id is its index here.
+  /// Every usable trunk traversal, by the switch it leaves and, within
+  /// one, in link order. A hop's id is its index here.
   std::vector<Hop> hops_;
-  /// Per `to` switch, the ids of the hops into it, ascending: in (from
-  /// switch, index among from's hops) order.
-  std::vector<std::uint32_t> in_hops_;
+  /// Per switch, the hops into it in hop id order: by the switch they
+  /// leave, then in link order.
+  std::vector<InHop> inbound_;
   /// Per switch, its attached hosts usable as in-transit hosts, sorted by
   /// host index.
   std::vector<ItbCandidate> itb_hosts_;
@@ -422,7 +429,8 @@ class Router {
 
   /// One block's search result. Bit b of `reached[state]` says source b
   /// reached the state; then `pred[b * states + state]` is its
-  /// predecessor. Bit b of `down_first[sw]` says source b reached the
+  /// predecessor. `reached` ends with the sink's word, all ones (see
+  /// search()). Bit b of `down_first[sw]` says source b reached the
   /// switch more cheaply in phase 1 than in phase 0 (a tie goes to phase
   /// 0): its routes to the switch's hosts end in phase 1.
   struct Search {
@@ -489,13 +497,18 @@ class Router::Scratch {
     }
   };
   std::array<Frontier, 2> frontiers;
-  /// Per state: the bits it gains in the sub-level being settled.
+  /// Per state and the sink: the bits it gains in the sub-level being
+  /// settled.
   std::vector<std::uint64_t> fresh;
   /// Per state: its bits in the previous level's run of the same itbs
   /// count, the hop predecessors of that sub-level.
   std::vector<std::uint64_t> tails;
-  /// The states with fresh bits, in the order they first gained one.
-  std::vector<std::uint32_t> touched;
+  /// A bit per state and the sink: the states with fresh bits, settled
+  /// in state order.
+  std::vector<std::uint64_t> dirty;
+  /// Per (tail phase, hop id), phase-major: the state the hop leads to, or
+  /// the sink where the search forbids it. Built per search.
+  std::vector<std::uint32_t> lands;
   /// Per group of the block: whether its row holds an escape route.
   std::vector<char> escaped_;
   /// The block's groups: each one's sources in `held`, its usable ones

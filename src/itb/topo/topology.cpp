@@ -72,6 +72,10 @@ LinkId Topology::connect(Endpoint a, Endpoint b, PortKind kind) {
     throw std::invalid_argument("host-to-host cable (" + to_string(a.node) +
                                 " - " + to_string(b.node) +
                                 "): NICs attach to switches");
+  if (links_.size() >= kMaxLinks)
+    throw std::invalid_argument(
+        "link id space exhausted (2^31 max): a channel packs the link id "
+        "into 31 bits");
   links_.push_back(Link{a, b, kind});
   const auto id = static_cast<LinkId>(links_.size() - 1);
   incident_mutable(a.node).push_back(id);

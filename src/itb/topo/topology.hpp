@@ -60,14 +60,16 @@ struct Link {
 
 using LinkId = std::uint32_t;
 
-/// Directed channel: one direction of one link.
+/// Directed channel: one direction of one link, packed into 4 bytes (a
+/// route row stores one per trunk hop). The link id gets 31 bits;
+/// Topology::connect refuses a link past them.
 struct Channel {
-  LinkId link = 0;
-  bool forward = true;  // true: a->b, false: b->a
+  LinkId link : 31 = 0;
+  bool forward : 1 = true;  // true: a->b, false: b->a
 
   friend bool operator==(Channel, Channel) = default;
-  friend auto operator<=>(Channel, Channel) = default;
 };
+static_assert(sizeof(Channel) == 4);
 
 struct SwitchSpec {
   std::uint8_t ports = 8;
@@ -92,6 +94,9 @@ class Topology {
   /// 65535 hosts; add_switch()/add_host() throw past that instead of
   /// letting the index wrap.
   static constexpr std::size_t kMaxNodesPerKind = 0xFFFF;
+  /// Link ids are 31-bit (topo::Channel packs the direction beside one);
+  /// connect() throws past this many links.
+  static constexpr std::size_t kMaxLinks = std::size_t{1} << 31;
 
   /// Add a switch with `ports` ports; returns its id.
   /// Throws std::invalid_argument past kMaxNodesPerKind switches.
@@ -102,7 +107,8 @@ class Topology {
   NodeId add_host(std::string name = {});
 
   /// Connect two endpoints with a cable of kind `kind`.
-  /// Throws std::invalid_argument on bad ports / double connections.
+  /// Throws std::invalid_argument on bad ports / double connections, and
+  /// past kMaxLinks links.
   LinkId connect(Endpoint a, Endpoint b, PortKind kind = PortKind::kSan);
 
   /// Convenience: connect switch s1 port p1 to switch s2 port p2.

@@ -394,6 +394,84 @@ TEST(GmPort, BarrenTimeoutsDoubleUpToSixtyFourTimesTheBase) {
   EXPECT_EQ(c.port(0).stats().send_failures, 0u);
 }
 
+/// Two hosts on two switches, h0 sending one 64 B message to h1 at t = 0:
+/// undisturbed, the data reaches h1 at 8.8 us and its ack completes the
+/// send at 15.0 us. h0 is down from 10 to 100 us, so the ack dies at h0's
+/// uplink, and the retransmission at 200 us finds the fabric whole. No
+/// remap: the routes stay as they are.
+core::ClusterConfig lost_ack_config() {
+  core::ClusterConfig cfg;
+  cfg.topology = topo::make_linear(2, 1);
+  cfg.engine = {routing::Policy::kUpDown, 1};
+  cfg.auto_remap = false;
+  cfg.gm_config.retransmit_timeout = 200 * sim::kUs;
+  cfg.fault_schedule.host_down(0, 10 * sim::kUs, 100 * sim::kUs);
+  return cfg;
+}
+
+TEST(GmPort, LostAckIsRecoveredByReAckingTheDuplicate) {
+  // The receiver delivered the message before its ack was lost, so the
+  // retransmission arrives as a duplicate. Only the receiver's re-ack of
+  // that duplicate tells the sender the message got through: without it
+  // the sender retransmits until it gives the connection up.
+  core::Cluster c(lost_ack_config());
+  int got = 0;
+  sim::Time sent_at = -1;
+  c.port(1).set_receive_handler(
+      [&](sim::Time, std::uint16_t, Bytes) { ++got; });
+  ASSERT_TRUE(c.port(0).send(1, Bytes(64, 1),
+                             [&](sim::Time t) { sent_at = t; }));
+  c.run();
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(c.port(1).stats().duplicates, 1u);
+  EXPECT_EQ(c.port(0).stats().retransmissions, 1u);
+  EXPECT_GT(sent_at, 200 * sim::kUs) << "completed by the re-ack";
+  EXPECT_EQ(c.port(0).stats().send_failures, 0u);
+  EXPECT_EQ(c.port(0).tokens_in_use(), 0);
+}
+
+TEST(FaultInjector, KillAtADownHostsUplinkCountsAsHostDown) {
+  // The ack of lost_ack_config() dies on the uplink of the down host h0:
+  // the most specific cause covering that link is the host, not the link.
+  core::Cluster c(lost_ack_config());
+  c.port(1).set_receive_handler([](sim::Time, std::uint16_t, Bytes) {});
+  ASSERT_TRUE(c.port(0).send(1, Bytes(64, 1)));
+  c.run();
+  ASSERT_NE(c.faults(), nullptr);
+  const auto& fs = c.faults()->stats();
+  EXPECT_EQ(fs.lost_host_down, 1u);
+  EXPECT_EQ(fs.lost_link_down, 0u);
+  EXPECT_EQ(fs.lost_switch_down, 0u);
+  EXPECT_EQ(c.network().stats().lost, 1u);
+}
+
+TEST(GmPort, WindowBoundsUnackedPackets) {
+  // The receiving NIC is stalled for the first millisecond, so no ack
+  // returns before then: of twelve one-packet messages the sender posts
+  // exactly one window (8 packets); the other four wait for acks.
+  core::ClusterConfig cfg;
+  cfg.topology = topo::make_linear(2, 1);
+  cfg.engine = {routing::Policy::kUpDown, 1};
+  cfg.fault_schedule.nic_stall(1, 1 * sim::kUs, 1 * sim::kMs);
+  core::Cluster c(std::move(cfg));
+  const int window = gm::GmConfig{}.window;
+  ASSERT_EQ(window, 8);
+  int got = 0;
+  c.port(1).set_receive_handler(
+      [&](sim::Time, std::uint16_t, Bytes) { ++got; });
+  for (int i = 0; i < 12; ++i)
+    ASSERT_TRUE(c.port(0).send(1, Bytes(64, static_cast<std::uint8_t>(i))));
+  const auto& st = c.port(0).stats();
+  std::uint64_t posted_in_stall = 0;
+  c.queue().schedule_at(1 * sim::kMs - 1,
+                        [&] { posted_in_stall = st.packets_data; });
+  c.run();
+  EXPECT_EQ(posted_in_stall, static_cast<std::uint64_t>(window));
+  EXPECT_EQ(got, 12);
+  EXPECT_EQ(st.packets_data, 12u);
+  EXPECT_EQ(st.retransmissions, 0u);
+}
+
 TEST(GmPort, StatsCountAcks) {
   auto c = make_cluster();
   c->port(1).set_receive_handler([](sim::Time, std::uint16_t, Bytes) {});

@@ -777,6 +777,234 @@ TEST(RouteTable, FramedHeadersMatchTheSegmentEncoder) {
   EXPECT_GT(with_itbs, 0u);
 }
 
+// ------------------------------------------------------- reference solver --
+
+/// One route as the reference solver spells it.
+struct ReferenceRoute {
+  std::vector<itb::packet::Route> segments;
+  std::vector<std::uint16_t> hosts;
+  std::vector<Channel> channels;
+  bool tied = false;  // the destination switch costs the same in both phases
+};
+
+/// The route rule Router documents, solved the slow way and sharing no code
+/// with it: it reads only the topology and the up*/down* orientation. It
+/// searches from one source at a time, one state at a time, in
+/// lexicographic (hops, itbs) order over (switch, phase) states (phase 1
+/// once a down traversal happened: no up hop follows until an ITB reset).
+/// Then:
+///   * a state's predecessor is its first qualifying in-hop, in the
+///     Router's in-hop order (by the switch it leaves, then link id), tail
+///     phase 0 before 1, whose tail costs exactly one hop less;
+///   * otherwise the state came by an ITB reset;
+///   * at the destination switch a tie between the phases goes to phase 0;
+///   * the in-transit host is the lowest-index usable host on its switch.
+class ReferenceSolver {
+ public:
+  ReferenceSolver(const Topology& t, const UpDown& ud, bool allow_itb)
+      : t_(t), allow_itb_(allow_itb), usable_(t.host_count(), false),
+        in_(t.switch_count()), out_(t.switch_count()),
+        itb_(t.switch_count()) {
+    for (LinkId l = 0; l < t.link_count(); ++l) {
+      if (!ud.link_usable(l)) continue;
+      const Link& k = t.link(l);
+      const bool a_sw = k.a.node.kind == NodeKind::kSwitch;
+      const bool b_sw = k.b.node.kind == NodeKind::kSwitch;
+      if (!a_sw || !b_sw) {
+        const Endpoint& sw = a_sw ? k.a : k.b;
+        const std::uint16_t host = (a_sw ? k.b : k.a).node.index;
+        usable_[host] = true;
+        auto& pick = itb_[sw.node.index];
+        if (!pick || host < pick->first) pick = {host, sw.port};
+        continue;
+      }
+      for (const bool forward : {true, false}) {
+        const Endpoint& from = forward ? k.a : k.b;
+        const Endpoint& to = forward ? k.b : k.a;
+        const Edge e{from.node.index, to.node.index, from.port,
+                     ud.is_up_traversal(l, from.node.index),
+                     Channel{l, forward}};
+        in_[e.to].push_back(e);
+        out_[e.from].push_back(e);
+      }
+    }
+    for (auto& edges : in_)
+      std::stable_sort(
+          edges.begin(), edges.end(),
+          [](const Edge& a, const Edge& b) { return a.from < b.from; });
+  }
+
+  /// Attached through a usable uplink: it sources and sinks routes.
+  bool usable(std::uint16_t host) const { return usable_[host]; }
+
+  using Cost = std::pair<std::uint32_t, std::uint32_t>;  // (hops, itbs)
+
+  /// Every state's lexicographic (hops, itbs) cost from `src`'s switch in
+  /// phase 0 (`src` usable).
+  std::vector<Cost> search(std::uint16_t src) const {
+    std::vector<Cost> cost(2 * t_.switch_count(), kUnreached);
+    std::vector<char> done(cost.size(), 0);
+    std::set<std::pair<Cost, std::uint32_t>> open;
+    const auto offer = [&](std::uint32_t state, Cost c) {
+      if (done[state] || !(c < cost[state])) return;
+      open.erase({cost[state], state});
+      cost[state] = c;
+      open.insert({c, state});
+    };
+    offer(2u * t_.host_uplink(src).node.index, {0, 0});
+    while (!open.empty()) {
+      const auto [c, state] = *open.begin();
+      open.erase(open.begin());
+      done[state] = 1;
+      const auto at = static_cast<std::uint16_t>(state / 2);
+      const unsigned phase = state % 2;
+      for (const Edge& e : out_[at])
+        if (legal(e.up, phase, e.up ? 0 : 1))
+          offer(2u * e.to + (e.up ? 0 : 1), {c.first + 1, c.second});
+      if (allow_itb_ && phase == 1 && itb_[at])
+        offer(state - 1, {c.first, c.second + 1});
+    }
+    return cost;
+  }
+
+  /// The route to usable host `dst` out of the search() of its source, or
+  /// nullopt when the search did not reach dst's switch.
+  std::optional<ReferenceRoute> route(const std::vector<Cost>& cost,
+                                      std::uint16_t dst) const {
+    const Endpoint d = t_.host_uplink(dst);
+    const auto at = [&](std::uint16_t sw, unsigned phase) {
+      return cost[2u * sw + phase];
+    };
+    const Cost c0 = at(d.node.index, 0), c1 = at(d.node.index, 1);
+    if (c0 == kUnreached && c1 == kUnreached) return std::nullopt;
+    std::uint32_t state = 2u * d.node.index + (c1 < c0 ? 1 : 0);
+
+    // Walk back to the source, building every list back to front.
+    ReferenceRoute r;
+    r.tied = c0 == c1;
+    itb::packet::Route seg{d.port};
+    while (cost[state] != Cost{0, 0}) {
+      const auto sw = static_cast<std::uint16_t>(state / 2);
+      const unsigned phase = state % 2;
+      const Cost want{cost[state].first - 1, cost[state].second};
+      std::optional<std::uint32_t> tail;
+      for (const Edge& e : in_[sw]) {
+        for (unsigned q = 0; q < 2 && !tail; ++q)
+          if (legal(e.up, q, phase) && cost[2u * e.from + q] == want) {
+            tail = 2u * e.from + q;
+            seg.push_back(e.out_port);
+            r.channels.push_back(e.channel);
+          }
+        if (tail) break;
+      }
+      if (!tail) {
+        // An ITB reset from the phase-1 twin, one ITB cheaper.
+        EXPECT_TRUE(phase == 0 && itb_[sw] &&
+                    cost[state + 1] == Cost(cost[state].first,
+                                            cost[state].second - 1))
+            << "no predecessor for state " << state;
+        std::reverse(seg.begin(), seg.end());
+        r.segments.insert(r.segments.begin(), seg);
+        seg = {itb_[sw]->second};
+        r.hosts.push_back(itb_[sw]->first);
+        tail = state + 1;
+      }
+      state = *tail;
+    }
+    std::reverse(seg.begin(), seg.end());
+    r.segments.insert(r.segments.begin(), seg);
+    std::reverse(r.hosts.begin(), r.hosts.end());
+    std::reverse(r.channels.begin(), r.channels.end());
+    return r;
+  }
+
+ private:
+  static constexpr Cost kUnreached{~0u, ~0u};
+  struct Edge {
+    std::uint16_t from;
+    std::uint16_t to;
+    std::uint8_t out_port;
+    bool up;
+    Channel channel;
+  };
+
+  /// A hop leaves tail phase `q` into `phase`: up from phase 0 to phase 0,
+  /// down from either phase into phase 1.
+  static bool legal(bool up, unsigned q, unsigned phase) {
+    return up ? q == 0 && phase == 0 : phase == 1;
+  }
+
+  const Topology& t_;
+  bool allow_itb_;
+  std::vector<bool> usable_;
+  std::vector<std::vector<Edge>> in_, out_;
+  /// Per switch, its lowest-index usable host and the port to it.
+  std::vector<std::optional<std::pair<std::uint16_t, std::uint8_t>>> itb_;
+};
+
+TEST(RoutingInvariants, TablesMatchAReferenceSolverOfTheDocumentedRule) {
+  // Every pair of the up*/down* and ITB tables of seeded 32 x 4 and 64 x 4
+  // COWs (seeds 1-3), whole and with the busiest trunk down, equals what
+  // the reference solver above builds: segments, in-transit hosts and
+  // trunk channels, and which pairs are unreachable.
+  std::size_t compared = 0, with_itbs = 0, tied_phases = 0;
+  for (const std::uint16_t switches : {32, 64})
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      itb::sim::Rng rng(seed);
+      IrregularSpec spec;
+      spec.switches = switches;
+      spec.hosts_per_switch = 4;
+      const auto t = make_random_irregular(spec, rng);
+      const auto root = t.host_uplink(0).node.index;
+      const std::vector<char> all_up(t.link_count(), 1);
+      auto busiest = all_up;
+      busiest[busiest_trunk(t, root)] = 0;
+      const std::vector<char>* const masks[] = {&all_up, &busiest};
+      for (const auto* mask : masks) {
+        const UpDown ud(t, root, *mask);
+        const Router router(ud);
+        for (const Policy policy : {Policy::kUpDown, Policy::kItb}) {
+          SCOPED_TRACE(::testing::Message()
+                       << switches << " x 4 COW, seed " << seed << ", "
+                       << (mask == &all_up ? "whole" : "busiest trunk down")
+                       << ", " << short_name(policy));
+          const RouteTable table(router, policy);
+          const ReferenceSolver ref(t, ud, policy == Policy::kItb);
+          std::size_t mismatches = 0;
+          for (std::uint16_t src = 0; src < t.host_count(); ++src) {
+            const auto cost = ref.usable(src)
+                                  ? ref.search(src)
+                                  : std::vector<ReferenceSolver::Cost>{};
+            for (std::uint16_t dst = 0; dst < t.host_count(); ++dst) {
+              if (src == dst) continue;
+              const RouteView got = table.route(src, dst);
+              const auto want = !cost.empty() && ref.usable(dst)
+                                    ? ref.route(cost, dst)
+                                    : std::nullopt;
+              const bool same =
+                  want ? !got.empty() && got.segments() == want->segments &&
+                             std::ranges::equal(got.in_transit_hosts(),
+                                                want->hosts) &&
+                             std::ranges::equal(got.trunk_channels(),
+                                                want->channels)
+                       : got.empty();
+              if (!same && mismatches++ == 0)
+                ADD_FAILURE() << "first mismatch: " << src << " > " << dst
+                              << ": " << describe(got, t);
+              ++compared;
+              with_itbs += got.itb_count() > 0;
+              tied_phases += want && want->tied;
+            }
+          }
+          EXPECT_EQ(mismatches, 0u);
+        }
+      }
+    }
+  EXPECT_EQ(compared, 2u * 2 * 3 * (128u * 127 + 256u * 255));
+  EXPECT_GT(with_itbs, 0u);
+  EXPECT_GT(tied_phases, 0u);
+}
+
 // ------------------------------------------------------------ grouped solve --
 
 /// Fig. 1's switches and trunks with hosts dealt out of order: switch 4
